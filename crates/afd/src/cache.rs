@@ -6,15 +6,39 @@
 //! ablation bench). Ties break deterministically toward the
 //! least-recently-touched entry, as a hardware pseudo-age would.
 //!
-//! Implementation: a fixed-seed [`DetHashMap`] for lookup +
-//! `BTreeSet<(rank, stamp, key)>` as the eviction order, giving
-//! `O(log n)` updates — fast enough to stream hundreds of millions of
-//! packets while staying exactly deterministic.
+//! Implementation: three flat arrays sized once at construction, so the
+//! per-packet operations never allocate and are `O(1)`:
+//!
+//! * a **slot arena** holding `(key, count)` plus intrusive list links;
+//! * an **open-addressing index** (linear probing, backward-shift
+//!   deletion) from key to slot, hashed with the workspace's fixed-seed
+//!   hasher so runs stay reproducible. It is kept at most a quarter
+//!   full: a lookup then ends in its home cell nearly every time, which
+//!   is worth more than the footprint because the miss-or-hit branch of
+//!   a longer probe is unpredictable on a flow mix;
+//! * the classic **frequency-bucket list**: one FIFO of slots per
+//!   distinct rank (the count under LFU; a single rank under LRU), the
+//!   buckets linked in ascending rank.
+//!
+//! Every touch and insert makes its entry the most recently used one,
+//! so appending at a bucket's tail keeps each FIFO in recency order and
+//! the replacement victim — least rank, then least recent — is always
+//! the head of the lowest bucket. A touch moves a slot to the adjacent
+//! bucket (or re-ranks its bucket in place when it is alone there); an
+//! insert into a full cache re-keys the victim's slot.
+//!
+//! Only an insert at an arbitrary count (an AFC victim demoted into the
+//! annex) has to *search* the bucket list, and it is a finger search:
+//! it starts from whichever of the list's two ends and the two most
+//! recent departure points is nearest in rank. When more heavy flows
+//! compete than the AFC has entries, a demoted flow comes back with the
+//! count it left with one promotion earlier (plus its few AFC hits), so
+//! the search ends within a step or two of a finger; any start is
+//! correct, the choice only bounds the walk.
 
-use nphash::det::{det_map_with_capacity, DetHashMap};
+use nphash::det::DetState;
 use nphash::FlowId;
-use std::collections::BTreeSet;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Replacement policy of a [`FlowCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,10 +49,53 @@ pub enum CachePolicy {
     Lru,
 }
 
+/// "No slot / no bucket" in every link field.
+const NIL: u32 = u32::MAX;
+
+/// One cache entry plus its position in the eviction order.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Slot<K> {
+    key: K,
     count: u64,
-    stamp: u64,
+    /// High hash bits of `key`: its index home, kept so eviction and
+    /// backward-shift deletion never re-hash.
+    tag: u32,
+    /// The rank bucket this slot is queued in.
+    bucket: u32,
+    /// Neighbours in the bucket's FIFO; `next` doubles as the free-list
+    /// link while the slot is unused.
+    prev: u32,
+    next: u32,
+}
+
+/// One distinct rank: a FIFO of slots, oldest at `head`.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    rank: u64,
+    head: u32,
+    tail: u32,
+    /// Neighbours in ascending rank order; `next` doubles as the
+    /// free-list link while the bucket is unused.
+    prev: u32,
+    next: u32,
+}
+
+/// One index cell: the slot it points at (`NIL` = empty) and that
+/// slot's hash tag.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    tag: u32,
+    slot: u32,
+}
+
+const EMPTY: Cell = Cell { tag: 0, slot: NIL };
+
+/// Outcome of an index probe: the resident slot, or the key's hash tag
+/// so a following insert does not hash again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Probe {
+    Hit(u32),
+    Miss(u32),
 }
 
 /// A fixed-capacity, fully-associative cache of flow keys with counters.
@@ -40,48 +107,422 @@ struct Entry {
 pub struct FlowCache<K = FlowId> {
     policy: CachePolicy,
     capacity: usize,
-    entries: DetHashMap<K, Entry>,
-    /// Eviction order: smallest element is the next victim.
-    order: BTreeSet<(u64, u64, K)>,
-    tick: u64,
+    len: usize,
+    slots: Vec<Slot<K>>,
+    free_slot: u32,
+    buckets: Vec<Bucket>,
+    free_bucket: u32,
+    /// Ends of the bucket list; `lowest`'s head is the victim.
+    lowest: u32,
+    highest: u32,
+    /// Search fingers: the buckets at (or just below) the two most
+    /// recent unlinks, newest first. Always linked buckets or `NIL`.
+    fingers: (u32, u32),
+    index: Vec<Cell>,
+    /// `index.len() - 1` (the length is a power of two).
+    mask: usize,
+    /// `32 - log2(index.len())`: a tag's top bits are its home cell.
+    shift: u32,
 }
 
 impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
     /// An empty cache of `capacity` entries.
     ///
     /// # Panics
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or exceeds 2³⁰ entries.
     pub fn new(capacity: usize, policy: CachePolicy) -> Self {
         assert!(capacity > 0, "cache needs at least one entry");
+        assert!(capacity <= 1 << 30, "cache capacity exceeds 2^30 entries");
+        let cells = (4 * capacity).next_power_of_two();
         FlowCache {
             policy,
             capacity,
-            entries: det_map_with_capacity(capacity),
-            order: BTreeSet::new(),
-            tick: 0,
+            len: 0,
+            slots: Vec::with_capacity(capacity),
+            free_slot: NIL,
+            buckets: Vec::with_capacity(capacity),
+            free_bucket: NIL,
+            lowest: NIL,
+            highest: NIL,
+            fingers: (NIL, NIL),
+            index: vec![EMPTY; cells],
+            mask: cells - 1,
+            shift: 32 - cells.trailing_zeros(),
         }
     }
 
-    fn rank(&self, e: &Entry) -> (u64, u64) {
+    // ---- arena accessors -------------------------------------------------
+    //
+    // Every id handed to these comes out of the index, a list link or a
+    // free list, all of which only ever hold ids of pushed elements.
+
+    #[inline]
+    fn slot(&self, s: u32) -> &Slot<K> {
+        // npcheck: allow(hot-path-panic) — slot ids are arena-issued, < slots.len()
+        &self.slots[s as usize]
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, s: u32) -> &mut Slot<K> {
+        // npcheck: allow(hot-path-panic) — slot ids are arena-issued, < slots.len()
+        &mut self.slots[s as usize]
+    }
+
+    #[inline]
+    fn bucket(&self, b: u32) -> &Bucket {
+        // npcheck: allow(hot-path-panic) — bucket ids are arena-issued, < buckets.len()
+        &self.buckets[b as usize]
+    }
+
+    #[inline]
+    fn bucket_mut(&mut self, b: u32) -> &mut Bucket {
+        // npcheck: allow(hot-path-panic) — bucket ids are arena-issued, < buckets.len()
+        &mut self.buckets[b as usize]
+    }
+
+    #[inline]
+    fn cell(&self, i: usize) -> Cell {
+        // npcheck: allow(hot-path-panic) — i is masked to index.len() - 1
+        self.index[i & self.mask]
+    }
+
+    #[inline]
+    fn set_cell(&mut self, i: usize, c: Cell) {
+        // npcheck: allow(hot-path-panic) — i is masked to index.len() - 1
+        self.index[i & self.mask] = c;
+    }
+
+    #[inline]
+    fn rank_of(&self, count: u64) -> u64 {
         match self.policy {
-            CachePolicy::Lfu => (e.count, e.stamp),
-            CachePolicy::Lru => (0, e.stamp),
+            CachePolicy::Lfu => count,
+            CachePolicy::Lru => 0,
         }
     }
+
+    // ---- index -----------------------------------------------------------
+
+    #[inline]
+    fn home(&self, tag: u32) -> usize {
+        (tag >> self.shift) as usize
+    }
+
+    /// Look `key` up. At most a quarter of the cells are occupied, so the
+    /// probe always ends at an empty cell.
+    #[inline]
+    pub(crate) fn probe(&self, key: K) -> Probe {
+        let tag = (DetState::default().hash_one(key) >> 32) as u32;
+        let mut i = self.home(tag);
+        loop {
+            let c = self.cell(i);
+            if c.slot == NIL {
+                return Probe::Miss(tag);
+            }
+            if c.tag == tag && self.slot(c.slot).key == key {
+                return Probe::Hit(c.slot);
+            }
+            i += 1;
+        }
+    }
+
+    fn index_insert(&mut self, tag: u32, slot: u32) {
+        let mut i = self.home(tag);
+        while self.cell(i).slot != NIL {
+            i += 1;
+        }
+        self.set_cell(i, Cell { tag, slot });
+    }
+
+    /// Remove `slot`'s cell and close the gap (backward-shift deletion:
+    /// each follower moves into the hole unless that would put it
+    /// before its own home cell).
+    fn index_remove(&mut self, tag: u32, slot: u32) {
+        let mut hole = self.home(tag);
+        while self.cell(hole).slot != slot {
+            hole = (hole + 1) & self.mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & self.mask;
+            let c = self.cell(j);
+            if c.slot == NIL {
+                break;
+            }
+            let h = self.home(c.tag);
+            let home_between = if hole <= j {
+                hole < h && h <= j
+            } else {
+                hole < h || h <= j
+            };
+            if !home_between {
+                self.set_cell(hole, c);
+                hole = j;
+            }
+        }
+        self.set_cell(hole, EMPTY);
+    }
+
+    // ---- eviction order --------------------------------------------------
+
+    /// Take `s` out of its bucket's FIFO, retiring the bucket if that
+    /// empties it, and leave a finger where `s` was.
+    fn unlink(&mut self, s: u32) {
+        let Slot {
+            bucket: b,
+            prev,
+            next,
+            ..
+        } = *self.slot(s);
+        if prev == NIL {
+            self.bucket_mut(b).head = next;
+        } else {
+            self.slot_mut(prev).next = next;
+        }
+        if next == NIL {
+            self.bucket_mut(b).tail = prev;
+        } else {
+            self.slot_mut(next).prev = prev;
+        }
+        let newest = self.fingers.0;
+        if self.bucket(b).head != NIL {
+            self.fingers = (b, newest);
+            return;
+        }
+        let Bucket {
+            prev: below,
+            next: above,
+            ..
+        } = *self.bucket(b);
+        if below == NIL {
+            self.lowest = above;
+        } else {
+            self.bucket_mut(below).next = above;
+        }
+        if above == NIL {
+            self.highest = below;
+        } else {
+            self.bucket_mut(above).prev = below;
+        }
+        self.bucket_mut(b).next = self.free_bucket;
+        self.free_bucket = b;
+        // The retired bucket must not survive as a finger.
+        self.fingers = (below, if newest == b { below } else { newest });
+    }
+
+    /// Queue `s` at the tail of bucket `b` (most recently used).
+    fn append(&mut self, s: u32, b: u32) {
+        let tail = self.bucket(b).tail;
+        let slot = self.slot_mut(s);
+        slot.bucket = b;
+        slot.prev = tail;
+        slot.next = NIL;
+        if tail == NIL {
+            self.bucket_mut(b).head = s;
+        } else {
+            self.slot_mut(tail).next = s;
+        }
+        self.bucket_mut(b).tail = s;
+    }
+
+    /// Requeue `s` as the most recently used entry of its own bucket.
+    fn move_to_tail(&mut self, s: u32) {
+        let b = self.slot(s).bucket;
+        if self.bucket(b).tail != s {
+            // `s` is not alone, so the bucket survives the unlink.
+            self.unlink(s);
+            self.append(s, b);
+        }
+    }
+
+    /// A fresh, empty bucket of `rank` linked right above `below`
+    /// (`NIL` = at the bottom of the list).
+    fn bucket_above(&mut self, below: u32, rank: u64) -> u32 {
+        let above = if below == NIL {
+            self.lowest
+        } else {
+            self.bucket(below).next
+        };
+        let fresh = Bucket {
+            rank,
+            head: NIL,
+            tail: NIL,
+            prev: below,
+            next: above,
+        };
+        let b = if self.free_bucket == NIL {
+            self.buckets.push(fresh);
+            (self.buckets.len() - 1) as u32
+        } else {
+            let b = self.free_bucket;
+            self.free_bucket = self.bucket(b).next;
+            *self.bucket_mut(b) = fresh;
+            b
+        };
+        if below == NIL {
+            self.lowest = b;
+        } else {
+            self.bucket_mut(below).next = b;
+        }
+        if above == NIL {
+            self.highest = b;
+        } else {
+            self.bucket_mut(above).prev = b;
+        }
+        b
+    }
+
+    /// Queue the unlinked slot `s` as the most recent entry of `rank`,
+    /// creating the bucket if no entry has that rank. The search walks
+    /// from the nearest-ranked of the list's ends and the fingers.
+    fn place(&mut self, s: u32, rank: u64) {
+        // `below`: the bucket of greatest rank ≤ `rank`, if any.
+        let mut below = self.lowest;
+        if below != NIL {
+            let mut gap = self.bucket(below).rank.abs_diff(rank);
+            for start in [self.highest, self.fingers.0, self.fingers.1] {
+                if start != NIL {
+                    let d = self.bucket(start).rank.abs_diff(rank);
+                    if d < gap {
+                        (gap, below) = (d, start);
+                    }
+                }
+            }
+            if self.bucket(below).rank <= rank {
+                loop {
+                    let above = self.bucket(below).next;
+                    if above == NIL || self.bucket(above).rank > rank {
+                        break;
+                    }
+                    below = above;
+                }
+            } else {
+                while below != NIL && self.bucket(below).rank > rank {
+                    below = self.bucket(below).prev;
+                }
+            }
+        }
+        let b = if below != NIL && self.bucket(below).rank == rank {
+            below
+        } else {
+            self.bucket_above(below, rank)
+        };
+        self.append(s, b);
+    }
+
+    /// Give the resident slot `s` a new count and make it the most
+    /// recently used entry of the matching rank.
+    fn requeue(&mut self, s: u32, count: u64) {
+        self.slot_mut(s).count = count;
+        let rank = self.rank_of(count);
+        let b = self.slot(s).bucket;
+        let Bucket {
+            rank: old_rank,
+            head,
+            tail,
+            prev: below,
+            next: above,
+        } = *self.bucket(b);
+        if rank == old_rank {
+            // LRU, an equal-count re-key, or a saturated counter.
+            self.move_to_tail(s);
+        } else if head == tail
+            && (below == NIL || self.bucket(below).rank < rank)
+            && (above == NIL || rank < self.bucket(above).rank)
+        {
+            // Alone in its bucket and still between the neighbours' ranks:
+            // the bucket itself takes the new rank.
+            self.bucket_mut(b).rank = rank;
+        } else if above != NIL && self.bucket(above).rank == rank {
+            // The usual touch: up into the adjacent bucket.
+            self.unlink(s);
+            self.append(s, above);
+        } else {
+            self.unlink(s);
+            self.place(s, rank);
+        }
+    }
+
+    // ---- slot-level operations (shared with the detector) ----------------
+
+    /// The hit counter of resident slot `s`.
+    #[inline]
+    pub(crate) fn count_at(&self, s: u32) -> u64 {
+        self.slot(s).count
+    }
+
+    /// Touch resident slot `s`: bump its counter (and recency),
+    /// returning the new count.
+    pub(crate) fn bump(&mut self, s: u32) -> u64 {
+        let count = self.slot(s).count.saturating_add(1);
+        self.requeue(s, count);
+        count
+    }
+
+    /// Remove resident slot `s`, returning its count.
+    pub(crate) fn remove_at(&mut self, s: u32) -> u64 {
+        let Slot { count, tag, .. } = *self.slot(s);
+        self.unlink(s);
+        self.index_remove(tag, s);
+        self.slot_mut(s).next = self.free_slot;
+        self.free_slot = s;
+        self.len -= 1;
+        count
+    }
+
+    /// Insert `flow`, which a [`FlowCache::probe`] just reported absent
+    /// under `tag`, evicting the replacement victim if full. Returns the
+    /// evicted `(flow, count)`, if any.
+    pub(crate) fn insert_missed(&mut self, flow: K, tag: u32, count: u64) -> Option<(K, u64)> {
+        if self.len == self.capacity {
+            // Re-key the victim's slot in place.
+            let s = self.bucket(self.lowest).head;
+            let old = *self.slot(s);
+            self.index_remove(old.tag, s);
+            self.index_insert(tag, s);
+            let slot = self.slot_mut(s);
+            slot.key = flow;
+            slot.tag = tag;
+            self.requeue(s, count);
+            return Some((old.key, old.count));
+        }
+        let fresh = Slot {
+            key: flow,
+            count,
+            tag,
+            bucket: NIL,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = if self.free_slot == NIL {
+            self.slots.push(fresh);
+            (self.slots.len() - 1) as u32
+        } else {
+            let s = self.free_slot;
+            self.free_slot = self.slot(s).next;
+            *self.slot_mut(s) = fresh;
+            s
+        };
+        self.index_insert(tag, s);
+        self.place(s, self.rank_of(count));
+        self.len += 1;
+        None
+    }
+
+    // ---- public API ------------------------------------------------------
 
     /// Number of resident flows.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the cache holds no flows.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Whether the cache is at capacity.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len >= self.capacity
     }
 
     /// Configured entry count.
@@ -91,35 +532,24 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
 
     /// Whether `flow` is resident.
     pub fn contains(&self, flow: K) -> bool {
-        self.entries.contains_key(&flow)
+        matches!(self.probe(flow), Probe::Hit(_))
     }
 
     /// The hit counter of `flow`, if resident.
     pub fn count_of(&self, flow: K) -> Option<u64> {
-        self.entries.get(&flow).map(|e| e.count)
+        match self.probe(flow) {
+            Probe::Hit(s) => Some(self.count_at(s)),
+            Probe::Miss(_) => None,
+        }
     }
 
     /// Touch `flow` if resident: bump its counter (and recency), returning
     /// the new count. `None` on miss — the cache is *not* modified.
     pub fn touch(&mut self, flow: K) -> Option<u64> {
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self.entries.get_mut(&flow)?;
-        let old = *entry;
-        entry.count = entry.count.saturating_add(1);
-        entry.stamp = tick;
-        let new = *entry;
-        let old_rank = match self.policy {
-            CachePolicy::Lfu => (old.count, old.stamp),
-            CachePolicy::Lru => (0, old.stamp),
-        };
-        let new_rank = match self.policy {
-            CachePolicy::Lfu => (new.count, new.stamp),
-            CachePolicy::Lru => (0, new.stamp),
-        };
-        self.order.remove(&(old_rank.0, old_rank.1, flow));
-        self.order.insert((new_rank.0, new_rank.1, flow));
-        Some(new.count)
+        match self.probe(flow) {
+            Probe::Hit(s) => Some(self.bump(s)),
+            Probe::Miss(_) => None,
+        }
     }
 
     /// Insert `flow` with an initial `count`, evicting the replacement
@@ -128,101 +558,61 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
     /// Inserting a flow that is already resident just overwrites its
     /// counter (no eviction).
     pub fn insert(&mut self, flow: K, count: u64) -> Option<(K, u64)> {
-        self.tick += 1;
-        if let Some(e) = self.entries.get(&flow).copied() {
-            let r = self.rank(&e);
-            self.order.remove(&(r.0, r.1, flow));
-            let ne = Entry {
-                count,
-                stamp: self.tick,
-            };
-            let nr = self.rank(&ne);
-            self.entries.insert(flow, ne);
-            self.order.insert((nr.0, nr.1, flow));
-            return None;
+        match self.probe(flow) {
+            Probe::Hit(s) => {
+                self.requeue(s, count);
+                None
+            }
+            Probe::Miss(tag) => self.insert_missed(flow, tag, count),
         }
-        let victim = if self.entries.len() >= self.capacity {
-            self.evict_victim()
-        } else {
-            None
-        };
-        let e = Entry {
-            count,
-            stamp: self.tick,
-        };
-        let r = self.rank(&e);
-        self.entries.insert(flow, e);
-        self.order.insert((r.0, r.1, flow));
-        victim
-    }
-
-    /// Pop the current replacement victim. `None` only when the cache
-    /// is empty — `order` and `entries` are maintained in lockstep, so
-    /// an ordered key is always resident (a desync degrades to a
-    /// zero-count eviction rather than a panic on the packet path).
-    fn evict_victim(&mut self) -> Option<(K, u64)> {
-        let (r0, r1, vflow) = self.order.iter().next().copied()?;
-        self.order.remove(&(r0, r1, vflow));
-        let count = self.entries.remove(&vflow).map_or(0, |e| e.count);
-        Some((vflow, count))
     }
 
     /// Remove `flow`, returning its count if it was resident.
     pub fn remove(&mut self, flow: K) -> Option<u64> {
-        let e = self.entries.remove(&flow)?;
-        let r = self.rank(&e);
-        self.order.remove(&(r.0, r.1, flow));
-        Some(e.count)
+        match self.probe(flow) {
+            Probe::Hit(s) => Some(self.remove_at(s)),
+            Probe::Miss(_) => None,
+        }
     }
 
     /// The current replacement victim (least-ranked entry), if any.
     pub fn victim(&self) -> Option<(K, u64)> {
-        self.order.iter().next().map(|&(c, _, f)| {
-            (
-                f,
-                match self.policy {
-                    CachePolicy::Lfu => c,
-                    // Under LRU the rank carries no count; read it from
-                    // the entry (resident by the lockstep invariant).
-                    CachePolicy::Lru => self.entries.get(&f).map_or(0, |e| e.count),
-                },
-            )
-        })
-    }
-
-    /// Resident flows, unordered.
-    pub fn flows(&self) -> Vec<K> {
-        // npcheck: allow(blocking-hot-path) — reporting accessor, not on the per-packet path
-        self.entries.keys().copied().collect()
+        if self.lowest == NIL {
+            return None;
+        }
+        let s = self.slot(self.bucket(self.lowest).head);
+        Some((s.key, s.count))
     }
 
     /// Resident flows ordered by descending counter (descending rank).
     pub fn flows_by_count(&self) -> Vec<(K, u64)> {
-        // npcheck: allow(blocking-hot-path) — reporting accessor, not on the per-packet path
-        let mut v: Vec<(K, u64)> = self.entries.iter().map(|(&f, e)| (f, e.count)).collect();
+        let mut v = Vec::with_capacity(self.len);
+        let mut b = self.lowest;
+        while b != NIL {
+            let mut s = self.bucket(b).head;
+            while s != NIL {
+                let slot = self.slot(s);
+                v.push((slot.key, slot.count));
+                s = slot.next;
+            }
+            b = self.bucket(b).next;
+        }
         v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
-    }
-
-    /// Halve every counter (counter aging, used by long-running
-    /// deployments to let stale elephants decay; ablation knob).
-    pub fn age_counters(&mut self) {
-        // npcheck: allow(blocking-hot-path) — counter aging runs per epoch, not per packet
-        let snapshot: Vec<(K, Entry)> = self.entries.iter().map(|(&f, &e)| (f, e)).collect();
-        self.order.clear();
-        for (f, mut e) in snapshot {
-            e.count /= 2;
-            let r = self.rank(&e);
-            self.entries.insert(f, e);
-            self.order.insert((r.0, r.1, f));
-        }
     }
 
     /// Clear all entries (counters and order), e.g. at a measurement-
     /// window boundary.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.len = 0;
+        self.slots.clear();
+        self.free_slot = NIL;
+        self.buckets.clear();
+        self.free_bucket = NIL;
+        self.lowest = NIL;
+        self.highest = NIL;
+        self.fingers = (NIL, NIL);
+        self.index.fill(EMPTY);
     }
 }
 
@@ -232,6 +622,44 @@ mod tests {
 
     fn f(i: u64) -> FlowId {
         FlowId::from_index(i)
+    }
+
+    /// Structural invariants: index, arena and bucket lists agree.
+    fn check<K: Copy + Eq + Ord + Hash + std::fmt::Debug>(c: &FlowCache<K>) {
+        let mut seen = 0;
+        let mut b = c.lowest;
+        let mut below = NIL;
+        let mut last_rank = None;
+        while b != NIL {
+            let bk = c.bucket(b);
+            assert_eq!(bk.prev, below);
+            assert!(last_rank.is_none_or(|r| r < bk.rank), "ranks ascend");
+            assert_ne!(bk.head, NIL, "no empty bucket stays linked");
+            last_rank = Some(bk.rank);
+            let (mut s, mut prev) = (bk.head, NIL);
+            while s != NIL {
+                let slot = c.slot(s);
+                assert_eq!(slot.bucket, b);
+                assert_eq!(slot.prev, prev);
+                assert_eq!(c.rank_of(slot.count), bk.rank);
+                assert!(matches!(c.probe(slot.key), Probe::Hit(h) if h == s));
+                seen += 1;
+                prev = s;
+                s = slot.next;
+            }
+            assert_eq!(bk.tail, prev);
+            below = b;
+            b = bk.next;
+        }
+        assert_eq!(c.highest, below);
+        assert_eq!(seen, c.len());
+        for f in [c.fingers.0, c.fingers.1] {
+            assert!(
+                f == NIL || c.bucket(f).head != NIL,
+                "finger on a retired bucket"
+            );
+        }
+        assert_eq!(c.index.iter().filter(|cell| cell.slot != NIL).count(), seen);
     }
 
     #[test]
@@ -316,14 +744,13 @@ mod tests {
     }
 
     #[test]
-    fn aging_halves_counts_and_reorders() {
-        let mut c = FlowCache::new(3, CachePolicy::Lfu);
-        c.insert(f(1), 9);
-        c.insert(f(2), 4);
-        c.age_counters();
-        assert_eq!(c.count_of(f(1)), Some(4));
-        assert_eq!(c.count_of(f(2)), Some(2));
-        assert_eq!(c.victim().unwrap().0, f(2));
+    fn saturated_counter_still_refreshes_recency() {
+        let mut c = FlowCache::new(2, CachePolicy::Lfu);
+        c.insert(f(1), u64::MAX);
+        c.insert(f(2), u64::MAX);
+        assert_eq!(c.touch(f(1)), Some(u64::MAX));
+        assert_eq!(c.victim(), Some((f(2), u64::MAX)));
+        check(&c);
     }
 
     #[test]
@@ -333,26 +760,29 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.victim(), None);
+        c.insert(f(2), 1);
+        check(&c);
     }
 
     #[test]
-    fn order_and_entries_stay_consistent_under_churn() {
-        let mut c = FlowCache::new(8, CachePolicy::Lfu);
-        for i in 0..1_000u64 {
-            match i % 3 {
-                0 => {
-                    c.insert(f(i % 20), 1);
+    fn structure_stays_consistent_under_churn() {
+        for policy in [CachePolicy::Lfu, CachePolicy::Lru] {
+            let mut c = FlowCache::new(8, policy);
+            for i in 0..2_000u64 {
+                match i % 4 {
+                    0 => {
+                        c.insert(f(i % 20), 1 + i % 5);
+                    }
+                    1 | 2 => {
+                        c.touch(f((i * 7) % 20));
+                    }
+                    _ => {
+                        c.remove(f(i % 11));
+                    }
                 }
-                1 => {
-                    c.touch(f(i % 20));
-                }
-                _ => {
-                    c.remove(f(i % 11));
-                }
+                assert!(c.len() <= 8);
+                check(&c);
             }
-            assert!(c.len() <= 8);
-            // Internal invariant: order set and entry map agree.
-            assert_eq!(c.order.len(), c.entries.len());
         }
     }
 }

@@ -15,7 +15,7 @@
 //! the paper observes, mild sampling even *improves* accuracy because
 //! heavy flows are proportionally more likely to be sampled.
 
-use crate::cache::{CachePolicy, FlowCache};
+use crate::cache::{CachePolicy, FlowCache, Probe};
 use nphash::FlowId;
 use serde::{Deserialize, Serialize};
 use std::hash::Hash;
@@ -169,43 +169,51 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
         }
         self.stats.sampled += 1;
 
-        if self.afc.touch(flow).is_some() {
-            self.stats.afc_hits += 1;
-            return AfdAccess::AfcHit;
-        }
-        if let Some(count) = self.annex.touch(flow) {
-            self.stats.annex_hits += 1;
-            // Past the threshold the flow is promoted; under the
-            // `Competitive` policy a challenger must additionally
-            // out-count the AFC's current LFU victim (keeps one lucky
-            // mouse burst from evicting an established aggressive flow).
-            let promotable = count > self.cfg.promote_threshold
-                && (self.cfg.promotion == PromotionPolicy::Always
-                    || !self.afc.is_full()
-                    || self.afc.victim().is_none_or(|(_, vc)| count > vc));
-            if promotable {
-                self.promote(flow, count);
-                self.stats.promotions += 1;
-                return AfdAccess::AnnexHit { promoted: true };
+        // One index probe per level: a hit is bumped (or promoted) through
+        // the slot the probe found, a miss inserts under the probe's hash.
+        let afc_tag = match self.afc.probe(flow) {
+            Probe::Hit(s) => {
+                self.afc.bump(s);
+                self.stats.afc_hits += 1;
+                return AfdAccess::AfcHit;
             }
-            return AfdAccess::AnnexHit { promoted: false };
-        }
-        // Miss in both: qualify via the annex.
-        self.annex.insert(flow, 1);
-        self.stats.misses += 1;
-        AfdAccess::Miss
-    }
-
-    /// Move `flow` (count `count`) from the annex into the AFC, demoting
-    /// the AFC victim back into the annex.
-    fn promote(&mut self, flow: K, count: u64) {
-        self.annex.remove(flow);
-        if let Some((victim, vcount)) = self.afc.insert(flow, count) {
-            // "The victim flow from AFC is then placed in the annex
-            // cache." It keeps its full count — the inertia the paper
-            // describes: a demoted flow re-promotes on its next hit if it
-            // still out-counts the AFC victim.
-            self.annex.insert(victim, vcount);
+            Probe::Miss(tag) => tag,
+        };
+        match self.annex.probe(flow) {
+            Probe::Hit(s) => {
+                self.stats.annex_hits += 1;
+                let count = self.annex.count_at(s).saturating_add(1);
+                // Past the threshold the flow is promoted; under the
+                // `Competitive` policy a challenger must additionally
+                // out-count the AFC's current LFU victim (keeps one lucky
+                // mouse burst from evicting an established aggressive flow).
+                let promotable = count > self.cfg.promote_threshold
+                    && (self.cfg.promotion == PromotionPolicy::Always
+                        || !self.afc.is_full()
+                        || self.afc.victim().is_none_or(|(_, vc)| count > vc));
+                if !promotable {
+                    self.annex.bump(s);
+                    return AfdAccess::AnnexHit { promoted: false };
+                }
+                // The flow leaves the annex for the AFC. "The victim flow
+                // from AFC is then placed in the annex cache" (into the
+                // slot the promoted flow just freed). It keeps its full
+                // count — the inertia the paper describes: a demoted flow
+                // re-promotes on its next hit if it still out-counts the
+                // AFC victim.
+                self.annex.remove_at(s);
+                if let Some((victim, vcount)) = self.afc.insert_missed(flow, afc_tag, count) {
+                    self.annex.insert(victim, vcount);
+                }
+                self.stats.promotions += 1;
+                AfdAccess::AnnexHit { promoted: true }
+            }
+            Probe::Miss(tag) => {
+                // Miss in both: qualify via the annex.
+                self.annex.insert_missed(flow, tag, 1);
+                self.stats.misses += 1;
+                AfdAccess::Miss
+            }
         }
     }
 
@@ -221,6 +229,7 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
             .flows_by_count()
             .into_iter()
             .map(|(f, _)| f)
+            // npcheck: allow(blocking-hot-path) — reporting accessor, not on the per-packet path
             .collect()
     }
 

@@ -7,7 +7,7 @@
 //! flows active at any time" (§VI). This module implements that single-
 //! level scheme so the Fig. 8 experiments can demonstrate exactly that.
 
-use crate::cache::{CachePolicy, FlowCache};
+use crate::cache::{CachePolicy, FlowCache, Probe};
 use nphash::FlowId;
 
 /// A single LFU cache whose residents are reported as heavy hitters.
@@ -32,11 +32,15 @@ impl ElephantTrap {
     /// there is no qualifying stage, which is precisely the weakness the
     /// two-level AFD fixes.
     pub fn access(&mut self, flow: FlowId) {
-        if self.cache.touch(flow).is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            self.cache.insert(flow, 1);
+        match self.cache.probe(flow) {
+            Probe::Hit(s) => {
+                self.hits += 1;
+                self.cache.bump(s);
+            }
+            Probe::Miss(tag) => {
+                self.misses += 1;
+                self.cache.insert_missed(flow, tag, 1);
+            }
         }
     }
 

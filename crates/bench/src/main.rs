@@ -9,7 +9,7 @@
 //! cargo run --release -p laps-bench -- --emit-baseline
 //! ```
 //!
-//! writes `BENCH_PR9.json` at the invocation directory (the repo root
+//! writes `BENCH_PR12.json` at the invocation directory (the repo root
 //! when run via cargo) in the [`npfarm::benchdiff`] schema
 //! `bench name → {packets_per_sec, events_per_sec, wall_ms}` — the same
 //! schema the `benchdiff` binary gates CI with. The emitted file also
@@ -203,7 +203,7 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR9.json".to_string());
+    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR12.json".to_string());
     let cycles_path = flag_value("--cycles");
     let speedup_floor: Option<f64> = flag_value("--check-batch-speedup").map(|v| {
         v.parse().unwrap_or_else(|_| {

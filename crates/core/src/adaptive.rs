@@ -8,6 +8,7 @@
 //! arbitrary); compared with LAPS it still migrates whole buckets of
 //! arbitrary flows rather than the few aggressive ones.
 
+use crate::hashmemo::FlowHashMemo;
 use nphash::MapTable;
 use npsim::{PacketDesc, Scheduler, SystemView};
 
@@ -18,6 +19,7 @@ pub const ADAPTIVE_BUCKETS_PER_CORE: usize = 16;
 #[derive(Debug, Clone)]
 pub struct AdaptiveHash {
     table: MapTable<usize>,
+    hashes: FlowHashMemo,
     n_cores: usize,
     /// Measured load (packets) per bucket in the current window.
     bucket_load: Vec<u64>,
@@ -42,6 +44,7 @@ impl AdaptiveHash {
         let buckets = n_cores * ADAPTIVE_BUCKETS_PER_CORE;
         AdaptiveHash {
             table: MapTable::new((0..buckets).map(|b| b % n_cores).collect()),
+            hashes: FlowHashMemo::new(),
             n_cores,
             bucket_load: vec![0; buckets],
             window,
@@ -114,7 +117,7 @@ impl Scheduler for AdaptiveHash {
     }
 
     fn schedule(&mut self, pkt: &PacketDesc, _view: &SystemView<'_>) -> usize {
-        let bucket = self.table.bucket_of(pkt.flow) as usize;
+        let bucket = self.table.bucket_of_hash(self.hashes.raw_hash(pkt)) as usize;
         self.bucket_load[bucket] += 1;
         self.seen += 1;
         let target = self.table.cores()[bucket];

@@ -9,6 +9,7 @@
 //! arbitrary flows on load imbalance and can result in large number of
 //! flow migrations and out of order packets").
 
+use crate::hashmemo::FlowHashMemo;
 use detsim::SimTime;
 use nphash::MapTable;
 use npsim::{PacketDesc, Scheduler, SystemView};
@@ -17,6 +18,7 @@ use npsim::{PacketDesc, Scheduler, SystemView};
 #[derive(Debug, Clone)]
 pub struct Afs {
     table: MapTable<usize>,
+    hashes: FlowHashMemo,
     /// Queue length at which a core counts as overloaded.
     high_thresh: usize,
     /// Minimum time between bucket shifts. Dittmann's scheme rebalances
@@ -48,6 +50,7 @@ impl Afs {
         let buckets = n_cores * AFS_BUCKETS_PER_CORE;
         Afs {
             table: MapTable::new((0..buckets).map(|b| b % n_cores).collect()),
+            hashes: FlowHashMemo::new(),
             high_thresh,
             cooldown,
             last_shift: None,
@@ -67,7 +70,8 @@ impl Scheduler for Afs {
     }
 
     fn schedule(&mut self, pkt: &PacketDesc, view: &SystemView<'_>) -> usize {
-        let target = self.table.lookup(pkt.flow);
+        let raw = self.hashes.raw_hash(pkt);
+        let target = self.table.lookup_hash(raw);
         if view.queues[target].len >= self.high_thresh {
             let cooled = self
                 .last_shift
@@ -78,7 +82,7 @@ impl Scheduler for Afs {
             // of aggregate overload).
             let minq = view.min_queue_core_all().expect("cores exist");
             if cooled && minq != target && view.queues[minq].len < view.queues[target].len {
-                let bucket = self.table.bucket_of(pkt.flow);
+                let bucket = self.table.bucket_of_hash(raw);
                 self.table.reassign_bucket(bucket, minq);
                 self.shifts += 1;
                 self.last_shift = Some(view.now);

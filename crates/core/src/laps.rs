@@ -30,6 +30,7 @@
 //! packets. DESIGN.md records this calibration.
 
 use crate::config::LapsConfig;
+use crate::hashmemo::FlowHashMemo;
 use crate::migration::MigrationTable;
 use detsim::SimTime;
 use npafd::Afd;
@@ -83,6 +84,8 @@ pub struct Laps {
     services: Vec<ServiceState>,
     cores: Vec<CoreState>,
     afd: Afd<FlowSlot>,
+    /// Raw CRC16 per flow, shared by the four services' map tables.
+    hashes: FlowHashMemo,
     migrations: u64,
     reallocs: u64,
     parked_time_ns: u64,
@@ -140,6 +143,7 @@ impl Laps {
             services,
             cores,
             afd: Afd::new(cfg.afd),
+            hashes: FlowHashMemo::new(),
             migrations: 0,
             reallocs: 0,
             parked_time_ns: 0,
@@ -349,8 +353,10 @@ impl Laps {
         Some(core)
     }
 
-    fn resolve_target(&mut self, svc: usize, pkt: &PacketDesc) -> usize {
-        if let Some(c) = self.svc(svc).migration.get(pkt.slot) {
+    /// The packet's core: its migration-table override `over` (the
+    /// caller's one probe of the table) if still valid, else the hash.
+    fn resolve_target(&mut self, svc: usize, pkt: &PacketDesc, over: Option<usize>) -> usize {
+        if let Some(c) = over {
             // A stale override (core since transferred away, or dead) is
             // dropped.
             if self
@@ -362,7 +368,8 @@ impl Laps {
             }
             self.svc_mut(svc).migration.remove(pkt.slot);
         }
-        self.svc(svc).map.lookup(pkt.flow)
+        let raw = self.hashes.raw_hash(pkt);
+        self.svc(svc).map.lookup_hash(raw)
     }
 
     /// The distinct live cores of `owner`'s map table, excluding `core`
@@ -390,8 +397,9 @@ impl Scheduler for Laps {
         self.afd.access(pkt.slot);
         self.park_idle_cores(view);
 
-        let has_override = self.svc(svc).migration.get(pkt.slot).is_some();
-        let mut target = self.resolve_target(svc, pkt);
+        let over = self.svc(svc).migration.get(pkt.slot);
+        let has_override = over.is_some();
+        let mut target = self.resolve_target(svc, pkt, over);
         let qlen = |c: usize| view.queues.get(c).map_or(0, |q| q.len);
 
         // Listing 1: load-imbalance handling.
@@ -418,7 +426,8 @@ impl Scheduler for Laps {
                 // is idle — re-resolve (the packet may hash to the new
                 // bucket) and steer this packet there if its own core is
                 // still the bottleneck.
-                let rehashed = self.resolve_target(svc, pkt);
+                let over = self.svc(svc).migration.get(pkt.slot);
+                let rehashed = self.resolve_target(svc, pkt, over);
                 target = if qlen(rehashed) >= self.cfg.high_thresh {
                     new_core
                 } else {

@@ -53,6 +53,7 @@ pub mod builder;
 pub mod config;
 pub mod faults;
 pub mod handshake;
+pub mod hashmemo;
 pub mod laps;
 pub mod migration;
 pub mod registry;
@@ -67,6 +68,7 @@ pub use builder::{scenario_sources, SimBuilder, UnknownScheduler};
 pub use config::{LapsConfig, ParkConfig};
 pub use faults::{crash_with_heal, random_plan, single_crash};
 pub use handshake::{GroupBoard, HandshakeStats};
+pub use hashmemo::FlowHashMemo;
 pub use laps::Laps;
 pub use migration::MigrationTable;
 pub use registry::{laps_config_for, BoxedScheduler, SchedulerCtor, SchedulerRegistry};

@@ -6,6 +6,7 @@
 //! cannot achieve load balance effectively", §II). This is also the
 //! "no migration" arm of Fig. 9.
 
+use crate::hashmemo::FlowHashMemo;
 use nphash::{FlowId, MapTable};
 use npsim::{PacketDesc, RepairOutcome, Scheduler, SystemView};
 
@@ -13,6 +14,7 @@ use npsim::{PacketDesc, RepairOutcome, Scheduler, SystemView};
 #[derive(Debug, Clone)]
 pub struct StaticHash {
     table: MapTable<usize>,
+    hashes: FlowHashMemo,
     /// Dead cores (engine fault injection), with the bucket list each
     /// retirement took so a heal can undo it exactly.
     retired: Vec<(usize, Vec<u32>, usize)>,
@@ -26,6 +28,7 @@ impl StaticHash {
     pub fn new(n_cores: usize) -> Self {
         StaticHash {
             table: MapTable::new((0..n_cores).collect()),
+            hashes: FlowHashMemo::new(),
             retired: Vec::new(),
         }
     }
@@ -42,7 +45,7 @@ impl Scheduler for StaticHash {
     }
 
     fn schedule(&mut self, pkt: &PacketDesc, _view: &SystemView<'_>) -> usize {
-        self.table.lookup(pkt.flow)
+        self.table.lookup_hash(self.hashes.raw_hash(pkt))
     }
 
     /// Minimum-migration repair: hand the dead core's buckets to the

@@ -13,6 +13,7 @@
 //! With `k = 0` (or a detector that never fires) this degenerates to
 //! [`crate::StaticHash`] — the "no migration" arm of Fig. 9.
 
+use crate::hashmemo::FlowHashMemo;
 use crate::migration::MigrationTable;
 use npafd::{Afd, AfdConfig, ExactTopK};
 use nphash::det::{det_set, DetHashSet};
@@ -36,7 +37,7 @@ pub enum DetectorKind {
 
 #[derive(Debug)]
 enum DetectorImpl {
-    Afd(Afd<FlowSlot>),
+    Afd(Box<Afd<FlowSlot>>),
     Oracle {
         counts: ExactTopK<FlowSlot>,
         k: usize,
@@ -50,7 +51,7 @@ enum DetectorImpl {
 impl DetectorImpl {
     fn new(kind: DetectorKind) -> Self {
         match kind {
-            DetectorKind::Afd(cfg) => DetectorImpl::Afd(Afd::new(cfg)),
+            DetectorKind::Afd(cfg) => DetectorImpl::Afd(Box::new(Afd::new(cfg))),
             DetectorKind::Oracle { k, refresh } => DetectorImpl::Oracle {
                 counts: ExactTopK::new(),
                 k,
@@ -116,6 +117,7 @@ impl DetectorImpl {
 #[derive(Debug)]
 pub struct TopKMigration {
     table: MapTable<usize>,
+    hashes: FlowHashMemo,
     migration: MigrationTable<FlowSlot>,
     detector: DetectorImpl,
     high_thresh: usize,
@@ -135,6 +137,7 @@ impl TopKMigration {
         };
         TopKMigration {
             table: MapTable::new((0..n_cores).collect()),
+            hashes: FlowHashMemo::new(),
             migration: MigrationTable::new(1024),
             detector: DetectorImpl::new(detector),
             high_thresh,
@@ -158,7 +161,8 @@ impl Scheduler for TopKMigration {
         self.detector.access(pkt.slot);
         // Migration table has priority over the hash table.
         let override_core = self.migration.get(pkt.slot);
-        let target = override_core.unwrap_or_else(|| self.table.lookup(pkt.flow));
+        let target =
+            override_core.unwrap_or_else(|| self.table.lookup_hash(self.hashes.raw_hash(pkt)));
         if view.queues[target].len >= self.high_thresh {
             let minq = view.min_queue_core_all().expect("cores exist");
             // Already-migrated flows are never re-shuffled.

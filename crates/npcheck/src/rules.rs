@@ -70,17 +70,21 @@ const SIM_CRATE_PREFIXES: &[&str] = &[
 /// refills moved the per-arrival gap/record draws into it. The npexec
 /// worker and dispatcher loops run per packet on real threads — a
 /// panic there poisons a join and an allocation there is multiplied by
-/// every worker — so they carry the same discipline.
+/// every worker — so they carry the same discipline. The AFD's
+/// `detector.rs` and the per-flow hash memo are what `Laps::schedule`
+/// calls on every packet.
 const HOT_PATH_PREFIXES: &[&str] = &[
     "crates/npsim/src/engine",
     "crates/npsim/src/order.rs",
     "crates/npsim/src/fault.rs",
     "crates/npsim/src/source.rs",
     "crates/core/src/laps.rs",
+    "crates/core/src/hashmemo.rs",
     "crates/core/src/faults.rs",
     "crates/core/src/spsc.rs",
     "crates/core/src/scr.rs",
     "crates/afd/src/cache.rs",
+    "crates/afd/src/detector.rs",
     "crates/npexec/src/worker.rs",
     "crates/npexec/src/dispatcher.rs",
 ];

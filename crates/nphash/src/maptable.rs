@@ -118,6 +118,13 @@ impl<C: Copy + Eq> MapTable<C> {
         self.hash.bucket(h)
     }
 
+    /// The bucket index a pre-computed raw hash maps to (the
+    /// [`MapTable::lookup_hash`] counterpart of [`MapTable::bucket_of`]).
+    #[inline]
+    pub fn bucket_of_hash(&self, raw_hash: u64) -> u32 {
+        self.hash.bucket(raw_hash)
+    }
+
     /// Grant `core` to this service: grows the bucket list by one using
     /// incremental hashing, so only the flows of the split bucket migrate.
     pub fn add_core(&mut self, core: C) {

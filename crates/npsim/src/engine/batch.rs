@@ -60,8 +60,10 @@ use detsim::SimTime;
 /// rescan happens only when the cached minimum itself is consumed.
 #[derive(Debug)]
 pub(super) struct BatchState {
-    /// Per-core pending finish: `(completion time, emulated seq)`.
-    finish: Vec<Option<(SimTime, u64)>>,
+    /// Per-core pending finish, packed `(completion ns << 64) | emulated
+    /// seq` so one integer compare is the `(time, seq)` order;
+    /// [`IDLE`] when the core has none.
+    finish: Vec<u128>,
     /// Cached minimum over `finish`: `(time, seq, core)`.
     finish_min: Option<(SimTime, u64, u32)>,
     /// Cached minimum over the per-source head arrivals:
@@ -73,10 +75,13 @@ pub(super) struct BatchState {
     next_seq: u64,
 }
 
+/// An unarmed finish slot: sorts after every real `(time, seq)`.
+const IDLE: u128 = u128::MAX;
+
 impl BatchState {
     fn new(n_cores: usize) -> Self {
         BatchState {
-            finish: vec![None; n_cores],
+            finish: vec![IDLE; n_cores],
             finish_min: None,
             arrival_min: None,
             rate: None,
@@ -104,8 +109,8 @@ impl BatchState {
     #[inline]
     fn arm_finish(&mut self, core: usize, at: SimTime, seq: u64) {
         if let Some(slot) = self.finish.get_mut(core) {
-            debug_assert!(slot.is_none(), "core {core} double-armed");
-            *slot = Some((at, seq));
+            debug_assert!(*slot == IDLE, "core {core} double-armed");
+            *slot = (u128::from(at.as_nanos()) << 64) | u128::from(seq);
         }
         if self
             .finish_min
@@ -116,20 +121,23 @@ impl BatchState {
     }
 
     /// Consume the fired finish (always the cached minimum) and rescan
-    /// the family for the new minimum.
+    /// the family for the new minimum: a select per core, no
+    /// data-dependent branch (seqs are unique, so there are no ties).
     #[inline]
     fn consume_finish(&mut self, core: usize) {
         if let Some(slot) = self.finish.get_mut(core) {
-            *slot = None;
+            *slot = IDLE;
         }
-        self.finish_min = None;
-        for (c, slot) in self.finish.iter().enumerate() {
-            if let Some((t, s)) = *slot {
-                if self.finish_min.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    self.finish_min = Some((t, s, c as u32));
-                }
-            }
+        let (mut best, mut best_core) = (IDLE, 0u32);
+        for (c, &key) in self.finish.iter().enumerate() {
+            let wins = key < best;
+            best = if wins { key } else { best };
+            best_core = if wins { c as u32 } else { best_core };
         }
+        self.finish_min = (best != IDLE).then(|| {
+            let (ns, seq) = ((best >> 64) as u64, best as u64);
+            (SimTime::from_nanos(ns), seq, best_core)
+        });
     }
 }
 

@@ -12,6 +12,11 @@ use nphash::FlowSlot;
 /// anywhere yet.
 const NO_CORE: u32 = u32::MAX;
 
+/// Cores the SCR replica bitmap can tell apart (one bit each). The
+/// engine refuses to enable the sync model on a larger machine rather
+/// than fold cores onto shared bits and under-charge.
+pub(super) const MAX_SYNC_CORES: usize = u64::BITS as usize;
+
 /// Struct-of-arrays per-flow state, indexed by [`FlowSlot`] — the
 /// hash-free replacement for the former `DetHashMap<FlowId, _>` pair.
 /// One predictable array access per packet per field.
@@ -21,10 +26,11 @@ struct FlowTable {
     seq: Vec<u64>,
     /// Core the flow's last packet was enqueued to (`NO_CORE` = none).
     last_core: Vec<u32>,
-    /// SCR replica set per flow: bit `c & 63` set when core `c` touched
-    /// the flow since its last consolidation. Grown (and paid for) only
-    /// when the engine enabled the sync model — empty otherwise, the
-    /// same dormant-vector pattern as the fault machinery.
+    /// SCR replica set per flow: bit `c` set when core `c` touched the
+    /// flow since its last consolidation (`c <` [`MAX_SYNC_CORES`]).
+    /// Grown (and paid for) only when the engine enabled the sync model
+    /// — empty otherwise, the same dormant-vector pattern as the fault
+    /// machinery.
     replicas: Vec<u64>,
     /// Packets dispatched since the flow's last consolidation (drives
     /// `SyncPolicy::sync_every`). Grown alongside `replicas`.
@@ -54,9 +60,9 @@ impl FlowTable {
     /// drop-tailed packet neither dirties the replica set nor shows up
     /// in the sync totals.
     ///
-    /// Cores are folded into 64 bitmap lanes (`core & 63`); beyond 64
-    /// cores the count is a lower bound, which only *under*-charges the
-    /// SCR arm — acceptable for a cost model, noted in DESIGN.md.
+    /// One bitmap bit per core: the count is exact, because
+    /// `Engine::with_probes` rejects the sync model above
+    /// [`MAX_SYNC_CORES`] cores (the `& 63` only keeps the shift total).
     fn sync_stale(&self, slot: FlowSlot, core: usize) -> u32 {
         let Some(r) = self.replicas.get(slot.index()) else {
             // Unreachable: grown to the interner's length before lookup.

@@ -62,7 +62,7 @@ use crate::source::SourceConfig;
 use detsim::{SeedSequence, SimTime};
 
 use clock::{Ev, EventSchedule};
-use dispatch::DispatchStage;
+use dispatch::{DispatchStage, MAX_SYNC_CORES};
 use ingest::{Admission, IngestStage};
 use record::RecordStage;
 use service::{EnqueueOutcome, ServiceStage};
@@ -275,7 +275,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// Build an engine with an arbitrary probe host.
     ///
     /// # Panics
-    /// Panics on a zero-core configuration or an empty source list.
+    /// Panics on a zero-core configuration, an empty source list, or a
+    /// priced sync model (SCR) on more than 64 cores.
     pub fn with_probes(
         cfg: EngineConfig,
         sources: &[SourceConfig],
@@ -324,6 +325,13 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         // byte-identical to the same decisions without the model.
         let sync_policy = scheduler.sync_policy();
         let sync_enabled = sync_policy.is_some() && delay.sync_cost_us > 0.0;
+        assert!(
+            !sync_enabled || cfg.n_cores <= MAX_SYNC_CORES,
+            "the sync-cost model tracks replicas in a {MAX_SYNC_CORES}-bit map: \
+             {} cores would share lanes and under-charge; run at most \
+             {MAX_SYNC_CORES} cores or price sync at 0",
+            cfg.n_cores
+        );
         let sync_cost_ns = SimTime::from_micros_f64(delay.sync_delay_us(1)).as_nanos();
         let sync_every = sync_policy.map_or(0, |p| p.sync_every);
         let mut dispatch = DispatchStage::new(scheduler, infos);
@@ -1398,6 +1406,43 @@ mod tests {
         assert_eq!(by_name("core_crashes"), 1);
         assert_eq!(by_name("core_heals"), 1);
         assert_eq!(report.faults.as_ref().map(|f| f.crashes), Some(1));
+    }
+
+    /// A flow-oblivious policy that opts into the priced sync model.
+    struct Spray(usize);
+    impl Scheduler for Spray {
+        fn name(&self) -> &str {
+            "spray"
+        }
+        fn schedule(&mut self, _p: &PacketDesc, view: &SystemView<'_>) -> usize {
+            self.0 = (self.0 + 1) % view.n_cores();
+            self.0
+        }
+        fn sync_policy(&self) -> Option<crate::sched::SyncPolicy> {
+            Some(crate::sched::SyncPolicy { sync_every: 0 })
+        }
+    }
+
+    fn priced(n_cores: usize, sync_cost_us: f64) -> EngineConfig {
+        let mut cfg = quick_cfg(n_cores, 1);
+        cfg.delay.sync_cost_us = sync_cost_us;
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit map")]
+    fn priced_sync_model_rejects_more_than_64_cores() {
+        let _ = Engine::new(priced(65, 0.4), &one_source(1.0), Spray(0));
+    }
+
+    #[test]
+    fn sync_model_core_limit_binds_only_when_priced() {
+        // 64 cores fit the bitmap exactly: replicas are counted, not folded.
+        let r = Engine::new(priced(64, 0.4), &one_source(2.0), Spray(0)).run();
+        assert!(r.sync.is_some_and(|s| s.sync_packets > 0));
+        // Unpriced, the model is off and the machine size is unconstrained.
+        let r = Engine::new(priced(65, 0.0), &one_source(2.0), Spray(0)).run();
+        assert!(r.sync.is_none());
     }
 
     #[test]
