@@ -39,7 +39,7 @@ fn main() {
     time("source.next_gap", n, || {
         let mut acc = 0u64;
         for _ in 0..n {
-            acc = acc.wrapping_add(src.next_gap(1.0, &mut rng2).as_nanos());
+            acc = acc.wrapping_add(src.draw_gap(1.0, &mut rng2).as_nanos());
         }
         acc
     });

@@ -47,7 +47,6 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
 pub use event::{EventEntry, EventQueue};
 pub use plan::TimedPlan;
@@ -55,4 +54,3 @@ pub use queue::{BoundedQueue, PushOutcome};
 pub use rng::{derive_seed, SeedSequence, SplitMix64};
 pub use stats::{Counter, Histogram, KahanSum, TimeWeighted, WelfordMean};
 pub use time::SimTime;
-pub use wheel::TimerWheel;

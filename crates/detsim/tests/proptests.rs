@@ -98,57 +98,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// The timer wheel is observationally equivalent to the binary-heap
-    /// event queue: same pushes → same pop sequence (time order with FIFO
-    /// tie-breaking), for any tick granularity.
-    #[test]
-    fn wheel_equals_heap(
-        times in proptest::collection::vec(0u64..2_000_000, 1..300),
-        tick in prop_oneof![Just(1u64), Just(10u64), Just(1_000u64)],
-    ) {
-        let mut heap = EventQueue::new();
-        let mut wheel = detsim::TimerWheel::new(tick);
-        for (i, &t) in times.iter().enumerate() {
-            // Quantize to the tick so both structures see identical
-            // effective timestamps (the wheel cannot order within a tick
-            // except by sequence, which is exactly the heap's tie rule).
-            let q = SimTime::from_nanos(t / tick * tick);
-            heap.push(q, i);
-            wheel.push(q, i);
-        }
-        loop {
-            let a = heap.pop();
-            let b = wheel.pop();
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
-        prop_assert!(wheel.is_empty());
-    }
-
-    /// Interleaved push/pop stays equivalent (pushes never go backwards
-    /// in time past the last pop, as in a DES main loop).
-    #[test]
-    fn wheel_equals_heap_interleaved(
-        script in proptest::collection::vec((any::<bool>(), 0u64..100_000), 1..200),
-    ) {
-        let mut heap = EventQueue::new();
-        let mut wheel = detsim::TimerWheel::new(1);
-        let mut clock = 0u64;
-        for (i, &(push, dt)) in script.iter().enumerate() {
-            if push || heap.is_empty() {
-                let t = SimTime::from_nanos(clock + dt);
-                heap.push(t, i);
-                wheel.push(t, i);
-            } else {
-                let a = heap.pop();
-                let b = wheel.pop();
-                prop_assert_eq!(a, b);
-                if let Some((t, _)) = a {
-                    clock = t.as_nanos();
-                }
-            }
-        }
-    }
-}

@@ -116,7 +116,7 @@ const THREAD_SHARED_PREFIXES: &[&str] = &["crates/core/", "crates/npfarm/", "cra
 
 /// Crates where a queue with no capacity bound can grow without limit
 /// under overload — the exact failure mode the paper's load balancer
-/// exists to prevent, and (for the event wheel) the simulator's own
+/// exists to prevent, and (for the event queue) the simulator's own
 /// memory ceiling.
 const QUEUE_SCOPE_PREFIXES: &[&str] = &[
     "crates/npsim/",
@@ -227,7 +227,7 @@ pub const RULES: &[RuleSpec] = &[
         summary: "VecDeque::new / mpsc::channel / Vec-as-queue (.remove(0), .insert(0, …)) without a capacity bound",
         why: "An unbounded queue turns overload into unbounded memory growth and \
               unbounded latency — the precise condition the paper's migration \
-              policy exists to avoid, and for the simulator's own event wheel, its \
+              policy exists to avoid, and for the simulator's own event queue, its \
               memory ceiling. Construct with with_capacity and enforce a cap at \
               the push site, or justify the unboundedness with an allow comment. \
               Front-of-Vec `.remove(0)`/`.insert(0, …)` are also flagged: they're \
@@ -1323,7 +1323,7 @@ mod tests {
         assert_eq!(f.len(), 3, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "shared-state-audit"));
         // Out of the thread-shared scope: clean.
-        assert!(scan_source("crates/detsim/src/wheel.rs", src).is_empty());
+        assert!(scan_source("crates/detsim/src/event.rs", src).is_empty());
     }
 
     #[test]

@@ -1,63 +1,93 @@
 //! The batched run loop: burst-of-32 execution with byte-identical
-//! semantics.
+//! semantics — the engine's production loop for every configuration.
 //!
 //! The scalar loop pays a binary-heap push+pop round trip per event and
 //! draws each arrival's RNG exactly when it fires. The batched loop
-//! restructures *execution only*:
+//! runs the *same event handlers* (see [`Pending`]) and restructures
+//! *execution only*:
 //!
 //! * **Arrival lookahead** — each source pre-draws up to a burst of
 //!   arrivals (gap + header) into an [`ArrivalBuf`](super::ingest);
 //!   shared-state work (interning, classification, packet IDs) stays at
 //!   processing time.
 //! * **Heap-free merge** — the pending-event set is tiny and structured:
-//!   at most one finish per core, one head arrival per source, one rate
-//!   update. A linear scan for the minimum `(time, seq)` replaces the
-//!   heap entirely — one event-queue op per *burst refill* instead of a
-//!   push+pop per event.
+//!   at most one finish per core, one head arrival per source, and a
+//!   handful of *control* events (the rate tick, the next fault-plan
+//!   entry, stall ends, stale finishes of crashed cores). A scan for the
+//!   minimum `(time, seq)` over three cached family minima replaces the
+//!   heap entirely.
 //! * **Seq emulation** — the scalar engine's tie-break is the heap's
 //!   insertion sequence. The batched loop allocates from its own counter
 //!   at exactly the scalar push points (prime order, finish-before-next-
-//!   arrival inside an arrival, rate reschedule), so the `(time, seq)`
-//!   total order — and therefore every report byte — is identical.
+//!   arrival inside an arrival, rate reschedule, stall end), so the
+//!   `(time, seq)` total order — and therefore every report byte — is
+//!   identical.
+//!
+//! # Faults as merge families
+//!
+//! The fault plan is stably time-sorted and the scalar loop primes one
+//! heap entry per plan entry, in plan order, right after the rate
+//! ticker — so "next fault" is a cursor: entry `i` has
+//! `(time_i, fault_seq0 + i)`. Stall ends go to a tiny overflow list.
+//! So does the armed finish of a core that crashes: the scalar heap
+//! cannot delete it, pops it later as a stale no-op and counts it in
+//! `SimReport::events`, so here it leaves the core's slot (a heal may
+//! re-arm the slot before the stale one fires) and waits in the list to
+//! be counted at the same `(time, seq)`.
 //!
 //! # Why lookahead is legal
 //!
 //! A source's gap draws and its rate-refresh noise draws share one
-//! private RNG stream, so a gap may be drawn early **iff** the scalar
-//! engine would also draw it before the next refresh. The refill loop
-//! enforces `cursor < barrier` (barrier = next pending rate-update
-//! time, strict, ties deferred); the first draw of a refill is exempt
-//! because refills only happen at the exact simulation point where the
-//! scalar engine performs that same draw. Header draws come from the
-//! trace generator's separate stream and are unconditionally safe to
+//! private RNG stream, and a drawn gap is compressed by the flood
+//! factor in force — so a gap may be drawn early **iff** the scalar
+//! engine would also draw it before the next refresh and before the
+//! next fault-plan entry. The refill loop enforces `cursor < barrier`
+//! (barrier = the earlier of the next pending rate update and the next
+//! fault entry; strict, ties deferred — both were armed with a smaller
+//! seq than any arrival they tie with and fire first, exactly as in the
+//! heap); the first draw of a refill is exempt because refills only
+//! happen at the exact simulation point where the scalar engine
+//! performs that same draw. Header draws come from the trace
+//! generator's separate stream and are unconditionally safe to
 //! pre-draw. Everything order-sensitive across sources — interner,
 //! classifier RNG, packet IDs, scheduler state — runs at processing
 //! time, in merged event order.
 //!
-//! Fault plans, non-drop-tail policies, and the timer-wheel backend
-//! fall back to the scalar loop (checked by
-//! [`Engine::batch_eligible`]); the `batch_equivalence` workspace test
-//! pins byte-identical reports across both loops for every registered
-//! policy.
+//! The `batch_equivalence` workspace test pins byte-identical reports
+//! across both loops for every registered policy, with and without
+//! fault plans, under every drop policy.
 
+use super::clock::Pending;
 use super::cycles::{CycleSink, Stage};
-use super::ingest::Admission;
-use super::service::EnqueueOutcome;
-use super::{Engine, EventBackend, ExecutionMode};
-use crate::event::SimEvent;
-use crate::packet::PacketDesc;
+use super::ingest::{Admission, IngestStage};
+use super::Engine;
+use crate::fault::FaultPlan;
 use crate::probe::ProbeHost;
 use crate::sched::Scheduler;
 use detsim::SimTime;
+use nphash::FlowSlot;
+
+/// One pending event as the merge orders it: `(time, emulated seq,
+/// what fires)`.
+type Entry = (SimTime, u64, Win);
+
+/// The earlier of two pending events in the `(time, seq)` total order.
+#[inline]
+fn earlier(best: Option<Entry>, cand: Entry) -> Option<Entry> {
+    match best {
+        Some(b) if (b.0, b.1) <= (cand.0, cand.1) => best,
+        _ => Some(cand),
+    }
+}
 
 /// The batched loop's pending-event set: the explicit, bounded
 /// replacement for the scalar loop's heap.
 ///
-/// The merge keeps **incremental minima** over the two slot families so
-/// the steady-state winner pick is three comparisons, not an
-/// `n_cores + n_sources` sweep: arming a finish (or re-heading a
-/// source) only compares against the cached minimum, and a full family
-/// rescan happens only when the cached minimum itself is consumed.
+/// The merge keeps **incremental minima** over three families so the
+/// steady-state winner pick is three comparisons, not an
+/// `n_cores + n_sources` sweep: arming an event only compares against
+/// its family's cached minimum, and a family rescan happens only when
+/// the cached minimum itself is consumed.
 #[derive(Debug)]
 pub(super) struct BatchState {
     /// Per-core pending finish, packed `(completion ns << 64) | emulated
@@ -69,8 +99,17 @@ pub(super) struct BatchState {
     /// Cached minimum over the per-source head arrivals:
     /// `(time, seq, src)`.
     arrival_min: Option<(SimTime, u64, u32)>,
+    /// Cached minimum over the control events below.
+    ctl_min: Option<Entry>,
     /// The single pending rate update, if any.
     rate: Option<(SimTime, u64)>,
+    /// The next unfired fault-plan entry, if any.
+    fault: Option<Entry>,
+    /// Seq of plan entry 0 (the scalar loop primes the plan in order).
+    fault_seq0: u64,
+    /// Stall ends and stale finishes of crashed cores. Empty — and
+    /// never allocated — until a stall or a mid-service crash fires.
+    overflow: Vec<Entry>,
     /// Emulated heap insertion counter (the scalar tie-break).
     next_seq: u64,
 }
@@ -84,7 +123,11 @@ impl BatchState {
             finish: vec![IDLE; n_cores],
             finish_min: None,
             arrival_min: None,
+            ctl_min: None,
             rate: None,
+            fault: None,
+            fault_seq0: 0,
+            overflow: Vec::new(),
             next_seq: 0,
         }
     }
@@ -98,26 +141,53 @@ impl BatchState {
         s
     }
 
-    /// Time of the next pending rate update (`MAX` when none): the
-    /// arrival-lookahead barrier.
+    /// The arrival-lookahead barrier: the earlier of the next pending
+    /// rate update and the next fault-plan entry (`MAX` when neither).
     #[inline]
     fn barrier(&self) -> SimTime {
-        self.rate.map_or(SimTime::MAX, |(t, _)| t)
+        let rate = self.rate.map_or(SimTime::MAX, |(t, _)| t);
+        self.fault.map_or(rate, |(t, _, _)| rate.min(t))
     }
 
-    /// Arm core `core`'s finish slot and fold it into the cached min.
-    #[inline]
-    fn arm_finish(&mut self, core: usize, at: SimTime, seq: u64) {
-        if let Some(slot) = self.finish.get_mut(core) {
-            debug_assert!(*slot == IDLE, "core {core} double-armed");
-            *slot = (u128::from(at.as_nanos()) << 64) | u128::from(seq);
+    /// Point the fault cursor at plan entry `idx` (past the end: none).
+    fn set_next_fault(&mut self, plan: &FaultPlan, idx: usize) {
+        self.fault = plan
+            .get(idx)
+            .map(|&(at, _)| (at, self.fault_seq0 + idx as u64, Win::Fault(idx)));
+    }
+
+    /// Recompute the control minimum after one of its members fired.
+    fn rescan_ctl(&mut self) {
+        let mut best = self.rate.map(|(t, s)| (t, s, Win::Rate));
+        if let Some(f) = self.fault {
+            best = earlier(best, f);
         }
-        if self
-            .finish_min
-            .is_none_or(|(bt, bs, _)| (at, seq) < (bt, bs))
-        {
-            self.finish_min = Some((at, seq, core as u32));
+        for &e in &self.overflow {
+            best = earlier(best, e);
         }
+        self.ctl_min = best;
+    }
+
+    /// Park `entry` in the overflow list and fold it into the cached
+    /// control minimum.
+    fn push_overflow(&mut self, entry: Entry) {
+        self.overflow.push(entry);
+        self.ctl_min = earlier(self.ctl_min, entry);
+    }
+
+    /// Remove the fired control event (always the cached control
+    /// minimum) from its home and re-derive the minimum.
+    fn consume_ctl(&mut self, seq: u64, win: Win, plan: &FaultPlan) {
+        match win {
+            Win::Rate => self.rate = None,
+            Win::Fault(idx) => self.set_next_fault(plan, idx + 1),
+            _ => {
+                if let Some(i) = self.overflow.iter().position(|e| e.1 == seq) {
+                    self.overflow.swap_remove(i);
+                }
+            }
+        }
+        self.rescan_ctl();
     }
 
     /// Consume the fired finish (always the cached minimum) and rescan
@@ -141,32 +211,95 @@ impl BatchState {
     }
 }
 
+impl Pending for BatchState {
+    #[inline]
+    fn admit(&mut self, ingest: &mut IngestStage, src: usize) -> Admission {
+        match ingest.batch_pop(src) {
+            Some(rec) => ingest.admit_record(src, rec),
+            None => {
+                debug_assert!(false, "arrival winner without a buffered record");
+                Admission::Missing
+            }
+        }
+    }
+
+    /// Refill `src`'s lookahead if drained (this IS the scalar loop's
+    /// gap-draw RNG position) and stamp the new head's seq.
+    #[inline]
+    fn arm_arrival<C: CycleSink>(
+        &mut self,
+        ingest: &mut IngestStage,
+        src: usize,
+        _now: SimTime,
+        horizon: SimTime,
+        sink: &mut C,
+    ) -> Option<FlowSlot> {
+        if ingest.batch_needs_refill(src) {
+            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
+            let drawn = ingest.batch_refill(src, self.barrier(), horizon);
+            if C::ACTIVE {
+                sink.span_end(Stage::Ingest, t0, drawn as u64);
+            }
+        }
+        ingest.batch_head(src)?;
+        let seq = self.alloc();
+        ingest.batch_set_head_seq(src, seq);
+        let flow = ingest.batch_peek_flow(src, 0)?;
+        ingest.cached_slot(src, flow)
+    }
+
+    #[inline]
+    fn arm_finish(&mut self, core: usize, at: SimTime) {
+        let seq = self.alloc();
+        if let Some(slot) = self.finish.get_mut(core) {
+            debug_assert!(*slot == IDLE, "core {core} double-armed");
+            *slot = (u128::from(at.as_nanos()) << 64) | u128::from(seq);
+        }
+        if self
+            .finish_min
+            .is_none_or(|(bt, bs, _)| (at, seq) < (bt, bs))
+        {
+            self.finish_min = Some((at, seq, core as u32));
+        }
+    }
+
+    fn orphan_finish(&mut self, core: usize) {
+        let key = self.finish.get(core).copied().unwrap_or(IDLE);
+        if key != IDLE {
+            let at = SimTime::from_nanos((key >> 64) as u64);
+            self.push_overflow((at, key as u64, Win::StaleFinish));
+            self.consume_finish(core);
+        }
+    }
+
+    fn arm_stall_end(&mut self, core: usize, at: SimTime) {
+        let seq = self.alloc();
+        self.push_overflow((at, seq, Win::StallEnd(core)));
+    }
+
+    fn arm_rate_tick(&mut self, at: SimTime) {
+        let entry = (at, self.alloc(), Win::Rate);
+        self.rate = Some((entry.0, entry.1));
+        self.ctl_min = earlier(self.ctl_min, entry);
+    }
+}
+
 /// The merge scan's winner.
 #[derive(Debug, Clone, Copy)]
 enum Win {
     Arrival(usize),
     Finish(usize),
     Rate,
+    Fault(usize),
+    StallEnd(usize),
+    /// The finish a crashed core had armed: counted, nothing to do.
+    StaleFinish,
 }
 
 impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
-    /// Whether this configuration runs under the batched loop. Fault
-    /// machinery (crash generations, floods, head-drop/staging) and the
-    /// timer-wheel backend keep the scalar loop.
-    pub(super) fn batch_eligible(&self) -> bool {
-        matches!(self.cfg.execution, ExecutionMode::Batched { .. })
-            && !self.faults_enabled
-            && self.cfg.event_backend == EventBackend::Heap
-    }
-
     /// The batched run loop. Returns the time of the last dispatched
     /// event (the scalar loop's `last_t`), for the shared epilogue.
-    pub(super) fn run_batched<C: CycleSink>(&mut self, sink: &mut C) -> SimTime {
-        debug_assert!(self.batch_eligible());
-        let burst = match self.cfg.execution {
-            ExecutionMode::Batched { burst } => burst as usize,
-            ExecutionMode::Scalar => 1,
-        };
+    pub(super) fn run_batched<C: CycleSink>(&mut self, burst: usize, sink: &mut C) -> SimTime {
         self.ingest.batch_init(burst);
         let n_sources = self.ingest.n_sources();
         let horizon = self.cfg.duration;
@@ -174,14 +307,18 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
 
         // Prime, mirroring the scalar loop's seq allocation order: every
         // source's first gap (source order, seq only for arrivals inside
-        // the horizon), then the rate-update ticker. The prime barrier is
-        // the first rate update — none is pending yet, but the first
-        // refresh the scalar engine performs is at `rate_update_interval`.
-        let barrier0 = if self.cfg.rate_update_interval <= horizon {
-            self.cfg.rate_update_interval
-        } else {
-            SimTime::MAX
-        };
+        // the horizon), then the rate-update ticker, then the fault plan
+        // in plan order. Neither control event is armed yet, but the
+        // first refresh the scalar engine performs is at
+        // `rate_update_interval` and its first fault is plan entry 0, so
+        // both bound the prime lookahead.
+        let tick0 = Some(self.cfg.rate_update_interval).filter(|&t| t <= horizon);
+        let fault0 = self.cfg.faults.get(0).map(|&(at, _)| at);
+        let barrier0 = tick0
+            .into_iter()
+            .chain(fault0)
+            .min()
+            .unwrap_or(SimTime::MAX);
         for src in 0..n_sources {
             let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
             let drawn = self.ingest.batch_refill(src, barrier0, horizon);
@@ -195,32 +332,32 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                 self.ingest.batch_set_head_seq(src, seq);
             }
         }
-        if self.cfg.rate_update_interval <= horizon {
-            st.rate = Some((self.cfg.rate_update_interval, st.alloc()));
+        if let Some(at) = tick0 {
+            st.arm_rate_tick(at);
         }
+        st.fault_seq0 = st.next_seq;
+        st.next_seq += self.cfg.faults.len() as u64;
+        st.set_next_fault(&self.cfg.faults, 0);
+        st.rescan_ctl();
         self.rescan_arrivals(&mut st);
 
         let mut last_t = SimTime::ZERO;
         loop {
-            // Winner pick: minimum (time, seq) across the rate slot and
-            // the two cached family minima — the exact total order the
-            // scalar heap would pop in, in three comparisons.
+            // Winner pick: minimum (time, seq) across the three cached
+            // family minima — the exact total order the scalar heap
+            // would pop in, in three comparisons.
             let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let mut best: Option<(SimTime, u64, Win)> = st.rate.map(|(t, s)| (t, s, Win::Rate));
+            let mut best = st.ctl_min;
             if let Some((t, s, core)) = st.finish_min {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, Win::Finish(core as usize)));
-                }
+                best = earlier(best, (t, s, Win::Finish(core as usize)));
             }
             if let Some((t, s, src)) = st.arrival_min {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, Win::Arrival(src as usize)));
-                }
+                best = earlier(best, (t, s, Win::Arrival(src as usize)));
             }
             if C::ACTIVE {
                 sink.span_end(Stage::Merge, t0, 1);
             }
-            let Some((t, _seq, win)) = best else {
+            let Some((t, seq, win)) = best else {
                 break;
             };
             #[cfg(feature = "invariants")]
@@ -229,16 +366,24 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             self.record.note_loop_event();
             match win {
                 Win::Arrival(src) => {
-                    self.batch_arrival(src, t, &mut st, sink);
+                    self.on_arrival(src, t, &mut st, sink);
                     // The fired head was the arrival minimum; re-derive
                     // it from the (possibly refilled) heads.
                     self.rescan_arrivals(&mut st);
                 }
                 Win::Finish(core) => {
                     st.consume_finish(core);
-                    self.batch_finish(core, t, &mut st, sink);
+                    self.on_finish(core, t, &mut st, sink);
                 }
-                Win::Rate => self.batch_rate_update(t, &mut st),
+                Win::Rate | Win::Fault(_) | Win::StallEnd(_) | Win::StaleFinish => {
+                    st.consume_ctl(seq, win, &self.cfg.faults);
+                    match win {
+                        Win::Rate => self.on_rate_update(t, &mut st),
+                        Win::Fault(idx) => self.on_fault(idx, t, &mut st),
+                        Win::StallEnd(core) => self.on_stall_end(core, t, &mut st),
+                        _ => {}
+                    }
+                }
             }
             #[cfg(feature = "invariants")]
             self.check_invariants(t, last_t);
@@ -262,245 +407,5 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             }
         }
         st.arrival_min = best;
-    }
-
-    /// The batched arrival handler: mirrors `on_arrival` minus the
-    /// fault-only blocks (dead-core redirect, head-drop, staging), which
-    /// `batch_eligible` proves unreachable here.
-    fn batch_arrival<C: CycleSink>(
-        &mut self,
-        src: usize,
-        now: SimTime,
-        st: &mut BatchState,
-        sink: &mut C,
-    ) {
-        let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let Some(rec) = self.ingest.batch_pop(src) else {
-            debug_assert!(false, "arrival winner without a buffered record");
-            return;
-        };
-        let header = match self.ingest.admit_record(src, rec) {
-            Admission::Missing => return,
-            Admission::SlowPath { service } => {
-                self.record
-                    .publish(now, &SimEvent::DivertedSlowPath { service });
-                if C::ACTIVE {
-                    sink.span_end(Stage::Dispatch, t0, 1);
-                }
-                self.batch_next_arrival(src, st, sink);
-                return;
-            }
-            Admission::FastPath(h) => h,
-        };
-        self.dispatch.grow_flows(self.ingest.flow_count());
-        let flow_seq = self.dispatch.next_seq(header.slot);
-        let mut pkt = PacketDesc {
-            id: header.id,
-            flow: header.flow,
-            slot: header.slot,
-            service: header.service,
-            size: header.size,
-            arrival: now,
-            flow_seq,
-            migrated: false,
-            sync_debt_ns: 0,
-        };
-        self.record.publish(
-            now,
-            &SimEvent::PacketArrived {
-                id: pkt.id,
-                slot: pkt.slot,
-                service: pkt.service,
-                size: pkt.size,
-            },
-        );
-        let target = self.dispatch.choose_core(&pkt, now, self.cfg.n_cores);
-        if P::ACTIVE {
-            self.drain_sched_events(now);
-        }
-        // SCR sync stamp — same point in the arrival as the scalar
-        // loop (after the decision, before last-core bookkeeping), so
-        // both loops stamp identical debts and reports stay
-        // byte-identical. The replica touch commits below, only if the
-        // queue accepts.
-        if self.sync_enabled {
-            self.stamp_sync(&mut pkt, target);
-        }
-        let prev_core = self.dispatch.last_core(pkt.slot);
-        let migrated = matches!(prev_core, Some(c) if c != target);
-        pkt.migrated = migrated;
-        if C::ACTIVE {
-            sink.span_end(Stage::Dispatch, t0, 1);
-        }
-
-        let t1 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let outcome = self.service.enqueue(target, pkt, now);
-        debug_assert!(
-            !matches!(
-                outcome,
-                EnqueueOutcome::HeadDropped { .. } | EnqueueOutcome::Staged(_)
-            ),
-            "head-drop/staging need fault machinery, which disables batching"
-        );
-        match outcome {
-            EnqueueOutcome::Dropped => {
-                self.record.publish(
-                    now,
-                    &SimEvent::Dropped {
-                        id: pkt.id,
-                        slot: pkt.slot,
-                        service: pkt.service,
-                        core: target,
-                    },
-                );
-                self.dispatch.on_drop(&pkt, target);
-                self.record.note_drop_gap(pkt.slot, pkt.flow_seq, now);
-            }
-            EnqueueOutcome::Enqueued(len)
-            | EnqueueOutcome::HeadDropped { len, .. }
-            | EnqueueOutcome::Staged(len) => {
-                if self.sync_enabled {
-                    self.commit_sync(pkt.slot, target, pkt.sync_debt_ns);
-                }
-                if P::ACTIVE {
-                    self.record.publish(
-                        now,
-                        &SimEvent::Dispatched {
-                            id: pkt.id,
-                            slot: pkt.slot,
-                            service: pkt.service,
-                            core: target,
-                            queue_len: len,
-                            migrated,
-                        },
-                    );
-                }
-                if migrated {
-                    if let Some(from) = prev_core {
-                        self.record.publish(
-                            now,
-                            &SimEvent::Migration {
-                                slot: pkt.slot,
-                                from,
-                                to: target,
-                            },
-                        );
-                    }
-                }
-                self.dispatch.set_last_core(pkt.slot, target);
-                self.batch_start_processing(target, now, st);
-            }
-        }
-        self.sync_info(target);
-        if C::ACTIVE {
-            sink.span_end(Stage::Service, t1, 1);
-        }
-
-        self.batch_next_arrival(src, st, sink);
-    }
-
-    /// After an arrival from `src`: refill its lookahead if drained
-    /// (this IS the scalar `schedule_next_arrival` RNG position), stamp
-    /// the new head's seq, and prefetch the flow-table lines the next
-    /// head will touch.
-    fn batch_next_arrival<C: CycleSink>(&mut self, src: usize, st: &mut BatchState, sink: &mut C) {
-        if self.ingest.batch_needs_refill(src) {
-            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let drawn = self
-                .ingest
-                .batch_refill(src, st.barrier(), self.cfg.duration);
-            if C::ACTIVE {
-                sink.span_end(Stage::Ingest, t0, drawn as u64);
-            }
-        }
-        if self.ingest.batch_head(src).is_some() {
-            let seq = st.alloc();
-            self.ingest.batch_set_head_seq(src, seq);
-            // The head arrival's flow is known now; start the flow-table
-            // fills it will need at processing time.
-            if let Some(flow) = self.ingest.batch_peek_flow(src, 0) {
-                if let Some(slot) = self.ingest.cached_slot(src, flow) {
-                    self.dispatch.prefetch_flow(slot);
-                }
-            }
-        }
-    }
-
-    /// The batched service-start: `start_processing` minus the heap push
-    /// — the finish lands in the core's slot with an emulated seq.
-    fn batch_start_processing(&mut self, core: usize, now: SimTime, st: &mut BatchState) {
-        if let Some(started) = self.service.start_processing(core, now) {
-            let seq = st.alloc();
-            st.arm_finish(core, now + started.duration, seq);
-            // The departure will read the order tracker's line for this
-            // flow one service time from now; start the fill early.
-            self.record.prefetch_departure(started.slot);
-            self.record.publish(
-                now,
-                &SimEvent::ServiceStart {
-                    core,
-                    service: started.service,
-                    cold: started.cold,
-                    migrated: started.migrated,
-                    duration: started.duration,
-                },
-            );
-        }
-    }
-
-    /// The batched finish handler: `on_finish` minus the generation
-    /// check (generations never advance without crashes).
-    fn batch_finish<C: CycleSink>(
-        &mut self,
-        core: usize,
-        now: SimTime,
-        st: &mut BatchState,
-        sink: &mut C,
-    ) {
-        let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let Some(pkt) = self.service.take_current(core) else {
-            debug_assert!(
-                false,
-                "finish event without packet in service on core {core}"
-            );
-            return;
-        };
-        if P::ACTIVE {
-            self.record.publish(
-                now,
-                &SimEvent::ServiceEnd {
-                    core,
-                    service: pkt.service,
-                },
-            );
-        }
-        if C::ACTIVE {
-            sink.span_end(Stage::Service, t0, 1);
-        }
-        let t1 = if C::ACTIVE { sink.span_start() } else { 0 };
-        self.record.departure(pkt, now);
-        if C::ACTIVE {
-            sink.span_end(Stage::Record, t1, 1);
-        }
-        let t2 = if C::ACTIVE { sink.span_start() } else { 0 };
-        self.batch_start_processing(core, now, st);
-        self.sync_info(core);
-        if C::ACTIVE {
-            sink.span_end(Stage::Service, t2, 0);
-        }
-    }
-
-    /// The batched rate update: `on_rate_update` with the reschedule
-    /// landing in the rate slot instead of the heap.
-    fn batch_rate_update(&mut self, now: SimTime, st: &mut BatchState) {
-        st.rate = None;
-        self.ingest.refresh_rates(now);
-        if P::ACTIVE {
-            self.record.publish(now, &SimEvent::EpochTick);
-        }
-        let next = now + self.cfg.rate_update_interval;
-        if next <= self.cfg.duration {
-            st.rate = Some((next, st.alloc()));
-        }
     }
 }

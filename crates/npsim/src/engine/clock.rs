@@ -1,13 +1,57 @@
 //! The detsim event clock: the engine's virtual-time transport,
 //! extracted so the staged pipeline reads as stages + clock rather than
-//! stages wired to a specific queue. The scalar run loop pushes/pops
-//! [`Ev`]s through an [`EventSchedule`]; the batched loop bypasses it;
-//! the npexec thread-per-core backend replaces it with real threads and
-//! an arrival plan (see [`plan`](super::plan)).
+//! stages wired to a specific queue.
+//!
+//! The event handlers in [`super`] are written once, against the
+//! [`Pending`] trait: everything a handler needs from the pending-event
+//! set (obtain the fired arrival, arm the next arrival / a finish / a
+//! stall end / the rate tick, orphan a crashed core's finish). The
+//! scalar reference loop backs it with [`HeapPending`] — one
+//! `detsim::EventQueue` push per armed event; the batched loop backs it
+//! with slot families ([`BatchState`](super::batch)). The npexec
+//! thread-per-core backend replaces the clock altogether with real
+//! threads and an arrival plan (see [`plan`](super::plan)).
 
-use detsim::{EventQueue, SimTime, TimerWheel};
+use super::cycles::CycleSink;
+use super::ingest::{Admission, IngestStage};
+use detsim::{EventQueue, SimTime};
+use nphash::FlowSlot;
 
-use super::EventBackend;
+/// The pending-event set as the event handlers see it. Both
+/// implementations realise the same `(time, insertion seq)` total
+/// order; the handlers call the `arm_*` methods at the same points in
+/// the same order under either, which is what makes the two run loops
+/// byte-identical.
+pub(super) trait Pending {
+    /// Obtain the arrival that just fired on `src` and admit it.
+    fn admit(&mut self, ingest: &mut IngestStage, src: usize) -> Admission;
+
+    /// Arm `src`'s next arrival after the one at `now`, if it lands at
+    /// or before `horizon` (this is the source's next gap draw).
+    /// Returns the flow slot of the newly armed arrival when it is
+    /// already known, so the caller can prefetch its flow-table lines.
+    fn arm_arrival<C: CycleSink>(
+        &mut self,
+        ingest: &mut IngestStage,
+        src: usize,
+        now: SimTime,
+        horizon: SimTime,
+        sink: &mut C,
+    ) -> Option<FlowSlot>;
+
+    /// Arm `core`'s service completion at `at`.
+    fn arm_finish(&mut self, core: usize, at: SimTime);
+
+    /// `core` crashed: its armed finish (if any) must still fire — the
+    /// run loop counts it in `SimReport::events` — but as a no-op.
+    fn orphan_finish(&mut self, core: usize);
+
+    /// Arm the end of a transient stall on `core` at `at`.
+    fn arm_stall_end(&mut self, core: usize, at: SimTime);
+
+    /// Arm the next rate-update tick at `at`.
+    fn arm_rate_tick(&mut self, at: SimTime);
+}
 
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Ev {
@@ -24,47 +68,73 @@ pub(super) enum Ev {
     StallEnd(usize),
 }
 
-/// The engine's event queue, behind the [`EventBackend`] knob. Both
-/// variants share the `(time, seq)` total order, so swapping them cannot
-/// change a run's result — only its wall-clock speed.
+/// The scalar loop's pending set: the binary heap, plus the per-core
+/// finish generations that mark a crashed core's heap entry stale (a
+/// heap cannot delete from the middle).
 #[derive(Debug)]
-pub(super) enum EventSchedule {
-    Heap(EventQueue<Ev>),
-    Wheel(Box<TimerWheel<Ev>>),
+pub(super) struct HeapPending {
+    pub(super) events: EventQueue<Ev>,
+    generation: Vec<u32>,
 }
 
-impl EventSchedule {
-    /// Pick the backend; the wheel's tick granularity adapts to the time
-    /// scale so that a slot spans roughly one packet service time
-    /// (deterministic: derived from the configuration only).
-    pub(super) fn new(backend: EventBackend, scale: f64) -> Self {
-        match backend {
-            EventBackend::Heap => EventSchedule::Heap(EventQueue::with_capacity(1024)),
-            EventBackend::Wheel => {
-                // Power of two so the wheel's time→tick conversion is a
-                // shift, not a division; roughly one tick per paper-scale
-                // inter-arrival at the bench rates.
-                let tick_ns = ((scale * 50.0) as u64).clamp(32, 2048).next_power_of_two();
-                EventSchedule::Wheel(Box::new(TimerWheel::new(tick_ns)))
-            }
+impl HeapPending {
+    pub(super) fn new(n_cores: usize) -> Self {
+        HeapPending {
+            events: EventQueue::with_capacity(1024),
+            generation: vec![0; n_cores],
+        }
+    }
+
+    /// Whether a finish armed under `generation` on `core` is still the
+    /// live one (no crash in between).
+    #[inline]
+    pub(super) fn finish_is_live(&self, core: usize, generation: u32) -> bool {
+        self.generation.get(core) == Some(&generation)
+    }
+}
+
+impl Pending for HeapPending {
+    #[inline]
+    fn admit(&mut self, ingest: &mut IngestStage, src: usize) -> Admission {
+        ingest.admit(src)
+    }
+
+    #[inline]
+    fn arm_arrival<C: CycleSink>(
+        &mut self,
+        ingest: &mut IngestStage,
+        src: usize,
+        now: SimTime,
+        horizon: SimTime,
+        _sink: &mut C,
+    ) -> Option<FlowSlot> {
+        let next = now + ingest.next_gap(src)?;
+        if next <= horizon {
+            self.events.push(next, Ev::Arrival(src));
+        }
+        None
+    }
+
+    #[inline]
+    fn arm_finish(&mut self, core: usize, at: SimTime) {
+        let generation = self.generation.get(core).copied().unwrap_or(0);
+        self.events.push(at, Ev::Finish(core, generation));
+    }
+
+    #[inline]
+    fn orphan_finish(&mut self, core: usize) {
+        if let Some(g) = self.generation.get_mut(core) {
+            *g = g.wrapping_add(1);
         }
     }
 
     #[inline]
-    pub(super) fn push(&mut self, at: SimTime, ev: Ev) {
-        match self {
-            EventSchedule::Heap(q) => {
-                q.push(at, ev);
-            }
-            EventSchedule::Wheel(w) => w.push(at, ev),
-        }
+    fn arm_stall_end(&mut self, core: usize, at: SimTime) {
+        self.events.push(at, Ev::StallEnd(core));
     }
 
     #[inline]
-    pub(super) fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        match self {
-            EventSchedule::Heap(q) => q.pop(),
-            EventSchedule::Wheel(w) => w.pop(),
-        }
+    fn arm_rate_tick(&mut self, at: SimTime) {
+        self.events.push(at, Ev::RateUpdate);
     }
 }

@@ -1,6 +1,7 @@
-//! Per-stage cycle accounting for the batched hot path.
+//! Per-stage cycle accounting for the run loops' hot path.
 //!
-//! The batched run loop is generic over a [`CycleSink`]; the default
+//! The event handlers and both run loops are generic over a
+//! [`CycleSink`]; the default
 //! sink is `()`, whose spans are compile-time dead (`ACTIVE = false`
 //! plus `#[inline]` empty bodies), so ordinary runs pay literally zero —
 //! the same monomorphization trick the probe bus uses. Passing a
@@ -17,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-/// A pipeline stage of the batched engine, as accounted by the probe.
+/// A pipeline stage of the engine, as accounted by the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Arrival lookahead refills: gap + header draws, burst buffering.
@@ -30,7 +31,8 @@ pub enum Stage {
     Service,
     /// Departure bookkeeping: order tracking, restoration, probes.
     Record,
-    /// The merge scan picking the next event across sources and cores.
+    /// Picking the next event: the merge scan across sources, cores and
+    /// control events (the heap pop under `ExecutionMode::Scalar`).
     Merge,
 }
 
@@ -67,7 +69,7 @@ impl Stage {
     }
 }
 
-/// Where the batched loop reports its stage spans.
+/// Where the run loop reports its stage spans.
 ///
 /// `ACTIVE = false` (the `()` impl) compiles every span call to
 /// nothing; the loop is monomorphized separately per sink, so the
@@ -179,20 +181,13 @@ impl CycleSink for CycleAccounting {
     }
 }
 
-/// Per-stage cycle totals of one batched run.
+/// Per-stage cycle totals of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleReport {
     stages: [StageCycles; STAGES.len()],
 }
 
 impl CycleReport {
-    /// An all-zero report (what scalar-mode fallbacks return).
-    pub fn empty() -> Self {
-        CycleReport {
-            stages: [StageCycles::default(); STAGES.len()],
-        }
-    }
-
     /// The bucket for `stage`.
     pub fn stage(&self, stage: Stage) -> StageCycles {
         self.stages.get(stage.index()).copied().unwrap_or_default()
@@ -203,8 +198,7 @@ impl CycleReport {
         self.stages.iter().map(|s| s.cycles).sum()
     }
 
-    /// True when nothing was recorded (scalar fallback or a zero-event
-    /// run).
+    /// True when nothing was recorded (a zero-event run).
     pub fn is_empty(&self) -> bool {
         self.stages.iter().all(|s| s.spans == 0)
     }
@@ -263,7 +257,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_all_stages() {
-        let report = CycleReport::empty();
+        let report = CycleAccounting::new().finish();
         let csv = report.to_csv();
         let mut lines = csv.lines();
         assert_eq!(

@@ -95,6 +95,17 @@ pub(super) enum Admission {
     FastPath(Header),
 }
 
+/// Compress a drawn gap by a flood `factor` — after the draw, so the
+/// RNG stream is untouched. 1.0 = no flood.
+#[inline]
+fn flooded(gap: SimTime, factor: f64) -> SimTime {
+    if factor != 1.0 && factor > 0.0 {
+        SimTime::from_nanos((gap.as_nanos() as f64 / factor).max(1.0) as u64)
+    } else {
+        gap
+    }
+}
+
 #[derive(Debug)]
 pub(super) struct IngestStage {
     sources: Vec<SourceSlot>,
@@ -178,31 +189,15 @@ impl IngestStage {
         self.interner.len()
     }
 
-    /// Admit one arrival from `src`: draw the header, classify it, and —
-    /// for fast-path packets — assign the global packet ID.
+    /// Admit one arrival from `src`: draw its record now, then resolve,
+    /// classify and number it ([`IngestStage::admit_record`]).
     pub(super) fn admit(&mut self, src: usize) -> Admission {
         let Some(slot) = self.sources.get_mut(src) else {
             debug_assert!(false, "arrival from unknown source {src}");
             return Admission::Missing;
         };
-        let (flow, flow_slot, size) = slot.source.next_header_interned(&mut self.interner);
-        let service = slot.source.service;
-        // Frame-manager classification (Fig. 1): control-plane packets
-        // take the slow path and never enter the data-plane scheduler.
-        if self.control_plane_fraction > 0.0
-            && self.classifier_rng.gen::<f64>() < self.control_plane_fraction
-        {
-            return Admission::SlowPath { service };
-        }
-        let id = self.next_packet_id;
-        self.next_packet_id += 1;
-        Admission::FastPath(Header {
-            flow,
-            slot: flow_slot,
-            service,
-            size,
-            id,
-        })
+        let rec = slot.source.next_record();
+        self.admit_record(src, rec)
     }
 
     /// Draw the inter-arrival gap to `src`'s next packet. A flood factor
@@ -215,13 +210,7 @@ impl IngestStage {
         };
         let gap = slot.source.draw_gap(scale, &mut slot.rng);
         let factor = self.flood.get(src).copied().unwrap_or(1.0);
-        if factor != 1.0 && factor > 0.0 {
-            Some(SimTime::from_nanos(
-                (gap.as_nanos() as f64 / factor).max(1.0) as u64,
-            ))
-        } else {
-            Some(gap)
-        }
+        Some(flooded(gap, factor))
     }
 
     /// Set `src`'s flood multiplier (fault injection). `factor` > 1.0
@@ -247,17 +236,6 @@ impl IngestStage {
         primed
     }
 
-    /// Pre-draw `n` gaps and records per Constant-rate source (see
-    /// [`TrafficSource::prestage`]); a construction-time affordance so
-    /// benchmarks measure the engine, not the traffic model. No-op for
-    /// `n == 0` and for Holt-Winters sources.
-    pub(super) fn prestage_all(&mut self, n: usize) {
-        let scale = self.scale;
-        for slot in &mut self.sources {
-            slot.source.prestage(n, scale, &mut slot.rng);
-        }
-    }
-
     /// Re-sample every source's rate law at time `now`.
     pub(super) fn refresh_rates(&mut self, now: SimTime) {
         for slot in &mut self.sources {
@@ -271,20 +249,18 @@ impl IngestStage {
     // Legality: gap draws consume the source's private arrival RNG, and
     // that same stream is also consumed by `refresh_rates` (Holt-Winters
     // noise) — so a gap may be drawn early only if the scalar engine
-    // would also have drawn it before the next pending rate update. The
-    // refill loop enforces this with a strict `cursor < barrier` check;
-    // the *first* draw of a refill is exempt because a refill only
-    // happens at the exact simulation point where the scalar engine
-    // performs that same draw (priming, or the arrival that emptied the
-    // buffer), where no refresh can intervene.
+    // would also have drawn it before the next pending rate update. A
+    // drawn gap is also compressed by the source's flood factor, which a
+    // fault-plan entry may change — so the next pending fault entry bounds
+    // lookahead the same way. The refill loop enforces both with a strict
+    // `cursor < barrier` check; the *first* draw of a refill is exempt
+    // because a refill only happens at the exact simulation point where
+    // the scalar engine performs that same draw (priming, or the arrival
+    // that emptied the buffer), where no refresh or fault can intervene.
 
     /// Prepare the per-source lookahead rings for a batched run.
     pub(super) fn batch_init(&mut self, cap: usize) {
         self.burst_cap = cap.clamp(1, MAX_BURST);
-        debug_assert!(
-            self.flood.iter().all(|&f| f == 1.0),
-            "batched mode excludes fault-driven floods"
-        );
         // Once-per-run setup before the event loop starts, not
         // per-packet work — the three allocations below are amortized
         // over the whole simulation.
@@ -299,9 +275,11 @@ impl IngestStage {
     /// Refill `src`'s lookahead buffer. Must only be called when the
     /// buffer is drained, at the scalar position of the next gap draw.
     ///
-    /// `barrier` is the time of the next pending rate update (`MAX` if
-    /// none): lookahead stops before any arrival whose gap the scalar
-    /// engine would draw only after refreshing rates. `horizon` is the
+    /// `barrier` is the time of the next pending rate update or fault-plan
+    /// entry (`MAX` if none): lookahead stops before any arrival whose
+    /// gap the scalar engine would draw only after refreshing rates or
+    /// applying the fault — so every draw of one refill sees the rate and
+    /// flood factor in force now. `horizon` is the
     /// simulation duration: a gap landing past it consumes RNG (exactly
     /// as the scalar engine's unscheduled final arrival does) but ends
     /// the source's stream for good.
@@ -310,6 +288,7 @@ impl IngestStage {
     pub(super) fn batch_refill(&mut self, src: usize, barrier: SimTime, horizon: SimTime) -> usize {
         let scale = self.scale;
         let cap = self.burst_cap;
+        let factor = self.flood.get(src).copied().unwrap_or(1.0);
         let Some(buf) = self.bursts.get_mut(src) else {
             debug_assert!(false, "refill of unknown source {src}");
             return 0;
@@ -327,7 +306,7 @@ impl IngestStage {
         let mut force_first = true;
         while (buf.len as usize) < cap && (force_first || buf.cursor < barrier) {
             force_first = false;
-            let gap = slot.source.draw_gap(scale, &mut slot.rng);
+            let gap = flooded(slot.source.draw_gap(scale, &mut slot.rng), factor);
             let t = buf.cursor + gap;
             if t > horizon {
                 // Scalar draws this gap too, then never schedules the
@@ -441,9 +420,8 @@ impl IngestStage {
     /// Admit one *pre-drawn* arrival record from `src`: resolve it
     /// against the shared interner, classify, and assign the packet ID.
     ///
-    /// This is the shared-state half of [`IngestStage::admit`] and must
-    /// run in event-processing order; together with the pre-drawn record
-    /// it consumes exactly the draws `admit` would.
+    /// This is the shared-state half of admission and must run in
+    /// event-processing order.
     pub(super) fn admit_record(&mut self, src: usize, rec: PacketRecord) -> Admission {
         let Some(slot) = self.sources.get_mut(src) else {
             debug_assert!(false, "arrival from unknown source {src}");

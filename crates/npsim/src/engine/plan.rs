@@ -83,7 +83,6 @@ impl ArrivalPlan {
             cfg.scale,
             cfg.control_plane_fraction,
         );
-        ingest.prestage_all(cfg.prestage);
 
         let mut events: EventQueue<PlanEv> = EventQueue::with_capacity(1024);
         // Priming order mirrors Engine::run_scalar: per-source first

@@ -6,11 +6,10 @@
 //! corresponding bus events and schedules the finish timer.
 //!
 //! Fault support: each core carries an `up` flag, a service-duration
-//! multiplier (throttle), a stall latch, and a finish generation. A
-//! crash drains the core's backlog (returned to the orchestrator for
-//! drop accounting), refunds the unearned remainder of its in-service
-//! busy credit, and bumps the generation so the stale finish timer is
-//! discarded. Under [`DropPolicy::Backpressure`] each core also owns a
+//! multiplier (throttle) and a stall latch. A crash drains the core's
+//! backlog (returned to the orchestrator for drop accounting) and
+//! refunds the unearned remainder of its in-service busy credit; the
+//! orchestrator orphans the core's armed finish timer. Under [`DropPolicy::Backpressure`] each core also owns a
 //! staging buffer that refills the main queue as service completes.
 
 use crate::fault::DropPolicy;
@@ -37,13 +36,12 @@ struct Core {
     /// Alive? `false` between a fault-plan crash and the matching heal.
     up: bool,
     /// Transient stall: the core finishes its current packet but starts
-    /// no new service until the stall-end event clears this.
-    stalled: bool,
+    /// no new service until a stall-end event at or after this instant
+    /// clears it (the latest end over overlapping stalls). `None` = not
+    /// stalled.
+    stalled_until: Option<SimTime>,
     /// Service-duration multiplier (throttle); 1.0 at full speed.
     speed: f64,
-    /// Incremented on every crash; finish events carry the generation
-    /// they were armed under, so a crash invalidates them.
-    generation: u32,
 }
 
 /// A packet entering service: what the orchestrator needs to publish
@@ -102,9 +100,8 @@ impl ServiceStage {
                 last_congested: SimTime::ZERO,
                 busy_ns: 0,
                 up: true,
-                stalled: false,
+                stalled_until: None,
                 speed: 1.0,
-                generation: 0,
             })
             .collect();
         ServiceStage {
@@ -203,7 +200,7 @@ impl ServiceStage {
             debug_assert!(false, "start_processing on unknown core {core}");
             return None;
         };
-        if slot.current.is_some() || !slot.up || slot.stalled {
+        if slot.current.is_some() || !slot.up || slot.stalled_until.is_some() {
             return None;
         }
         let Some(pkt) = slot.queue.pop() else {
@@ -247,13 +244,6 @@ impl ServiceStage {
         self.cores.get_mut(core).and_then(|c| c.current.take())
     }
 
-    /// The finish generation of `core` (finish events armed under an
-    /// older generation are stale — the core crashed in between).
-    #[inline]
-    pub(super) fn generation(&self, core: usize) -> u32 {
-        self.cores.get(core).map_or(0, |c| c.generation)
-    }
-
     /// Whether `core` is alive.
     #[inline]
     pub(super) fn is_up(&self, core: usize) -> bool {
@@ -276,9 +266,8 @@ impl ServiceStage {
         best
     }
 
-    /// Kill `core`: mark it down, bump its finish generation (stale
-    /// finish timers are discarded), refund the unearned remainder of
-    /// its in-service busy credit, and return every packet it was
+    /// Kill `core`: mark it down, end any stall, refund the unearned
+    /// remainder of its in-service busy credit, and return every packet it was
     /// holding — in-service first, then queue, then staging, in FIFO
     /// order — for the orchestrator to account as drops. Idempotent: a
     /// second crash of a down core returns nothing.
@@ -290,9 +279,8 @@ impl ServiceStage {
             return Vec::new();
         }
         slot.up = false;
-        slot.stalled = false;
+        slot.stalled_until = None;
         slot.speed = 1.0;
-        slot.generation = slot.generation.wrapping_add(1);
         slot.idle_since = None;
         slot.last_service = None;
         let mut lost = Vec::new();
@@ -325,7 +313,6 @@ impl ServiceStage {
         slot.up = true;
         slot.idle_since = Some(now);
         slot.speed = 1.0;
-        slot.stalled = false;
         true
     }
 
@@ -339,20 +326,32 @@ impl ServiceStage {
         }
     }
 
-    /// Latch a transient stall on `core`: its current packet completes,
-    /// but no new service starts until [`ServiceStage::resume`].
-    pub(super) fn stall(&mut self, core: usize) {
-        if let Some(slot) = self.cores.get_mut(core) {
-            if slot.up {
-                slot.stalled = true;
+    /// Latch a transient stall on `core` until `until`: its current
+    /// packet completes, but no new service starts before a stall end at
+    /// or after `until` — overlapping stalls extend the window, they do
+    /// not cut it short. Returns `false` (no-op) on a dead core.
+    pub(super) fn stall(&mut self, core: usize, until: SimTime) -> bool {
+        match self.cores.get_mut(core) {
+            Some(slot) if slot.up => {
+                slot.stalled_until = Some(slot.stalled_until.map_or(until, |u| u.max(until)));
+                true
             }
+            _ => false,
         }
     }
 
-    /// Clear a transient stall on `core`.
-    pub(super) fn resume(&mut self, core: usize) {
-        if let Some(slot) = self.cores.get_mut(core) {
-            slot.stalled = false;
+    /// A stall-end event fired on `core` at `now`. Clears the latch and
+    /// returns `true` unless a longer overlapping stall is still in
+    /// force (then this end is not the last one and must not resume
+    /// the core).
+    pub(super) fn end_stall(&mut self, core: usize, now: SimTime) -> bool {
+        match self.cores.get_mut(core) {
+            Some(slot) if slot.stalled_until.is_some_and(|until| now < until) => false,
+            Some(slot) => {
+                slot.stalled_until = None;
+                true
+            }
+            None => false,
         }
     }
 

@@ -64,15 +64,6 @@ pub struct TrafficSource {
     /// flow indices, so after a flow's first packet every later packet
     /// resolves its slot with one `Vec` access — zero hash probes.
     slot_cache: Vec<u32>,
-    /// Pre-staged inter-arrival gaps (raw draws, pre-flood), consumed
-    /// FIFO by [`TrafficSource::draw_gap`] before any live draw. See
-    /// [`TrafficSource::prestage`].
-    staged_gaps: Vec<SimTime>,
-    gap_cursor: usize,
-    /// Pre-staged trace records, consumed FIFO by
-    /// [`TrafficSource::next_record`] before any live draw.
-    staged_records: Vec<nptrace::PacketRecord>,
-    rec_cursor: usize,
 }
 
 /// Sentinel in `slot_cache`: this trace-local flow has no global slot yet.
@@ -92,52 +83,6 @@ impl TrafficSource {
             rate: cfg.rate,
             current_rate: cfg.rate.mean_rate_at(SimTime::ZERO),
             slot_cache: Vec::new(),
-            staged_gaps: Vec::new(),
-            gap_cursor: 0,
-            staged_records: Vec::new(),
-            rec_cursor: 0,
-        }
-    }
-
-    /// Pre-draw up to `n` inter-arrival gaps and `n` trace records into
-    /// staging buffers, so the run-time draw cost collapses to a cursor
-    /// advance (the benchmark's way of measuring the engine instead of
-    /// the synthetic traffic model).
-    ///
-    /// Byte-identity argument: gaps consume only this source's private
-    /// arrival RNG and records only the trace generator's private RNG,
-    /// in exactly the orders the live draws would — and for a
-    /// [`RateSpec::Constant`] source the rate in force never changes and
-    /// rate refreshes consume no RNG, so values drawn at construction
-    /// equal values drawn mid-run. Holt-Winters sources interleave rate
-    /// noise on the arrival stream, so pre-drawing is refused (returns
-    /// `false`, a no-op).
-    pub fn prestage(&mut self, n: usize, scale: f64, rng: &mut StdRng) -> bool {
-        if n == 0 || !matches!(self.rate, RateSpec::Constant(_)) {
-            return false;
-        }
-        debug_assert!(
-            self.staged_gaps.is_empty() && self.gap_cursor == 0,
-            "prestage must happen before any draw"
-        );
-        // npcheck: allow(blocking-hot-path) — construction-time staging, before the run
-        self.staged_gaps = (0..n).map(|_| self.next_gap(scale, rng)).collect();
-        // npcheck: allow(blocking-hot-path) — construction-time staging, before the run
-        self.staged_records = (0..n).map(|_| self.gen.next_packet()).collect();
-        true
-    }
-
-    /// Draw the next inter-arrival gap, consuming the staged buffer
-    /// first. All engine-side gap draws go through this so staged and
-    /// live draws form one seamless stream.
-    #[inline]
-    pub fn draw_gap(&mut self, scale: f64, rng: &mut StdRng) -> SimTime {
-        match self.staged_gaps.get(self.gap_cursor) {
-            Some(&g) => {
-                self.gap_cursor += 1;
-                g
-            }
-            None => self.next_gap(scale, rng),
         }
     }
 
@@ -153,7 +98,8 @@ impl TrafficSource {
 
     /// Draw the next inter-arrival gap given scale factor `scale`
     /// (exponential with mean `scale / rate` µs).
-    pub fn next_gap(&self, scale: f64, rng: &mut StdRng) -> SimTime {
+    #[inline]
+    pub fn draw_gap(&self, scale: f64, rng: &mut StdRng) -> SimTime {
         let rate_pp_us = (self.current_rate / scale).max(1e-9);
         let u: f64 = rng.gen::<f64>().max(1e-300);
         SimTime::from_micros_f64(-u.ln() / rate_pp_us)
@@ -175,13 +121,7 @@ impl TrafficSource {
     /// [`TrafficSource::resolve_record`] without perturbing replay.
     #[inline]
     pub fn next_record(&mut self) -> nptrace::PacketRecord {
-        match self.staged_records.get(self.rec_cursor) {
-            Some(&r) => {
-                self.rec_cursor += 1;
-                r
-            }
-            None => self.gen.next_packet(),
-        }
+        self.gen.next_packet()
     }
 
     /// Resolve a record drawn by [`TrafficSource::next_record`] against
@@ -276,7 +216,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let n = 50_000;
         let total: f64 = (0..n)
-            .map(|_| s.next_gap(1.0, &mut rng).as_micros_f64())
+            .map(|_| s.draw_gap(1.0, &mut rng).as_micros_f64())
             .sum();
         let mean = total / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean gap {mean}");
@@ -288,7 +228,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let n = 20_000;
         let total: f64 = (0..n)
-            .map(|_| s.next_gap(50.0, &mut rng).as_micros_f64())
+            .map(|_| s.draw_gap(50.0, &mut rng).as_micros_f64())
             .sum();
         let mean = total / n as f64;
         assert!((mean - 25.0).abs() < 1.0, "scaled mean gap {mean}");
