@@ -3,8 +3,8 @@
 //! must never reorder a flow, on at least one CAIDA-like and one
 //! Auckland-like preset.
 //!
-//! Both backends replay the *same* [`npsim::ArrivalPlan`] (the ingest
-//! scalar loop, bit-exact), so the offered stream — packet count,
+//! Both backends replay the *same* [`npsim::PlanStream`] (the scalar
+//! loop's arrival sequence, packet for packet), so the offered stream — packet count,
 //! slow-path diversions, per-service mix — must match exactly; the
 //! execution side (queueing, migration policy) is where they are
 //! allowed to differ, within bounds:

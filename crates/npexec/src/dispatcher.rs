@@ -6,7 +6,8 @@
 //! It owns the service's `MapTable` (bucket == flow group) and walks
 //! the planned packet stream in arrival order:
 //!
-//! 1. look up the packet's group and its owning worker,
+//! 1. read the packet's group off its descriptor (hashed once per
+//!    flow when the plan was built) and look up the owning worker,
 //! 2. push the plan index into that worker's ring (tagging the payload
 //!    with [`MIGRATED_BIT`] when the flow changed cores),
 //! 3. periodically compare per-worker load over a window and migrate
@@ -40,8 +41,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use laps::spsc::{Desc, Producer};
 use laps::GroupBoard;
 use nphash::MapTable;
-use npsim::{FaultAction, ScheduledPacket};
+use npsim::FaultAction;
 
+use crate::plan::ExecPkt;
 use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT};
 use crate::worker::MIGRATED_BIT;
 use crate::{ForcedMigration, FullPolicy};
@@ -55,10 +57,8 @@ const RESTORE_WAIT_YIELDS: u32 = 100_000;
 
 /// Everything the dispatcher owns or borrows for one run.
 pub(crate) struct DispatchCtx<'a> {
-    /// Planned packets in arrival order.
-    pub packets: &'a [ScheduledPacket],
-    /// Flow-group of each planned packet (parallel to `packets`).
-    pub group_of: &'a [u64],
+    /// Planned packets in arrival order, each carrying its flow group.
+    pub packets: &'a [ExecPkt],
     /// The service's map table: bucket == group, value == worker.
     pub table: MapTable<usize>,
     /// Produce side of each worker's ring.
@@ -457,7 +457,6 @@ fn bump_restore_skipped(out: &mut DispatchOutcome, core: usize) {
 pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
     let DispatchCtx {
         packets,
-        group_of,
         mut table,
         mut producers,
         board,
@@ -531,10 +530,10 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 imbalance_ratio,
             );
         }
-        let g = group_of.get(i).copied().unwrap_or(0);
-        let owner = table.cores().get(g as usize).copied().unwrap_or(0);
+        let g = p.group as usize;
+        let owner = table.cores().get(g).copied().unwrap_or(0);
         if faults_on {
-            if fs.crash_remapped.get(g as usize).copied().unwrap_or(false) {
+            if fs.crash_remapped.get(g).copied().unwrap_or(false) {
                 out.redirects += 1;
             }
             if fs.open_episodes > 0 {
@@ -580,7 +579,7 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
             if let Some(w) = win_worker.get_mut(owner) {
                 *w += 1;
             }
-            if let Some(w) = win_group.get_mut(g as usize) {
+            if let Some(w) = win_group.get_mut(g) {
                 *w += 1;
             }
         } else {

@@ -7,19 +7,30 @@
 //! handshake (`laps::GroupBoard`) so a migration can never reorder a
 //! flow's in-flight packets.
 //!
-//! The offered traffic is the engine's own: [`ArrivalPlan`] replays the
-//! ingest stage of a fault-free detsim run bit-exactly, so both
-//! backends process the identical packet stream. What differs is
-//! execution — detsim interleaves on a virtual clock (byte-reproducible
-//! reports), npexec interleaves on real cores (wall-clock throughput,
-//! reports *statistically* equivalent; the `exec_validate` experiment
-//! pins the bounds).
+//! The offered traffic is the engine's own: [`npsim::PlanStream`]
+//! yields the arrival sequence of a fault-free detsim run packet for
+//! packet, so both backends process the identical packet stream. What
+//! differs is execution — detsim interleaves on a virtual clock
+//! (byte-reproducible reports), npexec interleaves on real cores
+//! (wall-clock throughput, reports *statistically* equivalent; the
+//! `exec_validate` experiment pins the bounds).
+//!
+//! Before any thread is spawned the stream is drained into a compact
+//! plan of 24-byte descriptors (`plan.rs`: arrival instant, flow slot,
+//! per-flow sequence, flow group, size, service — the packet id is the
+//! index, and the group is one CRC16 per *flow*, not per packet). Rings
+//! carry plan indices; the dispatcher reads a descriptor's group and
+//! slot, a worker its group, service, size, slot and sequence. The
+//! timed thread scope ([`ExecStats::wall_secs`]) covers rings and
+//! handshake only — drawing the stream is deliberately outside it.
 //!
 //! ```text
-//!                      ┌────────── worker 0 (pinned) ──────────┐
-//!   ArrivalPlan ──► dispatcher ──spsc──► pop → hold? → service │
-//!                      │   │                                   │
-//!                      │   └─spsc──► worker 1 … worker N-1     │
+//!   PlanStream ─► compact plan (24 B/packet, group hashed once per flow)
+//!                      │ indices
+//!                      ▼             ┌────── worker 0 (pinned) ──────┐
+//!                  dispatcher ──spsc──► pop → hold? → service        │
+//!                      │   │                                         │
+//!                      │   └─spsc──► worker 1 … worker N-1           │
 //!                      │
 //!                      ├─ MapTable  (bucket == flow group)
 //!                      ├─ GroupBoard (begun/released per group)
@@ -44,6 +55,7 @@
 
 mod affinity;
 mod dispatcher;
+mod plan;
 mod supervisor;
 mod worker;
 
@@ -53,11 +65,12 @@ use std::time::Instant;
 use laps::{GroupBoard, HandshakeStats};
 use nphash::{FlowSlot, MapTable};
 use npsim::{
-    ArrivalPlan, EngineConfig, ExecBackend, ExecError, FaultAction, FaultStats, ProbeHost,
-    ProbeStack, Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
+    EngineConfig, ExecBackend, ExecError, FaultAction, FaultStats, ProbeHost, ProbeStack,
+    Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
 };
 
 use dispatcher::{DispatchCtx, DispatchOutcome};
+use plan::{ExecPkt, ExecPlan};
 use supervisor::{ControlPlane, SupervisorCtx, SupervisorOutcome};
 use worker::{WorkerCtx, WorkerOutcome};
 
@@ -223,12 +236,12 @@ impl ThreadedBackend {
 /// dispatcher fires the action *before* that packet — the same
 /// fault-before-same-time-arrival tie-break the detsim event queue
 /// applies. Entries past the last arrival fire after the dispatch loop.
-fn fault_plan_positions(cfg: &EngineConfig, plan: &ArrivalPlan) -> Vec<(u64, FaultAction)> {
+fn fault_plan_positions(cfg: &EngineConfig, packets: &[ExecPkt]) -> Vec<(u64, FaultAction)> {
     cfg.faults
         .entries()
         .iter()
         .map(|&(t, action)| {
-            let pos = plan.packets.partition_point(|p| p.at < t) as u64;
+            let pos = packets.partition_point(|p| p.at < t) as u64;
             (pos, action)
         })
         .collect()
@@ -291,6 +304,9 @@ impl ExecBackend for ThreadedBackend {
     /// Panics if [`ExecBackend::validate`] rejects the configuration
     /// (flood plans, out-of-range cores, a plan that crashes the last
     /// live worker). Call `validate` first to handle these as errors.
+    /// Panics, before any thread is spawned, if the configuration
+    /// offers more than `u32::MAX` packets (per-flow sequence numbers
+    /// are kept in 32 bits).
     fn run(
         &mut self,
         cfg: &EngineConfig,
@@ -301,7 +317,6 @@ impl ExecBackend for ThreadedBackend {
         if let Err(e) = ExecBackend::validate(self, cfg, sources) {
             panic!("npexec cannot execute this configuration: {e}");
         }
-        let plan = ArrivalPlan::from_config(cfg, sources);
         let workers = self.cfg.workers.max(1);
         let groups = if self.cfg.groups == 0 {
             workers * 8
@@ -317,10 +332,10 @@ impl ExecBackend for ThreadedBackend {
         }
         let table = MapTable::new(owners);
         let board = GroupBoard::new(groups);
-        let mut group_of = Vec::with_capacity(plan.packets.len());
-        for p in &plan.packets {
-            group_of.push(u64::from(table.bucket_of(p.flow)));
-        }
+        let plan = match ExecPlan::build(cfg, sources, &table) {
+            Ok(plan) => plan,
+            Err(e) => panic!("npexec cannot execute this configuration: {e}"),
+        };
         let mut migrating_to = Vec::with_capacity(groups);
         for _ in 0..groups {
             migrating_to.push(AtomicUsize::new(usize::MAX));
@@ -342,7 +357,7 @@ impl ExecBackend for ThreadedBackend {
         }
         let mut forced = self.cfg.forced_migrations.clone();
         forced.sort_by_key(|f| f.after_packets);
-        let faults = fault_plan_positions(cfg, &plan);
+        let faults = fault_plan_positions(cfg, &plan.packets);
         // Fault-free runs carry no control plane: workers then skip
         // every supervision check, and no supervisor thread spawns.
         let ctrl = (!faults.is_empty()).then(|| ControlPlane::new(workers));
@@ -360,7 +375,6 @@ impl ExecBackend for ThreadedBackend {
                     id,
                     consumer,
                     packets: &plan.packets,
-                    group_of: &group_of,
                     board: board.clone(),
                     migrating_to: &migrating_to,
                     seq_watch: &seq_watch,
@@ -378,7 +392,6 @@ impl ExecBackend for ThreadedBackend {
                     cp,
                     board: board.clone(),
                     packets: &plan.packets,
-                    group_of: &group_of,
                     migrating_to: &migrating_to,
                     seq_watch: &seq_watch,
                     done: &done,
@@ -390,7 +403,6 @@ impl ExecBackend for ThreadedBackend {
             });
             let dispatch = dispatcher::run(DispatchCtx {
                 packets: &plan.packets,
-                group_of: &group_of,
                 table,
                 producers,
                 board: board.clone(),
@@ -525,7 +537,7 @@ impl ExecBackend for ThreadedBackend {
 fn assemble_report(
     cfg: &EngineConfig,
     sched_name: &str,
-    plan: &ArrivalPlan,
+    plan: &ExecPlan,
     dispatch: &DispatchOutcome,
     outs: &[WorkerOutcome],
     sup: Option<&SupervisorOutcome>,
@@ -533,7 +545,7 @@ fn assemble_report(
     delivered: u64,
 ) -> SimReport {
     let mut report = SimReport::new(format!("npexec:{sched_name}"), cfg.duration, cfg.scale);
-    report.offered = plan.offered();
+    report.offered = plan.packets.len() as u64;
     report.slow_path = plan.slow_path;
     report.dropped = dispatch.dropped.len() as u64 + fault_dropped.len() as u64;
     report.processed = delivered;
@@ -549,8 +561,8 @@ fn assemble_report(
             }
         }
     }
-    for p in &plan.packets {
-        report.service_mut(p.service).offered += 1;
+    for (kind, &n) in nptraffic::ServiceKind::ALL.iter().zip(&plan.offered) {
+        report.service_mut(*kind).offered = n;
     }
     for &(idx, _) in &dispatch.dropped {
         if let Some(p) = plan.packets.get(idx as usize) {
@@ -621,7 +633,7 @@ fn assemble_report(
 fn replay_probes(
     probes: &mut ProbeStack,
     cfg: &EngineConfig,
-    plan: &ArrivalPlan,
+    plan: &ExecPlan,
     dispatch: &DispatchOutcome,
     outs: &[WorkerOutcome],
     sup: Option<&SupervisorOutcome>,
@@ -684,8 +696,9 @@ fn replay_probes(
     marks.sort_by_key(|&(pos, _)| pos);
     let mut next_mark = 0usize;
     for (i, p) in plan.packets.iter().enumerate() {
+        let id = i as u64;
         while let Some((pos, ev)) = marks.get(next_mark) {
-            if *pos > i as u64 {
+            if *pos > id {
                 break;
             }
             probes.deliver(p.at, ev);
@@ -694,7 +707,7 @@ fn replay_probes(
         probes.deliver(
             p.at,
             &SimEvent::PacketArrived {
-                id: p.id,
+                id,
                 slot: p.slot,
                 service: p.service,
                 size: p.size,
@@ -704,7 +717,7 @@ fn replay_probes(
             Some(&core) if core != u32::MAX => probes.deliver(
                 p.at,
                 &SimEvent::Dropped {
-                    id: p.id,
+                    id,
                     slot: p.slot,
                     service: p.service,
                     core: core as usize,
@@ -715,7 +728,7 @@ fn replay_probes(
                 probes.deliver(
                     p.at,
                     &SimEvent::Departure {
-                        id: p.id,
+                        id,
                         slot: p.slot,
                         service: p.service,
                         latency_ns: 0,
@@ -727,7 +740,7 @@ fn replay_probes(
                         p.at,
                         &SimEvent::ReorderDetected {
                             slot: p.slot,
-                            flow_seq: p.flow_seq,
+                            flow_seq: u64::from(p.flow_seq),
                             extent: 1,
                         },
                     );
@@ -921,6 +934,25 @@ mod tests {
         let det = npsim::Engine::new(cfg(10), &sources(), JoinShortestQueue::new()).run();
         assert_eq!(exec.offered, det.offered, "same planned arrival stream");
         assert_eq!(exec.slow_path, det.slow_path);
+    }
+
+    #[test]
+    fn per_service_offered_matches_a_recount_of_the_full_plan() {
+        let mut backend = ThreadedBackend::with_workers(2);
+        let report = run_with(&mut backend, 5);
+        let full = npsim::ArrivalPlan::from_config(&cfg(5), &sources());
+        let mut recount = [0u64; 4];
+        for p in &full.packets {
+            recount[p.service.index()] += 1;
+        }
+        let reported: Vec<u64> = report.per_service.iter().map(|s| s.offered).collect();
+        assert_eq!(reported, recount);
+        assert_eq!(report.offered, full.offered());
+        assert_eq!(
+            recount.iter().filter(|&&n| n > 0).count(),
+            2,
+            "two services offered"
+        );
     }
 
     #[test]

@@ -58,9 +58,9 @@ use std::thread::{Scope, ScopedJoinHandle};
 
 use laps::spsc::{Consumer, Desc, Producer};
 use laps::GroupBoard;
-use npsim::ScheduledPacket;
 use nptraffic::DelayModel;
 
+use crate::plan::ExecPkt;
 use crate::worker::{self, WorkerCtx, WorkerOutcome, MIGRATED_BIT};
 
 /// Command bit: the worker must crash — account holds as drops, hand
@@ -147,8 +147,7 @@ impl ControlPlane {
 pub(crate) struct SupervisorCtx<'a> {
     pub cp: &'a ControlPlane,
     pub board: GroupBoard,
-    pub packets: &'a [ScheduledPacket],
-    pub group_of: &'a [u64],
+    pub packets: &'a [ExecPkt],
     pub migrating_to: &'a [AtomicUsize],
     pub seq_watch: &'a [AtomicU64],
     pub done: &'a AtomicBool,
@@ -265,7 +264,6 @@ pub(crate) fn run<'scope>(
                     id: k,
                     consumer,
                     packets: ctx.packets,
-                    group_of: ctx.group_of,
                     board: ctx.board.clone(),
                     migrating_to: ctx.migrating_to,
                     seq_watch: ctx.seq_watch,

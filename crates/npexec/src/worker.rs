@@ -41,10 +41,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use laps::spsc::{Consumer, Desc};
 use laps::GroupBoard;
-use npsim::ScheduledPacket;
 use nptraffic::{DelayModel, ServiceKind};
 
 use crate::affinity;
+use crate::plan::ExecPkt;
 use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT};
 
 /// Payload tag bit: the dispatcher sets it when this packet moved its
@@ -60,9 +60,7 @@ pub(crate) struct WorkerCtx<'a> {
     /// Consume side of this worker's ring.
     pub consumer: Consumer,
     /// The full arrival plan; ring payloads index into it.
-    pub packets: &'a [ScheduledPacket],
-    /// Flow-group of each planned packet (parallel to `packets`).
-    pub group_of: &'a [u64],
+    pub packets: &'a [ExecPkt],
     /// The migration handshake scoreboard.
     pub board: GroupBoard,
     /// Per-group migration target, written by the dispatcher before
@@ -122,7 +120,7 @@ struct Held {
 /// Service-side state split out so the pop loop can borrow the
 /// holdback buffer and the servicing machinery independently.
 struct Svc<'a> {
-    packets: &'a [ScheduledPacket],
+    packets: &'a [ExecPkt],
     seq_watch: &'a [AtomicU64],
     delay: DelayModel,
     last_service: Option<ServiceKind>,
@@ -156,11 +154,12 @@ impl Svc<'_> {
             self.out.first_serviced = Some(idx as u64);
         }
         if let Some(w) = self.seq_watch.get(p.slot.index()) {
+            let flow_seq = u64::from(p.flow_seq);
             // The witness is shared with whichever worker serviced the
             // flow's previous packet and whichever services the next.
             // npcheck: ordering(AcqRel RMW — Acquire sees the previous owner's update, Release publishes ours to the next)
-            let prev = w.fetch_max(p.flow_seq + 1, Ordering::AcqRel);
-            if prev > p.flow_seq {
+            let prev = w.fetch_max(flow_seq + 1, Ordering::AcqRel);
+            if prev > flow_seq {
                 self.out.ooo_packets.push(idx as u64);
             }
         }
@@ -178,7 +177,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         id,
         mut consumer,
         packets,
-        group_of,
         board,
         migrating_to,
         seq_watch,
@@ -264,7 +262,7 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             Some(Desc::Packet(raw)) => {
                 idle_polls = 0;
                 let idx = (raw & !MIGRATED_BIT) as usize;
-                let g = group_of.get(idx).copied().unwrap_or(0);
+                let g = packets.get(idx).map_or(0, |p| u64::from(p.group));
                 let held_here = holds.iter().any(|h| h.group == g);
                 // If in_flight saw the begun bump, the target load must see
                 // who the handshake is for.

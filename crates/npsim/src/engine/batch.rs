@@ -69,7 +69,7 @@ use nphash::FlowSlot;
 
 /// One pending event as the merge orders it: `(time, emulated seq,
 /// what fires)`.
-type Entry = (SimTime, u64, Win);
+pub(super) type Entry = (SimTime, u64, Win);
 
 /// The earlier of two pending events in the `(time, seq)` total order.
 #[inline]
@@ -149,6 +149,94 @@ impl BatchState {
         self.fault.map_or(rate, |(t, _, _)| rate.min(t))
     }
 
+    /// Start a batched run over `ingest`: size the lookahead rings, then
+    /// arm what the scalar loop primes, allocating seqs in its order —
+    /// every source's first gap (source order, seq only for arrivals
+    /// inside the horizon), then the rate-update ticker, then the fault
+    /// plan in plan order. Neither control event is armed while the
+    /// sources refill, but the first refresh the scalar engine performs
+    /// is at `rate_update_interval` and its first fault is plan entry 0,
+    /// so both bound the prime lookahead.
+    ///
+    /// Shared by [`Engine::run_batched`] and the offered-stream iterator
+    /// ([`PlanStream`](super::plan::PlanStream): zero cores, no faults).
+    pub(super) fn prime<C: CycleSink>(
+        ingest: &mut IngestStage,
+        n_cores: usize,
+        burst: usize,
+        horizon: SimTime,
+        rate_update_interval: SimTime,
+        faults: &FaultPlan,
+        sink: &mut C,
+    ) -> Self {
+        ingest.batch_init(burst);
+        let n_sources = ingest.n_sources();
+        let mut st = BatchState::new(n_cores);
+        let tick0 = Some(rate_update_interval).filter(|&t| t <= horizon);
+        let fault0 = faults.get(0).map(|&(at, _)| at);
+        let barrier0 = tick0
+            .into_iter()
+            .chain(fault0)
+            .min()
+            .unwrap_or(SimTime::MAX);
+        for src in 0..n_sources {
+            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
+            let drawn = ingest.batch_refill(src, barrier0, horizon);
+            if C::ACTIVE {
+                sink.span_end(Stage::Ingest, t0, drawn as u64);
+            }
+        }
+        for src in 0..n_sources {
+            if ingest.batch_head(src).is_some() {
+                let seq = st.alloc();
+                ingest.batch_set_head_seq(src, seq);
+            }
+        }
+        if let Some(at) = tick0 {
+            st.arm_rate_tick(at);
+        }
+        st.fault_seq0 = st.next_seq;
+        st.next_seq += faults.len() as u64;
+        st.set_next_fault(faults, 0);
+        st.rescan_ctl();
+        st.rescan_arrivals(ingest);
+        st
+    }
+
+    /// The next event to fire: the minimum `(time, seq)` across the
+    /// three cached family minima — the exact total order the scalar
+    /// heap would pop in, in three comparisons.
+    #[inline]
+    pub(super) fn next_event(&self) -> Option<Entry> {
+        let mut best = self.ctl_min;
+        if let Some((t, s, core)) = self.finish_min {
+            best = earlier(best, (t, s, Win::Finish(core as usize)));
+        }
+        if let Some((t, s, src)) = self.arrival_min {
+            best = earlier(best, (t, s, Win::Arrival(src as usize)));
+        }
+        best
+    }
+
+    /// Recompute the cached arrival minimum from the SoA head mirrors:
+    /// a flat `(time, seq)` sweep over `n_sources × 16` contiguous bytes
+    /// (drained sources carry `SimTime::MAX` and can never win because
+    /// buffered arrivals are capped at the horizon).
+    #[inline]
+    pub(super) fn rescan_arrivals(&mut self, ingest: &IngestStage) {
+        let (times, seqs) = ingest.arrival_heads();
+        let mut best: Option<(SimTime, u64, u32)> = None;
+        for (src, (&t, &s)) in times.iter().zip(seqs.iter()).enumerate() {
+            if t == SimTime::MAX {
+                continue;
+            }
+            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
+                best = Some((t, s, src as u32));
+            }
+        }
+        self.arrival_min = best;
+    }
+
     /// Point the fault cursor at plan entry `idx` (past the end: none).
     fn set_next_fault(&mut self, plan: &FaultPlan, idx: usize) {
         self.fault = plan
@@ -177,7 +265,7 @@ impl BatchState {
 
     /// Remove the fired control event (always the cached control
     /// minimum) from its home and re-derive the minimum.
-    fn consume_ctl(&mut self, seq: u64, win: Win, plan: &FaultPlan) {
+    pub(super) fn consume_ctl(&mut self, seq: u64, win: Win, plan: &FaultPlan) {
         match win {
             Win::Rate => self.rate = None,
             Win::Fault(idx) => self.set_next_fault(plan, idx + 1),
@@ -286,7 +374,7 @@ impl Pending for BatchState {
 
 /// The merge scan's winner.
 #[derive(Debug, Clone, Copy)]
-enum Win {
+pub(super) enum Win {
     Arrival(usize),
     Finish(usize),
     Rate,
@@ -300,60 +388,20 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// The batched run loop. Returns the time of the last dispatched
     /// event (the scalar loop's `last_t`), for the shared epilogue.
     pub(super) fn run_batched<C: CycleSink>(&mut self, burst: usize, sink: &mut C) -> SimTime {
-        self.ingest.batch_init(burst);
-        let n_sources = self.ingest.n_sources();
-        let horizon = self.cfg.duration;
-        let mut st = BatchState::new(self.cfg.n_cores);
-
-        // Prime, mirroring the scalar loop's seq allocation order: every
-        // source's first gap (source order, seq only for arrivals inside
-        // the horizon), then the rate-update ticker, then the fault plan
-        // in plan order. Neither control event is armed yet, but the
-        // first refresh the scalar engine performs is at
-        // `rate_update_interval` and its first fault is plan entry 0, so
-        // both bound the prime lookahead.
-        let tick0 = Some(self.cfg.rate_update_interval).filter(|&t| t <= horizon);
-        let fault0 = self.cfg.faults.get(0).map(|&(at, _)| at);
-        let barrier0 = tick0
-            .into_iter()
-            .chain(fault0)
-            .min()
-            .unwrap_or(SimTime::MAX);
-        for src in 0..n_sources {
-            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let drawn = self.ingest.batch_refill(src, barrier0, horizon);
-            if C::ACTIVE {
-                sink.span_end(Stage::Ingest, t0, drawn as u64);
-            }
-        }
-        for src in 0..n_sources {
-            if self.ingest.batch_head(src).is_some() {
-                let seq = st.alloc();
-                self.ingest.batch_set_head_seq(src, seq);
-            }
-        }
-        if let Some(at) = tick0 {
-            st.arm_rate_tick(at);
-        }
-        st.fault_seq0 = st.next_seq;
-        st.next_seq += self.cfg.faults.len() as u64;
-        st.set_next_fault(&self.cfg.faults, 0);
-        st.rescan_ctl();
-        self.rescan_arrivals(&mut st);
+        let mut st = BatchState::prime(
+            &mut self.ingest,
+            self.cfg.n_cores,
+            burst,
+            self.cfg.duration,
+            self.cfg.rate_update_interval,
+            &self.cfg.faults,
+            sink,
+        );
 
         let mut last_t = SimTime::ZERO;
         loop {
-            // Winner pick: minimum (time, seq) across the three cached
-            // family minima — the exact total order the scalar heap
-            // would pop in, in three comparisons.
             let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let mut best = st.ctl_min;
-            if let Some((t, s, core)) = st.finish_min {
-                best = earlier(best, (t, s, Win::Finish(core as usize)));
-            }
-            if let Some((t, s, src)) = st.arrival_min {
-                best = earlier(best, (t, s, Win::Arrival(src as usize)));
-            }
+            let best = st.next_event();
             if C::ACTIVE {
                 sink.span_end(Stage::Merge, t0, 1);
             }
@@ -369,7 +417,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     self.on_arrival(src, t, &mut st, sink);
                     // The fired head was the arrival minimum; re-derive
                     // it from the (possibly refilled) heads.
-                    self.rescan_arrivals(&mut st);
+                    st.rescan_arrivals(&self.ingest);
                 }
                 Win::Finish(core) => {
                     st.consume_finish(core);
@@ -389,23 +437,5 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             self.check_invariants(t, last_t);
         }
         last_t
-    }
-
-    /// Recompute the cached arrival minimum from the SoA head mirrors:
-    /// a flat `(time, seq)` sweep over `n_sources × 16` contiguous bytes
-    /// (drained sources carry `SimTime::MAX` and can never win because
-    /// buffered arrivals are capped at the horizon).
-    fn rescan_arrivals(&self, st: &mut BatchState) {
-        let (times, seqs) = self.ingest.arrival_heads();
-        let mut best: Option<(SimTime, u64, u32)> = None;
-        for (src, (&t, &s)) in times.iter().zip(seqs.iter()).enumerate() {
-            if t == SimTime::MAX {
-                continue;
-            }
-            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                best = Some((t, s, src as u32));
-            }
-        }
-        st.arrival_min = best;
     }
 }

@@ -10,7 +10,8 @@
 //! `detsim::EventQueue` push per armed event; the batched loop backs it
 //! with slot families ([`BatchState`](super::batch)). The npexec
 //! thread-per-core backend replaces the clock altogether with real
-//! threads and an arrival plan (see [`plan`](super::plan)).
+//! threads fed from the offered stream (see [`plan`](super::plan),
+//! which runs the `BatchState` merge with no cores at all).
 
 use super::cycles::CycleSink;
 use super::ingest::{Admission, IngestStage};

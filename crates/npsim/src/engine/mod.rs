@@ -49,7 +49,7 @@ mod record;
 mod service;
 
 pub use cycles::{CycleAccounting, CycleReport, CycleSink, Stage, StageCycles, STAGES};
-pub use plan::{ArrivalPlan, ScheduledPacket};
+pub use plan::{ArrivalPlan, PlanStream, ScheduledPacket};
 
 use crate::event::SimEvent;
 use crate::fault::{DropPolicy, FaultAction, FaultPlan, FaultStats};

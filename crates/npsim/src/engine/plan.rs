@@ -1,22 +1,31 @@
-//! Arrival-plan extraction: the offered-traffic stream of a run,
-//! materialized up front for execution backends that do not drive the
-//! detsim event clock (the npexec thread-per-core runtime).
+//! The offered-traffic stream of a run, for execution backends that do
+//! not drive the detsim event clock (the npexec thread-per-core
+//! runtime) and for anything that wants the stream without the engine.
 //!
-//! [`ArrivalPlan::from_config`] replays exactly the ingest-side slice of
-//! the scalar run loop — the same [`IngestStage`] construction, the same
-//! priming order, the same `(time, seq)` pop order over arrivals and
-//! rate-update ticks, the same admission and flow-sequence draws — while
-//! skipping everything downstream of dispatch (no cores, no queues, no
-//! service). Because per-packet RNG streams are consumed in an identical
-//! order, the resulting packet stream (ids, flows, slots, sizes, arrival
-//! times, per-flow sequence numbers, slow-path diversions) is **the**
-//! stream a fault-free detsim run of the same configuration offers — a
-//! contract pinned by the test at the bottom of this file and relied on
-//! by the detsim-vs-npexec validation experiment.
+//! [`PlanStream`] is the ingest-side slice of the batched run loop as an
+//! iterator: the same [`IngestStage`] in lookahead mode, the same
+//! [`BatchState`] prime and merge — with zero cores and no fault plan,
+//! so the pending set is the per-source head arrivals plus the rate
+//! tick — firing in the same `(time, seq)` order, with the same
+//! admission and flow-sequence draws, and nothing downstream of
+//! dispatch (no queues, no service). Because per-packet RNG streams are
+//! consumed in an identical order, the packets it yields (ids, flows,
+//! slots, sizes, arrival times, per-flow sequence numbers, slow-path
+//! diversions) are **the** stream a fault-free detsim run of the same
+//! configuration offers — a contract pinned packet for packet by the
+//! tests at the bottom of this file and relied on by the
+//! detsim-vs-npexec validation experiment.
+//!
+//! [`ArrivalPlan::from_config`] is that stream drained into a `Vec`, for
+//! consumers that index the whole plan; npexec keeps a narrower record
+//! per packet and drains the stream itself.
 
-use super::ingest::{Admission, IngestStage};
+use super::batch::{BatchState, Win};
+use super::clock::Pending;
+use super::ingest::{Admission, IngestStage, MAX_BURST};
 use super::{EngineConfig, SourceConfig};
-use detsim::{EventQueue, SeedSequence, SimTime};
+use crate::fault::FaultPlan;
+use detsim::{SeedSequence, SimTime};
 use nphash::{FlowId, FlowSlot};
 use nptraffic::ServiceKind;
 
@@ -27,7 +36,8 @@ pub struct ScheduledPacket {
     pub at: SimTime,
     /// Index of the source that emitted it.
     pub src: u32,
-    /// Globally unique packet id, assigned in admission order.
+    /// Globally unique packet id, assigned in admission order — the
+    /// packet's index in the stream.
     pub id: u64,
     /// The packet's 5-tuple flow identity.
     pub flow: FlowId,
@@ -39,6 +49,144 @@ pub struct ScheduledPacket {
     pub size: u16,
     /// Per-flow arrival sequence number (0-based), the reorder witness.
     pub flow_seq: u64,
+}
+
+/// The offered fast-path packets of one configuration + seed, in
+/// arrival order (ties in source order, exactly as the scalar event
+/// queue breaks them), drawn on demand.
+///
+/// Fault plans are not replayed (floods perturb arrival rates, so a
+/// faulted configuration has no backend-neutral stream); callers gate
+/// on a flood-free [`FaultPlan`] before relying on it.
+#[derive(Debug)]
+pub struct PlanStream {
+    ingest: IngestStage,
+    st: BatchState,
+    horizon: SimTime,
+    rate_update_interval: SimTime,
+    /// Per-slot arrival sequence counters — the stream-side mirror of
+    /// `DispatchStage::next_seq`.
+    seqs: Vec<u64>,
+    slow_path: u64,
+    expected: usize,
+}
+
+impl PlanStream {
+    /// The offered stream of `cfg` + `sources`.
+    ///
+    /// # Panics
+    /// Panics on an empty source list or a non-positive scale, exactly
+    /// as the engine constructor does.
+    pub fn new(cfg: &EngineConfig, sources: &[SourceConfig]) -> Self {
+        assert!(!sources.is_empty(), "need at least one traffic source");
+        assert!(cfg.scale > 0.0, "scale must be positive");
+        let mut ingest = IngestStage::new(
+            &SeedSequence::new(cfg.seed),
+            sources,
+            cfg.period_compression,
+            cfg.scale,
+            cfg.control_plane_fraction,
+        );
+        let st = BatchState::prime(
+            &mut ingest,
+            0,
+            MAX_BURST,
+            cfg.duration,
+            cfg.rate_update_interval,
+            &FaultPlan::new(),
+            &mut (),
+        );
+        let mpps: f64 = sources
+            .iter()
+            .map(|s| s.rate.mean_rate_at(SimTime::ZERO))
+            .sum();
+        PlanStream {
+            ingest,
+            st,
+            horizon: cfg.duration,
+            rate_update_interval: cfg.rate_update_interval,
+            seqs: Vec::new(),
+            slow_path: 0,
+            expected: (mpps / cfg.scale * cfg.duration.as_micros_f64()) as usize,
+        }
+    }
+
+    /// Roughly how many packets the whole stream yields: Σ mean source
+    /// rate × horizon. A pre-sizing hint, not a bound.
+    pub fn expected_packets(&self) -> usize {
+        self.expected
+    }
+
+    /// Packets the frame-manager classifier diverted to the slow path
+    /// so far (they are not yielded).
+    pub fn slow_path(&self) -> u64 {
+        self.slow_path
+    }
+
+    /// Distinct flows interned so far.
+    pub fn flow_count(&self) -> usize {
+        self.ingest.flow_count()
+    }
+
+    /// Number of traffic sources.
+    pub fn n_sources(&self) -> usize {
+        self.ingest.n_sources()
+    }
+}
+
+impl Iterator for PlanStream {
+    type Item = ScheduledPacket;
+
+    fn next(&mut self) -> Option<ScheduledPacket> {
+        loop {
+            let (t, seq, win) = self.st.next_event()?;
+            let Win::Arrival(src) = win else {
+                // Zero cores, no faults: the only other event is the
+                // rate tick (`Engine::on_rate_update` minus the bus).
+                self.st.consume_ctl(seq, win, &FaultPlan::new());
+                self.ingest.refresh_rates(t);
+                let next = t + self.rate_update_interval;
+                if next <= self.horizon {
+                    self.st.arm_rate_tick(next);
+                }
+                continue;
+            };
+            // `Engine::on_arrival` minus everything past admission: admit,
+            // then arm the source's next arrival (its gap-draw position).
+            let admission = self.st.admit(&mut self.ingest, src);
+            if !matches!(admission, Admission::Missing) {
+                self.st
+                    .arm_arrival(&mut self.ingest, src, t, self.horizon, &mut ());
+            }
+            self.st.rescan_arrivals(&self.ingest);
+            match admission {
+                Admission::Missing => {}
+                Admission::SlowPath { .. } => self.slow_path += 1,
+                Admission::FastPath(h) => {
+                    if self.seqs.len() < self.ingest.flow_count() {
+                        self.seqs.resize(self.ingest.flow_count(), 0);
+                    }
+                    // Slots are dense below `flow_count` by the interner
+                    // contract, so the lookup cannot miss.
+                    let flow_seq = self.seqs.get_mut(h.slot.index()).map_or(0, |s| {
+                        let v = *s;
+                        *s += 1;
+                        v
+                    });
+                    return Some(ScheduledPacket {
+                        at: t,
+                        src: src as u32,
+                        id: h.id,
+                        flow: h.flow,
+                        slot: h.slot,
+                        service: h.service,
+                        size: h.size,
+                        flow_seq,
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// The complete offered-traffic stream of one configuration + seed.
@@ -55,107 +203,21 @@ pub struct ArrivalPlan {
     pub n_sources: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PlanEv {
-    Arrival(usize),
-    RateUpdate,
-}
-
 impl ArrivalPlan {
-    /// Extract the offered stream of `cfg` + `sources`.
-    ///
-    /// Fault plans are not replayed (floods perturb arrival rates, so a
-    /// faulted configuration has no backend-neutral plan); callers gate
-    /// on an empty [`FaultPlan`](crate::FaultPlan) before using the
-    /// plan.
+    /// Materialise the offered stream of `cfg` + `sources`: a
+    /// [`PlanStream`] drained into a pre-sized `Vec`.
     ///
     /// # Panics
-    /// Panics on an empty source list or a non-positive scale, exactly
-    /// as the engine constructor does.
+    /// As [`PlanStream::new`].
     pub fn from_config(cfg: &EngineConfig, sources: &[SourceConfig]) -> Self {
-        assert!(!sources.is_empty(), "need at least one traffic source");
-        assert!(cfg.scale > 0.0, "scale must be positive");
-        let seq = SeedSequence::new(cfg.seed);
-        let mut ingest = IngestStage::new(
-            &seq,
-            sources,
-            cfg.period_compression,
-            cfg.scale,
-            cfg.control_plane_fraction,
-        );
-
-        let mut events: EventQueue<PlanEv> = EventQueue::with_capacity(1024);
-        // Priming order mirrors Engine::run_scalar: per-source first
-        // gaps in source order, then the rate-update ticker.
-        for (i, gap) in ingest.prime_gaps() {
-            if gap <= cfg.duration {
-                events.push(gap, PlanEv::Arrival(i));
-            }
-        }
-        if cfg.rate_update_interval <= cfg.duration {
-            events.push(cfg.rate_update_interval, PlanEv::RateUpdate);
-        }
-
-        // Per-slot arrival sequence counters — the plan-side mirror of
-        // DispatchStage::next_seq.
-        let mut seqs: Vec<u64> = Vec::new();
-        let mut packets: Vec<ScheduledPacket> = Vec::new();
-        let mut slow_path = 0u64;
-        while let Some((t, ev)) = events.pop() {
-            match ev {
-                PlanEv::Arrival(src) => {
-                    match ingest.admit(src) {
-                        // Trace exhausted: the source ends, like the
-                        // scalar loop's early return.
-                        Admission::Missing => continue,
-                        Admission::SlowPath { .. } => slow_path += 1,
-                        Admission::FastPath(h) => {
-                            if seqs.len() < ingest.flow_count() {
-                                seqs.resize(ingest.flow_count(), 0);
-                            }
-                            let flow_seq = match seqs.get_mut(h.slot.index()) {
-                                Some(s) => {
-                                    let v = *s;
-                                    *s += 1;
-                                    v
-                                }
-                                // Unreachable: slots are dense below
-                                // flow_count by the interner contract.
-                                None => 0,
-                            };
-                            packets.push(ScheduledPacket {
-                                at: t,
-                                src: src as u32,
-                                id: h.id,
-                                flow: h.flow,
-                                slot: h.slot,
-                                service: h.service,
-                                size: h.size,
-                                flow_seq,
-                            });
-                        }
-                    }
-                    if let Some(gap) = ingest.next_gap(src) {
-                        let next = t + gap;
-                        if next <= cfg.duration {
-                            events.push(next, PlanEv::Arrival(src));
-                        }
-                    }
-                }
-                PlanEv::RateUpdate => {
-                    ingest.refresh_rates(t);
-                    let next = t + cfg.rate_update_interval;
-                    if next <= cfg.duration {
-                        events.push(next, PlanEv::RateUpdate);
-                    }
-                }
-            }
-        }
+        let mut stream = PlanStream::new(cfg, sources);
+        let mut packets = Vec::with_capacity(stream.expected_packets());
+        packets.extend(&mut stream);
         ArrivalPlan {
             packets,
-            slow_path,
-            flow_count: ingest.flow_count(),
-            n_sources: ingest.n_sources(),
+            slow_path: stream.slow_path(),
+            flow_count: stream.flow_count(),
+            n_sources: stream.n_sources(),
         }
     }
 
@@ -168,10 +230,12 @@ impl ArrivalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SimEvent;
+    use crate::probe::ProbeHost;
     use crate::sched::JoinShortestQueue;
-    use crate::Engine;
-    use crate::RateSpec;
+    use crate::{Engine, ExecutionMode, RateSpec};
     use nptrace::TracePreset;
+    use nptraffic::HoltWinters;
 
     fn cfg(duration_ms: u64) -> EngineConfig {
         EngineConfig {
@@ -207,27 +271,158 @@ mod tests {
         assert!(plan.offered() > 10_000, "plan is non-trivial");
     }
 
+    /// What the scalar engine's bus says about ingest: every
+    /// `PacketArrived` in publication order, and the slow-path count.
+    /// (A host of its own because `EventLogProbe` does not keep
+    /// arrivals.)
+    #[derive(Default)]
+    struct ArrivalLog {
+        arrivals: Vec<(SimTime, u64, FlowSlot, ServiceKind, u16)>,
+        slow_path: u64,
+    }
+
+    impl ProbeHost for ArrivalLog {
+        const ACTIVE: bool = true;
+
+        fn deliver(&mut self, now: SimTime, ev: &SimEvent) {
+            match *ev {
+                SimEvent::PacketArrived {
+                    id,
+                    slot,
+                    service,
+                    size,
+                } => self.arrivals.push((now, id, slot, service, size)),
+                SimEvent::DivertedSlowPath { .. } => self.slow_path += 1,
+                _ => {}
+            }
+        }
+
+        fn finish(&mut self, _end: SimTime) {}
+    }
+
+    /// `n` sources cycling through the services and both trace
+    /// families, constant-rate or Holt-Winters with rate noise (the
+    /// noise draw shares the source's gap RNG stream, which is what
+    /// makes lookahead across a rate tick illegal).
+    fn grid_sources(n: usize, holt_winters: bool) -> Vec<SourceConfig> {
+        (0..n)
+            .map(|i| SourceConfig {
+                service: ServiceKind::ALL[i % ServiceKind::ALL.len()],
+                trace: if i % 2 == 0 {
+                    TracePreset::Auckland(1 + i as u8 / 2)
+                } else {
+                    TracePreset::Caida(1 + i as u8 / 2)
+                },
+                rate: if holt_winters {
+                    RateSpec::HoltWinters(HoltWinters::new(3.0 + i as f64, 0.0, 1.5, 0.004, 0.4))
+                } else {
+                    RateSpec::Constant(3.0 + i as f64)
+                },
+            })
+            .collect()
+    }
+
+    /// The stream contract, per packet: `PlanStream` yields exactly the
+    /// `PacketArrived` sequence (time, id, slot, service, size) and the
+    /// `DivertedSlowPath` count of the scalar reference loop — over 1
+    /// and 4 sources, constant and Holt-Winters rates refreshed every
+    /// 0.7 ms (and every 1 µs, so arrivals demonstrably tie with ticks),
+    /// with and without slow-path diversions, on a horizon that cuts
+    /// the last lookahead burst short.
+    ///
+    /// It bites: with the `buf.cursor < barrier` condition deleted from
+    /// `IngestStage::batch_refill` (lookahead straight through rate
+    /// ticks) this test fails in the first Holt-Winters cell, at the
+    /// first arrival after the first tick (packet 2101: stream
+    /// 700 451 ns, scalar engine 700 212 ns). The constant-rate cells
+    /// before it still pass — their refresh draws no RNG — which is why
+    /// the grid has both.
     #[test]
-    fn plan_replays_byte_identically() {
-        let a = ArrivalPlan::from_config(&cfg(10), &sources());
-        let b = ArrivalPlan::from_config(&cfg(10), &sources());
-        assert_eq!(a.packets, b.packets);
-        assert_eq!(a.slow_path, b.slow_path);
+    fn stream_yields_the_scalar_arrival_sequence_packet_for_packet() {
+        let mut ties = 0usize;
+        for n_sources in [1usize, 4] {
+            for holt_winters in [false, true] {
+                for (control_plane_fraction, tick_ns) in
+                    [(0.0, 700_000), (0.05, 700_000), (0.05, 1_000)]
+                {
+                    let srcs = grid_sources(n_sources, holt_winters);
+                    let c = EngineConfig {
+                        // Not a multiple of the tick or of any burst.
+                        duration: SimTime::from_nanos(3_333_333),
+                        rate_update_interval: SimTime::from_nanos(tick_ns),
+                        control_plane_fraction,
+                        execution: ExecutionMode::Scalar,
+                        ..cfg(0)
+                    };
+                    let engine = Engine::with_probes(
+                        c.clone(),
+                        &srcs,
+                        JoinShortestQueue::new(),
+                        ArrivalLog::default(),
+                    );
+                    let (report, _, log) = engine.run_full();
+                    let mut stream = PlanStream::new(&c, &srcs);
+                    let streamed: Vec<_> = stream
+                        .by_ref()
+                        .map(|p| (p.at, p.id, p.slot, p.service, p.size))
+                        .collect();
+                    let cell = format!(
+                        "{n_sources} sources, hw {holt_winters}, cpf {control_plane_fraction}, tick {tick_ns} ns"
+                    );
+                    assert!(streamed.len() > 5_000, "{cell}: non-trivial stream");
+                    if let Some(i) = (0..streamed.len().min(log.arrivals.len()))
+                        .find(|&i| streamed[i] != log.arrivals[i])
+                    {
+                        panic!(
+                            "{cell}: packet {i} differs: stream {:?}, scalar engine {:?}",
+                            streamed[i], log.arrivals[i]
+                        );
+                    }
+                    assert_eq!(streamed.len(), log.arrivals.len(), "{cell}: same length");
+                    assert_eq!(stream.slow_path(), log.slow_path, "{cell}: slow path");
+                    assert_eq!(stream.slow_path(), report.slow_path, "{cell}: slow path");
+                    assert_eq!(
+                        control_plane_fraction > 0.0,
+                        stream.slow_path() > 0,
+                        "{cell}: diversions happen iff configured"
+                    );
+                    ties += streamed
+                        .iter()
+                        .filter(|p| p.0.as_nanos() % tick_ns == 0)
+                        .count();
+                }
+            }
+        }
+        assert!(ties > 0, "no arrival ever tied with a rate tick");
+    }
+
+    #[test]
+    fn plan_is_the_drained_stream() {
+        let plan = ArrivalPlan::from_config(&cfg(10), &sources());
+        let mut stream = PlanStream::new(&cfg(10), &sources());
+        let hint = stream.expected_packets() as f64;
+        let drained: Vec<ScheduledPacket> = stream.by_ref().collect();
+        assert_eq!(plan.packets, drained);
+        assert_eq!(plan.slow_path, stream.slow_path());
+        assert_eq!(plan.flow_count, stream.flow_count());
+        assert_eq!(plan.n_sources, 2);
+        assert!(
+            (hint / drained.len() as f64 - 1.0).abs() < 0.05,
+            "pre-sizing hint {hint} vs {} packets",
+            drained.len()
+        );
     }
 
     #[test]
     fn packet_ids_unique_and_ordered_per_flow() {
         let plan = ArrivalPlan::from_config(&cfg(10), &sources());
-        let mut ids: Vec<u64> = plan.packets.iter().map(|p| p.id).collect();
-        let n = ids.len();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), n, "packet ids are unique");
-        // flow_seq is dense and increasing per slot, and arrival times
-        // are monotone across the stream.
+        // flow_seq is dense and increasing per slot, arrival times are
+        // monotone across the stream, and a packet's id is its index
+        // (npexec's compact plan drops the id and relies on it).
         let mut next_seq = vec![0u64; plan.flow_count];
         let mut last_at = SimTime::ZERO;
-        for p in &plan.packets {
+        for (i, p) in plan.packets.iter().enumerate() {
+            assert_eq!(p.id, i as u64, "packet id is the stream index");
             assert!(p.at >= last_at, "arrival order is time order");
             last_at = p.at;
             assert_eq!(p.flow_seq, next_seq[p.slot.index()]);

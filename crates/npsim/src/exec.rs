@@ -12,7 +12,7 @@
 //!   one pinned worker per simulated core, fed over SPSC rings with the
 //!   mark → redirect → first-packet-ack migration handshake. Reports
 //!   are *statistically* equivalent to detsim (same offered stream via
-//!   [`ArrivalPlan`](crate::engine::ArrivalPlan), migration/reorder
+//!   [`PlanStream`](crate::engine::PlanStream), migration/reorder
 //!   counts validated by the `exec_validate` experiment), never
 //!   byte-identical — wall-clock interleaving is not reproducible.
 //!
@@ -45,7 +45,7 @@ pub enum ExecError {
 pub enum UnsupportedPlan {
     /// A `Flood`/`FloodEnd` action: floods perturb the arrival stream,
     /// so a flooded configuration has no backend-neutral
-    /// [`ArrivalPlan`](crate::engine::ArrivalPlan) to execute — only
+    /// [`PlanStream`](crate::engine::PlanStream) to execute — only
     /// detsim (which owns ingest) can run it.
     Flood {
         /// When the flood is scheduled.

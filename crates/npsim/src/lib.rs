@@ -48,8 +48,8 @@ pub mod sched;
 pub mod source;
 
 pub use engine::{
-    ArrivalPlan, CycleReport, Engine, EngineConfig, ExecutionMode, ScheduledPacket, Stage,
-    StageCycles,
+    ArrivalPlan, CycleReport, Engine, EngineConfig, ExecutionMode, PlanStream, ScheduledPacket,
+    Stage, StageCycles,
 };
 pub use event::SimEvent;
 pub use exec::{DetsimBackend, ExecBackend, ExecError, UnsupportedPlan};
