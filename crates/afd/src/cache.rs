@@ -2,8 +2,8 @@
 //!
 //! Models the hardware structures of the AFD: fixed entry count, each
 //! entry holding a flow ID and a saturating hit counter. Replacement is
-//! LFU (the paper's choice for both AFC and annex) or LRU (kept for the
-//! ablation bench). Ties break deterministically toward the
+//! LFU (the paper's choice for both AFC and annex) or LRU (kept for
+//! `--bin ablation`). Ties break deterministically toward the
 //! least-recently-touched entry, as a hardware pseudo-age would.
 //!
 //! Implementation: three flat arrays sized once at construction, so the

@@ -281,10 +281,10 @@ impl SimBuilder {
         Ok((report, probes))
     }
 
-    /// Run under a concrete scheduler (static dispatch — the hot-path
-    /// configuration benchmarks use) and return the report. With a
-    /// [`SimBuilder::backend`] set the scheduler is boxed into it
-    /// instead (dynamic dispatch — the backend owns its run loop).
+    /// Run under a concrete scheduler (static dispatch) and return the
+    /// report. With a [`SimBuilder::backend`] set the scheduler is boxed
+    /// into it instead (dynamic dispatch — the backend owns its run
+    /// loop).
     pub fn run_with<S: Scheduler + 'static>(mut self, scheduler: S) -> SimReport {
         if let Some(mut backend) = self.backend.take() {
             let (report, _probes) =
@@ -343,20 +343,6 @@ mod tests {
             serde_json::to_string(&by_name).expect("serialize"),
             serde_json::to_string(&typed).expect("serialize"),
             "registry wiring must match hand wiring"
-        );
-    }
-
-    #[test]
-    fn detsim_backend_is_byte_invisible() {
-        let direct = base().run_named("laps").expect("builtin");
-        let routed = base()
-            .backend(npsim::DetsimBackend)
-            .run_named("laps")
-            .expect("builtin");
-        assert_eq!(
-            serde_json::to_string(&direct).expect("serialize"),
-            serde_json::to_string(&routed).expect("serialize"),
-            "routing through DetsimBackend must not change the report"
         );
     }
 

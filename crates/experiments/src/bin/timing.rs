@@ -3,9 +3,10 @@
 //! The paper argues the scheduler's critical path (hash → map-table →
 //! mux) sustains > 200 M decisions/s in hardware. We measure the software
 //! equivalent: per-packet decision latency for each policy, converted to
-//! the sustainable packet rate. (Criterion-precision numbers live in
-//! `cargo bench -p laps-bench --bench critical_path`; this binary gives a
-//! quick wall-clock estimate and the paper-style conclusion line.)
+//! the sustainable packet rate, as a wall-clock estimate with the
+//! paper-style conclusion line. (`npbench --trace 1` times the same steps
+//! per layer: `nphash.crc16_ns`, `nphash.maptable_lookup_ns`,
+//! `laps.schedule_ns`.)
 //!
 //! This is a *measurement* sweep: it reports `cacheable() == false`
 //! (wall-clock numbers are a property of the host, not the cell key) and

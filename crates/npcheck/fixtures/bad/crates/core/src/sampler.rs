@@ -1,4 +1,4 @@
-//! Fixture: wall-clock and ambient-entropy APIs outside the bench crate.
+//! Fixture: wall-clock and ambient-entropy APIs outside the exempt files.
 use std::time::{Instant, SystemTime};
 
 pub fn sample() -> u128 {

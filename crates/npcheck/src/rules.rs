@@ -90,19 +90,17 @@ const HOT_PATH_PREFIXES: &[&str] = &[
 ];
 
 /// The only places allowed to read wall clocks or OS entropy: the
-/// benchmark harness, its criterion shim, and the explicit
-/// wall-clock-timing experiment binary. The npfarm sweep orchestrator
-/// is *not* exempted as a crate — its two telemetry call sites (cell
-/// timing recorded in the per-cell JSONL, excluded from every result
-/// payload and cache key) carry per-line allow comments instead, so
-/// any new wall-clock read there has to justify itself. The npexec
+/// explicit wall-clock-timing experiment binary and npexec's lib.rs.
+/// The npfarm sweep orchestrator is *not* exempted as a crate — its two
+/// telemetry call sites (cell timing recorded in the per-cell JSONL,
+/// excluded from every result payload and cache key) carry per-line
+/// allow comments instead, so any new wall-clock read there has to
+/// justify itself. The npexec
 /// backend's lib.rs is exempt because wall-clock throughput is the
 /// quantity it exists to produce (its report counters still come from
 /// the deterministic arrival plan) — but only lib.rs: the worker and
 /// dispatcher loops must not read clocks, so they stay scoped.
 const WALL_CLOCK_EXEMPT: &[&str] = &[
-    "crates/bench/",
-    "crates/shims/criterion/",
     "crates/experiments/src/bin/timing.rs",
     "crates/npexec/src/lib.rs",
 ];
@@ -1242,7 +1240,6 @@ mod tests {
         let src = "let t = Instant::now();\nlet s = SystemTime::now();\nlet r = thread_rng();\nlet x: u8 = rand::random();\n";
         let f = scan_source("crates/detsim/src/time.rs", src);
         assert_eq!(f.len(), 4, "{f:?}");
-        assert!(scan_source("crates/bench/benches/x.rs", src).is_empty());
         assert!(scan_source("crates/experiments/src/bin/timing.rs", src).is_empty());
     }
 

@@ -92,32 +92,6 @@ impl FlowId {
     pub fn crc16(self, table: &Crc16Ccitt) -> u16 {
         table.hash(&self.to_bytes())
     }
-
-    /// The direction-normalized form of this flow: the lexicographically
-    /// smaller of `(self, self.reversed())`. Both directions of a
-    /// connection share one canonical ID, so hashing the canonical form
-    /// pins request and response traffic to the same core — the
-    /// *symmetric RSS* trick used by stateful middleboxes (the firewall /
-    /// IDS services of Fig. 5 need exactly this).
-    pub fn canonical(self) -> FlowId {
-        let r = self.reversed();
-        if (self.src_ip, self.src_port) <= (r.src_ip, r.src_port) {
-            self
-        } else {
-            r
-        }
-    }
-
-    /// The reverse direction of this flow (src/dst swapped).
-    pub fn reversed(self) -> FlowId {
-        FlowId {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            protocol: self.protocol,
-        }
-    }
 }
 
 impl fmt::Display for FlowId {
@@ -178,39 +152,6 @@ mod tests {
         }
         for (b, &c) in counts.iter().enumerate() {
             assert!(c > 700 && c < 1300, "bucket {b} count {c} far from uniform");
-        }
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let f = FlowId::v4([1, 2, 3, 4], [5, 6, 7, 8], 10, 20, 17);
-        let r = f.reversed();
-        assert_eq!(r.src_ip, f.dst_ip);
-        assert_eq!(r.dst_port, f.src_port);
-        assert_eq!(r.reversed(), f);
-    }
-
-    #[test]
-    fn canonical_is_direction_invariant() {
-        for i in 0..1_000u64 {
-            let f = FlowId::from_index(i);
-            assert_eq!(f.canonical(), f.reversed().canonical(), "flow {i}");
-            // Canonical form is one of the two directions.
-            let c = f.canonical();
-            assert!(c == f || c == f.reversed());
-            // Idempotent.
-            assert_eq!(c.canonical(), c);
-        }
-    }
-
-    #[test]
-    fn canonical_hash_pins_both_directions_together() {
-        let table = Crc16Ccitt::new();
-        for i in 0..200u64 {
-            let f = FlowId::from_index(i);
-            let a = table.hash(&f.canonical().to_bytes()) % 16;
-            let b = table.hash(&f.reversed().canonical().to_bytes()) % 16;
-            assert_eq!(a, b);
         }
     }
 

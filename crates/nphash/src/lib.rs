@@ -8,8 +8,6 @@
 //! * [`crc`] — CRC16-CCITT (the hash the paper uses, shown by Cao et al.
 //!   to balance IP headers well), CRC16-ARC, and CRC32C, each with both a
 //!   bitwise reference implementation and a table-driven fast path.
-//! * [`toeplitz`] — the Microsoft RSS Toeplitz hash, included as the
-//!   "what commodity NICs do" comparison point.
 //! * [`incremental`] — the paper's *incremental hashing* (§III-C): a
 //!   linear-hashing scheme where growing a service from `b` to `b+1`
 //!   buckets only remaps the flows of the single bucket being split.
@@ -49,7 +47,6 @@ pub mod flow;
 pub mod incremental;
 pub mod interner;
 pub mod maptable;
-pub mod toeplitz;
 
 pub use crc::{crc16_arc, crc16_ccitt, crc16_ccitt_batch, crc32c, Crc16Ccitt};
 pub use det::{DetHashMap, DetHashSet};
@@ -57,4 +54,3 @@ pub use flow::FlowId;
 pub use incremental::IncrementalHash;
 pub use interner::{FlowInterner, FlowSlot};
 pub use maptable::MapTable;
-pub use toeplitz::ToeplitzHasher;

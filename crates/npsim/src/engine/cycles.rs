@@ -16,8 +16,6 @@
 //! into the simulation: same seed + config still replays byte-identical
 //! whether accounting is on or off (pinned by a unit test below).
 
-use std::fmt::Write as _;
-
 /// A pipeline stage of the engine, as accounted by the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -46,17 +44,6 @@ pub const STAGES: [Stage; 5] = [
 ];
 
 impl Stage {
-    /// Stable lowercase name (CSV column value).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Ingest => "ingest",
-            Stage::Dispatch => "dispatch",
-            Stage::Service => "service",
-            Stage::Record => "record",
-            Stage::Merge => "merge",
-        }
-    }
-
     #[inline]
     fn index(self) -> usize {
         match self {
@@ -202,27 +189,6 @@ impl CycleReport {
     pub fn is_empty(&self) -> bool {
         self.stages.iter().all(|s| s.spans == 0)
     }
-
-    /// Render as CSV: `stage,spans,packets,cycles,cycles_per_packet`,
-    /// one row per stage in pipeline order.
-    pub fn to_csv(&self) -> String {
-        // npcheck: allow(blocking-hot-path) — report rendering after the run
-        let mut out = String::from("stage,spans,packets,cycles,cycles_per_packet\n");
-        for stage in STAGES {
-            let s = self.stage(stage);
-            // Writing to a String cannot fail; ignore the fmt::Result.
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{:.2}",
-                stage.name(),
-                s.spans,
-                s.packets,
-                s.cycles,
-                s.cycles_per_packet()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -253,22 +219,6 @@ mod tests {
         assert_eq!(report.stage(Stage::Merge).spans, 1);
         assert_eq!(report.stage(Stage::Service).spans, 0);
         assert!(!report.is_empty());
-    }
-
-    #[test]
-    fn csv_has_header_and_all_stages() {
-        let report = CycleAccounting::new().finish();
-        let csv = report.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next(),
-            Some("stage,spans,packets,cycles,cycles_per_packet")
-        );
-        let rest: Vec<&str> = lines.collect();
-        assert_eq!(rest.len(), STAGES.len());
-        for (row, stage) in rest.iter().zip(STAGES) {
-            assert!(row.starts_with(stage.name()), "row {row}");
-        }
     }
 
     #[test]

@@ -82,8 +82,8 @@ use service::{EnqueueOutcome, ServiceStage};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// One event at a time through the central event heap — the
-    /// reference the equivalence tests and the `hotpath` bench row pin.
-    /// Never chosen automatically.
+    /// reference `tests/batch_equivalence.rs` compares the batched loop
+    /// against. Never chosen automatically.
     Scalar,
     /// Burst-oriented execution (the default, for every configuration):
     /// arrivals pre-drawn up to `burst` per source, heap replaced by a
@@ -144,8 +144,8 @@ pub struct EngineConfig {
     pub drop_policy: DropPolicy,
     /// Run-loop execution strategy (default: batched bursts of 32).
     /// Semantics are identical either way; this knob only trades
-    /// wall-clock speed and exists so benchmarks and equivalence tests
-    /// can pin the scalar reference loop.
+    /// wall-clock speed and exists so the equivalence tests can pin
+    /// the scalar reference loop.
     pub execution: ExecutionMode,
 }
 
@@ -242,8 +242,9 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// Build an engine with an arbitrary probe host.
     ///
     /// # Panics
-    /// Panics on a zero-core configuration, an empty source list, or a
-    /// priced sync model (SCR) on more than 64 cores.
+    /// Panics on a zero-core configuration, an empty source list, a zero
+    /// `rate_update_interval` (the tick would re-arm at `now` forever),
+    /// or a priced sync model (SCR) on more than 64 cores.
     pub fn with_probes(
         cfg: EngineConfig,
         sources: &[SourceConfig],
@@ -256,6 +257,10 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         assert!(
             (0.0..1.0).contains(&cfg.control_plane_fraction),
             "control-plane fraction must be in [0, 1)"
+        );
+        assert!(
+            cfg.rate_update_interval > SimTime::ZERO,
+            "rate update interval must be positive"
         );
         if let Err(e) = cfg.faults.validate(cfg.n_cores, sources.len()) {
             panic!("invalid fault plan: {e}");
@@ -1479,6 +1484,15 @@ mod tests {
     #[should_panic(expected = "64-bit map")]
     fn priced_sync_model_rejects_more_than_64_cores() {
         let _ = Engine::new(priced(65, 0.4), &one_source(1.0), Spray(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "rate update interval must be positive")]
+    fn zero_rate_update_interval_is_rejected() {
+        // Unrejected, the tick re-arms at `now + 0` and `run` never ends.
+        let mut cfg = quick_cfg(2, 1);
+        cfg.rate_update_interval = SimTime::ZERO;
+        let _ = Engine::new(cfg, &one_source(1.0), Spray(0)).run();
     }
 
     #[test]

@@ -75,11 +75,15 @@ impl PlanStream {
     /// The offered stream of `cfg` + `sources`.
     ///
     /// # Panics
-    /// Panics on an empty source list or a non-positive scale, exactly
-    /// as the engine constructor does.
+    /// Panics on an empty source list, a non-positive scale or a zero
+    /// `rate_update_interval`, exactly as the engine constructor does.
     pub fn new(cfg: &EngineConfig, sources: &[SourceConfig]) -> Self {
         assert!(!sources.is_empty(), "need at least one traffic source");
         assert!(cfg.scale > 0.0, "scale must be positive");
+        assert!(
+            cfg.rate_update_interval > SimTime::ZERO,
+            "rate update interval must be positive"
+        );
         let mut ingest = IngestStage::new(
             &SeedSequence::new(cfg.seed),
             sources,
@@ -269,6 +273,15 @@ mod tests {
         assert_eq!(plan.offered(), report.offered, "same offered count");
         assert_eq!(plan.slow_path, report.slow_path, "same slow-path count");
         assert!(plan.offered() > 10_000, "plan is non-trivial");
+    }
+
+    #[test]
+    #[should_panic(expected = "rate update interval must be positive")]
+    fn zero_rate_update_interval_is_rejected() {
+        // Unrejected, draining the stream spins on the tick at t = 0.
+        let mut cfg = cfg(1);
+        cfg.rate_update_interval = SimTime::ZERO;
+        let _ = PlanStream::new(&cfg, &sources()).count();
     }
 
     /// What the scalar engine's bus says about ingest: every

@@ -3,11 +3,10 @@
 //! The staged pipeline (ingest → dispatch → service → record) describes
 //! the data plane; an [`ExecBackend`] decides how it executes:
 //!
-//! * [`DetsimBackend`] — the deterministic single-threaded reference:
-//!   the [`Engine`] run loop over the detsim event clock. Reports are
-//!   byte-identical to constructing the engine directly (this type is a
-//!   pass-through, pinned by the test below and the workspace golden
-//!   fixtures).
+//! * no backend — the deterministic single-threaded reference: the
+//!   [`Engine`](crate::engine::Engine) run loop, which `SimBuilder`
+//!   runs directly unless `.backend(..)` is set (pinned by the
+//!   workspace golden fixtures).
 //! * `npexec::ThreadedBackend` (the `npexec` crate) — real OS threads,
 //!   one pinned worker per simulated core, fed over SPSC rings with the
 //!   mark → redirect → first-packet-ack migration handshake. Reports
@@ -22,7 +21,7 @@
 //! stages stay backend-neutral. `SimBuilder::backend(...)` (in `laps`)
 //! routes builder runs through any boxed backend.
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::probe::ProbeStack;
 use crate::report::SimReport;
 use crate::sched::Scheduler;
@@ -109,7 +108,8 @@ impl std::error::Error for ExecError {}
 ///
 /// Implementations consume the scheduler boxed (policies are stateful)
 /// and hand back the probe stack so callers can read accumulated
-/// observations — the same contract as [`Engine::run_full`], minus the
+/// observations — the same contract as
+/// [`Engine::run_full`](crate::engine::Engine::run_full), minus the
 /// scheduler (backends that shard the policy across threads cannot
 /// return a single instance).
 pub trait ExecBackend {
@@ -134,101 +134,4 @@ pub trait ExecBackend {
         scheduler: Box<dyn Scheduler>,
         probes: ProbeStack,
     ) -> (SimReport, ProbeStack);
-}
-
-/// The deterministic single-threaded reference backend: a pass-through
-/// to the [`Engine`] run loop. Byte-identical to direct engine
-/// construction — with an empty probe stack it takes the engine's
-/// zero-probe fast path, exactly as `SimBuilder` always has.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DetsimBackend;
-
-impl ExecBackend for DetsimBackend {
-    fn name(&self) -> &'static str {
-        "detsim"
-    }
-
-    fn run(
-        &mut self,
-        cfg: &EngineConfig,
-        sources: &[SourceConfig],
-        scheduler: Box<dyn Scheduler>,
-        probes: ProbeStack,
-    ) -> (SimReport, ProbeStack) {
-        if probes.is_empty() {
-            let report = Engine::new(cfg.clone(), sources, scheduler).run();
-            (report, ProbeStack::new())
-        } else {
-            let (report, _sched, probes) =
-                Engine::with_probe_stack(cfg.clone(), sources, scheduler, probes).run_full();
-            (report, probes)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::probe::MetricsProbe;
-    use crate::sched::JoinShortestQueue;
-    use crate::source::RateSpec;
-    use detsim::SimTime;
-    use nptrace::TracePreset;
-    use nptraffic::ServiceKind;
-
-    fn cfg() -> EngineConfig {
-        EngineConfig {
-            n_cores: 2,
-            duration: SimTime::from_millis(10),
-            scale: 1.0,
-            seed: 9,
-            ..EngineConfig::default()
-        }
-    }
-
-    fn sources() -> Vec<SourceConfig> {
-        vec![SourceConfig {
-            service: ServiceKind::IpForward,
-            trace: TracePreset::Auckland(1),
-            rate: RateSpec::Constant(2.0),
-        }]
-    }
-
-    #[test]
-    fn detsim_backend_is_a_pass_through() {
-        let direct = Engine::new(cfg(), &sources(), JoinShortestQueue::new()).run();
-        let (via_backend, _probes) = DetsimBackend.run(
-            &cfg(),
-            &sources(),
-            Box::new(JoinShortestQueue::new()),
-            ProbeStack::new(),
-        );
-        assert_eq!(
-            serde_json::to_string(&direct).expect("serializes"),
-            serde_json::to_string(&via_backend).expect("serializes"),
-            "backend indirection must be byte-invisible"
-        );
-    }
-
-    #[test]
-    fn detsim_backend_returns_probes() {
-        let probes: ProbeStack = vec![Box::new(MetricsProbe::new())];
-        let (report, probes) = DetsimBackend.run(
-            &cfg(),
-            &sources(),
-            Box::new(JoinShortestQueue::new()),
-            probes,
-        );
-        let metrics = probes
-            .first()
-            .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
-            .expect("metrics probe comes back");
-        let arrivals = metrics
-            .counters()
-            .iter()
-            .find(|(n, _)| *n == "arrivals")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        assert_eq!(arrivals, report.offered);
-    }
 }

@@ -52,7 +52,7 @@ pub use engine::{
     Stage, StageCycles,
 };
 pub use event::SimEvent;
-pub use exec::{DetsimBackend, ExecBackend, ExecError, UnsupportedPlan};
+pub use exec::{ExecBackend, ExecError, UnsupportedPlan};
 pub use fault::{DropPolicy, FaultAction, FaultMark, FaultPlan, FaultProbe, FaultStats, Recovery};
 pub use order::OrderTracker;
 pub use packet::PacketDesc;

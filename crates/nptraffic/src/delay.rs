@@ -13,7 +13,7 @@ use crate::service::ServiceKind;
 use serde::{Deserialize, Serialize};
 
 /// The data-plane core configuration of Table III, recorded for
-/// documentation and for the critical-path bench write-up.
+/// documentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoreConfig {
     /// Core frequency in MHz.
