@@ -35,6 +35,7 @@
 //! count it left with one promotion earlier (plus its few AFC hits), so
 //! the search ends within a step or two of a finger; any start is
 //! correct, the choice only bounds the walk.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use nphash::det::DetState;
 use nphash::FlowId;
@@ -157,38 +158,38 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
     // free list, all of which only ever hold ids of pushed elements.
 
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "slot ids are arena-issued")]
     fn slot(&self, s: u32) -> &Slot<K> {
-        // npcheck: allow(hot-path-panic) — slot ids are arena-issued, < slots.len()
         &self.slots[s as usize]
     }
 
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "slot ids are arena-issued")]
     fn slot_mut(&mut self, s: u32) -> &mut Slot<K> {
-        // npcheck: allow(hot-path-panic) — slot ids are arena-issued, < slots.len()
         &mut self.slots[s as usize]
     }
 
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "bucket ids are arena-issued")]
     fn bucket(&self, b: u32) -> &Bucket {
-        // npcheck: allow(hot-path-panic) — bucket ids are arena-issued, < buckets.len()
         &self.buckets[b as usize]
     }
 
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "bucket ids are arena-issued")]
     fn bucket_mut(&mut self, b: u32) -> &mut Bucket {
-        // npcheck: allow(hot-path-panic) — bucket ids are arena-issued, < buckets.len()
         &mut self.buckets[b as usize]
     }
 
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "i is masked to index.len() - 1")]
     fn cell(&self, i: usize) -> Cell {
-        // npcheck: allow(hot-path-panic) — i is masked to index.len() - 1
         self.index[i & self.mask]
     }
 
     #[inline]
+    #[allow(clippy::indexing_slicing, reason = "i is masked to index.len() - 1")]
     fn set_cell(&mut self, i: usize, c: Cell) {
-        // npcheck: allow(hot-path-panic) — i is masked to index.len() - 1
         self.index[i & self.mask] = c;
     }
 

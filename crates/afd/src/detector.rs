@@ -14,6 +14,7 @@
 //! packets skip the AFD entirely, cutting detector power draw — and, as
 //! the paper observes, mild sampling even *improves* accuracy because
 //! heavy flows are proportionally more likely to be sampled.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::cache::{CachePolicy, FlowCache, Probe};
 use nphash::FlowId;

@@ -13,19 +13,78 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Debug;
 use std::hash::Hash;
 
-/// Drive both caches with one random operation stream and compare them
-/// step by step.
-fn run_cache_diff<K: Copy + Eq + Ord + Hash + Debug>(
-    key: fn(u64) -> K,
+/// One random operation stream of the differential grid.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
     policy: CachePolicy,
     capacity: usize,
     key_space: u64,
     steps: usize,
     seed: u64,
-) {
+    /// The experiments' key type instead of `FlowSlot`.
+    flow_id_keys: bool,
+}
+
+/// Capacities 1, 2, 16, 512 against key spaces smaller than, around, and
+/// far beyond capacity, plus two cells on `FlowId` keys — per policy.
+fn grid() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    let mut push = |policy, capacity, key_space, steps, flow_id_keys| {
+        let seed = cells.len() as u64 + 1;
+        cells.push(Cell {
+            policy,
+            capacity,
+            key_space,
+            steps,
+            seed,
+            flow_id_keys,
+        });
+    };
+    for policy in [CachePolicy::Lfu, CachePolicy::Lru] {
+        for capacity in [1usize, 2, 16, 512] {
+            let cap = capacity as u64;
+            let steps = if capacity >= 512 { 30_000 } else { 12_000 };
+            for key_space in [cap.div_ceil(2), cap + 3, cap * 64 + 1_000] {
+                push(policy, capacity, key_space, steps, false);
+            }
+        }
+        push(policy, 16, 40, 12_000, true);
+        push(policy, 512, 100_000, 30_000, true);
+    }
+    cells
+}
+
+impl Cell {
+    /// Run the stream against the oracle (`mutant`: against the oracle
+    /// with LFU's tie-break flipped); panics at the first divergence.
+    fn run(self, mutant: bool) {
+        if self.flow_id_keys {
+            run_cache_diff(FlowId::from_index, self, mutant);
+        } else {
+            run_cache_diff(|i| FlowSlot::new(i as u32), self, mutant);
+        }
+    }
+}
+
+/// Drive both caches with one random operation stream and compare them
+/// step by step.
+fn run_cache_diff<K: Copy + Eq + Ord + Hash + Debug>(key: fn(u64) -> K, cell: Cell, mutant: bool) {
+    let Cell {
+        policy,
+        capacity,
+        key_space,
+        steps,
+        seed,
+        ..
+    } = cell;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut new = FlowCache::new(capacity, policy);
-    let mut old = OracleCache::new(capacity, policy);
+    let mut old = if mutant {
+        assert_eq!(policy, CachePolicy::Lfu, "the mutant flips LFU's tie-break");
+        OracleCache::lfu_newest_first(capacity)
+    } else {
+        OracleCache::new(capacity, policy)
+    };
     let ctx = format!("{policy:?} cap {capacity} keys {key_space} seed {seed}");
     for step in 0..steps {
         let k = key(rng.gen_range(0..key_space));
@@ -85,23 +144,24 @@ fn run_cache_diff<K: Copy + Eq + Ord + Hash + Debug>(
 
 #[test]
 fn flat_cache_matches_btree_oracle() {
-    let slot: fn(u64) -> FlowSlot = |i| FlowSlot::new(i as u32);
-    let mut seed = 1;
-    for policy in [CachePolicy::Lfu, CachePolicy::Lru] {
-        for capacity in [1usize, 2, 16, 512] {
-            // Key spaces smaller than, around, and far beyond capacity.
-            let cap = capacity as u64;
-            for key_space in [cap.div_ceil(2), cap + 3, cap * 64 + 1_000] {
-                let steps = if capacity >= 512 { 30_000 } else { 12_000 };
-                run_cache_diff(slot, policy, capacity, key_space, steps, seed);
-                seed += 1;
-            }
-        }
-        // The experiments' key type, through the same grid corner cases.
-        run_cache_diff(FlowId::from_index, policy, 16, 40, 12_000, seed);
-        run_cache_diff(FlowId::from_index, policy, 512, 100_000, 30_000, seed + 1);
-        seed += 2;
+    for cell in grid() {
+        cell.run(false);
     }
+}
+
+/// The oracle bites: flip LFU's tie-break in the oracle and the same
+/// streams must diverge in every LFU cell that can hold two entries —
+/// so the streams do produce equal-count ties, and `victim()` /
+/// eviction order is what the harness compares. (One key can never
+/// tie, hence `key_space >= 2`.)
+#[test]
+fn streams_tell_a_flipped_lfu_tie_break_apart() {
+    let survivors: Vec<Cell> = grid()
+        .into_iter()
+        .filter(|c| c.policy == CachePolicy::Lfu && c.capacity >= 2 && c.key_space >= 2)
+        .filter(|&c| std::panic::catch_unwind(move || c.run(true)).is_ok())
+        .collect();
+    assert!(survivors.is_empty(), "mutant oracle passed: {survivors:?}");
 }
 
 /// Both detectors after the same access stream: identical counters and

@@ -5,6 +5,8 @@
 //! (minus accessors nothing called) so the differential tests compare
 //! the new structures against the exact eviction order — least
 //! `(count, stamp)` first — that every golden report was recorded under.
+//! The one addition is [`OracleCache::lfu_newest_first`], a deliberately
+//! wrong oracle the differential harness must be able to tell apart.
 
 use npafd::{AfdConfig, AfdStats, CachePolicy, PromotionPolicy};
 use nphash::det::{det_map_with_capacity, DetHashMap};
@@ -27,6 +29,8 @@ pub struct OracleCache<K> {
     /// Eviction order: smallest element is the next victim.
     order: BTreeSet<(u64, u64, K)>,
     tick: u64,
+    /// Mutant only: stamps count down, so equal counts evict newest first.
+    newest_first: bool,
 }
 
 impl<K: Copy + Eq + Ord + Hash> OracleCache<K> {
@@ -42,6 +46,25 @@ impl<K: Copy + Eq + Ord + Hash> OracleCache<K> {
             entries: det_map_with_capacity(capacity),
             order: BTreeSet::new(),
             tick: 0,
+            newest_first: false,
+        }
+    }
+
+    /// An LFU cache whose tie-break among equal counts is flipped
+    /// (newest first): it differs from [`OracleCache::new`] only when an
+    /// operation stream produces ties.
+    pub fn lfu_newest_first(capacity: usize) -> Self {
+        OracleCache {
+            newest_first: true,
+            ..Self::new(capacity, CachePolicy::Lfu)
+        }
+    }
+
+    fn stamp(&self) -> u64 {
+        if self.newest_first {
+            !self.tick
+        } else {
+            self.tick
         }
     }
 
@@ -86,7 +109,7 @@ impl<K: Copy + Eq + Ord + Hash> OracleCache<K> {
     /// the new count. `None` on miss — the cache is *not* modified.
     pub fn touch(&mut self, flow: K) -> Option<u64> {
         self.tick += 1;
-        let tick = self.tick;
+        let tick = self.stamp();
         let entry = self.entries.get_mut(&flow)?;
         let old = *entry;
         entry.count = entry.count.saturating_add(1);
@@ -117,7 +140,7 @@ impl<K: Copy + Eq + Ord + Hash> OracleCache<K> {
             self.order.remove(&(r.0, r.1, flow));
             let ne = Entry {
                 count,
-                stamp: self.tick,
+                stamp: self.stamp(),
             };
             let nr = self.rank(&ne);
             self.entries.insert(flow, ne);
@@ -131,7 +154,7 @@ impl<K: Copy + Eq + Ord + Hash> OracleCache<K> {
         };
         let e = Entry {
             count,
-            stamp: self.tick,
+            stamp: self.stamp(),
         };
         let r = self.rank(&e);
         self.entries.insert(flow, e);

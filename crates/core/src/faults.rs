@@ -5,6 +5,7 @@
 //! plans and a deterministic [`random_plan`] generator for property
 //! tests (seed → plan is a pure function, so a failing seed reproduces
 //! exactly).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use detsim::SimTime;
 use npsim::{FaultAction, FaultPlan};

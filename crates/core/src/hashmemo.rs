@@ -13,6 +13,7 @@
 //! `restore_core`. It relies on the contract every slot-keyed structure
 //! already relies on (the AFD, the migration table): within one run a
 //! [`nphash::FlowSlot`] names one flow.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use nphash::Crc16Ccitt;
 use npsim::PacketDesc;

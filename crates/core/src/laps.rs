@@ -28,6 +28,7 @@
 //! empty **and** has not built beyond a small watermark for `idle_th` —
 //! the same hardware (comparator + timer), robust to single in-flight
 //! packets. DESIGN.md records this calibration.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::config::LapsConfig;
 use crate::hashmemo::FlowHashMemo;
@@ -160,14 +161,14 @@ impl Laps {
     ///
     /// `i` is always `ServiceKind::index()` and `services` is built with
     /// exactly one entry per kind, so the lookup is total.
+    #[allow(clippy::indexing_slicing, reason = "one entry per ServiceKind")]
     fn svc(&self, i: usize) -> &ServiceState {
-        // npcheck: allow(hot-path-panic) — one entry per ServiceKind; i = ServiceKind::index()
         &self.services[i]
     }
 
     /// Mutable counterpart of [`Laps::svc`] (same totality argument).
+    #[allow(clippy::indexing_slicing, reason = "one entry per ServiceKind")]
     fn svc_mut(&mut self, i: usize) -> &mut ServiceState {
-        // npcheck: allow(hot-path-panic) — one entry per ServiceKind; i = ServiceKind::index()
         &mut self.services[i]
     }
 

@@ -32,6 +32,7 @@
 //!   periodic state consolidation: after `k` packets of a flow, its
 //!   replica set collapses back to a single master core, bounding the
 //!   stale-replica count a packet can be billed for.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use detsim::SplitMix64;
 use npsim::{PacketDesc, Scheduler, SyncPolicy, SystemView};

@@ -34,6 +34,7 @@
 //!   justification, enforced by the `shared-state-audit` rule.
 //! * `tests/spsc_stress.rs` hammers the ring on real threads; CI runs
 //!   it under ThreadSanitizer.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -165,7 +166,8 @@ impl Producer {
             }
         }
         let idx = self.tail & self.shared.mask;
-        // npcheck: allow(hot-path-panic) — idx = counter & mask < slots.len(); npcheck: ordering(Relaxed is sound for the slot payload: it is published to the consumer only by the Release store of tail below)
+        #[allow(clippy::indexing_slicing, reason = "idx is masked to slots.len() - 1")]
+        // npcheck: ordering(Relaxed is sound for the slot payload: it is published to the consumer only by the Release store of tail below)
         self.shared.slots[idx].store(desc.encode(), Ordering::Relaxed);
         let next = self.tail.wrapping_add(1);
         // npcheck: ordering(Release publishes the slot store above; pairs with the consumer's Acquire load of tail)
@@ -209,7 +211,8 @@ impl Consumer {
             }
         }
         let idx = self.head & self.shared.mask;
-        // npcheck: allow(hot-path-panic) — idx = counter & mask < slots.len(); npcheck: ordering(Relaxed is sound for the slot payload: the Acquire load of tail that admitted this index ordered the producer's store before this read)
+        #[allow(clippy::indexing_slicing, reason = "idx is masked to slots.len() - 1")]
+        // npcheck: ordering(Relaxed is sound for the slot payload: the Acquire load of tail that admitted this index ordered the producer's store before this read)
         let raw = self.shared.slots[idx].load(Ordering::Relaxed);
         let next = self.head.wrapping_add(1);
         // npcheck: ordering(Release returns the emptied slot to the producer; pairs with the producer's Acquire load of head)

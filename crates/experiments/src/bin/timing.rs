@@ -12,6 +12,7 @@
 //! (wall-clock numbers are a property of the host, not the cell key) and
 //! `serial() == true` (parallel cells would contend for the CPU being
 //! timed), so npfarm always re-runs every cell, one at a time.
+#![allow(clippy::disallowed_methods, reason = "this binary measures wall time")]
 
 use detsim::SimTime;
 use laps::prelude::*;

@@ -1,23 +1,7 @@
-//! Bad fixture: every shape the `shared-state-audit` rule must catch
-//! in a thread-shared crate.
+//! Bad fixture: the shape the `shared-state-audit` rule must catch in
+//! a thread-shared crate.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-// Unsynchronized global — torn reads across cores.
-static mut PACKETS_SEEN: u64 = 0;
-
-pub struct FlowTable {
-    // Single-thread-only interior mutability in a type that crosses
-    // threads.
-    hits: Rc<RefCell<Vec<u64>>>,
-    hot: Cell<bool>,
-}
-
-// Hand-vouched thread safety the compiler can't check.
-unsafe impl Send for FlowTable {}
-unsafe impl Sync for FlowTable {}
 
 pub fn publish(seq: &AtomicU64, v: u64) {
     // Explicit weak ordering with no written happens-before argument.

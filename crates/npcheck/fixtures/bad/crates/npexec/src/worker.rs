@@ -4,6 +4,7 @@
 //! npexec side: a descriptor pop loop that takes a lock, sleeps, logs,
 //! and allocates per packet — each one stalls the core and backs the
 //! SPSC ring up into the dispatcher.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use std::sync::Mutex;
 use std::time::Duration;

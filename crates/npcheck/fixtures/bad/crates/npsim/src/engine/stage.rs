@@ -1,5 +1,6 @@
 //! Bad fixture: blocking and allocating work on the per-packet path
 //! that the `blocking-hot-path` rule must catch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use std::sync::Mutex;
 use std::time::Duration;

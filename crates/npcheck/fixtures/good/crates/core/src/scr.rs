@@ -1,5 +1,6 @@
-//! Good fixture: the same SCR dispatch decision, panic-free and
-//! allocation-free on the per-packet path.
+//! Good fixture: the same SCR dispatch decision, allocation-free on
+//! the per-packet path.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 pub struct Scr {
     queues: Vec<usize>,

@@ -1,16 +1,8 @@
-//! Good fixture: the same shapes, concurrency-ready.
+//! Good fixture: the same shapes, each ordering with its argument.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-// Atomic instead of `static mut`.
 static PACKETS_SEEN: AtomicU64 = AtomicU64::new(0);
-
-pub struct FlowTable {
-    // Core-local plain state; the containing type derives Send/Sync
-    // automatically, no hand-written unsafe impl needed.
-    hits: Vec<u64>,
-    hot: bool,
-}
 
 pub fn publish(seq: &AtomicU64, v: u64) {
     // npcheck: ordering(Release publishes the table writes sequenced before this store; pairs with the Acquire load in peek)
@@ -24,14 +16,4 @@ pub fn peek(seq: &AtomicU64) -> u64 {
 pub fn count() -> u64 {
     // SeqCst is the conservative default and needs no justification.
     PACKETS_SEEN.load(Ordering::SeqCst)
-}
-
-mod builder {
-    // npcheck: allow(shared-state-audit) — single-threaded config builder, never crosses a thread boundary
-    use std::rc::Rc;
-
-    pub struct Cfg {
-        // npcheck: allow(shared-state-audit) — builder-local; converted to Arc<str> before any thread is spawned
-        pub shared_doc: Rc<str>,
-    }
 }

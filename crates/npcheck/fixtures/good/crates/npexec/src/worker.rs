@@ -2,6 +2,7 @@
 //! worker. The pop loop spins (then yields) instead of sleeping, the
 //! ledger is thread-local instead of locked, and every buffer is sized
 //! in the constructor so the loop itself never allocates.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,5 +1,6 @@
 //! Good fixture: the same stage with the work hoisted off the
 //! per-packet path.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 pub struct Stage {
     stats: Vec<u64>,

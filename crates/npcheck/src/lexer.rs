@@ -6,8 +6,9 @@
 //! comments (nested), string literals (including raw strings with any
 //! number of `#`s), char literals, and lifetimes. Comment text is not
 //! discarded entirely: `npcheck: allow(<rule>)` markers are collected,
-//! and the first `#[cfg(test)]` is recorded so hot-path rules can stop
-//! at the test module.
+//! the first `#[cfg(test)]` is recorded so hot-path rules can stop at
+//! the test module, and the inner attribute that declares a per-packet
+//! module is recognised.
 
 /// One token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +49,10 @@ pub struct LexedFile {
     /// Line of the first `#[cfg(test)]` / `#[cfg(all(test, …))]`
     /// attribute, if any.
     pub cfg_test_line: Option<usize>,
+    /// The file opens with `#![deny(clippy::unwrap_used,
+    /// clippy::expect_used, clippy::indexing_slicing)]`: it declares
+    /// itself per-packet code, so `blocking-hot-path` applies to it.
+    pub hot_path: bool,
 }
 
 /// Scan `src` into tokens.
@@ -238,7 +243,29 @@ pub fn lex(src: &str) -> LexedFile {
             break;
         }
     }
+    out.hot_path = declares_hot_path(&out.tokens);
     out
+}
+
+/// Is there an inner `#![deny(..)]` whose list names all three of
+/// clippy's panic lints?
+fn declares_hot_path(toks: &[(usize, Tok)]) -> bool {
+    const HEAD: [&str; 5] = ["#", "!", "[", "deny", "("];
+    toks.windows(HEAD.len()).enumerate().any(|(i, w)| {
+        let head = w
+            .iter()
+            .zip(HEAD)
+            .all(|((_, t), h)| t.is_punct(h) || t.is_ident(h));
+        let list = || {
+            toks[i + HEAD.len()..]
+                .iter()
+                .map(|(_, t)| t)
+                .take_while(|t| !t.is_punct("]"))
+        };
+        head && ["unwrap_used", "expect_used", "indexing_slicing"]
+            .iter()
+            .all(|lint| list().any(|t| t.is_ident(lint)))
+    })
 }
 
 fn is_raw_string_start(b: &[char], i: usize) -> bool {
@@ -344,12 +371,14 @@ mod tests {
 
     #[test]
     fn allow_markers_collected() {
-        let l = lex("x(); // npcheck: allow(wall-clock) because tests\n// npcheck: allow(nondet-collections)\n");
+        let l = lex(
+            "x(); // npcheck: allow(float-accum) because tests\n// npcheck: allow(lock-order)\n",
+        );
         assert_eq!(
             l.allows,
             vec![
-                (1, "wall-clock".to_string()),
-                (2, "nondet-collections".to_string())
+                (1, "float-accum".to_string()),
+                (2, "lock-order".to_string())
             ]
         );
     }

@@ -2,10 +2,8 @@
 //!
 //! ```text
 //! cargo run -p npcheck --                    # lint the workspace, human output
-//! cargo run -p npcheck -- --format json      # machine-readable report (`--json` is an alias)
 //! cargo run -p npcheck -- --format sarif     # SARIF 2.1.0 for CI code scanning
 //! cargo run -p npcheck -- --deny-warnings    # warn-level findings also fail
-//! cargo run -p npcheck -- --rules            # machine-readable rule manifest (JSON)
 //! cargo run -p npcheck -- --list-rules       # human-readable rule table
 //! cargo run -p npcheck -- --root some/dir    # lint a different tree (fixtures)
 //! ```
@@ -17,14 +15,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use npcheck::{
-    all_rules, json_report, rules_manifest_json, sarif_report, scan_workspace, Severity,
-};
+use npcheck::{all_rules, sarif_report, scan_workspace, Severity};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
     Text,
-    Json,
     Sarif,
 }
 
@@ -32,7 +27,6 @@ struct Options {
     format: Format,
     deny_warnings: bool,
     list_rules: bool,
-    rules_manifest: bool,
     root: Option<PathBuf>,
 }
 
@@ -41,25 +35,21 @@ fn parse_args() -> Result<Options, String> {
         format: Format::Text,
         deny_warnings: false,
         list_rules: false,
-        rules_manifest: false,
         root: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => opts.format = Format::Json,
             "--format" => {
-                let kind = args.next().ok_or("--format needs one of text|json|sarif")?;
+                let kind = args.next().ok_or("--format needs one of text|sarif")?;
                 opts.format = match kind.as_str() {
                     "text" => Format::Text,
-                    "json" => Format::Json,
                     "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}` (text|json|sarif)")),
+                    other => return Err(format!("unknown format `{other}` (text|sarif)")),
                 };
             }
             "--deny-warnings" => opts.deny_warnings = true,
             "--list-rules" => opts.list_rules = true,
-            "--rules" => opts.rules_manifest = true,
             "--root" => {
                 let path = args.next().ok_or("--root needs a path argument")?;
                 opts.root = Some(PathBuf::from(path));
@@ -74,13 +64,12 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn usage() -> &'static str {
-    "usage: npcheck [--format text|json|sarif] [--json] [--deny-warnings]\n\
-     \x20              [--rules] [--list-rules] [--root <dir>]\n\
+    "usage: npcheck [--format text|sarif] [--deny-warnings] [--list-rules]\n\
+     \x20              [--root <dir>]\n\
      \n\
-     Lints the workspace for determinism, hot-path safety, and\n\
-     concurrency-readiness violations. `--rules` prints the machine-\n\
-     readable rule manifest and exits. See DESIGN.md (\"Concurrency\n\
-     contract & static analysis\") for the rules and the\n\
+     Lints the workspace for the determinism and concurrency-readiness\n\
+     violations clippy and rustc cannot express. See DESIGN.md\n\
+     (\"Concurrency contract & static analysis\") for the rules and the\n\
      `// npcheck: allow(<rule>)` escape hatch."
 }
 
@@ -116,11 +105,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.rules_manifest {
-        print!("{}", rules_manifest_json());
-        return ExitCode::SUCCESS;
-    }
-
     if opts.list_rules {
         for rule in all_rules() {
             println!(
@@ -151,7 +135,6 @@ fn main() -> ExitCode {
     let warn = findings.len() - deny;
 
     match opts.format {
-        Format::Json => print!("{}", json_report(&findings, files_scanned)),
         Format::Sarif => print!("{}", sarif_report(&findings)),
         Format::Text => {
             for f in &findings {

@@ -1,9 +1,10 @@
 //! The lint rule table.
 //!
-//! Rules are data: an id, a severity, a scope predicate over
-//! workspace-relative paths, and a token-level checker. Adding a rule
-//! means adding one entry to [`RULES`] — the driver, allow-comment
-//! handling, JSON report, and fixtures all pick it up automatically.
+//! Rules are data: an id, a severity, a scope predicate over the
+//! workspace-relative path and the lexed file, and a token-level
+//! checker. Adding a rule means adding one entry to [`RULES`] — the
+//! driver, allow-comment handling, SARIF report, and fixtures all pick
+//! it up automatically.
 
 use crate::lexer::{LexedFile, Tok};
 use crate::Finding;
@@ -37,8 +38,8 @@ pub struct RuleSpec {
     pub summary: &'static str,
     /// Why the rule exists (printed by `--list-rules`).
     pub why: &'static str,
-    /// Path scope: does this rule apply to `rel_path`?
-    pub applies: fn(&str) -> bool,
+    /// Scope: does this rule apply to the file at `rel_path`?
+    pub applies: fn(&str, &LexedFile) -> bool,
     /// Token-level checker; pushes findings.
     pub check: fn(&str, &LexedFile, &mut Vec<Finding>),
 }
@@ -61,54 +62,9 @@ const SIM_CRATE_PREFIXES: &[&str] = &[
     "crates/nptraffic/",
 ];
 
-/// Modules on the per-packet critical path: a panic here is a dropped
-/// simulation, and `unwrap`-dense code hides the queue/map invariants
-/// the paper's migration logic depends on. Matched by prefix so the
-/// `engine/` stage directory (ingest/dispatch/service/record, plus the
-/// batched run loop `batch.rs` and the cycle probe `cycles.rs`) is
-/// covered as one unit. `source.rs` joined the hot path when burst
-/// refills moved the per-arrival gap/record draws into it. The npexec
-/// worker and dispatcher loops run per packet on real threads — a
-/// panic there poisons a join and an allocation there is multiplied by
-/// every worker — so they carry the same discipline. The AFD's
-/// `detector.rs` and the per-flow hash memo are what `Laps::schedule`
-/// calls on every packet.
-const HOT_PATH_PREFIXES: &[&str] = &[
-    "crates/npsim/src/engine",
-    "crates/npsim/src/order.rs",
-    "crates/npsim/src/fault.rs",
-    "crates/npsim/src/source.rs",
-    "crates/core/src/laps.rs",
-    "crates/core/src/hashmemo.rs",
-    "crates/core/src/faults.rs",
-    "crates/core/src/spsc.rs",
-    "crates/core/src/scr.rs",
-    "crates/afd/src/cache.rs",
-    "crates/afd/src/detector.rs",
-    "crates/npexec/src/worker.rs",
-    "crates/npexec/src/dispatcher.rs",
-];
-
-/// The only places allowed to read wall clocks or OS entropy: the
-/// explicit wall-clock-timing experiment binary and npexec's lib.rs.
-/// The npfarm sweep orchestrator is *not* exempted as a crate — its two
-/// telemetry call sites (cell timing recorded in the per-cell JSONL,
-/// excluded from every result payload and cache key) carry per-line
-/// allow comments instead, so any new wall-clock read there has to
-/// justify itself. The npexec
-/// backend's lib.rs is exempt because wall-clock throughput is the
-/// quantity it exists to produce (its report counters still come from
-/// the deterministic arrival plan) — but only lib.rs: the worker and
-/// dispatcher loops must not read clocks, so they stay scoped.
-const WALL_CLOCK_EXEMPT: &[&str] = &[
-    "crates/experiments/src/bin/timing.rs",
-    "crates/npexec/src/lib.rs",
-];
-
 /// Crates whose types are shared across OS threads: the npfarm worker
 /// pool, core's handshake board and spsc ring, and the npexec
-/// thread-per-core backend built on them. Interior mutability,
-/// hand-vouched `Send`/`Sync`, and relaxed atomic orderings get
+/// thread-per-core backend built on them. Atomic orderings get
 /// audited here.
 const THREAD_SHARED_PREFIXES: &[&str] = &["crates/core/", "crates/npfarm/", "crates/npexec/"];
 
@@ -123,62 +79,20 @@ const QUEUE_SCOPE_PREFIXES: &[&str] = &[
     "crates/npexec/",
 ];
 
-fn in_sim_crate(path: &str) -> bool {
+fn in_sim_crate(path: &str, _: &LexedFile) -> bool {
     SIM_CRATE_PREFIXES.iter().any(|p| path.starts_with(p))
 }
 
-fn is_hot_path(path: &str) -> bool {
-    HOT_PATH_PREFIXES.iter().any(|p| path.starts_with(p))
-}
-
-fn wall_clock_scoped(path: &str) -> bool {
-    !WALL_CLOCK_EXEMPT
-        .iter()
-        .any(|p| path.starts_with(p) || path == *p)
-}
-
-fn in_thread_shared_crate(path: &str) -> bool {
+fn in_thread_shared_crate(path: &str, _: &LexedFile) -> bool {
     THREAD_SHARED_PREFIXES.iter().any(|p| path.starts_with(p))
 }
 
-fn in_queue_scope(path: &str) -> bool {
+fn in_queue_scope(path: &str, _: &LexedFile) -> bool {
     QUEUE_SCOPE_PREFIXES.iter().any(|p| path.starts_with(p))
 }
 
 /// The rule table.
 pub const RULES: &[RuleSpec] = &[
-    RuleSpec {
-        id: "nondet-collections",
-        severity: Severity::Deny,
-        summary: "HashMap/HashSet/RandomState with the default hasher in simulation crates",
-        why: "std's default hasher is seeded from OS entropy per process, so iteration \
-              order differs between runs; any code that iterates such a map breaks \
-              byte-reproducibility of reports and paired scheduler comparisons. Use \
-              nphash::det::{DetHashMap, DetHashSet} or a BTreeMap/BTreeSet.",
-        applies: in_sim_crate,
-        check: check_nondet_collections,
-    },
-    RuleSpec {
-        id: "wall-clock",
-        severity: Severity::Deny,
-        summary: "Instant::now / SystemTime / thread_rng / rand::random / from_entropy outside timing crates",
-        why: "Wall-clock reads and OS entropy inject host state into the simulation: \
-              results stop being a function of (config, seed). Virtual time comes from \
-              detsim::SimTime; randomness from detsim::rng::SeedSequence streams.",
-        applies: wall_clock_scoped,
-        check: check_wall_clock,
-    },
-    RuleSpec {
-        id: "hot-path-panic",
-        severity: Severity::Deny,
-        summary: ".unwrap()/.expect()/slice indexing in hot-path modules",
-        why: "npsim::engine, npsim::order, core::laps and afd::cache run per packet; a \
-              panic there kills the whole experiment sweep, and indexing hides the \
-              bounds invariant. Handle the None/Err case or document the invariant \
-              with an allow comment.",
-        applies: is_hot_path,
-        check: check_hot_path_panic,
-    },
     RuleSpec {
         id: "probe-hot-path",
         severity: Severity::Warn,
@@ -200,19 +114,16 @@ pub const RULES: &[RuleSpec] = &[
               depends on summation order — a silent threat to cross-run comparisons \
               of long simulations. Use detsim::stats::KahanSum (compensated \
               summation) or justify with an allow comment.",
-        applies: |p| p == "crates/detsim/src/stats.rs",
+        applies: |p, _| p == "crates/detsim/src/stats.rs",
         check: check_float_accum,
     },
     RuleSpec {
         id: "shared-state-audit",
         severity: Severity::Deny,
-        summary: "static mut / unsafe impl Send|Sync / Rc/RefCell/Cell / unjustified atomic Ordering in thread-shared crates",
-        why: "core and npfarm types cross OS threads (worker pool today, the \
-              thread-per-core npexec backend next). `static mut` and hand-written \
-              `unsafe impl Send/Sync` bypass the compiler's data-race guarantees; \
-              Rc/RefCell/Cell are single-thread-only and poison any type they're \
-              embedded in; and every explicit atomic memory ordering weaker than \
-              or equal to Acquire/Release must carry a written argument — \
+        summary: "atomic `Ordering` weaker than SeqCst without a written justification in thread-shared crates",
+        why: "core, npfarm and npexec types cross OS threads (the npfarm worker \
+              pool, the thread-per-core npexec backend). Every explicit atomic \
+              memory ordering weaker than SeqCst must carry a written argument — \
               `// npcheck: ordering(<why>)` on the same or preceding line — \
               because the loom shim model-checks protocols under sequential \
               consistency and cannot catch a wrong ordering choice.",
@@ -237,28 +148,16 @@ pub const RULES: &[RuleSpec] = &[
         id: "blocking-hot-path",
         severity: Severity::Deny,
         summary: "Mutex/RwLock acquisition, sleep, blocking I/O, or allocation in hot-path modules",
-        why: "The engine stages, order tracker, flow tables, and spsc ring run per \
-              packet; a lock or syscall there serializes the thread-per-core \
+        why: "A module that opens with `#![deny(clippy::unwrap_used, \
+              clippy::expect_used, clippy::indexing_slicing)]` declares itself \
+              per-packet code; a lock or syscall there serializes the thread-per-core \
               design away, and a per-packet allocation perturbs the timing the \
               benchmarks measure. Preallocate in a constructor (`fn new`, \
               `with_*`, `from_*`, `build*` — those are exempt), hoist the work to \
               setup/teardown, or justify a cold-path exception (error \
               construction, validation) with an allow comment.",
-        applies: is_hot_path,
+        applies: |_, lexed| lexed.hot_path,
         check: check_blocking_hot_path,
-    },
-    RuleSpec {
-        id: "unbatched-hot-loop",
-        severity: Severity::Warn,
-        summary: "per-item crc16_ccitt / map-table lookup inside a for loop in hot-path modules",
-        why: "The hashing substrate ships burst counterparts — crc16_ccitt_batch runs \
-              four CRC lanes in lockstep and MapTable::lookup_batch maps a whole \
-              burst — that hide table load-to-use latency across the packets of a \
-              burst. A per-item scalar call in a hot loop forfeits that ILP: collect \
-              the burst's keys and make one batch call, or justify the scalar form \
-              (e.g. a genuinely serial dependency) with an allow comment.",
-        applies: is_hot_path,
-        check: check_unbatched_hot_loop,
     },
 ];
 
@@ -304,7 +203,7 @@ pub const CRATE_RULES: &[CrateRuleSpec] = &[CrateRuleSpec {
     check: check_lock_order,
 }];
 
-/// Which pass a rule belongs to (for the manifest and SARIF output).
+/// Which pass a rule belongs to (for `--list-rules`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// Per-file token pass.
@@ -324,7 +223,7 @@ impl Pass {
 }
 
 /// Unified metadata row covering both rule tables — drives
-/// `npcheck --rules`, `--list-rules`, and the SARIF rule table.
+/// `--list-rules` and the SARIF rule table.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleMeta {
     /// Stable identifier.
@@ -382,147 +281,7 @@ fn push(
 }
 
 fn rule(id: &str) -> &'static RuleSpec {
-    // npcheck: allow(hot-path-panic) — not a hot path; table lookup of a const id
     rule_by_id(id).unwrap_or_else(|| panic!("rule table entry `{id}` missing"))
-}
-
-fn check_nondet_collections(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    let spec = rule("nondet-collections");
-    for (i, (line, tok)) in lexed.tokens.iter().enumerate() {
-        let Tok::Ident(name) = tok else { continue };
-        if name != "HashMap" && name != "HashSet" && name != "RandomState" {
-            continue;
-        }
-        // `HashMap<K, V, S>` with an explicit third type parameter (a
-        // chosen hasher) is fine; only the default-hasher form is
-        // flagged. Detecting that generally needs a parser, so the
-        // deterministic aliases (DetHashMap/DetHashSet) are the
-        // sanctioned route and raw names are always flagged here.
-        let _ = i;
-        push(
-            findings,
-            spec,
-            file,
-            *line,
-            format!("`{name}` uses a randomly-seeded hasher; use nphash::det::{{DetHashMap, DetHashSet}} or BTreeMap/BTreeSet"),
-        );
-    }
-}
-
-fn check_wall_clock(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    let spec = rule("wall-clock");
-    let toks = &lexed.tokens;
-    for (i, (line, tok)) in toks.iter().enumerate() {
-        let Tok::Ident(name) = tok else { continue };
-        match name.as_str() {
-            "SystemTime" => push(
-                findings,
-                spec,
-                file,
-                *line,
-                "`SystemTime` reads the wall clock; simulation time must come from detsim::SimTime".into(),
-            ),
-            "thread_rng" => push(
-                findings,
-                spec,
-                file,
-                *line,
-                "`thread_rng` is OS-entropy-seeded; mint seeded streams via detsim::rng::SeedSequence".into(),
-            ),
-            "from_entropy" => push(
-                findings,
-                spec,
-                file,
-                *line,
-                "`from_entropy` seeds from the OS; use seed_from_u64 with a derived seed".into(),
-            ),
-            // Only `Instant::now(...)` — the type name alone can
-            // appear in signatures of exempted helpers.
-            "Instant"
-                if toks.get(i + 1).is_some_and(|(_, t)| t.is_punct(":"))
-                    && toks.get(i + 2).is_some_and(|(_, t)| t.is_punct(":"))
-                    && toks.get(i + 3).is_some_and(|(_, t)| t.is_ident("now")) =>
-            {
-                push(
-                    findings,
-                    spec,
-                    file,
-                    *line,
-                    "`Instant::now` reads the wall clock; simulation time must come from detsim::SimTime".into(),
-                );
-            }
-            // `rand::random` path form.
-            "random"
-                if i >= 3
-                    && toks.get(i - 1).is_some_and(|(_, t)| t.is_punct(":"))
-                    && toks.get(i - 2).is_some_and(|(_, t)| t.is_punct(":"))
-                    && toks.get(i - 3).is_some_and(|(_, t)| t.is_ident("rand")) =>
-            {
-                push(
-                    findings,
-                    spec,
-                    file,
-                    *line,
-                    "`rand::random` is thread_rng in disguise; draw from a seeded stream".into(),
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-fn check_hot_path_panic(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    let spec = rule("hot-path-panic");
-    let toks = &lexed.tokens;
-    let limit = lexed.cfg_test_line.unwrap_or(usize::MAX);
-    for (i, (line, tok)) in toks.iter().enumerate() {
-        // The in-file test module (from `#[cfg(test)]` down) may
-        // unwrap freely — tests *should* panic on violated invariants.
-        if *line >= limit {
-            break;
-        }
-        match tok {
-            Tok::Ident(name) if name == "unwrap" || name == "expect" => {
-                let is_method_call = i >= 1
-                    && toks.get(i - 1).is_some_and(|(_, t)| t.is_punct("."))
-                    && toks.get(i + 1).is_some_and(|(_, t)| t.is_punct("("));
-                if is_method_call {
-                    push(
-                        findings,
-                        spec,
-                        file,
-                        *line,
-                        format!("`.{name}()` on the per-packet path; handle the miss or document the invariant"),
-                    );
-                }
-            }
-            Tok::Punct(p) if p == "[" => {
-                // Expression indexing: `[` directly after an identifier,
-                // `)`, or `]`. Attributes (`#[...]`), array types/
-                // literals, and macro brackets don't match this shape.
-                // Keywords can't name an indexable value, so `&mut [T]`
-                // slice types and `in [..]` literals are excluded.
-                const KEYWORDS: &[&str] = &[
-                    "mut", "dyn", "in", "as", "return", "break", "else", "match", "impl",
-                ];
-                let is_index = i >= 1
-                    && toks.get(i - 1).is_some_and(|(_, t)| match t {
-                        Tok::Ident(name) => !KEYWORDS.contains(&name.as_str()),
-                        other => other.is_punct(")") || other.is_punct("]"),
-                    });
-                if is_index {
-                    push(
-                        findings,
-                        spec,
-                        file,
-                        *line,
-                        "slice/array indexing can panic on the per-packet path; use .get()/.get_mut() or document the bound".into(),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 fn check_probe_hot_path(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
@@ -679,86 +438,33 @@ fn check_shared_state(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>
     let spec = rule("shared-state-audit");
     let toks = &lexed.tokens;
     let limit = lexed.cfg_test_line.unwrap_or(usize::MAX);
-    // `Cell` is only std's cell type if the file actually references
-    // the `cell::` path with `Cell` in it (import or inline path) —
-    // domain types named `Cell` (npfarm's sweep-grid cells) must not
-    // collide. `Rc`/`RefCell`/`UnsafeCell` are distinctive enough to
-    // flag unconditionally.
-    let std_cell_referenced = toks.windows(3).enumerate().any(|(i, w)| {
-        w[0].1.is_ident("cell") && w[1].1.is_punct(":") && w[2].1.is_punct(":") && {
-            toks[i + 3..]
-                .iter()
-                .take_while(|(_, t)| !t.is_punct(";"))
-                .any(|(_, t)| t.is_ident("Cell"))
-        }
-    });
     for (i, (line, tok)) in toks.iter().enumerate() {
         if *line >= limit {
             break;
         }
-        let Tok::Ident(name) = tok else { continue };
-        match name.as_str() {
-            "static" if toks.get(i + 1).is_some_and(|(_, t)| t.is_ident("mut")) => push(
+        // `Ordering::<variant>` with a variant that needs a written why.
+        let Some((_, Tok::Ident(variant))) = toks.get(i + 3) else {
+            continue;
+        };
+        let weak_ordering = tok.is_ident("Ordering")
+            && toks.get(i + 1).is_some_and(|(_, t)| t.is_punct(":"))
+            && toks.get(i + 2).is_some_and(|(_, t)| t.is_punct(":"))
+            && JUSTIFIED_ORDERINGS.contains(&variant.as_str());
+        if !weak_ordering {
+            continue;
+        }
+        let justified = lexed
+            .orderings
+            .iter()
+            .any(|l| *l == *line || *l + 1 == *line);
+        if !justified {
+            push(
                 findings,
                 spec,
                 file,
                 *line,
-                "`static mut` is unsynchronized global state; use an atomic, a lock, or per-core fields".into(),
-            ),
-            "unsafe" if toks.get(i + 1).is_some_and(|(_, t)| t.is_ident("impl")) => {
-                // `unsafe impl Send/Sync for T` — scan the header up to
-                // the body/terminator for the marker trait name.
-                let mut j = i + 2;
-                while let Some((_, t)) = toks.get(j) {
-                    if t.is_punct("{") || t.is_punct(";") {
-                        break;
-                    }
-                    if t.is_ident("Send") || t.is_ident("Sync") {
-                        push(
-                            findings,
-                            spec,
-                            file,
-                            *line,
-                            "`unsafe impl Send/Sync` hand-vouches for thread safety the compiler can't check; restructure so the auto-impl applies, or document the proof obligation".into(),
-                        );
-                        break;
-                    }
-                    j += 1;
-                }
-            }
-            "Cell" if !std_cell_referenced => {}
-            "Rc" | "RefCell" | "Cell" | "UnsafeCell" => push(
-                findings,
-                spec,
-                file,
-                *line,
-                format!("`{name}` is single-thread-only and poisons Send/Sync for any containing type; use Arc/atomics/locks or keep the state core-local"),
-            ),
-            "Ordering"
-                if toks.get(i + 1).is_some_and(|(_, t)| t.is_punct(":"))
-                    && toks.get(i + 2).is_some_and(|(_, t)| t.is_punct(":"))
-                    && toks.get(i + 3).is_some_and(|(_, t)| matches!(t, Tok::Ident(v)
-                        if JUSTIFIED_ORDERINGS.contains(&v.as_str()))) =>
-            {
-                let justified = lexed
-                    .orderings
-                    .iter()
-                    .any(|l| *l == *line || *l + 1 == *line);
-                if !justified {
-                    let variant = match &toks[i + 3].1 {
-                        Tok::Ident(v) => v.as_str(),
-                        _ => "?",
-                    };
-                    push(
-                        findings,
-                        spec,
-                        file,
-                        *line,
-                        format!("`Ordering::{variant}` without a `// npcheck: ordering(<why>)` justification on this or the preceding line; write down the happens-before argument"),
-                    );
-                }
-            }
-            _ => {}
+                format!("`Ordering::{variant}` without a `// npcheck: ordering(<why>)` justification on this or the preceding line; write down the happens-before argument"),
+            );
         }
     }
 }
@@ -1003,93 +709,6 @@ fn check_blocking_hot_path(file: &str, lexed: &LexedFile, findings: &mut Vec<Fin
     }
 }
 
-/// Scalar calls that have a burst-sized counterpart in `nphash`; a
-/// per-item call inside a hot loop should usually be the batch form.
-const BATCHABLE_SCALAR_CALLS: &[(&str, &str)] = &[
-    ("crc16_ccitt", "crc16_ccitt_batch"),
-    ("lookup", "lookup_batch"),
-];
-
-fn check_unbatched_hot_loop(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    let spec = rule("unbatched-hot-loop");
-    let toks = &lexed.tokens;
-    let limit = lexed.cfg_test_line.unwrap_or(usize::MAX);
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].0 >= limit {
-            break;
-        }
-        if !toks[i].1.is_ident("for") {
-            i += 1;
-            continue;
-        }
-        // A loop header is `for <pat> in <expr> {`; `impl Trait for T {`
-        // and `for<'a>` bounds have no `in` before the brace and are
-        // skipped. The header scan stops at `;` (trait-bound forms).
-        let mut j = i + 1;
-        let mut saw_in = false;
-        let body = loop {
-            match toks.get(j) {
-                None => return,
-                Some((_, t)) if t.is_punct("{") => break Some(j),
-                Some((_, t)) if t.is_punct(";") => break None,
-                Some((_, t)) => {
-                    saw_in |= t.is_ident("in");
-                    j += 1;
-                }
-            }
-        };
-        let Some(body) = body else {
-            i = j + 1;
-            continue;
-        };
-        if !saw_in {
-            i = body + 1;
-            continue;
-        }
-        // Brace-track the body; flag scalar calls that have batch
-        // counterparts. Nested loops are found by restarting just
-        // inside the body.
-        let mut depth = 0usize;
-        let mut k = body;
-        while let Some((line, t)) = toks.get(k) {
-            match t {
-                Tok::Punct(p) if p == "{" => depth += 1,
-                Tok::Punct(p) if p == "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                Tok::Ident(n) => {
-                    if let Some((_, batch)) = BATCHABLE_SCALAR_CALLS
-                        .iter()
-                        .find(|(scalar, _)| n == scalar)
-                    {
-                        // Free/path call (`crc16_ccitt(…)`) or method
-                        // call (`table.lookup(…)`) — both need the `(`.
-                        let called = toks.get(k + 1).is_some_and(|(_, t)| t.is_punct("("));
-                        let method_ok = n != "lookup"
-                            || (k >= 1 && toks.get(k - 1).is_some_and(|(_, t)| t.is_punct(".")));
-                        if called && method_ok {
-                            push(
-                                findings,
-                                spec,
-                                file,
-                                *line,
-                                format!("`{n}` called once per iteration in a hot loop; `{batch}` processes a burst at a time and hides table latency across packets"),
-                            );
-                        }
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        i = body + 1;
-    }
-}
-
 /// Walk back from the `.` before a `lock` call and name the receiver:
 /// the nearest identifier, skipping balanced `(...)`/`[...]` groups
 /// (so `self.deques[w].lock()` names `deques` and `self.shard(i)
@@ -1227,52 +846,10 @@ fn check_lock_order(files: &[(&str, &LexedFile)], findings: &mut Vec<Finding>) {
 mod tests {
     use crate::scan_source;
 
-    #[test]
-    fn hashmap_flagged_in_sim_crates_only() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(scan_source("crates/npsim/src/engine.rs", src).len(), 1);
-        assert_eq!(scan_source("crates/nptrace/src/gen.rs", src).len(), 0);
-        assert_eq!(scan_source("crates/npcheck/src/lib.rs", src).len(), 0);
-    }
-
-    #[test]
-    fn wall_clock_variants() {
-        let src = "let t = Instant::now();\nlet s = SystemTime::now();\nlet r = thread_rng();\nlet x: u8 = rand::random();\n";
-        let f = scan_source("crates/detsim/src/time.rs", src);
-        assert_eq!(f.len(), 4, "{f:?}");
-        assert!(scan_source("crates/experiments/src/bin/timing.rs", src).is_empty());
-    }
-
-    #[test]
-    fn instant_type_position_not_flagged() {
-        let src = "fn f(t: Instant) -> Instant { t }\n";
-        assert!(scan_source("crates/npsim/src/engine.rs", src).is_empty());
-    }
-
-    #[test]
-    fn hot_path_unwrap_and_indexing() {
-        let src = "fn f(v: &[u8], m: &M) { let a = m.get(0).unwrap(); let b = v[3]; let c = m.load.expect(\"x\"); }\n";
-        let f = scan_source("crates/npsim/src/engine.rs", src);
-        assert_eq!(f.len(), 3, "{f:?}");
-        // Same code off the hot path: clean.
-        assert!(scan_source("crates/npsim/src/report.rs", src).is_empty());
-    }
-
-    #[test]
-    fn attributes_and_array_types_not_indexing() {
-        // (`vec!` does trip blocking-hot-path here — this test is about
-        // the indexing heuristic, so only assert no hot-path-panic.)
-        let src = "#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn g() -> [u8; 2] { [0, 1] }\nlet v = vec![1, 2];\n";
-        let f = scan_source("crates/npsim/src/engine.rs", src);
-        assert!(f.iter().all(|x| x.rule != "hot-path-panic"), "{f:?}");
-    }
-
-    #[test]
-    fn test_module_exempt_from_hot_path() {
-        let src = "fn f(v: &[u8]) -> u8 { v[0] }\n#[cfg(test)]\nmod tests { fn g(v: &[u8]) -> u8 { v.first().copied().unwrap() } }\n";
-        let f = scan_source("crates/npsim/src/order.rs", src);
-        assert_eq!(f.len(), 1, "only the pre-test indexing: {f:?}");
-    }
+    /// The inner attribute a per-packet module opens with; it is what
+    /// puts a file in `blocking-hot-path` scope.
+    const HOT: &str =
+        "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]\n";
 
     #[test]
     fn probe_on_event_allocation_flagged() {
@@ -1295,17 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_stage_directory_is_hot_path() {
-        let src = "fn f(v: &[u8]) -> u8 { v[3] }\n";
-        assert_eq!(
-            scan_source("crates/npsim/src/engine/service.rs", src).len(),
-            1
-        );
-        assert_eq!(scan_source("crates/npsim/src/engine.rs", src).len(), 1);
-        assert!(scan_source("crates/npsim/src/report.rs", src).is_empty());
-    }
-
-    #[test]
     fn float_accum_flags_computed_terms_only() {
         let src = "impl T {\nfn a(&mut self) { self.count += 1; }\nfn b(&mut self, d: f64) { self.sum += d * 2.0; }\nfn c(&mut self, n: u64) { self.total += n; }\n}\n";
         let f = scan_source("crates/detsim/src/stats.rs", src);
@@ -1314,37 +880,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_state_static_mut_and_unsafe_impl() {
-        let src = "static mut COUNT: u64 = 0;\nunsafe impl Send for W {}\nunsafe impl<T> Sync for Q<T> {}\n";
-        let f = scan_source("crates/core/src/tables.rs", src);
-        assert_eq!(f.len(), 3, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == "shared-state-audit"));
-        // Out of the thread-shared scope: clean.
-        assert!(scan_source("crates/detsim/src/event.rs", src).is_empty());
-    }
-
-    #[test]
-    fn shared_state_single_thread_cells() {
-        let src = "use std::rc::Rc;\nuse std::cell::{Cell, RefCell};\nstruct S { a: Rc<RefCell<u32>>, b: Cell<bool> }\n";
-        let f = scan_source("crates/npfarm/src/pool.rs", src);
-        // Rc on line 1; Cell + RefCell in the import; all three in the struct.
-        assert_eq!(f.len(), 6, "{f:?}");
-    }
-
-    #[test]
-    fn shared_state_domain_cell_types_not_flagged() {
-        // npfarm's sweep grid has its own `Cell` concept; without a
-        // `std::cell` reference the bare name must not trip the audit.
-        let src = "pub trait Sweep {\ntype Cell: Clone + Send + Sync;\nfn cells(&self) -> Vec<Self::Cell>;\n}\n";
-        assert!(scan_source("crates/npfarm/src/sweep.rs", src).is_empty());
-    }
-
-    #[test]
     fn shared_state_ordering_requires_justification() {
         let bare = "a.store(1, Ordering::Release);\n";
         let f = scan_source("crates/core/src/spsc_x.rs", bare);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("npcheck: ordering"));
+        // Out of the thread-shared scope: clean.
+        assert!(scan_source("crates/detsim/src/event.rs", bare).is_empty());
 
         let same_line = "a.store(1, Ordering::Release); // npcheck: ordering(pairs with the Acquire load in pop)\n";
         assert!(scan_source("crates/core/src/spsc_x.rs", same_line).is_empty());
@@ -1379,36 +921,30 @@ mod tests {
     }
 
     #[test]
-    fn blocking_hot_path_flags_locks_io_and_alloc() {
-        let src = "fn step(&mut self) {\nlet g = self.stats.lock();\nthread::sleep(d);\nlet s = format!(\"x\");\nlet b = Box::new(1);\nprintln!(\"hi\");\nlet v: Vec<u32> = it.collect();\n}\n";
-        let f = scan_source("crates/npsim/src/engine/stage.rs", src);
+    fn blocking_hot_path_scope_is_the_inner_deny_attribute() {
+        let body = "fn step(&mut self) {\nlet g = self.stats.lock();\nthread::sleep(d);\nlet s = format!(\"x\");\nlet b = Box::new(1);\nprintln!(\"hi\");\nlet v: Vec<u32> = it.collect();\n}\n";
+        // Any path: the module's own header opts it in.
+        let f = scan_source("crates/npsim/src/anything.rs", &format!("{HOT}{body}"));
         assert_eq!(f.len(), 6, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "blocking-hot-path"));
-        // Same code off the hot path: clean.
-        assert!(scan_source("crates/npsim/src/report2.rs", src).is_empty());
+        // The same source without the attribute is not hot path.
+        assert!(scan_source("crates/npsim/src/anything.rs", body).is_empty());
+        // Neither an outer attribute on one item, a partial lint list
+        // nor the header inside a comment declares the module hot.
+        let outer = format!(
+            "#[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]\n{body}"
+        );
+        assert!(scan_source("crates/npsim/src/anything.rs", &outer).is_empty());
+        let partial = format!("#![deny(clippy::unwrap_used)]\n{body}");
+        assert!(scan_source("crates/npsim/src/anything.rs", &partial).is_empty());
+        let commented = format!("// {HOT}{body}");
+        assert!(scan_source("crates/npsim/src/anything.rs", &commented).is_empty());
     }
 
     #[test]
     fn blocking_hot_path_exempts_constructors() {
         let src = "impl S {\nfn new(n: usize) -> Self {\nlet slots: Vec<u64> = (0..n).collect();\nSelf { slots, name: format!(\"s{n}\") }\n}\nfn with_capacity(n: usize) -> Self { Self { slots: vec![0; n], name: String::from(\"s\") } }\nfn step(&mut self) { self.slots.push(0); }\n}\n";
-        assert!(scan_source("crates/npsim/src/engine/stage.rs", src).is_empty());
-    }
-
-    #[test]
-    fn spsc_is_hot_path_scoped() {
-        let src = "fn push(&mut self) { let s = x.to_string(); }\n";
-        assert_eq!(scan_source("crates/core/src/spsc.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn scr_is_hot_path_scoped() {
-        // SCR's schedule() runs per packet; panics and allocation carry
-        // the same discipline as the engine stages.
-        let src =
-            "fn schedule(&mut self) { let c = q.first().unwrap(); let s = format!(\"{c}\"); }\n";
-        let f = scan_source("crates/core/src/scr.rs", src);
-        assert!(f.iter().any(|x| x.rule == "hot-path-panic"), "{f:?}");
-        assert!(f.iter().any(|x| x.rule == "blocking-hot-path"), "{f:?}");
+        assert!(scan_source("crates/npsim/src/engine/stage.rs", &format!("{HOT}{src}")).is_empty());
     }
 
     #[test]
@@ -1453,35 +989,6 @@ mod tests {
         let src =
             "fn steal(&self) { let g = self.deques[a].lock(); let h = self.deques[b].lock(); }\n";
         assert!(scan_source("crates/npfarm/src/pool.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unbatched_hot_loop_flags_scalar_calls_in_for_loops() {
-        let src = "fn classify(&mut self) {\nfor k in &self.keys {\nlet h = crc16_ccitt(k);\nlet c = self.table.lookup(h);\nself.out.push(c);\n}\n}\n";
-        let f = scan_source("crates/npsim/src/engine/batch.rs", src);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == "unbatched-hot-loop"));
-        assert!(f[0].message.contains("crc16_ccitt_batch"));
-        assert!(f[1].message.contains("lookup_batch"));
-        // Same code off the hot path: clean.
-        assert!(scan_source("crates/npsim/src/report.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unbatched_hot_loop_ignores_batch_calls_and_impl_for() {
-        // The batch forms and `impl Trait for T` bodies must not match.
-        let src = "impl Stage for Dispatch {\nfn go(&mut self) { crc16_ccitt_batch(&self.keys, &mut self.hashes); self.table.lookup_batch(&self.flows, &mut self.cores); }\n}\n";
-        assert!(scan_source("crates/npsim/src/engine/batch.rs", src).is_empty());
-        // A lone per-packet call outside any loop is the scalar path's
-        // legitimate shape.
-        let single = "fn one(&mut self, k: &[u8; 13]) -> u16 { crc16_ccitt(k) }\n";
-        assert!(scan_source("crates/npsim/src/engine/batch.rs", single).is_empty());
-    }
-
-    #[test]
-    fn source_rs_is_hot_path_scoped() {
-        let src = "fn draw(&mut self) { let g = self.gaps.first().unwrap(); }\n";
-        assert_eq!(scan_source("crates/npsim/src/source.rs", src).len(), 1);
     }
 
     #[test]

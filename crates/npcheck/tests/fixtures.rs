@@ -22,7 +22,7 @@ fn fixture(name: &str) -> PathBuf {
 fn bad_fixture_trips_every_rule() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("bad")).expect("scan bad fixture tree");
-    assert_eq!(files, 12, "expected the twelve bad fixture files");
+    assert_eq!(files, 8, "expected the eight bad fixture files");
     let rules: BTreeSet<&str> = findings.iter().map(|f| f.rule).collect();
     for meta in npcheck::all_rules() {
         assert!(
@@ -37,13 +37,10 @@ fn bad_fixture_trips_every_rule() {
         .any(|f| f.rule == "float-accum" && f.severity == npcheck::Severity::Warn));
     assert!(findings
         .iter()
-        .any(|f| f.rule == "hot-path-panic" && f.severity == npcheck::Severity::Deny));
+        .any(|f| f.rule == "blocking-hot-path" && f.severity == npcheck::Severity::Deny));
     assert!(findings
         .iter()
         .any(|f| f.rule == "shared-state-audit" && f.severity == npcheck::Severity::Deny));
-    assert!(findings
-        .iter()
-        .any(|f| f.rule == "unbatched-hot-loop" && f.severity == npcheck::Severity::Warn));
     assert!(findings
         .iter()
         .any(|f| f.rule == "lock-order" && f.severity == npcheck::Severity::Deny));
@@ -81,7 +78,7 @@ fn bad_fixture_findings_are_sorted_and_stable() {
 fn good_fixture_is_clean() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("good")).expect("scan good fixture tree");
-    assert_eq!(files, 11, "expected the eleven good fixture files");
+    assert_eq!(files, 8, "expected the eight good fixture files");
     assert!(
         findings.is_empty(),
         "good fixtures must be clean, got:\n{}",
@@ -109,95 +106,6 @@ fn cli_exits_nonzero_on_bad_and_zero_on_good() {
         .output()
         .expect("run npcheck on good fixtures");
     assert_eq!(good.status.code(), Some(0), "good tree must pass");
-}
-
-#[test]
-fn cli_json_report_parses_and_counts() {
-    let bin = env!("CARGO_BIN_EXE_npcheck");
-    let out = Command::new(bin)
-        .args(["--json", "--root"])
-        .arg(fixture("bad"))
-        .output()
-        .expect("run npcheck --json");
-    let text = String::from_utf8(out.stdout).expect("utf8 report");
-    let v = serde_json::parse_value(&text).expect("valid JSON report");
-    let findings = match v.get("findings") {
-        Some(serde::Value::Array(items)) => items,
-        other => panic!("findings must be an array, got {other:?}"),
-    };
-    assert!(!findings.is_empty());
-    for f in findings {
-        for key in ["file", "rule", "severity"] {
-            assert!(
-                matches!(f.get(key), Some(serde::Value::Str(_))),
-                "finding missing string field {key}: {f:?}"
-            );
-        }
-        assert!(
-            matches!(f.get("line"), Some(serde::Value::U64(_))),
-            "finding missing numeric line: {f:?}"
-        );
-    }
-    assert_eq!(v.get("files_scanned"), Some(&serde::Value::U64(12)));
-}
-
-/// Meta-test for the rule manifest: `npcheck --rules` must list every
-/// rule in both tables, and every listed rule must have its fixture
-/// pair on disk — a positive hit in `bad/` and an in-scope clean (or
-/// allow-suppressed) counterpart in `good/`.
-#[test]
-fn rules_manifest_matches_tables_and_fixture_pairs() {
-    let bin = env!("CARGO_BIN_EXE_npcheck");
-    let out = Command::new(bin)
-        .arg("--rules")
-        .output()
-        .expect("run npcheck --rules");
-    assert_eq!(out.status.code(), Some(0), "--rules must exit 0");
-    let text = String::from_utf8(out.stdout).expect("utf8 manifest");
-    let v = serde_json::parse_value(&text).expect("valid JSON manifest");
-    let rows = match v.get("rules") {
-        Some(serde::Value::Array(items)) => items,
-        other => panic!("rules must be an array, got {other:?}"),
-    };
-
-    // Manifest rows are exactly the rule tables, in order.
-    let metas = npcheck::all_rules();
-    assert_eq!(rows.len(), metas.len(), "manifest row count");
-    for (row, meta) in rows.iter().zip(&metas) {
-        assert_eq!(
-            row.get("id"),
-            Some(&serde::Value::Str(meta.id.to_string())),
-            "manifest order must follow the tables"
-        );
-        assert_eq!(
-            row.get("severity"),
-            Some(&serde::Value::Str(meta.severity.as_str().to_string()))
-        );
-        assert_eq!(
-            row.get("pass"),
-            Some(&serde::Value::Str(meta.pass.as_str().to_string()))
-        );
-        for key in ["summary", "why"] {
-            assert!(
-                matches!(row.get(key), Some(serde::Value::Str(s)) if !s.is_empty()),
-                "rule {} missing {key}",
-                meta.id
-            );
-        }
-    }
-
-    // Fixture pair on disk for every manifested rule: the bad tree
-    // trips it, and the good tree exercises its scope without tripping.
-    let (bad, _) = npcheck::scan_workspace(&fixture("bad")).expect("scan bad");
-    let (good, _) = npcheck::scan_workspace(&fixture("good")).expect("scan good");
-    assert!(good.is_empty(), "good tree must stay clean");
-    for meta in &metas {
-        assert!(
-            bad.iter().any(|f| f.rule == meta.id),
-            "rule {} has no positive fixture in bad/",
-            meta.id
-        );
-    }
 }
 
 /// SARIF output: valid JSON, schema'd as 2.1.0, rule metadata for both

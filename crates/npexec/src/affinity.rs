@@ -26,6 +26,7 @@ extern "C" {
 /// the mask; `false` is a soft failure the caller may record but must
 /// tolerate.
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code, reason = "the one foreign call; see SAFETY below")]
 pub(crate) fn pin_to_cpu(cpu: usize) -> bool {
     let word = cpu / 64;
     if word >= MASK_WORDS {

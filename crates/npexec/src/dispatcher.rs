@@ -32,9 +32,10 @@
 //! behind ordinary marked handshakes on heal, and keep the rebalancer
 //! away from dead workers.
 //!
-//! This file is under npcheck's hot-path scope: no panicking indexing,
+//! This file is hot path (the attribute below): no panicking indexing,
 //! no allocation-amplifying calls inside the per-packet loop (the fault
 //! paths are cold — once per plan entry — and carry allow comments).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -51,6 +51,7 @@
 //! Use it through `SimBuilder::backend(ThreadedBackend::default())` or
 //! any other [`ExecBackend`] call site.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod affinity;
@@ -362,6 +363,7 @@ impl ExecBackend for ThreadedBackend {
         // every supervision check, and no supervisor thread spawns.
         let ctrl = (!faults.is_empty()).then(|| ControlPlane::new(workers));
 
+        #[allow(clippy::disallowed_methods, reason = "wall-clock Mpps is the output")]
         let start = Instant::now();
         let (dispatch, outs, sup): (
             DispatchOutcome,

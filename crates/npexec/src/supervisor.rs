@@ -14,8 +14,8 @@
 //! loop iteration, the supervisor counts its own sweep epochs, and the
 //! watchdog fires on *stagnation across sweeps* — never on wall-clock
 //! durations, so a detsim cross-validation of the same fault plan
-//! remains meaningful (npcheck's wall-clock rule enforces this: only
-//! `lib.rs` may read real time, for throughput reporting).
+//! remains meaningful (`clippy.toml` disallows `Instant::now`; the one
+//! justified read is in `lib.rs`, for throughput reporting).
 //!
 //! ## The crash protocol
 //!

@@ -34,8 +34,9 @@
 //! a supervised worker always deposits its consumer — the crash drain
 //! must never wait on a handoff that raced the end of the run.
 //!
-//! This file is under npcheck's hot-path scope: no panicking indexing,
+//! This file is hot path (the attribute below): no panicking indexing,
 //! no allocation-amplifying calls inside the pop loop.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 

@@ -30,6 +30,8 @@
 //! binaries' own parsers): `--jobs N`, `--shard k/n`, `--resume`,
 //! `--no-cache`, `--cache-dir <path>`.
 
+#![forbid(unsafe_code)]
+
 pub mod benchdiff;
 pub mod cache;
 pub mod key;

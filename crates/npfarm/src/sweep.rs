@@ -288,7 +288,8 @@ impl Farm {
         // Phase 2: execute the unresolved cells on the pool.
         let workers = if spec.serial() { 1 } else { self.jobs };
         let ran: Vec<(usize, S::Out, f64)> = pool::map_indexed(to_run, workers, |_, (i, cell)| {
-            // npcheck: allow(wall-clock) — cell-timing telemetry only: recorded in the per-cell JSONL, excluded from result payloads and cache keys
+            // Recorded in the per-cell JSONL, excluded from result payloads and cache keys.
+            #[allow(clippy::disallowed_methods, reason = "cell-timing telemetry only")]
             let start = Instant::now();
             let out = spec.run_cell(&cell);
             (i, out, start.elapsed().as_secs_f64() * 1_000.0)

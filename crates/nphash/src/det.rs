@@ -5,8 +5,8 @@
 //! that iterates such a map — to pick a victim flow, emit a report, or
 //! drain a queue — silently breaks the byte-reproducibility the
 //! simulation depends on (same seed ⇒ same report; see DESIGN.md,
-//! "Determinism contract"). The `npcheck` linter denies raw
-//! `HashMap`/`HashSet` in simulation crates for exactly this reason.
+//! "Determinism contract"). `clippy.toml` disallows raw
+//! `HashMap`/`HashSet` workspace-wide for exactly this reason.
 //!
 //! [`DetHashMap`] and [`DetHashSet`] are drop-in aliases backed by
 //! [`DetState`], a fixed-seed FxHash-style hasher: the same keys always
@@ -16,16 +16,16 @@
 //! Where a *meaningful* order is required (reports, sorted output), use
 //! `BTreeMap`/`BTreeSet` instead.
 
-// npcheck: allow(nondet-collections) — this module DEFINES the deterministic wrappers
+#[allow(clippy::disallowed_types, reason = "defines the deterministic aliases")]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` with a fixed-seed hasher: reproducible across runs.
-// npcheck: allow(nondet-collections) — alias pins the hasher to DetState
+#[allow(clippy::disallowed_types, reason = "alias pins the hasher to DetState")]
 pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
 
 /// A `HashSet` with a fixed-seed hasher: reproducible across runs.
-// npcheck: allow(nondet-collections) — alias pins the hasher to DetState
+#[allow(clippy::disallowed_types, reason = "alias pins the hasher to DetState")]
 pub type DetHashSet<T> = HashSet<T, DetState>;
 
 /// Fixed-seed `BuildHasher` for [`DetHashMap`] / [`DetHashSet`].
@@ -64,7 +64,7 @@ impl Hasher for FxHasher {
         let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut word = [0u8; 8];
-            // npcheck: allow(hot-path-panic) — rem.len() < 8 by chunks_exact contract
+            // rem.len() < 8 by chunks_exact contract
             word[..rem.len()].copy_from_slice(rem);
             self.add_to_hash(u64::from_le_bytes(word));
         }

@@ -20,9 +20,8 @@
 //!   the simulator's per-packet path as hash-free as the hardware the
 //!   paper models.
 //! * [`det`] — fixed-seed hashed collections ([`DetHashMap`],
-//!   [`DetHashSet`]) for reproducible simulation state; required by the
-//!   `npcheck` determinism contract in place of std's randomly-seeded
-//!   maps.
+//!   [`DetHashSet`]) for reproducible simulation state; `clippy.toml`
+//!   disallows std's randomly-seeded maps in their favour.
 //!
 //! ```
 //! use nphash::{FlowId, MapTable};

@@ -56,6 +56,7 @@
 //! The `batch_equivalence` workspace test pins byte-identical reports
 //! across both loops for every registered policy, with and without
 //! fault plans, under every drop policy.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::clock::Pending;
 use super::cycles::{CycleSink, Stage};

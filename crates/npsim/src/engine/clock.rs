@@ -12,6 +12,7 @@
 //! thread-per-core backend replaces the clock altogether with real
 //! threads fed from the offered stream (see [`plan`](super::plan),
 //! which runs the `BatchState` merge with no cores at all).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::cycles::CycleSink;
 use super::ingest::{Admission, IngestStage};

@@ -15,6 +15,7 @@
 //! those are frequency-independent. The wall clock never feeds back
 //! into the simulation: same seed + config still replays byte-identical
 //! whether accounting is on or off (pinned by a unit test below).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 /// A pipeline stage of the engine, as accounted by the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,16 +119,15 @@ pub struct CycleAccounting {
     // The wall clock here measures the *host*, never the simulation:
     // nothing derived from it reaches sim state, so replay determinism
     // is untouched (asserted by `accounting_does_not_change_the_report`).
-    // npcheck: allow(wall-clock) — host-side profiling epoch only.
     epoch: std::time::Instant,
     stages: [StageCycles; STAGES.len()],
 }
 
 impl CycleAccounting {
     /// A fresh sink with all buckets zero.
+    #[allow(clippy::disallowed_methods, reason = "host-side profiling epoch only")]
     pub fn new() -> Self {
         CycleAccounting {
-            // npcheck: allow(wall-clock) — host-side profiling epoch only.
             epoch: std::time::Instant::now(),
             stages: [StageCycles::default(); STAGES.len()],
         }
@@ -152,13 +152,11 @@ impl CycleSink for CycleAccounting {
 
     #[inline]
     fn span_start(&mut self) -> u64 {
-        // npcheck: allow(wall-clock) — host-side profiling read only.
         self.epoch.elapsed().as_nanos() as u64
     }
 
     #[inline]
     fn span_end(&mut self, stage: Stage, start: u64, packets: u64) {
-        // npcheck: allow(wall-clock) — host-side profiling read only.
         let end = self.epoch.elapsed().as_nanos() as u64;
         if let Some(bucket) = self.stages.get_mut(stage.index()) {
             bucket.spans += 1;

@@ -3,6 +3,7 @@
 //! Owns the scheduling policy, the struct-of-arrays flow table (arrival
 //! sequence numbers and last-core memory), and the incrementally
 //! maintained per-core [`QueueInfo`] view handed to the policy.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::packet::PacketDesc;
 use crate::sched::{QueueInfo, RepairOutcome, SchedEvent, Scheduler, SystemView};

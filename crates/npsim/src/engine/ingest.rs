@@ -7,6 +7,7 @@
 //! packet ID; the inter-arrival gap draws for the *next* arrival also
 //! come from here so the RNG stream per source is exactly the
 //! pre-refactor sequence.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::source::{RateSpec, SourceConfig, TrafficSource};
 use detsim::{SeedSequence, SimTime};

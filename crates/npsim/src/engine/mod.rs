@@ -38,6 +38,7 @@
 //! compiles down to the direct counter updates of the pre-pipeline
 //! engine — the zero-probe fast path — and runs produce byte-identical
 //! [`SimReport`]s either way (pinned by the golden-report fixture test).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 mod batch;
 mod clock;

@@ -19,6 +19,7 @@
 //! [`ArrivalPlan::from_config`] is that stream drained into a `Vec`, for
 //! consumers that index the whole plan; npexec keeps a narrower record
 //! per packet and drains the stream itself.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::batch::{BatchState, Win};
 use super::clock::Pending;

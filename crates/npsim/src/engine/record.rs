@@ -6,6 +6,7 @@
 //! pipeline publishes lands here: the report probe folds it into
 //! [`SimReport`] counters, and — only when `P::ACTIVE` — the dynamic
 //! probes see it too.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::event::SimEvent;
 use crate::packet::PacketDesc;

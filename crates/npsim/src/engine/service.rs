@@ -11,6 +11,7 @@
 //! refunds the unearned remainder of its in-service busy credit; the
 //! orchestrator orphans the core's armed finish timer. Under [`DropPolicy::Backpressure`] each core also owns a
 //! staging buffer that refills the main queue as service completes.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::fault::DropPolicy;
 use crate::packet::PacketDesc;

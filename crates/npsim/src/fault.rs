@@ -13,6 +13,7 @@
 //! reports serialize byte-identically to earlier versions). The
 //! [`FaultProbe`] rides the probe bus and reconstructs the crash/heal
 //! timeline plus per-crash recovery times.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::event::SimEvent;
 use crate::probe::Probe;

@@ -9,6 +9,7 @@
 //! The tracker is slot-indexed: flows are identified by their dense
 //! [`FlowSlot`], so recording a departure is one array access — no hash
 //! probe on the departure path.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use detsim::Histogram;
 use nphash::FlowSlot;

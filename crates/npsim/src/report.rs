@@ -173,7 +173,6 @@ impl SimReport {
     /// is possible through this accessor).
     pub fn service_mut(&mut self, service: nptraffic::ServiceKind) -> &mut ServiceBreakdown {
         let idx = service.index().min(self.per_service.len() - 1);
-        // npcheck: allow(hot-path-panic) — idx clamped to the array above
         &mut self.per_service[idx]
     }
 

@@ -4,6 +4,7 @@
 //! in for the real trace the paper replays) with an *arrival process*
 //! (constant rate, or the Holt-Winters model of Eq. 1). Rates are in Mpps
 //! at paper scale; the engine divides by the configured scale factor.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use detsim::SimTime;
 use nphash::{FlowId, FlowInterner, FlowSlot};

@@ -7,9 +7,9 @@
 //! (Fig. 8b).
 
 use crate::packet::Trace;
+use nphash::det::{det_map, DetHashMap};
 use nphash::FlowId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Exact whole-trace statistics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -100,7 +100,7 @@ impl TraceStats {
 pub fn windowed_top_k(trace: &Trace, window: usize, k: usize) -> Vec<Vec<u32>> {
     assert!(window > 0, "window must be positive");
     let mut out = Vec::new();
-    let mut counts: HashMap<u32, u64> = HashMap::new();
+    let mut counts: DetHashMap<u32, u64> = det_map();
     for (i, p) in trace.packets.iter().enumerate() {
         *counts.entry(p.flow).or_insert(0) += 1;
         if (i + 1) % window == 0 {
@@ -119,7 +119,7 @@ pub fn windowed_top_k(trace: &Trace, window: usize, k: usize) -> Vec<Vec<u32>> {
 pub fn cumulative_top_k_checkpoints(trace: &Trace, interval: usize, k: usize) -> Vec<Vec<u32>> {
     assert!(interval > 0, "interval must be positive");
     let mut out = Vec::new();
-    let mut counts: HashMap<u32, u64> = HashMap::new();
+    let mut counts: DetHashMap<u32, u64> = det_map();
     for (i, p) in trace.packets.iter().enumerate() {
         *counts.entry(p.flow).or_insert(0) += 1;
         if (i + 1) % interval == 0 {
@@ -129,7 +129,7 @@ pub fn cumulative_top_k_checkpoints(trace: &Trace, interval: usize, k: usize) ->
     out
 }
 
-fn top_of_map(counts: &HashMap<u32, u64>, k: usize) -> Vec<u32> {
+fn top_of_map(counts: &DetHashMap<u32, u64>, k: usize) -> Vec<u32> {
     let mut v: Vec<(u32, u64)> = counts.iter().map(|(&f, &c)| (f, c)).collect();
     v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     v.truncate(k);

@@ -7,6 +7,7 @@
 //! choice: each execution records `(chosen index, candidate count)`
 //! pairs, and [`next_prefix`] backtracks to the deepest pair with an
 //! untried alternative.
+#![allow(clippy::disallowed_types, reason = "CTX is a thread-local RefCell")]
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};

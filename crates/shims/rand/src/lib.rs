@@ -7,7 +7,7 @@
 //! by construction**: `StdRng` is xoshiro256++ seeded via SplitMix64
 //! from a caller-supplied `u64`. There is deliberately no `thread_rng`
 //! and no `random()` — entropy-backed constructors are exactly what the
-//! `npcheck` determinism lint forbids in simulation crates.
+//! determinism contract forbids, so a call to one cannot compile.
 //!
 //! Draw sequences differ from upstream `rand`'s `StdRng` (ChaCha12);
 //! everything in this workspace derives expectations from the seeded
