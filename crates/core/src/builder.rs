@@ -31,8 +31,7 @@
 use crate::registry::{BoxedScheduler, SchedulerRegistry};
 use detsim::SimTime;
 use npsim::{
-    Engine, EngineConfig, ExecBackend, Probe, ProbeStack, RateSpec, Scheduler, SimReport,
-    SourceConfig,
+    Engine, EngineConfig, Probe, ProbeStack, RateSpec, Scheduler, SimReport, SourceConfig,
 };
 use nptrace::TracePreset;
 use nptraffic::{Scenario, ServiceKind};
@@ -83,10 +82,6 @@ pub struct SimBuilder {
     sources: Vec<SourceConfig>,
     probes: ProbeStack,
     registry: SchedulerRegistry,
-    /// Execution backend for the dynamic-dispatch run paths. `None`
-    /// (the default) runs the detsim engine directly — the exact
-    /// pre-backend code path, byte-identical reports.
-    backend: Option<Box<dyn ExecBackend>>,
 }
 
 impl std::fmt::Debug for SimBuilder {
@@ -96,10 +91,6 @@ impl std::fmt::Debug for SimBuilder {
             .field("sources", &self.sources)
             .field("probes", &self.probes.len())
             .field("registry", &self.registry)
-            .field(
-                "backend",
-                &self.backend.as_ref().map(|b| b.name()).unwrap_or("engine"),
-            )
             .finish()
     }
 }
@@ -159,12 +150,6 @@ impl SimBuilder {
         self
     }
 
-    /// Choose the full-ingress-queue degradation policy.
-    pub fn drop_policy(mut self, policy: npsim::DropPolicy) -> Self {
-        self.cfg.drop_policy = policy;
-        self
-    }
-
     /// Append one traffic source.
     pub fn source(mut self, source: SourceConfig) -> Self {
         self.sources.push(source);
@@ -216,20 +201,6 @@ impl SimBuilder {
         self
     }
 
-    /// Route the dynamic-dispatch run paths ([`SimBuilder::run_named`],
-    /// [`SimBuilder::run_named_full`], [`SimBuilder::run_with`]) through
-    /// an [`ExecBackend`] — e.g. `npexec::ThreadedBackend` for real
-    /// thread-per-core execution. Unset (the default), runs construct
-    /// the detsim engine directly and stay byte-identical to every
-    /// pre-backend release. The static-dispatch paths that hand the
-    /// scheduler back ([`SimBuilder::run_with_returning`],
-    /// [`SimBuilder::run_with_full`]) always use the engine: a backend
-    /// consumes its scheduler and cannot return it.
-    pub fn backend(mut self, backend: impl ExecBackend + 'static) -> Self {
-        self.backend = Some(Box::new(backend));
-        self
-    }
-
     /// The engine configuration as currently built (read access for
     /// callers that derive policy parameters from it).
     pub fn engine_config(&self) -> &EngineConfig {
@@ -250,12 +221,8 @@ impl SimBuilder {
     /// With no probes attached this takes the engine's zero-probe fast
     /// path; with probes it publishes the full event stream (the report
     /// is byte-identical either way).
-    pub fn run_named(mut self, name: &str) -> Result<SimReport, UnknownScheduler> {
+    pub fn run_named(self, name: &str) -> Result<SimReport, UnknownScheduler> {
         let scheduler = self.resolve(name)?;
-        if let Some(mut backend) = self.backend.take() {
-            let (report, _probes) = backend.run(&self.cfg, &self.sources, scheduler, self.probes);
-            return Ok(report);
-        }
         if self.probes.is_empty() {
             Ok(Engine::new(self.cfg, &self.sources, scheduler).run())
         } else {
@@ -268,29 +235,16 @@ impl SimBuilder {
 
     /// Like [`SimBuilder::run_named`], but also hands back the probes
     /// with everything they accumulated.
-    pub fn run_named_full(
-        mut self,
-        name: &str,
-    ) -> Result<(SimReport, ProbeStack), UnknownScheduler> {
+    pub fn run_named_full(self, name: &str) -> Result<(SimReport, ProbeStack), UnknownScheduler> {
         let scheduler = self.resolve(name)?;
-        if let Some(mut backend) = self.backend.take() {
-            return Ok(backend.run(&self.cfg, &self.sources, scheduler, self.probes));
-        }
         let (report, _sched, probes) =
             Engine::with_probe_stack(self.cfg, &self.sources, scheduler, self.probes).run_full();
         Ok((report, probes))
     }
 
     /// Run under a concrete scheduler (static dispatch) and return the
-    /// report. With a [`SimBuilder::backend`] set the scheduler is boxed
-    /// into it instead (dynamic dispatch — the backend owns its run
-    /// loop).
-    pub fn run_with<S: Scheduler + 'static>(mut self, scheduler: S) -> SimReport {
-        if let Some(mut backend) = self.backend.take() {
-            let (report, _probes) =
-                backend.run(&self.cfg, &self.sources, Box::new(scheduler), self.probes);
-            return report;
-        }
+    /// report.
+    pub fn run_with<S: Scheduler>(self, scheduler: S) -> SimReport {
         if self.probes.is_empty() {
             Engine::new(self.cfg, &self.sources, scheduler).run()
         } else {
@@ -312,12 +266,6 @@ impl SimBuilder {
                     .run_full();
             (report, sched)
         }
-    }
-
-    /// Run under a concrete scheduler and hand back report, scheduler,
-    /// and probes.
-    pub fn run_with_full<S: Scheduler>(self, scheduler: S) -> (SimReport, S, ProbeStack) {
-        Engine::with_probe_stack(self.cfg, &self.sources, scheduler, self.probes).run_full()
     }
 }
 

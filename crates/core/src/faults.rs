@@ -7,8 +7,8 @@
 //! exactly).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use detsim::SimTime;
-use npsim::{FaultAction, FaultPlan};
+use detsim::{SimTime, SplitMix64};
+use npsim::FaultPlan;
 
 /// A single unhealed crash at `at` (the core stays down to the end).
 pub fn single_crash(at: SimTime, core: usize) -> FaultPlan {
@@ -21,65 +21,39 @@ pub fn crash_with_heal(core: usize, at: SimTime, heal_at: SimTime) -> FaultPlan 
     FaultPlan::new().crash(at, core).heal(heal_at, core)
 }
 
-/// SplitMix64 — a tiny, dependency-free deterministic generator for
-/// plan randomization (NOT for simulation streams; the engine's own
-/// RNGs come from `detsim::SeedSequence`).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 /// A deterministic pseudo-random fault plan: 1–4 fault episodes
-/// (crash+heal, throttle-and-restore, transient stall, or bounded
-/// flood) with times inside `horizon`. The same `(seed, n_cores,
-/// n_sources, horizon)` always yields the same plan, and every
-/// generated plan passes [`FaultPlan::validate`] for that shape.
-pub fn random_plan(seed: u64, n_cores: usize, n_sources: usize, horizon: SimTime) -> FaultPlan {
-    let mut rng = SplitMix64(seed);
+/// (crash+heal, throttle-and-restore, or transient stall) with times
+/// inside `horizon`. The same `(seed, n_cores, horizon)` always yields
+/// the same plan, and every generated plan passes
+/// [`FaultPlan::validate`] for that shape.
+pub fn random_plan(seed: u64, n_cores: usize, horizon: SimTime) -> FaultPlan {
+    // Plan randomization only; the engine's own RNGs come from
+    // `detsim::SeedSequence`.
+    let mut rng = SplitMix64::new(seed);
+    let mut below = |n: u64| rng.next_u64() % n.max(1);
     let h = horizon.as_nanos().max(2);
     let mut plan = FaultPlan::new();
-    let episodes = 1 + rng.below(4) as usize;
+    let episodes = 1 + below(4) as usize;
     for _ in 0..episodes {
-        let at = SimTime::from_nanos(1 + rng.below(h - 1));
-        let core = rng.below(n_cores.max(1) as u64) as usize;
-        match rng.below(4) {
+        let at = SimTime::from_nanos(1 + below(h - 1));
+        let core = below(n_cores.max(1) as u64) as usize;
+        match below(4) {
             0 => {
                 // Crash, healed later (possibly past the horizon — the
                 // engine applies post-horizon heals during the drain).
-                let heal_at = at + SimTime::from_nanos(1 + rng.below(h / 2));
+                let heal_at = at + SimTime::from_nanos(1 + below(h / 2));
                 plan = plan.crash(at, core).heal(heal_at, core);
             }
             1 => {
-                let factor = 1.5 + rng.below(100) as f64 / 50.0; // 1.5..3.5
-                let restore_at = at + SimTime::from_nanos(1 + rng.below(h / 2));
+                let factor = 1.5 + below(100) as f64 / 50.0; // 1.5..3.5
+                let restore_at = at + SimTime::from_nanos(1 + below(h / 2));
                 plan = plan
                     .throttle(at, core, factor)
                     .throttle(restore_at, core, 1.0);
             }
-            2 => {
-                let duration = SimTime::from_nanos(1 + rng.below(h / 4));
-                plan = plan.at(at, FaultAction::Stall { core, duration });
-            }
-            _ if n_sources > 0 => {
-                let source = rng.below(n_sources as u64) as usize;
-                let factor = 2.0 + rng.below(100) as f64 / 50.0; // 2.0..4.0
-                let until = at + SimTime::from_nanos(1 + rng.below(h / 2));
-                plan = plan.flood(at, until, source, factor);
-            }
             _ => {
-                let duration = SimTime::from_nanos(1 + rng.below(h / 4));
-                plan = plan.at(at, FaultAction::Stall { core, duration });
+                let duration = SimTime::from_nanos(1 + below(h / 4));
+                plan = plan.stall(at, core, duration);
             }
         }
     }
@@ -94,8 +68,8 @@ mod tests {
     fn random_plans_are_deterministic_and_valid() {
         let horizon = SimTime::from_millis(5);
         for seed in 0..200 {
-            let a = random_plan(seed, 8, 4, horizon);
-            let b = random_plan(seed, 8, 4, horizon);
+            let a = random_plan(seed, 8, horizon);
+            let b = random_plan(seed, 8, horizon);
             assert_eq!(a, b, "seed {seed} must reproduce");
             assert!(!a.is_empty());
             a.validate(8, 4)
@@ -107,7 +81,7 @@ mod tests {
     fn random_plans_vary_with_seed() {
         let horizon = SimTime::from_millis(5);
         let distinct = (0..20)
-            .map(|s| random_plan(s, 8, 4, horizon))
+            .map(|s| random_plan(s, 8, horizon))
             .collect::<Vec<_>>();
         assert!(
             distinct.windows(2).any(|w| w[0] != w[1]),

@@ -93,9 +93,7 @@ struct Inner {
 impl GroupBoard {
     /// A board for `groups` flow groups, all idle.
     pub fn new(groups: usize) -> Self {
-        // npcheck: allow(blocking-hot-path) — one-time board setup, not per-packet
         let begun: Box<[AtomicU64]> = (0..groups).map(|_| AtomicU64::new(0)).collect();
-        // npcheck: allow(blocking-hot-path) — one-time board setup, not per-packet
         let released: Box<[AtomicU64]> = (0..groups).map(|_| AtomicU64::new(0)).collect();
         GroupBoard {
             inner: Arc::new(Inner { begun, released }),

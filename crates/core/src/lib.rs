@@ -90,8 +90,8 @@ pub mod prelude {
     pub use detsim::SimTime;
     pub use npafd::AfdConfig;
     pub use npsim::{
-        CycleReport, DropPolicy, Engine, EngineConfig, EventLogProbe, ExecError, ExecutionMode,
-        FaultAction, FaultPlan, FaultProbe, FaultStats, MetricsProbe, Probe, ProbeStack, RateSpec,
+        CycleReport, Engine, EngineConfig, EventLogProbe, ExecError, ExecutionMode, FaultAction,
+        FaultPlan, FaultProbe, FaultStats, MetricsProbe, Probe, ProbeStack, RateSpec,
         RepairOutcome, Scheduler, SimEvent, SimReport, SourceConfig, Stage, SyncPolicy, SyncStats,
         UnsupportedPlan, UtilizationProbe,
     };

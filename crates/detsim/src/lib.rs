@@ -14,8 +14,7 @@
 //!   per-component RNG streams.
 //! * [`BoundedQueue`] — a fixed-capacity FIFO with drop accounting, used to
 //!   model per-core input queues of packet descriptors.
-//! * [`stats`] — counters, histograms, and time-weighted averages for
-//!   simulation reports.
+//! * [`stats`] — counters and histograms for simulation reports.
 //!
 //! The kernel is intentionally generic: it knows nothing about packets or
 //! cores. See the `npsim` crate for the network-processor model built on it.
@@ -52,5 +51,5 @@ pub use event::{EventEntry, EventQueue};
 pub use plan::TimedPlan;
 pub use queue::{BoundedQueue, PushOutcome};
 pub use rng::{derive_seed, SeedSequence, SplitMix64};
-pub use stats::{Counter, Histogram, KahanSum, TimeWeighted, WelfordMean};
+pub use stats::{Counter, Histogram, KahanSum, WelfordMean};
 pub use time::SimTime;

@@ -1,8 +1,7 @@
-//! Simulation statistics: counters, online means, histograms, and
-//! time-weighted averages.
+//! Simulation statistics: counters, online means and histograms.
 //!
 //! These are the building blocks of the simulation reports (drop counts,
-//! latency distributions, mean queue occupancy over virtual time, …).
+//! latency distributions, …).
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -317,70 +316,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal, e.g. queue
-/// occupancy over virtual time.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: KahanSum,
-    start: SimTime,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_time: SimTime::ZERO,
-            last_value: 0.0,
-            weighted_sum: KahanSum::new(),
-            start: SimTime::ZERO,
-            started: false,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    ///
-    /// The signal is assumed to have held its previous value since the
-    /// previous call. Out-of-order times are clamped (treated as `now ==
-    /// last_time`), preserving monotonicity.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        if !self.started {
-            self.started = true;
-            self.start = now;
-            self.last_time = now;
-            self.last_value = value;
-            return;
-        }
-        let now = now.max(self.last_time);
-        let dt = (now - self.last_time).as_nanos() as f64;
-        self.weighted_sum.add(self.last_value * dt);
-        self.last_time = now;
-        self.last_value = value;
-    }
-
-    /// The time-weighted mean over `[first update, now]`.
-    pub fn mean_until(&self, now: SimTime) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        let now = now.max(self.last_time);
-        let total = (now - self.start).as_nanos() as f64;
-        if total == 0.0 {
-            return self.last_value;
-        }
-        let tail = (now - self.last_time).as_nanos() as f64;
-        (self.weighted_sum.sum() + self.last_value * tail) / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,27 +439,5 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 3);
         assert_eq!(h.nonzero_buckets()[0].0, 0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.update(SimTime::from_nanos(0), 0.0);
-        tw.update(SimTime::from_nanos(10), 10.0); // value 0 for 10ns
-        tw.update(SimTime::from_nanos(20), 0.0); // value 10 for 10ns
-        let m = tw.mean_until(SimTime::from_nanos(20));
-        assert!((m - 5.0).abs() < 1e-12, "m={m}");
-        // Holding 0 for another 20ns halves the mean.
-        let m2 = tw.mean_until(SimTime::from_nanos(40));
-        assert!((m2 - 2.5).abs() < 1e-12, "m2={m2}");
-    }
-
-    #[test]
-    fn time_weighted_empty_and_instant() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean_until(SimTime::from_secs(1)), 0.0);
-        let mut tw2 = TimeWeighted::new();
-        tw2.update(SimTime::from_nanos(5), 7.0);
-        assert_eq!(tw2.mean_until(SimTime::from_nanos(5)), 7.0);
     }
 }

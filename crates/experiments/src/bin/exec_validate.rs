@@ -62,13 +62,27 @@ fn counter(probes: &ProbeStack, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn builder(preset: TracePreset, service: ServiceKind, rate: f64, ms: u64) -> SimBuilder {
-    SimBuilder::new()
-        .cores(4)
-        .duration_ms(ms)
-        .scale(1.0)
-        .seed(42)
-        .constant_source(service, preset, rate)
+/// The configuration and the one constant-rate source both backends
+/// of a pair run.
+fn pair_config(
+    preset: TracePreset,
+    service: ServiceKind,
+    rate: f64,
+    ms: u64,
+) -> (EngineConfig, Vec<SourceConfig>) {
+    let cfg = EngineConfig {
+        n_cores: 4,
+        duration: SimTime::from_millis(ms),
+        scale: 1.0,
+        seed: 42,
+        ..EngineConfig::default()
+    };
+    let sources = vec![SourceConfig {
+        service,
+        trace: preset,
+        rate: RateSpec::Constant(rate),
+    }];
+    (cfg, sources)
 }
 
 /// Global knobs parsed once from argv.
@@ -90,8 +104,10 @@ fn run_pair(
     rate: f64,
     opts: Opts,
 ) -> (RunRow, RunRow) {
-    let ms = opts.ms;
-    let (det_report, det_probes) = builder(preset, service, rate, ms)
+    let (cfg, sources) = pair_config(preset, service, rate, opts.ms);
+    let (det_report, det_probes) = SimBuilder::new()
+        .config(cfg.clone())
+        .sources(sources.clone())
         .probe(MetricsProbe::new())
         .run_named_full("laps")
         .expect("builtin scheduler");
@@ -117,11 +133,13 @@ fn run_pair(
         ],
         ..NpexecConfig::default()
     };
-    let (exec_report, exec_probes) = builder(preset, service, rate, ms)
-        .probe(MetricsProbe::new())
-        .backend(ThreadedBackend::new(exec_cfg))
-        .run_named_full("laps")
+    // npexec reads the scheduler's name only (ROADMAP item 1).
+    let scheduler = SchedulerRegistry::builtin()
+        .build("laps", &cfg)
         .expect("builtin scheduler");
+    let probes: ProbeStack = vec![Box::new(MetricsProbe::new())];
+    let (exec_report, exec_probes) =
+        ThreadedBackend::new(exec_cfg).run(&cfg, &sources, scheduler, probes);
 
     let names = ["arrivals", "departures", "drops", "migrations", "reorders"];
     let collect = |probes: &ProbeStack| {
@@ -262,19 +280,24 @@ struct FaultRun {
     recovery_us: Option<f64>,
 }
 
-fn fault_plan(ms: u64) -> FaultPlan {
-    let horizon = SimTime::from_millis(ms);
-    crash_with_heal(
+/// The fault pair's configuration: one crash healed mid-run.
+fn fault_config(ms: u64) -> (EngineConfig, Vec<SourceConfig>) {
+    let (mut cfg, sources) = pair_config(TracePreset::Caida(1), ServiceKind::IpForward, 0.5, ms);
+    let horizon = cfg.duration;
+    cfg.faults = crash_with_heal(
         2,
         SimTime::from_nanos(horizon.as_nanos() * 2 / 5),
         SimTime::from_nanos(horizon.as_nanos() * 7 / 10),
-    )
+    );
+    (cfg, sources)
 }
 
 /// The crash+heal episode on the deterministic engine.
 fn run_fault_detsim(opts: Opts) -> FaultRun {
-    let (report, probes) = builder(TracePreset::Caida(1), ServiceKind::IpForward, 0.5, opts.ms)
-        .faults(fault_plan(opts.ms))
+    let (cfg, sources) = fault_config(opts.ms);
+    let (report, probes) = SimBuilder::new()
+        .config(cfg)
+        .sources(sources)
         .probe(FaultProbe::new())
         .run_named_full("laps")
         .expect("builtin scheduler");
@@ -290,24 +313,10 @@ fn run_fault_detsim(opts: Opts) -> FaultRun {
     }
 }
 
-/// The same episode on real threads. The backend is driven directly
-/// (not through the builder) so its [`npexec::ExecStats`] episode
-/// ledger and pinning outcome are observable; npexec-side bounds are
-/// appended to `violations` here.
+/// The same episode on real threads; npexec-side bounds (episode
+/// ledger, handshake balance) are appended to `violations` here.
 fn run_fault_npexec(opts: Opts, violations: &mut Vec<String>) -> FaultRun {
-    let mut cfg = EngineConfig {
-        n_cores: 4,
-        duration: SimTime::from_millis(opts.ms),
-        scale: 1.0,
-        seed: 42,
-        ..EngineConfig::default()
-    };
-    cfg.faults = fault_plan(opts.ms);
-    let sources = vec![SourceConfig {
-        service: ServiceKind::IpForward,
-        trace: TracePreset::Caida(1),
-        rate: RateSpec::Constant(0.5),
-    }];
+    let (cfg, sources) = fault_config(opts.ms);
     let mut backend = ThreadedBackend::new(NpexecConfig {
         workers: 4,
         pin_threads: opts.pin,

@@ -438,10 +438,6 @@ fn fire_fault(
                 out.stalls += 1;
             }
         }
-        FaultAction::Flood { .. } | FaultAction::FloodEnd { .. } => {
-            // Unreachable behind ThreadedBackend::validate; a flood has
-            // no backend-neutral arrival plan. Counted as injected only.
-        }
     }
 }
 

@@ -43,13 +43,11 @@
 //! repairs via `retire_core`, the supervisor force-releases the repair
 //! handshakes once the dead ring is drained), a `Heal` respawns the
 //! worker and migrates its buckets home, `Throttle`/`Stall` perturb a
-//! live worker to exercise the heartbeat watchdog. `Flood` plans are
-//! rejected by [`ExecBackend::validate`] — they perturb the arrival
-//! stream, so only detsim (which owns ingest) can run them. See the
-//! [`supervisor`] module docs for the recovery protocol.
+//! live worker to exercise the heartbeat watchdog. No action touches
+//! a source, so the stream is the same with or without the plan. See
+//! the [`supervisor`] module docs for the recovery protocol.
 //!
-//! Use it through `SimBuilder::backend(ThreadedBackend::default())` or
-//! any other [`ExecBackend`] call site.
+//! Use it through [`ExecBackend::run`].
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -198,6 +196,9 @@ pub struct ExecStats {
     pub forced_releases: u64,
     /// Stalled workers the heartbeat watchdog detected and recovered.
     pub stalls_detected: u64,
+    /// Packets that waited at least one full-ring retry under
+    /// [`FullPolicy::Backpressure`].
+    pub backpressured: u64,
 }
 
 /// The thread-per-core [`ExecBackend`].
@@ -254,32 +255,27 @@ impl ExecBackend for ThreadedBackend {
     }
 
     /// Check the fault plan against this backend's capabilities
-    /// without running anything: floods are unexecutable (they perturb
-    /// the arrival plan), cores must be in worker range, and the plan
-    /// must never crash the last live worker.
+    /// without running anything: cores must be in worker range,
+    /// throttle factors finite and positive (what detsim's
+    /// `FaultPlan::validate` demands), and the plan must never crash
+    /// the last live worker.
     fn validate(&self, cfg: &EngineConfig, _sources: &[SourceConfig]) -> Result<(), ExecError> {
         let workers = self.cfg.workers.max(1);
         let mut live = vec![true; workers];
         let mut live_count = workers;
         for &(at, action) in cfg.faults.entries() {
-            let core = match action {
-                FaultAction::Flood { source, .. } | FaultAction::FloodEnd { source } => {
-                    return Err(ExecError::UnsupportedPlan(UnsupportedPlan::Flood {
-                        at,
-                        source,
-                    }));
-                }
-                FaultAction::Crash { core }
-                | FaultAction::Heal { core }
-                | FaultAction::Throttle { core, .. }
-                | FaultAction::Stall { core, .. } => core,
-            };
+            let core = action.core();
             if core >= workers {
                 return Err(ExecError::UnsupportedPlan(
                     UnsupportedPlan::CoreOutOfRange { at, core, workers },
                 ));
             }
             match action {
+                FaultAction::Throttle { factor, .. } if !factor.is_finite() || factor <= 0.0 => {
+                    return Err(ExecError::UnsupportedPlan(
+                        UnsupportedPlan::ThrottleFactor { at, core, factor },
+                    ));
+                }
                 FaultAction::Crash { .. } if live[core] => {
                     if live_count == 1 {
                         return Err(ExecError::UnsupportedPlan(
@@ -303,8 +299,9 @@ impl ExecBackend for ThreadedBackend {
     ///
     /// # Panics
     /// Panics if [`ExecBackend::validate`] rejects the configuration
-    /// (flood plans, out-of-range cores, a plan that crashes the last
-    /// live worker). Call `validate` first to handle these as errors.
+    /// (out-of-range cores, a non-finite throttle factor, a plan that
+    /// crashes the last live worker). Call `validate` first to handle
+    /// these as errors.
     /// Panics, before any thread is spawned, if the configuration
     /// offers more than `u32::MAX` packets (per-flow sequence numbers
     /// are kept in 32 bits).
@@ -502,6 +499,7 @@ impl ExecBackend for ThreadedBackend {
             episodes,
             forced_releases: sup.as_ref().map_or(0, |s| s.forced_releases),
             stalls_detected: sup.as_ref().map_or(0, |s| s.stalls_cleared),
+            backpressured: dispatch.backpressured,
         };
         let report = assemble_report(
             cfg,
@@ -599,9 +597,8 @@ fn assemble_report(
     }
     if dispatch.injected > 0 {
         // The FaultStats block detsim emits for the same plan, with the
-        // documented npexec mappings: every crash/heal is repaired (the
-        // supervisor protocol has no unrepaired path), there is no head
-        // queue, and `backpressured` counts full-ring waits.
+        // documented npexec mapping: every crash/heal is repaired (the
+        // supervisor protocol has no unrepaired path).
         report.faults = Some(FaultStats {
             injected: dispatch.injected,
             crashes: dispatch.crashes,
@@ -610,8 +607,6 @@ fn assemble_report(
             redirects: dispatch.redirects,
             repairs: dispatch.crashes + dispatch.heals,
             unrepaired: 0,
-            head_drops: 0,
-            backpressured: dispatch.backpressured,
         });
     }
     report.events = report.offered + report.processed + report.dropped;
@@ -971,13 +966,18 @@ mod tests {
             Ok(()),
             "a survivable crash plan is executable"
         );
-        assert_eq!(
-            ok(FaultPlan::new().flood(SimTime::from_millis(1), SimTime::from_millis(2), 0, 4.0)),
-            Err(ExecError::UnsupportedPlan(UnsupportedPlan::Flood {
-                at: SimTime::from_millis(1),
-                source: 0,
-            }))
-        );
+        for factor in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let plan = FaultPlan::new().throttle(SimTime::from_millis(1), 2, factor);
+            assert!(
+                matches!(
+                    ok(plan),
+                    Err(ExecError::UnsupportedPlan(
+                        UnsupportedPlan::ThrottleFactor { core: 2, .. }
+                    ))
+                ),
+                "throttle factor {factor} must be rejected"
+            );
+        }
         assert_eq!(
             ok(FaultPlan::new().stall(SimTime::from_millis(1), 9, SimTime::from_millis(1))),
             Err(ExecError::UnsupportedPlan(
@@ -1002,6 +1002,40 @@ mod tests {
                 }
             ))
         );
+    }
+
+    /// Fault-plan fuzzing on real threads: the generator detsim's
+    /// property tests use serves this backend unchanged. The only plans
+    /// it may refuse are the ones that crash the last live worker.
+    #[test]
+    fn random_plans_validate_and_run_without_reordering() {
+        let mut backend = ThreadedBackend::with_workers(4);
+        let horizon = SimTime::from_millis(5);
+        let mut accepted = Vec::new();
+        for seed in 0..32 {
+            let mut c = cfg(5);
+            c.faults = laps::random_plan(seed, 4, horizon);
+            match backend.validate(&c, &sources()) {
+                Ok(()) => accepted.push(c.faults),
+                Err(ExecError::UnsupportedPlan(UnsupportedPlan::AllWorkersDown { .. })) => {}
+                Err(e) => panic!("seed {seed}: a plan detsim accepts was refused: {e}"),
+            }
+        }
+        assert!(accepted.len() >= 24, "{} of 32 accepted", accepted.len());
+        for plan in accepted.into_iter().take(4) {
+            let report = run_faulted(&mut backend, 5, plan.clone());
+            assert_eq!(
+                report.offered,
+                report.processed + report.dropped,
+                "conservation under {plan:?}"
+            );
+            assert_eq!(report.out_of_order, 0, "reordered under {plan:?}");
+            let stats = backend.last_stats().expect("stats recorded");
+            assert_eq!(
+                stats.handshakes.begun, stats.handshakes.completed,
+                "leaked handshake under {plan:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! The paper hashes the 5-tuple with **CRC16** ("CRC16 is shown to provide
 //! good performance for hashing IP headers" — Cao, Wang & Zegura,
-//! INFOCOM 2000). We provide the two common CRC16 variants plus CRC32C.
-//! The default entry points ([`crc16_ccitt`], [`crc16_arc`], [`crc32c`])
-//! are table-driven — `const`-built 256-entry tables, and slice-by-4 for
-//! CRC32C — while the `*_bitwise` functions remain as independent oracles
-//! that unit and property tests pin the tables against, together with the
-//! published check values.
+//! INFOCOM 2000). The default entry point [`crc16_ccitt`] is
+//! table-driven — a `const`-built 256-entry table — while
+//! [`crc16_ccitt_bitwise`] remains as the independent oracle that unit
+//! and property tests pin the table against, together with the published
+//! check value.
 
 /// Bitwise CRC16-CCITT-FALSE (poly `0x1021`, init `0xFFFF`, no reflection).
 ///
@@ -26,44 +25,6 @@ pub fn crc16_ccitt_bitwise(data: &[u8]) -> u16 {
         }
     }
     crc
-}
-
-/// Bitwise CRC16-ARC (poly `0x8005` reflected = `0xA001`, init `0x0000`).
-///
-/// Check value: `crc16_arc_bitwise(b"123456789") == 0xBB3D`. Reference
-/// oracle for the table-driven [`crc16_arc`].
-pub fn crc16_arc_bitwise(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0x0000;
-    for &byte in data {
-        crc ^= byte as u16;
-        for _ in 0..8 {
-            if crc & 1 != 0 {
-                crc = (crc >> 1) ^ 0xA001;
-            } else {
-                crc >>= 1;
-            }
-        }
-    }
-    crc
-}
-
-/// Bitwise CRC32C (Castagnoli, reflected poly `0x82F63B78`).
-///
-/// Check value: `crc32c_bitwise(b"123456789") == 0xE3069283`. Reference
-/// oracle for the slice-by-4 [`crc32c`].
-pub fn crc32c_bitwise(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            if crc & 1 != 0 {
-                crc = (crc >> 1) ^ 0x82F6_3B78;
-            } else {
-                crc >>= 1;
-            }
-        }
-    }
-    !crc
 }
 
 /// One table entry for the non-reflected CCITT polynomial.
@@ -94,74 +55,6 @@ const fn ccitt_table() -> [u16; 256] {
 
 static CCITT_TABLE: [u16; 256] = ccitt_table();
 
-/// One table entry for a reflected 16-bit polynomial.
-const fn reflected16_entry(i: u16, poly: u16) -> u16 {
-    let mut crc = i;
-    let mut bit = 0;
-    while bit < 8 {
-        if crc & 1 != 0 {
-            crc = (crc >> 1) ^ poly;
-        } else {
-            crc >>= 1;
-        }
-        bit += 1;
-    }
-    crc
-}
-
-/// The 256-entry ARC table, built at compile time.
-const fn arc_table() -> [u16; 256] {
-    let mut table = [0u16; 256];
-    let mut i = 0;
-    while i < 256 {
-        table[i] = reflected16_entry(i as u16, 0xA001);
-        i += 1;
-    }
-    table
-}
-
-static ARC_TABLE: [u16; 256] = arc_table();
-
-/// One table entry for a reflected 32-bit polynomial.
-const fn reflected32_entry(i: u32, poly: u32) -> u32 {
-    let mut crc = i;
-    let mut bit = 0;
-    while bit < 8 {
-        if crc & 1 != 0 {
-            crc = (crc >> 1) ^ poly;
-        } else {
-            crc >>= 1;
-        }
-        bit += 1;
-    }
-    crc
-}
-
-/// The four 256-entry CRC32C tables for slice-by-4, built at compile
-/// time. `[0]` is the classic byte-at-a-time table; `[k]` advances a byte
-/// `k` positions further through the shift register.
-const fn crc32c_tables() -> [[u32; 256]; 4] {
-    let mut t = [[0u32; 256]; 4];
-    let mut i = 0;
-    while i < 256 {
-        t[0][i] = reflected32_entry(i as u32, 0x82F6_3B78);
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 4 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC32C_TABLES: [[u32; 256]; 4] = crc32c_tables();
-
 /// Table-driven CRC16-CCITT-FALSE — the default fast path.
 ///
 /// Check value: `crc16_ccitt(b"123456789") == 0x29B1`.
@@ -175,45 +68,6 @@ pub fn crc16_ccitt(data: &[u8]) -> u16 {
     crc
 }
 
-/// Table-driven CRC16-ARC — the default fast path.
-///
-/// Check value: `crc16_arc(b"123456789") == 0xBB3D`.
-#[inline]
-pub fn crc16_arc(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0x0000;
-    for &byte in data {
-        let idx = ((crc ^ byte as u16) & 0xFF) as usize;
-        crc = (crc >> 8) ^ ARC_TABLE[idx];
-    }
-    crc
-}
-
-/// Slice-by-4 CRC32C — the default fast path. Processes four bytes per
-/// iteration through four parallel tables, then finishes the tail
-/// byte-at-a-time.
-///
-/// Check value: `crc32c(b"123456789") == 0xE3069283`.
-#[inline]
-pub fn crc32c(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    let mut chunks = data.chunks_exact(4);
-    for chunk in &mut chunks {
-        // chunks_exact(4) guarantees the length; to_le_bytes-style
-        // decomposition keeps this endian-independent.
-        let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let x = crc ^ word;
-        crc = CRC32C_TABLES[3][(x & 0xFF) as usize]
-            ^ CRC32C_TABLES[2][((x >> 8) & 0xFF) as usize]
-            ^ CRC32C_TABLES[1][((x >> 16) & 0xFF) as usize]
-            ^ CRC32C_TABLES[0][((x >> 24) & 0xFF) as usize];
-    }
-    for &byte in chunks.remainder() {
-        let idx = ((crc ^ byte as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32C_TABLES[0][idx];
-    }
-    !crc
-}
-
 /// Table-driven CRC16-CCITT-FALSE over a batch of fixed-width keys,
 /// four lanes in lockstep.
 ///
@@ -221,8 +75,7 @@ pub fn crc32c(data: &[u8]) -> u32 {
 /// branchless per byte — but interleaving four independent shift
 /// registers lets the four table loads of a byte step issue together,
 /// hiding the load-to-use latency that serializes the one-key loop
-/// (the classic multi-lane CRC idiom; same technique as slice-by-4,
-/// applied across keys instead of within one). Results are bit-exact
+/// (the classic multi-lane CRC idiom). Results are bit-exact
 /// with the scalar path: the remainder (`keys.len() % 4`) falls back to
 /// [`crc16_ccitt`] per key.
 ///
@@ -282,26 +135,17 @@ mod tests {
         // Published check values, table-driven and bitwise.
         assert_eq!(crc16_ccitt(CHECK), 0x29B1);
         assert_eq!(crc16_ccitt_bitwise(CHECK), 0x29B1);
-        assert_eq!(crc16_arc(CHECK), 0xBB3D);
-        assert_eq!(crc16_arc_bitwise(CHECK), 0xBB3D);
-        assert_eq!(crc32c(CHECK), 0xE306_9283);
-        assert_eq!(crc32c_bitwise(CHECK), 0xE306_9283);
     }
 
     #[test]
     fn empty_input() {
         assert_eq!(crc16_ccitt(b""), 0xFFFF);
         assert_eq!(crc16_ccitt_bitwise(b""), 0xFFFF);
-        assert_eq!(crc16_arc(b""), 0x0000);
-        assert_eq!(crc16_arc_bitwise(b""), 0x0000);
-        assert_eq!(crc32c(b""), 0x0000_0000);
-        assert_eq!(crc32c_bitwise(b""), 0x0000_0000);
     }
 
     #[test]
-    fn tables_match_bitwise_on_varied_inputs() {
-        // Lengths 1..300 with pseudo-random bytes cover every tail length
-        // of the slice-by-4 loop and every table index.
+    fn table_matches_bitwise_on_varied_inputs() {
+        // Lengths 1..300 with pseudo-random bytes cover every table index.
         let mut data = Vec::new();
         for i in 0..300u32 {
             data.push((i.wrapping_mul(2654435761) >> 24) as u8);
@@ -309,18 +153,6 @@ mod tests {
                 crc16_ccitt(&data),
                 crc16_ccitt_bitwise(&data),
                 "ccitt len={}",
-                data.len()
-            );
-            assert_eq!(
-                crc16_arc(&data),
-                crc16_arc_bitwise(&data),
-                "arc len={}",
-                data.len()
-            );
-            assert_eq!(
-                crc32c(&data),
-                crc32c_bitwise(&data),
-                "crc32c len={}",
                 data.len()
             );
         }

@@ -6,8 +6,8 @@
 //! * [`FlowId`] — the 5-tuple flow identifier (source/destination IP,
 //!   source/destination port, protocol).
 //! * [`crc`] — CRC16-CCITT (the hash the paper uses, shown by Cao et al.
-//!   to balance IP headers well), CRC16-ARC, and CRC32C, each with both a
-//!   bitwise reference implementation and a table-driven fast path.
+//!   to balance IP headers well), with both a bitwise reference
+//!   implementation and a table-driven fast path.
 //! * [`incremental`] — the paper's *incremental hashing* (§III-C): a
 //!   linear-hashing scheme where growing a service from `b` to `b+1`
 //!   buckets only remaps the flows of the single bucket being split.
@@ -47,7 +47,7 @@ pub mod incremental;
 pub mod interner;
 pub mod maptable;
 
-pub use crc::{crc16_arc, crc16_ccitt, crc16_ccitt_batch, crc32c, Crc16Ccitt};
+pub use crc::{crc16_ccitt, crc16_ccitt_batch, Crc16Ccitt};
 pub use det::{DetHashMap, DetHashSet};
 pub use flow::FlowId;
 pub use incremental::IncrementalHash;

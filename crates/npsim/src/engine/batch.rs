@@ -38,16 +38,15 @@
 //! # Why lookahead is legal
 //!
 //! A source's gap draws and its rate-refresh noise draws share one
-//! private RNG stream, and a drawn gap is compressed by the flood
-//! factor in force — so a gap may be drawn early **iff** the scalar
-//! engine would also draw it before the next refresh and before the
-//! next fault-plan entry. The refill loop enforces `cursor < barrier`
-//! (barrier = the earlier of the next pending rate update and the next
-//! fault entry; strict, ties deferred — both were armed with a smaller
-//! seq than any arrival they tie with and fire first, exactly as in the
-//! heap); the first draw of a refill is exempt because refills only
-//! happen at the exact simulation point where the scalar engine
-//! performs that same draw. Header draws come from the trace
+//! private RNG stream — so a gap may be drawn early **iff** the scalar
+//! engine would also draw it before the next refresh. The refill loop
+//! enforces `cursor < barrier` (barrier = the next pending rate update;
+//! strict, ties deferred — the tick was armed with a smaller seq than
+//! any arrival it ties with and fires first, exactly as in the heap);
+//! the first draw of a refill is exempt because refills only happen at
+//! the exact simulation point where the scalar engine performs that
+//! same draw. Fault-plan entries act on cores, never on a source, so
+//! they do not bound lookahead. Header draws come from the trace
 //! generator's separate stream and are unconditionally safe to
 //! pre-draw. Everything order-sensitive across sources — interner,
 //! classifier RNG, packet IDs, scheduler state — runs at processing
@@ -55,7 +54,7 @@
 //!
 //! The `batch_equivalence` workspace test pins byte-identical reports
 //! across both loops for every registered policy, with and without
-//! fault plans, under every drop policy.
+//! fault plans.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::clock::Pending;
@@ -142,22 +141,20 @@ impl BatchState {
         s
     }
 
-    /// The arrival-lookahead barrier: the earlier of the next pending
-    /// rate update and the next fault-plan entry (`MAX` when neither).
+    /// The arrival-lookahead barrier: the next pending rate update
+    /// (`MAX` when none).
     #[inline]
     fn barrier(&self) -> SimTime {
-        let rate = self.rate.map_or(SimTime::MAX, |(t, _)| t);
-        self.fault.map_or(rate, |(t, _, _)| rate.min(t))
+        self.rate.map_or(SimTime::MAX, |(t, _)| t)
     }
 
     /// Start a batched run over `ingest`: size the lookahead rings, then
     /// arm what the scalar loop primes, allocating seqs in its order —
     /// every source's first gap (source order, seq only for arrivals
     /// inside the horizon), then the rate-update ticker, then the fault
-    /// plan in plan order. Neither control event is armed while the
-    /// sources refill, but the first refresh the scalar engine performs
-    /// is at `rate_update_interval` and its first fault is plan entry 0,
-    /// so both bound the prime lookahead.
+    /// plan in plan order. The tick is not armed while the sources
+    /// refill, but the first refresh the scalar engine performs is at
+    /// `rate_update_interval`, so that bounds the prime lookahead.
     ///
     /// Shared by [`Engine::run_batched`] and the offered-stream iterator
     /// ([`PlanStream`](super::plan::PlanStream): zero cores, no faults).
@@ -174,12 +171,7 @@ impl BatchState {
         let n_sources = ingest.n_sources();
         let mut st = BatchState::new(n_cores);
         let tick0 = Some(rate_update_interval).filter(|&t| t <= horizon);
-        let fault0 = faults.get(0).map(|&(at, _)| at);
-        let barrier0 = tick0
-            .into_iter()
-            .chain(fault0)
-            .min()
-            .unwrap_or(SimTime::MAX);
+        let barrier0 = tick0.unwrap_or(SimTime::MAX);
         for src in 0..n_sources {
             let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
             let drawn = ingest.batch_refill(src, barrier0, horizon);

@@ -96,17 +96,6 @@ pub(super) enum Admission {
     FastPath(Header),
 }
 
-/// Compress a drawn gap by a flood `factor` — after the draw, so the
-/// RNG stream is untouched. 1.0 = no flood.
-#[inline]
-fn flooded(gap: SimTime, factor: f64) -> SimTime {
-    if factor != 1.0 && factor > 0.0 {
-        SimTime::from_nanos((gap.as_nanos() as f64 / factor).max(1.0) as u64)
-    } else {
-        gap
-    }
-}
-
 #[derive(Debug)]
 pub(super) struct IngestStage {
     sources: Vec<SourceSlot>,
@@ -116,10 +105,6 @@ pub(super) struct IngestStage {
     next_packet_id: u64,
     scale: f64,
     control_plane_fraction: f64,
-    /// Per-source flood multiplier (fault injection): drawn inter-arrival
-    /// gaps are divided by this *after* sampling, so the RNG stream is
-    /// byte-identical to an unflooded run. 1.0 = no flood.
-    flood: Vec<f64>,
     /// Per-source arrival lookahead (batched mode; empty in scalar mode).
     bursts: Vec<ArrivalBuf>,
     /// Runtime burst cap (≤ [`MAX_BURST`]); 0 until `batch_init`.
@@ -159,7 +144,6 @@ impl IngestStage {
                 }
             })
             .collect();
-        let n = sources_built.len();
         IngestStage {
             sources: sources_built,
             interner: FlowInterner::new(),
@@ -167,7 +151,6 @@ impl IngestStage {
             next_packet_id: 0,
             scale,
             control_plane_fraction,
-            flood: vec![1.0; n],
             bursts: Vec::new(),
             burst_cap: 0,
             head_times: Vec::new(),
@@ -201,28 +184,14 @@ impl IngestStage {
         self.admit_record(src, rec)
     }
 
-    /// Draw the inter-arrival gap to `src`'s next packet. A flood factor
-    /// compresses the gap after the draw (the RNG stream is untouched).
+    /// Draw the inter-arrival gap to `src`'s next packet.
     pub(super) fn next_gap(&mut self, src: usize) -> Option<SimTime> {
         let scale = self.scale;
         let Some(slot) = self.sources.get_mut(src) else {
             debug_assert!(false, "arrival from unknown source {src}");
             return None;
         };
-        let gap = slot.source.draw_gap(scale, &mut slot.rng);
-        let factor = self.flood.get(src).copied().unwrap_or(1.0);
-        Some(flooded(gap, factor))
-    }
-
-    /// Set `src`'s flood multiplier (fault injection). `factor` > 1.0
-    /// compresses inter-arrival gaps by that ratio; 1.0 restores the
-    /// nominal rate. Non-positive factors are ignored.
-    pub(super) fn set_flood(&mut self, src: usize, factor: f64) {
-        if let Some(f) = self.flood.get_mut(src) {
-            if factor > 0.0 {
-                *f = factor;
-            }
-        }
+        Some(slot.source.draw_gap(scale, &mut slot.rng))
     }
 
     /// Draw the initial inter-arrival gap of every source, in source
@@ -250,14 +219,13 @@ impl IngestStage {
     // Legality: gap draws consume the source's private arrival RNG, and
     // that same stream is also consumed by `refresh_rates` (Holt-Winters
     // noise) — so a gap may be drawn early only if the scalar engine
-    // would also have drawn it before the next pending rate update. A
-    // drawn gap is also compressed by the source's flood factor, which a
-    // fault-plan entry may change — so the next pending fault entry bounds
-    // lookahead the same way. The refill loop enforces both with a strict
-    // `cursor < barrier` check; the *first* draw of a refill is exempt
-    // because a refill only happens at the exact simulation point where
-    // the scalar engine performs that same draw (priming, or the arrival
-    // that emptied the buffer), where no refresh or fault can intervene.
+    // would also have drawn it before the next pending rate update.
+    // The refill loop enforces that with a strict `cursor < barrier`
+    // check; the *first* draw of a refill is exempt because a refill
+    // only happens at the exact simulation point where the scalar engine
+    // performs that same draw (priming, or the arrival that emptied the
+    // buffer), where no refresh can intervene. Fault-plan entries touch
+    // cores only, never a source, so they do not bound lookahead.
 
     /// Prepare the per-source lookahead rings for a batched run.
     pub(super) fn batch_init(&mut self, cap: usize) {
@@ -276,11 +244,10 @@ impl IngestStage {
     /// Refill `src`'s lookahead buffer. Must only be called when the
     /// buffer is drained, at the scalar position of the next gap draw.
     ///
-    /// `barrier` is the time of the next pending rate update or fault-plan
-    /// entry (`MAX` if none): lookahead stops before any arrival whose
-    /// gap the scalar engine would draw only after refreshing rates or
-    /// applying the fault — so every draw of one refill sees the rate and
-    /// flood factor in force now. `horizon` is the
+    /// `barrier` is the time of the next pending rate update (`MAX` if
+    /// none): lookahead stops before any arrival whose gap the scalar
+    /// engine would draw only after refreshing rates — so every draw of
+    /// one refill sees the rate in force now. `horizon` is the
     /// simulation duration: a gap landing past it consumes RNG (exactly
     /// as the scalar engine's unscheduled final arrival does) but ends
     /// the source's stream for good.
@@ -289,7 +256,6 @@ impl IngestStage {
     pub(super) fn batch_refill(&mut self, src: usize, barrier: SimTime, horizon: SimTime) -> usize {
         let scale = self.scale;
         let cap = self.burst_cap;
-        let factor = self.flood.get(src).copied().unwrap_or(1.0);
         let Some(buf) = self.bursts.get_mut(src) else {
             debug_assert!(false, "refill of unknown source {src}");
             return 0;
@@ -307,7 +273,7 @@ impl IngestStage {
         let mut force_first = true;
         while (buf.len as usize) < cap && (force_first || buf.cursor < barrier) {
             force_first = false;
-            let gap = flooded(slot.source.draw_gap(scale, &mut slot.rng), factor);
+            let gap = slot.source.draw_gap(scale, &mut slot.rng);
             let t = buf.cursor + gap;
             if t > horizon {
                 // Scalar draws this gap too, then never schedules the

@@ -53,28 +53,28 @@ pub use cycles::{CycleAccounting, CycleReport, CycleSink, Stage, StageCycles, ST
 pub use plan::{ArrivalPlan, PlanStream, ScheduledPacket};
 
 use crate::event::SimEvent;
-use crate::fault::{DropPolicy, FaultAction, FaultPlan, FaultStats};
+use crate::fault::{FaultAction, FaultPlan, FaultStats};
 use crate::packet::PacketDesc;
 use crate::probe::{ProbeHost, ProbeStack, ReportProbe};
 use crate::report::{SimReport, SyncStats};
 use crate::restore::RestorationBuffer;
 use crate::sched::{RepairOutcome, SchedEvent, Scheduler};
 use crate::source::SourceConfig;
-use detsim::{SeedSequence, SimTime};
+use detsim::{PushOutcome, SeedSequence, SimTime};
 
 use clock::{Ev, HeapPending, Pending};
 use dispatch::{DispatchStage, MAX_SYNC_CORES};
 use ingest::{Admission, IngestStage};
 use record::RecordStage;
-use service::{EnqueueOutcome, ServiceStage};
+use service::ServiceStage;
 
 /// How the run loop moves packets through the pipeline.
 ///
 /// Both modes run the **same event handlers** over the same
 /// `(time, seq)` total order and produce **byte-identical reports** for
-/// the same configuration and seed — fault plans and every
-/// [`DropPolicy`] included (pinned by the workspace `batch_equivalence`
-/// test). They differ only in the pending-event set behind the
+/// the same configuration and seed — fault plans included (pinned by
+/// the workspace `batch_equivalence` test). They differ only in the
+/// pending-event set behind the
 /// handlers: the batched loop pre-draws per-source arrival bursts from
 /// their private RNG streams and replaces the event heap with a bounded
 /// merge scan, but performs every shared-state mutation at the same
@@ -117,9 +117,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// How often each source re-samples its rate law.
     pub rate_update_interval: SimTime,
-    /// Queue depth at which a core counts as "congested" for the
-    /// surplus-core eligibility signal (`QueueInfo::last_congested`).
-    pub congestion_watermark: usize,
     /// Divide Holt-Winters seasonal periods by this factor so short runs
     /// still see seasonal variation (1.0 = periods as published).
     pub period_compression: f64,
@@ -135,14 +132,11 @@ pub struct EngineConfig {
     /// scheduler. The paper studies data-plane scheduling, so 0 by
     /// default.
     pub control_plane_fraction: f64,
-    /// Deterministic fault script (crashes, heals, throttles, stalls,
-    /// floods), delivered as events of the run loop. Empty by default:
-    /// the fault machinery stays dormant and runs are byte-identical to
-    /// the fault-free engine.
+    /// Deterministic fault script (crashes, heals, throttles, stalls),
+    /// delivered as events of the run loop. Empty by default: the fault
+    /// machinery stays dormant and runs are byte-identical to the
+    /// fault-free engine.
     pub faults: FaultPlan,
-    /// What to do with an arrival at a full per-core queue (default:
-    /// drop-tail, the paper's model).
-    pub drop_policy: DropPolicy,
     /// Run-loop execution strategy (default: batched bursts of 32).
     /// Semantics are identical either way; this knob only trades
     /// wall-clock speed and exists so the equivalence tests can pin
@@ -159,13 +153,11 @@ impl Default for EngineConfig {
             scale: 50.0,
             seed: 1,
             rate_update_interval: SimTime::from_millis(100),
-            congestion_watermark: 2,
             period_compression: 1.0,
             delay: nptraffic::DelayModel::default(),
             restoration: None,
             control_plane_fraction: 0.0,
             faults: FaultPlan::new(),
-            drop_policy: DropPolicy::default(),
             execution: ExecutionMode::default(),
         }
     }
@@ -182,9 +174,8 @@ pub struct Engine<S: Scheduler, P: ProbeHost = ()> {
     /// Reusable drain buffer for the scheduler's [`SchedEvent`] feed
     /// (taken/restored around the drain to avoid aliasing the stages).
     sched_ev_buf: Vec<SchedEvent>,
-    /// Whether any fault machinery is configured (non-empty plan or a
-    /// non-default drop policy). Guards the per-packet dead-core check
-    /// so the fault-free hot path is untouched.
+    /// Whether a fault plan is configured. Guards the per-packet
+    /// dead-core check so the fault-free hot path is untouched.
     faults_enabled: bool,
     /// Fault-path counters; folded into the report when
     /// `faults_enabled`.
@@ -245,7 +236,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// # Panics
     /// Panics on a zero-core configuration, an empty source list, a zero
     /// `rate_update_interval` (the tick would re-arm at `now` forever),
-    /// or a priced sync model (SCR) on more than 64 cores.
+    /// an invalid fault plan ([`FaultPlan::validate`]), or a priced sync
+    /// model (SCR) on more than 64 cores.
     pub fn with_probes(
         cfg: EngineConfig,
         sources: &[SourceConfig],
@@ -276,13 +268,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             cfg.scale,
             cfg.control_plane_fraction,
         );
-        let service = ServiceStage::new(
-            cfg.n_cores,
-            cfg.queue_capacity,
-            delay,
-            cfg.congestion_watermark,
-            cfg.drop_policy,
-        );
+        let service = ServiceStage::new(cfg.n_cores, cfg.queue_capacity, delay);
         let infos = (0..cfg.n_cores)
             .filter_map(|i| service.snapshot(i))
             .collect();
@@ -291,7 +277,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         // Policies with a park/wake side channel only buffer events when
         // someone is listening.
         scheduler.set_event_feed(P::ACTIVE);
-        let faults_enabled = !cfg.faults.is_empty() || cfg.drop_policy != DropPolicy::DropTail;
+        let faults_enabled = !cfg.faults.is_empty();
         // The SCR sync model engages only when the policy asks for it
         // AND the delay model prices it; priced at zero, an SCR run is
         // byte-identical to the same decisions without the model.
@@ -529,21 +515,9 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         }
 
         let t1 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let outcome = self.service.enqueue(target, pkt, now);
-        if let EnqueueOutcome::HeadDropped { evicted, .. } = outcome {
-            // Drop-head: the eviction is accounted before the arrival's
-            // own dispatch events, preserving causal order on the bus.
-            self.fstats.head_drops += 1;
-            self.drop_packet(&evicted, target, now, true);
-        }
-        match outcome {
-            EnqueueOutcome::Dropped => self.drop_packet(&pkt, target, now, true),
-            EnqueueOutcome::Enqueued(len)
-            | EnqueueOutcome::HeadDropped { len, .. }
-            | EnqueueOutcome::Staged(len) => {
-                if let EnqueueOutcome::Staged(_) = outcome {
-                    self.fstats.backpressured += 1;
-                }
+        match self.service.enqueue(target, pkt, now) {
+            PushOutcome::Dropped => self.drop_packet(&pkt, target, now, true),
+            PushOutcome::Enqueued(len) => {
                 if self.sync_enabled {
                     self.commit_sync(pkt.slot, target, pkt.sync_debt_ns);
                 }
@@ -680,12 +654,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                 if self.service.stall(core, until) {
                     tx.arm_stall_end(core, until);
                 }
-            }
-            FaultAction::Flood { source, factor } => {
-                self.ingest.set_flood(source, factor);
-            }
-            FaultAction::FloodEnd { source } => {
-                self.ingest.set_flood(source, 1.0);
             }
         }
     }
@@ -1346,58 +1314,19 @@ mod tests {
     }
 
     #[test]
-    fn flood_raises_offered_load() {
-        let base = Engine::new(quick_cfg(2, 10), &one_source(1.0), JoinShortestQueue::new()).run();
-        let mut cfg = quick_cfg(2, 10);
-        cfg.faults =
-            FaultPlan::new().flood(SimTime::from_millis(2), SimTime::from_millis(8), 0, 3.0);
-        let r = Engine::new(cfg, &one_source(1.0), JoinShortestQueue::new()).run();
-        assert!(
-            r.offered as f64 > base.offered as f64 * 1.5,
-            "3x flood over 6 of 10 ms should raise offered load well above \
-             baseline ({} vs {})",
-            r.offered,
-            base.offered
-        );
-        assert_eq!(r.offered, r.accounted());
-    }
-
-    #[test]
-    fn drop_head_evicts_oldest_instead_of_arrival() {
-        let mut cfg = quick_cfg(1, 20);
-        cfg.drop_policy = DropPolicy::DropHead;
-        let r = Engine::new(cfg, &one_source(4.0), JoinShortestQueue::new()).run();
-        let f = r.faults.as_ref().expect("non-default policy records stats");
-        assert!(f.head_drops > 0);
-        assert_eq!(
-            f.head_drops, r.dropped,
-            "under drop-head every drop is an eviction"
-        );
-        assert_eq!(r.offered, r.accounted());
-    }
-
-    #[test]
-    fn backpressure_stages_overflow_and_still_conserves() {
-        let mut bp_cfg = quick_cfg(1, 20);
-        bp_cfg.drop_policy = DropPolicy::Backpressure;
-        let tail = Engine::new(quick_cfg(1, 20), &one_source(4.0), JoinShortestQueue::new()).run();
-        let r = Engine::new(bp_cfg, &one_source(4.0), JoinShortestQueue::new()).run();
-        let f = r.faults.as_ref().expect("stats present");
-        assert!(f.backpressured > 0, "overflow packets must stage");
-        assert!(r.dropped > 0, "staging is bounded too");
-        assert!(
-            r.dropped < tail.dropped,
-            "staging absorbs part of the burst ({} vs {})",
-            r.dropped,
-            tail.dropped
-        );
-        assert_eq!(r.offered, r.accounted());
+    #[should_panic(expected = "invalid fault plan")]
+    fn non_finite_throttle_factor_is_rejected_before_the_run() {
+        // Unrejected, an infinite factor overflows `busy_ns` (debug) or
+        // wraps `finish_at` into the past (release).
+        let mut cfg = quick_cfg(1, 1);
+        cfg.faults = FaultPlan::new().throttle(SimTime::from_micros(10), 0, f64::INFINITY);
+        let _ = Engine::new(cfg, &one_source(1.0), JoinShortestQueue::new());
     }
 
     #[test]
     fn fault_free_report_omits_fault_stats() {
         let r = Engine::new(quick_cfg(2, 10), &one_source(1.0), JoinShortestQueue::new()).run();
-        assert!(r.faults.is_none(), "no plan, default policy: dormant");
+        assert!(r.faults.is_none(), "no plan: dormant");
         let json = serde_json::to_string(&r).expect("serializes");
         assert!(
             !json.contains("\"faults\""),

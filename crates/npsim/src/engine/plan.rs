@@ -56,9 +56,8 @@ pub struct ScheduledPacket {
 /// arrival order (ties in source order, exactly as the scalar event
 /// queue breaks them), drawn on demand.
 ///
-/// Fault plans are not replayed (floods perturb arrival rates, so a
-/// faulted configuration has no backend-neutral stream); callers gate
-/// on a flood-free [`FaultPlan`] before relying on it.
+/// No fault action touches a source, so the stream is the same with
+/// or without `cfg.faults`; a backend replays the plan itself.
 #[derive(Debug)]
 pub struct PlanStream {
     ingest: IngestStage,

@@ -9,11 +9,9 @@
 //! multiplier (throttle) and a stall latch. A crash drains the core's
 //! backlog (returned to the orchestrator for drop accounting) and
 //! refunds the unearned remainder of its in-service busy credit; the
-//! orchestrator orphans the core's armed finish timer. Under [`DropPolicy::Backpressure`] each core also owns a
-//! staging buffer that refills the main queue as service completes.
+//! orchestrator orphans the core's armed finish timer.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use crate::fault::DropPolicy;
 use crate::packet::PacketDesc;
 use crate::sched::QueueInfo;
 use detsim::{BoundedQueue, PushOutcome, SimTime};
@@ -23,9 +21,6 @@ use nptraffic::{DelayModel, ServiceKind};
 #[derive(Debug)]
 struct Core {
     queue: BoundedQueue<PacketDesc>,
-    /// Backpressure staging buffer (unused — always empty — under the
-    /// other drop policies).
-    staging: BoundedQueue<PacketDesc>,
     current: Option<PacketDesc>,
     /// When the in-service packet completes; meaningful only while
     /// `current.is_some()` (used to refund busy credit on a crash).
@@ -58,42 +53,21 @@ pub(super) struct Started {
     pub duration: SimTime,
 }
 
-/// What happened to an arriving packet at its target queue.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum EnqueueOutcome {
-    /// Admitted to the main queue; payload = occupancy after the push.
-    Enqueued(usize),
-    /// The arrival was dropped (full queue under drop-tail, or full
-    /// queue *and* full staging under backpressure).
-    Dropped,
-    /// Drop-head: the oldest queued packet was evicted and the arrival
-    /// admitted; payload = the evicted packet and the occupancy after.
-    HeadDropped { evicted: PacketDesc, len: usize },
-    /// Backpressure: the arrival was staged behind a full queue;
-    /// payload = total backlog (queue + staging) after.
-    Staged(usize),
-}
+/// Queue depth at which a core counts as "congested" for the
+/// surplus-core eligibility signal (`QueueInfo::last_congested`).
+const CONGESTION_WATERMARK: usize = 2;
 
 #[derive(Debug)]
 pub(super) struct ServiceStage {
     cores: Vec<Core>,
     delay: DelayModel,
-    congestion_watermark: usize,
-    policy: DropPolicy,
 }
 
 impl ServiceStage {
-    pub(super) fn new(
-        n_cores: usize,
-        queue_capacity: usize,
-        delay: DelayModel,
-        congestion_watermark: usize,
-        policy: DropPolicy,
-    ) -> Self {
+    pub(super) fn new(n_cores: usize, queue_capacity: usize, delay: DelayModel) -> Self {
         let cores = (0..n_cores)
             .map(|_| Core {
                 queue: BoundedQueue::new(queue_capacity),
-                staging: BoundedQueue::new(queue_capacity),
                 current: None,
                 finish_at: SimTime::ZERO,
                 last_service: None,
@@ -105,85 +79,32 @@ impl ServiceStage {
                 speed: 1.0,
             })
             .collect();
-        ServiceStage {
-            cores,
-            delay,
-            congestion_watermark,
-            policy,
-        }
+        ServiceStage { cores, delay }
     }
 
     pub(super) fn n_cores(&self) -> usize {
         self.cores.len()
     }
 
-    /// Try to enqueue `pkt` on `target` under the configured drop
-    /// policy, maintaining the congestion timestamps exactly as the
-    /// monolithic engine did (a drop or a queue at/above the watermark
-    /// stamps `last_congested`).
-    pub(super) fn enqueue(
-        &mut self,
-        target: usize,
-        pkt: PacketDesc,
-        now: SimTime,
-    ) -> EnqueueOutcome {
-        let policy = self.policy;
+    /// Try to enqueue `pkt` on `target`; a full queue drops the arrival
+    /// (drop-tail, the paper's model). A drop or a queue at/above the
+    /// watermark stamps `last_congested`.
+    pub(super) fn enqueue(&mut self, target: usize, pkt: PacketDesc, now: SimTime) -> PushOutcome {
         // `target` < n_cores is asserted at dispatch, so the lookup is
         // total.
         let Some(c) = self.cores.get_mut(target) else {
-            return EnqueueOutcome::Dropped;
+            return PushOutcome::Dropped;
         };
         if !c.up {
             // The orchestrator redirects arrivals away from dead cores;
             // reaching one here means no live core was left.
             c.last_congested = now;
-            return EnqueueOutcome::Dropped;
+            return PushOutcome::Dropped;
         }
-        let outcome = match policy {
-            DropPolicy::DropTail => match c.queue.push(pkt) {
-                PushOutcome::Enqueued(len) => EnqueueOutcome::Enqueued(len),
-                PushOutcome::Dropped => EnqueueOutcome::Dropped,
-            },
-            DropPolicy::DropHead => match c.queue.push(pkt) {
-                PushOutcome::Enqueued(len) => EnqueueOutcome::Enqueued(len),
-                PushOutcome::Dropped => match c.queue.pop() {
-                    Some(evicted) => match c.queue.push(pkt) {
-                        PushOutcome::Enqueued(len) => EnqueueOutcome::HeadDropped { evicted, len },
-                        // Unreachable (we just made room), but stay
-                        // panic-free: account the arrival as dropped.
-                        PushOutcome::Dropped => EnqueueOutcome::Dropped,
-                    },
-                    None => EnqueueOutcome::Dropped,
-                },
-            },
-            DropPolicy::Backpressure => {
-                // FIFO across queue + staging: once anything is staged,
-                // arrivals must join staging or they would overtake it.
-                if c.staging.is_empty() {
-                    match c.queue.push(pkt) {
-                        PushOutcome::Enqueued(len) => EnqueueOutcome::Enqueued(len),
-                        PushOutcome::Dropped => match c.staging.push(pkt) {
-                            PushOutcome::Enqueued(n) => EnqueueOutcome::Staged(c.queue.len() + n),
-                            PushOutcome::Dropped => EnqueueOutcome::Dropped,
-                        },
-                    }
-                } else {
-                    match c.staging.push(pkt) {
-                        PushOutcome::Enqueued(n) => EnqueueOutcome::Staged(c.queue.len() + n),
-                        PushOutcome::Dropped => EnqueueOutcome::Dropped,
-                    }
-                }
-            }
-        };
+        let outcome = c.queue.push(pkt);
         match outcome {
-            EnqueueOutcome::Dropped
-            | EnqueueOutcome::HeadDropped { .. }
-            | EnqueueOutcome::Staged(_) => c.last_congested = now,
-            EnqueueOutcome::Enqueued(len) => {
-                if len >= self.congestion_watermark {
-                    c.last_congested = now;
-                }
-            }
+            PushOutcome::Enqueued(len) if len < CONGESTION_WATERMARK => {}
+            _ => c.last_congested = now,
         }
         outcome
     }
@@ -210,11 +131,6 @@ impl ServiceStage {
             }
             return None;
         };
-        // Backpressure: the pop made room — promote the oldest staged
-        // packet so the queue refills in FIFO order.
-        if let Some(staged) = slot.staging.pop() {
-            let _ = slot.queue.push(staged);
-        }
         let cold = slot.last_service != Some(pkt.service);
         let d_us = self
             .delay
@@ -251,14 +167,14 @@ impl ServiceStage {
         self.cores.get(core).is_some_and(|c| c.up)
     }
 
-    /// The live core with the smallest backlog (queue + staging, ties
-    /// to the lowest index) — the orchestrator's redirect target when a
-    /// scheduler picks a dead core. `None` when every core is down.
+    /// The live core with the shortest queue (ties to the lowest
+    /// index) — the orchestrator's redirect target when a scheduler
+    /// picks a dead core. `None` when every core is down.
     pub(super) fn shortest_up_queue(&self) -> Option<usize> {
         let mut best = None;
         let mut best_len = usize::MAX;
         for (c, slot) in self.cores.iter().enumerate() {
-            let len = slot.queue.len() + slot.staging.len();
+            let len = slot.queue.len();
             if slot.up && len < best_len {
                 best = Some(c);
                 best_len = len;
@@ -269,9 +185,9 @@ impl ServiceStage {
 
     /// Kill `core`: mark it down, end any stall, refund the unearned
     /// remainder of its in-service busy credit, and return every packet it was
-    /// holding — in-service first, then queue, then staging, in FIFO
-    /// order — for the orchestrator to account as drops. Idempotent: a
-    /// second crash of a down core returns nothing.
+    /// holding — in-service first, then the queue in FIFO order — for
+    /// the orchestrator to account as drops. Idempotent: a second crash
+    /// of a down core returns nothing.
     pub(super) fn crash(&mut self, core: usize, now: SimTime) -> Vec<PacketDesc> {
         let Some(slot) = self.cores.get_mut(core) else {
             return Vec::new();
@@ -293,9 +209,6 @@ impl ServiceStage {
             lost.push(pkt);
         }
         while let Some(pkt) = slot.queue.pop() {
-            lost.push(pkt);
-        }
-        while let Some(pkt) = slot.staging.pop() {
             lost.push(pkt);
         }
         lost
@@ -356,12 +269,11 @@ impl ServiceStage {
         }
     }
 
-    /// A fresh [`QueueInfo`] snapshot of `core`'s state. `len` counts
-    /// the full backlog (queue + backpressure staging).
+    /// A fresh [`QueueInfo`] snapshot of `core`'s state.
     #[inline]
     pub(super) fn snapshot(&self, core: usize) -> Option<QueueInfo> {
         self.cores.get(core).map(|c| QueueInfo {
-            len: c.queue.len() + c.staging.len(),
+            len: c.queue.len(),
             capacity: c.queue.capacity(),
             busy: c.current.is_some(),
             idle_since: c.idle_since,
@@ -376,14 +288,10 @@ impl ServiceStage {
         self.cores.iter().map(|c| c.busy_ns).collect()
     }
 
-    /// Packets waiting across all queues and staging buffers (invariant
-    /// checking).
+    /// Packets waiting across all queues (invariant checking).
     #[cfg(feature = "invariants")]
     pub(super) fn queued_total(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|c| (c.queue.len() + c.staging.len()) as u64)
-            .sum()
+        self.cores.iter().map(|c| c.queue.len() as u64).sum()
     }
 
     /// Packets currently in service (invariant checking).

@@ -5,8 +5,7 @@
 //!
 //! * no backend — the deterministic single-threaded reference: the
 //!   [`Engine`](crate::engine::Engine) run loop, which `SimBuilder`
-//!   runs directly unless `.backend(..)` is set (pinned by the
-//!   workspace golden fixtures).
+//!   runs directly (pinned by the workspace golden fixtures).
 //! * `npexec::ThreadedBackend` (the `npexec` crate) — real OS threads,
 //!   one pinned worker per simulated core, fed over SPSC rings with the
 //!   mark → redirect → first-packet-ack migration handshake. Reports
@@ -18,8 +17,7 @@
 //! The trait is object-safe and deliberately coarse — one call runs a
 //! whole configuration — so backends can own their run loop entirely:
 //! detsim keeps its event queue, npexec spawns its thread pool, and the
-//! stages stay backend-neutral. `SimBuilder::backend(...)` (in `laps`)
-//! routes builder runs through any boxed backend.
+//! stages stay backend-neutral.
 
 use crate::engine::EngineConfig;
 use crate::probe::ProbeStack;
@@ -42,16 +40,6 @@ pub enum ExecError {
 /// The specific fault-plan action combination a backend rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UnsupportedPlan {
-    /// A `Flood`/`FloodEnd` action: floods perturb the arrival stream,
-    /// so a flooded configuration has no backend-neutral
-    /// [`PlanStream`](crate::engine::PlanStream) to execute — only
-    /// detsim (which owns ingest) can run it.
-    Flood {
-        /// When the flood is scheduled.
-        at: SimTime,
-        /// The flooded source index.
-        source: usize,
-    },
     /// A crash/heal/throttle/stall names a core the backend has no
     /// worker for.
     CoreOutOfRange {
@@ -61,6 +49,16 @@ pub enum UnsupportedPlan {
         core: usize,
         /// Workers the backend would run.
         workers: usize,
+    },
+    /// A throttle factor that is not a finite positive number (detsim
+    /// rejects the same plan in `FaultPlan::validate`).
+    ThrottleFactor {
+        /// When the throttle is scheduled.
+        at: SimTime,
+        /// The throttled core.
+        core: usize,
+        /// The offending factor.
+        factor: f64,
     },
     /// Executing the plan in order would crash the last live worker —
     /// with no live ring to repair onto, the run cannot make progress.
@@ -83,15 +81,15 @@ impl fmt::Display for ExecError {
 impl fmt::Display for UnsupportedPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            UnsupportedPlan::Flood { at, source } => write!(
-                f,
-                "flood of source {source} at {at:?} perturbs the arrival plan; \
-                 run flooded configs on detsim"
-            ),
             UnsupportedPlan::CoreOutOfRange { at, core, workers } => write!(
                 f,
                 "fault at {at:?} targets core {core} but the backend runs \
                  {workers} workers"
+            ),
+            UnsupportedPlan::ThrottleFactor { at, core, factor } => write!(
+                f,
+                "throttle of core {core} at {at:?} has factor {factor}, \
+                 not a finite positive number"
             ),
             UnsupportedPlan::AllWorkersDown { at, workers } => write!(
                 f,

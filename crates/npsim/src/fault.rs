@@ -1,16 +1,15 @@
 //! Deterministic fault injection and graceful-degradation accounting.
 //!
 //! A [`FaultPlan`] is a stably time-sorted script of [`FaultAction`]s
-//! (core crash/heal, throttle, transient stall, traffic flood) delivered
-//! through the engine's deterministic event queue: the engine primes one
-//! event per plan entry at start-up, so two runs with the same plan and
-//! seed replay identically — faults are part of the simulation, not an
+//! (core crash/heal, throttle, transient stall) delivered through the
+//! engine's deterministic event queue: the engine primes one event per
+//! plan entry at start-up, so two runs with the same plan and seed
+//! replay identically — faults are part of the simulation, not an
 //! external perturbation.
 //!
-//! Degradation policy for full ingress queues is a [`DropPolicy`] knob;
-//! the engine's fault-path counters land in [`FaultStats`] (embedded in
-//! the report only when the fault machinery was active, so fault-free
-//! reports serialize byte-identically to earlier versions). The
+//! The engine's fault-path counters land in [`FaultStats`] (embedded in
+//! the report only when a plan was configured, so fault-free reports
+//! serialize byte-identically to earlier versions). The
 //! [`FaultProbe`] rides the probe bus and reconstructs the crash/heal
 //! timeline plus per-crash recovery times.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
@@ -41,7 +40,7 @@ pub enum FaultAction {
     Throttle {
         /// Core index.
         core: usize,
-        /// Service-duration multiplier (must be > 0).
+        /// Service-duration multiplier (must be finite and > 0).
         factor: f64,
     },
     /// The core stops *starting* new service for `duration` (an
@@ -52,21 +51,17 @@ pub enum FaultAction {
         /// Stall length.
         duration: SimTime,
     },
-    /// The source floods: its inter-arrival gaps divide by `factor`
-    /// (drawn gaps are scaled *after* sampling, so per-source RNG
-    /// streams are unchanged and non-flooded sources replay
-    /// identically).
-    Flood {
-        /// Source index (into the engine's source list).
-        source: usize,
-        /// Rate multiplier (must be > 0; gaps divide by this).
-        factor: f64,
-    },
-    /// The flood ends: the source's rate factor resets to 1.0.
-    FloodEnd {
-        /// Source index.
-        source: usize,
-    },
+}
+
+impl FaultAction {
+    /// The core the action targets (every action names exactly one).
+    pub fn core(self) -> usize {
+        let (FaultAction::Crash { core }
+        | FaultAction::Heal { core }
+        | FaultAction::Throttle { core, .. }
+        | FaultAction::Stall { core, .. }) = self;
+        core
+    }
 }
 
 /// A deterministic, stably time-sorted fault script.
@@ -120,12 +115,6 @@ impl FaultPlan {
         self.at(at, FaultAction::Stall { core, duration })
     }
 
-    /// Schedule a flood over `[at, until)` (chainable shorthand).
-    pub fn flood(self, at: SimTime, until: SimTime, source: usize, factor: f64) -> Self {
-        self.at(at, FaultAction::Flood { source, factor })
-            .at(until, FaultAction::FloodEnd { source })
-    }
-
     /// Number of scheduled actions.
     pub fn len(&self) -> usize {
         self.plan.len()
@@ -146,79 +135,36 @@ impl FaultPlan {
         self.plan.entries()
     }
 
-    /// Validate the plan against an engine shape: core and source
-    /// indices in range, positive throttle/flood factors. Returns the
-    /// first offending entry's description.
-    pub fn validate(&self, n_cores: usize, n_sources: usize) -> Result<(), String> {
+    /// Validate the plan against an engine shape: core indices in range,
+    /// finite positive throttle factors (an infinite factor overflows
+    /// the busy-time sum, a NaN one would be silently ignored). Returns
+    /// the first offending entry's description. No action names a
+    /// source; the second parameter is unused.
+    pub fn validate(&self, n_cores: usize, _n_sources: usize) -> Result<(), String> {
         for &(at, action) in self.plan.entries() {
-            let bad_core = |c: usize| c >= n_cores;
-            match action {
-                FaultAction::Crash { core }
-                | FaultAction::Heal { core }
-                | FaultAction::Stall { core, .. }
-                    if bad_core(core) =>
-                {
+            let core = action.core();
+            if core >= n_cores {
+                // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
+                return Err(format!(
+                    "fault at {at:?}: core {core} out of range (n_cores = {n_cores})"
+                ));
+            }
+            if let FaultAction::Throttle { factor, .. } = action {
+                if !factor.is_finite() || factor <= 0.0 {
                     // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
                     return Err(format!(
-                        "fault at {at:?}: core {core} out of range (n_cores = {n_cores})"
+                        "fault at {at:?}: throttle factor {factor} is not a finite positive number"
                     ));
                 }
-                FaultAction::Throttle { core, factor } => {
-                    if bad_core(core) {
-                        // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
-                        return Err(format!(
-                            "fault at {at:?}: core {core} out of range (n_cores = {n_cores})"
-                        ));
-                    }
-                    if factor <= 0.0 {
-                        // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
-                        return Err(format!("fault at {at:?}: throttle factor {factor} <= 0"));
-                    }
-                }
-                FaultAction::Flood { source, factor } => {
-                    if source >= n_sources {
-                        // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
-                        return Err(format!(
-                            "fault at {at:?}: source {source} out of range (n_sources = {n_sources})"
-                        ));
-                    }
-                    if factor <= 0.0 {
-                        // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
-                        return Err(format!("fault at {at:?}: flood factor {factor} <= 0"));
-                    }
-                }
-                FaultAction::FloodEnd { source } if source >= n_sources => {
-                    // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
-                    return Err(format!(
-                        "fault at {at:?}: source {source} out of range (n_sources = {n_sources})"
-                    ));
-                }
-                _ => {}
             }
         }
         Ok(())
     }
 }
 
-/// What the engine does when a packet targets a full ingress queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DropPolicy {
-    /// Drop the arriving packet (the paper's model; the default, and
-    /// byte-identical to the pre-fault engine).
-    #[default]
-    DropTail,
-    /// Evict the oldest queued packet and admit the arrival — favors
-    /// fresh packets at the cost of an extra reorder gap per eviction.
-    DropHead,
-    /// Hold the arrival in a per-core staging buffer (same capacity as
-    /// the main queue) that refills the queue as service completes;
-    /// only when staging is also full is the arrival dropped.
-    Backpressure,
-}
-
 /// Fault-path counters, embedded in the report as
-/// [`SimReport::faults`](crate::SimReport) when fault machinery was
-/// active (a plan was configured or a non-default drop policy chosen).
+/// [`SimReport::faults`](crate::SimReport) when a fault plan was
+/// configured.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Plan entries that fired.
@@ -240,10 +186,6 @@ pub struct FaultStats {
     /// Crash/heal transitions the scheduler honestly reported it could
     /// not repair (the engine keeps degrading via redirects).
     pub unrepaired: u64,
-    /// Oldest-packet evictions under [`DropPolicy::DropHead`].
-    pub head_drops: u64,
-    /// Arrivals staged under [`DropPolicy::Backpressure`].
-    pub backpressured: u64,
 }
 
 /// Probe-bus reconstruction of the fault timeline: crash/heal marks and
@@ -436,11 +378,18 @@ mod tests {
             plan.validate(2, 1).is_err(),
             "core 2 out of range for 2 cores"
         );
-        let bad = FaultPlan::new().throttle(t(1), 0, 0.0);
-        assert!(bad.validate(4, 1).is_err(), "zero factor rejected");
-        let flood = FaultPlan::new().flood(t(1), t(2), 3, 4.0);
-        assert!(flood.validate(1, 1).is_err(), "source 3 out of range");
-        assert!(flood.validate(1, 4).is_ok());
+    }
+
+    #[test]
+    fn throttle_factor_must_be_finite_and_positive() {
+        for factor in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let bad = FaultPlan::new().throttle(t(1), 0, factor);
+            assert!(bad.validate(4, 1).is_err(), "factor {factor} rejected");
+        }
+        for factor in [0.5, 1.0, 4.0] {
+            let ok = FaultPlan::new().throttle(t(1), 0, factor);
+            assert!(ok.validate(4, 1).is_ok(), "factor {factor} accepted");
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use engine::{
 };
 pub use event::SimEvent;
 pub use exec::{ExecBackend, ExecError, UnsupportedPlan};
-pub use fault::{DropPolicy, FaultAction, FaultMark, FaultPlan, FaultProbe, FaultStats, Recovery};
+pub use fault::{FaultAction, FaultMark, FaultPlan, FaultProbe, FaultStats, Recovery};
 pub use order::OrderTracker;
 pub use packet::PacketDesc;
 pub use probe::{

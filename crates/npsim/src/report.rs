@@ -90,8 +90,8 @@ pub struct SimReport {
     /// backends; the denominator-free half of the events/sec metric.
     pub events: u64,
     /// Fault-injection and degradation accounting; `None` when the run
-    /// had no fault plan and the default drop policy (and the key is
-    /// then omitted from serialized reports entirely).
+    /// had no fault plan (and the key is then omitted from serialized
+    /// reports entirely).
     pub faults: Option<FaultStats>,
     /// SCR state-sync accounting; `None` — and omitted from serialized
     /// reports — unless the policy opted into a sync model

@@ -16,8 +16,7 @@
 //!   trace lists of Tables I/II;
 //! * **offline analysis** ([`analysis`]): exact per-flow counters, top-k
 //!   ground truth (whole-trace and windowed), and the rank-size
-//!   distribution that regenerates Fig. 2;
-//! * trace **(de)serialization** ([`io`]).
+//!   distribution that regenerates Fig. 2.
 //!
 //! ```
 //! use nptrace::{TraceConfig, TraceGenerator};
@@ -33,7 +32,6 @@
 
 pub mod analysis;
 pub mod gen;
-pub mod io;
 pub mod packet;
 pub mod presets;
 pub mod sizes;
@@ -41,7 +39,6 @@ pub mod zipf;
 
 pub use analysis::TraceStats;
 pub use gen::{TraceConfig, TraceGenerator};
-pub use io::TraceError;
 pub use packet::{PacketRecord, Trace};
 pub use presets::TracePreset;
 pub use sizes::{SizeModel, SizeProfile};

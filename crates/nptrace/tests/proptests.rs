@@ -1,8 +1,7 @@
 //! Property-based tests for trace generation and analysis.
 
 use nptrace::analysis::{cumulative_top_k_checkpoints, windowed_top_k};
-use nptrace::io;
-use nptrace::{PacketRecord, SizeModel, Trace, TraceConfig, TraceGenerator};
+use nptrace::{SizeModel, TraceConfig, TraceGenerator};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = TraceConfig> {
@@ -61,21 +60,6 @@ proptest! {
         for &f in &top {
             prop_assert!(counts[f as usize] > 0);
         }
-    }
-
-    /// Binary serialization roundtrips arbitrary traces.
-    #[test]
-    fn binary_roundtrip(packets in proptest::collection::vec((0u32..1000, 0u16..2000), 0..500)) {
-        let t = Trace {
-            name: "rt".into(),
-            flow_space: 5,
-            n_flows: 1000,
-            packets: packets.into_iter().map(|(flow, size)| PacketRecord { flow, size }).collect(),
-        };
-        let mut buf = Vec::new();
-        io::write_binary(&t, &mut buf).unwrap();
-        let back = io::read_binary(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(back.packets, t.packets);
     }
 
     /// Windowed top-k covers the whole trace: number of windows is

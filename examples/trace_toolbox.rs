@@ -1,15 +1,14 @@
 //! The trace substrate as a standalone toolbox: generate a synthetic
-//! backbone trace, analyze it, round-trip it through the binary format,
-//! and export a pcap for inspection with standard tools.
+//! backbone trace and analyze it (heavy-tail share, the Fig. 2
+//! rank-size curve).
 //!
 //! ```sh
 //! cargo run --release -p laps-repro --example trace_toolbox
-//! tcpdump -nr /tmp/laps_caida1.pcap | head       # if tcpdump is around
 //! ```
 
-use laps_repro::nptrace::{io, TracePreset};
+use laps_repro::nptrace::TracePreset;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     let trace = TracePreset::Caida(1).generate(100_000);
     let stats = trace.analyze();
 
@@ -34,27 +33,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r *= 4;
     }
     println!();
-
-    // Binary round trip.
-    let path = std::env::temp_dir().join("laps_caida1.npt");
-    io::save(&trace, &path)?;
-    let back = io::load(&path)?;
-    assert_eq!(back.packets, trace.packets);
-    println!(
-        "binary round-trip ok: {} ({} bytes)",
-        path.display(),
-        std::fs::metadata(&path)?.len()
-    );
-
-    // pcap export (headers only), timestamped at 1 Mpps.
-    let pcap = std::env::temp_dir().join("laps_caida1.pcap");
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&pcap)?);
-    io::write_pcap(&trace, 1_000_000, &mut f)?;
-    drop(f);
-    println!(
-        "pcap written: {} ({} bytes)",
-        pcap.display(),
-        std::fs::metadata(&pcap)?.len()
-    );
-    Ok(())
 }

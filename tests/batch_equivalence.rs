@@ -1,7 +1,7 @@
 //! The batched burst-of-32 run loop is an *execution* optimization, not
 //! a semantic one: for every scheduling policy, any burst size, any
-//! source mix, any fault plan and any drop policy, its report must be
-//! byte-for-byte the scalar loop's report. The batched loop emulates
+//! source mix and any fault plan, its report must be byte-for-byte the
+//! scalar loop's report. The batched loop emulates
 //! the scalar heap's insertion sequence at exactly the scalar push
 //! points, so the `(time, seq)` total order — and with it every reorder
 //! count, migration, drop, and latency stat — is identical. This is the
@@ -138,22 +138,19 @@ fn partial_bursts_at_source_exhaustion() {
 
 // ---- faults ride the merge loop ------------------------------------------
 //
-// Fault plans, floods, stalls, dead-core redirects and the DropHead /
-// Backpressure policies run under the batched loop too. Everything
-// below compares the scalar reference against bursts {1, 7, 32} on
-// configurations where that machinery fires — and asserts that it did.
-
-const DROP_POLICIES: [DropPolicy; 3] = [
-    DropPolicy::DropTail,
-    DropPolicy::DropHead,
-    DropPolicy::Backpressure,
-];
+// Fault plans, stalls and dead-core redirects run under the batched
+// loop too. Everything below compares the scalar reference against
+// bursts {1, 7, 32} on configurations where that machinery fires — and
+// asserts that it did. Fault entries do not bound the arrival
+// lookahead (no action touches a source): on the saturated stream a
+// 32-packet burst spans ~16 µs, so every pinned crash, heal and stall
+// below fires with pre-drawn arrivals on both sides of it.
 
 /// The traffic of one faulted run.
 #[derive(Debug, Clone, Copy)]
 enum Traffic {
     /// `n` constant-rate sources sharing `mpps` on 8 cores: no rate
-    /// noise, so only the fault entries bound the arrival lookahead.
+    /// noise on the gap RNG streams.
     Constant { n: usize, mpps: f64 },
     /// Table VI T2 (four Holt-Winters sources) on 16 cores with a
     /// 0.7 ms rate tick: refresh noise and gap draws interleave on each
@@ -165,7 +162,6 @@ enum Traffic {
 struct FaultCase {
     policy: &'static str,
     traffic: Traffic,
-    drop_policy: DropPolicy,
     plan: FaultPlan,
     seed: u64,
     duration: SimTime,
@@ -177,13 +173,6 @@ impl Traffic {
         match self {
             Traffic::Constant { .. } => 8,
             Traffic::HoltWintersT2 => 16,
-        }
-    }
-
-    fn n_sources(self) -> usize {
-        match self {
-            Traffic::Constant { n, .. } => n,
-            Traffic::HoltWintersT2 => 4,
         }
     }
 
@@ -204,7 +193,6 @@ impl FaultCase {
             .scale(self.scale)
             .seed(self.seed)
             .faults(self.plan.clone())
-            .drop_policy(self.drop_policy)
             .configure(|cfg| {
                 cfg.execution = execution;
                 cfg.rate_update_interval = tick;
@@ -254,8 +242,6 @@ impl FaultCase {
 struct Bite {
     crashes: u64,
     redirects: u64,
-    head_drops: u64,
-    backpressured: u64,
     fault_drops: u64,
 }
 
@@ -264,8 +250,6 @@ impl Bite {
         let f = r.faults.as_ref().expect("fault machinery was active");
         self.crashes += f.crashes;
         self.redirects += f.redirects;
-        self.head_drops += f.head_drops;
-        self.backpressured += f.backpressured;
         self.fault_drops += f.fault_drops;
     }
 }
@@ -275,34 +259,26 @@ fn ms(x: f64) -> SimTime {
 }
 
 /// One traffic kind's half of the grid: all 13 policies × `random_plan`
-/// seeds × the three drop policies × bursts {1, 7, 32}. Each half must
-/// bite on its own.
+/// seeds × bursts {1, 7, 32}. Each half must bite on its own.
 fn fault_grid(ti: u64, traffic: Traffic) {
     let mut bite = Bite::default();
     for (pi, policy) in POLICIES.into_iter().enumerate() {
-        for (di, drop_policy) in DROP_POLICIES.into_iter().enumerate() {
-            for k in 0..2u64 {
-                let seed = 1 + k + 2 * (ti + 2 * (di + 3 * pi) as u64);
-                let duration = SimTime::from_millis(4);
-                let case = FaultCase {
-                    policy,
-                    traffic,
-                    drop_policy,
-                    plan: random_plan(seed, traffic.n_cores(), traffic.n_sources(), duration),
-                    seed,
-                    duration,
-                    scale: 20.0,
-                };
-                bite.add(&case.assert_loops_agree());
-            }
+        for k in 0..2u64 {
+            let seed = 1 + k + 2 * (ti + 2 * pi as u64);
+            let duration = SimTime::from_millis(4);
+            let case = FaultCase {
+                policy,
+                traffic,
+                plan: random_plan(seed, traffic.n_cores(), duration),
+                seed,
+                duration,
+                scale: 20.0,
+            };
+            bite.add(&case.assert_loops_agree());
         }
     }
     assert!(
-        bite.crashes > 0
-            && bite.redirects > 0
-            && bite.head_drops > 0
-            && bite.backpressured > 0
-            && bite.fault_drops > 0,
+        bite.crashes > 0 && bite.redirects > 0 && bite.fault_drops > 0,
         "the grid must exercise every fault path at least once: {bite:?}"
     );
 }
@@ -324,7 +300,6 @@ fn saturated(policy: &'static str, plan: FaultPlan) -> FaultCase {
     FaultCase {
         policy,
         traffic: Traffic::Constant { n: 1, mpps: 40.0 },
-        drop_policy: DropPolicy::DropTail,
         plan,
         seed: 5,
         duration: SimTime::from_millis(4),
@@ -344,7 +319,6 @@ fn fault_at_a_rate_tick_and_two_entries_at_one_instant() {
     ] {
         let plan = FaultPlan::new()
             .crash(tick, 1)
-            .flood(tick, tick + tick, 0, 3.0)
             .heal(tick + tick, 1)
             .crash(tick + tick, 2)
             .heal(tick + tick, 2);
@@ -352,7 +326,6 @@ fn fault_at_a_rate_tick_and_two_entries_at_one_instant() {
             let case = FaultCase {
                 policy,
                 traffic,
-                drop_policy: DropPolicy::DropTail,
                 plan: plan.clone(),
                 seed: 9,
                 duration: SimTime::from_millis(4),
@@ -360,7 +333,7 @@ fn fault_at_a_rate_tick_and_two_entries_at_one_instant() {
             };
             let r = case.assert_loops_agree();
             let f = r.faults.expect("plan configured");
-            assert_eq!((f.injected, f.crashes, f.heals), (6, 2, 2));
+            assert_eq!((f.injected, f.crashes, f.heals), (4, 2, 2));
         }
     }
 }
@@ -418,14 +391,9 @@ fn saturated_crashes_all_leave_counted_stale_finishes() {
         .heal(ms(1.9), 1)
         .crash(ms(2.5), 1)
         .crash(ms(2.5), 6);
-    for drop_policy in DROP_POLICIES {
-        let case = FaultCase {
-            drop_policy,
-            ..saturated("fcfs", plan.clone())
-        };
-        let r = case.assert_loops_agree();
-        assert_eq!(case.stale_finishes(&r, 0), 4, "{drop_policy:?}");
-    }
+    let case = saturated("fcfs", plan);
+    let r = case.assert_loops_agree();
+    assert_eq!(case.stale_finishes(&r, 0), 4);
 }
 
 /// stall → crash → heal → stall on one core, plus two overlapping
@@ -447,34 +415,4 @@ fn stall_crash_heal_stall() {
         // crash hit core 2 while stalled but still finishing a packet.
         assert!(case.stale_finishes(&r, 4) <= 1, "{policy}");
     }
-}
-
-/// A flood that starts and ends between two consecutive arrivals of a
-/// full 32-packet lookahead burst: at 1 Mpps/scale 20 a burst spans
-/// ~640 µs, the flood 60 µs. The barrier must cut the burst at both
-/// entries.
-#[test]
-fn flood_inside_one_lookahead_burst() {
-    let plan = FaultPlan::new().flood(ms(1.00), ms(1.06), 0, 4.0);
-    let case = FaultCase {
-        policy: "laps",
-        traffic: Traffic::Constant { n: 1, mpps: 1.0 },
-        drop_policy: DropPolicy::DropTail,
-        plan,
-        seed: 3,
-        duration: SimTime::from_millis(6),
-        scale: 20.0,
-    };
-    let flooded = case.assert_loops_agree();
-    let calm = FaultCase {
-        plan: FaultPlan::new().throttle(ms(1.0), 0, 1.0),
-        ..case.clone()
-    }
-    .assert_loops_agree();
-    assert!(
-        flooded.offered > calm.offered,
-        "the flood must have compressed some gaps ({} vs {})",
-        flooded.offered,
-        calm.offered
-    );
 }

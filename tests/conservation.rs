@@ -99,13 +99,13 @@ fn identical_arrivals_across_schedulers() {
 #[test]
 fn conservation_holds_under_any_fault_plan() {
     // Property: for ANY deterministic fault plan — crashes, heals,
-    // throttles, stalls, floods, in any combination — every offered
+    // throttles, stalls, in any combination — every offered
     // packet is still either delivered or dropped after the drain, for
     // every policy. Randomized plans are generated from the seed, so a
     // failing seed reproduces exactly.
     let horizon = SimTime::from_millis(120);
     for seed in 0..12u64 {
-        let plan = random_plan(seed, 16, 4, horizon);
+        let plan = random_plan(seed, 16, horizon);
         for name in ["fcfs", "static", "laps"] {
             let b = builder(1 + (seed % 8) as u8, 900 + seed).faults(plan.clone());
             let r = b.run_named(name).expect("builtin policy");
@@ -134,7 +134,7 @@ fn fault_runs_are_byte_identical_across_replays() {
     // is part of the deterministic simulation, not a perturbation.
     let horizon = SimTime::from_millis(120);
     for seed in [0u64, 3, 7] {
-        let plan = random_plan(seed, 16, 4, horizon);
+        let plan = random_plan(seed, 16, horizon);
         for name in ["fcfs", "laps"] {
             let run = || {
                 let r = builder(2, 1_000 + seed)
@@ -147,31 +147,6 @@ fn fault_runs_are_byte_identical_across_replays() {
                 run(),
                 run(),
                 "{name} under plan seed {seed}: replay diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn degradation_policies_conserve_packets() {
-    // The queue-full degradation knob must never break accounting, with
-    // or without a concurrent fault plan.
-    let plan = crash_with_heal(3, SimTime::from_millis(30), SimTime::from_millis(70));
-    for policy in [
-        DropPolicy::DropTail,
-        DropPolicy::DropHead,
-        DropPolicy::Backpressure,
-    ] {
-        for with_faults in [false, true] {
-            let mut b = builder(5, 2_024).drop_policy(policy);
-            if with_faults {
-                b = b.faults(plan.clone());
-            }
-            let r = b.run_named("laps").expect("builtin policy");
-            assert_eq!(
-                r.offered,
-                r.dropped + r.processed,
-                "laps with {policy:?} (faults: {with_faults}): conservation broke"
             );
         }
     }

@@ -5,9 +5,9 @@
 //!
 //! * **Conservation under chaos** — every `scr-*` policy, priced or
 //!   not, conserves packets (`offered == dropped + processed`) under
-//!   randomized fault plans (crashes, heals, throttles, stalls,
-//!   floods). The sync surcharge only stretches service times; it must
-//!   never create or lose a descriptor, even across crash repair.
+//!   randomized fault plans (crashes, heals, throttles, stalls). The
+//!   sync surcharge only stretches service times; it must never create
+//!   or lose a descriptor, even across crash repair.
 //! * **Zero-cost identity** — `scr-rr` makes the exact decision stream
 //!   of `round-robin`, so at `sync_cost_us = 0` its report is
 //!   byte-identical to round-robin's (modulo the scheduler name field).
@@ -51,8 +51,7 @@ proptest! {
         let cost = [0.0, 0.4, 1.6][cost_i];
         let b = builder(scenario_id, seed, cost);
         let cfg = b.engine_config();
-        let n_sources = scenario_sources(Scenario::by_id(scenario_id).unwrap()).len();
-        let plan = random_plan(seed ^ 0x5c2, cfg.n_cores, n_sources, cfg.duration);
+        let plan = random_plan(seed ^ 0x5c2, cfg.n_cores, cfg.duration);
         let r = b.faults(plan).run_named(policy).expect("builtin policy");
         prop_assert_eq!(
             r.offered,
