@@ -36,7 +36,7 @@ use crate::migration::MigrationTable;
 use detsim::SimTime;
 use npafd::Afd;
 use nphash::{FlowSlot, MapTable};
-use npsim::{PacketDesc, RepairOutcome, SchedEvent, Scheduler, SystemView};
+use npsim::{PacketDesc, RepairOutcome, Scheduler, SystemView};
 use nptraffic::ServiceKind;
 
 #[derive(Debug)]
@@ -92,13 +92,6 @@ pub struct Laps {
     parked_time_ns: u64,
     parks: u64,
     wakes: u64,
-    /// Buffer park/wake transitions for the engine's observability bus?
-    /// Off unless a probe host is listening, so the zero-probe fast path
-    /// never touches the buffer.
-    event_feed: bool,
-    /// Park/wake transitions since the last drain (only filled while
-    /// `event_feed` is on).
-    pending_events: Vec<SchedEvent>,
     /// Per-core retirement record while the core is dead (see
     /// [`RetiredRecord`]); `None` for live cores.
     retired: Vec<Option<RetiredRecord>>,
@@ -150,8 +143,6 @@ impl Laps {
             parked_time_ns: 0,
             parks: 0,
             wakes: 0,
-            event_feed: false,
-            pending_events: Vec::new(),
             retired: vec![None; cfg.n_cores],
             cfg,
         }
@@ -262,9 +253,6 @@ impl Laps {
                     cs.parked_since = Some(view.now);
                 }
                 self.parks += 1;
-                if self.event_feed {
-                    self.pending_events.push(SchedEvent::CoreParked { core: c });
-                }
             }
         }
     }
@@ -285,9 +273,6 @@ impl Laps {
         cs.owner = svc;
         self.parked_time_ns += now.saturating_sub(since).as_nanos();
         self.wakes += 1;
-        if self.event_feed {
-            self.pending_events.push(SchedEvent::CoreUnparked { core });
-        }
         let s = self.svc_mut(svc);
         s.map.add_core(core);
         s.drops_since_gain = 0;
@@ -447,16 +432,6 @@ impl Scheduler for Laps {
 
     fn core_reallocations(&self) -> u64 {
         self.reallocs
-    }
-
-    fn set_event_feed(&mut self, enabled: bool) {
-        self.event_feed = enabled;
-    }
-
-    fn drain_events(&mut self, sink: &mut dyn FnMut(SchedEvent)) {
-        for ev in self.pending_events.drain(..) {
-            sink(ev);
-        }
     }
 
     /// Minimum-migration crash repair: retire exactly the dead core's

@@ -12,8 +12,8 @@
 //!   inputs always replay identically.
 //! * [`rng`] — seed-derivation utilities (SplitMix64) and reproducible
 //!   per-component RNG streams.
-//! * [`BoundedQueue`] — a fixed-capacity FIFO with drop accounting, used to
-//!   model per-core input queues of packet descriptors.
+//! * [`BoundedQueue`] — a fixed-capacity drop-tail FIFO, used to model
+//!   per-core input queues of packet descriptors.
 //! * [`stats`] — counters and histograms for simulation reports.
 //!
 //! The kernel is intentionally generic: it knows nothing about packets or
@@ -41,15 +41,13 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod plan;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::{EventEntry, EventQueue};
-pub use plan::TimedPlan;
 pub use queue::{BoundedQueue, PushOutcome};
 pub use rng::{derive_seed, SeedSequence, SplitMix64};
-pub use stats::{Counter, Histogram, KahanSum, WelfordMean};
+pub use stats::{Counter, Histogram, WelfordMean};
 pub use time::SimTime;

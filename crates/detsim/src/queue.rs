@@ -1,4 +1,4 @@
-//! Bounded FIFO queues with drop accounting.
+//! Bounded FIFO queues with drop-tail admission.
 //!
 //! Models the per-core input queues of the network processor: each core has
 //! a fixed number of packet-descriptor slots (32 in the paper, after
@@ -22,15 +22,11 @@ impl PushOutcome {
     }
 }
 
-/// Fixed-capacity FIFO with cumulative enqueue/drop counters.
+/// Fixed-capacity FIFO: a push onto a full queue is refused.
 #[derive(Debug, Clone)]
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    enqueued: u64,
-    dropped: u64,
-    /// High-water mark of queue occupancy.
-    peak: usize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -40,23 +36,15 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            enqueued: 0,
-            dropped: 0,
-            peak: 0,
         }
     }
 
-    /// Attempt to enqueue; drops (and counts) when full.
+    /// Attempt to enqueue; drops the item when full.
     pub fn push(&mut self, item: T) -> PushOutcome {
         if self.items.len() >= self.capacity {
-            self.dropped += 1;
             PushOutcome::Dropped
         } else {
             self.items.push_back(item);
-            self.enqueued += 1;
-            if self.items.len() > self.peak {
-                self.peak = self.items.len();
-            }
             PushOutcome::Enqueued(self.items.len())
         }
     }
@@ -64,11 +52,6 @@ impl<T> BoundedQueue<T> {
     /// Dequeue the oldest item.
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
-    }
-
-    /// Borrow the oldest item without removing it.
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
     }
 
     /// Current occupancy.
@@ -81,40 +64,9 @@ impl<T> BoundedQueue<T> {
         self.items.is_empty()
     }
 
-    /// Whether the queue is at capacity (the paper's overload predicate
-    /// compares `len()` against a threshold ≤ capacity).
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Cumulative accepted items.
-    pub fn enqueued_count(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Cumulative dropped items.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Highest occupancy ever observed.
-    pub fn peak_len(&self) -> usize {
-        self.peak
-    }
-
-    /// Drain all items (counters preserved). Returns them oldest-first.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        self.items.drain(..).collect()
-    }
-
-    /// Iterate items oldest-first without consuming.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
     }
 }
 
@@ -138,8 +90,6 @@ mod tests {
         assert_eq!(q.push('a'), PushOutcome::Enqueued(1));
         assert_eq!(q.push('b'), PushOutcome::Enqueued(2));
         assert_eq!(q.push('c'), PushOutcome::Dropped);
-        assert_eq!(q.dropped_count(), 1);
-        assert_eq!(q.enqueued_count(), 2);
         // Space frees after a pop.
         assert_eq!(q.pop(), Some('a'));
         assert!(q.push('d').is_enqueued());
@@ -150,40 +100,7 @@ mod tests {
     fn zero_capacity_drops_everything() {
         let mut q = BoundedQueue::new(0);
         assert_eq!(q.push(1), PushOutcome::Dropped);
-        assert_eq!(q.dropped_count(), 1);
-        assert!(q.is_full());
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peak_tracks_high_water() {
-        let mut q = BoundedQueue::new(10);
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        q.pop();
-        q.pop();
-        q.push(4);
-        assert_eq!(q.peak_len(), 3);
-    }
-
-    #[test]
-    fn drain_and_iter() {
-        let mut q = BoundedQueue::new(4);
-        q.push(1);
-        q.push(2);
-        let seen: Vec<i32> = q.iter().copied().collect();
-        assert_eq!(seen, vec![1, 2]);
-        assert_eq!(q.drain_all(), vec![1, 2]);
-        assert!(q.is_empty());
-        assert_eq!(q.enqueued_count(), 2);
-    }
-
-    #[test]
-    fn front_peeks_without_removing() {
-        let mut q = BoundedQueue::new(2);
-        q.push(9);
-        assert_eq!(q.front(), Some(&9));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.capacity(), 0);
     }
 }

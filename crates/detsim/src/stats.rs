@@ -44,63 +44,13 @@ impl Counter {
     }
 }
 
-/// Neumaier's compensated summation (the improved Kahan algorithm).
-///
-/// A naive `sum += term` loop loses low-order bits every time `sum` and
-/// `term` differ in magnitude; over millions of simulation events the
-/// error drifts with *event order*, so two runs that merely process the
-/// same packets in a different interleaving can report different
-/// statistics. Carrying the running compensation term keeps the result
-/// faithful to the mathematical sum (error independent of length for
-/// well-scaled inputs), which is what the determinism contract needs
-/// from every long-running float accumulator. The `npcheck` linter
-/// flags raw `+=` float accumulation in this module for this reason.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct KahanSum {
-    sum: f64,
-    /// Running compensation: low-order bits lost from `sum` so far.
-    c: f64,
-}
-
-impl KahanSum {
-    /// A sum at zero.
-    pub fn new() -> Self {
-        KahanSum::default()
-    }
-
-    /// Fold in one term.
-    #[inline]
-    pub fn add(&mut self, term: f64) {
-        let t = self.sum + term;
-        // Neumaier's branch: recover the low bits of whichever operand
-        // was smaller (plain Kahan loses them when |term| > |sum|).
-        if self.sum.abs() >= term.abs() {
-            self.c += (self.sum - t) + term;
-        } else {
-            self.c += (term - t) + self.sum;
-        }
-        self.sum = t;
-    }
-
-    /// The compensated total.
-    #[inline]
-    pub fn sum(&self) -> f64 {
-        self.sum + self.c
-    }
-
-    /// Merge another compensated sum into this one.
-    pub fn merge(&mut self, other: &KahanSum) {
-        self.add(other.sum);
-        self.add(other.c);
-    }
-}
-
 /// Welford's online mean/variance accumulator.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct WelfordMean {
     n: u64,
     mean: f64,
-    m2: KahanSum,
+    /// Sum of squared deviations from the running mean.
+    m2: f64,
     min: f64,
     max: f64,
 }
@@ -111,7 +61,7 @@ impl WelfordMean {
         WelfordMean {
             n: 0,
             mean: 0.0,
-            m2: KahanSum::new(),
+            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -121,12 +71,12 @@ impl WelfordMean {
     pub fn push(&mut self, x: f64) {
         self.n += 1;
         let d = x - self.mean;
-        // The Welford mean recurrence is itself a compensated update
-        // (the correction shrinks as 1/n); wrapping it in KahanSum
-        // would change the algorithm, not fix it.
-        // npcheck: allow(float-accum) — Welford recurrence, see above
+        // Welford's recurrence: the mean update is itself a correction
+        // that shrinks as 1/n, and `m2` accumulates products of two
+        // deviations rather than raw squares, so neither update loses
+        // the precision a naive sum of squares would.
         self.mean += d / self.n as f64;
-        self.m2.add(d * (x - self.mean));
+        self.m2 += d * (x - self.mean);
         if x < self.min {
             self.min = x;
         }
@@ -154,7 +104,7 @@ impl WelfordMean {
         if self.n < 2 {
             0.0
         } else {
-            self.m2.sum() / (self.n - 1) as f64
+            self.m2 / (self.n - 1) as f64
         }
     }
 
@@ -194,10 +144,9 @@ impl WelfordMean {
         let n2 = other.n as f64;
         let d = other.mean - self.mean;
         let n = n1 + n2;
-        // npcheck: allow(float-accum) — Chan's merge recurrence, see push()
+        // Chan et al.'s pairwise merge of two Welford states.
         self.mean += d * n2 / n;
-        self.m2.merge(&other.m2);
-        self.m2.add(d * d * n1 * n2 / n);
+        self.m2 += other.m2 + d * d * n1 * n2 / n;
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -328,47 +277,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         assert!((c.fraction_of(10) - 0.5).abs() < 1e-12);
         assert_eq!(c.fraction_of(0), 0.0);
-    }
-
-    #[test]
-    fn kahan_recovers_cancelled_low_bits() {
-        // Naive summation yields 0.0 here: 1.0 vanishes into 1e100.
-        let mut k = KahanSum::new();
-        for term in [1.0, 1e100, 1.0, -1e100] {
-            k.add(term);
-        }
-        assert_eq!(k.sum(), 2.0);
-    }
-
-    #[test]
-    fn kahan_beats_naive_on_many_small_terms() {
-        let mut k = KahanSum::new();
-        let mut naive = 0.0f64;
-        for _ in 0..10_000_000 {
-            k.add(0.1);
-            naive += 0.1;
-        }
-        let exact = 1_000_000.0;
-        assert!((k.sum() - exact).abs() <= (naive - exact).abs());
-        assert!((k.sum() - exact).abs() < 1e-6, "kahan={}", k.sum());
-    }
-
-    #[test]
-    fn kahan_merge_equals_sequential() {
-        let mut whole = KahanSum::new();
-        let mut a = KahanSum::new();
-        let mut b = KahanSum::new();
-        for i in 0..1000 {
-            let x = (i as f64).cos() * 1e8 + 1e-8;
-            whole.add(x);
-            if i % 2 == 0 {
-                a.add(x)
-            } else {
-                b.add(x)
-            }
-        }
-        a.merge(&b);
-        assert!((a.sum() - whole.sum()).abs() < 1e-6);
     }
 
     #[test]

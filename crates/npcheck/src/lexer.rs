@@ -372,12 +372,12 @@ mod tests {
     #[test]
     fn allow_markers_collected() {
         let l = lex(
-            "x(); // npcheck: allow(float-accum) because tests\n// npcheck: allow(lock-order)\n",
+            "x(); // npcheck: allow(unbounded-queue) because tests\n// npcheck: allow(lock-order)\n",
         );
         assert_eq!(
             l.allows,
             vec![
-                (1, "float-accum".to_string()),
+                (1, "unbounded-queue".to_string()),
                 (2, "lock-order".to_string())
             ]
         );

@@ -8,12 +8,11 @@
 //! `unsafe_code`, and the `#![deny(clippy::unwrap_used,
 //! clippy::expect_used, clippy::indexing_slicing)]` header each
 //! per-packet module opens with — see DESIGN.md, "Determinism
-//! contract"). This linter keeps the six rules they cannot express:
+//! contract"). This linter keeps the five rules they cannot express:
 //!
 //! | rule | severity | pass | what it catches |
 //! |------|----------|------|-----------------|
 //! | `probe-hot-path` | warn | file | allocation or `HashMap`/`HashSet` inside a probe's `on_event` — the observability bus runs per published event |
-//! | `float-accum` | warn | file | naive `+=`/`-=` accumulation of computed `f64` terms in `detsim::stats` instead of the compensated helpers |
 //! | `shared-state-audit` | deny | file | explicit atomic `Ordering`s weaker than `SeqCst` without a `// npcheck: ordering(<why>)` justification, in thread-shared crates |
 //! | `unbounded-queue` | warn | file | `VecDeque::new`, `mpsc::channel`, and Vec-as-queue idioms with no declared capacity bound |
 //! | `blocking-hot-path` | deny | file | lock acquisition, `sleep`, blocking I/O, or allocation in a module carrying the hot-path header (constructors exempt) |

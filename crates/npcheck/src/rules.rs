@@ -107,17 +107,6 @@ pub const RULES: &[RuleSpec] = &[
         check: check_probe_hot_path,
     },
     RuleSpec {
-        id: "float-accum",
-        severity: Severity::Warn,
-        summary: "naive += / -= of computed float terms in detsim::stats",
-        why: "Repeated naive f64 accumulation loses low-order bits, and its error \
-              depends on summation order — a silent threat to cross-run comparisons \
-              of long simulations. Use detsim::stats::KahanSum (compensated \
-              summation) or justify with an allow comment.",
-        applies: |p, _| p == "crates/detsim/src/stats.rs",
-        check: check_float_accum,
-    },
-    RuleSpec {
         id: "shared-state-audit",
         severity: Severity::Deny,
         summary: "atomic `Ordering` weaker than SeqCst without a written justification in thread-shared crates",
@@ -383,49 +372,6 @@ fn check_probe_hot_path(file: &str, lexed: &LexedFile, findings: &mut Vec<Findin
             j += 1;
         }
         i = j + 1;
-    }
-}
-
-fn check_float_accum(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
-    let spec = rule("float-accum");
-    let toks = &lexed.tokens;
-    let limit = lexed.cfg_test_line.unwrap_or(usize::MAX);
-    for (i, (line, tok)) in toks.iter().enumerate() {
-        if *line >= limit {
-            break;
-        }
-        let Tok::Punct(op) = tok else { continue };
-        if op != "+=" && op != "-=" {
-            continue;
-        }
-        // Scan the right-hand side (to `;`): arithmetic on computed
-        // terms (`*`, `/`), float literals, or an `as f64` cast mark a
-        // float accumulation; bare counter bumps (`+= 1`, `+= n`) pass.
-        let mut j = i + 1;
-        let mut suspicious = false;
-        while let Some((_, t)) = toks.get(j) {
-            if t.is_punct(";") {
-                break;
-            }
-            match t {
-                Tok::Punct(p) if p == "*" || p == "/" => suspicious = true,
-                Tok::Num(nm) if nm.contains('.') => suspicious = true,
-                Tok::Ident(id) if id == "f64" || id == "f32" => suspicious = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        if suspicious {
-            push(
-                findings,
-                spec,
-                file,
-                *line,
-                format!(
-                    "`{op}` accumulates computed float terms; use KahanSum (compensated summation)"
-                ),
-            );
-        }
     }
 }
 
@@ -869,14 +815,6 @@ mod tests {
     fn probe_rule_ignores_trait_declarations_and_other_fns() {
         let src = "pub trait Probe {\nfn on_event(&mut self, t: SimTime, ev: &SimEvent);\n}\nfn helper() -> String { format!(\"ok\") }\n";
         assert!(scan_source("crates/npsim/src/probe.rs", src).is_empty());
-    }
-
-    #[test]
-    fn float_accum_flags_computed_terms_only() {
-        let src = "impl T {\nfn a(&mut self) { self.count += 1; }\nfn b(&mut self, d: f64) { self.sum += d * 2.0; }\nfn c(&mut self, n: u64) { self.total += n; }\n}\n";
-        let f = scan_source("crates/detsim/src/stats.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f.first().map(|x| x.line), Some(3));
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn fixture(name: &str) -> PathBuf {
 fn bad_fixture_trips_every_rule() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("bad")).expect("scan bad fixture tree");
-    assert_eq!(files, 8, "expected the eight bad fixture files");
+    assert_eq!(files, 7, "expected the seven bad fixture files");
     let rules: BTreeSet<&str> = findings.iter().map(|f| f.rule).collect();
     for meta in npcheck::all_rules() {
         assert!(
@@ -31,10 +31,10 @@ fn bad_fixture_trips_every_rule() {
             meta.id
         );
     }
-    // Spot-check severities: float-accum warns, the rest deny.
+    // Spot-check severities: unbounded-queue warns, the rest deny.
     assert!(findings
         .iter()
-        .any(|f| f.rule == "float-accum" && f.severity == npcheck::Severity::Warn));
+        .any(|f| f.rule == "unbounded-queue" && f.severity == npcheck::Severity::Warn));
     assert!(findings
         .iter()
         .any(|f| f.rule == "blocking-hot-path" && f.severity == npcheck::Severity::Deny));
@@ -78,7 +78,7 @@ fn bad_fixture_findings_are_sorted_and_stable() {
 fn good_fixture_is_clean() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("good")).expect("scan good fixture tree");
-    assert_eq!(files, 8, "expected the eight good fixture files");
+    assert_eq!(files, 7, "expected the seven good fixture files");
     assert!(
         findings.is_empty(),
         "good fixtures must be clean, got:\n{}",

@@ -20,15 +20,18 @@
 //!
 //! # Pipeline architecture
 //!
-//! The engine is a thin orchestrator over four stages:
+//! The engine is an orchestrator over three stages plus one direct
+//! scheduler call:
 //!
 //! * **ingest** — traffic sources, arrival-gap draws, the flow interner,
 //!   and frame-manager admission (slow-path classifier, packet IDs).
-//! * **dispatch** — the scheduling policy, per-flow state (sequence
-//!   numbers, last core), and the incrementally maintained
-//!   [`QueueInfo`](crate::QueueInfo) view.
+//! * **dispatch** — `Engine::on_arrival` asks the policy for a core
+//!   with one [`Scheduler::schedule`] call over the service stage's
+//!   [`QueueInfo`](crate::QueueInfo) view; per-flow state (sequence
+//!   numbers, last core) lives in the engine's `FlowTable`.
 //! * **service** — per-core bounded queues, the Eq. 3 delay model,
-//!   busy-time accounting.
+//!   busy-time accounting, and the queue view the scheduler reads
+//!   (written by the mutation that changes it).
 //! * **record** — the observability-bus terminal: the order tracker, the
 //!   optional restoration buffer, the always-on report probe, and any
 //!   attached dynamic [`Probe`](crate::Probe)s.
@@ -58,12 +61,12 @@ use crate::packet::PacketDesc;
 use crate::probe::{ProbeHost, ProbeStack, ReportProbe};
 use crate::report::{SimReport, SyncStats};
 use crate::restore::RestorationBuffer;
-use crate::sched::{RepairOutcome, SchedEvent, Scheduler};
+use crate::sched::{RepairOutcome, Scheduler, SystemView};
 use crate::source::SourceConfig;
 use detsim::{PushOutcome, SeedSequence, SimTime};
 
 use clock::{Ev, HeapPending, Pending};
-use dispatch::{DispatchStage, MAX_SYNC_CORES};
+use dispatch::{FlowTable, MAX_SYNC_CORES};
 use ingest::{Admission, IngestStage};
 use record::RecordStage;
 use service::ServiceStage;
@@ -163,17 +166,33 @@ impl Default for EngineConfig {
     }
 }
 
+/// The configuration checks [`Engine::with_probes`] and
+/// [`PlanStream::new`] share, so the stream never accepts a
+/// configuration the engine rejects.
+fn check_stream_config(cfg: &EngineConfig, sources: &[SourceConfig]) {
+    assert!(!sources.is_empty(), "need at least one traffic source");
+    assert!(cfg.scale > 0.0, "scale must be positive");
+    assert!(
+        (0.0..1.0).contains(&cfg.control_plane_fraction),
+        "control-plane fraction must be in [0, 1)"
+    );
+    assert!(
+        cfg.rate_update_interval > SimTime::ZERO,
+        "rate update interval must be positive"
+    );
+}
+
 /// The simulation engine, generic over the scheduling policy `S` and the
 /// probe host `P` (default `()`: no probes, the zero-cost fast path).
 pub struct Engine<S: Scheduler, P: ProbeHost = ()> {
     cfg: EngineConfig,
     ingest: IngestStage,
-    dispatch: DispatchStage<S>,
+    /// The scheduling policy: one `schedule` call per fast-path arrival.
+    scheduler: S,
+    /// Per-flow state (arrival seq, last core), slot-indexed.
+    flows: FlowTable,
     service: ServiceStage,
     record: RecordStage<P>,
-    /// Reusable drain buffer for the scheduler's [`SchedEvent`] feed
-    /// (taken/restored around the drain to avoid aliasing the stages).
-    sched_ev_buf: Vec<SchedEvent>,
     /// Whether a fault plan is configured. Guards the per-packet
     /// dead-core check so the fault-free hot path is untouched.
     faults_enabled: bool,
@@ -197,7 +216,7 @@ pub struct Engine<S: Scheduler, P: ProbeHost = ()> {
 impl<S: Scheduler, P: ProbeHost> std::fmt::Debug for Engine<S, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("scheduler", &self.dispatch.name())
+            .field("scheduler", &self.scheduler.name())
             .field("n_cores", &self.service.n_cores())
             .field("n_sources", &self.ingest.n_sources())
             .field("next_packet_id", &self.ingest.next_packet_id())
@@ -234,27 +253,19 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// Build an engine with an arbitrary probe host.
     ///
     /// # Panics
-    /// Panics on a zero-core configuration, an empty source list, a zero
-    /// `rate_update_interval` (the tick would re-arm at `now` forever),
-    /// an invalid fault plan ([`FaultPlan::validate`]), or a priced sync
-    /// model (SCR) on more than 64 cores.
+    /// Panics on a zero-core configuration, an empty source list, a
+    /// non-positive scale, a control-plane fraction outside `[0, 1)`, a
+    /// zero `rate_update_interval` (the tick would re-arm at `now`
+    /// forever), an invalid fault plan ([`FaultPlan::validate`]), or a
+    /// priced sync model (SCR) on more than 64 cores.
     pub fn with_probes(
         cfg: EngineConfig,
         sources: &[SourceConfig],
-        mut scheduler: S,
+        scheduler: S,
         probes: P,
     ) -> Self {
         assert!(cfg.n_cores > 0, "need at least one core");
-        assert!(!sources.is_empty(), "need at least one traffic source");
-        assert!(cfg.scale > 0.0, "scale must be positive");
-        assert!(
-            (0.0..1.0).contains(&cfg.control_plane_fraction),
-            "control-plane fraction must be in [0, 1)"
-        );
-        assert!(
-            cfg.rate_update_interval > SimTime::ZERO,
-            "rate update interval must be positive"
-        );
+        check_stream_config(&cfg, sources);
         if let Err(e) = cfg.faults.validate(cfg.n_cores, sources.len()) {
             panic!("invalid fault plan: {e}");
         }
@@ -269,14 +280,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             cfg.control_plane_fraction,
         );
         let service = ServiceStage::new(cfg.n_cores, cfg.queue_capacity, delay);
-        let infos = (0..cfg.n_cores)
-            .filter_map(|i| service.snapshot(i))
-            .collect();
         let report = ReportProbe::new(scheduler.name(), cfg.duration, cfg.scale);
         let restoration = cfg.restoration.map(RestorationBuffer::new);
-        // Policies with a park/wake side channel only buffer events when
-        // someone is listening.
-        scheduler.set_event_feed(P::ACTIVE);
         let faults_enabled = !cfg.faults.is_empty();
         // The SCR sync model engages only when the policy asks for it
         // AND the delay model prices it; priced at zero, an SCR run is
@@ -292,16 +297,12 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         );
         let sync_cost_ns = SimTime::from_micros_f64(delay.sync_delay_us(1)).as_nanos();
         let sync_every = sync_policy.map_or(0, |p| p.sync_every);
-        let mut dispatch = DispatchStage::new(scheduler, infos);
-        if sync_enabled {
-            dispatch.enable_sync();
-        }
         Engine {
             ingest,
-            dispatch,
+            scheduler,
+            flows: FlowTable::new(sync_enabled),
             service,
             record: RecordStage::new(report, restoration, probes),
-            sched_ev_buf: Vec::new(),
             faults_enabled,
             fstats: FaultStats::default(),
             sync_enabled,
@@ -309,31 +310,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             sync_every,
             sync_stats: SyncStats::default(),
             cfg,
-        }
-    }
-
-    /// Republish the scheduler's buffered park/wake transitions on the
-    /// bus. Only reached when probes are attached.
-    fn drain_sched_events(&mut self, now: SimTime) {
-        let mut buf = std::mem::take(&mut self.sched_ev_buf);
-        self.dispatch.drain_events_into(&mut buf);
-        for ev in buf.drain(..) {
-            let sim_ev = match ev {
-                SchedEvent::CoreParked { core } => SimEvent::CoreParked { core },
-                SchedEvent::CoreUnparked { core } => SimEvent::CoreUnparked { core },
-            };
-            self.record.publish(now, &sim_ev);
-        }
-        self.sched_ev_buf = buf;
-    }
-
-    /// Resync core `i`'s scheduler-view entry after mutating it. Every
-    /// event touches exactly one core, so this keeps the view coherent at
-    /// one entry write per event instead of an `n_cores` rebuild.
-    #[inline]
-    fn sync_info(&mut self, i: usize) {
-        if let Some(info) = self.service.snapshot(i) {
-            self.dispatch.set_info(i, info);
         }
     }
 
@@ -346,7 +322,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// called when `sync_enabled`.
     #[inline]
     fn stamp_sync(&mut self, pkt: &mut PacketDesc, target: usize) {
-        let stale = self.dispatch.sync_stale(pkt.slot, target);
+        let stale = self.flows.sync_stale(pkt.slot, target);
         if stale > 0 {
             let debt = self.sync_cost_ns.saturating_mul(u64::from(stale));
             pkt.sync_debt_ns = u32::try_from(debt).unwrap_or(u32::MAX);
@@ -358,7 +334,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// surcharge stamped by [`Engine::stamp_sync`].
     #[inline]
     fn commit_sync(&mut self, slot: nphash::FlowSlot, target: usize, debt_ns: u32) {
-        let (_, consolidated) = self.dispatch.sync_touch(slot, target, self.sync_every);
+        let (_, consolidated) = self.flows.sync_touch(slot, target, self.sync_every);
         if debt_ns > 0 {
             self.sync_stats.sync_packets += 1;
             self.sync_stats.sync_extra_ns += u64::from(debt_ns);
@@ -383,7 +359,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             },
         );
         if congestion {
-            self.dispatch.on_drop(pkt, core);
+            self.scheduler.on_drop(pkt, core);
         }
         self.record.note_drop_gap(pkt.slot, pkt.flow_seq, now);
     }
@@ -420,7 +396,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     ) {
         let horizon = self.cfg.duration;
         if let Some(slot) = tx.arm_arrival(&mut self.ingest, src, now, horizon, sink) {
-            self.dispatch.prefetch_flow(slot);
+            self.flows.prefetch(slot);
         }
     }
 
@@ -445,8 +421,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             }
             Admission::FastPath(h) => h,
         };
-        self.dispatch.grow_flows(self.ingest.flow_count());
-        let flow_seq = self.dispatch.next_seq(header.slot);
+        self.flows.grow_to(self.ingest.flow_count());
+        let flow_seq = self.flows.next_seq(header.slot);
         let mut pkt = PacketDesc {
             id: header.id,
             flow: header.flow,
@@ -468,12 +444,16 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             },
         );
 
-        // Ask the policy for a target core, then republish any park/wake
-        // transitions the decision triggered.
-        let mut target = self.dispatch.choose_core(&pkt, now, self.cfg.n_cores);
-        if P::ACTIVE {
-            self.drain_sched_events(now);
-        }
+        // The one scheduling decision, over the service stage's view.
+        let view = SystemView {
+            now,
+            queues: self.service.view(),
+        };
+        let mut target = self.scheduler.schedule(&pkt, &view);
+        assert!(
+            target < self.cfg.n_cores,
+            "scheduler returned core {target}"
+        );
 
         // Degradation path: a policy that did not (or could not) repair
         // after a crash may still pick the dead core; redirect the
@@ -481,7 +461,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         // none is left. Guarded by `faults_enabled` so the fault-free
         // hot path pays nothing.
         if self.faults_enabled && !self.service.is_up(target) {
-            match self.service.shortest_up_queue() {
+            match view.min_queue_core_all() {
                 Some(alt) => {
                     self.fstats.redirects += 1;
                     target = alt;
@@ -489,7 +469,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                 None => {
                     self.fstats.fault_drops += 1;
                     self.drop_packet(&pkt, target, now, false);
-                    self.sync_info(target);
                     if C::ACTIVE {
                         sink.span_end(Stage::Dispatch, t0, 1);
                     }
@@ -507,7 +486,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             self.stamp_sync(&mut pkt, target);
         }
 
-        let prev_core = self.dispatch.last_core(pkt.slot);
+        let prev_core = self.flows.last_core(pkt.slot);
         let migrated = matches!(prev_core, Some(c) if c != target);
         pkt.migrated = migrated;
         if C::ACTIVE {
@@ -546,13 +525,10 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                         );
                     }
                 }
-                self.dispatch.set_last_core(pkt.slot, target);
+                self.flows.set_last_core(pkt.slot, target);
                 self.start_processing(target, now, tx);
             }
         }
-        // The only core this arrival touched; bring its view entry up to
-        // date for the next schedule() call.
-        self.sync_info(target);
         if C::ACTIVE {
             sink.span_end(Stage::Service, t1, 1);
         }
@@ -578,15 +554,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             );
             return;
         };
-        if P::ACTIVE {
-            self.record.publish(
-                now,
-                &SimEvent::ServiceEnd {
-                    core,
-                    service: pkt.service,
-                },
-            );
-        }
         if C::ACTIVE {
             sink.span_end(Stage::Service, t0, 1);
         }
@@ -597,7 +564,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         }
         let t2 = if C::ACTIVE { sink.span_start() } else { 0 };
         self.start_processing(core, now, tx);
-        self.sync_info(core);
         if C::ACTIVE {
             sink.span_end(Stage::Service, t2, 0);
         }
@@ -627,11 +593,10 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     self.drop_packet(&pkt, core, now, false);
                 }
                 self.record.publish(now, &SimEvent::CoreCrashed { core });
-                match self.dispatch.on_core_down(core) {
+                match self.scheduler.on_core_down(core) {
                     RepairOutcome::Repaired => self.fstats.repairs += 1,
                     RepairOutcome::Unrepaired => self.fstats.unrepaired += 1,
                 }
-                self.sync_info(core);
             }
             FaultAction::Heal { core } => {
                 if !self.service.heal(core, now) {
@@ -639,12 +604,11 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                 }
                 self.fstats.heals += 1;
                 self.record.publish(now, &SimEvent::CoreHealed { core });
-                match self.dispatch.on_core_up(core) {
+                match self.scheduler.on_core_up(core) {
                     RepairOutcome::Repaired => self.fstats.repairs += 1,
                     RepairOutcome::Unrepaired => self.fstats.unrepaired += 1,
                 }
                 self.start_processing(core, now, tx);
-                self.sync_info(core);
             }
             FaultAction::Throttle { core, factor } => {
                 self.service.set_speed(core, factor);
@@ -663,7 +627,6 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     fn on_stall_end<T: Pending>(&mut self, core: usize, now: SimTime, tx: &mut T) {
         if self.service.end_stall(core, now) {
             self.start_processing(core, now, tx);
-            self.sync_info(core);
         }
     }
 
@@ -687,6 +650,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     ///    restoration buffer: `offered == processed + dropped + in_flight`.
     /// 2. **Monotone virtual time** — the event clock never runs
     ///    backwards.
+    /// 3. **View coherence** — the scheduler's queue view matches a
+    ///    recount of the core state (`ServiceStage::check_view`).
     #[cfg(feature = "invariants")]
     fn check_invariants(&self, now: SimTime, previous: SimTime) {
         assert!(
@@ -704,22 +669,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
              + queued {queued} + in-service {in_service} + restoration-buffered {buffered}",
             report.offered, report.processed, report.dropped
         );
-        // 3. **View coherence** — the incrementally maintained scheduler
-        //    view matches a from-scratch rebuild of the core state.
-        for (i, info) in self.dispatch.infos().iter().enumerate() {
-            let fresh = self.service.snapshot(i);
-            assert!(
-                fresh.is_some_and(|f| {
-                    info.len == f.len
-                        && info.capacity == f.capacity
-                        && info.busy == f.busy
-                        && info.idle_since == f.idle_since
-                        && info.last_congested == f.last_congested
-                        && info.up == f.up
-                }),
-                "scheduler view out of sync with core {i} at t={now:?}"
-            );
-        }
+        self.service.check_view(now);
     }
 
     /// Run to completion (horizon + drain) and return the report.
@@ -828,7 +778,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         // Anything still waiting in the restoration buffer departs at the
         // final instant.
         self.record.drain_restoration(self.cfg.duration);
-        let reallocs = self.dispatch.core_reallocations();
+        let reallocs = self.scheduler.core_reallocations();
         let busy = self.service.busy_ns();
         let faults = self
             .faults_enabled
@@ -837,13 +787,13 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         if self.sync_enabled {
             report.sync = Some(std::mem::take(&mut self.sync_stats));
         }
-        (report, self.dispatch.into_scheduler(), probes)
+        (report, self.scheduler, probes)
     }
 
     /// Borrow the scheduler (e.g. to inspect detector state post-run in
     /// tests that drive the engine manually).
     pub fn scheduler(&self) -> &S {
-        self.dispatch.scheduler_ref()
+        &self.scheduler
     }
 }
 

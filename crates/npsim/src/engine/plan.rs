@@ -65,7 +65,7 @@ pub struct PlanStream {
     horizon: SimTime,
     rate_update_interval: SimTime,
     /// Per-slot arrival sequence counters — the stream-side mirror of
-    /// `DispatchStage::next_seq`.
+    /// `FlowTable::next_seq`.
     seqs: Vec<u64>,
     slow_path: u64,
     expected: usize,
@@ -75,15 +75,11 @@ impl PlanStream {
     /// The offered stream of `cfg` + `sources`.
     ///
     /// # Panics
-    /// Panics on an empty source list, a non-positive scale or a zero
-    /// `rate_update_interval`, exactly as the engine constructor does.
+    /// Panics on an empty source list, a non-positive scale, a
+    /// control-plane fraction outside `[0, 1)` or a zero
+    /// `rate_update_interval` — the engine constructor's own checks.
     pub fn new(cfg: &EngineConfig, sources: &[SourceConfig]) -> Self {
-        assert!(!sources.is_empty(), "need at least one traffic source");
-        assert!(cfg.scale > 0.0, "scale must be positive");
-        assert!(
-            cfg.rate_update_interval > SimTime::ZERO,
-            "rate update interval must be positive"
-        );
+        super::check_stream_config(cfg, sources);
         let mut ingest = IngestStage::new(
             &SeedSequence::new(cfg.seed),
             sources,
@@ -282,6 +278,40 @@ mod tests {
         let mut cfg = cfg(1);
         cfg.rate_update_interval = SimTime::ZERO;
         let _ = PlanStream::new(&cfg, &sources()).count();
+    }
+
+    /// Draw a 1 ms stream with control-plane fraction `f`.
+    fn stream_with_control_plane_fraction(f: f64) {
+        let mut c = cfg(1);
+        c.control_plane_fraction = f;
+        let _ = PlanStream::new(&c, &sources()).count();
+    }
+
+    // Unrejected, a fraction of 1 or more diverts every packet to the
+    // slow path, and NaN or a negative one diverts none — while
+    // `Engine::new` panics on all four.
+    #[test]
+    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
+    fn control_plane_fraction_one_is_rejected() {
+        stream_with_control_plane_fraction(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
+    fn control_plane_fraction_above_one_is_rejected() {
+        stream_with_control_plane_fraction(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
+    fn control_plane_fraction_nan_is_rejected() {
+        stream_with_control_plane_fraction(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
+    fn control_plane_fraction_negative_is_rejected() {
+        stream_with_control_plane_fraction(-0.5);
     }
 
     /// What the scalar engine's bus says about ingest: every

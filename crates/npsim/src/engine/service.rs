@@ -1,15 +1,20 @@
 //! Service stage: per-core bounded queues and packet execution.
 //!
 //! Owns the core array (queue, packet in service, cache state, busy
-//! time, fault health) and the Eq. 3 delay model. Enqueue outcomes and
-//! service starts are returned to the orchestrator, which publishes the
-//! corresponding bus events and schedules the finish timer.
+//! time, fault state), the Eq. 3 delay model, and the per-core
+//! [`QueueInfo`] view the scheduler reads. The view is the only home of
+//! `idle_since`, `last_congested`, `up` and `capacity`; `len` and
+//! `busy` are written by the mutation that changes them, so the view is
+//! current whenever the orchestrator hands it to the scheduler.
+//! Enqueue outcomes and service starts are returned to the
+//! orchestrator, which publishes the corresponding bus events and
+//! schedules the finish timer.
 //!
-//! Fault support: each core carries an `up` flag, a service-duration
-//! multiplier (throttle) and a stall latch. A crash drains the core's
-//! backlog (returned to the orchestrator for drop accounting) and
-//! refunds the unearned remainder of its in-service busy credit; the
-//! orchestrator orphans the core's armed finish timer.
+//! Fault support: each core carries an `up` flag (in the view), a
+//! service-duration multiplier (throttle) and a stall latch. A crash
+//! drains the core's backlog (returned to the orchestrator for drop
+//! accounting) and refunds the unearned remainder of its in-service
+//! busy credit; the orchestrator orphans the core's armed finish timer.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::packet::PacketDesc;
@@ -26,11 +31,7 @@ struct Core {
     /// `current.is_some()` (used to refund busy credit on a crash).
     finish_at: SimTime,
     last_service: Option<ServiceKind>,
-    idle_since: Option<SimTime>,
-    last_congested: SimTime,
     busy_ns: u64,
-    /// Alive? `false` between a fault-plan crash and the matching heal.
-    up: bool,
     /// Transient stall: the core finishes its current packet but starts
     /// no new service until a stall-end event at or after this instant
     /// clears it (the latest end over overlapping stalls). `None` = not
@@ -60,6 +61,8 @@ const CONGESTION_WATERMARK: usize = 2;
 #[derive(Debug)]
 pub(super) struct ServiceStage {
     cores: Vec<Core>,
+    /// The scheduler's view, one entry per core (see the module docs).
+    view: Vec<QueueInfo>,
     delay: DelayModel,
 }
 
@@ -71,19 +74,40 @@ impl ServiceStage {
                 current: None,
                 finish_at: SimTime::ZERO,
                 last_service: None,
-                idle_since: Some(SimTime::ZERO),
-                last_congested: SimTime::ZERO,
                 busy_ns: 0,
-                up: true,
                 stalled_until: None,
                 speed: 1.0,
             })
             .collect();
-        ServiceStage { cores, delay }
+        let idle = QueueInfo {
+            len: 0,
+            capacity: queue_capacity,
+            busy: false,
+            idle_since: Some(SimTime::ZERO),
+            last_congested: SimTime::ZERO,
+            up: true,
+        };
+        ServiceStage {
+            cores,
+            view: vec![idle; n_cores],
+            delay,
+        }
     }
 
     pub(super) fn n_cores(&self) -> usize {
         self.cores.len()
+    }
+
+    /// The per-core queue state the scheduler decides on.
+    #[inline]
+    pub(super) fn view(&self) -> &[QueueInfo] {
+        &self.view
+    }
+
+    /// Core `i` and its view entry.
+    #[inline]
+    fn core_mut(&mut self, i: usize) -> Option<(&mut Core, &mut QueueInfo)> {
+        self.cores.get_mut(i).zip(self.view.get_mut(i))
     }
 
     /// Try to enqueue `pkt` on `target`; a full queue drops the arrival
@@ -92,19 +116,24 @@ impl ServiceStage {
     pub(super) fn enqueue(&mut self, target: usize, pkt: PacketDesc, now: SimTime) -> PushOutcome {
         // `target` < n_cores is asserted at dispatch, so the lookup is
         // total.
-        let Some(c) = self.cores.get_mut(target) else {
+        let Some((c, q)) = self.core_mut(target) else {
             return PushOutcome::Dropped;
         };
-        if !c.up {
+        if !q.up {
             // The orchestrator redirects arrivals away from dead cores;
             // reaching one here means no live core was left.
-            c.last_congested = now;
+            q.last_congested = now;
             return PushOutcome::Dropped;
         }
         let outcome = c.queue.push(pkt);
         match outcome {
-            PushOutcome::Enqueued(len) if len < CONGESTION_WATERMARK => {}
-            _ => c.last_congested = now,
+            PushOutcome::Enqueued(len) => {
+                q.len = len;
+                if len >= CONGESTION_WATERMARK {
+                    q.last_congested = now;
+                }
+            }
+            PushOutcome::Dropped => q.last_congested = now,
         }
         outcome
     }
@@ -118,16 +147,16 @@ impl ServiceStage {
         // Core IDs originate from our own event queue / scheduler-checked
         // dispatch; an out-of-range ID is a bug upstream, not a reason to
         // panic mid-run.
-        let Some(slot) = self.cores.get_mut(core) else {
+        let (Some(slot), Some(q)) = (self.cores.get_mut(core), self.view.get_mut(core)) else {
             debug_assert!(false, "start_processing on unknown core {core}");
             return None;
         };
-        if slot.current.is_some() || !slot.up || slot.stalled_until.is_some() {
+        if q.busy || !q.up || slot.stalled_until.is_some() {
             return None;
         }
         let Some(pkt) = slot.queue.pop() else {
-            if slot.idle_since.is_none() {
-                slot.idle_since = Some(now);
+            if q.idle_since.is_none() {
+                q.idle_since = Some(now);
             }
             return None;
         };
@@ -152,35 +181,23 @@ impl ServiceStage {
         };
         slot.current = Some(pkt);
         slot.finish_at = now + d;
-        slot.idle_since = None;
+        q.len = slot.queue.len();
+        q.busy = true;
+        q.idle_since = None;
         Some(started)
     }
 
     /// Take the packet in service on `core` (a finish event fired).
     pub(super) fn take_current(&mut self, core: usize) -> Option<PacketDesc> {
-        self.cores.get_mut(core).and_then(|c| c.current.take())
+        let (c, q) = self.core_mut(core)?;
+        q.busy = false;
+        c.current.take()
     }
 
     /// Whether `core` is alive.
     #[inline]
     pub(super) fn is_up(&self, core: usize) -> bool {
-        self.cores.get(core).is_some_and(|c| c.up)
-    }
-
-    /// The live core with the shortest queue (ties to the lowest
-    /// index) — the orchestrator's redirect target when a scheduler
-    /// picks a dead core. `None` when every core is down.
-    pub(super) fn shortest_up_queue(&self) -> Option<usize> {
-        let mut best = None;
-        let mut best_len = usize::MAX;
-        for (c, slot) in self.cores.iter().enumerate() {
-            let len = slot.queue.len();
-            if slot.up && len < best_len {
-                best = Some(c);
-                best_len = len;
-            }
-        }
-        best
+        self.view.get(core).is_some_and(|q| q.up)
     }
 
     /// Kill `core`: mark it down, end any stall, refund the unearned
@@ -189,16 +206,16 @@ impl ServiceStage {
     /// the orchestrator to account as drops. Idempotent: a second crash
     /// of a down core returns nothing.
     pub(super) fn crash(&mut self, core: usize, now: SimTime) -> Vec<PacketDesc> {
-        let Some(slot) = self.cores.get_mut(core) else {
+        let Some((slot, q)) = self.core_mut(core) else {
             return Vec::new();
         };
-        if !slot.up {
+        if !q.up {
             return Vec::new();
         }
-        slot.up = false;
+        q.up = false;
+        q.idle_since = None;
         slot.stalled_until = None;
         slot.speed = 1.0;
-        slot.idle_since = None;
         slot.last_service = None;
         let mut lost = Vec::new();
         if let Some(pkt) = slot.current.take() {
@@ -211,6 +228,8 @@ impl ServiceStage {
         while let Some(pkt) = slot.queue.pop() {
             lost.push(pkt);
         }
+        q.len = 0;
+        q.busy = false;
         lost
     }
 
@@ -218,14 +237,14 @@ impl ServiceStage {
     /// with a cold instruction cache. Returns `false` (no-op) if the
     /// core was already up.
     pub(super) fn heal(&mut self, core: usize, now: SimTime) -> bool {
-        let Some(slot) = self.cores.get_mut(core) else {
+        let Some((slot, q)) = self.core_mut(core) else {
             return false;
         };
-        if slot.up {
+        if q.up {
             return false;
         }
-        slot.up = true;
-        slot.idle_since = Some(now);
+        q.up = true;
+        q.idle_since = Some(now);
         slot.speed = 1.0;
         true
     }
@@ -233,8 +252,8 @@ impl ServiceStage {
     /// Set `core`'s service-duration multiplier (throttle; 1.0 restores
     /// full speed). Ignored on a dead core (a heal resets speed).
     pub(super) fn set_speed(&mut self, core: usize, factor: f64) {
-        if let Some(slot) = self.cores.get_mut(core) {
-            if slot.up && factor > 0.0 {
+        if let Some((slot, q)) = self.core_mut(core) {
+            if q.up && factor > 0.0 {
                 slot.speed = factor;
             }
         }
@@ -245,8 +264,8 @@ impl ServiceStage {
     /// or after `until` — overlapping stalls extend the window, they do
     /// not cut it short. Returns `false` (no-op) on a dead core.
     pub(super) fn stall(&mut self, core: usize, until: SimTime) -> bool {
-        match self.cores.get_mut(core) {
-            Some(slot) if slot.up => {
+        match self.core_mut(core) {
+            Some((slot, q)) if q.up => {
                 slot.stalled_until = Some(slot.stalled_until.map_or(until, |u| u.max(until)));
                 true
             }
@@ -269,19 +288,6 @@ impl ServiceStage {
         }
     }
 
-    /// A fresh [`QueueInfo`] snapshot of `core`'s state.
-    #[inline]
-    pub(super) fn snapshot(&self, core: usize) -> Option<QueueInfo> {
-        self.cores.get(core).map(|c| QueueInfo {
-            len: c.queue.len(),
-            capacity: c.queue.capacity(),
-            busy: c.current.is_some(),
-            idle_since: c.idle_since,
-            last_congested: c.last_congested,
-            up: c.up,
-        })
-    }
-
     /// Per-core busy nanoseconds, for the final report.
     pub(super) fn busy_ns(&self) -> Vec<u64> {
         // npcheck: allow(blocking-hot-path) — end-of-run report, not on the per-packet path
@@ -298,5 +304,147 @@ impl ServiceStage {
     #[cfg(feature = "invariants")]
     pub(super) fn in_service_total(&self) -> u64 {
         self.cores.iter().filter(|c| c.current.is_some()).count() as u64
+    }
+
+    /// View coherence (invariant checking): every entry's `len`, `busy`
+    /// and `capacity` match a recount of its core, and a dead core
+    /// holds nothing and is not idle.
+    #[cfg(feature = "invariants")]
+    pub(super) fn check_view(&self, now: SimTime) {
+        for (i, (c, q)) in self.cores.iter().zip(&self.view).enumerate() {
+            assert!(
+                q.len == c.queue.len()
+                    && q.busy == c.current.is_some()
+                    && q.capacity == c.queue.capacity()
+                    && (q.up || (q.len == 0 && !q.busy && q.idle_since.is_none())),
+                "scheduler view out of sync with core {i} at t={now:?}: {q:?}"
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use detsim::SplitMix64;
+    use nphash::FlowId;
+
+    fn pkt(id: u64) -> PacketDesc {
+        PacketDesc {
+            id,
+            flow: FlowId::from_index(1),
+            slot: FlowSlot::new(0),
+            service: ServiceKind::IpForward,
+            size: 64,
+            arrival: SimTime::ZERO,
+            flow_seq: id,
+            migrated: false,
+            sync_debt_ns: 0,
+        }
+    }
+
+    /// After every step of a random enqueue / start / take / crash / heal / stall
+    /// sequence, each entry equals a from-scratch recount — `len` and
+    /// `busy` from the core's queue and in-service slot, `up`,
+    /// `idle_since` and `last_congested` from a model of the rules the
+    /// module documents.
+    ///
+    /// It bites: deleting the `q.len = 0` write in `crash` fails it at
+    /// the first crash of a core with a backlog.
+    #[test]
+    fn view_matches_a_recount_after_every_mutation() {
+        const CORES: usize = 3;
+        const CAP: usize = 4;
+        let mut st = ServiceStage::new(CORES, CAP, DelayModel::default());
+        // Per core: (up, idle_since, last_congested).
+        let mut model = [(true, Some(SimTime::ZERO), SimTime::ZERO); CORES];
+        let mut rng = SplitMix64::new(7);
+        let mut now = SimTime::ZERO;
+        let (mut crashes_with_backlog, mut drops) = (0, 0);
+        for step in 0..20_000u64 {
+            now += SimTime::from_nanos(rng.next_u64() % 500);
+            let r = rng.next_u64();
+            let i = (r % CORES as u64) as usize;
+            let (up, idle, congested) = &mut model[i];
+            if st.cores[i].current.is_some() && st.cores[i].finish_at <= now {
+                // The finish event would have fired by now.
+                st.take_current(i);
+            }
+            match (r >> 8) % 10 {
+                0..=3 => {
+                    let before = st.cores[i].queue.len();
+                    let out = st.enqueue(i, pkt(step), now);
+                    if !*up || before >= CAP {
+                        assert_eq!(out, PushOutcome::Dropped);
+                        drops += 1;
+                        *congested = now;
+                    } else if before + 1 >= CONGESTION_WATERMARK {
+                        *congested = now;
+                    }
+                }
+                4 | 5 => {
+                    let c = &st.cores[i];
+                    let free = *up && c.current.is_none() && c.stalled_until.is_none();
+                    let empty = c.queue.is_empty();
+                    let started = st.start_processing(i, now).is_some();
+                    assert_eq!(started, free && !empty);
+                    if free {
+                        *idle = if empty {
+                            Some(idle.unwrap_or(now))
+                        } else {
+                            None
+                        };
+                    }
+                }
+                6 => {
+                    st.take_current(i);
+                }
+                7 => {
+                    crashes_with_backlog += usize::from(*up && !st.cores[i].queue.is_empty());
+                    st.crash(i, now);
+                    if *up {
+                        *up = false;
+                        *idle = None;
+                    }
+                }
+                8 => {
+                    if st.heal(i, now) {
+                        *up = true;
+                        *idle = Some(now);
+                    }
+                }
+                _ => {
+                    if r & 1 == 0 {
+                        st.stall(i, now + SimTime::from_micros(1));
+                    } else {
+                        st.end_stall(i, now);
+                    }
+                }
+            }
+            for (c, (core, q)) in st.cores.iter().zip(st.view()).enumerate() {
+                let (up, idle, congested) = model[c];
+                let recount = (
+                    core.queue.len(),
+                    CAP,
+                    core.current.is_some(),
+                    idle,
+                    congested,
+                    up,
+                );
+                let seen = (
+                    q.len,
+                    q.capacity,
+                    q.busy,
+                    q.idle_since,
+                    q.last_congested,
+                    q.up,
+                );
+                assert_eq!(seen, recount, "core {c} after step {step}");
+            }
+        }
+        assert!(
+            crashes_with_backlog > 10 && drops > 100,
+            "the walk reaches the edges"
+        );
     }
 }

@@ -11,8 +11,9 @@
 //! owned data — so publishing one is a register move, never an
 //! allocation. The taxonomy mirrors the paper's measurement axes:
 //! arrivals and drops (Fig. 7's loss), migrations and reorderings
-//! (Figs. 7–9), service occupancy (utilization / power), and the LAPS
-//! park/unpark transitions (§III-D surplus cores).
+//! (Figs. 7–9), service occupancy (utilization / power), and the fault
+//! plan's crash/heal transitions. Policy-internal state (LAPS's parked
+//! cores) is not on the bus; read it from the policy after the run.
 
 use detsim::SimTime;
 use nphash::FlowSlot;
@@ -23,8 +24,8 @@ use nptraffic::ServiceKind;
 /// Published in causal order at each virtual-time instant: for an
 /// arrival, `PacketArrived` → (`Dispatched` + `Migration` | `Dropped`)
 /// → `ServiceStart` (if the core was free); for a completion,
-/// `ServiceEnd` → `Departure` (+ `ReorderDetected`) → `ServiceStart` of
-/// the next queued packet.
+/// `Departure` (+ `ReorderDetected`) → `ServiceStart` of the next
+/// queued packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimEvent {
     /// A packet entered the data plane from a traffic source.
@@ -95,13 +96,6 @@ pub enum SimEvent {
         /// Total service duration, penalties included.
         duration: SimTime,
     },
-    /// A core finished servicing a packet.
-    ServiceEnd {
-        /// The core.
-        core: usize,
-        /// Service that just completed.
-        service: ServiceKind,
-    },
     /// A packet left the system (after order restoration, if enabled).
     Departure {
         /// Packet ID.
@@ -125,16 +119,6 @@ pub enum SimEvent {
         flow_seq: u64,
         /// How many sequence numbers late it was.
         extent: u64,
-    },
-    /// The scheduling policy parked a surplus core (LAPS §III-D).
-    CoreParked {
-        /// The parked core.
-        core: usize,
-    },
-    /// The scheduling policy woke a parked core.
-    CoreUnparked {
-        /// The woken core.
-        core: usize,
     },
     /// A fault-plan crash killed a core: its in-service and queued
     /// packets were dropped, and the scheduler was asked to repair.

@@ -16,7 +16,7 @@
 
 use crate::event::SimEvent;
 use crate::probe::Probe;
-use detsim::{SimTime, TimedPlan};
+use detsim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt::Write as _;
@@ -66,12 +66,12 @@ impl FaultAction {
 
 /// A deterministic, stably time-sorted fault script.
 ///
-/// Built on [`detsim::TimedPlan`]: entries at the same instant fire in
-/// insertion order (the event queue breaks time ties by insertion
-/// sequence, and the plan is primed in order).
+/// Entries at the same instant fire in insertion order (the event queue
+/// breaks time ties by insertion sequence, and the plan is primed in
+/// order).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    plan: TimedPlan<FaultAction>,
+    entries: Vec<(SimTime, FaultAction)>,
 }
 
 impl FaultPlan {
@@ -83,15 +83,16 @@ impl FaultPlan {
 
     /// Build from arbitrary-order `(time, action)` pairs; entries are
     /// stably sorted by time.
-    pub fn from_actions(actions: Vec<(SimTime, FaultAction)>) -> Self {
-        FaultPlan {
-            plan: TimedPlan::from_entries(actions),
-        }
+    pub fn from_actions(mut actions: Vec<(SimTime, FaultAction)>) -> Self {
+        actions.sort_by_key(|&(at, _)| at);
+        FaultPlan { entries: actions }
     }
 
-    /// Schedule `action` at `at` (chainable).
+    /// Schedule `action` at `at` (chainable): after every entry at or
+    /// before `at`, so same-instant entries keep insertion order.
     pub fn at(mut self, at: SimTime, action: FaultAction) -> Self {
-        self.plan.push(at, action);
+        let idx = self.entries.partition_point(|&(t, _)| t <= at);
+        self.entries.insert(idx, (at, action));
         self
     }
 
@@ -117,22 +118,22 @@ impl FaultPlan {
 
     /// Number of scheduled actions.
     pub fn len(&self) -> usize {
-        self.plan.len()
+        self.entries.len()
     }
 
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
+        self.entries.is_empty()
     }
 
     /// The entry at `idx`, if any.
     pub fn get(&self, idx: usize) -> Option<&(SimTime, FaultAction)> {
-        self.plan.get(idx)
+        self.entries.get(idx)
     }
 
     /// The sorted `(time, action)` entries.
     pub fn entries(&self) -> &[(SimTime, FaultAction)] {
-        self.plan.entries()
+        &self.entries
     }
 
     /// Validate the plan against an engine shape: core indices in range,
@@ -141,7 +142,7 @@ impl FaultPlan {
     /// the first offending entry's description. No action names a
     /// source; the second parameter is unused.
     pub fn validate(&self, n_cores: usize, _n_sources: usize) -> Result<(), String> {
-        for &(at, action) in self.plan.entries() {
+        for &(at, action) in &self.entries {
             let core = action.core();
             if core >= n_cores {
                 // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation

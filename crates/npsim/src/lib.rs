@@ -62,7 +62,6 @@ pub use probe::{
 pub use report::{ServiceBreakdown, SimReport, SyncStats};
 pub use restore::{RestorationBuffer, RestorationStats};
 pub use sched::{
-    JoinShortestQueue, QueueInfo, RepairOutcome, RoundRobin, SchedEvent, Scheduler, SyncPolicy,
-    SystemView,
+    JoinShortestQueue, QueueInfo, RepairOutcome, RoundRobin, Scheduler, SyncPolicy, SystemView,
 };
 pub use source::{RateSpec, SourceConfig, TrafficSource};

@@ -167,10 +167,7 @@ impl ReportProbe {
                 self.report.latency.record(latency_ns);
             }
             SimEvent::Dispatched { .. }
-            | SimEvent::ServiceEnd { .. }
             | SimEvent::ReorderDetected { .. }
-            | SimEvent::CoreParked { .. }
-            | SimEvent::CoreUnparked { .. }
             | SimEvent::CoreCrashed { .. }
             | SimEvent::CoreHealed { .. }
             | SimEvent::EpochTick => {}
@@ -198,8 +195,6 @@ pub struct MetricsProbe {
     cold_starts: Counter,
     departures: Counter,
     reorders: Counter,
-    core_parks: Counter,
-    core_wakes: Counter,
     epoch_ticks: Counter,
     core_crashes: Counter,
     core_heals: Counter,
@@ -216,9 +211,8 @@ impl MetricsProbe {
     }
 
     /// All counters as `(name, value)` pairs in a fixed, deterministic
-    /// order (the declaration order above; fault counters are appended
-    /// last so pre-fault positional consumers keep their indices).
-    pub fn counters(&self) -> [(&'static str, u64); 14] {
+    /// order (the declaration order above). Look entries up by name.
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
         [
             ("arrivals", self.arrivals.get()),
             ("slow_path", self.slow_path.get()),
@@ -229,8 +223,6 @@ impl MetricsProbe {
             ("cold_starts", self.cold_starts.get()),
             ("departures", self.departures.get()),
             ("reorders", self.reorders.get()),
-            ("core_parks", self.core_parks.get()),
-            ("core_wakes", self.core_wakes.get()),
             ("epoch_ticks", self.epoch_ticks.get()),
             ("core_crashes", self.core_crashes.get()),
             ("core_heals", self.core_heals.get()),
@@ -291,7 +283,6 @@ impl Probe for MetricsProbe {
                 }
                 self.service_ns.record(duration.as_nanos());
             }
-            SimEvent::ServiceEnd { .. } => {}
             SimEvent::Departure { latency_ns, .. } => {
                 self.departures.incr();
                 self.latency_ns.record(latency_ns);
@@ -300,8 +291,6 @@ impl Probe for MetricsProbe {
                 self.reorders.incr();
                 self.reorder_extent.record(extent);
             }
-            SimEvent::CoreParked { .. } => self.core_parks.incr(),
-            SimEvent::CoreUnparked { .. } => self.core_wakes.incr(),
             SimEvent::CoreCrashed { .. } => self.core_crashes.incr(),
             SimEvent::CoreHealed { .. } => self.core_heals.incr(),
             SimEvent::EpochTick => self.epoch_ticks.incr(),
@@ -422,7 +411,7 @@ impl Probe for UtilizationProbe {
 }
 
 /// A time-stamped log of the *rare* events the paper's analysis keys on:
-/// migrations, reorder detections, drops, and core park/unpark
+/// migrations, reorder detections, drops, and core crash/heal
 /// transitions. High-frequency events (arrivals, dispatches, service)
 /// are deliberately excluded to keep the log proportional to the
 /// interesting-event count, not the packet count.
@@ -445,7 +434,7 @@ impl EventLogProbe {
     /// Render as CSV: `time_ns,kind,key,a,b` where the column meaning is
     /// per kind — `migration`: flow slot, from-core, to-core; `reorder`:
     /// flow slot, flow seq, extent; `drop`: flow slot, core, packet id;
-    /// `park`/`unpark`: core (a, b empty).
+    /// `crash`/`heal`: core (a, b empty).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time_ns,kind,key,a,b\n");
         for &(t, ev) in &self.entries {
@@ -462,8 +451,6 @@ impl EventLogProbe {
                 SimEvent::Dropped { id, slot, core, .. } => {
                     writeln!(out, "{ns},drop,{},{core},{id}", slot.raw())
                 }
-                SimEvent::CoreParked { core } => writeln!(out, "{ns},park,{core},,"),
-                SimEvent::CoreUnparked { core } => writeln!(out, "{ns},unpark,{core},,"),
                 SimEvent::CoreCrashed { core } => writeln!(out, "{ns},crash,{core},,"),
                 SimEvent::CoreHealed { core } => writeln!(out, "{ns},heal,{core},,"),
                 _ => Ok(()),
@@ -483,8 +470,6 @@ impl Probe for EventLogProbe {
             SimEvent::Migration { .. }
             | SimEvent::ReorderDetected { .. }
             | SimEvent::Dropped { .. }
-            | SimEvent::CoreParked { .. }
-            | SimEvent::CoreUnparked { .. }
             | SimEvent::CoreCrashed { .. }
             | SimEvent::CoreHealed { .. } => self.entries.push((now, *ev)),
             _ => {}
@@ -560,7 +545,7 @@ mod tests {
         );
         let names: Vec<&str> = m.counters().iter().map(|(n, _)| *n).collect();
         assert_eq!(names[0], "arrivals");
-        assert_eq!(m.counters()[11], ("epoch_ticks", 1));
+        assert_eq!(m.counters()[9], ("epoch_ticks", 1));
         assert_eq!(m.counters()[8], ("reorders", 1));
         assert_eq!(m.histograms()[3].1.max(), 2);
         let csv = m.to_csv();
@@ -612,11 +597,11 @@ mod tests {
                 to: 3,
             },
         );
-        l.on_event(t(2), &SimEvent::CoreParked { core: 5 });
+        l.on_event(t(2), &SimEvent::CoreCrashed { core: 5 });
         assert_eq!(l.entries().len(), 2);
         let csv = l.to_csv();
         assert!(csv.contains("1000,migration,7,0,3"));
-        assert!(csv.contains("2000,park,5,,"));
+        assert!(csv.contains("2000,crash,5,,"));
     }
 
     #[test]
@@ -631,7 +616,7 @@ mod tests {
             .as_any()
             .downcast_ref::<MetricsProbe>()
             .expect("metrics probe downcasts");
-        assert_eq!(m.counters()[11].1, 1);
+        assert_eq!(m.counters()[9].1, 1);
     }
 
     #[test]

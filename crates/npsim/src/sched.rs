@@ -1,8 +1,12 @@
 //! The scheduler interface and two trivial reference policies.
 //!
 //! The engine calls [`Scheduler::schedule`] once per arriving packet with
-//! a read-only [`SystemView`] of the queue state; the scheduler answers
-//! with a target core index. Everything else (drop on full queue, penalty
+//! a read-only [`SystemView`] of the queue state (the service stage's
+//! per-core view) and the scheduler answers with a target core index. The other hooks are
+//! feedback (`on_drop`, `on_core_down`/`on_core_up`) and setup-time
+//! queries (`name`, `sync_policy`, `core_reallocations`); a policy's
+//! internal state (e.g. LAPS's parked cores) is read from the policy
+//! itself after the run. Everything else (drop on full queue, penalty
 //! accounting, reorder measurement) is engine-side, so policies compare
 //! on identical footing.
 
@@ -85,24 +89,6 @@ impl SystemView<'_> {
     }
 }
 
-/// A policy-internal state transition the engine republishes on the
-/// observability bus. Core parking is a *scheduler* decision (LAPS
-/// §III-D surplus cores), invisible to the engine's own state machine,
-/// so policies that park report it through this side channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// The policy parked a surplus core.
-    CoreParked {
-        /// The parked core.
-        core: usize,
-    },
-    /// The policy woke a parked core.
-    CoreUnparked {
-        /// The woken core.
-        core: usize,
-    },
-}
-
 /// A policy's answer to a core-failure (or heal) notification: did it
 /// restructure its own dispatch state so traffic stops targeting the
 /// dead core (resp. flows back onto the healed one)?
@@ -156,17 +142,6 @@ pub trait Scheduler {
         0
     }
 
-    /// Enable or disable the [`SchedEvent`] feed. The engine switches it
-    /// on only when probes are attached, so policies that buffer events
-    /// pay nothing on the zero-probe fast path. Default: ignored
-    /// (policies without parkable cores have nothing to report).
-    fn set_event_feed(&mut self, _enabled: bool) {}
-
-    /// Drain buffered [`SchedEvent`]s, in occurrence order, into `sink`.
-    /// Called by the engine after each scheduling decision while the
-    /// feed is enabled. Default: no events.
-    fn drain_events(&mut self, _sink: &mut dyn FnMut(SchedEvent)) {}
-
     /// The engine crashed `core` (fault injection). The policy should
     /// repair its dispatch state so no new packet targets the dead core
     /// — ideally migrating only the flows resident on it — and report
@@ -204,12 +179,6 @@ impl<T: Scheduler + ?Sized> Scheduler for Box<T> {
     }
     fn core_reallocations(&self) -> u64 {
         (**self).core_reallocations()
-    }
-    fn set_event_feed(&mut self, enabled: bool) {
-        (**self).set_event_feed(enabled)
-    }
-    fn drain_events(&mut self, sink: &mut dyn FnMut(SchedEvent)) {
-        (**self).drain_events(sink)
     }
     fn on_core_down(&mut self, core: usize) -> RepairOutcome {
         (**self).on_core_down(core)
