@@ -42,15 +42,14 @@
 //!
 //! **Crash repair stacks handshakes.** When a worker crashes while a
 //! normal handshake for group `g` is still in flight (the crashed
-//! worker is the handshake's target, or its old owner), the supervisor
-//! begins a *repair* handshake on top of it: `begun - released` may
-//! reach two. A repair handshake has **no mark** — the crashed worker
-//! will never pop its ring again, so the ack that proves "every
-//! old-side packet of `g` is accounted" is the supervisor's complete
-//! drain of the dead ring (remnants recorded as drops), published via
-//! [`GroupBoard::force_release`]. The new owner keeps holding until
-//! `released` catches `begun`, i.e. until *both* the live mark ack and
-//! the supervisor's force-release have landed — which is exactly the
+//! worker is the handshake's target), the dispatcher begins a *repair*
+//! handshake on top of it: `begun - released` may reach two. A repair
+//! handshake has **no mark**: the ack that proves "every old-side
+//! packet of `g` is accounted" is the crashed worker's own crash step —
+//! it stops servicing, drains its ring (remnants recorded as drops) and
+//! then calls [`GroupBoard::force_release`]. The new owner keeps
+//! holding until `released` catches `begun`, i.e. until *both* the live
+//! mark ack and the force-release have landed — which is exactly the
 //! condition under which servicing the held packets cannot overtake
 //! anything. `force_release` releases exactly one pending handshake and
 //! refuses to let `released` overtake `begun` (a CAS witness), so a
@@ -59,9 +58,9 @@
 //! Verified by `tests/loom_handshake.rs` and
 //! `tests/loom_force_release.rs` under `--cfg loom`: a dispatcher and
 //! two workers exchange a group over two rings (plus, in the
-//! force-release models, a supervisor draining a crashed ring) and the
-//! model checker proves per-flow service order is monotone in every
-//! interleaving.
+//! force-release models, a worker that crashes, drains its own ring and
+//! force-releases) and the model checker checks per-flow service order
+//! is monotone in every interleaving it explores.
 
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,13 +131,13 @@ impl GroupBoard {
         self.inner.released[group].fetch_add(1, Ordering::Release);
     }
 
-    /// Supervisor step: release one pending handshake for `group`
+    /// Crashed-worker step: release one pending handshake for `group`
     /// without a mark ack — the crash-repair completion. Legal only
     /// after every old-side packet of the group is accounted (the
-    /// supervisor has fully drained the dead worker's ring, recording
-    /// remnants as drops); the caller's program order plus this
-    /// Release bump make that accounting happen-before the new owner's
-    /// held-packet drain.
+    /// crashed worker has stopped servicing and drained its own ring,
+    /// recording remnants as drops); the caller's program order plus
+    /// this Release bump make that accounting happen-before the new
+    /// owner's held-packet drain.
     ///
     /// Releases **exactly one** handshake, and only if one is pending:
     /// the CAS loop re-reads `begun` each attempt and refuses to let
@@ -160,7 +159,7 @@ impl GroupBoard {
             match self.inner.released[group].compare_exchange(
                 released,
                 released + 1,
-                // npcheck: ordering(AcqRel CAS — Release publishes the supervisor's drain accounting to the new owner's in_flight Acquire)
+                // npcheck: ordering(AcqRel CAS — Release publishes the crashed worker's drain accounting to the new owner's in_flight Acquire)
                 Ordering::AcqRel,
                 // npcheck: ordering(Acquire on failure orders the retry loop's re-read of released)
                 Ordering::Acquire,

@@ -226,13 +226,20 @@ impl Consumer {
         self.shared.slots.len()
     }
 
-    /// Occupancy from the consumer's (conservative) view: may miss
-    /// pushes newer than the last refresh.
+    /// Occupancy: descriptors the producer has published and this
+    /// consumer has not popped yet. Reads the producer's `tail` with
+    /// Acquire rather than the pop cache, which `try_pop` refreshes only
+    /// when it finds the ring empty.
     pub fn len(&self) -> usize {
-        self.tail_cache.wrapping_sub(self.head)
+        // npcheck: ordering(Acquire pairs with the producer's Release store of tail: a caller that saw a flag stored after the last push, such as a worker's Acquire load of `done`, sees that push here)
+        let tail = self.shared.tail.load(Ordering::Acquire);
+        tail.wrapping_sub(self.head)
     }
 
-    /// Whether the consumer's view of the ring is empty.
+    /// Whether every published descriptor has been popped. Reads the
+    /// producer's published `tail` (see [`Consumer::len`]), so an exit
+    /// rule "producer done and ring empty" cannot strand descriptors
+    /// pushed after the consumer's last empty pop.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -308,6 +315,17 @@ mod tests {
         assert_eq!(c.try_pop(), Some(Desc::Packet(2)));
         assert_eq!(c.try_pop(), Some(Desc::Mark(42)));
         assert_eq!(c.try_pop(), Some(Desc::Packet(3)));
+    }
+
+    #[test]
+    fn is_empty_sees_pushes_after_an_empty_pop() {
+        let (mut p, mut c) = ring(8);
+        assert_eq!(c.try_pop(), None, "the pop caches an empty tail");
+        p.try_push(Desc::Packet(5)).expect("room");
+        assert!(!c.is_empty(), "a push after the empty pop is visible");
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.try_pop(), Some(Desc::Packet(5)));
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! * a migration mark partitions the stream: the consumer sees it
 //!   after every descriptor pushed before it and before every one
 //!   pushed after it — the property the kns-style handshake's
-//!   "drained the old core" conclusion rests on.
+//!   "drained the old core" conclusion rests on;
+//! * a consumer that exits on "producer done and ring empty" — npexec's
+//!   worker exit rule — pops every descriptor pushed before `done`.
 
 #![cfg(loom)]
 
 use laps::spsc::{ring, Desc};
+use loom::sync::atomic::{AtomicBool, Ordering};
+use loom::sync::Arc;
 
 /// Pop until `n` descriptors have been observed, yielding while empty.
 /// Bounded: panics (failing the model) if the ring starves forever.
@@ -158,6 +162,46 @@ fn migration_mark_partitions_the_stream() {
                 Desc::Packet(3)
             ],
             "every schedule delivers the epochs in order"
+        );
+    });
+}
+
+#[test]
+fn exit_on_done_and_empty_pops_every_push() {
+    loom::model(|| {
+        let (mut p, mut c) = ring(4);
+        let done = Arc::new(AtomicBool::new(false));
+        let p_done = done.clone();
+        let producer = loom::thread::spawn(move || {
+            for i in 0..2u64 {
+                p.try_push(Desc::Packet(i)).expect("room for both");
+            }
+            // npcheck: ordering(Release publishes both pushes, as the dispatcher's done store does)
+            p_done.store(true, Ordering::Release);
+        });
+        // The worker's loop: pop; on an empty pop, exit only if the
+        // producer is done and the ring is empty.
+        let mut got = Vec::new();
+        let mut spins = 0usize;
+        loop {
+            match c.try_pop() {
+                Some(d) => got.push(d),
+                None => {
+                    // npcheck: ordering(Acquire pairs with the producer's Release store of done, as the worker's load does)
+                    if done.load(Ordering::Acquire) && c.is_empty() {
+                        break;
+                    }
+                    spins += 1;
+                    assert!(spins < 10_000, "producer never finished");
+                    loom::thread::yield_now();
+                }
+            }
+        }
+        producer.join().expect("producer thread");
+        assert_eq!(
+            got,
+            vec![Desc::Packet(0), Desc::Packet(1)],
+            "the exit rule stranded a descriptor pushed before done"
         );
     });
 }

@@ -17,13 +17,13 @@
 //! The sweep runs on **both backends**: the detsim policies ("laps",
 //! "static", "fcfs") and the thread-per-core runtime (policy column
 //! "npexec"), whose crash arm executes the same fault plan on real
-//! worker threads — the supervisor drains the dead ring, the map table
-//! repairs via `retire_core`, and the heal respawns the worker. Its
-//! per-episode ledger ([`npexec::CrashEpisode`]) is checked against the
-//! same bound (migrated ≤ resident), plus exact conservation and zero
-//! out-of-order deliveries, and its recovery latency (crash → first
-//! service on the respawned worker, in virtual arrival time) lands in
-//! the same column as detsim's.
+//! worker threads — the crashed worker drains its own ring and pauses,
+//! the map table repairs via `retire_core`, and the heal resumes the
+//! worker. Its per-episode ledger ([`npexec::CrashEpisode`]) is checked
+//! against the same bound (migrated ≤ resident), plus exact
+//! conservation and zero out-of-order deliveries, and its recovery
+//! latency (crash → first service on the resumed worker, in virtual
+//! arrival time) lands in the same column as detsim's.
 //!
 //! `--smoke` runs a single short scenario (CI-sized); `--full` runs the
 //! longer low-scale configuration. The repair-bound assertion runs
@@ -229,8 +229,8 @@ impl Sweep for Resilience {
 
 impl Resilience {
     /// The same episode on the thread-per-core runtime: real worker
-    /// threads, a supervised crash (ring drained as accounted drops,
-    /// map-table repair), a real respawn on heal. Bounds checked here:
+    /// threads, a crash that pauses its worker (ring drained as accounted
+    /// drops, map-table repair), a resume on heal. Bounds checked here:
     /// exact conservation, zero out-of-order deliveries, and the
     /// minimum-migration repair bound per [`npexec::CrashEpisode`].
     fn run_npexec_cell(&self, id: u8, arm: &str) -> ArmResult {
@@ -403,7 +403,7 @@ fn main() {
         "\nEvery crash satisfied the minimum-migration repair bound: flows moved off\n\
          the dead core never exceeded the flows resident on it at crash time — on\n\
          the deterministic engine AND on real threads (the npexec rows, where the\n\
-         supervisor drains the dead ring and the map table repairs via retire_core).\n\
+         crashed worker drains its own ring and the map table repairs via retire_core).\n\
          Load-driven migration (steady arm) and failure-driven repair (crash arm)\n\
          differ mainly in reorder rate and the fault-drop burst at crash time."
     );

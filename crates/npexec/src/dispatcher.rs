@@ -28,9 +28,9 @@
 //! between packets like forced migrations. Crash repair and heal
 //! restore are documented on [`supervisor`](crate::supervisor); the
 //! dispatcher's half is: begin the no-mark repair handshakes and
-//! `retire_core` on crash, install the respawned ring and `restore_core`
-//! behind ordinary marked handshakes on heal, and keep the rebalancer
-//! away from dead workers.
+//! `retire_core` on crash, wait for the crashed worker's pause and
+//! resume it, then `restore_core` behind ordinary marked handshakes on
+//! heal, and route nothing to a dead worker in between.
 //!
 //! This file is hot path (the attribute below): no panicking indexing,
 //! no allocation-amplifying calls inside the per-packet loop (the fault
@@ -45,9 +45,11 @@ use nphash::MapTable;
 use npsim::FaultAction;
 
 use crate::plan::ExecPkt;
-use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT};
+use crate::supervisor::{
+    ControlPlane, CMD_CRASH, CMD_PAUSED, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT,
+};
 use crate::worker::MIGRATED_BIT;
-use crate::{ForcedMigration, FullPolicy};
+use crate::{CrashEpisode, ForcedMigration, FullPolicy};
 
 /// "Flow has not been dispatched yet" sentinel for the last-core ledger.
 const NO_CORE: u32 = u32::MAX;
@@ -86,40 +88,9 @@ pub(crate) struct DispatchCtx<'a> {
     pub ctrl: Option<&'a ControlPlane>,
 }
 
-/// One crash's ledger: when it happened, what was resident, what the
-/// repair moved, and when (if ever) the core healed.
-#[derive(Debug)]
-pub(crate) struct EpisodeLedger {
-    /// The crashed worker.
-    pub core: usize,
-    /// Plan position of the crash.
-    pub crash_pos: u64,
-    /// Plan position of the heal, if one fired.
-    pub heal_pos: Option<u64>,
-    /// Flows whose last dispatch (before the crash) landed on the core.
-    pub resident_flows: u64,
-    /// Resident flows whose first dispatch inside the crash window went
-    /// to a different worker — the flows the repair actually moved.
-    /// `migrated_flows <= resident_flows` by construction (each flow's
-    /// residency bit is cleared on first sighting).
-    pub migrated_flows: u64,
-    /// Buckets the repair re-homed (`MapTable::retire_core`).
-    pub buckets_rehomed: usize,
-    /// Retired buckets the heal could not restore (handshake still in
-    /// flight past the wait budget, or the restore mark was dropped
-    /// under [`FullPolicy::DropAfter`]); they stay on their replacement.
-    pub restore_skipped: u64,
-    /// Per-flow residency bitmap, consumed as flows are re-sighted.
-    resident: Vec<bool>,
-    /// Still inside the crash-to-heal window (residency being tracked).
-    pub open: bool,
-}
-
 /// The dispatcher's ledger for one run.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchOutcome {
-    /// Descriptors pushed into rings.
-    pub pushed: u64,
     /// `(plan index, owner at drop)` of packets dropped at a full ring.
     pub dropped: Vec<(u64, u32)>,
     /// Packets whose flow changed cores at dispatch (the detsim
@@ -139,18 +110,14 @@ pub(crate) struct DispatchOutcome {
     pub injected: u64,
     /// Crashes applied (live worker taken down + repair begun).
     pub crashes: u64,
-    /// Heals applied (worker respawned + buckets restored).
+    /// Heals applied (worker resumed + buckets restored).
     pub heals: u64,
-    /// Throttle factor changes applied.
-    pub throttles: u64,
-    /// Stalls applied (recovery is the watchdog's, counted supervisor-side).
-    pub stalls: u64,
     /// Packets dispatched to a bucket while it was crash-remapped away
     /// from its dead owner (the npexec analogue of detsim's
     /// degradation-path redirects).
     pub redirects: u64,
     /// One ledger per crash, in crash order.
-    pub episodes: Vec<EpisodeLedger>,
+    pub episodes: Vec<CrashEpisode>,
 }
 
 /// Begin a group migration if the handshake permits; records the
@@ -189,8 +156,9 @@ fn try_migrate(
         return;
     }
     if let Some(t) = migrating_to.get(group as usize) {
-        // The target id must be published before `begin`'s Release bump:
-        // a worker that sees the handshake in flight must see who it is for.
+        // A marked handshake publishes its target before `begin`'s Release
+        // bump: a worker that sees it in flight sees who it is for. Crash
+        // repair begins first and publishes after the pause (`fire_fault`).
         // npcheck: ordering(Release pairs with the worker's Acquire load of the target after it observes in_flight)
         t.store(to, Ordering::Release);
     }
@@ -207,8 +175,10 @@ struct FaultState {
     crash_remapped: Vec<bool>,
     /// Per worker: buckets retired at its last crash (for heal restore).
     retired_of: Vec<Vec<u32>>,
-    /// Episodes still tracking residency (index into `out.episodes`).
-    open_episodes: usize,
+    /// Per crash still inside its crash-to-heal window: its index in
+    /// `out.episodes` and the per-flow residency bitmap, consumed as
+    /// flows are re-sighted (so `migrated_flows <= resident_flows`).
+    open: Vec<(usize, Vec<bool>)>,
 }
 
 impl FaultState {
@@ -218,7 +188,7 @@ impl FaultState {
             live_count: workers,
             crash_remapped: vec![false; groups],
             retired_of: vec![Vec::new(); workers],
-            open_episodes: 0,
+            open: Vec::new(),
         }
     }
 }
@@ -247,12 +217,53 @@ fn fire_fault(
                 // rejects such plans; this is the runtime belt).
                 return;
             }
-            // Repair first: one no-mark handshake per bucket the dead
-            // worker owns, then `retire_core` — round-robin re-home
-            // onto the live workers, minimum migration. The begin order
-            // mirrors retire_core's assignment order exactly.
+            // One no-mark repair handshake per bucket the dead worker
+            // owns, handed to it as its force list (deposited before
+            // CMD_CRASH is published). Its crash step ends in those
+            // force-releases and the pause; wait for that before any
+            // bucket moves. A stacked handshake's target is overwritten
+            // below, and a worker still popping would read the new
+            // target and service a packet parked for the older one.
+            //
+            // Beginning before the targets are published is safe because
+            // every target store is followed at once by the redirect,
+            // `retire_core` or `restore_core` that makes it the owner: for
+            // every bucket `b`, `migrating_to[b]` is `owner(b)` or unset.
+            // So the only worker that reads a dead core's target as its
+            // own is the dead core, which holds those packets and drops
+            // them in its crash step.
             // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
             let buckets = table.buckets_of_core(core);
+            debug_assert!(
+                buckets
+                    .iter()
+                    .all(|&b| migrating_to.get(b as usize).is_none_or(|t| {
+                        // npcheck: ordering(Relaxed is sound: this thread is the only writer of targets)
+                        let t = t.load(Ordering::Relaxed);
+                        t == core || t == usize::MAX
+                    })),
+                "a bucket's migration target is its owner or unset"
+            );
+            for &b in &buckets {
+                board.begin(b as usize);
+            }
+            if let Some(slot) = ctrl.and_then(|cp| cp.slots.get(core)) {
+                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+                if let Ok(mut f) = slot.force_list.lock() {
+                    f.clear();
+                    f.extend(buckets.iter().map(|&b| u64::from(b)));
+                }
+                // npcheck: ordering(AcqRel RMW — Release publishes the force list, the repair begins and every earlier push to the worker's Acquire load)
+                slot.cmd.fetch_or(CMD_CRASH, Ordering::AcqRel);
+                // The crash step needs nothing from this thread.
+                // npcheck: ordering(Acquire pairs with the worker's AcqRel set of CMD_PAUSED: its drain and force-releases happen-before the re-home)
+                while slot.cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            // Re-home round-robin onto the live workers, minimum
+            // migration (`retire_core`), each target published before
+            // any packet of its bucket is routed there.
             let repl: Vec<usize> = fs
                 .live
                 .iter()
@@ -269,13 +280,12 @@ fn fire_fault(
                     // npcheck: ordering(Release pairs with the new owner's Acquire load of the target after it observes in_flight)
                     t.store(to, Ordering::Release);
                 }
-                board.begin(b as usize);
                 if let Some(r) = fs.crash_remapped.get_mut(b as usize) {
                     *r = true;
                 }
             }
             let retired = table.retire_core(core, &repl);
-            debug_assert_eq!(retired, buckets, "retire must mirror the begun handshakes");
+            debug_assert_eq!(retired, buckets, "retire must mirror the published targets");
             // Snapshot residency for the episode ledger.
             // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
             let mut resident = vec![false; last_core.len()];
@@ -288,20 +298,6 @@ fn fire_fault(
                     }
                 }
             }
-            // Hand the dead ring to the supervisor: the force list must
-            // be deposited before CMD_CRASH is published (the drain
-            // reads it after observing the bit).
-            if let Some(cp) = ctrl {
-                if let Some(slot) = cp.slots.get(core) {
-                    // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-                    if let Ok(mut f) = slot.force_list.lock() {
-                        f.clear();
-                        f.extend(buckets.iter().map(|&b| u64::from(b)));
-                    }
-                    // npcheck: ordering(AcqRel RMW — Release publishes the force-list deposit and the repair begins to the worker's and supervisor's Acquire loads)
-                    slot.cmd.fetch_or(CMD_CRASH, Ordering::AcqRel);
-                }
-            }
             if let Some(l) = fs.live.get_mut(core) {
                 *l = false;
             }
@@ -311,46 +307,32 @@ fn fire_fault(
                 *r = buckets;
             }
             // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-            out.episodes.push(EpisodeLedger {
+            fs.open.push((out.episodes.len(), resident));
+            // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+            out.episodes.push(CrashEpisode {
                 core,
-                crash_pos: pos,
-                heal_pos: None,
+                crash_at_packet: pos,
+                heal_at_packet: None,
                 resident_flows,
                 migrated_flows: 0,
                 buckets_rehomed,
                 restore_skipped: 0,
-                resident,
-                open: true,
+                recovery_at_packet: None,
             });
-            fs.open_episodes += 1;
             out.crashes += 1;
         }
         FaultAction::Heal { core } => {
             if fs.live.get(core).copied().unwrap_or(true) {
                 return;
             }
-            let Some(cp) = ctrl else {
+            let Some(slot) = ctrl.and_then(|cp| cp.slots.get(core)) else {
                 return;
             };
-            let Some(slot) = cp.slots.get(core) else {
-                return;
-            };
-            // npcheck: ordering(Release pairs with the supervisor's AcqRel swap of the respawn request)
-            slot.respawn.store(true, Ordering::Release);
-            // Wait for the fresh ring's producer. The supervisor defers
-            // the respawn until the crash drain completed, so this spin
-            // is bounded by supervisor progress, not by luck.
-            let new_producer = loop {
-                // npcheck: allow(blocking-hot-path) — heal cold path, runs once per fault entry
-                let taken = slot.producer_box.lock().ok().and_then(|mut b| b.take());
-                if let Some(p) = taken {
-                    break p;
-                }
-                std::thread::yield_now();
-            };
-            if let Some(p) = producers.get_mut(core) {
-                *p = new_producer;
-            }
+            // The crash waited for the pause, so the crash step is done.
+            // Resume with a zero word: no crash, no pause, and no stall
+            // or throttle the dead core carried — full speed, as detsim.
+            // npcheck: ordering(Release pairs with the paused worker's Acquire load of the command word)
+            slot.cmd.store(0, Ordering::Release);
             if let Some(l) = fs.live.get_mut(core) {
                 *l = true;
             }
@@ -404,15 +386,19 @@ fn fire_fault(
                 // npcheck: allow(blocking-hot-path) — heal cold path, runs once per fault entry
                 restored.push(b);
             }
+            // Each target stored above names its bucket's owner from here
+            // on, as the crash arm's invariant requires.
             table.restore_core(core, &restored);
-            for ep in out.episodes.iter_mut().rev() {
-                if ep.core == core && ep.open {
-                    ep.heal_pos = Some(pos);
-                    ep.open = false;
-                    fs.open_episodes = fs.open_episodes.saturating_sub(1);
-                    break;
+            // Close the core's open episode (a core crashes again only
+            // after a heal, so it has exactly one).
+            let episodes = &mut out.episodes;
+            fs.open.retain(|&(e, _)| match episodes.get_mut(e) {
+                Some(ep) if ep.core == core => {
+                    ep.heal_at_packet = Some(pos);
+                    false
                 }
-            }
+                _ => true,
+            });
             out.heals += 1;
         }
         FaultAction::Throttle { core, factor } => {
@@ -425,7 +411,6 @@ fn fire_fault(
                 slot.cmd.fetch_and(low_mask, Ordering::AcqRel);
                 // npcheck: ordering(AcqRel RMW — publishes the new factor; pairs with the worker's Acquire load of cmd)
                 slot.cmd.fetch_or(fp << THROTTLE_SHIFT, Ordering::AcqRel);
-                out.throttles += 1;
             }
         }
         FaultAction::Stall { core, .. } => {
@@ -435,7 +420,6 @@ fn fire_fault(
             if let Some(slot) = ctrl.and_then(|cp| cp.slots.get(core)) {
                 // npcheck: ordering(AcqRel RMW — Release publishes the stall to the worker's Acquire load of cmd)
                 slot.cmd.fetch_or(CMD_STALL, Ordering::AcqRel);
-                out.stalls += 1;
             }
         }
     }
@@ -533,19 +517,13 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
             if fs.crash_remapped.get(g).copied().unwrap_or(false) {
                 out.redirects += 1;
             }
-            if fs.open_episodes > 0 {
-                for ep in out.episodes.iter_mut() {
-                    if !ep.open {
-                        continue;
-                    }
-                    if let Some(r) = ep.resident.get_mut(p.slot.index()) {
-                        if *r {
-                            *r = false;
-                            if owner != ep.core {
-                                ep.migrated_flows += 1;
-                            }
-                        }
-                    }
+            for (e, resident) in fs.open.iter_mut() {
+                let Some(r) = resident.get_mut(p.slot.index()).filter(|r| **r) else {
+                    continue;
+                };
+                *r = false;
+                if let Some(ep) = out.episodes.get_mut(*e).filter(|ep| ep.core != owner) {
+                    ep.migrated_flows += 1;
                 }
             }
         }
@@ -572,7 +550,6 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
             full_policy,
             &mut out.backpressured,
         ) {
-            out.pushed += 1;
             if let Some(w) = win_worker.get_mut(owner) {
                 *w += 1;
             }
@@ -584,8 +561,8 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
         }
     }
     // Actions scheduled at or past the end of the plan still fire (the
-    // detsim engine fires them before the horizon; the crash handoff is
-    // safe at any point because workers always deposit on exit).
+    // detsim engine fires them before the horizon; a crash waits for its
+    // worker's crash step, so even a trailing one completes before `done`).
     while let Some(&(pos, action)) = faults.get(next_fault) {
         next_fault += 1;
         fire_fault(

@@ -34,18 +34,18 @@
 //!                      │
 //!                      ├─ MapTable  (bucket == flow group)
 //!                      ├─ GroupBoard (begun/released per group)
-//!                      └─ supervisor (fault runs: drain / respawn /
-//!                         force-release / watchdog)
+//!                      └─ supervisor (fault runs: stall watchdog)
 //! ```
 //!
-//! Fault plans execute for real: a `Crash` takes its worker thread
-//! down (held and queued packets become accounted drops, the map table
-//! repairs via `retire_core`, the supervisor force-releases the repair
-//! handshakes once the dead ring is drained), a `Heal` respawns the
-//! worker and migrates its buckets home, `Throttle`/`Stall` perturb a
-//! live worker to exercise the heartbeat watchdog. No action touches
-//! a source, so the stream is the same with or without the plan. See
-//! the [`supervisor`] module docs for the recovery protocol.
+//! Fault plans execute for real: a `Crash` pauses its worker, which
+//! first turns its held and queued packets into accounted drops and
+//! force-releases the repair handshakes of its buckets, which
+//! `retire_core` then re-homes; a `Heal` resumes the worker cold and migrates its
+//! buckets home; `Throttle`/`Stall` perturb a live worker to exercise
+//! the heartbeat watchdog. Every thread is spawned before dispatch
+//! starts, and each worker returns one outcome for the whole run. No
+//! action touches a source, so the stream is the same with or without
+//! the plan. See the [`supervisor`] module docs for the protocol.
 //!
 //! Use it through [`ExecBackend::run`].
 
@@ -70,7 +70,7 @@ use npsim::{
 
 use dispatcher::{DispatchCtx, DispatchOutcome};
 use plan::{ExecPkt, ExecPlan};
-use supervisor::{ControlPlane, SupervisorCtx, SupervisorOutcome};
+use supervisor::ControlPlane;
 use worker::{WorkerCtx, WorkerOutcome};
 
 /// What the dispatcher does when a worker's ring is full.
@@ -160,9 +160,9 @@ pub struct CrashEpisode {
     /// Retired buckets the heal could not migrate home (left on their
     /// replacement — counted degradation, not an error).
     pub restore_skipped: u64,
-    /// Plan position of the first packet the respawned worker serviced
-    /// (`None`: never healed, or no packet reached it afterwards).
-    /// Crash-to-here is the episode's recovery latency.
+    /// Plan position of the first packet the worker serviced after the
+    /// heal resumed it (`None`: never healed, or no packet reached it
+    /// afterwards). Crash-to-here is the episode's recovery latency.
     pub recovery_at_packet: Option<u64>,
 }
 
@@ -179,8 +179,8 @@ pub struct ExecStats {
     pub groups: usize,
     /// Handshake ledger (begun / completed / aborted). Fault runs
     /// include crash-repair and restore handshakes; `completed` counts
-    /// supervisor force-releases too, so `begun == completed` holds at
-    /// the end of every run, faulted or not.
+    /// crashed workers' force-releases too, so `begun == completed`
+    /// holds at the end of every run, faulted or not.
     pub handshakes: HandshakeStats,
     /// Deepest any worker's holdback buffer got.
     pub max_hold_depth: usize,
@@ -192,7 +192,8 @@ pub struct ExecStats {
     pub table_epoch: u64,
     /// Per-crash recovery ledgers, in crash order (empty: fault-free run).
     pub episodes: Vec<CrashEpisode>,
-    /// Crash-repair handshakes the supervisor completed by force-release.
+    /// Crash-repair handshakes completed by force-release, summed over
+    /// workers (each crashed worker releases its own, after draining).
     pub forced_releases: u64,
     /// Stalled workers the heartbeat watchdog detected and recovered.
     pub stalls_detected: u64,
@@ -362,11 +363,7 @@ impl ExecBackend for ThreadedBackend {
 
         #[allow(clippy::disallowed_methods, reason = "wall-clock Mpps is the output")]
         let start = Instant::now();
-        let (dispatch, outs, sup): (
-            DispatchOutcome,
-            Vec<WorkerOutcome>,
-            Option<SupervisorOutcome>,
-        ) = std::thread::scope(|s| {
+        let (mut dispatch, outs, stalls_detected) = std::thread::scope(|s| {
             let cp = ctrl.as_ref();
             let mut handles = Vec::with_capacity(workers);
             for (id, consumer) in consumers.into_iter().enumerate() {
@@ -384,22 +381,7 @@ impl ExecBackend for ThreadedBackend {
                 };
                 handles.push(s.spawn(move || worker::run(ctx)));
             }
-            // The supervisor captures the scope itself so heal
-            // respawns land on the same scope as original workers.
-            let sup_handle = cp.map(|cp| {
-                let sctx = SupervisorCtx {
-                    cp,
-                    board: board.clone(),
-                    packets: &plan.packets,
-                    migrating_to: &migrating_to,
-                    seq_watch: &seq_watch,
-                    done: &done,
-                    delay,
-                    pin_threads: self.cfg.pin_threads,
-                    ring_capacity: self.cfg.ring_capacity,
-                };
-                s.spawn(move || supervisor::run(s, sctx))
-            });
+            let sup_handle = cp.map(|cp| s.spawn(move || supervisor::run(cp)));
             let dispatch = dispatcher::run(DispatchCtx {
                 packets: &plan.packets,
                 table,
@@ -420,69 +402,33 @@ impl ExecBackend for ThreadedBackend {
                 .into_iter()
                 .map(|h| h.join().unwrap_or_default())
                 .collect();
-            // Original workers joined: their consumer deposits are
-            // visible. The supervisor runs final sweeps (draining
-            // any trailing crash) and joins the workers it respawned.
+            // The watchdog runs until every worker joined: a worker
+            // stalled at the end of the run exits only once cleared.
             if let Some(cp) = cp {
                 // npcheck: ordering(Release pairs with the supervisor's Acquire load at the top of its sweep)
                 cp.shutdown.store(true, Ordering::Release);
             }
-            let sup = sup_handle.map(|h| h.join().unwrap_or_default());
-            (dispatch, outs, sup)
+            let stalls = sup_handle.map_or(0, |h| h.join().unwrap_or_default());
+            (dispatch, outs, stalls)
         });
         let wall_secs = start.elapsed().as_secs_f64().max(1e-9);
 
-        // Per-episode recovery: pair each respawned worker's first
-        // serviced packet with its core's oldest healed-but-unresolved
-        // episode (respawn order == heal order per core).
-        let mut episodes: Vec<CrashEpisode> = dispatch
-            .episodes
-            .iter()
-            .map(|e| CrashEpisode {
-                core: e.core,
-                crash_at_packet: e.crash_pos,
-                heal_at_packet: e.heal_pos,
-                resident_flows: e.resident_flows,
-                migrated_flows: e.migrated_flows,
-                buckets_rehomed: e.buckets_rehomed,
-                restore_skipped: e.restore_skipped,
-                recovery_at_packet: None,
-            })
-            .collect();
-        if let Some(sup) = &sup {
-            let mut next_of = vec![0usize; workers];
-            for (core, wout) in &sup.respawned {
-                let skip = next_of.get(*core).copied().unwrap_or(0);
-                if let Some(ep) = episodes
-                    .iter_mut()
-                    .filter(|e| e.core == *core && e.heal_at_packet.is_some())
-                    .nth(skip)
-                {
-                    ep.recovery_at_packet = wout.first_serviced;
-                }
-                if let Some(n) = next_of.get_mut(*core) {
-                    *n += 1;
-                }
-            }
-        }
-
-        // Fault drops with their core: packets a worker held at its
-        // crash, plus packets the supervisor drained from dead rings.
+        let mut episodes = std::mem::take(&mut dispatch.episodes);
+        // Fault drops with their core (held or queued at a crash), and
+        // per-episode recovery: a worker resumes once per heal, so its
+        // k-th resume belongs to its core's k-th healed episode.
         let mut fault_dropped: Vec<(usize, u64)> = Vec::new();
-        for (id, o) in outs.iter().enumerate() {
-            fault_dropped.extend(o.crash_drops.iter().map(|&idx| (id, idx)));
-        }
-        if let Some(sup) = &sup {
-            for (core, o) in &sup.respawned {
-                fault_dropped.extend(o.crash_drops.iter().map(|&idx| (*core, idx)));
+        for (core, o) in outs.iter().enumerate() {
+            fault_dropped.extend(o.crash_drops.iter().map(|&idx| (core, idx)));
+            let healed = episodes
+                .iter_mut()
+                .filter(|e| e.core == core && e.heal_at_packet.is_some());
+            for (ep, &first) in healed.zip(&o.recoveries) {
+                ep.recovery_at_packet = first;
             }
-            fault_dropped.extend(sup.drain_drops.iter().copied());
         }
 
-        let mut delivered: u64 = outs.iter().map(|o| o.serviced).sum();
-        if let Some(sup) = &sup {
-            delivered += sup.respawned.iter().map(|(_, o)| o.serviced).sum::<u64>();
-        }
+        let delivered: u64 = outs.iter().map(|o| o.serviced).sum();
         let stats = ExecStats {
             wall_secs,
             mpps: delivered as f64 / wall_secs / 1e6,
@@ -497,8 +443,8 @@ impl ExecBackend for ThreadedBackend {
             pinned_workers: outs.iter().filter(|o| o.pinned).count(),
             table_epoch: dispatch.final_epoch,
             episodes,
-            forced_releases: sup.as_ref().map_or(0, |s| s.forced_releases),
-            stalls_detected: sup.as_ref().map_or(0, |s| s.stalls_cleared),
+            forced_releases: outs.iter().map(|o| o.forced_releases).sum(),
+            stalls_detected,
             backpressured: dispatch.backpressured,
         };
         let report = assemble_report(
@@ -507,7 +453,6 @@ impl ExecBackend for ThreadedBackend {
             &plan,
             &dispatch,
             &outs,
-            sup.as_ref(),
             &fault_dropped,
             delivered,
         );
@@ -518,7 +463,6 @@ impl ExecBackend for ThreadedBackend {
                 &plan,
                 &dispatch,
                 &outs,
-                sup.as_ref(),
                 &stats.episodes,
                 &fault_dropped,
             );
@@ -533,14 +477,12 @@ impl ExecBackend for ThreadedBackend {
 /// (`migrated_packets` is per packet moved at dispatch); npexec-only
 /// notions map as documented per field. `events` counts the synthetic
 /// probe-bus stream (one arrival + one terminal event per packet).
-#[allow(clippy::too_many_arguments)]
 fn assemble_report(
     cfg: &EngineConfig,
     sched_name: &str,
     plan: &ExecPlan,
     dispatch: &DispatchOutcome,
     outs: &[WorkerOutcome],
-    sup: Option<&SupervisorOutcome>,
     fault_dropped: &[(usize, u64)],
     delivered: u64,
 ) -> SimReport {
@@ -553,14 +495,6 @@ fn assemble_report(
     report.migration_events = dispatch.migrations.len() as u64;
     report.cold_starts = outs.iter().map(|o| o.cold_starts).sum();
     report.core_busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-    if let Some(sup) = sup {
-        for (core, o) in &sup.respawned {
-            report.cold_starts += o.cold_starts;
-            if let Some(b) = report.core_busy_ns.get_mut(*core) {
-                *b += o.busy_ns;
-            }
-        }
-    }
     for (kind, &n) in nptraffic::ServiceKind::ALL.iter().zip(&plan.offered) {
         report.service_mut(*kind).offered = n;
     }
@@ -574,7 +508,7 @@ fn assemble_report(
             report.service_mut(p.service).dropped += 1;
         }
     }
-    let mut fold = |o: &WorkerOutcome| {
+    for o in outs {
         report.out_of_order += o.ooo_packets.len() as u64;
         for (k, &n) in o.per_service.iter().enumerate() {
             if let Some(kind) = nptraffic::ServiceKind::ALL.get(k) {
@@ -586,19 +520,11 @@ fn assemble_report(
                 report.service_mut(p.service).out_of_order += 1;
             }
         }
-    };
-    for o in outs {
-        fold(o);
-    }
-    if let Some(sup) = sup {
-        for (_, o) in &sup.respawned {
-            fold(o);
-        }
     }
     if dispatch.injected > 0 {
         // The FaultStats block detsim emits for the same plan, with the
         // documented npexec mapping: every crash/heal is repaired (the
-        // supervisor protocol has no unrepaired path).
+        // pause protocol has no unrepaired path).
         report.faults = Some(FaultStats {
             injected: dispatch.injected,
             crashes: dispatch.crashes,
@@ -626,14 +552,12 @@ fn assemble_report(
 /// spans it would see live on detsim. Counts match the report exactly;
 /// interleaving and latencies are coarse (latency 0, migrations
 /// timestamped at the horizon).
-#[allow(clippy::too_many_arguments)]
 fn replay_probes(
     probes: &mut ProbeStack,
     cfg: &EngineConfig,
     plan: &ExecPlan,
     dispatch: &DispatchOutcome,
     outs: &[WorkerOutcome],
-    sup: Option<&SupervisorOutcome>,
     episodes: &[CrashEpisode],
     fault_dropped: &[(usize, u64)],
 ) {
@@ -650,19 +574,9 @@ fn replay_probes(
         }
     }
     let mut ooo = vec![false; n];
-    let mut mark_ooo = |o: &WorkerOutcome| {
-        for &idx in &o.ooo_packets {
-            if let Some(f) = ooo.get_mut(idx as usize) {
-                *f = true;
-            }
-        }
-    };
-    for o in outs {
-        mark_ooo(o);
-    }
-    if let Some(sup) = sup {
-        for (_, o) in &sup.respawned {
-            mark_ooo(o);
+    for &idx in outs.iter().flat_map(|o| &o.ooo_packets) {
+        if let Some(f) = ooo.get_mut(idx as usize) {
+            *f = true;
         }
     }
     // Fault timeline marks keyed by plan position, fired *before* the
@@ -1096,7 +1010,7 @@ mod tests {
         assert!(ep.heal_at_packet.is_some(), "the episode closed");
         assert!(
             ep.recovery_at_packet.is_some(),
-            "the respawned worker serviced traffic"
+            "the healed worker serviced traffic"
         );
         assert!(
             ep.recovery_at_packet.unwrap() >= ep.crash_at_packet,
@@ -1153,5 +1067,73 @@ mod tests {
             stats.episodes[0].recovery_at_packet.is_some(),
             "probe restart mark mirrors the episode's recovery packet"
         );
+    }
+
+    /// Run `faults` and assert what every fault run must keep: exact
+    /// conservation, zero reordering, every handshake completed.
+    fn run_exact(backend: &mut ThreadedBackend, ms: u64, faults: FaultPlan) -> ExecStats {
+        let report = run_faulted(backend, ms, faults.clone());
+        assert_eq!(
+            report.offered,
+            report.processed + report.dropped,
+            "conservation under {faults:?}"
+        );
+        assert_eq!(report.out_of_order, 0, "reordered under {faults:?}");
+        let stats = backend.last_stats().expect("stats recorded").clone();
+        assert_eq!(
+            stats.handshakes.begun, stats.handshakes.completed,
+            "leaked handshake under {faults:?}"
+        );
+        stats
+    }
+
+    /// Run a crash/heal plan for 10 ms on 4 workers, exact as any fault
+    /// run, with every episode healed and recovered after its crash.
+    fn healed_episodes(faults: FaultPlan) -> Vec<CrashEpisode> {
+        let stats = run_exact(&mut ThreadedBackend::with_workers(4), 10, faults);
+        for ep in &stats.episodes {
+            let recovered = ep.recovery_at_packet.expect("the worker serviced again");
+            assert!(ep.heal_at_packet.is_some() && recovered >= ep.crash_at_packet);
+        }
+        stats.episodes
+    }
+
+    #[test]
+    fn crash_and_heal_at_the_same_instant() {
+        let at = SimTime::from_millis(2);
+        let eps = healed_episodes(FaultPlan::new().crash(at, 1).heal(at, 1));
+        assert_eq!(eps.len(), 1);
+        assert_eq!(eps[0].heal_at_packet, Some(eps[0].crash_at_packet));
+    }
+
+    #[test]
+    fn two_crash_heal_episodes_on_one_core() {
+        let ms = SimTime::from_millis;
+        let plan = FaultPlan::new().crash(ms(2), 2).heal(ms(4), 2);
+        let eps = healed_episodes(plan.crash(ms(6), 2).heal(ms(8), 2));
+        assert_eq!(eps.len(), 2);
+        assert!(eps[0].recovery_at_packet < Some(eps[1].crash_at_packet));
+    }
+
+    /// Fault-plan fuzzing on real threads at nightly size: every plan
+    /// `laps::random_plan` draws over 128 seeds at a 20 ms horizon that
+    /// validates. Run with `cargo test -p npexec --release -- --ignored`.
+    #[test]
+    #[ignore = "nightly tier: 128 fault plans on real threads"]
+    fn random_plans_nightly() {
+        let mut backend = ThreadedBackend::with_workers(4);
+        let mut ran = 0;
+        for seed in 0..128 {
+            let mut c = cfg(20);
+            c.faults = laps::random_plan(seed, 4, SimTime::from_millis(20));
+            match backend.validate(&c, &sources()) {
+                Ok(()) => {}
+                Err(ExecError::UnsupportedPlan(UnsupportedPlan::AllWorkersDown { .. })) => continue,
+                Err(e) => panic!("seed {seed}: a plan detsim accepts was refused: {e}"),
+            }
+            run_exact(&mut backend, 20, c.faults);
+            ran += 1;
+        }
+        assert!(ran >= 96, "{ran} of 128 plans ran");
     }
 }

@@ -26,13 +26,12 @@
 //!
 //! When a fault plan is active the worker also carries a control slot
 //! (see [`supervisor`](crate::supervisor)): each iteration it reads the
-//! command word and bumps its heartbeat. [`CMD_CRASH`] makes it account
-//! its held packets as crash drops, deposit its ring consumer for the
-//! supervisor, and exit; [`CMD_STALL`] makes it stop draining *and*
-//! stop heartbeating (the watchdog's stagnation signal); the throttle
-//! field inflates every charged service time. Whatever the exit path,
-//! a supervised worker always deposits its consumer — the crash drain
-//! must never wait on a handoff that raced the end of the run.
+//! command word and bumps its heartbeat. [`CMD_CRASH`] makes it do the
+//! crash step — holds and ring contents become crash drops, then the
+//! force list is force-released — and pause until a heal clears the
+//! word; [`CMD_STALL`] makes it stop draining *and* stop heartbeating
+//! (the watchdog's stagnation signal); the throttle field inflates
+//! every charged service time.
 //!
 //! This file is hot path (the attribute below): no panicking indexing,
 //! no allocation-amplifying calls inside the pop loop.
@@ -46,7 +45,9 @@ use nptraffic::{DelayModel, ServiceKind};
 
 use crate::affinity;
 use crate::plan::ExecPkt;
-use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT};
+use crate::supervisor::{
+    ControlPlane, WorkerSlot, CMD_CRASH, CMD_PAUSED, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT,
+};
 
 /// Payload tag bit: the dispatcher sets it when this packet moved its
 /// flow to a new worker, so the worker charges the Eq. 3 migration
@@ -64,8 +65,9 @@ pub(crate) struct WorkerCtx<'a> {
     pub packets: &'a [ExecPkt],
     /// The migration handshake scoreboard.
     pub board: GroupBoard,
-    /// Per-group migration target, written by the dispatcher before
-    /// `begin`; tells a worker whether an in-flight group is inbound.
+    /// Per-group migration target, written by the dispatcher before it
+    /// routes the group to the target; tells a worker whether an
+    /// in-flight group is inbound.
     pub migrating_to: &'a [AtomicUsize],
     /// Per-flow order witness: highest serviced `flow_seq + 1`.
     pub seq_watch: &'a [AtomicU64],
@@ -96,20 +98,17 @@ pub(crate) struct WorkerOutcome {
     pub ooo_packets: Vec<u64>,
     /// Deepest the holdback buffer ever got, in packets.
     pub max_hold_depth: usize,
-    /// Migration marks acked (== handshakes this worker was the old
-    /// owner of).
-    pub marks_seen: u64,
     /// Whether the pin request was honored by the kernel.
     pub pinned: bool,
-    /// Plan indices of packets this worker held when it crashed —
-    /// accounted as fault drops.
+    /// Plan indices of packets this worker held or still had in its
+    /// ring when it crashed — accounted as fault drops.
     pub crash_drops: Vec<u64>,
-    /// Plan index of the first packet this worker serviced (recovery
-    /// latency for respawned workers: crash time → this packet's
-    /// arrival instant).
-    pub first_serviced: Option<u64>,
-    /// Whether the worker exited through the crash path.
-    pub crashed: bool,
+    /// Repair handshakes this worker completed by force-release.
+    pub forced_releases: u64,
+    /// One entry per heal that resumed this worker, in heal order: the
+    /// plan index of the first packet serviced after it (`None`: none
+    /// was).
+    pub recoveries: Vec<Option<u64>>,
 }
 
 /// Parked packets of one in-flight group, in ring (FIFO) order.
@@ -151,8 +150,8 @@ impl Svc<'_> {
         let base_ns = detsim::SimTime::from_micros_f64(d_us).as_nanos();
         // Throttle faults inflate charged service time (Eq. 3 × factor).
         self.out.busy_ns += base_ns.saturating_mul(self.throttle_fp) / THROTTLE_ONE;
-        if self.out.first_serviced.is_none() {
-            self.out.first_serviced = Some(idx as u64);
+        if let Some(first @ None) = self.out.recoveries.last_mut() {
+            *first = Some(idx as u64);
         }
         if let Some(w) = self.seq_watch.get(p.slot.index()) {
             let flow_seq = u64::from(p.flow_seq);
@@ -171,8 +170,60 @@ impl Svc<'_> {
     }
 }
 
+/// The crash step, in the order the no-overtaking argument needs: held
+/// packets become crash drops; the ring is popped to empty (packets are
+/// crash drops; a stranded mark is released as an ordinary ack, since
+/// every pre-mark packet of its group was serviced or dropped before
+/// it); only then are the repair handshakes force-released. Ends by
+/// setting [`CMD_PAUSED`]. Cold path: runs once per crash.
+fn crash(
+    out: &mut WorkerOutcome,
+    holds: &mut Vec<Held>,
+    consumer: &mut Consumer,
+    board: &GroupBoard,
+    slot: &WorkerSlot,
+) {
+    let held = holds.drain(..).flat_map(|h| h.raws);
+    out.crash_drops.extend(held.map(|raw| raw & !MIGRATED_BIT));
+    while let Some(d) = consumer.try_pop() {
+        match d {
+            Desc::Packet(raw) => out.crash_drops.push(raw & !MIGRATED_BIT),
+            Desc::Mark(g) => board.release(g as usize),
+        }
+    }
+    // npcheck: allow(blocking-hot-path) — crash path, runs once per crash
+    let forced = slot.force_list.lock().map(|mut f| std::mem::take(&mut *f));
+    for g in forced.unwrap_or_default() {
+        if board.force_release(g as usize) {
+            out.forced_releases += 1;
+        }
+    }
+    // npcheck: ordering(AcqRel RMW — Release publishes the crash step to the dispatcher's Acquire wait for the pause)
+    slot.cmd.fetch_or(CMD_PAUSED, Ordering::AcqRel);
+}
+
+/// Wait, silent, until a heal clears [`CMD_PAUSED`] (`true`) or the run
+/// ends with the worker still down (`false`).
+fn paused_until_heal(slot: &WorkerSlot, done: &AtomicBool) -> bool {
+    loop {
+        // `done` first: the dispatcher's last heal happens-before its
+        // `done` store, so a pause still visible after `done` is final.
+        // npcheck: ordering(Acquire pairs with the dispatcher's Release store of done after its last fault action)
+        let fin = done.load(Ordering::Acquire);
+        // npcheck: ordering(Acquire pairs with the heal's Release store of the cleared command word)
+        if slot.cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
+            return true;
+        }
+        if fin {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Run one worker to completion; returns when the dispatcher is done,
-/// the ring is drained, and no held packets remain.
+/// the ring is drained, and no held packets remain — or, for a worker a
+/// crash paused and no heal resumed, when the dispatcher is done.
 pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     let WorkerCtx {
         id,
@@ -206,16 +257,15 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             // npcheck: ordering(Acquire pairs with the dispatcher's and watchdog's Release writes of the command word)
             let cmd = slot.cmd.load(Ordering::Acquire);
             if cmd & CMD_CRASH != 0 {
-                // Crash: everything we were holding is lost. Account it
-                // before the handoff so the drops are visible once the
-                // supervisor takes the consumer.
-                for h in holds.drain(..) {
-                    for raw in h.raws {
-                        svc.out.crash_drops.push(raw & !MIGRATED_BIT);
-                    }
+                crash(&mut svc.out, &mut holds, &mut consumer, &board, slot);
+                held_depth = 0;
+                if !paused_until_heal(slot, done) {
+                    break;
                 }
-                svc.out.crashed = true;
-                break;
+                // The heal cleared the word: back at full speed, cold.
+                svc.last_service = None;
+                svc.out.recoveries.push(None);
+                continue;
             }
             if cmd & CMD_STALL != 0 {
                 // Deliberate non-draining; the silent heartbeat is what
@@ -258,17 +308,19 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                     }
                 }
                 board.release(g as usize);
-                svc.out.marks_seen += 1;
             }
             Some(Desc::Packet(raw)) => {
                 idle_polls = 0;
                 let idx = (raw & !MIGRATED_BIT) as usize;
                 let g = packets.get(idx).map_or(0, |p| u64::from(p.group));
                 let held_here = holds.iter().any(|h| h.group == g);
-                // If in_flight saw the begun bump, the target load must see
-                // who the handshake is for.
+                // If in_flight saw a marked handshake's begun bump, the
+                // target load sees who it is for. A crash repair publishes
+                // its target only after the crashed worker's pause; until
+                // then only that worker reads the target as its own (the
+                // invariant in the dispatcher's crash arm).
                 let target = migrating_to.get(g as usize).map(|t| {
-                    // npcheck: ordering(Acquire pairs with the dispatcher's Release store of the target before begin)
+                    // npcheck: ordering(Acquire pairs with the dispatcher's Release store of the target: before begin for a marked handshake, after the pause for a crash repair)
                     t.load(Ordering::Acquire)
                 });
                 let inbound = board.in_flight(g as usize) && target == Some(id);
@@ -291,6 +343,9 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 }
             }
             None => {
+                // `is_empty` reads the producer's published tail, not the
+                // pop cache: a push between the empty pop above and the
+                // dispatcher's `done` store must not be stranded.
                 // npcheck: ordering(Acquire pairs with the dispatcher's Release store after its final push — seeing done implies seeing every published slot)
                 if done.load(Ordering::Acquire) && holds.is_empty() && consumer.is_empty() {
                     break;
@@ -304,19 +359,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 }
             }
         }
-    }
-    if let Some(slot) = slot {
-        // Always hand the ring over, whatever the exit path: a crash
-        // command that raced the end of the run still needs the
-        // supervisor's drain-then-force-release to complete, and that
-        // drain waits for this deposit. Sequenced after the last
-        // service, so the handoff proves this worker is done.
-        // npcheck: allow(blocking-hot-path) — exit path, runs once per worker lifetime
-        if let Ok(mut b) = slot.consumer_box.lock() {
-            *b = Some(consumer);
-        }
-        // npcheck: ordering(Release pairs with the supervisor's Acquire load: the deposit above happens-before the exit is observed)
-        slot.exited.store(true, Ordering::Release);
     }
     svc.out
 }

@@ -41,3 +41,8 @@ pub mod sync;
 pub mod thread;
 
 pub use sched::{model, MAX_EXECUTIONS, MAX_STEPS, PREEMPTION_BOUND};
+
+/// Explorer settings, at loom's path.
+pub mod model {
+    pub use crate::sched::Builder;
+}

@@ -69,6 +69,8 @@ struct State {
     step: usize,
     /// Involuntary switches taken so far (see [`PREEMPTION_BOUND`]).
     preemptions: usize,
+    /// Most involuntary switches one execution may take.
+    preemption_bound: usize,
 }
 
 pub(crate) struct Exec {
@@ -107,7 +109,7 @@ pub(crate) fn yield_and_defer() {
 }
 
 impl Exec {
-    fn new(prefix: Vec<usize>) -> Self {
+    fn new(prefix: Vec<usize>, preemption_bound: usize) -> Self {
         Exec {
             mx: Mutex::new(State {
                 next_tid: 1,
@@ -115,6 +117,7 @@ impl Exec {
                 current: 0,
                 live: 1,
                 prefix,
+                preemption_bound,
                 ..State::default()
             }),
             cv: Condvar::new(),
@@ -154,7 +157,7 @@ impl Exec {
         // continuation first so DFS's default path is preemption-free,
         // and stop offering preemptions once the bound is spent.
         if let Some(pos) = cands.iter().position(|t| *t == st.current) {
-            if st.preemptions >= PREEMPTION_BOUND {
+            if st.preemptions >= st.preemption_bound {
                 cands = vec![st.current];
             } else {
                 cands.swap(0, pos);
@@ -345,7 +348,8 @@ fn next_prefix(choices: &[(usize, usize)]) -> Option<Vec<usize>> {
     None
 }
 
-/// Explore the closure under every (bounded) thread interleaving.
+/// Explore the closure under every (bounded) thread interleaving, with
+/// the default [`Builder`].
 ///
 /// Panics — failing the enclosing test — if any execution's assertion
 /// fails, deadlocks, or livelocks; the panic message includes the
@@ -354,12 +358,52 @@ pub fn model<F>(f: F)
 where
     F: Fn() + Send + Sync + 'static,
 {
+    Builder::new().check(f);
+}
+
+/// Explorer settings, after loom's `model::Builder`: a model whose
+/// schedule space outgrows [`MAX_EXECUTIONS`] at the default
+/// [`PREEMPTION_BOUND`] lowers the bound to stay exhaustive.
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub struct Builder {
+    /// Most involuntary switches per execution; `None` is unbounded.
+    pub preemption_bound: Option<usize>,
+}
+
+impl Default for Builder {
+    fn default() -> Self {
+        Builder {
+            preemption_bound: Some(PREEMPTION_BOUND),
+        }
+    }
+}
+
+impl Builder {
+    /// The default settings, as [`model`] uses them.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Explore `f` under these settings; see [`model`].
+    pub fn check<F>(&self, f: F)
+    where
+        F: Fn() + Send + Sync + 'static,
+    {
+        explore(f, self.preemption_bound.unwrap_or(usize::MAX));
+    }
+}
+
+fn explore<F>(f: F, preemption_bound: usize)
+where
+    F: Fn() + Send + Sync + 'static,
+{
     let f = Arc::new(f);
     let mut prefix: Vec<usize> = Vec::new();
     let mut executions = 0usize;
     loop {
         executions += 1;
-        let exec = Arc::new(Exec::new(std::mem::take(&mut prefix)));
+        let exec = Arc::new(Exec::new(std::mem::take(&mut prefix), preemption_bound));
         {
             let root_exec = Arc::clone(&exec);
             let f = Arc::clone(&f);
@@ -460,6 +504,36 @@ mod tests {
         // Spawn + two atomic ops across two threads: more than one
         // interleaving must have been explored.
         assert!(execs.load(Ordering::SeqCst) > 1, "{execs:?}");
+    }
+
+    #[test]
+    fn preemption_bound_limits_the_search() {
+        // Two threads of three schedule points each: with no preemption
+        // allowed only spawn-time and completion switches remain.
+        let count = |bound: Option<usize>| {
+            let execs = Arc::new(AtomicUsize::new(0));
+            let e = Arc::clone(&execs);
+            let mut builder = Builder::new();
+            builder.preemption_bound = bound;
+            builder.check(move || {
+                e.fetch_add(1, Ordering::SeqCst);
+                let n = Arc::new(crate::sync::atomic::AtomicUsize::new(0));
+                let n2 = Arc::clone(&n);
+                let t = crate::thread::spawn(move || {
+                    for _ in 0..3 {
+                        n2.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
+                    }
+                });
+                for _ in 0..3 {
+                    n.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
+                }
+                t.join().expect("model thread");
+            });
+            execs.load(Ordering::SeqCst)
+        };
+        let (none, default) = (count(Some(0)), count(None));
+        assert!(none < count(Some(PREEMPTION_BOUND)), "{none}");
+        assert!(count(Some(PREEMPTION_BOUND)) <= default, "{default}");
     }
 
     #[test]
