@@ -71,12 +71,11 @@ pub struct TrafficSource {
 const UNINTERNED: u32 = u32::MAX;
 
 impl TrafficSource {
-    /// Instantiate from configuration. `trace_len` bounds the streaming
-    /// generator's internal state (headers repeat after the underlying
-    /// model cycles, mirroring the paper's trace replay).
+    /// Instantiate from configuration: a fresh streaming generator of
+    /// `cfg.trace` (its tables are built once per process and shared, see
+    /// [`nptrace::TracePreset::generator`]) at the rate `cfg.rate`.
     pub fn new(cfg: &SourceConfig) -> Self {
-        // Streaming generator; the length hint is irrelevant for
-        // streaming use.
+        // The length hint only sizes `generate`; streaming ignores it.
         let gen = cfg.trace.generator(0);
         TrafficSource {
             service: cfg.service,

@@ -11,6 +11,7 @@ use crate::zipf::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Generator parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -65,6 +66,38 @@ impl TraceConfig {
     }
 }
 
+/// The immutable part of a generator: a pure function of the config's
+/// flow model (`n_flows`, `zipf_exponent`, `head_offset`, `size_model`)
+/// and the seed, so generators of one preset share one copy
+/// ([`crate::TracePreset::generator`]).
+#[derive(Debug)]
+pub(crate) struct GenTables {
+    zipf: ZipfSampler,
+    profiles: Arc<[SizeProfile]>,
+    /// The RNG right after the profiles are drawn: where every
+    /// generator's own stream starts.
+    rng: StdRng,
+}
+
+impl GenTables {
+    pub(crate) fn build(config: &TraceConfig, seed: u64) -> Self {
+        let zipf = ZipfSampler::shifted(
+            config.n_flows as usize,
+            config.zipf_exponent,
+            config.head_offset,
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let profiles = (0..config.n_flows)
+            .map(|rank| config.size_model.assign(rank, &mut rng))
+            .collect();
+        GenTables {
+            zipf,
+            profiles,
+            rng,
+        }
+    }
+}
+
 /// Streaming trace generator.
 ///
 /// Can either materialize a whole [`Trace`] with [`TraceGenerator::generate`]
@@ -75,7 +108,7 @@ pub struct TraceGenerator {
     config: TraceConfig,
     zipf: ZipfSampler,
     /// Per-rank size personality (inherited by replacement flows).
-    profiles: Vec<SizeProfile>,
+    profiles: Arc<[SizeProfile]>,
     /// Current flow identity of each popularity rank (churns for mice).
     flow_map: Vec<u32>,
     next_flow: u32,
@@ -88,26 +121,23 @@ pub struct TraceGenerator {
 impl TraceGenerator {
     /// Build a generator for `config`, seeded with `seed`.
     pub fn new(config: TraceConfig, seed: u64) -> Self {
-        let zipf = ZipfSampler::shifted(
-            config.n_flows as usize,
-            config.zipf_exponent,
-            config.head_offset,
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let profiles = (0..config.n_flows)
-            .map(|rank| config.size_model.assign(rank, &mut rng))
-            .collect();
-        let flow_map: Vec<u32> = (0..config.n_flows).collect();
-        let next_flow = config.n_flows;
+        let tables = GenTables::build(&config, seed);
+        Self::from_tables(config, &tables)
+    }
+
+    /// A generator at the start of its stream over `tables`, which must
+    /// have been built from `config`'s flow model.
+    pub(crate) fn from_tables(config: TraceConfig, tables: &GenTables) -> Self {
+        debug_assert_eq!(tables.profiles.len(), config.n_flows as usize);
         TraceGenerator {
-            config,
-            zipf,
-            profiles,
-            flow_map,
-            next_flow,
-            rng,
+            zipf: tables.zipf.clone(),
+            profiles: Arc::clone(&tables.profiles),
+            flow_map: (0..config.n_flows).collect(),
+            next_flow: config.n_flows,
+            rng: tables.rng.clone(),
             active: Vec::new(),
             emitted: 0,
+            config,
         }
     }
 

@@ -14,11 +14,17 @@
 //!
 //! Distinct presets of a family differ by seed and mild parameter jitter,
 //! like distinct capture windows of the same link.
+//!
+//! A preset's generator tables (Zipf sampler, size profiles, seeded RNG
+//! state) are built once per process and shared by every generator of
+//! that preset: every engine and sweep cell replays the same fourteen
+//! traces, so only the first set-up in a process pays for them.
 
-use crate::gen::{TraceConfig, TraceGenerator};
+use crate::gen::{GenTables, TraceConfig, TraceGenerator};
 use crate::packet::Trace;
 use crate::sizes::SizeModel;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The fourteen named traces used across the paper's experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -130,18 +136,139 @@ impl TracePreset {
 
     /// Materialize the preset as a trace of `n_packets` packets.
     pub fn generate(&self, n_packets: usize) -> Trace {
-        TraceGenerator::new(self.config(n_packets), self.seed()).generate()
+        self.generator(n_packets).generate()
     }
 
     /// A streaming generator for this preset (for long simulations).
+    /// Equal, record for record, to `TraceGenerator::new(self.config(n),
+    /// self.seed())`, but its tables are built once per process.
     pub fn generator(&self, n_packets: usize) -> TraceGenerator {
-        TraceGenerator::new(self.config(n_packets), self.seed())
+        PRESET_TABLES.generator(*self, n_packets)
+    }
+
+    /// Slot in [`TableCache`]: `caida1..6` then `auck1..8`; `None` for a
+    /// variant outside the fourteen.
+    fn slot(&self) -> Option<usize> {
+        match *self {
+            TracePreset::Caida(n @ 1..=6) => Some(usize::from(n) - 1),
+            TracePreset::Auckland(n @ 1..=8) => Some(usize::from(n) + 5),
+            _ => None,
+        }
+    }
+}
+
+/// Generator tables of the fourteen presets, each built on first use.
+/// Immutable once set and a pure function of the preset — never an RNG
+/// position or per-run state (DESIGN.md, "Determinism contract").
+struct TableCache([OnceLock<GenTables>; 14]);
+
+static PRESET_TABLES: TableCache = TableCache::new();
+
+impl TableCache {
+    const fn new() -> Self {
+        TableCache([const { OnceLock::new() }; 14])
+    }
+
+    fn generator(&self, preset: TracePreset, n_packets: usize) -> TraceGenerator {
+        let config = preset.config(n_packets);
+        match preset.slot().and_then(|i| self.0.get(i)) {
+            Some(cell) => {
+                let tables = cell.get_or_init(|| GenTables::build(&config, preset.seed()));
+                TraceGenerator::from_tables(config, tables)
+            }
+            None => TraceGenerator::new(config, preset.seed()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    fn all_presets() -> impl Iterator<Item = TracePreset> {
+        TracePreset::all_caida()
+            .into_iter()
+            .chain(TracePreset::all_auckland())
+    }
+
+    fn fresh(p: TracePreset) -> TraceGenerator {
+        TraceGenerator::new(p.config(0), p.seed())
+    }
+
+    /// Advance both generators `n` records, asserting they agree.
+    fn assert_lockstep(a: &mut TraceGenerator, b: &mut TraceGenerator, n: usize, what: &str) {
+        for i in 0..n {
+            assert_eq!(a.next_packet(), b.next_packet(), "{what}: record {i}");
+        }
+    }
+
+    /// Flow identities minted by mouse churn so far: a zero-length
+    /// `generate` reports the generator's distinct-flow count.
+    fn churns(g: &TraceGenerator) -> u32 {
+        g.clone().generate().n_flows - g.config().n_flows
+    }
+
+    #[test]
+    fn shared_tables_match_fresh_generators() {
+        for p in all_presets() {
+            let mut shared = p.generator(0);
+            assert_lockstep(&mut shared, &mut fresh(p), 200_000, &p.name());
+        }
+    }
+
+    #[test]
+    fn shared_generators_of_one_preset_stay_independent() {
+        for p in all_presets() {
+            let (mut a, mut b) = (p.generator(0), p.generator(0));
+            let (mut fresh_a, mut fresh_b) = (fresh(p), fresh(p));
+            // `a` alone rewrites its flow map past 100 churns first …
+            while churns(&a) < 100 {
+                assert_lockstep(&mut a, &mut fresh_a, 1_000, &p.name());
+            }
+            // … then the two advance interleaved, each on its own stream.
+            for _ in 0..20 {
+                assert_lockstep(&mut a, &mut fresh_a, 500, &p.name());
+                assert_lockstep(&mut b, &mut fresh_b, 500, &p.name());
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_builds_agree() {
+        let cache = TableCache::new();
+        let preset = TracePreset::Caida(2);
+        let start = Barrier::new(4);
+        let streams: Vec<Vec<_>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut g = cache.generator(preset, 0);
+                        (0..20_000).map(|_| g.next_packet()).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut reference = fresh(preset);
+        let expected: Vec<_> = (0..20_000).map(|_| reference.next_packet()).collect();
+        for stream in &streams {
+            assert_eq!(stream, &expected);
+        }
+    }
+
+    #[test]
+    fn out_of_range_variants_build_uncached() {
+        for p in [
+            TracePreset::Caida(0),
+            TracePreset::Caida(7),
+            TracePreset::Auckland(9),
+        ] {
+            assert_eq!(p.slot(), None);
+            assert_lockstep(&mut p.generator(0), &mut fresh(p), 20_000, &p.name());
+        }
+    }
 
     #[test]
     fn names_roundtrip() {

@@ -6,6 +6,7 @@
 //! flow ranks reproduces exactly that shape.
 
 use rand::Rng;
+use std::sync::Arc;
 
 /// A sampler for `P(rank = i) ∝ 1 / (i + q)^s`, `i ∈ 1..=n`, returning
 /// 0-based indices.
@@ -26,15 +27,21 @@ use rand::Rng;
 /// Exact and deterministic given the RNG stream: a post-search repair
 /// walk pins the result to the global `partition_point`, so the index is
 /// invisible to replay (property-tested against the plain search below).
+///
+/// Construction is linear: the bucket thresholds never decrease, so one
+/// forward pointer over the table finds every bucket's partition point.
+/// Both tables sit behind an `Arc`, so a clone shares them — the trace
+/// presets build each sampler once per process
+/// ([`crate::TracePreset::generator`]).
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     /// Quantile index: `index[b]` is the global partition point for
     /// `u = total·b/K` (`K = index.len() - 1` buckets, uniform in
     /// probability mass). A draw `u` lands in bucket `b = ⌊u/total·K⌋`
     /// and by monotonicity its partition point lies in
     /// `index[b]..=index[b+1]`.
-    index: Vec<u32>,
+    index: Arc<[u32]>,
     /// `cdf.last()`, cached (the unnormalized total mass).
     total: f64,
 }
@@ -74,11 +81,22 @@ impl ZipfSampler {
         // draw must search has expected length ~1.
         let k = n;
         let mut index = Vec::with_capacity(k + 1);
+        // `total · (b / k)` never decreases in `b` (both roundings are
+        // monotone), so each bucket's `partition_point(|&c| c < u)` lies
+        // at or past the previous one: advance one pointer, never search.
+        let mut r = 0usize;
         for b in 0..=k {
             let u = total * (b as f64 / k as f64);
-            index.push(cdf.partition_point(|&c| c < u) as u32);
+            while cdf.get(r).is_some_and(|&c| c < u) {
+                r += 1;
+            }
+            index.push(r as u32);
         }
-        ZipfSampler { cdf, index, total }
+        ZipfSampler {
+            cdf: cdf.into(),
+            index: index.into(),
+            total,
+        }
     }
 
     /// Number of ranks.
@@ -181,19 +199,22 @@ mod tests {
         }
     }
 
+    /// `(n, s, q)` shapes from degenerate to backbone-sized.
+    const SHAPES: [(usize, f64, f64); 6] = [
+        (1, 1.0, 0.0),
+        (2, 0.5, 0.0),
+        (3, 0.0, 0.0),
+        (17, 1.1, 8.0),
+        (1_000, 0.9, 12.0),
+        (40_000, 1.05, 10.0),
+    ];
+
     #[test]
     fn quantile_index_matches_plain_search() {
         // The index must be invisible: for the same RNG stream the fast
         // path and a plain full-range partition_point agree on every
-        // draw, across shapes from degenerate to backbone-sized.
-        for &(n, s, q) in &[
-            (1usize, 1.0, 0.0),
-            (2, 0.5, 0.0),
-            (3, 0.0, 0.0),
-            (17, 1.1, 8.0),
-            (1_000, 0.9, 12.0),
-            (40_000, 1.05, 10.0),
-        ] {
+        // draw, across `SHAPES`.
+        for (n, s, q) in SHAPES {
             let z = ZipfSampler::shifted(n, s, q);
             let mut rng_fast = StdRng::seed_from_u64(99);
             let mut rng_plain = rng_fast.clone();
@@ -203,6 +224,29 @@ mod tests {
                 let plain = z.cdf.partition_point(|&c| c < u).min(n - 1);
                 assert_eq!(fast, plain, "n={n} s={s} q={q} draw {i}");
             }
+        }
+    }
+
+    /// The forward-pointer build yields, element for element, the index a
+    /// fresh `partition_point` per bucket gives, on `SHAPES` plus the
+    /// fourteen presets'. Flipping the build's `c < u` to `c <= u`
+    /// fails it on every shape: the last threshold equals `cdf[n - 1]`.
+    #[test]
+    fn linear_index_equals_searched_index() {
+        let presets = crate::TracePreset::all_caida()
+            .into_iter()
+            .chain(crate::TracePreset::all_auckland())
+            .map(|p| p.config(0))
+            .map(|c| (c.n_flows as usize, c.zipf_exponent, c.head_offset));
+        for (n, s, q) in SHAPES.into_iter().chain(presets) {
+            let z = ZipfSampler::shifted(n, s, q);
+            let searched: Vec<u32> = (0..=n)
+                .map(|b| {
+                    let u = z.total * (b as f64 / n as f64);
+                    z.cdf.partition_point(|&c| c < u) as u32
+                })
+                .collect();
+            assert_eq!(&z.index[..], &searched[..], "n={n} s={s} q={q}");
         }
     }
 
