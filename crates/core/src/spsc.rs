@@ -19,10 +19,11 @@
 //!    to zero for marked migrations.
 //!
 //! The ring itself is a bounded power-of-two Lamport queue over
-//! `AtomicU64` slots. Descriptors are 63-bit payloads (packet ids /
-//! flow-group ids) with the top bit tagging marks, so the whole
-//! structure is safe code — `laps` keeps `#![forbid(unsafe_code)]` —
-//! and every slot hand-off is a plain atomic store.
+//! `AtomicU64` words. A slot holds one fixed-width [`Payload`] — `N`
+//! words, one `u64` by default — and the top bit of its first word tags
+//! marks, so the whole structure is safe code — `laps` keeps
+//! `#![forbid(unsafe_code)]` — and every slot hand-off is a run of
+//! plain atomic stores published by one Release store of the tail.
 //!
 //! Verification story (DESIGN.md, "Concurrency contract & static
 //! analysis"):
@@ -36,6 +37,8 @@
 //!   it under ThreadSanitizer.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
+use std::marker::PhantomData;
+
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
@@ -46,46 +49,66 @@ use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
 use loom::sync::Arc;
 
-/// Tag bit distinguishing migration marks from packet descriptors.
+/// Tag bit distinguishing migration marks from packet descriptors: the
+/// top bit of a slot's first word.
 const MARK_BIT: u64 = 1 << 63;
+
+/// What a ring slot carries for a packet: a fixed number of `u64`
+/// words.
+///
+/// `Words` is `[u64; N]` for an `N`-word payload. Word 0 shares its
+/// slot word with the mark tag, so an encoding must leave bit 63 of
+/// word 0 clear (the ring masks it off and debug-asserts that it was).
+pub trait Payload: Copy {
+    /// The encoded form, `[u64; N]`.
+    type Words: Copy + Default + AsRef<[u64]> + AsMut<[u64]>;
+
+    /// Encode into words; word 0 must be at most [`Desc::MAX_PAYLOAD`].
+    fn encode(self) -> Self::Words;
+
+    /// Rebuild the payload [`Payload::encode`] produced.
+    fn decode(words: Self::Words) -> Self;
+}
+
+/// The default payload: one 63-bit word (packet id / arena slot).
+impl Payload for u64 {
+    type Words = [u64; 1];
+
+    #[inline]
+    fn encode(self) -> [u64; 1] {
+        [self]
+    }
+
+    #[inline]
+    fn decode(words: [u64; 1]) -> Self {
+        let [w] = words;
+        w
+    }
+}
 
 /// One ring slot: a packet descriptor or a flow-group migration mark.
 ///
-/// Payloads are limited to 63 bits ([`Desc::MAX_PAYLOAD`]); the top bit
-/// carries the mark tag so a descriptor fits one atomic slot.
+/// A mark's group and the first word of a packet payload are limited
+/// to 63 bits ([`Desc::MAX_PAYLOAD`]); the top bit carries the mark tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Desc {
-    /// A packet (payload: packet id / arena slot, caller-defined).
-    Packet(u64),
+pub enum Desc<P = u64> {
+    /// A packet (payload caller-defined: a packet id, a descriptor).
+    Packet(P),
     /// A migration mark for a flow group: everything enqueued before it
     /// belongs to the pre-migration epoch.
     Mark(u64),
 }
 
 impl Desc {
-    /// Largest encodable payload (63 bits).
+    /// Largest encodable mark group, and largest first payload word
+    /// (63 bits).
     pub const MAX_PAYLOAD: u64 = MARK_BIT - 1;
+}
 
-    fn encode(self) -> u64 {
-        match self {
-            Desc::Packet(p) => {
-                debug_assert!(p <= Self::MAX_PAYLOAD, "packet payload overflows 63 bits");
-                p & Self::MAX_PAYLOAD
-            }
-            Desc::Mark(g) => {
-                debug_assert!(g <= Self::MAX_PAYLOAD, "mark payload overflows 63 bits");
-                MARK_BIT | (g & Self::MAX_PAYLOAD)
-            }
-        }
-    }
-
-    fn decode(raw: u64) -> Self {
-        if raw & MARK_BIT != 0 {
-            Desc::Mark(raw & Self::MAX_PAYLOAD)
-        } else {
-            Desc::Packet(raw)
-        }
-    }
+/// Words per slot of payload `P` (a constant once inlined).
+#[inline]
+fn width<P: Payload>() -> usize {
+    P::Words::default().as_ref().len()
 }
 
 /// State shared by the two endpoints. `head`/`tail` are monotonically
@@ -94,6 +117,7 @@ impl Desc {
 /// `usize` freely — `wrapping_sub` keeps the occupancy arithmetic exact.
 #[derive(Debug)]
 struct Shared {
+    /// `capacity × width` words; slot `i` is words `i × width ..`.
     slots: Box<[AtomicU64]>,
     mask: usize,
     /// Consumer position: slots below `head` are free for reuse.
@@ -106,32 +130,35 @@ struct Shared {
 /// single-producer discipline is enforced by ownership, not runtime
 /// checks.
 #[derive(Debug)]
-pub struct Producer {
+pub struct Producer<P = u64> {
     shared: Arc<Shared>,
     /// Local copy of our own `tail` (saves an atomic load per push).
     tail: usize,
     /// Last observed consumer `head`; refreshed only when the ring
-    /// looks full, so an uncontended push is one load + two stores.
+    /// looks full, so an uncontended push is one load + `width + 1`
+    /// stores.
     head_cache: usize,
+    payload: PhantomData<P>,
 }
 
 /// Consumer endpoint (single consumer, by ownership).
 #[derive(Debug)]
-pub struct Consumer {
+pub struct Consumer<P = u64> {
     shared: Arc<Shared>,
     /// Local copy of our own `head`.
     head: usize,
     /// Last observed producer `tail`; refreshed only when the ring
     /// looks empty.
     tail_cache: usize,
+    payload: PhantomData<P>,
 }
 
 /// Create a ring with at least `capacity` slots (rounded up to a power
-/// of two, minimum 2) and return its two endpoints.
-pub fn ring(capacity: usize) -> (Producer, Consumer) {
+/// of two, minimum 2) of payload `P` and return its two endpoints.
+pub fn ring<P: Payload>(capacity: usize) -> (Producer<P>, Consumer<P>) {
     let cap = capacity.max(2).next_power_of_two();
     // npcheck: allow(blocking-hot-path) — one-time ring setup, not per-packet
-    let slots: Box<[AtomicU64]> = (0..cap).map(|_| AtomicU64::new(0)).collect();
+    let slots: Box<[AtomicU64]> = (0..cap * width::<P>()).map(|_| AtomicU64::new(0)).collect();
     let shared = Arc::new(Shared {
         slots,
         mask: cap - 1,
@@ -143,21 +170,24 @@ pub fn ring(capacity: usize) -> (Producer, Consumer) {
             shared: Arc::clone(&shared),
             tail: 0,
             head_cache: 0,
+            payload: PhantomData,
         },
         Consumer {
             shared,
             head: 0,
             tail_cache: 0,
+            payload: PhantomData,
         },
     )
 }
 
-impl Producer {
+impl<P: Payload> Producer<P> {
     /// Enqueue a descriptor; `Err` returns it when the ring is full
     /// (bounded queue: the caller applies its drop/backpressure policy,
     /// the ring never grows).
-    pub fn try_push(&mut self, desc: Desc) -> Result<(), Desc> {
-        let cap = self.shared.slots.len();
+    #[inline]
+    pub fn try_push(&mut self, desc: Desc<P>) -> Result<(), Desc<P>> {
+        let cap = self.shared.mask + 1;
         if self.tail.wrapping_sub(self.head_cache) == cap {
             // npcheck: ordering(Acquire pairs with the consumer's Release store of head: the consumer's reads of slots it freed happen-before our overwrite of them)
             self.head_cache = self.shared.head.load(Ordering::Acquire);
@@ -165,12 +195,32 @@ impl Producer {
                 return Err(desc);
             }
         }
-        let idx = self.tail & self.shared.mask;
-        #[allow(clippy::indexing_slicing, reason = "idx is masked to slots.len() - 1")]
-        // npcheck: ordering(Relaxed is sound for the slot payload: it is published to the consumer only by the Release store of tail below)
-        self.shared.slots[idx].store(desc.encode(), Ordering::Relaxed);
+        let w = width::<P>();
+        let base = (self.tail & self.shared.mask) * w;
+        #[allow(clippy::indexing_slicing, reason = "base + w <= slots.len()")]
+        let cells = &self.shared.slots[base..base + w];
+        match desc {
+            Desc::Packet(p) => {
+                let mut words = p.encode();
+                if let Some(w0) = words.as_mut().first_mut() {
+                    debug_assert!(*w0 <= Desc::MAX_PAYLOAD, "payload word 0 overflows 63 bits");
+                    *w0 &= Desc::MAX_PAYLOAD;
+                }
+                for (cell, &word) in cells.iter().zip(words.as_ref()) {
+                    // npcheck: ordering(Relaxed is sound for the slot payload: it is published to the consumer only by the Release store of tail below)
+                    cell.store(word, Ordering::Relaxed);
+                }
+            }
+            Desc::Mark(g) => {
+                debug_assert!(g <= Desc::MAX_PAYLOAD, "mark payload overflows 63 bits");
+                if let Some(cell) = cells.first() {
+                    // npcheck: ordering(Relaxed is sound for the slot payload: it is published to the consumer only by the Release store of tail below)
+                    cell.store(MARK_BIT | (g & Desc::MAX_PAYLOAD), Ordering::Relaxed);
+                }
+            }
+        }
         let next = self.tail.wrapping_add(1);
-        // npcheck: ordering(Release publishes the slot store above; pairs with the consumer's Acquire load of tail)
+        // npcheck: ordering(Release publishes every slot store above; pairs with the consumer's Acquire load of tail)
         self.shared.tail.store(next, Ordering::Release);
         self.tail = next;
         Ok(())
@@ -179,13 +229,13 @@ impl Producer {
     /// Enqueue a migration mark for `group` — step 1 of the handshake;
     /// the caller must redirect the group's packets to the target ring
     /// from this call on.
-    pub fn try_push_mark(&mut self, group: u64) -> Result<(), Desc> {
+    pub fn try_push_mark(&mut self, group: u64) -> Result<(), Desc<P>> {
         self.try_push(Desc::Mark(group))
     }
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
-        self.shared.slots.len()
+        self.shared.mask + 1
     }
 
     /// Occupancy from the producer's (conservative) view: counts slots
@@ -200,9 +250,10 @@ impl Producer {
     }
 }
 
-impl Consumer {
+impl<P: Payload> Consumer<P> {
     /// Dequeue the next descriptor, or `None` when the ring is empty.
-    pub fn try_pop(&mut self) -> Option<Desc> {
+    #[inline]
+    pub fn try_pop(&mut self) -> Option<Desc<P>> {
         if self.head == self.tail_cache {
             // npcheck: ordering(Acquire pairs with the producer's Release store of tail: every slot store below tail happens-before our reads)
             self.tail_cache = self.shared.tail.load(Ordering::Acquire);
@@ -210,20 +261,30 @@ impl Consumer {
                 return None;
             }
         }
-        let idx = self.head & self.shared.mask;
-        #[allow(clippy::indexing_slicing, reason = "idx is masked to slots.len() - 1")]
-        // npcheck: ordering(Relaxed is sound for the slot payload: the Acquire load of tail that admitted this index ordered the producer's store before this read)
-        let raw = self.shared.slots[idx].load(Ordering::Relaxed);
+        let w = width::<P>();
+        let base = (self.head & self.shared.mask) * w;
+        #[allow(clippy::indexing_slicing, reason = "base + w <= slots.len()")]
+        let cells = &self.shared.slots[base..base + w];
+        let mut words = P::Words::default();
+        for (word, cell) in words.as_mut().iter_mut().zip(cells) {
+            // npcheck: ordering(Relaxed is sound for the slot payload: the Acquire load of tail that admitted this index ordered the producer's stores before these reads)
+            *word = cell.load(Ordering::Relaxed);
+        }
         let next = self.head.wrapping_add(1);
         // npcheck: ordering(Release returns the emptied slot to the producer; pairs with the producer's Acquire load of head)
         self.shared.head.store(next, Ordering::Release);
         self.head = next;
-        Some(Desc::decode(raw))
+        let first = words.as_ref().first().copied().unwrap_or(0);
+        Some(if first & MARK_BIT != 0 {
+            Desc::Mark(first & Desc::MAX_PAYLOAD)
+        } else {
+            Desc::Packet(P::decode(words))
+        })
     }
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
-        self.shared.slots.len()
+        self.shared.mask + 1
     }
 
     /// Occupancy: descriptors the producer has published and this
@@ -251,6 +312,7 @@ mod tests {
 
     #[test]
     fn descriptor_roundtrip() {
+        let (mut p, mut c) = ring(8);
         for d in [
             Desc::Packet(0),
             Desc::Packet(Desc::MAX_PAYLOAD),
@@ -258,15 +320,58 @@ mod tests {
             Desc::Mark(7),
             Desc::Mark(Desc::MAX_PAYLOAD),
         ] {
-            assert_eq!(Desc::decode(d.encode()), d);
+            p.try_push(d).expect("room");
+            assert_eq!(c.try_pop(), Some(d));
+        }
+    }
+
+    /// A three-word payload whose words are all derived from one value.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Triple(u64);
+
+    impl Payload for Triple {
+        type Words = [u64; 3];
+        fn encode(self) -> [u64; 3] {
+            [self.0, !self.0, self.0.rotate_left(17)]
+        }
+        fn decode(words: [u64; 3]) -> Self {
+            let [a, b, c] = words;
+            assert_eq!((b, c), (!a, a.rotate_left(17)), "torn payload");
+            Triple(a)
         }
     }
 
     #[test]
+    fn multi_word_payloads_wrap_and_interleave_with_marks() {
+        let (mut p, mut c) = ring::<Triple>(2);
+        let mut next_in = 0u64;
+        let mut next_out = 0u64;
+        for round in 0..9u64 {
+            while p.try_push(Desc::Packet(Triple(next_in))).is_ok() {
+                next_in += 1;
+            }
+            assert_eq!(c.try_pop(), Some(Desc::Packet(Triple(next_out))));
+            next_out += 1;
+            p.try_push_mark(round).expect("a slot was freed");
+            while let Some(d) = c.try_pop() {
+                match d {
+                    Desc::Packet(t) => {
+                        assert_eq!(t, Triple(next_out));
+                        next_out += 1;
+                    }
+                    Desc::Mark(g) => assert_eq!(g, round),
+                }
+            }
+        }
+        assert_eq!(next_in, next_out);
+        assert_eq!(p.capacity(), 2);
+    }
+
+    #[test]
     fn capacity_rounds_to_power_of_two() {
-        assert_eq!(ring(0).0.capacity(), 2);
-        assert_eq!(ring(3).0.capacity(), 4);
-        assert_eq!(ring(32).0.capacity(), 32);
+        assert_eq!(ring::<u64>(0).0.capacity(), 2);
+        assert_eq!(ring::<u64>(3).0.capacity(), 4);
+        assert_eq!(ring::<u64>(32).0.capacity(), 32);
     }
 
     #[test]

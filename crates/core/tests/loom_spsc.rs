@@ -15,11 +15,13 @@
 //!   pushed after it — the property the kns-style handshake's
 //!   "drained the old core" conclusion rests on;
 //! * a consumer that exits on "producer done and ring empty" — npexec's
-//!   worker exit rule — pops every descriptor pushed before `done`.
+//!   worker exit rule — pops every descriptor pushed before `done`;
+//! * a multi-word payload is read whole: every word of a slot is stored
+//!   before the tail's Release, so no schedule pops a torn descriptor.
 
 #![cfg(loom)]
 
-use laps::spsc::{ring, Desc};
+use laps::spsc::{ring, Desc, Payload};
 use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 
@@ -202,6 +204,68 @@ fn exit_on_done_and_empty_pops_every_push() {
             got,
             vec![Desc::Packet(0), Desc::Packet(1)],
             "the exit rule stranded a descriptor pushed before done"
+        );
+    });
+}
+
+/// A three-word descriptor whose words all derive from one value, so a
+/// pop that mixes words of two pushes (or of a push and the initial
+/// zeros) is detectable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Wide(u64);
+
+impl Payload for Wide {
+    type Words = [u64; 3];
+    fn encode(self) -> [u64; 3] {
+        [self.0, self.0 + 100, self.0 + 200]
+    }
+    fn decode(words: [u64; 3]) -> Self {
+        let [a, b, c] = words;
+        assert_eq!([b, c], [a + 100, a + 200], "torn descriptor {words:?}");
+        Wide(a)
+    }
+}
+
+#[test]
+fn multi_word_descriptors_are_never_torn() {
+    loom::model(|| {
+        let (mut p, mut c) = ring::<Wide>(2);
+        let producer = loom::thread::spawn(move || {
+            // Three pushes into two slots: the third reuses a slot the
+            // consumer freed, so stale words of the first are in play.
+            for i in 1..=3u64 {
+                let mut d = Desc::Packet(Wide(i));
+                loop {
+                    match p.try_push(d) {
+                        Ok(()) => break,
+                        Err(back) => {
+                            d = back;
+                            loom::thread::yield_now();
+                        }
+                    }
+                }
+            }
+        });
+        let mut got = Vec::new();
+        let mut spins = 0usize;
+        while got.len() < 3 {
+            match c.try_pop() {
+                Some(d) => got.push(d),
+                None => {
+                    spins += 1;
+                    assert!(spins < 10_000, "consumer starved: got {got:?}");
+                    loom::thread::yield_now();
+                }
+            }
+        }
+        producer.join().expect("producer thread");
+        assert_eq!(
+            got,
+            vec![
+                Desc::Packet(Wide(1)),
+                Desc::Packet(Wide(2)),
+                Desc::Packet(Wide(3))
+            ]
         );
     });
 }

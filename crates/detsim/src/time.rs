@@ -57,7 +57,7 @@ impl SimTime {
         if us <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((us * 1_000.0).round() as u64)
+        SimTime(round_half_up(us * 1_000.0))
     }
 
     /// Construct from fractional seconds, rounding to the nearest nanosecond.
@@ -66,7 +66,7 @@ impl SimTime {
         if s <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((s * 1_000_000_000.0).round() as u64)
+        SimTime(round_half_up(s * 1_000_000_000.0))
     }
 
     /// Raw nanosecond count.
@@ -163,6 +163,17 @@ impl fmt::Debug for SimTime {
     }
 }
 
+/// `x.round() as u64` for the `x > 0.0` (or NaN) the constructors pass
+/// in, without the libm call: ties round up, NaN gives 0, and values
+/// past `u64::MAX` saturate, exactly as `round` then `as` do. The
+/// subtraction is exact: below 1 it is `x - 0`, from 1 on `x / 2 <= t
+/// <= x` (Sterbenz), and from 2^53 on `x` is an integer.
+#[inline]
+fn round_half_up(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Pick the largest unit that keeps at least one integer digit.
@@ -194,6 +205,52 @@ mod tests {
         assert_eq!(SimTime::from_micros_f64(3.53).as_nanos(), 3530);
         assert_eq!(SimTime::from_micros_f64(0.5).as_nanos(), 500);
         assert_eq!(SimTime::from_micros_f64(-1.0), SimTime::ZERO);
+    }
+
+    #[test]
+    fn round_half_up_matches_libm_round() {
+        let libm = |x: f64| x.round() as u64;
+        let mut cases = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            5e-324,                  // smallest subnormal
+            0.49999999999999994,     // largest double below 0.5
+            0.5,
+            1.0,
+            u64::MAX as f64,
+            1e300,
+        ];
+        // Ties k + 0.5 and their neighbours.
+        for k in [0u64, 1, 2, 3, 499, 3530, 1 << 20, 1 << 40, (1 << 51) + 1] {
+            let tie = k as f64 + 0.5;
+            cases.extend([tie, tie.next_down(), tie.next_up()]);
+        }
+        // Around 2^52 (last binade with halves), 2^53 (last with every
+        // integer) and 2^64 (saturation).
+        for e in [52, 53, 63, 64] {
+            let mut x = 2f64.powi(e);
+            for _ in 0..8 {
+                x = x.next_down();
+            }
+            for _ in 0..16 {
+                cases.push(x);
+                x = x.next_up();
+            }
+        }
+        // A deterministic sweep of magnitudes and fractions.
+        let mut bits = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            let mantissa = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            cases.push(mantissa * 2f64.powi((bits % 70) as i32 - 4));
+        }
+        for x in cases {
+            assert_eq!(round_half_up(x), libm(x), "x = {x:e}");
+        }
     }
 
     #[test]

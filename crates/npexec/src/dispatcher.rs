@@ -1,15 +1,16 @@
-//! The dispatcher loop: route the arrival plan into per-worker rings,
-//! drive flow-group migrations through the handshake, and fire fault
-//! plan actions at their plan positions.
+//! The dispatcher loop: draw the offered stream, route each packet into
+//! a per-worker ring, drive flow-group migrations through the
+//! handshake, and fire fault plan actions as the stream reaches them.
 //!
 //! The dispatcher is the frame manager of the thread-per-core runtime.
-//! It owns the service's `MapTable` (bucket == flow group) and walks
-//! the planned packet stream in arrival order:
+//! It owns the service's `MapTable` (bucket == flow group) and the
+//! [`PlanStream`], and draws each packet when it dispatches it:
 //!
-//! 1. read the packet's group off its descriptor (hashed once per
-//!    flow when the plan was built) and look up the owning worker,
-//! 2. push the plan index into that worker's ring (tagging the payload
-//!    with [`MIGRATED_BIT`] when the flow changed cores),
+//! 1. find the packet's group (one CRC16 on the flow's first packet,
+//!    kept in a per-flow table that grows as flows appear) and look up
+//!    the owning worker,
+//! 2. push the packet's [`ExecDesc`] by value into that worker's ring
+//!    (with `migrated` set when the flow changed cores),
 //! 3. periodically compare per-worker load over a window and migrate
 //!    the busiest group of the most loaded worker to the least loaded
 //!    one — the paper's map-table remap, as a 3-step handshake:
@@ -21,35 +22,39 @@
 //! for that group is still in flight or the old ring is too full to
 //! take the mark.
 //!
-//! Fault actions are scheduled by converting each entry's `SimTime` to
-//! a plan position (binary search over the monotone arrival instants —
-//! the exact analogue of detsim priming the plan into its event queue,
-//! including the fault-before-same-time-arrival tie-break), then fired
-//! between packets like forced migrations. Crash repair and heal
-//! restore are documented on [`supervisor`](crate::supervisor); the
-//! dispatcher's half is: begin the no-mark repair handshakes and
-//! `retire_core` on crash, wait for the crashed worker's pause and
-//! resume it, then `restore_core` behind ordinary marked handshakes on
-//! heal, and route nothing to a dead worker in between.
+//! A fault action scheduled at `t` fires just before the first packet
+//! that arrives at or after `t` — the exact analogue of detsim priming
+//! the plan into its event queue, including the
+//! fault-before-same-time-arrival tie-break — and its plan position is
+//! that packet's. Crash repair and heal restore are documented on
+//! [`supervisor`](crate::supervisor); the dispatcher's half is: begin
+//! the no-mark repair handshakes and `retire_core` on crash, wait for
+//! the crashed worker's pause and resume it, then `restore_core` behind
+//! ordinary marked handshakes on heal, and route nothing to a dead
+//! worker in between.
 //!
 //! This file is hot path (the attribute below): no panicking indexing,
-//! no allocation-amplifying calls inside the per-packet loop (the fault
+//! no allocation-amplifying calls inside the per-packet loop (the
+//! per-flow tables grow, amortised, on a flow's first packet; the fault
 //! paths are cold — once per plan entry — and carry allow comments).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use detsim::SimTime;
 use laps::spsc::{Desc, Producer};
 use laps::GroupBoard;
 use nphash::MapTable;
-use npsim::FaultAction;
+use npsim::{FaultAction, PlanStream};
 
-use crate::plan::ExecPkt;
+use crate::plan::{ExecDesc, SeqWatch};
 use crate::supervisor::{
     ControlPlane, CMD_CRASH, CMD_PAUSED, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT,
 };
-use crate::worker::MIGRATED_BIT;
 use crate::{CrashEpisode, ForcedMigration, FullPolicy};
+
+/// A ring producer of packet descriptors.
+type Ring = Producer<ExecDesc>;
 
 /// "Flow has not been dispatched yet" sentinel for the last-core ledger.
 const NO_CORE: u32 = u32::MAX;
@@ -60,18 +65,19 @@ const RESTORE_WAIT_YIELDS: u32 = 100_000;
 
 /// Everything the dispatcher owns or borrows for one run.
 pub(crate) struct DispatchCtx<'a> {
-    /// Planned packets in arrival order, each carrying its flow group.
-    pub packets: &'a [ExecPkt],
+    /// The offered stream, drawn packet by packet.
+    pub stream: PlanStream,
     /// The service's map table: bucket == group, value == worker.
     pub table: MapTable<usize>,
     /// Produce side of each worker's ring.
-    pub producers: Vec<Producer>,
+    pub producers: Vec<Ring>,
     /// The migration handshake scoreboard.
     pub board: GroupBoard,
     /// Per-group migration target (written before `begin`).
     pub migrating_to: &'a [AtomicUsize],
-    /// Number of distinct flows in the plan.
-    pub flow_count: usize,
+    /// The per-flow order witness; a flow's chunk is published before
+    /// its first packet is pushed.
+    pub seq_watch: &'a SeqWatch,
     /// Packets between imbalance checks (0 disables rebalancing).
     pub rebalance_every: u64,
     /// Migrate when the busiest worker's window load exceeds this
@@ -81,9 +87,8 @@ pub(crate) struct DispatchCtx<'a> {
     pub full_policy: FullPolicy,
     /// Scripted migrations, sorted by `after_packets`.
     pub forced: Vec<ForcedMigration>,
-    /// Fault actions as `(plan position, action)`, sorted by position
-    /// (stable — plan order preserved within a position).
-    pub faults: Vec<(u64, FaultAction)>,
+    /// Fault actions as `(instant, action)`, stably sorted by instant.
+    pub faults: &'a [(SimTime, FaultAction)],
     /// The fault-run control plane (`Some` iff `faults` is non-empty).
     pub ctrl: Option<&'a ControlPlane>,
 }
@@ -91,8 +96,14 @@ pub(crate) struct DispatchCtx<'a> {
 /// The dispatcher's ledger for one run.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchOutcome {
-    /// `(plan index, owner at drop)` of packets dropped at a full ring.
+    /// Offered packets per [`ServiceKind::index`](nptraffic::ServiceKind::index).
+    pub offered: [u64; 4],
+    /// Packets the frame-manager classifier diverted to the slow path.
+    pub slow_path: u64,
+    /// `(plan position, owner at drop)` of packets dropped at a full ring.
     pub dropped: Vec<(u64, u32)>,
+    /// Full-ring drops per service index.
+    pub dropped_per_service: [u64; 4],
     /// Packets whose flow changed cores at dispatch (the detsim
     /// `migrated_packets` definition).
     pub migrated_packets: u64,
@@ -127,7 +138,7 @@ pub(crate) struct DispatchOutcome {
 #[allow(clippy::too_many_arguments)]
 fn try_migrate(
     table: &mut MapTable<usize>,
-    producers: &mut [Producer],
+    producers: &mut [Ring],
     board: &GroupBoard,
     migrating_to: &[AtomicUsize],
     live: &[bool],
@@ -194,14 +205,15 @@ impl FaultState {
 }
 
 /// Apply one fault action at plan position `pos`. Cold path: runs once
-/// per plan entry, never per packet.
+/// per plan entry, never per packet. `last_core` covers the flows seen
+/// so far; a later flow is resident nowhere.
 #[allow(clippy::too_many_arguments)]
 fn fire_fault(
     action: FaultAction,
     pos: u64,
     fs: &mut FaultState,
     table: &mut MapTable<usize>,
-    producers: &mut [Producer],
+    producers: &mut [Ring],
     board: &GroupBoard,
     migrating_to: &[AtomicUsize],
     last_core: &[u32],
@@ -434,15 +446,16 @@ fn bump_restore_skipped(out: &mut DispatchOutcome, core: usize) {
     }
 }
 
-/// Walk the plan to completion; returns the dispatch ledger.
+/// Draw and dispatch the stream to completion; returns the dispatch
+/// ledger.
 pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
     let DispatchCtx {
-        packets,
+        mut stream,
         mut table,
         mut producers,
         board,
         migrating_to,
-        flow_count,
+        seq_watch,
         rebalance_every,
         imbalance_ratio,
         full_policy,
@@ -452,8 +465,11 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
     } = ctx;
     let mut out = DispatchOutcome::default();
     let workers = producers.len();
+    // Per-flow state, grown as flows appear: the group (hashed once per
+    // flow) and the last worker a packet of the flow went to.
+    let mut group_of_flow: Vec<u32> = Vec::new();
     let mut last_core: Vec<u32> = Vec::new();
-    last_core.resize(flow_count, NO_CORE);
+    let mut watched = 0usize;
     // Load windows for the imbalance check, reset every window.
     let mut win_worker = build_window(workers);
     let mut win_group = build_window(table.len());
@@ -462,15 +478,24 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
     let faults_on = !faults.is_empty();
     let mut fs = FaultState::new(workers, table.len());
 
-    for (i, p) in packets.iter().enumerate() {
-        while let Some(&(pos, action)) = faults.get(next_fault) {
-            if pos > i as u64 {
+    let mut drawn = 0u64;
+    for p in &mut stream {
+        let i = drawn;
+        drawn += 1;
+        debug_assert_eq!(p.id, i, "packet id is the plan position");
+        // `validate` keeps the expected count at half this bound.
+        assert!(
+            i <= u64::from(u32::MAX),
+            "npexec numbers plan positions in 32 bits"
+        );
+        while let Some(&(at, action)) = faults.get(next_fault) {
+            if at > p.at {
                 break;
             }
             next_fault += 1;
             fire_fault(
                 action,
-                pos,
+                i,
                 &mut fs,
                 &mut table,
                 &mut producers,
@@ -483,7 +508,7 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
             );
         }
         while let Some(f) = forced.get(next_forced) {
-            if f.after_packets > i as u64 {
+            if f.after_packets > i {
                 break;
             }
             next_forced += 1;
@@ -498,7 +523,7 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 f.to_worker,
             );
         }
-        if rebalance_every > 0 && i > 0 && (i as u64).is_multiple_of(rebalance_every) {
+        if rebalance_every > 0 && i > 0 && i.is_multiple_of(rebalance_every) {
             rebalance(
                 &mut table,
                 &mut producers,
@@ -511,14 +536,33 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 imbalance_ratio,
             );
         }
-        let g = p.group as usize;
+        let flow = p.slot.index();
+        let group = if p.flow_seq == 0 {
+            // A flow's first packet: hash it, and grow the per-flow
+            // state (slots are dense, but slow-path flows leave gaps).
+            if group_of_flow.len() <= flow {
+                group_of_flow.resize(flow + 1, 0);
+                last_core.resize(flow + 1, NO_CORE);
+            }
+            if flow >= watched {
+                watched = seq_watch.publish_through(flow);
+            }
+            let g = table.bucket_of(p.flow);
+            if let Some(slot) = group_of_flow.get_mut(flow) {
+                *slot = g;
+            }
+            g
+        } else {
+            group_of_flow.get(flow).copied().unwrap_or(0)
+        };
+        let g = group as usize;
         let owner = table.cores().get(g).copied().unwrap_or(0);
         if faults_on {
             if fs.crash_remapped.get(g).copied().unwrap_or(false) {
                 out.redirects += 1;
             }
             for (e, resident) in fs.open.iter_mut() {
-                let Some(r) = resident.get_mut(p.slot.index()).filter(|r| **r) else {
+                let Some(r) = resident.get_mut(flow).filter(|r| **r) else {
                     continue;
                 };
                 *r = false;
@@ -527,7 +571,7 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 }
             }
         }
-        let migrated = match last_core.get_mut(p.slot.index()) {
+        let migrated = match last_core.get_mut(flow) {
             Some(lc) => {
                 let moved = *lc != NO_CORE && *lc as usize != owner;
                 *lc = owner as u32;
@@ -538,15 +582,24 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
         if migrated {
             out.migrated_packets += 1;
         }
-        let raw = if migrated {
-            i as u64 | MIGRATED_BIT
-        } else {
-            i as u64
+        let service = p.service.index();
+        if let Some(n) = out.offered.get_mut(service) {
+            *n += 1;
+        }
+        let desc = ExecDesc {
+            pos: i as u32,
+            slot: p.slot,
+            // A flow's sequence number is below the position.
+            flow_seq: p.flow_seq as u32,
+            group,
+            size: p.size,
+            service: p.service,
+            migrated,
         };
         if push_full_policy(
             &mut producers,
             owner,
-            Desc::Packet(raw),
+            Desc::Packet(desc),
             full_policy,
             &mut out.backpressured,
         ) {
@@ -557,17 +610,21 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 *w += 1;
             }
         } else {
-            out.dropped.push((i as u64, owner as u32));
+            out.dropped.push((i, owner as u32));
+            if let Some(n) = out.dropped_per_service.get_mut(service) {
+                *n += 1;
+            }
         }
     }
-    // Actions scheduled at or past the end of the plan still fire (the
-    // detsim engine fires them before the horizon; a crash waits for its
+    out.slow_path = stream.slow_path();
+    // Actions scheduled after the last arrival still fire (the detsim
+    // engine fires them before the horizon; a crash waits for its
     // worker's crash step, so even a trailing one completes before `done`).
-    while let Some(&(pos, action)) = faults.get(next_fault) {
+    while let Some(&(_, action)) = faults.get(next_fault) {
         next_fault += 1;
         fire_fault(
             action,
-            pos.min(packets.len() as u64),
+            drawn,
             &mut fs,
             &mut table,
             &mut producers,
@@ -594,9 +651,9 @@ fn build_window(len: usize) -> Vec<u64> {
 /// descriptors that waited at least one retry under
 /// [`FullPolicy::Backpressure`].
 fn push_full_policy(
-    producers: &mut [Producer],
+    producers: &mut [Ring],
     owner: usize,
-    desc: Desc,
+    desc: Desc<ExecDesc>,
     full_policy: FullPolicy,
     backpressured: &mut u64,
 ) -> bool {
@@ -648,7 +705,7 @@ fn push_full_policy(
 #[allow(clippy::too_many_arguments)]
 fn rebalance(
     table: &mut MapTable<usize>,
-    producers: &mut [Producer],
+    producers: &mut [Ring],
     board: &GroupBoard,
     migrating_to: &[AtomicUsize],
     live: &[bool],

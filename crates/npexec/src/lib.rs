@@ -15,24 +15,28 @@
 //! (wall-clock throughput, reports *statistically* equivalent; the
 //! `exec_validate` experiment pins the bounds).
 //!
-//! Before any thread is spawned the stream is drained into a compact
-//! plan of 24-byte descriptors (`plan.rs`: arrival instant, flow slot,
-//! per-flow sequence, flow group, size, service — the packet id is the
-//! index, and the group is one CRC16 per *flow*, not per packet). Rings
-//! carry plan indices; the dispatcher reads a descriptor's group and
-//! slot, a worker its group, service, size, slot and sequence. The
-//! timed thread scope ([`ExecStats::wall_secs`]) covers rings and
-//! handshake only — drawing the stream is deliberately outside it.
+//! The dispatcher owns the stream and draws each packet when it
+//! dispatches it, as the paper's frame manager hands the scheduler one
+//! descriptor per arriving packet. Each ring slot carries that packet's
+//! descriptor by value (`plan.rs`: plan position, flow slot, per-flow
+//! sequence, flow group, size, service, migrated bit — the group is one
+//! CRC16 per *flow*, not per packet), so no thread indexes a shared
+//! plan and a run holds O(flows) state: the dispatcher's per-flow group
+//! and last-worker tables and the shared order witness, each grown as
+//! flows appear. The timed thread scope ([`ExecStats::wall_secs`])
+//! covers drawing, rings and handshake alike.
 //!
 //! ```text
-//!   PlanStream ─► compact plan (24 B/packet, group hashed once per flow)
-//!                      │ indices
-//!                      ▼             ┌────── worker 0 (pinned) ──────┐
-//!                  dispatcher ──spsc──► pop → hold? → service        │
-//!                      │   │                                         │
-//!                      │   └─spsc──► worker 1 … worker N-1           │
+//!                  PlanStream (drawn one packet per dispatch)
+//!                      │
+//!                      ▼              ┌────── worker 0 (pinned) ──────┐
+//!                  dispatcher ──spsc──► pop → hold? → service         │
+//!                      │   │  ExecDesc                                │
+//!                      │   │  by value                   SeqWatch ◄───┘
+//!                      │   └─spsc──► worker 1 … worker N-1
 //!                      │
 //!                      ├─ MapTable  (bucket == flow group)
+//!                      ├─ group_of_flow, last_core (grow with the flows)
 //!                      ├─ GroupBoard (begun/released per group)
 //!                      └─ supervisor (fault runs: stall watchdog)
 //! ```
@@ -40,12 +44,14 @@
 //! Fault plans execute for real: a `Crash` pauses its worker, which
 //! first turns its held and queued packets into accounted drops and
 //! force-releases the repair handshakes of its buckets, which
-//! `retire_core` then re-homes; a `Heal` resumes the worker cold and migrates its
-//! buckets home; `Throttle`/`Stall` perturb a live worker to exercise
-//! the heartbeat watchdog. Every thread is spawned before dispatch
-//! starts, and each worker returns one outcome for the whole run. No
-//! action touches a source, so the stream is the same with or without
-//! the plan. See the [`supervisor`] module docs for the protocol.
+//! `retire_core` then re-homes; a `Heal` resumes the worker cold and
+//! migrates its buckets home; `Throttle`/`Stall` perturb a live worker to exercise
+//! the heartbeat watchdog. An action at `t` fires just before the first
+//! packet arriving at or after `t`. Every thread is spawned before
+//! dispatch starts, and each worker returns one outcome for the whole
+//! run. No action touches a source, so the stream is the same with or
+//! without the plan. See the [`supervisor`] module docs for the
+//! protocol.
 //!
 //! Use it through [`ExecBackend::run`].
 
@@ -58,18 +64,19 @@ mod plan;
 mod supervisor;
 mod worker;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use laps::{GroupBoard, HandshakeStats};
 use nphash::{FlowSlot, MapTable};
 use npsim::{
-    EngineConfig, ExecBackend, ExecError, FaultAction, FaultStats, ProbeHost, ProbeStack,
-    Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
+    EngineConfig, ExecBackend, ExecError, FaultAction, FaultStats, PlanStream, ProbeHost,
+    ProbeStack, Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
 };
+use nptraffic::ServiceKind;
 
 use dispatcher::{DispatchCtx, DispatchOutcome};
-use plan::{ExecPkt, ExecPlan};
+use plan::{SeqWatch, MAX_PLAN_PACKETS};
 use supervisor::ControlPlane;
 use worker::{WorkerCtx, WorkerOutcome};
 
@@ -169,9 +176,12 @@ pub struct CrashEpisode {
 /// Wall-clock observations of the last [`ThreadedBackend::run`].
 #[derive(Debug, Clone)]
 pub struct ExecStats {
-    /// Wall-clock duration of the run (dispatch start → last join).
+    /// Wall-clock duration of the run (first draw → last join). It
+    /// includes drawing the offered stream, which the dispatcher does
+    /// packet by packet as it dispatches.
     pub wall_secs: f64,
-    /// Delivered packets per wall-clock second, in millions.
+    /// Delivered packets per wall-clock second of [`ExecStats::wall_secs`],
+    /// in millions (so drawing counts against it too).
     pub mpps: f64,
     /// Worker threads used.
     pub workers: usize,
@@ -234,33 +244,25 @@ impl ThreadedBackend {
     }
 }
 
-/// Map each fault entry's virtual instant to its plan position: the
-/// index of the first planned arrival at-or-after the instant. The
-/// dispatcher fires the action *before* that packet — the same
-/// fault-before-same-time-arrival tie-break the detsim event queue
-/// applies. Entries past the last arrival fire after the dispatch loop.
-fn fault_plan_positions(cfg: &EngineConfig, packets: &[ExecPkt]) -> Vec<(u64, FaultAction)> {
-    cfg.faults
-        .entries()
-        .iter()
-        .map(|&(t, action)| {
-            let pos = packets.partition_point(|p| p.at < t) as u64;
-            (pos, action)
-        })
-        .collect()
-}
-
 impl ExecBackend for ThreadedBackend {
     fn name(&self) -> &'static str {
         "npexec"
     }
 
-    /// Check the fault plan against this backend's capabilities
-    /// without running anything: cores must be in worker range,
-    /// throttle factors finite and positive (what detsim's
-    /// `FaultPlan::validate` demands), and the plan must never crash
-    /// the last live worker.
-    fn validate(&self, cfg: &EngineConfig, _sources: &[SourceConfig]) -> Result<(), ExecError> {
+    /// Check the configuration against this backend's capabilities
+    /// without running anything: the expected packet count must fit
+    /// the 32-bit plan positions with half the range to spare, fault
+    /// cores must be in worker range, throttle factors finite and
+    /// positive (what detsim's `FaultPlan::validate` demands), and the
+    /// plan must never crash the last live worker.
+    fn validate(&self, cfg: &EngineConfig, sources: &[SourceConfig]) -> Result<(), ExecError> {
+        let expected = PlanStream::expected_packets_for(cfg, sources) as u64;
+        if expected > MAX_PLAN_PACKETS {
+            return Err(ExecError::PlanTooLarge {
+                expected,
+                limit: MAX_PLAN_PACKETS,
+            });
+        }
         let workers = self.cfg.workers.max(1);
         let mut live = vec![true; workers];
         let mut live_count = workers;
@@ -300,12 +302,11 @@ impl ExecBackend for ThreadedBackend {
     ///
     /// # Panics
     /// Panics if [`ExecBackend::validate`] rejects the configuration
-    /// (out-of-range cores, a non-finite throttle factor, a plan that
-    /// crashes the last live worker). Call `validate` first to handle
-    /// these as errors.
-    /// Panics, before any thread is spawned, if the configuration
-    /// offers more than `u32::MAX` packets (per-flow sequence numbers
-    /// are kept in 32 bits).
+    /// (too many expected packets, out-of-range cores, a non-finite
+    /// throttle factor, a plan that crashes the last live worker). Call
+    /// `validate` first to handle these as errors. Panics if the stream
+    /// nevertheless exceeds `u32::MAX` packets (plan positions and
+    /// per-flow sequence numbers are kept in 32 bits).
     fn run(
         &mut self,
         cfg: &EngineConfig,
@@ -324,25 +325,20 @@ impl ExecBackend for ThreadedBackend {
         };
 
         // Shared state: map table (dispatcher-owned), handshake board,
-        // per-group migration targets, per-flow order witnesses.
+        // per-group migration targets, per-flow order witnesses (grown
+        // by the dispatcher as flows appear).
         let mut owners = Vec::with_capacity(groups);
         for g in 0..groups {
             owners.push(g % workers);
         }
         let table = MapTable::new(owners);
         let board = GroupBoard::new(groups);
-        let plan = match ExecPlan::build(cfg, sources, &table) {
-            Ok(plan) => plan,
-            Err(e) => panic!("npexec cannot execute this configuration: {e}"),
-        };
+        let stream = PlanStream::new(cfg, sources);
         let mut migrating_to = Vec::with_capacity(groups);
         for _ in 0..groups {
             migrating_to.push(AtomicUsize::new(usize::MAX));
         }
-        let mut seq_watch = Vec::with_capacity(plan.flow_count);
-        for _ in 0..plan.flow_count {
-            seq_watch.push(AtomicU64::new(0));
-        }
+        let seq_watch = SeqWatch::default();
         let done = AtomicBool::new(false);
         let mut delay = cfg.delay;
         delay.scale = cfg.scale;
@@ -356,7 +352,7 @@ impl ExecBackend for ThreadedBackend {
         }
         let mut forced = self.cfg.forced_migrations.clone();
         forced.sort_by_key(|f| f.after_packets);
-        let faults = fault_plan_positions(cfg, &plan.packets);
+        let faults = cfg.faults.entries();
         // Fault-free runs carry no control plane: workers then skip
         // every supervision check, and no supervisor thread spawns.
         let ctrl = (!faults.is_empty()).then(|| ControlPlane::new(workers));
@@ -370,7 +366,6 @@ impl ExecBackend for ThreadedBackend {
                 let ctx = WorkerCtx {
                     id,
                     consumer,
-                    packets: &plan.packets,
                     board: board.clone(),
                     migrating_to: &migrating_to,
                     seq_watch: &seq_watch,
@@ -383,12 +378,12 @@ impl ExecBackend for ThreadedBackend {
             }
             let sup_handle = cp.map(|cp| s.spawn(move || supervisor::run(cp)));
             let dispatch = dispatcher::run(DispatchCtx {
-                packets: &plan.packets,
+                stream,
                 table,
                 producers,
                 board: board.clone(),
                 migrating_to: &migrating_to,
-                flow_count: plan.flow_count,
+                seq_watch: &seq_watch,
                 rebalance_every: self.cfg.rebalance_every,
                 imbalance_ratio: self.cfg.imbalance_ratio,
                 full_policy: self.cfg.full_policy,
@@ -414,12 +409,9 @@ impl ExecBackend for ThreadedBackend {
         let wall_secs = start.elapsed().as_secs_f64().max(1e-9);
 
         let mut episodes = std::mem::take(&mut dispatch.episodes);
-        // Fault drops with their core (held or queued at a crash), and
-        // per-episode recovery: a worker resumes once per heal, so its
+        // Per-episode recovery: a worker resumes once per heal, so its
         // k-th resume belongs to its core's k-th healed episode.
-        let mut fault_dropped: Vec<(usize, u64)> = Vec::new();
         for (core, o) in outs.iter().enumerate() {
-            fault_dropped.extend(o.crash_drops.iter().map(|&idx| (core, idx)));
             let healed = episodes
                 .iter_mut()
                 .filter(|e| e.core == core && e.heal_at_packet.is_some());
@@ -447,25 +439,9 @@ impl ExecBackend for ThreadedBackend {
             stalls_detected,
             backpressured: dispatch.backpressured,
         };
-        let report = assemble_report(
-            cfg,
-            scheduler.name(),
-            &plan,
-            &dispatch,
-            &outs,
-            &fault_dropped,
-            delivered,
-        );
+        let report = assemble_report(cfg, scheduler.name(), &dispatch, &outs, delivered);
         if !probes.is_empty() {
-            replay_probes(
-                &mut probes,
-                cfg,
-                &plan,
-                &dispatch,
-                &outs,
-                &stats.episodes,
-                &fault_dropped,
-            );
+            replay_probes(&mut probes, cfg, sources, &dispatch, &outs, &stats.episodes);
         }
         self.last = Some(stats);
         (report, probes)
@@ -473,53 +449,39 @@ impl ExecBackend for ThreadedBackend {
 }
 
 /// Fold the dispatcher ledger and worker outcomes into the engine's
-/// report shape. Counters carry detsim semantics where both exist
-/// (`migrated_packets` is per packet moved at dispatch); npexec-only
-/// notions map as documented per field. `events` counts the synthetic
-/// probe-bus stream (one arrival + one terminal event per packet).
+/// report shape, from the per-service counters both sides keep.
+/// Counters carry detsim semantics where both exist (`migrated_packets`
+/// is per packet moved at dispatch); npexec-only notions map as
+/// documented per field. `events` counts the synthetic probe-bus stream
+/// (one arrival + one terminal event per packet).
 fn assemble_report(
     cfg: &EngineConfig,
     sched_name: &str,
-    plan: &ExecPlan,
     dispatch: &DispatchOutcome,
     outs: &[WorkerOutcome],
-    fault_dropped: &[(usize, u64)],
     delivered: u64,
 ) -> SimReport {
     let mut report = SimReport::new(format!("npexec:{sched_name}"), cfg.duration, cfg.scale);
-    report.offered = plan.packets.len() as u64;
-    report.slow_path = plan.slow_path;
-    report.dropped = dispatch.dropped.len() as u64 + fault_dropped.len() as u64;
+    let fault_drops: u64 = outs.iter().map(|o| o.crash_drops.len() as u64).sum();
+    report.offered = dispatch.offered.iter().sum();
+    report.slow_path = dispatch.slow_path;
+    report.dropped = dispatch.dropped.len() as u64 + fault_drops;
     report.processed = delivered;
     report.migrated_packets = dispatch.migrated_packets;
     report.migration_events = dispatch.migrations.len() as u64;
     report.cold_starts = outs.iter().map(|o| o.cold_starts).sum();
     report.core_busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-    for (kind, &n) in nptraffic::ServiceKind::ALL.iter().zip(&plan.offered) {
-        report.service_mut(*kind).offered = n;
-    }
-    for &(idx, _) in &dispatch.dropped {
-        if let Some(p) = plan.packets.get(idx as usize) {
-            report.service_mut(p.service).dropped += 1;
-        }
-    }
-    for &(_, idx) in fault_dropped {
-        if let Some(p) = plan.packets.get(idx as usize) {
-            report.service_mut(p.service).dropped += 1;
-        }
-    }
-    for o in outs {
-        report.out_of_order += o.ooo_packets.len() as u64;
-        for (k, &n) in o.per_service.iter().enumerate() {
-            if let Some(kind) = nptraffic::ServiceKind::ALL.get(k) {
-                report.service_mut(*kind).processed += n;
-            }
-        }
-        for &idx in &o.ooo_packets {
-            if let Some(p) = plan.packets.get(idx as usize) {
-                report.service_mut(p.service).out_of_order += 1;
-            }
-        }
+    report.out_of_order = outs.iter().map(|o| o.ooo_packets.len() as u64).sum();
+    for (k, kind) in ServiceKind::ALL.into_iter().enumerate() {
+        let sum = |f: fn(&WorkerOutcome) -> &[u64; 4]| -> u64 {
+            outs.iter().filter_map(|o| f(o).get(k)).sum()
+        };
+        let s = report.service_mut(kind);
+        s.offered = dispatch.offered.get(k).copied().unwrap_or(0);
+        s.dropped = dispatch.dropped_per_service.get(k).copied().unwrap_or(0)
+            + sum(|o| &o.dropped_per_service);
+        s.processed = sum(|o| &o.per_service);
+        s.out_of_order = sum(|o| &o.ooo_per_service);
     }
     if dispatch.injected > 0 {
         // The FaultStats block detsim emits for the same plan, with the
@@ -529,7 +491,7 @@ fn assemble_report(
             injected: dispatch.injected,
             crashes: dispatch.crashes,
             heals: dispatch.heals,
-            fault_drops: fault_dropped.len() as u64,
+            fault_drops,
             redirects: dispatch.redirects,
             repairs: dispatch.crashes + dispatch.heals,
             unrepaired: 0,
@@ -539,80 +501,88 @@ fn assemble_report(
     report
 }
 
+/// A fault timeline mark of the probe replay, keyed by plan position.
+#[derive(Clone, Copy)]
+enum Mark {
+    Crashed(usize),
+    Healed(usize),
+    /// The first service of a healed worker (at its recovery packet).
+    Restarted(usize),
+}
+
+impl Mark {
+    /// The event, for a mark fired just before a packet of `service`.
+    fn event(self, service: ServiceKind) -> SimEvent {
+        match self {
+            Mark::Crashed(core) => SimEvent::CoreCrashed { core },
+            Mark::Healed(core) => SimEvent::CoreHealed { core },
+            Mark::Restarted(core) => SimEvent::ServiceStart {
+                core,
+                service,
+                cold: true,
+                migrated: false,
+                duration: detsim::SimTime::ZERO,
+            },
+        }
+    }
+}
+
 /// Replay a count-faithful synthetic event stream into the probes.
 ///
 /// npexec has no deterministic virtual interleaving to publish live, so
-/// probes see a post-run reconstruction: one `PacketArrived` per
-/// planned packet at its arrival instant, a `Dropped` or `Departure`
-/// terminal per packet, a `ReorderDetected` per out-of-order delivery,
-/// one `Migration` per completed handshake, and — on fault runs —
+/// probes see a post-run reconstruction over a re-drawn copy of the
+/// (deterministic) offered stream: one `PacketArrived` per planned
+/// packet at its arrival instant, a `Dropped` or `Departure` terminal
+/// per packet, a `ReorderDetected` per out-of-order delivery, one
+/// `Migration` per completed handshake, and — on fault runs —
 /// `CoreCrashed`/`CoreHealed` marks at their plan positions plus one
 /// synthetic `ServiceStart` at each episode's recovery packet, so a
 /// [`npsim::FaultProbe`] reconstructs the same crash → heal → restart
 /// spans it would see live on detsim. Counts match the report exactly;
 /// interleaving and latencies are coarse (latency 0, migrations
-/// timestamped at the horizon).
+/// timestamped at the horizon). Only runs with probes attached pay for
+/// the second draw.
 fn replay_probes(
     probes: &mut ProbeStack,
     cfg: &EngineConfig,
-    plan: &ExecPlan,
+    sources: &[SourceConfig],
     dispatch: &DispatchOutcome,
     outs: &[WorkerOutcome],
     episodes: &[CrashEpisode],
-    fault_dropped: &[(usize, u64)],
 ) {
-    let n = plan.packets.len();
-    let mut dropped_at = vec![u32::MAX; n];
-    for &(idx, core) in &dispatch.dropped {
-        if let Some(d) = dropped_at.get_mut(idx as usize) {
-            *d = core;
-        }
+    // `(position, core)` of every drop, and every out-of-order
+    // position, each sorted for one merge pass over the stream.
+    let mut drops = dispatch.dropped.clone();
+    for (core, o) in outs.iter().enumerate() {
+        drops.extend(o.crash_drops.iter().map(|&pos| (pos, core as u32)));
     }
-    for &(core, idx) in fault_dropped {
-        if let Some(d) = dropped_at.get_mut(idx as usize) {
-            *d = core as u32;
-        }
-    }
-    let mut ooo = vec![false; n];
-    for &idx in outs.iter().flat_map(|o| &o.ooo_packets) {
-        if let Some(f) = ooo.get_mut(idx as usize) {
-            *f = true;
-        }
-    }
+    drops.sort_unstable();
+    let mut ooo: Vec<u64> = outs
+        .iter()
+        .flat_map(|o| o.ooo_packets.iter().copied())
+        .collect();
+    ooo.sort_unstable();
     // Fault timeline marks keyed by plan position, fired *before* the
     // packet at that position (the fault-before-arrival tie-break).
-    let mut marks: Vec<(u64, SimEvent)> = Vec::new();
+    let mut marks: Vec<(u64, Mark)> = Vec::new();
     for ep in episodes {
-        marks.push((ep.crash_at_packet, SimEvent::CoreCrashed { core: ep.core }));
+        marks.push((ep.crash_at_packet, Mark::Crashed(ep.core)));
         if let Some(h) = ep.heal_at_packet {
-            marks.push((h, SimEvent::CoreHealed { core: ep.core }));
+            marks.push((h, Mark::Healed(ep.core)));
         }
         if let Some(r) = ep.recovery_at_packet {
-            let service = plan
-                .packets
-                .get(r as usize)
-                .map_or(nptraffic::ServiceKind::IpForward, |p| p.service);
-            marks.push((
-                r,
-                SimEvent::ServiceStart {
-                    core: ep.core,
-                    service,
-                    cold: true,
-                    migrated: false,
-                    duration: detsim::SimTime::ZERO,
-                },
-            ));
+            marks.push((r, Mark::Restarted(ep.core)));
         }
     }
     marks.sort_by_key(|&(pos, _)| pos);
-    let mut next_mark = 0usize;
-    for (i, p) in plan.packets.iter().enumerate() {
-        let id = i as u64;
-        while let Some((pos, ev)) = marks.get(next_mark) {
-            if *pos > id {
+    let (mut next_mark, mut next_drop, mut next_ooo) = (0usize, 0usize, 0usize);
+    for p in PlanStream::new(cfg, sources) {
+        let id = p.id;
+        while let Some(&(pos, mark)) = marks.get(next_mark) {
+            if pos > id {
                 break;
             }
-            probes.deliver(p.at, ev);
+            probes.deliver(p.at, &mark.event(p.service));
             next_mark += 1;
         }
         probes.deliver(
@@ -624,8 +594,9 @@ fn replay_probes(
                 size: p.size,
             },
         );
-        match dropped_at.get(i) {
-            Some(&core) if core != u32::MAX => probes.deliver(
+        if let Some(&(_, core)) = drops.get(next_drop).filter(|&&(pos, _)| pos == id) {
+            next_drop += 1;
+            probes.deliver(
                 p.at,
                 &SimEvent::Dropped {
                     id,
@@ -633,34 +604,36 @@ fn replay_probes(
                     service: p.service,
                     core: core as usize,
                 },
-            ),
-            _ => {
-                let out_of_order = ooo.get(i).copied().unwrap_or(false);
-                probes.deliver(
-                    p.at,
-                    &SimEvent::Departure {
-                        id,
-                        slot: p.slot,
-                        service: p.service,
-                        latency_ns: 0,
-                        out_of_order,
-                    },
-                );
-                if out_of_order {
-                    probes.deliver(
-                        p.at,
-                        &SimEvent::ReorderDetected {
-                            slot: p.slot,
-                            flow_seq: u64::from(p.flow_seq),
-                            extent: 1,
-                        },
-                    );
-                }
-            }
+            );
+            continue;
+        }
+        let out_of_order = ooo.get(next_ooo) == Some(&id);
+        if out_of_order {
+            next_ooo += 1;
+        }
+        probes.deliver(
+            p.at,
+            &SimEvent::Departure {
+                id,
+                slot: p.slot,
+                service: p.service,
+                latency_ns: 0,
+                out_of_order,
+            },
+        );
+        if out_of_order {
+            probes.deliver(
+                p.at,
+                &SimEvent::ReorderDetected {
+                    slot: p.slot,
+                    flow_seq: p.flow_seq,
+                    extent: 1,
+                },
+            );
         }
     }
-    while let Some((_, ev)) = marks.get(next_mark) {
-        probes.deliver(cfg.duration, ev);
+    while let Some(&(_, mark)) = marks.get(next_mark) {
+        probes.deliver(cfg.duration, &mark.event(ServiceKind::IpForward));
         next_mark += 1;
     }
     for &(group, from, to) in &dispatch.migrations {
@@ -1113,6 +1086,94 @@ mod tests {
         let eps = healed_episodes(plan.crash(ms(6), 2).heal(ms(8), 2));
         assert_eq!(eps.len(), 2);
         assert!(eps[0].recovery_at_packet < Some(eps[1].crash_at_packet));
+    }
+
+    #[test]
+    fn validate_rejects_a_plan_too_large_to_number() {
+        let backend = ThreadedBackend::with_workers(2);
+        let mut c = cfg(1);
+        // 6 Mpps for an hour: ≈ 2.2e10 packets.
+        c.duration = SimTime::from_secs(3600);
+        let err = backend.validate(&c, &sources()).expect_err("too large");
+        assert_eq!(
+            err,
+            ExecError::PlanTooLarge {
+                expected: PlanStream::expected_packets_for(&c, &sources()) as u64,
+                limit: u64::from(u32::MAX / 2),
+            }
+        );
+        assert!(err.to_string().contains("shorten the horizon"));
+        assert_eq!(backend.validate(&cfg(1), &sources()), Ok(()));
+    }
+
+    /// The fault-before-same-time-arrival tie-break: a crash scheduled
+    /// at exactly a packet's arrival instant fires before that packet,
+    /// i.e. at the position of the first packet arriving at or after it.
+    #[test]
+    fn a_crash_at_an_arrival_instant_fires_before_that_packet() {
+        let full = npsim::ArrivalPlan::from_config(&cfg(10), &sources());
+        let k = full.packets.len() / 3;
+        let at = full.packets[k].at;
+        let first = full.packets.partition_point(|p| p.at < at);
+        assert!(first <= k && full.packets[first].at == at);
+        let stats = run_exact(
+            &mut ThreadedBackend::with_workers(4),
+            10,
+            FaultPlan::new().crash(at, 1),
+        );
+        assert_eq!(stats.episodes.len(), 1);
+        assert_eq!(stats.episodes[0].crash_at_packet, first as u64);
+    }
+
+    /// Probes replay a re-drawn copy of the stream after the run; the
+    /// report must not depend on whether they are attached. One service
+    /// (so cold starts are per resume, not per interleaving), no
+    /// rebalancer, and a crash before the first packet (an empty ring,
+    /// so no crash drops) make the whole report deterministic.
+    #[test]
+    fn fault_report_is_identical_with_and_without_probes() {
+        let mut c = cfg(10);
+        c.faults = FaultPlan::new()
+            .crash(SimTime::ZERO, 1)
+            .heal(SimTime::from_millis(4), 1);
+        let one_service = vec![SourceConfig {
+            service: ServiceKind::IpForward,
+            trace: TracePreset::Caida(1),
+            rate: RateSpec::Constant(4.0),
+        }];
+        let run = |probes: ProbeStack| {
+            let mut backend = ThreadedBackend::new(NpexecConfig {
+                workers: 4,
+                rebalance_every: 0,
+                ..NpexecConfig::default()
+            });
+            backend.run(&c, &one_service, Box::new(JoinShortestQueue::new()), probes)
+        };
+        let (bare, _) = run(ProbeStack::new());
+        let probes: ProbeStack = vec![Box::new(MetricsProbe::new()), Box::new(FaultProbe::new())];
+        let (probed, probes) = run(probes);
+        assert_eq!(format!("{bare:?}"), format!("{probed:?}"));
+        assert_eq!(bare.offered, bare.processed + bare.dropped);
+        assert_eq!(
+            bare.faults.as_ref().map(|f| (f.crashes, f.heals)),
+            Some((1, 1))
+        );
+        let faults = probes
+            .get(1)
+            .and_then(|p| p.as_any().downcast_ref::<FaultProbe>())
+            .expect("fault probe returned");
+        assert_eq!(faults.recoveries().len(), 1);
+        assert!(faults.recoveries()[0].restarted_at.is_some());
+        let metrics = probes
+            .first()
+            .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
+            .expect("metrics probe returned");
+        let arrivals = metrics
+            .counters()
+            .iter()
+            .find(|(n, _)| *n == "arrivals")
+            .map(|(_, v)| *v);
+        assert_eq!(arrivals, Some(bare.offered));
     }
 
     /// Fault-plan fuzzing on real threads at nightly size: every plan

@@ -1,28 +1,39 @@
-//! The compact arrival plan: what npexec's threads read of the offered
-//! stream, and nothing else.
+//! The streamed arrival plan: the descriptor a ring slot carries, and
+//! the per-flow order witness that grows as flows appear.
 //!
-//! The paper's frame manager hands the scheduler a *descriptor*, not
-//! the packet, and hashes a flow to its group once. [`ExecPlan::build`]
-//! does the same to [`npsim::PlanStream`]: each 56-byte
-//! `ScheduledPacket` is narrowed to a 24-byte [`ExecPkt`] as it is
-//! drawn, and a flow's group is one CRC16 on the flow's first packet,
-//! carried in every later descriptor of that flow. The 5-tuple, the
-//! source index and the packet id are dropped — no thread reads the
-//! first two, and the id *is* the plan index (pinned by
-//! `packet_ids_unique_and_ordered_per_flow` in `npsim`).
+//! The paper's frame manager hands the scheduler one *descriptor* per
+//! packet as it arrives, and hashes a flow to its group once. npexec's
+//! dispatcher does the same to [`npsim::PlanStream`]: it draws each
+//! packet when it dispatches it, narrows the 56-byte `ScheduledPacket`
+//! to an [`ExecDesc`], and pushes that descriptor *by value* into the
+//! owning worker's ring. A flow's group is one CRC16 on the flow's
+//! first packet, kept by the dispatcher for the flow's later packets.
+//! No thread indexes a shared plan, so the run holds O(flows) state,
+//! not O(packets).
+//!
+//! Positions and per-flow sequence numbers travel in 32 bits;
+//! [`MAX_PLAN_PACKETS`] is the limit `validate` enforces, with half of
+//! the `u32` range left as margin over the stream's estimate.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use detsim::SimTime;
-use nphash::{FlowSlot, MapTable};
-use npsim::{EngineConfig, PlanStream, SourceConfig};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, PoisonError};
+
+use laps::spsc::Payload;
+use nphash::FlowSlot;
 use nptraffic::ServiceKind;
 
-/// One planned packet as the threads see it. Its index in
-/// [`ExecPlan::packets`] is its packet id and its ring payload.
+/// Most packets a configuration may be expected to offer: positions and
+/// per-flow sequence numbers are `u32`, and the stream's estimate
+/// ([`npsim::PlanStream::expected_packets_for`]) is a mean, so half the
+/// range is kept as margin. The dispatcher asserts the hard `u32` bound.
+pub(crate) const MAX_PLAN_PACKETS: u64 = u32::MAX as u64 / 2;
+
+/// One packet as the threads see it, carried by value in a ring slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ExecPkt {
-    /// Arrival instant: orders fault actions against packets before the
-    /// run and timestamps the probe replay after it (no thread reads it).
-    pub at: SimTime,
+pub(crate) struct ExecDesc {
+    /// Plan position: the packet's index in the offered stream (its id).
+    pub pos: u32,
     /// Dense arena slot of the flow.
     pub slot: FlowSlot,
     /// Per-flow arrival sequence number (0-based), the reorder witness.
@@ -33,163 +44,203 @@ pub(crate) struct ExecPkt {
     pub size: u16,
     /// Service the packet requests.
     pub service: ServiceKind,
+    /// The dispatcher moved this packet's flow to a new worker, so the
+    /// worker charges the Eq. 3 migration penalty.
+    pub migrated: bool,
 }
 
-// Eight records per three cache lines, and every thread walks them: a
-// field added here is paid per packet, so growing the record has to be
-// a decision.
-const _: () = assert!(std::mem::size_of::<ExecPkt>() <= 24);
+const SIZE_SHIFT: u32 = 32;
+const SERVICE_SHIFT: u32 = 48;
+const MIGRATED_SHIFT: u32 = 50;
 
-/// The offered stream of one run, narrowed to [`ExecPkt`]s.
-#[derive(Debug)]
-pub(crate) struct ExecPlan {
-    /// Fast-path packets in arrival order.
-    pub packets: Vec<ExecPkt>,
-    /// Packets the frame-manager classifier diverted to the slow path.
-    pub slow_path: u64,
-    /// Number of distinct flows interned by the stream.
-    pub flow_count: usize,
-    /// Offered packets per [`ServiceKind::index`].
-    pub offered: [u64; 4],
-}
+/// Three words: `pos | size | service | migrated` (bits 0–50 of word 0,
+/// leaving the ring's mark tag alone), `slot | flow_seq`, `group`.
+impl Payload for ExecDesc {
+    type Words = [u64; 3];
 
-/// The plan has more packets than a `u32` per-flow sequence number can
-/// witness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PlanTooLarge;
-
-impl std::fmt::Display for PlanTooLarge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "the arrival plan exceeds {} packets: npexec keeps per-flow sequence numbers \
-             (the reorder witness) in 32 bits; shorten the horizon or lower the rates",
-            u32::MAX
-        )
+    #[inline]
+    fn encode(self) -> [u64; 3] {
+        [
+            u64::from(self.pos)
+                | u64::from(self.size) << SIZE_SHIFT
+                | (self.service.index() as u64) << SERVICE_SHIFT
+                | u64::from(self.migrated) << MIGRATED_SHIFT,
+            u64::from(self.slot.raw()) | u64::from(self.flow_seq) << 32,
+            u64::from(self.group),
+        ]
     }
-}
 
-impl ExecPlan {
-    /// Drain the offered stream of `cfg` + `sources`, hashing each flow
-    /// to its group in `table` once, on the flow's first packet.
-    pub(crate) fn build(
-        cfg: &EngineConfig,
-        sources: &[SourceConfig],
-        table: &MapTable<usize>,
-    ) -> Result<Self, PlanTooLarge> {
-        let mut stream = PlanStream::new(cfg, sources);
-        let mut packets = Vec::with_capacity(stream.expected_packets());
-        let mut group_of_flow: Vec<u32> = Vec::new();
-        let mut offered = [0u64; 4];
-        for p in &mut stream {
-            debug_assert_eq!(p.id, packets.len() as u64, "packet id is the plan index");
-            let flow = p.slot.index();
-            let group = if p.flow_seq == 0 {
-                let g = table.bucket_of(p.flow);
-                if group_of_flow.len() <= flow {
-                    group_of_flow.resize(flow + 1, 0);
-                }
-                if let Some(slot) = group_of_flow.get_mut(flow) {
-                    *slot = g;
-                }
-                g
-            } else {
-                group_of_flow.get(flow).copied().unwrap_or(0)
-            };
-            if let Some(n) = offered.get_mut(p.service.index()) {
-                *n += 1;
-            }
-            packets.push(ExecPkt {
-                at: p.at,
-                slot: p.slot,
-                // A flow's sequence numbers are below the packet count,
-                // so this fails only on a plan `check_len` rejects.
-                flow_seq: u32::try_from(p.flow_seq).map_err(|_| PlanTooLarge)?,
-                group,
-                size: p.size,
-                service: p.service,
-            });
+    #[inline]
+    fn decode(words: [u64; 3]) -> Self {
+        let [a, b, c] = words;
+        ExecDesc {
+            pos: a as u32,
+            size: (a >> SIZE_SHIFT) as u16,
+            service: ServiceKind::from_index(((a >> SERVICE_SHIFT) & 3) as usize),
+            migrated: (a >> MIGRATED_SHIFT) & 1 != 0,
+            slot: FlowSlot::new(b as u32),
+            flow_seq: (b >> 32) as u32,
+            group: c as u32,
         }
-        check_len(packets.len())?;
-        Ok(ExecPlan {
-            packets,
-            slow_path: stream.slow_path(),
-            flow_count: stream.flow_count(),
-            offered,
-        })
     }
 }
 
-/// Reject a plan whose per-flow sequence numbers could overflow `u32`.
-fn check_len(packets: usize) -> Result<(), PlanTooLarge> {
-    u32::try_from(packets).map(drop).map_err(|_| PlanTooLarge)
+/// Flows per witness chunk (32 KiB of counters).
+const WATCH_CHUNK: usize = 4096;
+
+/// The per-flow order witness: highest serviced `flow_seq + 1` per flow
+/// slot, shared by every worker. It grows in fixed chunks that never
+/// move once published: the dispatcher publishes a flow's chunk before
+/// it pushes the flow's first packet, and a worker that meets a flow
+/// past its copy of the chunk list refreshes the copy.
+#[derive(Debug, Default)]
+pub(crate) struct SeqWatch {
+    chunks: Mutex<Vec<Arc<[AtomicU64]>>>,
+}
+
+impl SeqWatch {
+    /// Publish chunks until `flow` is covered; returns the number of
+    /// flows now covered. The dispatcher calls it only for a flow past
+    /// the last return value, so it runs once per chunk.
+    pub(crate) fn publish_through(&self, flow: usize) -> usize {
+        // npcheck: allow(blocking-hot-path) — cold, once per chunk of flows
+        let mut chunks = self.chunks.lock().unwrap_or_else(PoisonError::into_inner);
+        while chunks.len() * WATCH_CHUNK <= flow {
+            // npcheck: allow(blocking-hot-path) — cold, once per chunk of flows
+            chunks.push((0..WATCH_CHUNK).map(|_| AtomicU64::new(0)).collect());
+        }
+        chunks.len() * WATCH_CHUNK
+    }
+
+    /// A worker's view of the witness.
+    pub(crate) fn view(&self) -> WatchView<'_> {
+        WatchView {
+            shared: self,
+            local: Vec::new(),
+        }
+    }
+}
+
+/// One worker's copy of the witness's chunk list.
+#[derive(Debug)]
+pub(crate) struct WatchView<'a> {
+    shared: &'a SeqWatch,
+    local: Vec<Arc<[AtomicU64]>>,
+}
+
+impl WatchView<'_> {
+    /// The witness of `flow`; `None` only for a flow the dispatcher
+    /// never published.
+    #[inline]
+    pub(crate) fn get(&mut self, flow: usize) -> Option<&AtomicU64> {
+        let chunk = flow / WATCH_CHUNK;
+        if chunk >= self.local.len() {
+            // The lock orders the dispatcher's publication before this
+            // read.
+            // npcheck: allow(blocking-hot-path) — cold, once per chunk per worker
+            let shared = self.shared.chunks.lock();
+            let shared = shared.unwrap_or_else(PoisonError::into_inner);
+            let have = self.local.len();
+            self.local.extend(shared.iter().skip(have).cloned());
+        }
+        self.local.get(chunk)?.get(flow % WATCH_CHUNK)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use npsim::{ArrivalPlan, RateSpec};
-    use nptrace::TracePreset;
+    use std::sync::atomic::Ordering;
 
-    fn cfg() -> EngineConfig {
-        EngineConfig {
-            duration: SimTime::from_millis(5),
-            scale: 1.0,
-            seed: 77,
-            control_plane_fraction: 0.02,
-            ..EngineConfig::default()
+    fn desc() -> ExecDesc {
+        ExecDesc {
+            pos: 0,
+            slot: FlowSlot::new(0),
+            flow_seq: 0,
+            group: 0,
+            size: 0,
+            service: ServiceKind::VpnOut,
+            migrated: false,
         }
     }
 
-    fn sources() -> Vec<SourceConfig> {
-        vec![
-            SourceConfig {
-                service: ServiceKind::IpForward,
-                trace: TracePreset::Caida(1),
-                rate: RateSpec::Constant(4.0),
-            },
-            SourceConfig {
-                service: ServiceKind::VpnOut,
-                trace: TracePreset::Auckland(2),
-                rate: RateSpec::Constant(2.0),
-            },
-        ]
-    }
-
     #[test]
-    fn compact_plan_is_the_arrival_plan_narrowed() {
-        let table = MapTable::new((0..32).map(|g| g % 4).collect());
-        let full = ArrivalPlan::from_config(&cfg(), &sources());
-        let plan = ExecPlan::build(&cfg(), &sources(), &table).expect("plan fits");
-        assert!(full.packets.len() > 10_000, "non-trivial plan");
-        assert_eq!(plan.packets.len(), full.packets.len());
-        assert_eq!(plan.slow_path, full.slow_path);
-        assert!(
-            plan.slow_path > 0,
-            "flows first seen on the slow path exist"
-        );
-        assert_eq!(plan.flow_count, full.flow_count);
-        let mut offered = [0u64; 4];
-        for (c, p) in plan.packets.iter().zip(&full.packets) {
-            assert_eq!(
-                c.group,
-                table.bucket_of(p.flow),
-                "group-per-flow equals the per-packet hash (packet {})",
-                p.id
-            );
-            assert_eq!(
-                (c.at, c.slot, u64::from(c.flow_seq), c.size, c.service),
-                (p.at, p.slot, p.flow_seq, p.size, p.service)
-            );
-            offered[p.service.index()] += 1;
+    fn descriptor_round_trips_every_field_at_its_extremes() {
+        let max = ExecDesc {
+            pos: u32::MAX,
+            slot: FlowSlot::new(u32::MAX),
+            flow_seq: u32::MAX,
+            group: u32::MAX,
+            size: u16::MAX,
+            service: ServiceKind::VpnInScan,
+            migrated: true,
+        };
+        let mut cases = vec![desc(), max];
+        // One field at its maximum, the rest at zero.
+        cases.push(ExecDesc {
+            pos: u32::MAX,
+            ..desc()
+        });
+        cases.push(ExecDesc {
+            slot: FlowSlot::new(u32::MAX),
+            ..desc()
+        });
+        cases.push(ExecDesc {
+            flow_seq: u32::MAX,
+            ..desc()
+        });
+        cases.push(ExecDesc {
+            group: u32::MAX,
+            ..desc()
+        });
+        cases.push(ExecDesc {
+            size: u16::MAX,
+            ..desc()
+        });
+        cases.push(ExecDesc {
+            migrated: true,
+            ..desc()
+        });
+        for service in ServiceKind::ALL {
+            cases.push(ExecDesc { service, ..desc() });
         }
-        assert_eq!(plan.offered, offered);
+        for d in cases {
+            let words = d.encode();
+            let [w0, ..] = words;
+            assert_eq!(w0 >> 63, 0, "the mark tag stays clear: {d:?}");
+            assert_eq!(ExecDesc::decode(words), d);
+        }
     }
 
     #[test]
-    fn oversized_plans_are_rejected_with_a_message() {
-        assert_eq!(check_len(u32::MAX as usize), Ok(()));
-        assert_eq!(check_len(u32::MAX as usize + 1), Err(PlanTooLarge));
-        assert!(PlanTooLarge.to_string().contains("32 bits"));
+    fn descriptors_cross_a_ring_beside_marks() {
+        let (mut p, mut c) = laps::spsc::ring::<ExecDesc>(4);
+        let d = ExecDesc {
+            pos: u32::MAX,
+            group: 7,
+            migrated: true,
+            service: ServiceKind::VpnInScan,
+            size: u16::MAX,
+            ..desc()
+        };
+        p.try_push(laps::Desc::Packet(d)).expect("room");
+        p.try_push_mark(7).expect("room");
+        assert_eq!(c.try_pop(), Some(laps::Desc::Packet(d)));
+        assert_eq!(c.try_pop(), Some(laps::Desc::Mark(7)));
+    }
+
+    #[test]
+    fn witness_chunks_publish_once_and_stay_put() {
+        let watch = SeqWatch::default();
+        let mut view = watch.view();
+        assert!(view.get(0).is_none(), "nothing published yet");
+        assert_eq!(watch.publish_through(0), WATCH_CHUNK);
+        view.get(5).expect("published").store(9, Ordering::Relaxed);
+        assert_eq!(watch.publish_through(3 * WATCH_CHUNK), 4 * WATCH_CHUNK);
+        let far = view.get(3 * WATCH_CHUNK + 1).expect("view refreshes");
+        far.store(1, Ordering::Relaxed);
+        let mut other = watch.view();
+        assert_eq!(other.get(5).map(|w| w.load(Ordering::Relaxed)), Some(9));
+        assert!(other.get(4 * WATCH_CHUNK).is_none());
     }
 }

@@ -3,7 +3,9 @@
 //!
 //! A worker is the execution-side mirror of the engine's service stage:
 //! it owns one ring, services packets in ring order, and participates
-//! in the flow-group migration handshake:
+//! in the flow-group migration handshake. Every ring slot carries the
+//! packet's whole descriptor ([`ExecDesc`]), so the worker reads
+//! nothing of the offered stream but its own ring:
 //!
 //! * `Desc::Packet` of a group **not** migrating to this worker →
 //!   service immediately (ring order == dispatch order == arrival
@@ -33,36 +35,37 @@
 //! (the watchdog's stagnation signal); the throttle field inflates
 //! every charged service time.
 //!
+//! An idle worker spins briefly, then sleeps [`IDLE_NAP`]: the
+//! dispatcher draws every packet, so it is the bottleneck, and on a
+//! 2-thread host a spinning worker would slow the dispatcher running on
+//! its SMT sibling.
+//!
 //! This file is hot path (the attribute below): no panicking indexing,
 //! no allocation-amplifying calls inside the pop loop.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use laps::spsc::{Consumer, Desc};
 use laps::GroupBoard;
 use nptraffic::{DelayModel, ServiceKind};
 
 use crate::affinity;
-use crate::plan::ExecPkt;
+use crate::plan::{ExecDesc, SeqWatch, WatchView};
 use crate::supervisor::{
     ControlPlane, WorkerSlot, CMD_CRASH, CMD_PAUSED, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT,
 };
 
-/// Payload tag bit: the dispatcher sets it when this packet moved its
-/// flow to a new worker, so the worker charges the Eq. 3 migration
-/// penalty. Packet indices stay well below 2^62.
-pub(crate) const MIGRATED_BIT: u64 = 1 << 62;
+/// How long an idle worker sleeps after 64 empty polls.
+const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(20);
 
 /// Everything a worker thread needs, borrowed from the backend's run
-/// scope (the arrival plan and atomics outlive the thread scope).
+/// scope (the atomics outlive the thread scope).
 pub(crate) struct WorkerCtx<'a> {
     /// This worker's index (== its ring, == its simulated core).
     pub id: usize,
     /// Consume side of this worker's ring.
-    pub consumer: Consumer,
-    /// The full arrival plan; ring payloads index into it.
-    pub packets: &'a [ExecPkt],
+    pub consumer: Consumer<ExecDesc>,
     /// The migration handshake scoreboard.
     pub board: GroupBoard,
     /// Per-group migration target, written by the dispatcher before it
@@ -70,7 +73,7 @@ pub(crate) struct WorkerCtx<'a> {
     /// in-flight group is inbound.
     pub migrating_to: &'a [AtomicUsize],
     /// Per-flow order witness: highest serviced `flow_seq + 1`.
-    pub seq_watch: &'a [AtomicU64],
+    pub seq_watch: &'a SeqWatch,
     /// Set by the dispatcher after its last push.
     pub done: &'a AtomicBool,
     /// Eq. 3 service-cost model (scale already applied).
@@ -93,35 +96,48 @@ pub(crate) struct WorkerOutcome {
     pub busy_ns: u64,
     /// Serviced count per [`ServiceKind::index`].
     pub per_service: [u64; 4],
-    /// Plan indices serviced behind a higher sequence of their flow
+    /// Out-of-order services per [`ServiceKind::index`].
+    pub ooo_per_service: [u64; 4],
+    /// Crash drops per [`ServiceKind::index`].
+    pub dropped_per_service: [u64; 4],
+    /// Plan positions serviced behind a higher sequence of their flow
     /// (empty iff the handshake preserved order, which it must).
     pub ooo_packets: Vec<u64>,
     /// Deepest the holdback buffer ever got, in packets.
     pub max_hold_depth: usize,
     /// Whether the pin request was honored by the kernel.
     pub pinned: bool,
-    /// Plan indices of packets this worker held or still had in its
+    /// Plan positions of packets this worker held or still had in its
     /// ring when it crashed — accounted as fault drops.
     pub crash_drops: Vec<u64>,
     /// Repair handshakes this worker completed by force-release.
     pub forced_releases: u64,
     /// One entry per heal that resumed this worker, in heal order: the
-    /// plan index of the first packet serviced after it (`None`: none
+    /// plan position of the first packet serviced after it (`None`: none
     /// was).
     pub recoveries: Vec<Option<u64>>,
 }
 
+impl WorkerOutcome {
+    /// Account `d` as a crash drop.
+    fn crash_drop(&mut self, d: ExecDesc) {
+        self.crash_drops.push(u64::from(d.pos));
+        if let Some(n) = self.dropped_per_service.get_mut(d.service.index()) {
+            *n += 1;
+        }
+    }
+}
+
 /// Parked packets of one in-flight group, in ring (FIFO) order.
 struct Held {
-    group: u64,
-    raws: Vec<u64>,
+    group: u32,
+    descs: Vec<ExecDesc>,
 }
 
 /// Service-side state split out so the pop loop can borrow the
 /// holdback buffer and the servicing machinery independently.
 struct Svc<'a> {
-    packets: &'a [ExecPkt],
-    seq_watch: &'a [AtomicU64],
+    seq_watch: WatchView<'a>,
     delay: DelayModel,
     last_service: Option<ServiceKind>,
     /// Fixed-point throttle multiplier ([`THROTTLE_ONE`] = ×1.0),
@@ -131,14 +147,10 @@ struct Svc<'a> {
 }
 
 impl Svc<'_> {
-    /// Service one ring payload: charge the Eq. 3 cost and advance the
+    /// Service one packet: charge the Eq. 3 cost and advance the
     /// per-flow order witness.
-    fn service(&mut self, raw: u64) {
-        let migrated = raw & MIGRATED_BIT != 0;
-        let idx = (raw & !MIGRATED_BIT) as usize;
-        let Some(p) = self.packets.get(idx) else {
-            return;
-        };
+    fn service(&mut self, p: ExecDesc) {
+        let pos = u64::from(p.pos);
         let cold = self.last_service != Some(p.service);
         self.last_service = Some(p.service);
         if cold {
@@ -146,12 +158,12 @@ impl Svc<'_> {
         }
         let d_us = self
             .delay
-            .processing_delay_us(p.service, p.size, migrated, cold);
+            .processing_delay_us(p.service, p.size, p.migrated, cold);
         let base_ns = detsim::SimTime::from_micros_f64(d_us).as_nanos();
         // Throttle faults inflate charged service time (Eq. 3 × factor).
         self.out.busy_ns += base_ns.saturating_mul(self.throttle_fp) / THROTTLE_ONE;
         if let Some(first @ None) = self.out.recoveries.last_mut() {
-            *first = Some(idx as u64);
+            *first = Some(pos);
         }
         if let Some(w) = self.seq_watch.get(p.slot.index()) {
             let flow_seq = u64::from(p.flow_seq);
@@ -160,7 +172,10 @@ impl Svc<'_> {
             // npcheck: ordering(AcqRel RMW — Acquire sees the previous owner's update, Release publishes ours to the next)
             let prev = w.fetch_max(flow_seq + 1, Ordering::AcqRel);
             if prev > flow_seq {
-                self.out.ooo_packets.push(idx as u64);
+                self.out.ooo_packets.push(pos);
+                if let Some(n) = self.out.ooo_per_service.get_mut(p.service.index()) {
+                    *n += 1;
+                }
             }
         }
         if let Some(c) = self.out.per_service.get_mut(p.service.index()) {
@@ -179,15 +194,16 @@ impl Svc<'_> {
 fn crash(
     out: &mut WorkerOutcome,
     holds: &mut Vec<Held>,
-    consumer: &mut Consumer,
+    consumer: &mut Consumer<ExecDesc>,
     board: &GroupBoard,
     slot: &WorkerSlot,
 ) {
-    let held = holds.drain(..).flat_map(|h| h.raws);
-    out.crash_drops.extend(held.map(|raw| raw & !MIGRATED_BIT));
+    for d in holds.drain(..).flat_map(|h| h.descs) {
+        out.crash_drop(d);
+    }
     while let Some(d) = consumer.try_pop() {
         match d {
-            Desc::Packet(raw) => out.crash_drops.push(raw & !MIGRATED_BIT),
+            Desc::Packet(d) => out.crash_drop(d),
             Desc::Mark(g) => board.release(g as usize),
         }
     }
@@ -228,7 +244,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     let WorkerCtx {
         id,
         mut consumer,
-        packets,
         board,
         migrating_to,
         seq_watch,
@@ -238,8 +253,7 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         ctrl,
     } = ctx;
     let mut svc = Svc {
-        packets,
-        seq_watch,
+        seq_watch: seq_watch.view(),
         delay,
         last_service: None,
         throttle_fp: THROTTLE_ONE,
@@ -287,9 +301,9 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             .position(|h| !board.in_flight(h.group as usize))
         {
             let h = holds.swap_remove(pos);
-            held_depth = held_depth.saturating_sub(h.raws.len());
-            for raw in h.raws {
-                svc.service(raw);
+            held_depth = held_depth.saturating_sub(h.descs.len());
+            for d in h.descs {
+                svc.service(d);
             }
         }
         match consumer.try_pop() {
@@ -300,19 +314,18 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 // parked during an earlier inbound migration of `g`
                 // must go out before we ack, or the new owner could
                 // overtake them.
-                if let Some(pos) = holds.iter().position(|h| h.group == g) {
+                if let Some(pos) = holds.iter().position(|h| u64::from(h.group) == g) {
                     let h = holds.swap_remove(pos);
-                    held_depth = held_depth.saturating_sub(h.raws.len());
-                    for raw in h.raws {
-                        svc.service(raw);
+                    held_depth = held_depth.saturating_sub(h.descs.len());
+                    for d in h.descs {
+                        svc.service(d);
                     }
                 }
                 board.release(g as usize);
             }
-            Some(Desc::Packet(raw)) => {
+            Some(Desc::Packet(d)) => {
                 idle_polls = 0;
-                let idx = (raw & !MIGRATED_BIT) as usize;
-                let g = packets.get(idx).map_or(0, |p| u64::from(p.group));
+                let g = d.group;
                 let held_here = holds.iter().any(|h| h.group == g);
                 // If in_flight saw a marked handshake's begun bump, the
                 // target load sees who it is for. A crash repair publishes
@@ -328,18 +341,18 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                     held_depth += 1;
                     svc.out.max_hold_depth = svc.out.max_hold_depth.max(held_depth);
                     match holds.iter_mut().find(|h| h.group == g) {
-                        Some(h) => h.raws.push(raw),
+                        Some(h) => h.descs.push(d),
                         None => holds.push(Held {
                             group: g,
-                            raws: {
+                            descs: {
                                 let mut v = Vec::with_capacity(8);
-                                v.push(raw);
+                                v.push(d);
                                 v
                             },
                         }),
                     }
                 } else {
-                    svc.service(raw);
+                    svc.service(d);
                 }
             }
             None => {
@@ -352,7 +365,11 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 }
                 idle_polls += 1;
                 if idle_polls >= 64 {
-                    std::thread::yield_now();
+                    // Block rather than yield (module docs); a ring of
+                    // the default 1024 slots takes longer than the nap
+                    // to fill.
+                    // npcheck: allow(blocking-hot-path) — idle back-off, taken only on an empty ring
+                    std::thread::sleep(IDLE_NAP);
                     idle_polls = 0;
                 } else {
                     std::hint::spin_loop();

@@ -96,10 +96,6 @@ impl PlanStream {
             &FaultPlan::new(),
             &mut (),
         );
-        let mpps: f64 = sources
-            .iter()
-            .map(|s| s.rate.mean_rate_at(SimTime::ZERO))
-            .sum();
         PlanStream {
             ingest,
             st,
@@ -107,7 +103,7 @@ impl PlanStream {
             rate_update_interval: cfg.rate_update_interval,
             seqs: Vec::new(),
             slow_path: 0,
-            expected: (mpps / cfg.scale * cfg.duration.as_micros_f64()) as usize,
+            expected: Self::expected_packets_for(cfg, sources),
         }
     }
 
@@ -115,6 +111,16 @@ impl PlanStream {
     /// rate × horizon. A pre-sizing hint, not a bound.
     pub fn expected_packets(&self) -> usize {
         self.expected
+    }
+
+    /// [`PlanStream::expected_packets`] of `cfg` + `sources`, without
+    /// building the stream.
+    pub fn expected_packets_for(cfg: &EngineConfig, sources: &[SourceConfig]) -> usize {
+        let mpps: f64 = sources
+            .iter()
+            .map(|s| s.rate.mean_rate_at(SimTime::ZERO))
+            .sum();
+        (mpps / cfg.scale * cfg.duration.as_micros_f64()) as usize
     }
 
     /// Packets the frame-manager classifier diverted to the slow path

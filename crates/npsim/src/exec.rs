@@ -28,13 +28,23 @@ use detsim::SimTime;
 use std::fmt;
 
 /// Why a backend cannot execute a configuration — the typed half of
-/// [`ExecBackend::validate`]. Every variant names the first offending
-/// plan entry so the caller can fix the plan, not grep a panic string.
+/// [`ExecBackend::validate`]. Every variant names what to fix (the
+/// first offending plan entry, or the offered volume), so the caller
+/// need not grep a panic string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// The configuration's fault plan contains an action this backend
     /// cannot execute.
     UnsupportedPlan(UnsupportedPlan),
+    /// The configuration is expected to offer more packets than the
+    /// backend can number.
+    PlanTooLarge {
+        /// Packets the configuration is expected to offer
+        /// ([`PlanStream::expected_packets_for`](crate::PlanStream::expected_packets_for)).
+        expected: u64,
+        /// The most the backend accepts.
+        limit: u64,
+    },
 }
 
 /// The specific fault-plan action combination a backend rejected.
@@ -74,6 +84,11 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::UnsupportedPlan(u) => write!(f, "unsupported fault plan: {u}"),
+            ExecError::PlanTooLarge { expected, limit } => write!(
+                f,
+                "the configuration offers about {expected} packets, more than the \
+                 backend's limit of {limit}; shorten the horizon or lower the rates"
+            ),
         }
     }
 }

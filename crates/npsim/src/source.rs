@@ -144,13 +144,9 @@ impl TrafficSource {
         }
         match self.slot_cache.get_mut(local) {
             Some(cached) if *cached != UNINTERNED => {
-                let slot = FlowSlot::new(*cached);
-                // The interner resolves a slot with one array access —
-                // cheaper than re-deriving the FlowId from the header.
-                match interner.resolve(slot) {
-                    Some(flow) => (flow, slot, p.size),
-                    None => (p.flow_id(space), slot, p.size),
-                }
+                // The slot was interned from this very FlowId, so deriving
+                // it again gives the interner's copy without a random load.
+                (p.flow_id(space), FlowSlot::new(*cached), p.size)
             }
             cached => {
                 let flow = p.flow_id(space);
