@@ -54,10 +54,13 @@ impl From<FlowSlot> for usize {
 /// steady-state packet processing never touches it — sources cache the
 /// slot of each trace-local flow index, so repeat flows ride a `Vec`
 /// lookup.
+///
+/// It keeps no slot → `FlowId` column: every packet carries its
+/// `FlowId`, so nothing reads one back, and at backbone flow counts the
+/// column cost 16 B per flow of resident memory.
 #[derive(Debug, Clone)]
 pub struct FlowInterner {
     slots: DetHashMap<FlowId, FlowSlot>,
-    flows: Vec<FlowId>,
 }
 
 impl Default for FlowInterner {
@@ -71,7 +74,6 @@ impl FlowInterner {
     pub fn new() -> Self {
         FlowInterner {
             slots: det_map_with_capacity(1024),
-            flows: Vec::new(),
         }
     }
 
@@ -80,9 +82,8 @@ impl FlowInterner {
         if let Some(&s) = self.slots.get(&flow) {
             return s;
         }
-        let s = FlowSlot(self.flows.len() as u32);
+        let s = FlowSlot(self.slots.len() as u32);
         self.slots.insert(flow, s);
-        self.flows.push(flow);
         s
     }
 
@@ -91,20 +92,15 @@ impl FlowInterner {
         self.slots.get(&flow).copied()
     }
 
-    /// The `FlowId` interned at `slot`, if assigned.
-    pub fn resolve(&self, slot: FlowSlot) -> Option<FlowId> {
-        self.flows.get(slot.index()).copied()
-    }
-
     /// Number of distinct flows interned so far. Slots are exactly
     /// `0..len()`.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.slots.len()
     }
 
     /// True when no flow has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -133,10 +129,10 @@ mod tests {
         let mut it = FlowInterner::new();
         for i in 0..100 {
             let s = it.intern(flow(i));
-            assert_eq!(it.resolve(s), Some(flow(i)));
+            assert_eq!(s, FlowSlot::new(i as u32), "slots are dense");
             assert_eq!(it.get(flow(i)), Some(s));
         }
-        assert_eq!(it.resolve(FlowSlot::new(100)), None);
+        assert_eq!(it.len(), 100);
         assert_eq!(it.get(flow(1000)), None);
     }
 

@@ -9,7 +9,10 @@
 //! * **Arrival lookahead** — each source pre-draws up to a burst of
 //!   arrivals (gap + header) into an [`ArrivalBuf`](super::ingest);
 //!   shared-state work (interning, classification, packet IDs) stays at
-//!   processing time.
+//!   processing time. That is the interleaved arrival family; with a
+//!   free hardware thread the same lookahead and merge run on a stream
+//!   thread instead, which admits ahead and hands the arrivals over
+//!   (the hand-off family, see [`Arrivals`]).
 //! * **Heap-free merge** — the pending-event set is tiny and structured:
 //!   at most one finish per core, one head arrival per source, and a
 //!   handful of *control* events (the rate tick, the next fault-plan
@@ -59,7 +62,7 @@
 
 use super::clock::Pending;
 use super::cycles::{CycleSink, Stage};
-use super::ingest::{Admission, IngestStage};
+use super::ingest::Admission;
 use super::Engine;
 use crate::fault::FaultPlan;
 use crate::probe::ProbeHost;
@@ -80,8 +83,77 @@ fn earlier(best: Option<Entry>, cand: Entry) -> Option<Entry> {
     }
 }
 
+/// Allocate the next emulated heap sequence number from `next_seq`.
+/// Call sites must correspond 1:1, in order, with scalar-loop heap
+/// pushes — or be seqs no event ever carries (see [`Arrivals`]).
+#[inline]
+pub(super) fn alloc(next_seq: &mut u64) -> u64 {
+    let s = *next_seq;
+    *next_seq += 1;
+    s
+}
+
+/// Where the batched loop's arrivals come from: the arrival family of
+/// its merge.
+///
+/// Two implementations share the one loop body, its handlers and
+/// [`BatchState`]'s finish and control families:
+///
+/// * **interleaved** — the [`IngestStage`](super::ingest::IngestStage)
+///   itself, with its per-source lookahead: the loop draws, merges and
+///   admits its own arrivals between its other events;
+/// * **hand-off** — [`Handoff`](super::plan::Handoff): a
+///   [`PlanStream`](super::plan::PlanStream) on another thread has
+///   already drawn, merged and admitted them, and the loop takes them
+///   in order from a bounded channel.
+///
+/// Either way the family allocates each source's next-arrival seq at
+/// the scalar push points: at prime, in source order, and right after
+/// that source's previous arrival. The interleaved family knows whether
+/// the source has a next arrival inside the horizon and allocates only
+/// then, as the scalar loop pushes only then. The hand-off cannot know,
+/// so it allocates at every such point. A seq that no event carries
+/// changes no comparison between two real events: allocation order is
+/// preserved, so the `(time, seq)` order of the events that do fire —
+/// and every report byte — is the same.
+pub(super) trait Arrivals {
+    /// Arm every source's first arrival, in source order. `barrier`
+    /// is the first rate tick (`MAX` if none).
+    fn prime<C: CycleSink>(
+        &mut self,
+        next_seq: &mut u64,
+        barrier: SimTime,
+        horizon: SimTime,
+        sink: &mut C,
+    );
+
+    /// The earliest pending arrival, `(time, seq, src)`; `None` once
+    /// the stream is over. Called after every consumed arrival.
+    fn head<C: CycleSink>(&mut self, sink: &mut C) -> Option<(SimTime, u64, u32)>;
+
+    /// Take the arrival that just fired on `src` and admit it.
+    fn admit(&mut self, src: usize) -> Admission;
+
+    /// Arm `src`'s next arrival after the one just admitted (the scalar
+    /// loop's gap-draw position). Returns the flow slot of an arrival
+    /// about to be processed, when known, so the caller can prefetch
+    /// its flow-table lines.
+    fn arm<C: CycleSink>(
+        &mut self,
+        src: usize,
+        next_seq: &mut u64,
+        barrier: SimTime,
+        horizon: SimTime,
+        sink: &mut C,
+    ) -> Option<FlowSlot>;
+
+    /// A rate tick fired at `now`: re-sample the source rates, if this
+    /// family owns the sources.
+    fn refresh_rates(&mut self, now: SimTime);
+}
+
 /// The batched loop's pending-event set: the explicit, bounded
-/// replacement for the scalar loop's heap.
+/// replacement for the scalar loop's heap, over the arrival family `A`.
 ///
 /// The merge keeps **incremental minima** over three families so the
 /// steady-state winner pick is three comparisons, not an
@@ -89,7 +161,9 @@ fn earlier(best: Option<Entry>, cand: Entry) -> Option<Entry> {
 /// its family's cached minimum, and a family rescan happens only when
 /// the cached minimum itself is consumed.
 #[derive(Debug)]
-pub(super) struct BatchState {
+pub(super) struct BatchState<A> {
+    /// The arrival family.
+    pub(super) arrivals: A,
     /// Per-core pending finish, packed `(completion ns << 64) | emulated
     /// seq` so one integer compare is the `(time, seq)` order;
     /// [`IDLE`] when the core has none.
@@ -117,9 +191,10 @@ pub(super) struct BatchState {
 /// An unarmed finish slot: sorts after every real `(time, seq)`.
 const IDLE: u128 = u128::MAX;
 
-impl BatchState {
-    fn new(n_cores: usize) -> Self {
+impl<A: Arrivals> BatchState<A> {
+    fn new(n_cores: usize, arrivals: A) -> Self {
         BatchState {
+            arrivals,
             finish: vec![IDLE; n_cores],
             finish_min: None,
             arrival_min: None,
@@ -132,13 +207,10 @@ impl BatchState {
         }
     }
 
-    /// Allocate the next emulated heap sequence number. Call sites must
-    /// correspond 1:1, in order, with scalar-loop heap pushes.
+    /// Allocate the next emulated heap sequence number ([`alloc`]).
     #[inline]
     fn alloc(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
+        alloc(&mut self.next_seq)
     }
 
     /// The arrival-lookahead barrier: the next pending rate update
@@ -148,43 +220,27 @@ impl BatchState {
         self.rate.map_or(SimTime::MAX, |(t, _)| t)
     }
 
-    /// Start a batched run over `ingest`: size the lookahead rings, then
-    /// arm what the scalar loop primes, allocating seqs in its order —
-    /// every source's first gap (source order, seq only for arrivals
-    /// inside the horizon), then the rate-update ticker, then the fault
-    /// plan in plan order. The tick is not armed while the sources
-    /// refill, but the first refresh the scalar engine performs is at
-    /// `rate_update_interval`, so that bounds the prime lookahead.
+    /// Start a batched run over `arrivals`: arm what the scalar loop
+    /// primes, allocating seqs in its order — every source's first
+    /// arrival (source order), then the rate-update ticker, then the
+    /// fault plan in plan order. The tick is not armed while the
+    /// sources prime, but the first refresh the scalar engine performs
+    /// is at `rate_update_interval`, so that bounds the prime lookahead.
     ///
     /// Shared by [`Engine::run_batched`] and the offered-stream iterator
     /// ([`PlanStream`](super::plan::PlanStream): zero cores, no faults).
     pub(super) fn prime<C: CycleSink>(
-        ingest: &mut IngestStage,
+        arrivals: A,
         n_cores: usize,
-        burst: usize,
         horizon: SimTime,
         rate_update_interval: SimTime,
         faults: &FaultPlan,
         sink: &mut C,
     ) -> Self {
-        ingest.batch_init(burst);
-        let n_sources = ingest.n_sources();
-        let mut st = BatchState::new(n_cores);
+        let mut st = BatchState::new(n_cores, arrivals);
         let tick0 = Some(rate_update_interval).filter(|&t| t <= horizon);
         let barrier0 = tick0.unwrap_or(SimTime::MAX);
-        for src in 0..n_sources {
-            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let drawn = ingest.batch_refill(src, barrier0, horizon);
-            if C::ACTIVE {
-                sink.span_end(Stage::Ingest, t0, drawn as u64);
-            }
-        }
-        for src in 0..n_sources {
-            if ingest.batch_head(src).is_some() {
-                let seq = st.alloc();
-                ingest.batch_set_head_seq(src, seq);
-            }
-        }
+        st.arrivals.prime(&mut st.next_seq, barrier0, horizon, sink);
         if let Some(at) = tick0 {
             st.arm_rate_tick(at);
         }
@@ -192,7 +248,7 @@ impl BatchState {
         st.next_seq += faults.len() as u64;
         st.set_next_fault(faults, 0);
         st.rescan_ctl();
-        st.rescan_arrivals(ingest);
+        st.rescan_arrivals(sink);
         st
     }
 
@@ -211,23 +267,10 @@ impl BatchState {
         best
     }
 
-    /// Recompute the cached arrival minimum from the SoA head mirrors:
-    /// a flat `(time, seq)` sweep over `n_sources × 16` contiguous bytes
-    /// (drained sources carry `SimTime::MAX` and can never win because
-    /// buffered arrivals are capped at the horizon).
+    /// Re-derive the cached arrival minimum after an arrival fired.
     #[inline]
-    pub(super) fn rescan_arrivals(&mut self, ingest: &IngestStage) {
-        let (times, seqs) = ingest.arrival_heads();
-        let mut best: Option<(SimTime, u64, u32)> = None;
-        for (src, (&t, &s)) in times.iter().zip(seqs.iter()).enumerate() {
-            if t == SimTime::MAX {
-                continue;
-            }
-            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                best = Some((t, s, src as u32));
-            }
-        }
-        self.arrival_min = best;
+    pub(super) fn rescan_arrivals<C: CycleSink>(&mut self, sink: &mut C) {
+        self.arrival_min = self.arrivals.head(sink);
     }
 
     /// Point the fault cursor at plan entry `idx` (past the end: none).
@@ -292,41 +335,28 @@ impl BatchState {
     }
 }
 
-impl Pending for BatchState {
+impl<A: Arrivals> Pending for BatchState<A> {
     #[inline]
-    fn admit(&mut self, ingest: &mut IngestStage, src: usize) -> Admission {
-        match ingest.batch_pop(src) {
-            Some(rec) => ingest.admit_record(src, rec),
-            None => {
-                debug_assert!(false, "arrival winner without a buffered record");
-                Admission::Missing
-            }
-        }
+    fn admit(&mut self, src: usize) -> Admission {
+        self.arrivals.admit(src)
     }
 
-    /// Refill `src`'s lookahead if drained (this IS the scalar loop's
-    /// gap-draw RNG position) and stamp the new head's seq.
     #[inline]
     fn arm_arrival<C: CycleSink>(
         &mut self,
-        ingest: &mut IngestStage,
         src: usize,
         _now: SimTime,
         horizon: SimTime,
         sink: &mut C,
     ) -> Option<FlowSlot> {
-        if ingest.batch_needs_refill(src) {
-            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-            let drawn = ingest.batch_refill(src, self.barrier(), horizon);
-            if C::ACTIVE {
-                sink.span_end(Stage::Ingest, t0, drawn as u64);
-            }
-        }
-        ingest.batch_head(src)?;
-        let seq = self.alloc();
-        ingest.batch_set_head_seq(src, seq);
-        let flow = ingest.batch_peek_flow(src, 0)?;
-        ingest.cached_slot(src, flow)
+        let barrier = self.barrier();
+        self.arrivals
+            .arm(src, &mut self.next_seq, barrier, horizon, sink)
+    }
+
+    #[inline]
+    fn refresh_rates(&mut self, now: SimTime) {
+        self.arrivals.refresh_rates(now);
     }
 
     #[inline]
@@ -378,13 +408,17 @@ pub(super) enum Win {
 }
 
 impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
-    /// The batched run loop. Returns the time of the last dispatched
-    /// event (the scalar loop's `last_t`), for the shared epilogue.
-    pub(super) fn run_batched<C: CycleSink>(&mut self, burst: usize, sink: &mut C) -> SimTime {
+    /// The batched run loop over the arrival family `arrivals`. Returns
+    /// the time of the last dispatched event (the scalar loop's
+    /// `last_t`), for the shared epilogue.
+    pub(super) fn run_batched<A: Arrivals, C: CycleSink>(
+        &mut self,
+        arrivals: A,
+        sink: &mut C,
+    ) -> SimTime {
         let mut st = BatchState::prime(
-            &mut self.ingest,
+            arrivals,
             self.cfg.n_cores,
-            burst,
             self.cfg.duration,
             self.cfg.rate_update_interval,
             &self.cfg.faults,
@@ -410,7 +444,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     self.on_arrival(src, t, &mut st, sink);
                     // The fired head was the arrival minimum; re-derive
                     // it from the (possibly refilled) heads.
-                    st.rescan_arrivals(&self.ingest);
+                    st.rescan_arrivals(sink);
                 }
                 Win::Finish(core) => {
                     st.consume_finish(core);

@@ -8,10 +8,12 @@
 //! stall end / the rate tick, orphan a crashed core's finish). The
 //! scalar reference loop backs it with [`HeapPending`] — one
 //! `detsim::EventQueue` push per armed event; the batched loop backs it
-//! with slot families ([`BatchState`](super::batch)). The npexec
-//! thread-per-core backend replaces the clock altogether with real
-//! threads fed from the offered stream (see [`plan`](super::plan),
-//! which runs the `BatchState` merge with no cores at all).
+//! with slot families ([`BatchState`](super::batch)), whose arrivals
+//! come either from its own lookahead or from the hand-off of a stream
+//! thread. The npexec thread-per-core backend replaces the clock
+//! altogether with real threads fed from the offered stream (see
+//! [`plan`](super::plan), which runs the `BatchState` merge with no
+//! cores at all).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::cycles::CycleSink;
@@ -26,20 +28,25 @@ use nphash::FlowSlot;
 /// byte-identical.
 pub(super) trait Pending {
     /// Obtain the arrival that just fired on `src` and admit it.
-    fn admit(&mut self, ingest: &mut IngestStage, src: usize) -> Admission;
+    fn admit(&mut self, src: usize) -> Admission;
 
     /// Arm `src`'s next arrival after the one at `now`, if it lands at
     /// or before `horizon` (this is the source's next gap draw).
-    /// Returns the flow slot of the newly armed arrival when it is
-    /// already known, so the caller can prefetch its flow-table lines.
+    /// Returns the flow slot of an arrival about to be processed when
+    /// it is already known, so the caller can prefetch its flow-table
+    /// lines.
     fn arm_arrival<C: CycleSink>(
         &mut self,
-        ingest: &mut IngestStage,
         src: usize,
         now: SimTime,
         horizon: SimTime,
         sink: &mut C,
     ) -> Option<FlowSlot>;
+
+    /// A rate tick fired at `now`: re-sample every source's rate law —
+    /// unless the sources live on the hand-off's stream thread, which
+    /// refreshes them on its own tick of the same schedule.
+    fn refresh_rates(&mut self, now: SimTime);
 
     /// Arm `core`'s service completion at `at`.
     fn arm_finish(&mut self, core: usize, at: SimTime);
@@ -72,18 +79,21 @@ pub(super) enum Ev {
 
 /// The scalar loop's pending set: the binary heap, plus the per-core
 /// finish generations that mark a crashed core's heap entry stale (a
-/// heap cannot delete from the middle).
+/// heap cannot delete from the middle), plus the ingest stage whose
+/// draws the heap's arrivals trigger.
 #[derive(Debug)]
 pub(super) struct HeapPending {
     pub(super) events: EventQueue<Ev>,
     generation: Vec<u32>,
+    pub(super) ingest: IngestStage,
 }
 
 impl HeapPending {
-    pub(super) fn new(n_cores: usize) -> Self {
+    pub(super) fn new(n_cores: usize, ingest: IngestStage) -> Self {
         HeapPending {
             events: EventQueue::with_capacity(1024),
             generation: vec![0; n_cores],
+            ingest,
         }
     }
 
@@ -97,24 +107,28 @@ impl HeapPending {
 
 impl Pending for HeapPending {
     #[inline]
-    fn admit(&mut self, ingest: &mut IngestStage, src: usize) -> Admission {
-        ingest.admit(src)
+    fn admit(&mut self, src: usize) -> Admission {
+        self.ingest.admit(src)
     }
 
     #[inline]
     fn arm_arrival<C: CycleSink>(
         &mut self,
-        ingest: &mut IngestStage,
         src: usize,
         now: SimTime,
         horizon: SimTime,
         _sink: &mut C,
     ) -> Option<FlowSlot> {
-        let next = now + ingest.next_gap(src)?;
+        let next = now + self.ingest.next_gap(src)?;
         if next <= horizon {
             self.events.push(next, Ev::Arrival(src));
         }
         None
+    }
+
+    #[inline]
+    fn refresh_rates(&mut self, now: SimTime) {
+        self.ingest.refresh_rates(now);
     }
 
     #[inline]

@@ -9,6 +9,8 @@
 //! pre-refactor sequence.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
+use super::batch::{alloc, Arrivals};
+use super::cycles::{CycleSink, Stage};
 use crate::source::{RateSpec, SourceConfig, TrafficSource};
 use detsim::{SeedSequence, SimTime};
 use nphash::{FlowId, FlowInterner, FlowSlot};
@@ -84,6 +86,7 @@ pub(super) struct Header {
 }
 
 /// Outcome of admitting one arrival.
+#[derive(Debug, Clone, Copy)]
 pub(super) enum Admission {
     /// The source index was invalid (flagged via `debug_assert`).
     Missing,
@@ -358,13 +361,6 @@ impl IngestStage {
         }
     }
 
-    /// The SoA head mirrors (`time, seq` per source) for the batched
-    /// merge's arrival rescan. Times are `SimTime::MAX` for drained
-    /// sources; the paired seq is stale (and must be ignored) there.
-    pub(super) fn arrival_heads(&self) -> (&[SimTime], &[u64]) {
-        (&self.head_times, &self.head_seqs)
-    }
-
     /// Trace-local flow index of `src`'s buffered arrival `depth` slots
     /// past the head (0 = head), if present (prefetch planning only —
     /// does not consume anything).
@@ -410,5 +406,91 @@ impl IngestStage {
             size,
             id,
         })
+    }
+}
+
+/// The interleaved arrival family: the batched loop draws its own
+/// arrivals through the per-source lookahead, between its other events.
+impl Arrivals for IngestStage {
+    fn prime<C: CycleSink>(
+        &mut self,
+        next_seq: &mut u64,
+        barrier: SimTime,
+        horizon: SimTime,
+        sink: &mut C,
+    ) {
+        for src in 0..self.n_sources() {
+            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
+            let drawn = self.batch_refill(src, barrier, horizon);
+            if C::ACTIVE {
+                sink.span_end(Stage::Ingest, t0, drawn as u64);
+            }
+        }
+        // Seqs only for arrivals inside the horizon, as the scalar loop
+        // pushes only those.
+        for src in 0..self.n_sources() {
+            if self.batch_head(src).is_some() {
+                self.batch_set_head_seq(src, alloc(next_seq));
+            }
+        }
+    }
+
+    /// A flat `(time, seq)` sweep over the SoA head mirrors,
+    /// `n_sources × 16` contiguous bytes (drained sources carry
+    /// `SimTime::MAX` and can never win because buffered arrivals are
+    /// capped at the horizon; their paired seq is stale).
+    #[inline]
+    fn head<C: CycleSink>(&mut self, _sink: &mut C) -> Option<(SimTime, u64, u32)> {
+        let mut best: Option<(SimTime, u64, u32)> = None;
+        for (src, (&t, &s)) in self.head_times.iter().zip(&self.head_seqs).enumerate() {
+            if t == SimTime::MAX {
+                continue;
+            }
+            if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
+                best = Some((t, s, src as u32));
+            }
+        }
+        best
+    }
+
+    #[inline]
+    fn admit(&mut self, src: usize) -> Admission {
+        match self.batch_pop(src) {
+            Some(rec) => self.admit_record(src, rec),
+            None => {
+                debug_assert!(false, "arrival winner without a buffered record");
+                Admission::Missing
+            }
+        }
+    }
+
+    /// Refill `src`'s lookahead if drained (this IS the scalar loop's
+    /// gap-draw RNG position) and stamp the new head's seq. Returns the
+    /// new head's slot, if already interned.
+    #[inline]
+    fn arm<C: CycleSink>(
+        &mut self,
+        src: usize,
+        next_seq: &mut u64,
+        barrier: SimTime,
+        horizon: SimTime,
+        sink: &mut C,
+    ) -> Option<FlowSlot> {
+        if self.batch_needs_refill(src) {
+            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
+            let drawn = self.batch_refill(src, barrier, horizon);
+            if C::ACTIVE {
+                sink.span_end(Stage::Ingest, t0, drawn as u64);
+            }
+        }
+        self.batch_head(src)?;
+        self.batch_set_head_seq(src, alloc(next_seq));
+        let flow = self.batch_peek_flow(src, 0)?;
+        self.cached_slot(src, flow)
+    }
+
+    #[inline]
+    fn refresh_rates(&mut self, now: SimTime) {
+        IngestStage::refresh_rates(self, now);
     }
 }

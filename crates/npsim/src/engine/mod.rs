@@ -41,6 +41,18 @@
 //! compiles down to the direct counter updates of the pre-pipeline
 //! engine — the zero-probe fast path — and runs produce byte-identical
 //! [`SimReport`]s either way (pinned by the golden-report fixture test).
+//!
+//! Ingest never reads what the later stages write, so a batched run
+//! splits the pipeline across two threads when the process has a
+//! hardware thread to spare: the ingest stage moves into a
+//! [`PlanStream`] on a scoped thread that draws, merges and admits the
+//! arrivals, and the run loop takes them from a bounded hand-off and
+//! runs dispatch, service and record. When no hardware thread is free
+//! (a sweep at `--jobs` = cores), the loop draws its arrivals
+//! interleaved with its other events on one thread. The two are one
+//! loop body over two arrival families (`batch::Arrivals`), and the
+//! reports are byte-identical; the `plan` module holds the hand-off
+//! and the free-thread rule.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 mod batch;
@@ -68,6 +80,7 @@ use detsim::{PushOutcome, SeedSequence, SimTime};
 use clock::{Ev, HeapPending, Pending};
 use dispatch::{FlowTable, MAX_SYNC_CORES};
 use ingest::{Admission, IngestStage};
+use plan::{Handoff, ThreadSlot};
 use record::RecordStage;
 use service::ServiceStage;
 
@@ -103,6 +116,17 @@ impl Default for ExecutionMode {
     fn default() -> Self {
         ExecutionMode::Batched { burst: 32 }
     }
+}
+
+/// Where a batched run's arrivals come from (see [`batch::Arrivals`]).
+/// Chosen per run by the free-thread rule, never configured: both
+/// feeds produce byte-identical reports.
+#[derive(Debug)]
+enum Feed {
+    /// The loop draws its own arrivals through the per-source lookahead.
+    Interleaved,
+    /// A stream thread draws them; the slot counts that thread.
+    Handoff(ThreadSlot),
 }
 
 /// Engine configuration.
@@ -186,7 +210,11 @@ fn check_stream_config(cfg: &EngineConfig, sources: &[SourceConfig]) {
 /// probe host `P` (default `()`: no probes, the zero-cost fast path).
 pub struct Engine<S: Scheduler, P: ProbeHost = ()> {
     cfg: EngineConfig,
-    ingest: IngestStage,
+    /// The ingest stage, until the run moves it into its arrival
+    /// family (the scalar heap, the interleaved lookahead, or the
+    /// stream thread's [`PlanStream`]). `Some` on every engine a caller
+    /// can hold: the run consumes the engine.
+    ingest: Option<IngestStage>,
     /// The scheduling policy: one `schedule` call per fast-path arrival.
     scheduler: S,
     /// Per-flow state (arrival seq, last core), slot-indexed.
@@ -218,8 +246,14 @@ impl<S: Scheduler, P: ProbeHost> std::fmt::Debug for Engine<S, P> {
         f.debug_struct("Engine")
             .field("scheduler", &self.scheduler.name())
             .field("n_cores", &self.service.n_cores())
-            .field("n_sources", &self.ingest.n_sources())
-            .field("next_packet_id", &self.ingest.next_packet_id())
+            .field(
+                "n_sources",
+                &self.ingest.as_ref().map(IngestStage::n_sources),
+            )
+            .field(
+                "next_packet_id",
+                &self.ingest.as_ref().map(IngestStage::next_packet_id),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -298,7 +332,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         let sync_cost_ns = SimTime::from_micros_f64(delay.sync_delay_us(1)).as_nanos();
         let sync_every = sync_policy.map_or(0, |p| p.sync_every);
         Engine {
-            ingest,
+            ingest: Some(ingest),
             scheduler,
             flows: FlowTable::new(sync_enabled),
             service,
@@ -395,7 +429,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         sink: &mut C,
     ) {
         let horizon = self.cfg.duration;
-        if let Some(slot) = tx.arm_arrival(&mut self.ingest, src, now, horizon, sink) {
+        if let Some(slot) = tx.arm_arrival(src, now, horizon, sink) {
             self.flows.prefetch(slot);
         }
     }
@@ -408,7 +442,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         sink: &mut C,
     ) {
         let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let header = match tx.admit(&mut self.ingest, src) {
+        let header = match tx.admit(src) {
             Admission::Missing => return,
             Admission::SlowPath { service } => {
                 self.record
@@ -421,7 +455,9 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             }
             Admission::FastPath(h) => h,
         };
-        self.flows.grow_to(self.ingest.flow_count());
+        // Slots are dense in interning order, so this covers every slot
+        // seen so far (a slow-path packet may have interned one too).
+        self.flows.grow_to(header.slot.index() + 1);
         let flow_seq = self.flows.next_seq(header.slot);
         let mut pkt = PacketDesc {
             id: header.id,
@@ -631,7 +667,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     }
 
     fn on_rate_update<T: Pending>(&mut self, now: SimTime, tx: &mut T) {
-        self.ingest.refresh_rates(now);
+        tx.refresh_rates(now);
         if P::ACTIVE {
             self.record.publish(now, &SimEvent::EpochTick);
         }
@@ -704,12 +740,75 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     }
 
     /// Run the configured loop; returns the time of the last event.
-    /// [`ExecutionMode`] is the only thing that selects it.
+    /// [`ExecutionMode`] selects the loop; a batched run takes the
+    /// hand-off when [`ThreadSlot::spare`] finds a free hardware thread.
     fn run_loop<C: CycleSink>(&mut self, sink: &mut C) -> SimTime {
-        match self.cfg.execution {
-            ExecutionMode::Scalar => self.run_scalar(sink),
-            ExecutionMode::Batched { burst } => self.run_batched(burst as usize, sink),
+        let _run = ThreadSlot::enter();
+        let feed = match self.cfg.execution {
+            ExecutionMode::Batched { .. } => {
+                ThreadSlot::spare().map_or(Feed::Interleaved, Feed::Handoff)
+            }
+            ExecutionMode::Scalar => Feed::Interleaved,
+        };
+        self.run_loop_fed(feed, sink)
+    }
+
+    /// [`Engine::run_full`] with a batched run fed as `feed` says, past
+    /// the free-thread count (which concurrent tests share), reporting
+    /// stage spans to `sink`.
+    #[cfg(test)]
+    fn run_full_fed<C: CycleSink>(mut self, feed: Feed, sink: &mut C) -> (SimReport, S, P) {
+        let last_t = self.run_loop_fed(feed, sink);
+        self.finish(last_t)
+    }
+
+    /// Run the configured loop, a batched one fed as `feed` says.
+    fn run_loop_fed<C: CycleSink>(&mut self, feed: Feed, sink: &mut C) -> SimTime {
+        let Some(mut ingest) = self.ingest.take() else {
+            unreachable!("the run consumes the engine, so it runs once");
+        };
+        match (self.cfg.execution, feed) {
+            (ExecutionMode::Scalar, _) => self.run_scalar(ingest, sink),
+            (ExecutionMode::Batched { burst }, Feed::Interleaved) => {
+                ingest.batch_init(burst as usize);
+                self.run_batched(ingest, sink)
+            }
+            (ExecutionMode::Batched { burst }, Feed::Handoff(slot)) => {
+                self.run_handoff(ingest, burst as usize, slot, sink)
+            }
         }
+    }
+
+    /// The batched loop fed by a stream thread: `ingest` moves into a
+    /// [`PlanStream`] on a scoped thread that draws, merges and admits
+    /// the arrivals, and the loop takes them from a [`Handoff`]. `slot`
+    /// is the stream thread's count, released when it exits.
+    ///
+    /// A panic on either side ends the run without a hang: an unwinding
+    /// loop drops its [`Handoff`], so the producer's next send or wait
+    /// fails and it returns; a panicking producer drops its sender, the
+    /// loop sees the stream end, and its panic is re-raised here before
+    /// any report built from the truncated stream can be returned.
+    fn run_handoff<C: CycleSink>(
+        &mut self,
+        ingest: IngestStage,
+        burst: usize,
+        slot: ThreadSlot,
+        sink: &mut C,
+    ) -> SimTime {
+        let (handoff, full, spent) = Handoff::new(ingest.n_sources());
+        let stream = PlanStream::from_ingest(ingest, &self.cfg, burst);
+        std::thread::scope(|scope| {
+            let producer = scope.spawn(move || {
+                let _slot = slot;
+                plan::produce(stream, full, spent);
+            });
+            let last_t = self.run_batched(handoff, sink);
+            if let Err(panic) = producer.join() {
+                std::panic::resume_unwind(panic);
+            }
+            last_t
+        })
     }
 
     /// The scalar run loop: one heap pop per event — the reference the
@@ -718,10 +817,10 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     // Out of line on purpose: inlined next to `run_batched` in one
     // 18 KB function it cost the batched loop 3 % on `forward-fcfs`.
     #[inline(never)]
-    fn run_scalar<C: CycleSink>(&mut self, sink: &mut C) -> SimTime {
-        let mut tx = HeapPending::new(self.cfg.n_cores);
+    fn run_scalar<C: CycleSink>(&mut self, ingest: IngestStage, sink: &mut C) -> SimTime {
+        let mut tx = HeapPending::new(self.cfg.n_cores, ingest);
         // Prime arrivals and the rate-update ticker.
-        for (i, gap) in self.ingest.prime_gaps() {
+        for (i, gap) in tx.ingest.prime_gaps() {
             if gap <= self.cfg.duration {
                 tx.events.push(gap, Ev::Arrival(i));
             }
@@ -1383,6 +1482,177 @@ mod tests {
         // Unpriced, the model is off and the machine size is unconstrained.
         let r = Engine::new(priced(65, 0.0), &one_source(2.0), Spray(0)).run();
         assert!(r.sync.is_none());
+    }
+
+    /// Every event the bus publishes, with its instant.
+    #[derive(Default)]
+    struct Recorder(Vec<(SimTime, SimEvent)>);
+
+    impl ProbeHost for Recorder {
+        const ACTIVE: bool = true;
+
+        fn deliver(&mut self, now: SimTime, ev: &SimEvent) {
+            self.0.push((now, *ev));
+        }
+
+        fn finish(&mut self, _end: SimTime) {}
+    }
+
+    /// The serialized report and the full event sequence of one run.
+    fn recorded(cfg: &EngineConfig, sources: &[SourceConfig], feed: Feed) -> (String, Recorder) {
+        let engine = Engine::with_probes(
+            cfg.clone(),
+            sources,
+            JoinShortestQueue::new(),
+            Recorder::default(),
+        );
+        let (report, _, log) = engine.run_full_fed(feed, &mut ());
+        (serde_json::to_string(&report).expect("serializes"), log)
+    }
+
+    /// The three loops — scalar, batched interleaved, batched with the
+    /// hand-off — agree byte for byte, on the report and on every event
+    /// a recording probe sees (`EpochTick` and `DivertedSlowPath`
+    /// included), over a fault plan, a restoration buffer, slow-path
+    /// diversions and Holt-Winters sources whose rate noise shares the
+    /// gap RNG stream.
+    #[test]
+    fn scalar_interleaved_and_handoff_agree_event_for_event() {
+        let ms = SimTime::from_millis;
+        let hw =
+            |a: f64| RateSpec::HoltWinters(nptraffic::HoltWinters::new(a, 0.0, 1.0, 0.004, 0.4));
+        let sources = vec![
+            SourceConfig {
+                service: ServiceKind::IpForward,
+                trace: TracePreset::Auckland(1),
+                rate: hw(2.0),
+            },
+            SourceConfig {
+                service: ServiceKind::VpnOut,
+                trace: TracePreset::Caida(1),
+                rate: hw(0.2),
+            },
+            SourceConfig {
+                service: ServiceKind::IpForward,
+                trace: TracePreset::Caida(2),
+                rate: RateSpec::Constant(1.5),
+            },
+        ];
+        let faults = FaultPlan::new()
+            .crash(ms(2), 1)
+            .throttle(ms(3), 0, 2.0)
+            .heal(ms(5), 1)
+            .stall(ms(6), 2, SimTime::from_micros(500));
+        // Miri runs this too, far slower: a shorter horizon there.
+        let horizon = if cfg!(miri) { ms(1) } else { ms(8) };
+        let base = EngineConfig {
+            duration: horizon,
+            rate_update_interval: SimTime::from_micros(500),
+            ..quick_cfg(4, 0)
+        };
+        let cells = [
+            ("fault-free", base.clone()),
+            (
+                "faults + restoration + slow path",
+                EngineConfig {
+                    faults,
+                    restoration: Some(SimTime::from_micros(200)),
+                    control_plane_fraction: 0.1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "restoration + slow path",
+                EngineConfig {
+                    restoration: Some(SimTime::from_micros(200)),
+                    control_plane_fraction: 0.1,
+                    ..base
+                },
+            ),
+        ];
+        for (cell, cfg) in cells {
+            let scalar_cfg = EngineConfig {
+                execution: ExecutionMode::Scalar,
+                ..cfg.clone()
+            };
+            let (report, scalar) = recorded(&scalar_cfg, &sources, Feed::Interleaved);
+            let ticks = scalar
+                .0
+                .iter()
+                .filter(|e| matches!(e.1, SimEvent::EpochTick))
+                .count();
+            let diverted = scalar
+                .0
+                .iter()
+                .filter(|e| matches!(e.1, SimEvent::DivertedSlowPath { .. }))
+                .count();
+            assert!(ticks > 0, "{cell}: rate ticks fire");
+            assert_eq!(
+                diverted > 0,
+                cfg.control_plane_fraction > 0.0,
+                "{cell}: diversions"
+            );
+            for (feed, name) in [
+                (Feed::Interleaved, "interleaved"),
+                (Feed::Handoff(ThreadSlot::enter()), "hand-off"),
+            ] {
+                let (r, log) = recorded(&cfg, &sources, feed);
+                assert_eq!(r, report, "{cell}: {name} report");
+                if let Some(i) =
+                    (0..log.0.len().min(scalar.0.len())).find(|&i| log.0[i] != scalar.0[i])
+                {
+                    panic!(
+                        "{cell}: {name} event {i} is {:?}, scalar's {:?}",
+                        log.0[i], scalar.0[i]
+                    );
+                }
+                assert_eq!(log.0.len(), scalar.0.len(), "{cell}: {name} event count");
+            }
+        }
+    }
+
+    /// Cycle accounting on the hand-off times the engine's waits as
+    /// ingest spans and leaves the report as it is.
+    #[test]
+    fn handoff_with_cycle_accounting_keeps_the_report() {
+        let cfg = quick_cfg(2, 10);
+        let bare = Engine::new(cfg.clone(), &one_source(3.0), PingPong(0)).run();
+        let mut acc = CycleAccounting::new();
+        let (report, _, ()) = Engine::new(cfg, &one_source(3.0), PingPong(0))
+            .run_full_fed(Feed::Handoff(ThreadSlot::enter()), &mut acc);
+        assert_eq!(
+            serde_json::to_string(&report).expect("serializes"),
+            serde_json::to_string(&bare).expect("serializes")
+        );
+        let ingest = acc.finish().stage(Stage::Ingest);
+        assert!(ingest.spans > 0 && ingest.packets >= report.offered);
+    }
+
+    /// A policy that answers with a core past the machine after a few
+    /// thousand packets.
+    struct Rogue(u32);
+    impl Scheduler for Rogue {
+        fn name(&self) -> &str {
+            "rogue"
+        }
+        fn schedule(&mut self, _p: &PacketDesc, view: &SystemView<'_>) -> usize {
+            self.0 += 1;
+            if self.0 > 3_000 {
+                view.n_cores()
+            } else {
+                0
+            }
+        }
+    }
+
+    /// The engine thread's panic ends a hand-off run instead of leaving
+    /// it waiting: the stream thread, mid-stream, sees the hand-off
+    /// dropped and returns, and the scope re-raises the panic.
+    #[test]
+    #[should_panic(expected = "scheduler returned core")]
+    fn out_of_range_core_panics_under_the_handoff() {
+        let engine = Engine::new(quick_cfg(2, 20), &one_source(1.0), Rogue(0));
+        let _ = engine.run_full_fed(Feed::Handoff(ThreadSlot::enter()), &mut ());
     }
 
     #[test]

@@ -19,16 +19,33 @@
 //! [`ArrivalPlan::from_config`] is that stream drained into a `Vec`, for
 //! consumers that index the whole plan; npexec keeps a narrower record
 //! per packet and drains the stream itself.
+//!
+//! # The hand-off
+//!
+//! The engine itself runs the stream on a second thread when the
+//! process has a hardware thread to spare ([`ThreadSlot`]): the
+//! engine's own [`IngestStage`] moves into a [`PlanStream`], whose
+//! crate-internal [`PlanStream::next_arrival`] yields every admitted
+//! arrival — slow-path diversions included — and [`produce`] ships them
+//! in chunks over a bounded channel to a [`Handoff`], the batched
+//! loop's arrival family on the engine thread. Admitting ahead of the
+//! engine is legal because the interner, the classifier RNG and the
+//! packet-id counter are touched only by arrivals, in arrival order: no
+//! finish, fault or rate tick reads or writes them.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use super::batch::{BatchState, Win};
+use super::batch::{alloc, Arrivals, BatchState, Win};
 use super::clock::Pending;
+use super::cycles::{CycleSink, Stage};
 use super::ingest::{Admission, IngestStage, MAX_BURST};
 use super::{EngineConfig, SourceConfig};
 use crate::fault::FaultPlan;
 use detsim::{SeedSequence, SimTime};
 use nphash::{FlowId, FlowSlot};
 use nptraffic::ServiceKind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
+use std::sync::OnceLock;
 
 /// One offered packet, fully classified, with its arrival instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,16 +77,21 @@ pub struct ScheduledPacket {
 /// or without `cfg.faults`; a backend replays the plan itself.
 #[derive(Debug)]
 pub struct PlanStream {
-    ingest: IngestStage,
-    st: BatchState,
+    st: BatchState<IngestStage>,
     horizon: SimTime,
     rate_update_interval: SimTime,
     /// Per-slot arrival sequence counters — the stream-side mirror of
-    /// `FlowTable::next_seq`.
+    /// `FlowTable::next_seq`, kept by the public iterator only (an
+    /// engine's hand-off leaves them empty: the engine numbers its
+    /// flows itself).
     seqs: Vec<u64>,
     slow_path: u64,
     expected: usize,
 }
+
+/// One admitted arrival: its instant, its source, and the admission
+/// outcome (never [`Admission::Missing`]).
+pub(super) type Arrival = (SimTime, usize, Admission);
 
 impl PlanStream {
     /// The offered stream of `cfg` + `sources`.
@@ -80,30 +102,39 @@ impl PlanStream {
     /// `rate_update_interval` — the engine constructor's own checks.
     pub fn new(cfg: &EngineConfig, sources: &[SourceConfig]) -> Self {
         super::check_stream_config(cfg, sources);
-        let mut ingest = IngestStage::new(
+        let ingest = IngestStage::new(
             &SeedSequence::new(cfg.seed),
             sources,
             cfg.period_compression,
             cfg.scale,
             cfg.control_plane_fraction,
         );
+        PlanStream {
+            expected: Self::expected_packets_for(cfg, sources),
+            ..Self::from_ingest(ingest, cfg, MAX_BURST)
+        }
+    }
+
+    /// The stream of a fresh `ingest` stage built from `cfg`, drawn
+    /// with a per-source lookahead of `burst` (the stream is the same
+    /// for any burst). The pre-sizing hint is left at 0.
+    pub(super) fn from_ingest(mut ingest: IngestStage, cfg: &EngineConfig, burst: usize) -> Self {
+        ingest.batch_init(burst);
         let st = BatchState::prime(
-            &mut ingest,
+            ingest,
             0,
-            MAX_BURST,
             cfg.duration,
             cfg.rate_update_interval,
             &FaultPlan::new(),
             &mut (),
         );
         PlanStream {
-            ingest,
             st,
             horizon: cfg.duration,
             rate_update_interval: cfg.rate_update_interval,
             seqs: Vec::new(),
             slow_path: 0,
-            expected: Self::expected_packets_for(cfg, sources),
+            expected: 0,
         }
     }
 
@@ -131,26 +162,24 @@ impl PlanStream {
 
     /// Distinct flows interned so far.
     pub fn flow_count(&self) -> usize {
-        self.ingest.flow_count()
+        self.st.arrivals.flow_count()
     }
 
     /// Number of traffic sources.
     pub fn n_sources(&self) -> usize {
-        self.ingest.n_sources()
+        self.st.arrivals.n_sources()
     }
-}
 
-impl Iterator for PlanStream {
-    type Item = ScheduledPacket;
-
-    fn next(&mut self) -> Option<ScheduledPacket> {
+    /// The next arrival of the stream, fast path or slow path, admitted:
+    /// what the engine's `on_arrival` would admit at that instant.
+    pub(super) fn next_arrival(&mut self) -> Option<Arrival> {
         loop {
             let (t, seq, win) = self.st.next_event()?;
             let Win::Arrival(src) = win else {
                 // Zero cores, no faults: the only other event is the
                 // rate tick (`Engine::on_rate_update` minus the bus).
                 self.st.consume_ctl(seq, win, &FaultPlan::new());
-                self.ingest.refresh_rates(t);
+                self.st.refresh_rates(t);
                 let next = t + self.rate_update_interval;
                 if next <= self.horizon {
                     self.st.arm_rate_tick(next);
@@ -159,39 +188,264 @@ impl Iterator for PlanStream {
             };
             // `Engine::on_arrival` minus everything past admission: admit,
             // then arm the source's next arrival (its gap-draw position).
-            let admission = self.st.admit(&mut self.ingest, src);
+            let admission = self.st.admit(src);
             if !matches!(admission, Admission::Missing) {
-                self.st
-                    .arm_arrival(&mut self.ingest, src, t, self.horizon, &mut ());
+                self.st.arm_arrival(src, t, self.horizon, &mut ());
             }
-            self.st.rescan_arrivals(&self.ingest);
+            self.st.rescan_arrivals(&mut ());
             match admission {
-                Admission::Missing => {}
+                Admission::Missing => continue,
                 Admission::SlowPath { .. } => self.slow_path += 1,
-                Admission::FastPath(h) => {
-                    if self.seqs.len() < self.ingest.flow_count() {
-                        self.seqs.resize(self.ingest.flow_count(), 0);
-                    }
-                    // Slots are dense below `flow_count` by the interner
-                    // contract, so the lookup cannot miss.
-                    let flow_seq = self.seqs.get_mut(h.slot.index()).map_or(0, |s| {
-                        let v = *s;
-                        *s += 1;
-                        v
-                    });
-                    return Some(ScheduledPacket {
-                        at: t,
-                        src: src as u32,
-                        id: h.id,
-                        flow: h.flow,
-                        slot: h.slot,
-                        service: h.service,
-                        size: h.size,
-                        flow_seq,
-                    });
-                }
+                Admission::FastPath(_) => {}
+            }
+            return Some((t, src, admission));
+        }
+    }
+}
+
+impl Iterator for PlanStream {
+    type Item = ScheduledPacket;
+
+    fn next(&mut self) -> Option<ScheduledPacket> {
+        loop {
+            let (at, src, Admission::FastPath(h)) = self.next_arrival()? else {
+                continue;
+            };
+            if self.seqs.len() < self.flow_count() {
+                self.seqs.resize(self.flow_count(), 0);
+            }
+            // Slots are dense below `flow_count` by the interner
+            // contract, so the lookup cannot miss.
+            let flow_seq = self.seqs.get_mut(h.slot.index()).map_or(0, |s| {
+                let v = *s;
+                *s += 1;
+                v
+            });
+            return Some(ScheduledPacket {
+                at,
+                src: src as u32,
+                id: h.id,
+                flow: h.flow,
+                slot: h.slot,
+                service: h.service,
+                size: h.size,
+                flow_seq,
+            });
+        }
+    }
+}
+
+/// Arrivals per hand-off chunk.
+const CHUNK: usize = 256;
+
+/// Chunks one hand-off ever allocates: one being filled, one being
+/// consumed, and two in flight. The producer recycles the consumer's
+/// spent chunks, so the hand-off holds `CHUNKS × CHUNK` arrivals at
+/// most, whatever the run length.
+const CHUNKS: usize = 4;
+
+/// A chunk of arrivals in stream order.
+pub(super) type Chunk = Vec<Arrival>;
+
+/// The producer half of the hand-off, run on the stream thread: draw
+/// `stream` into chunks and send them until the stream ends or the
+/// consumer hangs up (its run ended, or it is unwinding from a panic).
+pub(super) fn produce(mut stream: PlanStream, full: SyncSender<Chunk>, spent: Receiver<Chunk>) {
+    let mut made = 0;
+    loop {
+        let mut chunk = match spent.try_recv() {
+            Ok(chunk) => chunk,
+            Err(TryRecvError::Empty) if made < CHUNKS => {
+                made += 1;
+                Vec::with_capacity(CHUNK)
+            }
+            Err(TryRecvError::Empty) => match spent.recv() {
+                Ok(chunk) => chunk,
+                Err(_) => return,
+            },
+            Err(TryRecvError::Disconnected) => return,
+        };
+        chunk.clear();
+        chunk.extend(std::iter::from_fn(|| stream.next_arrival()).take(CHUNK));
+        let last = chunk.len() < CHUNK;
+        if !chunk.is_empty() && full.send(chunk).is_err() {
+            return;
+        }
+        if last {
+            return;
+        }
+    }
+}
+
+/// The hand-off arrival family: the consumer half, on the engine
+/// thread. It takes the stream's admitted arrivals in order, so its
+/// head is always the next one, and it numbers each source's next
+/// arrival itself (see [`Arrivals`] for why a seq allocated for an
+/// arrival that never comes is harmless).
+#[derive(Debug)]
+pub(super) struct Handoff {
+    full: Receiver<Chunk>,
+    spent: SyncSender<Chunk>,
+    /// The chunk being consumed; `chunk[pos]` is the head.
+    chunk: Chunk,
+    pos: usize,
+    /// Emulated heap seq of each source's next arrival.
+    seqs: Vec<u64>,
+}
+
+impl Arrivals for Handoff {
+    /// Every source gets a seq, in source order: the stream alone knows
+    /// which ones have an arrival inside the horizon.
+    fn prime<C: CycleSink>(
+        &mut self,
+        next_seq: &mut u64,
+        _barrier: SimTime,
+        _horizon: SimTime,
+        _sink: &mut C,
+    ) {
+        for s in &mut self.seqs {
+            *s = alloc(next_seq);
+        }
+    }
+
+    /// The stream's next arrival, waiting for the next chunk when this
+    /// one is spent — the engine's only wait on the stream thread,
+    /// accounted as [`Stage::Ingest`]. After the stream ends (or its
+    /// thread dies: the run then re-raises that panic), `None`.
+    #[inline]
+    fn head<C: CycleSink>(&mut self, sink: &mut C) -> Option<(SimTime, u64, u32)> {
+        if self.pos == self.chunk.len() {
+            let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
+            let spent = std::mem::take(&mut self.chunk);
+            if spent.capacity() > 0 {
+                // Never full (no more than `CHUNKS` chunks exist), and a
+                // producer that has finished no longer needs it.
+                let _ = self.spent.try_send(spent);
+            }
+            self.chunk = self.full.recv().ok()?;
+            self.pos = 0;
+            if C::ACTIVE {
+                sink.span_end(Stage::Ingest, t0, self.chunk.len() as u64);
             }
         }
+        let &(at, src, _) = self.chunk.get(self.pos)?;
+        let seq = self.seqs.get(src).copied().unwrap_or(u64::MAX);
+        Some((at, seq, src as u32))
+    }
+
+    #[inline]
+    fn admit(&mut self, src: usize) -> Admission {
+        match self.chunk.get(self.pos) {
+            Some(&(_, from, admission)) => {
+                debug_assert_eq!(from, src, "hand-off head is not the winner");
+                self.pos += 1;
+                admission
+            }
+            None => {
+                debug_assert!(false, "arrival winner without a handed-off arrival");
+                Admission::Missing
+            }
+        }
+    }
+
+    /// Number `src`'s next arrival, and name the slot of the arrival
+    /// that fires next, for the flow-table prefetch.
+    #[inline]
+    fn arm<C: CycleSink>(
+        &mut self,
+        src: usize,
+        next_seq: &mut u64,
+        _barrier: SimTime,
+        _horizon: SimTime,
+        _sink: &mut C,
+    ) -> Option<FlowSlot> {
+        if let Some(s) = self.seqs.get_mut(src) {
+            *s = alloc(next_seq);
+        }
+        match self.chunk.get(self.pos) {
+            Some((_, _, Admission::FastPath(h))) => Some(h.slot),
+            _ => None,
+        }
+    }
+
+    /// The stream thread refreshed the rates on its own tick.
+    #[inline]
+    fn refresh_rates(&mut self, _now: SimTime) {}
+}
+
+impl Handoff {
+    /// A hand-off for `n_sources` sources, with the two ends [`produce`]
+    /// takes: the sender of full chunks and the receiver of spent ones.
+    pub(super) fn new(n_sources: usize) -> (Self, SyncSender<Chunk>, Receiver<Chunk>) {
+        // Both bounded at `CHUNKS`: no more chunks exist, so neither
+        // send ever waits for room — the producer waits for a spent
+        // chunk instead.
+        let (full_tx, full) = std::sync::mpsc::sync_channel(CHUNKS);
+        let (spent, spent_rx) = std::sync::mpsc::sync_channel(CHUNKS);
+        let handoff = Handoff {
+            full,
+            spent,
+            chunk: Vec::new(),
+            pos: 0,
+            seqs: vec![0; n_sources],
+        };
+        (handoff, full_tx, spent_rx)
+    }
+}
+
+/// Simulation threads running in this process: engine runs and their
+/// stream threads.
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+/// Whether a run may start a stream thread: `running` simulation
+/// threads, the run's own included, plus one must not exceed the
+/// `available` hardware threads. A sweep that already fills every
+/// hardware thread runs interleaved, where a second thread per run
+/// would only contend.
+pub(super) fn has_free_thread(running: usize, available: usize) -> bool {
+    running < available
+}
+
+/// The hardware threads of the host, as the standard library counts
+/// them (cgroup quotas included), read once per process.
+fn available_threads() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
+/// One counted simulation thread; dropping it — on return or unwind —
+/// releases the count.
+///
+/// Which path a run takes never changes its report: both are pinned
+/// byte-identical, so reading the host's thread count here does not
+/// break the determinism contract.
+#[derive(Debug)]
+pub(super) struct ThreadSlot(());
+
+impl ThreadSlot {
+    /// Count one simulation thread unconditionally: the calling engine
+    /// run (or, in tests, a stream thread forced past the rule).
+    pub(super) fn enter() -> Self {
+        RUNNING.fetch_add(1, Ordering::SeqCst);
+        ThreadSlot(())
+    }
+
+    /// Count a stream thread, if [`has_free_thread`] allows one.
+    pub(super) fn spare() -> Option<Self> {
+        let available = available_threads();
+        RUNNING
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                has_free_thread(n, available).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| ThreadSlot(()))
+    }
+}
+
+impl Drop for ThreadSlot {
+    fn drop(&mut self) {
+        RUNNING.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -266,6 +520,17 @@ mod tests {
                 rate: RateSpec::Constant(1.0),
             },
         ]
+    }
+
+    #[test]
+    fn a_stream_thread_needs_a_spare_hardware_thread() {
+        // (running, run's own included; available) → may it start one?
+        assert!(has_free_thread(1, 2), "a lone run on two threads");
+        assert!(!has_free_thread(2, 2), "a second run on two threads");
+        assert!(!has_free_thread(1, 1), "one hardware thread");
+        assert!(!has_free_thread(3, 2), "an oversubscribed sweep");
+        assert!(has_free_thread(3, 8), "three runs on eight threads");
+        assert!(!has_free_thread(8, 8), "a sweep at --jobs = cores");
     }
 
     #[test]

@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn interned_headers_match_plain_headers() {
         // The interned path must emit exactly the same header stream as
-        // the plain one, with slots that round-trip through the interner.
+        // the plain one, with slots the interner hands back for the flow.
         let mut a = source(RateSpec::Constant(1.0));
         let mut b = source(RateSpec::Constant(1.0));
         let mut interner = FlowInterner::new();
@@ -252,7 +252,7 @@ mod tests {
             let (f2, slot, sz2) = b.next_header_interned(&mut interner);
             assert_eq!(f1, f2);
             assert_eq!(sz1, sz2);
-            assert_eq!(interner.resolve(slot), Some(f2));
+            assert_eq!(interner.get(f2), Some(slot));
         }
         assert!(interner.len() > 1, "trace should contain several flows");
     }

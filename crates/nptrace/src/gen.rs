@@ -9,7 +9,7 @@ use crate::packet::{PacketRecord, Trace};
 use crate::sizes::{SizeModel, SizeProfile};
 use crate::zipf::ZipfSampler;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -98,6 +98,17 @@ impl GenTables {
     }
 }
 
+/// The integer form of the geometric burst's continue test.
+///
+/// A uniform draw is `m · 2⁻⁵³` for the integer `m = next_u64() >> 11`,
+/// and `p · 2⁵³` is exact too (scaling by a power of two), so
+/// `m · 2⁻⁵³ > p ⟺ m > p · 2⁵³ ⟺ m > ⌊p · 2⁵³⌋` — the last step because
+/// `m` is an integer. The test replays bit for bit.
+fn burst_threshold(mean_burst: f64) -> u64 {
+    let p = (1.0 / mean_burst.max(1.0)).clamp(1e-6, 1.0);
+    (p * (1u64 << 53) as f64).floor() as u64
+}
+
 /// Streaming trace generator.
 ///
 /// Can either materialize a whole [`Trace`] with [`TraceGenerator::generate`]
@@ -113,6 +124,12 @@ pub struct TraceGenerator {
     flow_map: Vec<u32>,
     next_flow: u32,
     rng: StdRng,
+    /// A burst continues while a draw's 53 mantissa bits exceed this:
+    /// `⌊p · 2⁵³⌋` for the geometric stop probability `p` (see
+    /// [`burst_threshold`]).
+    burst_continue_above: u64,
+    /// `1 / mouse_lifetime`, the per-burst churn probability of a mouse.
+    churn_p: f64,
     /// Concurrently active bursts: `(rank, remaining packets)`.
     active: Vec<(u32, u32)>,
     emitted: usize,
@@ -130,6 +147,8 @@ impl TraceGenerator {
     pub(crate) fn from_tables(config: TraceConfig, tables: &GenTables) -> Self {
         debug_assert_eq!(tables.profiles.len(), config.n_flows as usize);
         TraceGenerator {
+            burst_continue_above: burst_threshold(config.mean_burst),
+            churn_p: 1.0 / config.mouse_lifetime,
             zipf: tables.zipf.clone(),
             profiles: Arc::clone(&tables.profiles),
             flow_map: (0..config.n_flows).collect(),
@@ -144,9 +163,9 @@ impl TraceGenerator {
     /// Draw a fresh activation: a rank and a geometric burst length.
     fn new_activation(&mut self) -> (u32, u32) {
         let rank = self.zipf.sample(&mut self.rng) as u32;
-        let p = (1.0 / self.config.mean_burst.max(1.0)).clamp(1e-6, 1.0);
         let mut len = 1u32;
-        while self.rng.gen::<f64>() > p && len < 1_000 {
+        // `rng.gen::<f64>() > p` on the draw's integer mantissa.
+        while self.rng.next_u64() >> 11 > self.burst_continue_above && len < 1_000 {
             len += 1;
         }
         (rank, len)
@@ -187,7 +206,7 @@ impl TraceGenerator {
             // the slot with a fresh activation.
             if self.config.mouse_lifetime > 0.0
                 && rank >= self.config.size_model.heavy_rank_cutoff
-                && self.rng.gen::<f64>() < 1.0 / self.config.mouse_lifetime
+                && self.rng.gen::<f64>() < self.churn_p
             {
                 self.flow_map[rank as usize] = self.next_flow;
                 self.next_flow += 1;
@@ -223,6 +242,27 @@ impl TraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The integer burst test equals the float one it replaces at the
+    /// threshold's edges, for every preset's `mean_burst` (and the unit
+    /// test config's): `k` is the draw's 53-bit mantissa.
+    #[test]
+    fn burst_threshold_matches_the_float_compare() {
+        let presets = crate::TracePreset::all_caida()
+            .into_iter()
+            .chain(crate::TracePreset::all_auckland())
+            .map(|p| p.config(0).mean_burst);
+        for mean_burst in presets.chain([TraceConfig::small_test().mean_burst, 1.0, 0.5]) {
+            let p = (1.0 / mean_burst.max(1.0)).clamp(1e-6, 1.0);
+            let thr = burst_threshold(mean_burst);
+            // At `p = 1` the threshold is 2⁵³ itself, one past every draw.
+            let draws = [0, thr, thr + 1, (1u64 << 53) - 1];
+            for k in draws.into_iter().filter(|&k| k < 1 << 53) {
+                let float = k as f64 * (1.0 / (1u64 << 53) as f64) > p;
+                assert_eq!(k > thr, float, "mean_burst {mean_burst}, k {k}");
+            }
+        }
+    }
 
     #[test]
     fn generates_requested_count() {

@@ -113,19 +113,17 @@ impl ZipfSampler {
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let n = self.cdf.len();
-        let u: f64 = rng.gen::<f64>() * self.total;
+        // `rng.gen::<f64>()` spelled out: the same 53 bits, scaled by the
+        // same power of two, so `u` is bit-identical to that draw's.
+        let bits = rng.next_u64() >> 11;
+        let u = bits as f64 * (1.0 / (1u64 << 53) as f64) * self.total;
+        // Bucket `⌊bits · K / 2⁵³⌋` straight from the draw's bits: no
+        // division, and always `< K` because `bits < 2⁵³`.
         let k = self.index.len().saturating_sub(1);
-        let b = (((u / self.total) * k as f64) as usize).min(k.saturating_sub(1));
-        let (lo, hi) = match (self.index.get(b), self.index.get(b + 1)) {
-            (Some(&l), Some(&h)) => (l as usize, h as usize),
-            _ => (0, n.saturating_sub(1)),
-        };
-        let mut r = match self.cdf.get(lo..=hi) {
-            Some(sub) => lo + sub.partition_point(|&c| c < u),
-            None => self.cdf.partition_point(|&c| c < u),
-        };
-        // Float rounding in the bucket pick can bracket one rank off;
-        // this walk restores the exact global partition point (the
+        let b = ((u128::from(bits) * k as u128) >> 53) as usize;
+        let mut r = self.index.get(b).map_or(0, |&l| l as usize);
+        // The bucket's partition point is only a start: these walks end
+        // on the exact global partition point from any start (the
         // predicate `c < u` is monotone with a unique fixed point), so
         // the index cannot change any sampled sequence.
         while r > 0 && self.cdf.get(r - 1).is_some_and(|&c| c >= u) {
