@@ -2,10 +2,17 @@
 //!
 //! The per-packet path of a network processor cannot afford a hash-map
 //! probe per packet (the whole premise of the paper's map-table design).
-//! The simulator honors the same discipline: every distinct [`FlowId`] is
-//! *interned* once — the first time any source emits it — into a dense
-//! `u32` slot, and every later touch of per-flow state is a plain array
-//! index.
+//! The simulator honors the same discipline: every distinct [`FlowId`]
+//! gets a dense `u32` slot the first time any source emits it, and every
+//! later touch of per-flow state is a plain array index.
+//!
+//! [`FlowInterner`] is the standalone interner for arbitrary
+//! [`FlowId`]s. The simulator's run path does not use it: there every
+//! flow comes from a trace generator with a dense trace-local index, so
+//! `npsim`'s ingest stage assigns slots through one dense table per flow
+//! namespace and never hashes a `FlowId`. Both hand out slots through
+//! [`FlowSlot::nth`], in first-emission order, so the two agree slot for
+//! slot on the same emission sequence.
 //!
 //! Determinism: slots are assigned in first-emission order. Because the
 //! engine drives sources from a deterministic event queue and each source
@@ -31,6 +38,22 @@ impl FlowSlot {
         FlowSlot(index)
     }
 
+    /// The slot of the `n`-th distinct flow (0-based): the one place a
+    /// flow count becomes a slot, shared by every slot assigner.
+    ///
+    /// `u32::MAX` is never a slot, so dense slot tables can use it to
+    /// mark an unseen flow.
+    ///
+    /// # Panics
+    /// When `n` is `u32::MAX` or more: the run has seen more than
+    /// 2³² − 1 distinct flows, and a slot would wrap onto another flow's.
+    pub fn nth(n: usize) -> Self {
+        match u32::try_from(n) {
+            Ok(i) if i != u32::MAX => FlowSlot(i),
+            _ => panic!("more than 2³² − 1 distinct flows: a FlowSlot is a u32, and u32::MAX marks an unseen flow"),
+        }
+    }
+
     /// The raw dense index.
     pub const fn index(self) -> usize {
         self.0 as usize
@@ -50,10 +73,9 @@ impl From<FlowSlot> for usize {
 
 /// Interns [`FlowId`]s into dense [`FlowSlot`]s, first-come first-slotted.
 ///
-/// The map is probed **once per distinct flow** (on first emission);
-/// steady-state packet processing never touches it — sources cache the
-/// slot of each trace-local flow index, so repeat flows ride a `Vec`
-/// lookup.
+/// One hash probe per call. The simulator's run path does not call it
+/// (see the module docs); it serves flows that carry no dense index,
+/// benchmarks and tests.
 ///
 /// It keeps no slot → `FlowId` column: every packet carries its
 /// `FlowId`, so nothing reads one back, and at backbone flow counts the
@@ -78,11 +100,15 @@ impl FlowInterner {
     }
 
     /// Return `flow`'s slot, assigning the next dense slot on first sight.
+    ///
+    /// # Panics
+    /// On the first sight of a flow past 2³² − 1 distinct ones
+    /// ([`FlowSlot::nth`]).
     pub fn intern(&mut self, flow: FlowId) -> FlowSlot {
         if let Some(&s) = self.slots.get(&flow) {
             return s;
         }
-        let s = FlowSlot(self.slots.len() as u32);
+        let s = FlowSlot::nth(self.slots.len());
         self.slots.insert(flow, s);
         s
     }
@@ -134,6 +160,22 @@ mod tests {
         }
         assert_eq!(it.len(), 100);
         assert_eq!(it.get(flow(1000)), None);
+    }
+
+    #[test]
+    fn the_last_slot_is_one_below_the_sentinel() {
+        assert_eq!(FlowSlot::nth(0), FlowSlot::new(0));
+        let last = u32::MAX as usize - 1;
+        assert_eq!(FlowSlot::nth(last), FlowSlot::new(u32::MAX - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct flows")]
+    fn a_slot_never_wraps() {
+        // Unchecked, this flow would take slot `u32::MAX`, the dense
+        // tables' "unseen" mark, and a `len() as u32` cast would put the
+        // next one on slot 0.
+        let _ = FlowSlot::nth(u32::MAX as usize);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! * [`maptable`] — a per-service map table: bucket list + incremental
 //!   hash → core ID, with grow/shrink operations used by dynamic core
 //!   allocation.
-//! * [`interner`] — dense flow interning ([`FlowInterner`] /
-//!   [`FlowSlot`]): every distinct flow is hashed **once**, on first
-//!   emission; all later per-flow state is a plain array index, keeping
-//!   the simulator's per-packet path as hash-free as the hardware the
-//!   paper models.
+//! * [`interner`] — dense flow slots ([`FlowSlot`]) and the standalone
+//!   [`FlowInterner`] for arbitrary [`FlowId`]s: every distinct flow
+//!   gets a slot on first emission, and all later per-flow state is a
+//!   plain array index. The simulator's run path assigns its slots
+//!   through dense per-namespace tables instead and hashes no
+//!   [`FlowId`], as hash-free as the hardware the paper models.
 //! * [`det`] — fixed-seed hashed collections ([`DetHashMap`],
 //!   [`DetHashSet`]) for reproducible simulation state; `clippy.toml`
 //!   disallows std's randomly-seeded maps in their favour.

@@ -8,8 +8,8 @@
 //!
 //! * **Arrival lookahead** — each source pre-draws up to a burst of
 //!   arrivals (gap + header) into an [`ArrivalBuf`](super::ingest);
-//!   shared-state work (interning, classification, packet IDs) stays at
-//!   processing time. That is the interleaved arrival family; with a
+//!   shared-state work (flow slots and sequence numbers, classification,
+//!   packet IDs) stays at processing time. That is the interleaved arrival family; with a
 //!   free hardware thread the same lookahead and merge run on a stream
 //!   thread instead, which admits ahead and hands the arrivals over
 //!   (the hand-off family, see [`Arrivals`]).
@@ -51,7 +51,7 @@
 //! same draw. Fault-plan entries act on cores, never on a source, so
 //! they do not bound lookahead. Header draws come from the trace
 //! generator's separate stream and are unconditionally safe to
-//! pre-draw. Everything order-sensitive across sources — interner,
+//! pre-draw. Everything order-sensitive across sources — flow slots,
 //! classifier RNG, packet IDs, scheduler state — runs at processing
 //! time, in merged event order.
 //!

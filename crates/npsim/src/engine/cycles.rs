@@ -22,7 +22,7 @@
 pub enum Stage {
     /// Arrival lookahead refills: gap + header draws, burst buffering.
     Ingest,
-    /// Admission + scheduling: interning, classification, `choose_core`,
+    /// Admission + scheduling: flow slots, classification, `choose_core`,
     /// flow-table updates.
     Dispatch,
     /// Queue mutation and the Eq. 3 delay model: enqueue, service

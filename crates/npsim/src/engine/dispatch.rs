@@ -1,7 +1,8 @@
-//! Per-flow dispatch state: the struct-of-arrays [`FlowTable`] (arrival
-//! sequence numbers, last-core memory, SCR replica sets). The
-//! scheduling decision itself is one call in `Engine::on_arrival`, over
-//! the service stage's queue view.
+//! Per-flow dispatch state: the struct-of-arrays [`FlowTable`] (last-core
+//! memory, SCR replica sets). The scheduling decision itself is one call
+//! in `Engine::on_arrival`, over the service stage's queue view; the
+//! per-flow arrival sequence numbers are the ingest stage's, numbered at
+//! admission.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use nphash::FlowSlot;
@@ -20,8 +21,6 @@ pub(super) const MAX_SYNC_CORES: usize = u64::BITS as usize;
 /// One predictable array access per packet per field.
 #[derive(Debug, Default)]
 pub(super) struct FlowTable {
-    /// Next arrival sequence number per flow.
-    seq: Vec<u64>,
     /// Core the flow's last packet was enqueued to (`NO_CORE` = none).
     last_core: Vec<u32>,
     /// SCR replica set per flow: bit `c` set when core `c` touched the
@@ -47,10 +46,9 @@ impl FlowTable {
         }
     }
 
-    /// Ensure slots `0..n` exist (new slots: seq 0, no last core).
+    /// Ensure slots `0..n` exist (new slots: no last core).
     pub(super) fn grow_to(&mut self, n: usize) {
-        if self.seq.len() < n {
-            self.seq.resize(n, 0);
+        if self.last_core.len() < n {
             self.last_core.resize(n, NO_CORE);
             if self.sync {
                 self.replicas.resize(n, 0);
@@ -72,7 +70,7 @@ impl FlowTable {
     /// [`MAX_SYNC_CORES`] cores (the `& 63` only keeps the shift total).
     pub(super) fn sync_stale(&self, slot: FlowSlot, core: usize) -> u32 {
         let Some(r) = self.replicas.get(slot.index()) else {
-            // Unreachable: grown to the interner's length before lookup.
+            // Unreachable: grown past every admitted slot before lookup.
             debug_assert!(false, "flow table not grown to slot {slot:?}");
             return 0;
         };
@@ -92,7 +90,7 @@ impl FlowTable {
     ) -> (u32, bool) {
         let idx = slot.index();
         let (Some(r), Some(n)) = (self.replicas.get_mut(idx), self.since_sync.get_mut(idx)) else {
-            // Unreachable: grown to the interner's length before lookup.
+            // Unreachable: grown past every admitted slot before lookup.
             debug_assert!(false, "flow table not grown to slot {slot:?}");
             return (0, false);
         };
@@ -109,33 +107,13 @@ impl FlowTable {
         }
     }
 
-    /// Start cache fills for the flow's entries (batched mode: issued
-    /// when the next arrival is known but not yet processed, so the fill
-    /// has ~one inter-arrival gap of lead time).
+    /// Start the cache fill for the flow's last-core entry (batched
+    /// mode: issued when the next arrival is known but not yet
+    /// processed, so the fill has ~one inter-arrival gap of lead time).
     #[inline]
     pub(super) fn prefetch(&self, slot: FlowSlot) {
-        if let Some(s) = self.seq.get(slot.index()) {
-            crate::mem::prefetch_read(s);
-        }
         if let Some(c) = self.last_core.get(slot.index()) {
             crate::mem::prefetch_read(c);
-        }
-    }
-
-    /// Fetch-and-increment the flow's arrival sequence counter.
-    pub(super) fn next_seq(&mut self, slot: FlowSlot) -> u64 {
-        match self.seq.get_mut(slot.index()) {
-            Some(s) => {
-                let v = *s;
-                *s += 1;
-                v
-            }
-            None => {
-                // Unreachable: the table is grown to the interner's length
-                // before any lookup.
-                debug_assert!(false, "flow table not grown to slot {slot:?}");
-                0
-            }
         }
     }
 

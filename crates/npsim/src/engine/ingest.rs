@@ -1,19 +1,20 @@
 //! Ingest stage: arrival generation and frame-manager admission.
 //!
 //! Owns the traffic sources (each with its private arrival-process RNG
-//! stream), the flow interner, the control-plane classifier, and the
-//! packet-ID counter. Per arrival it draws the next header, classifies
-//! it (fast path vs. control-plane slow path), and assigns the global
-//! packet ID; the inter-arrival gap draws for the *next* arrival also
-//! come from here so the RNG stream per source is exactly the
-//! pre-refactor sequence.
+//! stream), the flow slots (one dense table per flow namespace, and each
+//! flow's arrival counter), the control-plane classifier, and the
+//! packet-ID counter. Per arrival it draws the next header, assigns its
+//! flow slot, classifies it (fast path vs. control-plane slow path), and
+//! numbers a fast-path packet (global packet ID, per-flow sequence); the
+//! inter-arrival gap draws for the *next* arrival also come from here so
+//! the RNG stream per source is exactly the pre-refactor sequence.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::batch::{alloc, Arrivals};
 use super::cycles::{CycleSink, Stage};
 use crate::source::{RateSpec, SourceConfig, TrafficSource};
 use detsim::{SeedSequence, SimTime};
-use nphash::{FlowId, FlowInterner, FlowSlot};
+use nphash::{FlowId, FlowSlot};
 use nptrace::PacketRecord;
 use nptraffic::ServiceKind;
 use rand::rngs::StdRng;
@@ -29,8 +30,8 @@ pub(super) const MAX_BURST: usize = 32;
 /// pairs drawn ahead of their processing time. Both draws touch only the
 /// source's *private* RNG streams (gaps from the arrival stream, records
 /// from the trace generator), so pre-drawing cannot perturb any other
-/// source or the shared interner/classifier — those are resolved at
-/// processing time by [`IngestStage::admit_record`].
+/// source or the shared flow slots and classifier — those are resolved
+/// at processing time by [`IngestStage::admit_record`].
 #[derive(Debug)]
 struct ArrivalBuf {
     /// Absolute arrival times; FIFO across `head..len`.
@@ -73,6 +74,116 @@ impl ArrivalBuf {
 struct SourceSlot {
     source: TrafficSource,
     rng: StdRng,
+    /// Index of the source's namespace table in [`FlowSlots`].
+    table: usize,
+}
+
+/// Sentinel in a namespace table: the flow has no slot yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The run's flow arena: every flow's dense [`FlowSlot`] and its
+/// arrival counter.
+///
+/// A flow is its namespace plus its trace-local index — exactly what its
+/// `FlowId` encodes ([`TrafficSource::flow_namespace`]) — so one dense
+/// table per namespace, indexed by the trace-local index, maps every
+/// flow to its slot without hashing a `FlowId`. Sources whose `FlowId`s
+/// coincide (two sources on one preset, or two presets with the same
+/// namespace) share a table, and so share flows, as they share
+/// `FlowId`s. Slots are handed out in first-emission order through
+/// [`FlowSlot::nth`], slot for slot what a hash map keyed by `FlowId`
+/// would hand out for the same arrivals (pinned by the engine's
+/// `tests::slots_match_a_hash_interner_replay`).
+#[derive(Debug, Default)]
+struct FlowSlots {
+    /// Per namespace, the slot of each trace-local index (`UNSEEN` until
+    /// its first arrival).
+    tables: Vec<Vec<u32>>,
+    /// Next fast-path arrival sequence number per slot. Its length is
+    /// the number of slots handed out.
+    seqs: Vec<u64>,
+}
+
+impl FlowSlots {
+    /// Tables for `namespaces`, one per distinct namespace; returns the
+    /// arena and each namespace's table index, in input order.
+    fn new(namespaces: impl IntoIterator<Item = u32>) -> (Self, Vec<usize>) {
+        let mut keys: Vec<u32> = Vec::new();
+        let table_of = namespaces
+            .into_iter()
+            .map(|ns| {
+                keys.iter().position(|&k| k == ns).unwrap_or_else(|| {
+                    keys.push(ns);
+                    keys.len() - 1
+                })
+            })
+            .collect();
+        let slots = FlowSlots {
+            tables: vec![Vec::new(); keys.len()],
+            seqs: Vec::new(),
+        };
+        (slots, table_of)
+    }
+
+    /// Slots handed out so far.
+    fn len(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// The slot of trace-local flow `local` in namespace table `table`,
+    /// assigning the next dense slot on its first arrival.
+    #[inline]
+    fn assign(&mut self, table: usize, local: u32) -> FlowSlot {
+        let Some(t) = self.tables.get_mut(table) else {
+            debug_assert!(false, "unknown namespace table {table}");
+            return FlowSlot::new(0);
+        };
+        let i = local as usize;
+        match t.get(i) {
+            Some(&s) if s != UNSEEN => return FlowSlot::new(s),
+            Some(_) => {}
+            None => t.resize(i + 1, UNSEEN),
+        }
+        let slot = FlowSlot::nth(self.seqs.len());
+        self.seqs.push(0);
+        if let Some(s) = t.get_mut(i) {
+            *s = slot.raw();
+        }
+        slot
+    }
+
+    /// The slot of trace-local flow `local` in table `table`, if it has
+    /// arrived before (read-only).
+    #[inline]
+    fn get(&self, table: usize, local: u32) -> Option<FlowSlot> {
+        let &s = self.tables.get(table)?.get(local as usize)?;
+        (s != UNSEEN).then_some(FlowSlot::new(s))
+    }
+
+    /// Best-effort software prefetch of the table entry of `local`.
+    #[inline]
+    fn prefetch(&self, table: usize, local: u32) {
+        if let Some(s) = self.tables.get(table).and_then(|t| t.get(local as usize)) {
+            crate::mem::prefetch_read(s);
+        }
+    }
+
+    /// Fetch-and-increment `slot`'s arrival sequence counter.
+    #[inline]
+    fn next_seq(&mut self, slot: FlowSlot) -> u64 {
+        match self.seqs.get_mut(slot.index()) {
+            Some(s) => {
+                let v = *s;
+                *s += 1;
+                v
+            }
+            None => {
+                // Unreachable: every slot pushes its counter.
+                debug_assert!(false, "no arrival counter for slot {slot:?}");
+                0
+            }
+        }
+    }
 }
 
 /// A fast-path packet header admitted by the ingest stage.
@@ -83,6 +194,8 @@ pub(super) struct Header {
     pub service: ServiceKind,
     pub size: u16,
     pub id: u64,
+    /// Per-flow arrival sequence number (0-based), the reorder witness.
+    pub flow_seq: u64,
 }
 
 /// Outcome of admitting one arrival.
@@ -102,8 +215,9 @@ pub(super) enum Admission {
 #[derive(Debug)]
 pub(super) struct IngestStage {
     sources: Vec<SourceSlot>,
-    /// Flow arena: FlowId → dense slot, assigned at first emission.
-    interner: FlowInterner,
+    /// Flow arena: namespace tables → dense slot, assigned at first
+    /// emission, and the per-flow arrival counters.
+    flows: FlowSlots,
     classifier_rng: StdRng,
     next_packet_id: u64,
     scale: f64,
@@ -133,23 +247,30 @@ impl IngestStage {
         scale: f64,
         control_plane_fraction: f64,
     ) -> Self {
-        let sources_built: Vec<SourceSlot> = sources
+        let built: Vec<TrafficSource> = sources
             .iter()
-            .enumerate()
-            .map(|(i, sc)| {
+            .map(|sc| {
                 let mut sc = sc.clone();
                 if let RateSpec::HoltWinters(hw) = sc.rate {
                     sc.rate = RateSpec::HoltWinters(hw.with_period_compressed(period_compression));
                 }
-                SourceSlot {
-                    source: TrafficSource::new(&sc),
-                    rng: seq.indexed_rng("source", i),
-                }
+                TrafficSource::new(&sc)
+            })
+            .collect();
+        let (flows, tables) = FlowSlots::new(built.iter().map(TrafficSource::flow_namespace));
+        let sources_built: Vec<SourceSlot> = built
+            .into_iter()
+            .zip(tables)
+            .enumerate()
+            .map(|(i, (source, table))| SourceSlot {
+                source,
+                rng: seq.indexed_rng("source", i),
+                table,
             })
             .collect();
         IngestStage {
             sources: sources_built,
-            interner: FlowInterner::new(),
+            flows,
             classifier_rng: seq.rng("fm-classifier"),
             next_packet_id: 0,
             scale,
@@ -171,12 +292,12 @@ impl IngestStage {
         self.next_packet_id
     }
 
-    /// Flows interned so far (the flow table's required size).
+    /// Flows seen so far: slots are exactly `0..flow_count()`.
     pub(super) fn flow_count(&self) -> usize {
-        self.interner.len()
+        self.flows.len()
     }
 
-    /// Admit one arrival from `src`: draw its record now, then resolve,
+    /// Admit one arrival from `src`: draw its record now, then slot,
     /// classify and number it ([`IngestStage::admit_record`]).
     pub(super) fn admit(&mut self, src: usize) -> Admission {
         let Some(slot) = self.sources.get_mut(src) else {
@@ -285,9 +406,9 @@ impl IngestStage {
                 break;
             }
             let rec = slot.source.next_record();
-            // Start the slot-cache line fill now so the resolve at
-            // processing time hits.
-            slot.source.prefetch_slot(rec.flow);
+            // Start the namespace-table line fill now so the slot lookup
+            // at processing time hits.
+            self.flows.prefetch(slot.table, rec.flow);
             let i = buf.len as usize;
             if let (Some(ts), Some(rs)) = (buf.times.get_mut(i), buf.records.get_mut(i)) {
                 *ts = t;
@@ -374,24 +495,27 @@ impl IngestStage {
         }
     }
 
-    /// The interned slot of `src`'s trace-local `flow`, if already
-    /// resolved (read-only; used to prefetch flow-table lines).
+    /// The slot of `src`'s trace-local `flow`, if it has arrived before
+    /// (read-only; used to prefetch flow-table lines).
     pub(super) fn cached_slot(&self, src: usize, flow: u32) -> Option<FlowSlot> {
-        self.sources.get(src).and_then(|s| s.source.peek_slot(flow))
+        let table = self.sources.get(src)?.table;
+        self.flows.get(table, flow)
     }
 
-    /// Admit one *pre-drawn* arrival record from `src`: resolve it
-    /// against the shared interner, classify, and assign the packet ID.
+    /// Admit one *pre-drawn* arrival record from `src`: assign its flow
+    /// slot (slow path too), classify it, and number a fast-path packet
+    /// (packet ID, per-flow sequence).
     ///
     /// This is the shared-state half of admission and must run in
     /// event-processing order.
     pub(super) fn admit_record(&mut self, src: usize, rec: PacketRecord) -> Admission {
-        let Some(slot) = self.sources.get_mut(src) else {
+        let Some(slot) = self.sources.get(src) else {
             debug_assert!(false, "arrival from unknown source {src}");
             return Admission::Missing;
         };
-        let (flow, flow_slot, size) = slot.source.resolve_record(rec, &mut self.interner);
+        let flow = slot.source.flow_id(rec);
         let service = slot.source.service;
+        let flow_slot = self.flows.assign(slot.table, rec.flow);
         if self.control_plane_fraction > 0.0
             && self.classifier_rng.gen::<f64>() < self.control_plane_fraction
         {
@@ -403,8 +527,9 @@ impl IngestStage {
             flow,
             slot: flow_slot,
             service,
-            size,
+            size: rec.size,
             id,
+            flow_seq: self.flows.next_seq(flow_slot),
         })
     }
 }
@@ -466,7 +591,7 @@ impl Arrivals for IngestStage {
 
     /// Refill `src`'s lookahead if drained (this IS the scalar loop's
     /// gap-draw RNG position) and stamp the new head's seq. Returns the
-    /// new head's slot, if already interned.
+    /// new head's slot, if its flow has arrived before.
     #[inline]
     fn arm<C: CycleSink>(
         &mut self,

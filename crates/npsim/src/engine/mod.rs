@@ -23,12 +23,13 @@
 //! The engine is an orchestrator over three stages plus one direct
 //! scheduler call:
 //!
-//! * **ingest** — traffic sources, arrival-gap draws, the flow interner,
+//! * **ingest** — traffic sources, arrival-gap draws, the flow slots
+//!   (one dense table per flow namespace) and per-flow sequence numbers,
 //!   and frame-manager admission (slow-path classifier, packet IDs).
 //! * **dispatch** — `Engine::on_arrival` asks the policy for a core
 //!   with one [`Scheduler::schedule`] call over the service stage's
-//!   [`QueueInfo`](crate::QueueInfo) view; per-flow state (sequence
-//!   numbers, last core) lives in the engine's `FlowTable`.
+//!   [`QueueInfo`](crate::QueueInfo) view; per-flow dispatch state (last
+//!   core, SCR replicas) lives in the engine's `FlowTable`.
 //! * **service** — per-core bounded queues, the Eq. 3 delay model,
 //!   busy-time accounting, and the queue view the scheduler reads
 //!   (written by the mutation that changes it).
@@ -217,7 +218,7 @@ pub struct Engine<S: Scheduler, P: ProbeHost = ()> {
     ingest: Option<IngestStage>,
     /// The scheduling policy: one `schedule` call per fast-path arrival.
     scheduler: S,
-    /// Per-flow state (arrival seq, last core), slot-indexed.
+    /// Per-flow dispatch state (last core, SCR replicas), slot-indexed.
     flows: FlowTable,
     service: ServiceStage,
     record: RecordStage<P>,
@@ -455,10 +456,9 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             }
             Admission::FastPath(h) => h,
         };
-        // Slots are dense in interning order, so this covers every slot
-        // seen so far (a slow-path packet may have interned one too).
+        // Slots are dense in first-arrival order, so this covers every
+        // slot seen so far (a slow-path packet may have taken one too).
         self.flows.grow_to(header.slot.index() + 1);
-        let flow_seq = self.flows.next_seq(header.slot);
         let mut pkt = PacketDesc {
             id: header.id,
             flow: header.flow,
@@ -466,7 +466,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             service: header.service,
             size: header.size,
             arrival: now,
-            flow_seq,
+            flow_seq: header.flow_seq,
             migrated: false,
             sync_debt_ns: 0,
         };
@@ -1653,6 +1653,125 @@ mod tests {
     fn out_of_range_core_panics_under_the_handoff() {
         let engine = Engine::new(quick_cfg(2, 20), &one_source(1.0), Rogue(0));
         let _ = engine.run_full_fed(Feed::Handoff(ThreadSlot::enter()), &mut ());
+    }
+
+    /// Every arrival of `sources` over `duration_ms`, slow path
+    /// included, admitted by an ingest stage in arrival order (ties in
+    /// source order): each one's `FlowId` and the slot the stage gave
+    /// it, and how many flows were first seen on the slow path.
+    fn admitted_slots(
+        sources: &[SourceConfig],
+        control_plane_fraction: f64,
+        duration_ms: u64,
+    ) -> (Vec<(nphash::FlowId, nphash::FlowSlot)>, usize) {
+        let mut ingest = IngestStage::new(
+            &SeedSequence::new(7),
+            sources,
+            1.0,
+            1.0,
+            control_plane_fraction,
+        );
+        ingest.batch_init(ingest::MAX_BURST);
+        let horizon = SimTime::from_millis(duration_ms);
+        for src in 0..sources.len() {
+            ingest.batch_refill(src, SimTime::MAX, horizon);
+        }
+        let mut admitted = Vec::new();
+        let mut slow_firsts = 0;
+        while let Some((_, src)) = (0..sources.len())
+            .filter_map(|src| ingest.batch_head(src).map(|(t, _)| (t, src)))
+            .min()
+        {
+            let rec = ingest.batch_pop(src).expect("a head arrival");
+            let seen = ingest.flow_count();
+            let admission = ingest.admit_record(src, rec);
+            let slot = ingest.cached_slot(src, rec.flow).expect("slotted");
+            let flow = rec.flow_id(sources[src].trace.config(0).flow_space);
+            match admission {
+                Admission::FastPath(h) => {
+                    assert_eq!((h.flow, h.slot), (flow, slot), "fast-path header");
+                }
+                Admission::SlowPath { .. } => slow_firsts += ingest.flow_count() - seen,
+                Admission::Missing => panic!("source {src} is configured"),
+            }
+            admitted.push((flow, slot));
+            if ingest.batch_needs_refill(src) {
+                ingest.batch_refill(src, SimTime::MAX, horizon);
+            }
+        }
+        assert_eq!(ingest.flow_count(), {
+            let mut distinct: Vec<_> = admitted.iter().map(|&(_, s)| s).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            distinct.len()
+        });
+        (admitted, slow_firsts)
+    }
+
+    /// The namespace tables hand out, over every admission, the slots a
+    /// hash interner keyed by `FlowId` hands out for the same arrivals,
+    /// in order: on the four T2 sources, on two sources sharing a preset
+    /// (one table, shared flows), on two presets whose namespaces
+    /// collide (`Caida(0)` and `Auckland(42)` both have flow space
+    /// 0xCA), and with a slow path that sees some flows first.
+    ///
+    /// It bites: with a table per source instead of per namespace it
+    /// fails the shared-preset cell at admission 1 (the interner's slot
+    /// 0, the tables' slot 1), and with tables keyed by preset instead
+    /// of by namespace it fails the collision cell at admission 33 — in
+    /// both, the interner merges flows the tables keep apart.
+    #[test]
+    fn slots_match_a_hash_interner_replay() {
+        let t2 = nptraffic::Scenario::by_id(2).expect("Table VI defines T2");
+        let t2_sources: Vec<SourceConfig> = ServiceKind::ALL
+            .iter()
+            .zip(t2.group.traces())
+            .map(|(&service, trace)| SourceConfig {
+                service,
+                trace,
+                rate: RateSpec::HoltWinters(t2.params.rate_model(service)),
+            })
+            .collect();
+        let pair = |a: TracePreset, b: TracePreset| {
+            [(a, ServiceKind::IpForward), (b, ServiceKind::VpnOut)]
+                .map(|(trace, service)| SourceConfig {
+                    service,
+                    trace,
+                    rate: RateSpec::Constant(2.0),
+                })
+                .to_vec()
+        };
+        let cells = [
+            ("T2", t2_sources.clone(), 0.0),
+            (
+                "shared preset",
+                pair(TracePreset::Caida(1), TracePreset::Caida(1)),
+                0.0,
+            ),
+            (
+                "colliding namespaces",
+                pair(TracePreset::Caida(0), TracePreset::Auckland(42)),
+                0.0,
+            ),
+            ("T2 with a slow path", t2_sources, 0.1),
+        ];
+        for (cell, sources, control_plane_fraction) in cells {
+            let (admitted, slow_firsts) = admitted_slots(&sources, control_plane_fraction, 10);
+            assert!(admitted.len() > 10_000, "{cell}: non-trivial stream");
+            assert_eq!(
+                control_plane_fraction > 0.0,
+                slow_firsts > 0,
+                "{cell}: slow-path firsts"
+            );
+            let mut interner = nphash::FlowInterner::new();
+            let mut repeats = 0;
+            for (i, &(flow, slot)) in admitted.iter().enumerate() {
+                let fresh = interner.len();
+                assert_eq!(interner.intern(flow), slot, "{cell}: admission {i}");
+                repeats += usize::from(interner.len() == fresh);
+            }
+            assert!(repeats > admitted.len() / 2, "{cell}: flows repeat");
+        }
     }
 
     #[test]

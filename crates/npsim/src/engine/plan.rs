@@ -29,9 +29,10 @@
 //! arrival — slow-path diversions included — and [`produce`] ships them
 //! in chunks over a bounded channel to a [`Handoff`], the batched
 //! loop's arrival family on the engine thread. Admitting ahead of the
-//! engine is legal because the interner, the classifier RNG and the
-//! packet-id counter are touched only by arrivals, in arrival order: no
-//! finish, fault or rate tick reads or writes them.
+//! engine is legal because the flow slots and per-flow sequence
+//! counters, the classifier RNG and the packet-id counter are touched
+//! only by arrivals, in arrival order: no finish, fault or rate tick
+//! reads or writes them.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::batch::{alloc, Arrivals, BatchState, Win};
@@ -80,11 +81,6 @@ pub struct PlanStream {
     st: BatchState<IngestStage>,
     horizon: SimTime,
     rate_update_interval: SimTime,
-    /// Per-slot arrival sequence counters — the stream-side mirror of
-    /// `FlowTable::next_seq`, kept by the public iterator only (an
-    /// engine's hand-off leaves them empty: the engine numbers its
-    /// flows itself).
-    seqs: Vec<u64>,
     slow_path: u64,
     expected: usize,
 }
@@ -132,7 +128,6 @@ impl PlanStream {
             st,
             horizon: cfg.duration,
             rate_update_interval: cfg.rate_update_interval,
-            seqs: Vec::new(),
             slow_path: 0,
             expected: 0,
         }
@@ -160,7 +155,7 @@ impl PlanStream {
         self.slow_path
     }
 
-    /// Distinct flows interned so far.
+    /// Distinct flows seen so far (slow-path arrivals included).
     pub fn flow_count(&self) -> usize {
         self.st.arrivals.flow_count()
     }
@@ -211,16 +206,6 @@ impl Iterator for PlanStream {
             let (at, src, Admission::FastPath(h)) = self.next_arrival()? else {
                 continue;
             };
-            if self.seqs.len() < self.flow_count() {
-                self.seqs.resize(self.flow_count(), 0);
-            }
-            // Slots are dense below `flow_count` by the interner
-            // contract, so the lookup cannot miss.
-            let flow_seq = self.seqs.get_mut(h.slot.index()).map_or(0, |s| {
-                let v = *s;
-                *s += 1;
-                v
-            });
             return Some(ScheduledPacket {
                 at,
                 src: src as u32,
@@ -229,7 +214,7 @@ impl Iterator for PlanStream {
                 slot: h.slot,
                 service: h.service,
                 size: h.size,
-                flow_seq,
+                flow_seq: h.flow_seq,
             });
         }
     }
@@ -457,7 +442,7 @@ pub struct ArrivalPlan {
     pub packets: Vec<ScheduledPacket>,
     /// Packets the frame-manager classifier diverted to the slow path.
     pub slow_path: u64,
-    /// Number of distinct flows interned by the stream.
+    /// Number of distinct flows the stream saw (slow path included).
     pub flow_count: usize,
     /// Number of traffic sources.
     pub n_sources: usize,

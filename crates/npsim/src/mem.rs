@@ -1,8 +1,9 @@
 //! Cache-warming helper for the miss-heavy hot-path tables.
 //!
 //! At production trace scale the per-flow arrays are large — the flow
-//! table, order tracker, and slot caches together span ~1 MB for a
-//! 40k-flow caida preset — so nearly every per-packet access misses L2.
+//! table, order tracker, and namespace slot tables together span ~1 MB
+//! for a 40k-flow caida preset — so nearly every per-packet access
+//! misses L2.
 //! The batched engine knows which flows it will touch a little ahead of
 //! time and wants to start those fills early.
 //!

@@ -13,8 +13,9 @@ pub struct PacketDesc {
     pub id: u64,
     /// The 5-tuple flow this packet belongs to.
     pub flow: FlowId,
-    /// The flow's dense arena slot (see [`nphash::FlowInterner`]): the
-    /// hash-free key for all per-flow state on the packet path.
+    /// The flow's dense arena slot ([`FlowSlot`], assigned by the
+    /// engine's ingest stage on the flow's first arrival): the hash-free
+    /// key for all per-flow state on the packet path.
     pub slot: FlowSlot,
     /// Which service must process it.
     pub service: ServiceKind,

@@ -51,7 +51,8 @@ pub struct SourceConfig {
     pub rate: RateSpec,
 }
 
-/// A running source: header generator + arrival state.
+/// A running source: header generator + arrival state. It keeps no
+/// per-flow state: the engine's ingest stage assigns flow slots.
 #[derive(Debug)]
 pub struct TrafficSource {
     /// The service of every packet from this source.
@@ -60,15 +61,7 @@ pub struct TrafficSource {
     rate: RateSpec,
     /// Rate currently in force (Mpps, unscaled), refreshed periodically.
     current_rate: f64,
-    /// Global [`FlowSlot`] of each trace-local flow index, `u32::MAX` =
-    /// not yet interned. The trace generator hands out *dense* per-trace
-    /// flow indices, so after a flow's first packet every later packet
-    /// resolves its slot with one `Vec` access — zero hash probes.
-    slot_cache: Vec<u32>,
 }
-
-/// Sentinel in `slot_cache`: this trace-local flow has no global slot yet.
-const UNINTERNED: u32 = u32::MAX;
 
 impl TrafficSource {
     /// Instantiate from configuration: a fresh streaming generator of
@@ -82,7 +75,6 @@ impl TrafficSource {
             gen,
             rate: cfg.rate,
             current_rate: cfg.rate.mean_rate_at(SimTime::ZERO),
-            slot_cache: Vec::new(),
         }
     }
 
@@ -107,9 +99,8 @@ impl TrafficSource {
 
     /// Draw the next packet header `(flow, size)`.
     pub fn next_header(&mut self) -> (FlowId, u16) {
-        let space = self.gen.flow_space();
-        let p = self.gen.next_packet();
-        (p.flow_id(space), p.size)
+        let p = self.next_record();
+        (self.flow_id(p), p.size)
     }
 
     /// Draw the next raw packet record from the header stream.
@@ -117,79 +108,38 @@ impl TrafficSource {
     /// The header stream consumes only the trace generator's private RNG
     /// — it is independent of the arrival-gap stream and of every shared
     /// engine structure — so the batched execution mode may draw records
-    /// *ahead* of their processing time and resolve them later with
-    /// [`TrafficSource::resolve_record`] without perturbing replay.
+    /// *ahead* of their processing time and assign their flow slots
+    /// later without perturbing replay.
     #[inline]
     pub fn next_record(&mut self) -> nptrace::PacketRecord {
         self.gen.next_packet()
     }
 
-    /// Resolve a record drawn by [`TrafficSource::next_record`] against
-    /// the shared interner: `(flow, slot, size)`.
+    /// The flow namespace of this source's records: the low 32 bits of
+    /// the trace's `flow_space`, all that [`PacketRecord::flow_id`]
+    /// keeps of it. Two sources with the same namespace emit the same
+    /// [`FlowId`] for the same trace-local index, and different
+    /// namespaces never share a `FlowId`, so `(namespace, record.flow)`
+    /// identifies a flow exactly as its `FlowId` does.
     ///
-    /// Must be called in arrival-processing order — the slot cache and
-    /// the cross-source interner are order-sensitive. The scalar path's
-    /// [`TrafficSource::next_header_interned`] is exactly `next_record`
-    /// followed by `resolve_record`, which is what makes the batched
-    /// engine's split byte-identical.
-    pub fn resolve_record(
-        &mut self,
-        p: nptrace::PacketRecord,
-        interner: &mut FlowInterner,
-    ) -> (FlowId, FlowSlot, u16) {
-        let space = self.gen.flow_space();
-        let local = p.flow as usize;
-        if local >= self.slot_cache.len() {
-            self.slot_cache.resize(local + 1, UNINTERNED);
-        }
-        match self.slot_cache.get_mut(local) {
-            Some(cached) if *cached != UNINTERNED => {
-                // The slot was interned from this very FlowId, so deriving
-                // it again gives the interner's copy without a random load.
-                (p.flow_id(space), FlowSlot::new(*cached), p.size)
-            }
-            cached => {
-                let flow = p.flow_id(space);
-                let slot = interner.intern(flow);
-                if let Some(c) = cached {
-                    *c = slot.raw();
-                }
-                (flow, slot, p.size)
-            }
-        }
+    /// [`PacketRecord::flow_id`]: nptrace::PacketRecord::flow_id
+    pub fn flow_namespace(&self) -> u32 {
+        self.gen.flow_space() as u32
     }
 
-    /// The interned slot of trace-local `flow`, if its first packet has
-    /// already been resolved. A read-only probe (no interning): the
-    /// batched engine uses it to prefetch flow-table lines for arrivals
-    /// that are buffered but not yet processed.
+    /// The 5-tuple flow identity of a record drawn from this source.
     #[inline]
-    pub fn peek_slot(&self, flow: u32) -> Option<FlowSlot> {
-        match self.slot_cache.get(flow as usize) {
-            Some(&raw) if raw != UNINTERNED => Some(FlowSlot::new(raw)),
-            _ => None,
-        }
+    pub fn flow_id(&self, p: nptrace::PacketRecord) -> FlowId {
+        p.flow_id(self.gen.flow_space())
     }
 
-    /// Best-effort software prefetch of the slot-cache entry for `flow`,
-    /// issued at burst-refill time so the resolve at processing time
-    /// finds the line in cache.
-    #[inline]
-    pub fn prefetch_slot(&self, flow: u32) {
-        if let Some(cached) = self.slot_cache.get(flow as usize) {
-            crate::mem::prefetch_read(cached);
-        }
-    }
-
-    /// Draw the next packet header with its interned arena slot:
-    /// `(flow, slot, size)`.
-    ///
-    /// Only the *first* packet of each flow pays an interner probe; every
-    /// repeat resolves through the per-source slot cache (a plain `Vec`
-    /// lookup on the trace's dense flow index).
+    /// Draw the next packet header with its slot in `interner`:
+    /// `(flow, slot, size)`. One hash probe per packet; the engine
+    /// assigns slots without one (its ingest stage's namespace tables).
     pub fn next_header_interned(&mut self, interner: &mut FlowInterner) -> (FlowId, FlowSlot, u16) {
         let p = self.next_record();
-        self.resolve_record(p, interner)
+        let flow = self.flow_id(p);
+        (flow, interner.intern(flow), p.size)
     }
 }
 
