@@ -30,8 +30,9 @@ pub enum PromotionPolicy {
     /// exactly the Fig. 8(a) annex-size sensitivity.
     Always,
     /// Promote only if the challenger's count beats the AFC's LFU victim
-    /// (LFU-consistent). Near-zero false positives; the variant the
-    /// schedulers use.
+    /// (LFU-consistent). Near-zero false positives. No registered
+    /// scheduler selects it — `laps` and `topk-afd` keep the default
+    /// `Always` — only the detector tests do.
     Competitive,
 }
 

@@ -93,7 +93,7 @@ pub mod prelude {
         CycleReport, Engine, EngineConfig, EventLogProbe, ExecError, ExecutionMode, FaultAction,
         FaultPlan, FaultProbe, FaultStats, MetricsProbe, Probe, ProbeStack, RateSpec,
         RepairOutcome, Scheduler, SimEvent, SimReport, SourceConfig, Stage, SyncPolicy, SyncStats,
-        UnsupportedPlan, UtilizationProbe,
+        UnsupportedPlan,
     };
     pub use nptrace::TracePreset;
     pub use nptraffic::{ParameterSet, Scenario, ServiceKind, TraceGroup};

@@ -71,7 +71,6 @@ impl SchedulerRegistry {
     /// | `laps-park` | LAPS plus the core-parking power extension |
     /// | `scr-rr` | [`Scr`] — SCR packet spraying (round-robin) |
     /// | `scr-p2c` | [`Scr`] — SCR power-of-two-choices |
-    /// | `scr-sync4` | [`Scr`] — SCR spraying, consolidate every 4 |
     /// | `scr-sync16` | [`Scr`] — SCR spraying, consolidate every 16 |
     ///
     /// Thresholds with time dimensions scale with `cfg.scale` exactly as
@@ -114,7 +113,6 @@ impl SchedulerRegistry {
         r.register("scr-p2c", |cfg| {
             Box::new(Scr::power_of_two(derive_seed(cfg.seed, "scr-p2c")))
         });
-        r.register("scr-sync4", |_cfg| Box::new(Scr::with_sync(4)));
         r.register("scr-sync16", |_cfg| Box::new(Scr::with_sync(16)));
         r
     }
@@ -176,7 +174,6 @@ mod tests {
             "laps-park",
             "scr-rr",
             "scr-p2c",
-            "scr-sync4",
             "scr-sync16",
         ] {
             assert!(r.contains(name), "missing builtin {name}");

@@ -258,6 +258,6 @@ mod tests {
         let s = Scr::with_sync(16);
         assert_eq!(s.name(), "scr-sync16");
         assert_eq!(s.sync_policy(), Some(SyncPolicy { sync_every: 16 }));
-        assert_eq!(Scr::with_sync(4).name(), "scr-sync4");
+        assert_eq!(Scr::with_sync(8).name(), "scr-sync8");
     }
 }

@@ -77,11 +77,6 @@ impl SeedSequence {
         derive_seed(self.root, label)
     }
 
-    /// Mint a fresh `StdRng` stream for `label`.
-    pub fn rng(&self, label: &str) -> StdRng {
-        StdRng::seed_from_u64(self.seed_for(label))
-    }
-
     /// Mint a stream for an indexed component family, e.g. one generator
     /// per service: `indexed_rng("service", 3)`.
     pub fn indexed_rng(&self, family: &str, index: usize) -> StdRng {
@@ -122,13 +117,13 @@ mod tests {
     #[test]
     fn streams_are_independent() {
         let seq = SeedSequence::new(7);
-        let mut a1 = seq.rng("a");
-        let mut b1 = seq.rng("b");
+        let mut a1 = seq.indexed_rng("source", 0);
+        let mut b1 = seq.indexed_rng("source", 1);
         // Consume from `a` heavily; `b` must still match a fresh copy.
         for _ in 0..1000 {
             let _: u64 = a1.gen();
         }
-        let mut b2 = SeedSequence::new(7).rng("b");
+        let mut b2 = SeedSequence::new(7).indexed_rng("source", 1);
         let x1: u64 = b1.gen();
         let x2: u64 = b2.gen();
         assert_eq!(x1, x2);
@@ -143,7 +138,7 @@ mod tests {
         let a: u64 = r0.gen();
         let b: u64 = r1.gen();
         assert_ne!(a, b);
-        let mut r0b = SeedSequence::new(99).rng("service#0");
+        let mut r0b = StdRng::seed_from_u64(SeedSequence::new(99).seed_for("service#0"));
         let c: u64 = r0b.gen();
         assert_eq!(a, c);
         assert_eq!(seq.seed_for("service#0"), s0);

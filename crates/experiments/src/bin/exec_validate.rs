@@ -4,8 +4,8 @@
 //! Auckland-like preset.
 //!
 //! Both backends replay the *same* [`npsim::PlanStream`] (the scalar
-//! loop's arrival sequence, packet for packet), so the offered stream — packet count,
-//! slow-path diversions, per-service mix — must match exactly; the
+//! loop's arrival sequence, packet for packet), so the offered stream —
+//! packet count, per-service mix — must match exactly; the
 //! execution side (queueing, migration policy) is where they are
 //! allowed to differ, within bounds:
 //!
@@ -15,8 +15,8 @@
 //!   redirect → first-packet-ack handshake is the property under test;
 //! * npexec's probe bus is count-faithful: arrivals / departures /
 //!   drops / migrations / reorders equal the report fields (the
-//!   engine-only `dispatched` and per-event `slow_path` counters stay
-//!   zero under npexec and are not compared);
+//!   engine-only `dispatched` counter stays zero under npexec and is
+//!   not compared);
 //! * processed counts of the two backends agree within 2% of offered;
 //! * npexec's migration count stays in a sane band and includes the
 //!   scripted migrations, proving completed handshakes.
@@ -180,13 +180,6 @@ fn check_pair(det: &RunRow, exec: &RunRow, violations: &mut Vec<String>) {
         format!(
             "offered streams diverge: npexec {} vs detsim {}",
             exec.report.offered, det.report.offered
-        ),
-    );
-    fail(
-        exec.report.slow_path == det.report.slow_path,
-        format!(
-            "slow-path diversions diverge: npexec {} vs detsim {}",
-            exec.report.slow_path, det.report.slow_path
         ),
     );
     for (e, d) in exec
@@ -463,7 +456,6 @@ fn main() {
         "dropped",
         "ooo",
         "migr",
-        "slow",
         "cold",
     ];
     let rows: Vec<Vec<String>> = pairs
@@ -478,7 +470,6 @@ fn main() {
                 r.report.dropped.to_string(),
                 r.report.out_of_order.to_string(),
                 r.report.migration_events.to_string(),
-                r.report.slow_path.to_string(),
                 r.report.cold_starts.to_string(),
             ]
         })

@@ -98,8 +98,6 @@ pub(crate) struct DispatchCtx<'a> {
 pub(crate) struct DispatchOutcome {
     /// Offered packets per [`ServiceKind::index`](nptraffic::ServiceKind::index).
     pub offered: [u64; 4],
-    /// Packets the frame-manager classifier diverted to the slow path.
-    pub slow_path: u64,
     /// `(plan position, owner at drop)` of packets dropped at a full ring.
     pub dropped: Vec<(u64, u32)>,
     /// Full-ring drops per service index.
@@ -539,18 +537,14 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
         let flow = p.slot.index();
         let group = if p.flow_seq == 0 {
             // A flow's first packet: hash it, and grow the per-flow
-            // state (slots are dense, but slow-path flows leave gaps).
-            if group_of_flow.len() <= flow {
-                group_of_flow.resize(flow + 1, 0);
-                last_core.resize(flow + 1, NO_CORE);
-            }
+            // state (slots are dense in stream order).
             if flow >= watched {
                 watched = seq_watch.publish_through(flow);
             }
             let g = table.bucket_of(p.flow);
-            if let Some(slot) = group_of_flow.get_mut(flow) {
-                *slot = g;
-            }
+            debug_assert_eq!(flow, group_of_flow.len(), "first packet of a new slot");
+            group_of_flow.push(g);
+            last_core.push(NO_CORE);
             g
         } else {
             group_of_flow.get(flow).copied().unwrap_or(0)
@@ -616,7 +610,6 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
             }
         }
     }
-    out.slow_path = stream.slow_path();
     // Actions scheduled after the last arrival still fire (the detsim
     // engine fires them before the horizon; a crash waits for its
     // worker's crash step, so even a trailing one completes before `done`).

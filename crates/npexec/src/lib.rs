@@ -464,7 +464,6 @@ fn assemble_report(
     let mut report = SimReport::new(format!("npexec:{sched_name}"), cfg.duration, cfg.scale);
     let fault_drops: u64 = outs.iter().map(|o| o.crash_drops.len() as u64).sum();
     report.offered = dispatch.offered.iter().sum();
-    report.slow_path = dispatch.slow_path;
     report.dropped = dispatch.dropped.len() as u64 + fault_drops;
     report.processed = delivered;
     report.migrated_packets = dispatch.migrated_packets;
@@ -817,7 +816,6 @@ mod tests {
         let exec = run_with(&mut backend, 10);
         let det = npsim::Engine::new(cfg(10), &sources(), JoinShortestQueue::new()).run();
         assert_eq!(exec.offered, det.offered, "same planned arrival stream");
-        assert_eq!(exec.slow_path, det.slow_path);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! * **Arrival lookahead** — each source pre-draws up to a burst of
 //!   arrivals (gap + header) into an [`ArrivalBuf`](super::ingest);
-//!   shared-state work (flow slots and sequence numbers, classification,
-//!   packet IDs) stays at processing time. That is the interleaved arrival family; with a
-//!   free hardware thread the same lookahead and merge run on a stream
-//!   thread instead, which admits ahead and hands the arrivals over
-//!   (the hand-off family, see [`Arrivals`]).
+//!   shared-state work (flow slots and sequence numbers, packet IDs)
+//!   stays at processing time. That is the interleaved arrival family;
+//!   with a free hardware thread the same lookahead and merge run on a
+//!   stream thread instead, which admits ahead and hands the arrivals
+//!   over (the hand-off family, see [`Arrivals`]).
 //! * **Heap-free merge** — the pending-event set is tiny and structured:
 //!   at most one finish per core, one head arrival per source, and a
 //!   handful of *control* events (the rate tick, the next fault-plan
@@ -52,8 +52,8 @@
 //! they do not bound lookahead. Header draws come from the trace
 //! generator's separate stream and are unconditionally safe to
 //! pre-draw. Everything order-sensitive across sources — flow slots,
-//! classifier RNG, packet IDs, scheduler state — runs at processing
-//! time, in merged event order.
+//! packet IDs, scheduler state — runs at processing time, in merged
+//! event order.
 //!
 //! The `batch_equivalence` workspace test pins byte-identical reports
 //! across both loops for every registered policy, with and without
@@ -62,7 +62,7 @@
 
 use super::clock::Pending;
 use super::cycles::{CycleSink, Stage};
-use super::ingest::Admission;
+use super::ingest::Header;
 use super::Engine;
 use crate::fault::FaultPlan;
 use crate::probe::ProbeHost;
@@ -132,7 +132,7 @@ pub(super) trait Arrivals {
     fn head<C: CycleSink>(&mut self, sink: &mut C) -> Option<(SimTime, u64, u32)>;
 
     /// Take the arrival that just fired on `src` and admit it.
-    fn admit(&mut self, src: usize) -> Admission;
+    fn admit(&mut self, src: usize) -> Option<Header>;
 
     /// Arm `src`'s next arrival after the one just admitted (the scalar
     /// loop's gap-draw position). Returns the flow slot of an arrival
@@ -337,7 +337,7 @@ impl<A: Arrivals> BatchState<A> {
 
 impl<A: Arrivals> Pending for BatchState<A> {
     #[inline]
-    fn admit(&mut self, src: usize) -> Admission {
+    fn admit(&mut self, src: usize) -> Option<Header> {
         self.arrivals.admit(src)
     }
 

@@ -17,7 +17,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::cycles::CycleSink;
-use super::ingest::{Admission, IngestStage};
+use super::ingest::{Header, IngestStage};
 use detsim::{EventQueue, SimTime};
 use nphash::FlowSlot;
 
@@ -28,7 +28,7 @@ use nphash::FlowSlot;
 /// byte-identical.
 pub(super) trait Pending {
     /// Obtain the arrival that just fired on `src` and admit it.
-    fn admit(&mut self, src: usize) -> Admission;
+    fn admit(&mut self, src: usize) -> Option<Header>;
 
     /// Arm `src`'s next arrival after the one at `now`, if it lands at
     /// or before `horizon` (this is the source's next gap draw).
@@ -107,7 +107,7 @@ impl HeapPending {
 
 impl Pending for HeapPending {
     #[inline]
-    fn admit(&mut self, src: usize) -> Admission {
+    fn admit(&mut self, src: usize) -> Option<Header> {
         self.ingest.admit(src)
     }
 

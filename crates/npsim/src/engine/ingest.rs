@@ -2,12 +2,12 @@
 //!
 //! Owns the traffic sources (each with its private arrival-process RNG
 //! stream), the flow slots (one dense table per flow namespace, and each
-//! flow's arrival counter), the control-plane classifier, and the
-//! packet-ID counter. Per arrival it draws the next header, assigns its
-//! flow slot, classifies it (fast path vs. control-plane slow path), and
-//! numbers a fast-path packet (global packet ID, per-flow sequence); the
-//! inter-arrival gap draws for the *next* arrival also come from here so
-//! the RNG stream per source is exactly the pre-refactor sequence.
+//! flow's arrival counter), and the packet-ID counter. Every arrival is
+//! a data-plane packet: per arrival it draws the next header, assigns
+//! its flow slot, and numbers it (global packet ID, per-flow sequence);
+//! the inter-arrival gap draws for the *next* arrival also come from
+//! here so the RNG stream per source is exactly the pre-refactor
+//! sequence.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::batch::{alloc, Arrivals};
@@ -18,7 +18,6 @@ use nphash::{FlowId, FlowSlot};
 use nptrace::PacketRecord;
 use nptraffic::ServiceKind;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Upper bound on the batched mode's per-source lookahead (the DPDK-style
 /// burst size; the runtime cap is `EngineConfig::execution`).
@@ -30,8 +29,8 @@ pub(super) const MAX_BURST: usize = 32;
 /// pairs drawn ahead of their processing time. Both draws touch only the
 /// source's *private* RNG streams (gaps from the arrival stream, records
 /// from the trace generator), so pre-drawing cannot perturb any other
-/// source or the shared flow slots and classifier — those are resolved
-/// at processing time by [`IngestStage::admit_record`].
+/// source or the shared flow slots — those are resolved at processing
+/// time by [`IngestStage::admit_record`].
 #[derive(Debug)]
 struct ArrivalBuf {
     /// Absolute arrival times; FIFO across `head..len`.
@@ -99,8 +98,8 @@ struct FlowSlots {
     /// Per namespace, the slot of each trace-local index (`UNSEEN` until
     /// its first arrival).
     tables: Vec<Vec<u32>>,
-    /// Next fast-path arrival sequence number per slot. Its length is
-    /// the number of slots handed out.
+    /// Next arrival sequence number per slot. Its length is the number
+    /// of slots handed out.
     seqs: Vec<u64>,
 }
 
@@ -186,7 +185,7 @@ impl FlowSlots {
     }
 }
 
-/// A fast-path packet header admitted by the ingest stage.
+/// A packet header admitted by the ingest stage.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Header {
     pub flow: FlowId,
@@ -198,30 +197,14 @@ pub(super) struct Header {
     pub flow_seq: u64,
 }
 
-/// Outcome of admitting one arrival.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Admission {
-    /// The source index was invalid (flagged via `debug_assert`).
-    Missing,
-    /// The classifier diverted the packet to the control-plane slow path.
-    SlowPath {
-        /// Service of the diverted packet.
-        service: ServiceKind,
-    },
-    /// A data-plane packet, ready for dispatch.
-    FastPath(Header),
-}
-
 #[derive(Debug)]
 pub(super) struct IngestStage {
     sources: Vec<SourceSlot>,
     /// Flow arena: namespace tables → dense slot, assigned at first
     /// emission, and the per-flow arrival counters.
     flows: FlowSlots,
-    classifier_rng: StdRng,
     next_packet_id: u64,
     scale: f64,
-    control_plane_fraction: f64,
     /// Per-source arrival lookahead (batched mode; empty in scalar mode).
     bursts: Vec<ArrivalBuf>,
     /// Runtime burst cap (≤ [`MAX_BURST`]); 0 until `batch_init`.
@@ -238,14 +221,12 @@ pub(super) struct IngestStage {
 
 impl IngestStage {
     /// Build the stage. RNG streams derive from `seq` exactly as the
-    /// monolithic engine did: `indexed_rng("source", i)` per source,
-    /// `rng("fm-classifier")` for the classifier.
+    /// monolithic engine did: `indexed_rng("source", i)` per source.
     pub(super) fn new(
         seq: &SeedSequence,
         sources: &[SourceConfig],
         period_compression: f64,
         scale: f64,
-        control_plane_fraction: f64,
     ) -> Self {
         let built: Vec<TrafficSource> = sources
             .iter()
@@ -271,10 +252,8 @@ impl IngestStage {
         IngestStage {
             sources: sources_built,
             flows,
-            classifier_rng: seq.rng("fm-classifier"),
             next_packet_id: 0,
             scale,
-            control_plane_fraction,
             bursts: Vec::new(),
             burst_cap: 0,
             head_times: Vec::new(),
@@ -297,12 +276,13 @@ impl IngestStage {
         self.flows.len()
     }
 
-    /// Admit one arrival from `src`: draw its record now, then slot,
-    /// classify and number it ([`IngestStage::admit_record`]).
-    pub(super) fn admit(&mut self, src: usize) -> Admission {
+    /// Admit one arrival from `src`: draw its record now, then slot and
+    /// number it ([`IngestStage::admit_record`]). `None` for an unknown
+    /// source (flagged via `debug_assert`).
+    pub(super) fn admit(&mut self, src: usize) -> Option<Header> {
         let Some(slot) = self.sources.get_mut(src) else {
             debug_assert!(false, "arrival from unknown source {src}");
-            return Admission::Missing;
+            return None;
         };
         let rec = slot.source.next_record();
         self.admit_record(src, rec)
@@ -503,30 +483,23 @@ impl IngestStage {
     }
 
     /// Admit one *pre-drawn* arrival record from `src`: assign its flow
-    /// slot (slow path too), classify it, and number a fast-path packet
-    /// (packet ID, per-flow sequence).
+    /// slot and number the packet (packet ID, per-flow sequence). `None`
+    /// for an unknown source (flagged via `debug_assert`).
     ///
     /// This is the shared-state half of admission and must run in
     /// event-processing order.
-    pub(super) fn admit_record(&mut self, src: usize, rec: PacketRecord) -> Admission {
+    pub(super) fn admit_record(&mut self, src: usize, rec: PacketRecord) -> Option<Header> {
         let Some(slot) = self.sources.get(src) else {
             debug_assert!(false, "arrival from unknown source {src}");
-            return Admission::Missing;
+            return None;
         };
-        let flow = slot.source.flow_id(rec);
-        let service = slot.source.service;
         let flow_slot = self.flows.assign(slot.table, rec.flow);
-        if self.control_plane_fraction > 0.0
-            && self.classifier_rng.gen::<f64>() < self.control_plane_fraction
-        {
-            return Admission::SlowPath { service };
-        }
         let id = self.next_packet_id;
         self.next_packet_id += 1;
-        Admission::FastPath(Header {
-            flow,
+        Some(Header {
+            flow: slot.source.flow_id(rec),
             slot: flow_slot,
-            service,
+            service: slot.source.service,
             size: rec.size,
             id,
             flow_seq: self.flows.next_seq(flow_slot),
@@ -579,14 +552,10 @@ impl Arrivals for IngestStage {
     }
 
     #[inline]
-    fn admit(&mut self, src: usize) -> Admission {
-        match self.batch_pop(src) {
-            Some(rec) => self.admit_record(src, rec),
-            None => {
-                debug_assert!(false, "arrival winner without a buffered record");
-                Admission::Missing
-            }
-        }
+    fn admit(&mut self, src: usize) -> Option<Header> {
+        let rec = self.batch_pop(src);
+        debug_assert!(rec.is_some(), "arrival winner without a buffered record");
+        self.admit_record(src, rec?)
     }
 
     /// Refill `src`'s lookahead if drained (this IS the scalar loop's

@@ -25,7 +25,8 @@
 //!
 //! * **ingest** — traffic sources, arrival-gap draws, the flow slots
 //!   (one dense table per flow namespace) and per-flow sequence numbers,
-//!   and frame-manager admission (slow-path classifier, packet IDs).
+//!   and packet IDs. Every arrival is a data-plane packet, as in the
+//!   paper's evaluation.
 //! * **dispatch** — `Engine::on_arrival` asks the policy for a core
 //!   with one [`Scheduler::schedule`] call over the service stage's
 //!   [`QueueInfo`](crate::QueueInfo) view; per-flow dispatch state (last
@@ -80,7 +81,7 @@ use detsim::{PushOutcome, SeedSequence, SimTime};
 
 use clock::{Ev, HeapPending, Pending};
 use dispatch::{FlowTable, MAX_SYNC_CORES};
-use ingest::{Admission, IngestStage};
+use ingest::IngestStage;
 use plan::{Handoff, ThreadSlot};
 use record::RecordStage;
 use service::ServiceStage;
@@ -154,12 +155,6 @@ pub struct EngineConfig {
     /// §VI alternative to order preservation). `None` = packets depart
     /// the instant processing finishes (the paper's model).
     pub restoration: Option<SimTime>,
-    /// Fraction of arriving packets the frame-manager classifier marks
-    /// as *control plane* (§II / Fig. 1): they take the slow path through
-    /// the general-purpose cores and never reach the data-plane
-    /// scheduler. The paper studies data-plane scheduling, so 0 by
-    /// default.
-    pub control_plane_fraction: f64,
     /// Deterministic fault script (crashes, heals, throttles, stalls),
     /// delivered as events of the run loop. Empty by default: the fault
     /// machinery stays dormant and runs are byte-identical to the
@@ -184,7 +179,6 @@ impl Default for EngineConfig {
             period_compression: 1.0,
             delay: nptraffic::DelayModel::default(),
             restoration: None,
-            control_plane_fraction: 0.0,
             faults: FaultPlan::new(),
             execution: ExecutionMode::default(),
         }
@@ -197,10 +191,6 @@ impl Default for EngineConfig {
 fn check_stream_config(cfg: &EngineConfig, sources: &[SourceConfig]) {
     assert!(!sources.is_empty(), "need at least one traffic source");
     assert!(cfg.scale > 0.0, "scale must be positive");
-    assert!(
-        (0.0..1.0).contains(&cfg.control_plane_fraction),
-        "control-plane fraction must be in [0, 1)"
-    );
     assert!(
         cfg.rate_update_interval > SimTime::ZERO,
         "rate update interval must be positive"
@@ -216,7 +206,7 @@ pub struct Engine<S: Scheduler, P: ProbeHost = ()> {
     /// stream thread's [`PlanStream`]). `Some` on every engine a caller
     /// can hold: the run consumes the engine.
     ingest: Option<IngestStage>,
-    /// The scheduling policy: one `schedule` call per fast-path arrival.
+    /// The scheduling policy: one `schedule` call per arrival.
     scheduler: S,
     /// Per-flow dispatch state (last core, SCR replicas), slot-indexed.
     flows: FlowTable,
@@ -289,10 +279,10 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     ///
     /// # Panics
     /// Panics on a zero-core configuration, an empty source list, a
-    /// non-positive scale, a control-plane fraction outside `[0, 1)`, a
-    /// zero `rate_update_interval` (the tick would re-arm at `now`
-    /// forever), an invalid fault plan ([`FaultPlan::validate`]), or a
-    /// priced sync model (SCR) on more than 64 cores.
+    /// non-positive scale, a zero `rate_update_interval` (the tick would
+    /// re-arm at `now` forever), an invalid fault plan
+    /// ([`FaultPlan::validate`]), or a priced sync model (SCR) on more
+    /// than 64 cores.
     pub fn with_probes(
         cfg: EngineConfig,
         sources: &[SourceConfig],
@@ -307,13 +297,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         let seq = SeedSequence::new(cfg.seed);
         let mut delay = cfg.delay;
         delay.scale = cfg.scale;
-        let ingest = IngestStage::new(
-            &seq,
-            sources,
-            cfg.period_compression,
-            cfg.scale,
-            cfg.control_plane_fraction,
-        );
+        let ingest = IngestStage::new(&seq, sources, cfg.period_compression, cfg.scale);
         let service = ServiceStage::new(cfg.n_cores, cfg.queue_capacity, delay);
         let report = ReportProbe::new(scheduler.name(), cfg.duration, cfg.scale);
         let restoration = cfg.restoration.map(RestorationBuffer::new);
@@ -443,21 +427,11 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         sink: &mut C,
     ) {
         let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
-        let header = match tx.admit(src) {
-            Admission::Missing => return,
-            Admission::SlowPath { service } => {
-                self.record
-                    .publish(now, &SimEvent::DivertedSlowPath { service });
-                if C::ACTIVE {
-                    sink.span_end(Stage::Dispatch, t0, 1);
-                }
-                self.arm_next_arrival(src, now, tx, sink);
-                return;
-            }
-            Admission::FastPath(h) => h,
+        let Some(header) = tx.admit(src) else {
+            return;
         };
         // Slots are dense in first-arrival order, so this covers every
-        // slot seen so far (a slow-path packet may have taken one too).
+        // slot seen so far.
         self.flows.grow_to(header.slot.index() + 1);
         let mut pkt = PacketDesc {
             id: header.id,
@@ -899,7 +873,7 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{EventLogProbe, MetricsProbe, UtilizationProbe};
+    use crate::probe::{EventLogProbe, MetricsProbe};
     use crate::sched::{JoinShortestQueue, RoundRobin, SystemView};
     use crate::source::RateSpec;
     use nptrace::TracePreset;
@@ -1121,21 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn control_plane_classifier_diverts_expected_fraction() {
-        let mut cfg = quick_cfg(2, 40);
-        cfg.control_plane_fraction = 0.1;
-        let r = Engine::new(cfg, &one_source(1.0), JoinShortestQueue::new()).run();
-        let total = r.offered + r.slow_path;
-        let frac = r.slow_path as f64 / total as f64;
-        assert!((frac - 0.1).abs() < 0.02, "slow-path fraction {frac}");
-        // Data-plane accounting is unaffected.
-        assert_eq!(r.offered, r.dropped + r.processed);
-        // Default config diverts nothing.
-        let r0 = Engine::new(quick_cfg(2, 40), &one_source(1.0), JoinShortestQueue::new()).run();
-        assert_eq!(r0.slow_path, 0);
-    }
-
-    #[test]
     fn busy_time_tracks_load() {
         // Flow pinning: no migration penalties, so busy time is exactly
         // offered work: 2 Mpps x 0.5 µs = 1 core-equivalent over 4 cores.
@@ -1177,7 +1136,6 @@ mod tests {
         let bare = Engine::new(quick_cfg(2, 30), &one_source(3.0), PingPong(0)).run();
         let probes: ProbeStack = vec![
             Box::new(MetricsProbe::new()),
-            Box::new(UtilizationProbe::new(SimTime::from_millis(1))),
             Box::new(EventLogProbe::new()),
         ];
         let (probed, _sched, _probes) =
@@ -1312,21 +1270,38 @@ mod tests {
         assert_eq!(base.dropped, 0, "same load without the stall is clean");
     }
 
-    /// Core 0's busy fraction per 1 ms bucket under `plan` (one core,
-    /// half load, 10 ms).
-    fn busy_per_ms(plan: FaultPlan) -> Vec<f64> {
+    /// Core 0's busy nanoseconds per 1 ms bucket under `plan` (one
+    /// core, half load, 10 ms), from the `ServiceStart` spans: a span
+    /// crossing a bucket edge is split at it.
+    fn busy_per_ms(plan: FaultPlan) -> Vec<u64> {
         let mut cfg = quick_cfg(1, 10);
         cfg.faults = plan;
-        let probes: ProbeStack = vec![Box::new(UtilizationProbe::new(SimTime::from_millis(1)))];
-        let (report, _sched, probes) =
-            Engine::with_probe_stack(cfg, &one_source(1.0), JoinShortestQueue::new(), probes)
-                .run_full();
+        let engine = Engine::with_probes(
+            cfg,
+            &one_source(1.0),
+            JoinShortestQueue::new(),
+            Recorder::default(),
+        );
+        let (report, _sched, log) = engine.run_full();
         assert_eq!(report.offered, report.accounted());
-        probes
-            .first()
-            .and_then(|p| p.as_any().downcast_ref::<UtilizationProbe>())
-            .expect("utilization probe comes back")
-            .timeline(0)
+        const MS: u64 = 1_000_000;
+        let mut busy = Vec::new();
+        for &(start, ev) in &log.0 {
+            let SimEvent::ServiceStart { duration, .. } = ev else {
+                continue;
+            };
+            let (mut at, end) = (start.as_nanos(), (start + duration).as_nanos());
+            while at < end {
+                let bucket = (at / MS) as usize;
+                let next = ((at / MS + 1) * MS).min(end);
+                if busy.len() <= bucket {
+                    busy.resize(bucket + 1, 0);
+                }
+                busy[bucket] += next - at;
+                at = next;
+            }
+        }
+        busy
     }
 
     #[test]
@@ -1339,9 +1314,9 @@ mod tests {
                 .stall(ms(2), 0, ms(2))
                 .stall(ms(3), 0, ms(4)),
         );
-        assert!(busy[1] > 0.0, "serving before the stall: {busy:?}");
-        assert_eq!(busy[4..7], [0.0; 3], "stalled through [4, 7) ms: {busy:?}");
-        assert!(busy[7] > 0.0, "resumed at 7 ms: {busy:?}");
+        assert!(busy[1] > 0, "serving before the stall: {busy:?}");
+        assert_eq!(busy[4..7], [0; 3], "stalled through [4, 7) ms: {busy:?}");
+        assert!(busy[7] > 0, "resumed at 7 ms: {busy:?}");
     }
 
     #[test]
@@ -1357,9 +1332,9 @@ mod tests {
                 .heal(SimTime::from_micros(3_500), 0)
                 .stall(ms(4), 0, ms(4)),
         );
-        assert!(busy[3] > 0.0, "serving between heal and stall: {busy:?}");
-        assert_eq!(busy[5..8], [0.0; 3], "stalled through [5, 8) ms: {busy:?}");
-        assert!(busy[8] > 0.0, "resumed at 8 ms: {busy:?}");
+        assert!(busy[3] > 0, "serving between heal and stall: {busy:?}");
+        assert_eq!(busy[5..8], [0; 3], "stalled through [5, 8) ms: {busy:?}");
+        assert!(busy[8] > 0, "resumed at 8 ms: {busy:?}");
     }
 
     #[test]
@@ -1512,10 +1487,9 @@ mod tests {
 
     /// The three loops — scalar, batched interleaved, batched with the
     /// hand-off — agree byte for byte, on the report and on every event
-    /// a recording probe sees (`EpochTick` and `DivertedSlowPath`
-    /// included), over a fault plan, a restoration buffer, slow-path
-    /// diversions and Holt-Winters sources whose rate noise shares the
-    /// gap RNG stream.
+    /// a recording probe sees (`EpochTick` included), over a fault plan,
+    /// a restoration buffer and Holt-Winters sources whose rate noise
+    /// shares the gap RNG stream.
     #[test]
     fn scalar_interleaved_and_handoff_agree_event_for_event() {
         let ms = SimTime::from_millis;
@@ -1553,19 +1527,17 @@ mod tests {
         let cells = [
             ("fault-free", base.clone()),
             (
-                "faults + restoration + slow path",
+                "faults + restoration",
                 EngineConfig {
                     faults,
                     restoration: Some(SimTime::from_micros(200)),
-                    control_plane_fraction: 0.1,
                     ..base.clone()
                 },
             ),
             (
-                "restoration + slow path",
+                "restoration",
                 EngineConfig {
                     restoration: Some(SimTime::from_micros(200)),
-                    control_plane_fraction: 0.1,
                     ..base
                 },
             ),
@@ -1581,17 +1553,7 @@ mod tests {
                 .iter()
                 .filter(|e| matches!(e.1, SimEvent::EpochTick))
                 .count();
-            let diverted = scalar
-                .0
-                .iter()
-                .filter(|e| matches!(e.1, SimEvent::DivertedSlowPath { .. }))
-                .count();
             assert!(ticks > 0, "{cell}: rate ticks fire");
-            assert_eq!(
-                diverted > 0,
-                cfg.control_plane_fraction > 0.0,
-                "{cell}: diversions"
-            );
             for (feed, name) in [
                 (Feed::Interleaved, "interleaved"),
                 (Feed::Handoff(ThreadSlot::enter()), "hand-off"),
@@ -1655,45 +1617,29 @@ mod tests {
         let _ = engine.run_full_fed(Feed::Handoff(ThreadSlot::enter()), &mut ());
     }
 
-    /// Every arrival of `sources` over `duration_ms`, slow path
-    /// included, admitted by an ingest stage in arrival order (ties in
-    /// source order): each one's `FlowId` and the slot the stage gave
-    /// it, and how many flows were first seen on the slow path.
+    /// Every arrival of `sources` over `duration_ms`, admitted by an
+    /// ingest stage in arrival order (ties in source order): each one's
+    /// `FlowId` and the slot the stage gave it.
     fn admitted_slots(
         sources: &[SourceConfig],
-        control_plane_fraction: f64,
         duration_ms: u64,
-    ) -> (Vec<(nphash::FlowId, nphash::FlowSlot)>, usize) {
-        let mut ingest = IngestStage::new(
-            &SeedSequence::new(7),
-            sources,
-            1.0,
-            1.0,
-            control_plane_fraction,
-        );
+    ) -> Vec<(nphash::FlowId, nphash::FlowSlot)> {
+        let mut ingest = IngestStage::new(&SeedSequence::new(7), sources, 1.0, 1.0);
         ingest.batch_init(ingest::MAX_BURST);
         let horizon = SimTime::from_millis(duration_ms);
         for src in 0..sources.len() {
             ingest.batch_refill(src, SimTime::MAX, horizon);
         }
         let mut admitted = Vec::new();
-        let mut slow_firsts = 0;
         while let Some((_, src)) = (0..sources.len())
             .filter_map(|src| ingest.batch_head(src).map(|(t, _)| (t, src)))
             .min()
         {
             let rec = ingest.batch_pop(src).expect("a head arrival");
-            let seen = ingest.flow_count();
-            let admission = ingest.admit_record(src, rec);
+            let h = ingest.admit_record(src, rec).expect("source is configured");
             let slot = ingest.cached_slot(src, rec.flow).expect("slotted");
             let flow = rec.flow_id(sources[src].trace.config(0).flow_space);
-            match admission {
-                Admission::FastPath(h) => {
-                    assert_eq!((h.flow, h.slot), (flow, slot), "fast-path header");
-                }
-                Admission::SlowPath { .. } => slow_firsts += ingest.flow_count() - seen,
-                Admission::Missing => panic!("source {src} is configured"),
-            }
+            assert_eq!((h.flow, h.slot), (flow, slot), "admitted header");
             admitted.push((flow, slot));
             if ingest.batch_needs_refill(src) {
                 ingest.batch_refill(src, SimTime::MAX, horizon);
@@ -1705,15 +1651,15 @@ mod tests {
             distinct.dedup();
             distinct.len()
         });
-        (admitted, slow_firsts)
+        admitted
     }
 
     /// The namespace tables hand out, over every admission, the slots a
     /// hash interner keyed by `FlowId` hands out for the same arrivals,
     /// in order: on the four T2 sources, on two sources sharing a preset
-    /// (one table, shared flows), on two presets whose namespaces
+    /// (one table, shared flows), and on two presets whose namespaces
     /// collide (`Caida(0)` and `Auckland(42)` both have flow space
-    /// 0xCA), and with a slow path that sees some flows first.
+    /// 0xCA).
     ///
     /// It bites: with a table per source instead of per namespace it
     /// fails the shared-preset cell at admission 1 (the interner's slot
@@ -1742,27 +1688,19 @@ mod tests {
                 .to_vec()
         };
         let cells = [
-            ("T2", t2_sources.clone(), 0.0),
+            ("T2", t2_sources),
             (
                 "shared preset",
                 pair(TracePreset::Caida(1), TracePreset::Caida(1)),
-                0.0,
             ),
             (
                 "colliding namespaces",
                 pair(TracePreset::Caida(0), TracePreset::Auckland(42)),
-                0.0,
             ),
-            ("T2 with a slow path", t2_sources, 0.1),
         ];
-        for (cell, sources, control_plane_fraction) in cells {
-            let (admitted, slow_firsts) = admitted_slots(&sources, control_plane_fraction, 10);
+        for (cell, sources) in cells {
+            let admitted = admitted_slots(&sources, 10);
             assert!(admitted.len() > 10_000, "{cell}: non-trivial stream");
-            assert_eq!(
-                control_plane_fraction > 0.0,
-                slow_firsts > 0,
-                "{cell}: slow-path firsts"
-            );
             let mut interner = nphash::FlowInterner::new();
             let mut repeats = 0;
             for (i, &(flow, slot)) in admitted.iter().enumerate() {
@@ -1771,30 +1709,6 @@ mod tests {
                 repeats += usize::from(interner.len() == fresh);
             }
             assert!(repeats > admitted.len() / 2, "{cell}: flows repeat");
-        }
-    }
-
-    #[test]
-    fn utilization_probe_matches_busy_time() {
-        let probes: ProbeStack = vec![Box::new(UtilizationProbe::new(SimTime::from_millis(1)))];
-        let (report, _sched, probes) =
-            Engine::with_probe_stack(quick_cfg(4, 20), &one_source(2.0), PinByHash, probes)
-                .run_full();
-        let util = probes
-            .first()
-            .and_then(|p| p.as_any().downcast_ref::<UtilizationProbe>())
-            .expect("utilization probe comes back");
-        let bucket_ns = util.bucket_width().as_nanos() as f64;
-        for (core, &busy) in report.core_busy_ns.iter().enumerate() {
-            let probe_busy: f64 = util
-                .timeline(core)
-                .iter()
-                .map(|frac| frac * bucket_ns)
-                .sum();
-            assert!(
-                (probe_busy - busy as f64).abs() < 1.0,
-                "core {core}: probe {probe_busy} vs report {busy}"
-            );
         }
     }
 }

@@ -10,11 +10,10 @@
 //! admission and flow-sequence draws, and nothing downstream of
 //! dispatch (no queues, no service). Because per-packet RNG streams are
 //! consumed in an identical order, the packets it yields (ids, flows,
-//! slots, sizes, arrival times, per-flow sequence numbers, slow-path
-//! diversions) are **the** stream a fault-free detsim run of the same
-//! configuration offers — a contract pinned packet for packet by the
-//! tests at the bottom of this file and relied on by the
-//! detsim-vs-npexec validation experiment.
+//! slots, sizes, arrival times, per-flow sequence numbers) are **the**
+//! stream a fault-free detsim run of the same configuration offers — a
+//! contract pinned packet for packet by the tests at the bottom of this
+//! file and relied on by the detsim-vs-npexec validation experiment.
 //!
 //! [`ArrivalPlan::from_config`] is that stream drained into a `Vec`, for
 //! consumers that index the whole plan; npexec keeps a narrower record
@@ -26,19 +25,18 @@
 //! process has a hardware thread to spare ([`ThreadSlot`]): the
 //! engine's own [`IngestStage`] moves into a [`PlanStream`], whose
 //! crate-internal [`PlanStream::next_arrival`] yields every admitted
-//! arrival — slow-path diversions included — and [`produce`] ships them
-//! in chunks over a bounded channel to a [`Handoff`], the batched
-//! loop's arrival family on the engine thread. Admitting ahead of the
-//! engine is legal because the flow slots and per-flow sequence
-//! counters, the classifier RNG and the packet-id counter are touched
-//! only by arrivals, in arrival order: no finish, fault or rate tick
-//! reads or writes them.
+//! arrival with its source, and [`produce`] ships them in chunks over a
+//! bounded channel to a [`Handoff`], the batched loop's arrival family
+//! on the engine thread. Admitting ahead of the engine is legal because
+//! the flow slots and per-flow sequence counters and the packet-id
+//! counter are touched only by arrivals, in arrival order: no finish,
+//! fault or rate tick reads or writes them.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use super::batch::{alloc, Arrivals, BatchState, Win};
 use super::clock::Pending;
 use super::cycles::{CycleSink, Stage};
-use super::ingest::{Admission, IngestStage, MAX_BURST};
+use super::ingest::{Header, IngestStage, MAX_BURST};
 use super::{EngineConfig, SourceConfig};
 use crate::fault::FaultPlan;
 use detsim::{SeedSequence, SimTime};
@@ -48,7 +46,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::OnceLock;
 
-/// One offered packet, fully classified, with its arrival instant.
+/// One offered packet, admitted, with its arrival instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledPacket {
     /// Arrival instant (virtual time of the source draw).
@@ -70,9 +68,9 @@ pub struct ScheduledPacket {
     pub flow_seq: u64,
 }
 
-/// The offered fast-path packets of one configuration + seed, in
-/// arrival order (ties in source order, exactly as the scalar event
-/// queue breaks them), drawn on demand.
+/// The offered packets of one configuration + seed, in arrival order
+/// (ties in source order, exactly as the scalar event queue breaks
+/// them), drawn on demand.
 ///
 /// No fault action touches a source, so the stream is the same with
 /// or without `cfg.faults`; a backend replays the plan itself.
@@ -81,20 +79,17 @@ pub struct PlanStream {
     st: BatchState<IngestStage>,
     horizon: SimTime,
     rate_update_interval: SimTime,
-    slow_path: u64,
     expected: usize,
 }
 
-/// One admitted arrival: its instant, its source, and the admission
-/// outcome (never [`Admission::Missing`]).
-pub(super) type Arrival = (SimTime, usize, Admission);
+/// One admitted arrival: its instant, its source, and its header.
+pub(super) type Arrival = (SimTime, usize, Header);
 
 impl PlanStream {
     /// The offered stream of `cfg` + `sources`.
     ///
     /// # Panics
-    /// Panics on an empty source list, a non-positive scale, a
-    /// control-plane fraction outside `[0, 1)` or a zero
+    /// Panics on an empty source list, a non-positive scale or a zero
     /// `rate_update_interval` — the engine constructor's own checks.
     pub fn new(cfg: &EngineConfig, sources: &[SourceConfig]) -> Self {
         super::check_stream_config(cfg, sources);
@@ -103,7 +98,6 @@ impl PlanStream {
             sources,
             cfg.period_compression,
             cfg.scale,
-            cfg.control_plane_fraction,
         );
         PlanStream {
             expected: Self::expected_packets_for(cfg, sources),
@@ -128,7 +122,6 @@ impl PlanStream {
             st,
             horizon: cfg.duration,
             rate_update_interval: cfg.rate_update_interval,
-            slow_path: 0,
             expected: 0,
         }
     }
@@ -149,13 +142,7 @@ impl PlanStream {
         (mpps / cfg.scale * cfg.duration.as_micros_f64()) as usize
     }
 
-    /// Packets the frame-manager classifier diverted to the slow path
-    /// so far (they are not yielded).
-    pub fn slow_path(&self) -> u64 {
-        self.slow_path
-    }
-
-    /// Distinct flows seen so far (slow-path arrivals included).
+    /// Distinct flows seen so far: slots are exactly `0..flow_count()`.
     pub fn flow_count(&self) -> usize {
         self.st.arrivals.flow_count()
     }
@@ -165,8 +152,8 @@ impl PlanStream {
         self.st.arrivals.n_sources()
     }
 
-    /// The next arrival of the stream, fast path or slow path, admitted:
-    /// what the engine's `on_arrival` would admit at that instant.
+    /// The next arrival of the stream, admitted: what the engine's
+    /// `on_arrival` would admit at that instant.
     pub(super) fn next_arrival(&mut self) -> Option<Arrival> {
         loop {
             let (t, seq, win) = self.st.next_event()?;
@@ -183,17 +170,14 @@ impl PlanStream {
             };
             // `Engine::on_arrival` minus everything past admission: admit,
             // then arm the source's next arrival (its gap-draw position).
-            let admission = self.st.admit(src);
-            if !matches!(admission, Admission::Missing) {
+            let admitted = self.st.admit(src);
+            if admitted.is_some() {
                 self.st.arm_arrival(src, t, self.horizon, &mut ());
             }
             self.st.rescan_arrivals(&mut ());
-            match admission {
-                Admission::Missing => continue,
-                Admission::SlowPath { .. } => self.slow_path += 1,
-                Admission::FastPath(_) => {}
+            if let Some(h) = admitted {
+                return Some((t, src, h));
             }
-            return Some((t, src, admission));
         }
     }
 }
@@ -202,21 +186,17 @@ impl Iterator for PlanStream {
     type Item = ScheduledPacket;
 
     fn next(&mut self) -> Option<ScheduledPacket> {
-        loop {
-            let (at, src, Admission::FastPath(h)) = self.next_arrival()? else {
-                continue;
-            };
-            return Some(ScheduledPacket {
-                at,
-                src: src as u32,
-                id: h.id,
-                flow: h.flow,
-                slot: h.slot,
-                service: h.service,
-                size: h.size,
-                flow_seq: h.flow_seq,
-            });
-        }
+        let (at, src, h) = self.next_arrival()?;
+        Some(ScheduledPacket {
+            at,
+            src: src as u32,
+            id: h.id,
+            flow: h.flow,
+            slot: h.slot,
+            service: h.service,
+            size: h.size,
+            flow_seq: h.flow_seq,
+        })
     }
 }
 
@@ -319,18 +299,14 @@ impl Arrivals for Handoff {
     }
 
     #[inline]
-    fn admit(&mut self, src: usize) -> Admission {
-        match self.chunk.get(self.pos) {
-            Some(&(_, from, admission)) => {
-                debug_assert_eq!(from, src, "hand-off head is not the winner");
-                self.pos += 1;
-                admission
-            }
-            None => {
-                debug_assert!(false, "arrival winner without a handed-off arrival");
-                Admission::Missing
-            }
-        }
+    fn admit(&mut self, src: usize) -> Option<Header> {
+        let Some(&(_, from, h)) = self.chunk.get(self.pos) else {
+            debug_assert!(false, "arrival winner without a handed-off arrival");
+            return None;
+        };
+        debug_assert_eq!(from, src, "hand-off head is not the winner");
+        self.pos += 1;
+        Some(h)
     }
 
     /// Number `src`'s next arrival, and name the slot of the arrival
@@ -347,10 +323,7 @@ impl Arrivals for Handoff {
         if let Some(s) = self.seqs.get_mut(src) {
             *s = alloc(next_seq);
         }
-        match self.chunk.get(self.pos) {
-            Some((_, _, Admission::FastPath(h))) => Some(h.slot),
-            _ => None,
-        }
+        self.chunk.get(self.pos).map(|(_, _, h)| h.slot)
     }
 
     /// The stream thread refreshed the rates on its own tick.
@@ -437,12 +410,13 @@ impl Drop for ThreadSlot {
 /// The complete offered-traffic stream of one configuration + seed.
 #[derive(Debug, Clone)]
 pub struct ArrivalPlan {
-    /// Fast-path packets in arrival order (ties in source order, exactly
+    /// Offered packets in arrival order (ties in source order, exactly
     /// as the scalar event queue breaks them).
     pub packets: Vec<ScheduledPacket>,
-    /// Packets the frame-manager classifier diverted to the slow path.
+    /// Always 0: every arrival is a data-plane packet. Kept so readers
+    /// of the field still build; `SimReport::slow_path` is its twin.
     pub slow_path: u64,
-    /// Number of distinct flows the stream saw (slow path included).
+    /// Number of distinct flows the stream saw.
     pub flow_count: usize,
     /// Number of traffic sources.
     pub n_sources: usize,
@@ -460,13 +434,13 @@ impl ArrivalPlan {
         packets.extend(&mut stream);
         ArrivalPlan {
             packets,
-            slow_path: stream.slow_path(),
+            slow_path: 0,
             flow_count: stream.flow_count(),
             n_sources: stream.n_sources(),
         }
     }
 
-    /// Number of fast-path packets offered.
+    /// Number of packets offered.
     pub fn offered(&self) -> u64 {
         self.packets.len() as u64
     }
@@ -523,7 +497,6 @@ mod tests {
         let plan = ArrivalPlan::from_config(&cfg(20), &sources());
         let report = Engine::new(cfg(20), &sources(), JoinShortestQueue::new()).run();
         assert_eq!(plan.offered(), report.offered, "same offered count");
-        assert_eq!(plan.slow_path, report.slow_path, "same slow-path count");
         assert!(plan.offered() > 10_000, "plan is non-trivial");
     }
 
@@ -536,63 +509,26 @@ mod tests {
         let _ = PlanStream::new(&cfg, &sources()).count();
     }
 
-    /// Draw a 1 ms stream with control-plane fraction `f`.
-    fn stream_with_control_plane_fraction(f: f64) {
-        let mut c = cfg(1);
-        c.control_plane_fraction = f;
-        let _ = PlanStream::new(&c, &sources()).count();
-    }
-
-    // Unrejected, a fraction of 1 or more diverts every packet to the
-    // slow path, and NaN or a negative one diverts none — while
-    // `Engine::new` panics on all four.
-    #[test]
-    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
-    fn control_plane_fraction_one_is_rejected() {
-        stream_with_control_plane_fraction(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
-    fn control_plane_fraction_above_one_is_rejected() {
-        stream_with_control_plane_fraction(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
-    fn control_plane_fraction_nan_is_rejected() {
-        stream_with_control_plane_fraction(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "control-plane fraction must be in [0, 1)")]
-    fn control_plane_fraction_negative_is_rejected() {
-        stream_with_control_plane_fraction(-0.5);
-    }
-
     /// What the scalar engine's bus says about ingest: every
-    /// `PacketArrived` in publication order, and the slow-path count.
-    /// (A host of its own because `EventLogProbe` does not keep
-    /// arrivals.)
+    /// `PacketArrived` in publication order. (A host of its own because
+    /// `EventLogProbe` does not keep arrivals.)
     #[derive(Default)]
     struct ArrivalLog {
         arrivals: Vec<(SimTime, u64, FlowSlot, ServiceKind, u16)>,
-        slow_path: u64,
     }
 
     impl ProbeHost for ArrivalLog {
         const ACTIVE: bool = true;
 
         fn deliver(&mut self, now: SimTime, ev: &SimEvent) {
-            match *ev {
-                SimEvent::PacketArrived {
-                    id,
-                    slot,
-                    service,
-                    size,
-                } => self.arrivals.push((now, id, slot, service, size)),
-                SimEvent::DivertedSlowPath { .. } => self.slow_path += 1,
-                _ => {}
+            if let SimEvent::PacketArrived {
+                id,
+                slot,
+                service,
+                size,
+            } = *ev
+            {
+                self.arrivals.push((now, id, slot, service, size));
             }
         }
 
@@ -622,12 +558,11 @@ mod tests {
     }
 
     /// The stream contract, per packet: `PlanStream` yields exactly the
-    /// `PacketArrived` sequence (time, id, slot, service, size) and the
-    /// `DivertedSlowPath` count of the scalar reference loop — over 1
-    /// and 4 sources, constant and Holt-Winters rates refreshed every
-    /// 0.7 ms (and every 1 µs, so arrivals demonstrably tie with ticks),
-    /// with and without slow-path diversions, on a horizon that cuts
-    /// the last lookahead burst short.
+    /// `PacketArrived` sequence (time, id, slot, service, size) of the
+    /// scalar reference loop — over 1 and 4 sources, constant and
+    /// Holt-Winters rates refreshed every 0.7 ms (and every 1 µs, so
+    /// arrivals demonstrably tie with ticks), on a horizon that cuts the
+    /// last lookahead burst short.
     ///
     /// It bites: with the `buf.cursor < barrier` condition deleted from
     /// `IngestStage::batch_refill` (lookahead straight through rate
@@ -641,15 +576,12 @@ mod tests {
         let mut ties = 0usize;
         for n_sources in [1usize, 4] {
             for holt_winters in [false, true] {
-                for (control_plane_fraction, tick_ns) in
-                    [(0.0, 700_000), (0.05, 700_000), (0.05, 1_000)]
-                {
+                for tick_ns in [700_000, 1_000] {
                     let srcs = grid_sources(n_sources, holt_winters);
                     let c = EngineConfig {
                         // Not a multiple of the tick or of any burst.
                         duration: SimTime::from_nanos(3_333_333),
                         rate_update_interval: SimTime::from_nanos(tick_ns),
-                        control_plane_fraction,
                         execution: ExecutionMode::Scalar,
                         ..cfg(0)
                     };
@@ -659,15 +591,11 @@ mod tests {
                         JoinShortestQueue::new(),
                         ArrivalLog::default(),
                     );
-                    let (report, _, log) = engine.run_full();
-                    let mut stream = PlanStream::new(&c, &srcs);
-                    let streamed: Vec<_> = stream
-                        .by_ref()
+                    let (_, _, log) = engine.run_full();
+                    let streamed: Vec<_> = PlanStream::new(&c, &srcs)
                         .map(|p| (p.at, p.id, p.slot, p.service, p.size))
                         .collect();
-                    let cell = format!(
-                        "{n_sources} sources, hw {holt_winters}, cpf {control_plane_fraction}, tick {tick_ns} ns"
-                    );
+                    let cell = format!("{n_sources} sources, hw {holt_winters}, tick {tick_ns} ns");
                     assert!(streamed.len() > 5_000, "{cell}: non-trivial stream");
                     if let Some(i) = (0..streamed.len().min(log.arrivals.len()))
                         .find(|&i| streamed[i] != log.arrivals[i])
@@ -678,13 +606,6 @@ mod tests {
                         );
                     }
                     assert_eq!(streamed.len(), log.arrivals.len(), "{cell}: same length");
-                    assert_eq!(stream.slow_path(), log.slow_path, "{cell}: slow path");
-                    assert_eq!(stream.slow_path(), report.slow_path, "{cell}: slow path");
-                    assert_eq!(
-                        control_plane_fraction > 0.0,
-                        stream.slow_path() > 0,
-                        "{cell}: diversions happen iff configured"
-                    );
                     ties += streamed
                         .iter()
                         .filter(|p| p.0.as_nanos() % tick_ns == 0)
@@ -702,7 +623,7 @@ mod tests {
         let hint = stream.expected_packets() as f64;
         let drained: Vec<ScheduledPacket> = stream.by_ref().collect();
         assert_eq!(plan.packets, drained);
-        assert_eq!(plan.slow_path, stream.slow_path());
+        assert_eq!(plan.slow_path, 0);
         assert_eq!(plan.flow_count, stream.flow_count());
         assert_eq!(plan.n_sources, 2);
         assert!(
@@ -729,14 +650,53 @@ mod tests {
         }
     }
 
+    /// Every arrival is admitted, so slots are dense in stream order: a
+    /// flow's first packet (`flow_seq` 0) takes the slot numbered by the
+    /// distinct flows yielded before it, and every later packet a slot
+    /// below that — on T2's four sources (four namespace tables) and on
+    /// two sources sharing one preset (one table, shared flows).
+    /// npexec's dispatcher grows its per-flow state by `push` on this.
+    ///
+    /// It bites: with `IngestStage::batch_refill` assigning each
+    /// lookahead record's slot where it now only prefetches the table
+    /// line (slots in per-source draw order, not stream order), it fails
+    /// on T2 at packet 0.
     #[test]
-    fn control_plane_fraction_diverts_in_plan_too() {
-        let mut c = cfg(20);
-        c.control_plane_fraction = 0.1;
-        let plan = ArrivalPlan::from_config(&c, &sources());
-        let report = Engine::new(c, &sources(), JoinShortestQueue::new()).run();
-        assert_eq!(plan.slow_path, report.slow_path);
-        assert_eq!(plan.offered(), report.offered);
-        assert!(plan.slow_path > 0);
+    fn first_packets_take_the_next_dense_slot() {
+        let t2 = nptraffic::Scenario::by_id(2).expect("Table VI defines T2");
+        let t2_sources: Vec<SourceConfig> = ServiceKind::ALL
+            .iter()
+            .zip(t2.group.traces())
+            .map(|(&service, trace)| SourceConfig {
+                service,
+                trace,
+                rate: RateSpec::HoltWinters(t2.params.rate_model(service)),
+            })
+            .collect();
+        let shared: Vec<SourceConfig> = [ServiceKind::IpForward, ServiceKind::VpnOut]
+            .map(|service| SourceConfig {
+                service,
+                trace: TracePreset::Caida(1),
+                rate: RateSpec::Constant(2.0),
+            })
+            .to_vec();
+        for (cell, srcs) in [("T2", t2_sources), ("shared preset", shared)] {
+            let mut stream = PlanStream::new(&cfg(10), &srcs);
+            let (mut flows, mut packets) = (0, 0);
+            for p in stream.by_ref() {
+                packets += 1;
+                if p.flow_seq == 0 {
+                    assert_eq!(p.slot.index(), flows, "{cell}: packet {}", p.id);
+                    flows += 1;
+                } else {
+                    assert!(p.slot.index() < flows, "{cell}: packet {}", p.id);
+                }
+            }
+            assert_eq!(stream.flow_count(), flows, "{cell}: every slot yielded");
+            assert!(
+                flows > 1_000 && flows < packets / 2,
+                "{cell}: {flows} flows in {packets} packets"
+            );
+        }
     }
 }

@@ -39,12 +39,6 @@ pub enum SimEvent {
         /// Wire size in bytes.
         size: u16,
     },
-    /// The frame-manager classifier diverted a packet to the
-    /// control-plane slow path; it never reaches the scheduler.
-    DivertedSlowPath {
-        /// Service of the diverted packet.
-        service: ServiceKind,
-    },
     /// The scheduler placed a packet on a core's input queue.
     Dispatched {
         /// Packet ID.

@@ -22,11 +22,11 @@
 //!   out-of-order departures, flow migrations, cold-cache fraction,
 //!   latency distribution, per-service breakdowns.
 //!
-//! Optional engine features (off by default, matching the paper's
-//! model): an egress [`RestorationBuffer`] (§VI's order-restoration
-//! alternative), a frame-manager control-plane classifier
-//! (`EngineConfig::control_plane_fraction`, Fig. 1's slow path), and
-//! per-core busy-time accounting for power models.
+//! Every arrival is a data-plane packet, as in the paper's evaluation
+//! (§IV). Optional engine features (off by default, matching the
+//! paper's model): an egress [`RestorationBuffer`] (§VI's
+//! order-restoration alternative) and a deterministic [`FaultPlan`].
+//! Per-core busy time is always accounted, for power models.
 //!
 //! The engine is exactly reproducible: same configuration + seed → the
 //! same report, bit for bit.
@@ -56,9 +56,7 @@ pub use exec::{ExecBackend, ExecError, UnsupportedPlan};
 pub use fault::{FaultAction, FaultMark, FaultPlan, FaultProbe, FaultStats, Recovery};
 pub use order::OrderTracker;
 pub use packet::PacketDesc;
-pub use probe::{
-    EventLogProbe, MetricsProbe, Probe, ProbeHost, ProbeStack, ReportProbe, UtilizationProbe,
-};
+pub use probe::{EventLogProbe, MetricsProbe, Probe, ProbeHost, ProbeStack, ReportProbe};
 pub use report::{ServiceBreakdown, SimReport, SyncStats};
 pub use restore::{RestorationBuffer, RestorationStats};
 pub use sched::{

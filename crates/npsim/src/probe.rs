@@ -134,9 +134,6 @@ impl ReportProbe {
                 self.report.offered += 1;
                 self.report.service_mut(service).offered += 1;
             }
-            SimEvent::DivertedSlowPath { .. } => {
-                self.report.slow_path += 1;
-            }
             SimEvent::Migration { .. } => {
                 self.report.migration_events += 1;
             }
@@ -187,7 +184,6 @@ impl ReportProbe {
 #[derive(Debug, Default)]
 pub struct MetricsProbe {
     arrivals: Counter,
-    slow_path: Counter,
     dispatched: Counter,
     migrations: Counter,
     drops: Counter,
@@ -212,10 +208,9 @@ impl MetricsProbe {
 
     /// All counters as `(name, value)` pairs in a fixed, deterministic
     /// order (the declaration order above). Look entries up by name.
-    pub fn counters(&self) -> [(&'static str, u64); 12] {
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
         [
             ("arrivals", self.arrivals.get()),
-            ("slow_path", self.slow_path.get()),
             ("dispatched", self.dispatched.get()),
             ("migrations", self.migrations.get()),
             ("drops", self.drops.get()),
@@ -269,7 +264,6 @@ impl Probe for MetricsProbe {
     fn on_event(&mut self, _now: SimTime, ev: &SimEvent) {
         match *ev {
             SimEvent::PacketArrived { .. } => self.arrivals.incr(),
-            SimEvent::DivertedSlowPath { .. } => self.slow_path.incr(),
             SimEvent::Dispatched { queue_len, .. } => {
                 self.dispatched.incr();
                 self.queue_len.record(queue_len as u64);
@@ -294,114 +288,6 @@ impl Probe for MetricsProbe {
             SimEvent::CoreCrashed { .. } => self.core_crashes.incr(),
             SimEvent::CoreHealed { .. } => self.core_heals.incr(),
             SimEvent::EpochTick => self.epoch_ticks.incr(),
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Per-core utilization over virtual time: busy nanoseconds accumulated
-/// into fixed-width time buckets from `ServiceStart` spans (a span
-/// crossing bucket edges is split proportionally). The raw material of a
-/// utilization-timeline figure.
-#[derive(Debug)]
-pub struct UtilizationProbe {
-    bucket: SimTime,
-    /// `cores[core][bucket]` = busy nanoseconds; both axes grow on
-    /// demand (amortized, allowed by the probe contract).
-    cores: Vec<Vec<u64>>,
-}
-
-impl UtilizationProbe {
-    /// A timeline with the given bucket width.
-    ///
-    /// # Panics
-    /// Panics on a zero bucket width.
-    pub fn new(bucket: SimTime) -> Self {
-        assert!(bucket > SimTime::ZERO, "bucket width must be positive");
-        UtilizationProbe {
-            bucket,
-            cores: Vec::new(),
-        }
-    }
-
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimTime {
-        self.bucket
-    }
-
-    /// Busy-fraction timeline of `core`: one entry per bucket, 0..1.
-    pub fn timeline(&self, core: usize) -> Vec<f64> {
-        let width = self.bucket.as_nanos() as f64;
-        self.cores
-            .get(core)
-            .map(|b| b.iter().map(|&ns| ns as f64 / width).collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of cores that ever serviced a packet.
-    pub fn n_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Render as CSV: `bucket_start_us,core,busy_frac`, bucket-major then
-    /// core-major — a fixed order independent of event interleaving.
-    pub fn to_csv(&self) -> String {
-        let width_ns = self.bucket.as_nanos();
-        let n_buckets = self.cores.iter().map(Vec::len).max().unwrap_or(0);
-        let mut out = String::from("bucket_start_us,core,busy_frac\n");
-        for b in 0..n_buckets {
-            let start_us = (b as u64 * width_ns) as f64 / 1_000.0;
-            for (core, buckets) in self.cores.iter().enumerate() {
-                let busy = buckets.get(b).copied().unwrap_or(0);
-                let _ = writeln!(
-                    out,
-                    "{start_us:.3},{core},{:.6}",
-                    busy as f64 / width_ns as f64
-                );
-            }
-        }
-        out
-    }
-
-    /// Credit `ns` busy nanoseconds to `core` starting at `start`,
-    /// splitting across bucket boundaries.
-    fn credit(&mut self, core: usize, start: SimTime, ns: u64) {
-        if core >= self.cores.len() {
-            self.cores.resize_with(core + 1, Vec::new);
-        }
-        let Some(buckets) = self.cores.get_mut(core) else {
-            return;
-        };
-        let width = self.bucket.as_nanos();
-        let mut at = start.as_nanos();
-        let mut left = ns;
-        while left > 0 {
-            let idx = (at / width) as usize;
-            if idx >= buckets.len() {
-                buckets.resize(idx + 1, 0);
-            }
-            let bucket_end = (idx as u64 + 1) * width;
-            let take = left.min(bucket_end - at);
-            if let Some(b) = buckets.get_mut(idx) {
-                *b += take;
-            }
-            at += take;
-            left -= take;
-        }
-    }
-}
-
-impl Probe for UtilizationProbe {
-    fn name(&self) -> &'static str {
-        "utilization"
-    }
-
-    fn on_event(&mut self, now: SimTime, ev: &SimEvent) {
-        if let SimEvent::ServiceStart { core, duration, .. } = *ev {
-            self.credit(core, now, duration.as_nanos());
         }
     }
 
@@ -545,36 +431,13 @@ mod tests {
         );
         let names: Vec<&str> = m.counters().iter().map(|(n, _)| *n).collect();
         assert_eq!(names[0], "arrivals");
-        assert_eq!(m.counters()[9], ("epoch_ticks", 1));
-        assert_eq!(m.counters()[8], ("reorders", 1));
+        let by_name = |n: &str| m.counters().into_iter().find(|&(name, _)| name == n);
+        assert_eq!(by_name("epoch_ticks"), Some(("epoch_ticks", 1)));
+        assert_eq!(by_name("reorders"), Some(("reorders", 1)));
         assert_eq!(m.histograms()[3].1.max(), 2);
         let csv = m.to_csv();
         assert!(csv.starts_with("metric,count,mean,p50,p99,max\n"));
         assert!(csv.contains("epoch_ticks,1,,,,"));
-    }
-
-    #[test]
-    fn utilization_probe_splits_spans_across_buckets() {
-        let mut u = UtilizationProbe::new(t(10));
-        // 15 µs of service starting at 5 µs: 5 µs in bucket 0, 10 in 1.
-        u.on_event(
-            t(5),
-            &SimEvent::ServiceStart {
-                core: 1,
-                service: ServiceKind::IpForward,
-                cold: false,
-                migrated: false,
-                duration: t(15),
-            },
-        );
-        let tl = u.timeline(1);
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0] - 0.5).abs() < 1e-12);
-        assert!((tl[1] - 1.0).abs() < 1e-12);
-        assert!(u.timeline(0).is_empty());
-        let csv = u.to_csv();
-        assert!(csv.starts_with("bucket_start_us,core,busy_frac\n"));
-        assert!(csv.contains("10.000,1,1.000000"));
     }
 
     #[test]
@@ -616,7 +479,8 @@ mod tests {
             .as_any()
             .downcast_ref::<MetricsProbe>()
             .expect("metrics probe downcasts");
-        assert_eq!(m.counters()[9].1, 1);
+        let ticks = m.counters().into_iter().find(|&(n, _)| n == "epoch_ticks");
+        assert_eq!(ticks, Some(("epoch_ticks", 1)));
     }
 
     #[test]

@@ -81,9 +81,9 @@ pub struct SimReport {
     /// Per-core busy time in nanoseconds (time spent processing packets)
     /// — the raw input to any power/energy model.
     pub core_busy_ns: Vec<u64>,
-    /// Packets the frame-manager classifier diverted to the slow path
-    /// (control plane, §II / Fig. 1); they never reach the data-plane
-    /// scheduler and are excluded from `offered`.
+    /// Always 0: every arrival is a data-plane packet (the engine has no
+    /// control-plane slow path). Kept so the report's wire format and
+    /// its readers stay as they are.
     pub slow_path: u64,
     /// Discrete events dispatched by the run loop (arrivals, service
     /// completions, rate updates) — identical across event-queue

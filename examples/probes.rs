@@ -4,14 +4,12 @@
 //! `SimEvent` the pipeline publishes — without touching the report
 //! (reports are byte-identical with and without probes, and a run with
 //! no probes compiles the bus away entirely). This example attaches the
-//! three built-ins to a LAPS run:
+//! two built-ins to a LAPS run:
 //!
 //! * [`MetricsProbe`] — deterministic counters and histograms,
-//! * [`UtilizationProbe`] — per-core busy-fraction timelines,
-//! * [`EventLogProbe`] — the migration / reorder / drop / park event log,
+//! * [`EventLogProbe`] — the migration / reorder / drop / crash event log,
 //!
-//! prints a summary, and dumps the utilization timeline as CSV (the
-//! format plotting scripts want).
+//! and prints a summary.
 //!
 //! ```sh
 //! cargo run --release --example probes
@@ -21,7 +19,6 @@ use laps_repro::prelude::*;
 
 fn main() {
     let scenario = Scenario::by_id(5).expect("T5: overload");
-    let bucket = SimTime::from_millis(10);
 
     let (report, probes) = SimBuilder::new()
         .cores(16)
@@ -34,7 +31,6 @@ fn main() {
         })
         .scenario(scenario)
         .probe(MetricsProbe::new())
-        .probe(UtilizationProbe::new(bucket))
         .probe(EventLogProbe::new())
         .run_named_full("laps")
         .expect("laps is a builtin policy");
@@ -44,12 +40,8 @@ fn main() {
         .first()
         .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
         .expect("metrics probe");
-    let util = probes
-        .get(1)
-        .and_then(|p| p.as_any().downcast_ref::<UtilizationProbe>())
-        .expect("utilization probe");
     let log = probes
-        .get(2)
+        .get(1)
         .and_then(|p| p.as_any().downcast_ref::<EventLogProbe>())
         .expect("event log probe");
 
@@ -68,7 +60,7 @@ fn main() {
 
     // The migration/reorder log: when and where flows moved.
     println!(
-        "\nEvent log: {} entries (migrations, reorders, drops, park/wake)",
+        "\nEvent log: {} entries (migrations, reorders, drops, crashes, heals)",
         log.entries().len()
     );
     for (t, ev) in log.entries().iter().take(5) {
@@ -76,28 +68,5 @@ fn main() {
     }
     if log.entries().len() > 5 {
         println!("  …");
-    }
-
-    // Per-core utilization timeline → CSV, the plotting-script format.
-    let path = std::env::temp_dir().join("laps_utilization.csv");
-    std::fs::write(&path, util.to_csv()).expect("write timeline csv");
-    println!(
-        "\nWrote per-core utilization timeline ({} cores × {}ms buckets) to {}",
-        util.n_cores(),
-        bucket.as_nanos() / 1_000_000,
-        path.display()
-    );
-
-    // A quick console view: mean busy fraction per core over the run.
-    println!("\nMean utilization per core:");
-    for core in 0..util.n_cores() {
-        let tl = util.timeline(core);
-        let mean = if tl.is_empty() {
-            0.0
-        } else {
-            tl.iter().sum::<f64>() / tl.len() as f64
-        };
-        let bar = "#".repeat((mean * 40.0).round() as usize);
-        println!("  core {core:>2} {:>6.1}%  {bar}", 100.0 * mean);
     }
 }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 /// non-zero `sync_cost_us` (set in [`run`]), so the byte-identity grid
 /// covers the sync-surcharge path too — replica bookkeeping and debt
 /// stamping must happen at the same point in both loops.
-const POLICIES: [&str; 13] = [
+const POLICIES: [&str; 12] = [
     "round-robin",
     "fcfs",
     "static",
@@ -28,7 +28,6 @@ const POLICIES: [&str; 13] = [
     "laps-park",
     "scr-rr",
     "scr-p2c",
-    "scr-sync4",
     "scr-sync16",
 ];
 
@@ -230,8 +229,7 @@ impl FaultCase {
     /// plan) or a stale finish.
     fn stale_finishes(&self, r: &SimReport, stall_ends: u64) -> u64 {
         let ticks = self.duration.as_nanos() / self.traffic.rate_tick().as_nanos();
-        let known =
-            r.offered + r.slow_path + r.processed + ticks + self.plan.len() as u64 + stall_ends;
+        let known = r.offered + r.processed + ticks + self.plan.len() as u64 + stall_ends;
         r.events - known
     }
 }
@@ -258,7 +256,7 @@ fn ms(x: f64) -> SimTime {
     SimTime::from_nanos((x * 1e6) as u64)
 }
 
-/// One traffic kind's half of the grid: all 13 policies × `random_plan`
+/// One traffic kind's half of the grid: all 12 policies × `random_plan`
 /// seeds × bursts {1, 7, 32}. Each half must bite on its own.
 fn fault_grid(ti: u64, traffic: Traffic) {
     let mut bite = Bite::default();

@@ -73,7 +73,6 @@ fn probes_leave_the_golden_report_untouched() {
     let (report, probes) = lapsim_builder(42)
         .scenario(Scenario::by_id(1).expect("T1 exists"))
         .probe(MetricsProbe::new())
-        .probe(UtilizationProbe::new(SimTime::from_millis(10)))
         .probe(EventLogProbe::new())
         .run_named_full("laps")
         .expect("builtin policy");

@@ -17,7 +17,7 @@
 use laps_repro::prelude::*;
 use proptest::prelude::*;
 
-const SCR_POLICIES: [&str; 4] = ["scr-rr", "scr-p2c", "scr-sync4", "scr-sync16"];
+const SCR_POLICIES: [&str; 3] = ["scr-rr", "scr-p2c", "scr-sync16"];
 
 fn builder(scenario_id: u8, seed: u64, sync_cost_us: f64) -> SimBuilder {
     let scenario = Scenario::by_id(scenario_id).unwrap();
