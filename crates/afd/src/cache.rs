@@ -6,16 +6,17 @@
 //! `--bin ablation`). Ties break deterministically toward the
 //! least-recently-touched entry, as a hardware pseudo-age would.
 //!
-//! Implementation: three flat arrays sized once at construction, so the
-//! per-packet operations never allocate and are `O(1)`:
+//! Implementation: flat arrays, so the per-packet operations are `O(1)`
+//! and allocate only when a flow slot beyond every earlier one arrives:
 //!
-//! * a **slot arena** holding `(key, count)` plus intrusive list links;
-//! * an **open-addressing index** (linear probing, backward-shift
-//!   deletion) from key to slot, hashed with the workspace's fixed-seed
-//!   hasher so runs stay reproducible. It is kept at most a quarter
-//!   full: a lookup then ends in its home cell nearly every time, which
-//!   is worth more than the footprint because the miss-or-hit branch of
-//!   a longer probe is unpredictable on a flow mix;
+//! * a **slot arena** holding `(key, count)` plus intrusive list links,
+//!   sized once at construction;
+//! * a **residency table** indexed by [`FlowSlot::index`]: one `u16` per
+//!   flow slot, 0 for absent, otherwise the arena slot + 1. A lookup is
+//!   one load with no hash and no probe loop. The table stands in for
+//!   the match lines of the hardware's fully associative array: it
+//!   answers "is this flow resident, and where" and never takes part in
+//!   a replacement decision;
 //! * the classic **frequency-bucket list**: one FIFO of slots per
 //!   distinct rank (the count under LFU; a single rank under LRU), the
 //!   buckets linked in ascending rank.
@@ -37,9 +38,7 @@
 //! correct, the choice only bounds the walk.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use nphash::det::DetState;
-use nphash::FlowId;
-use std::hash::{BuildHasher, Hash};
+use nphash::FlowSlot;
 
 /// Replacement policy of a [`FlowCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +57,6 @@ const NIL: u32 = u32::MAX;
 struct Slot<K> {
     key: K,
     count: u64,
-    /// High hash bits of `key`: its index home, kept so eviction and
-    /// backward-shift deletion never re-hash.
-    tag: u32,
     /// The rank bucket this slot is queued in.
     bucket: u32,
     /// Neighbours in the bucket's FIFO; `next` doubles as the free-list
@@ -81,31 +77,19 @@ struct Bucket {
     next: u32,
 }
 
-/// One index cell: the slot it points at (`NIL` = empty) and that
-/// slot's hash tag.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    tag: u32,
-    slot: u32,
-}
-
-const EMPTY: Cell = Cell { tag: 0, slot: NIL };
-
-/// Outcome of an index probe: the resident slot, or the key's hash tag
-/// so a following insert does not hash again.
+/// Outcome of a residency lookup: the resident slot, or absent.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Probe {
     Hit(u32),
-    Miss(u32),
+    Miss,
 }
 
-/// A fixed-capacity, fully-associative cache of flow keys with counters.
+/// A fixed-capacity, fully-associative cache of flow slots with counters.
 ///
-/// Generic over the key: the experiments address flows by [`FlowId`]
-/// (the default), while the simulation hot path uses dense
-/// `nphash::FlowSlot`s — same structure, cheaper keys.
+/// Keyed by the dense [`FlowSlot`]s the simulator assigns; the key
+/// parameter admits only that type.
 #[derive(Debug, Clone)]
-pub struct FlowCache<K = FlowId> {
+pub struct FlowCache<K = FlowSlot> {
     policy: CachePolicy,
     capacity: usize,
     len: usize,
@@ -119,22 +103,24 @@ pub struct FlowCache<K = FlowId> {
     /// Search fingers: the buckets at (or just below) the two most
     /// recent unlinks, newest first. Always linked buckets or `NIL`.
     fingers: (u32, u32),
-    index: Vec<Cell>,
-    /// `index.len() - 1` (the length is a power of two).
-    mask: usize,
-    /// `32 - log2(index.len())`: a tag's top bits are its home cell.
-    shift: u32,
+    /// Residency table: entry `i` is 0 while flow slot `i` is absent,
+    /// otherwise its arena slot + 1. It ends at the highest flow slot
+    /// inserted since the last `clear`; beyond it every flow is absent.
+    resident: Vec<u16>,
 }
 
-impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
+impl FlowCache<FlowSlot> {
     /// An empty cache of `capacity` entries.
     ///
     /// # Panics
-    /// Panics if `capacity == 0` or exceeds 2³⁰ entries.
+    /// Panics if `capacity == 0` or `capacity >= u16::MAX`: a residency
+    /// entry is a `u16` holding the arena slot + 1.
     pub fn new(capacity: usize, policy: CachePolicy) -> Self {
         assert!(capacity > 0, "cache needs at least one entry");
-        assert!(capacity <= 1 << 30, "cache capacity exceeds 2^30 entries");
-        let cells = (4 * capacity).next_power_of_two();
+        assert!(
+            capacity < u16::MAX as usize,
+            "cache capacity must stay below u16::MAX (65535) entries: a residency entry is a u16"
+        );
         FlowCache {
             policy,
             capacity,
@@ -146,26 +132,25 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
             lowest: NIL,
             highest: NIL,
             fingers: (NIL, NIL),
-            index: vec![EMPTY; cells],
-            mask: cells - 1,
-            shift: 32 - cells.trailing_zeros(),
+            resident: Vec::new(),
         }
     }
 
     // ---- arena accessors -------------------------------------------------
     //
-    // Every id handed to these comes out of the index, a list link or a
-    // free list, all of which only ever hold ids of pushed elements.
+    // Every id handed to these comes out of the residency table, a list
+    // link or a free list, all of which only ever hold ids of pushed
+    // elements.
 
     #[inline]
     #[allow(clippy::indexing_slicing, reason = "slot ids are arena-issued")]
-    fn slot(&self, s: u32) -> &Slot<K> {
+    fn slot(&self, s: u32) -> &Slot<FlowSlot> {
         &self.slots[s as usize]
     }
 
     #[inline]
     #[allow(clippy::indexing_slicing, reason = "slot ids are arena-issued")]
-    fn slot_mut(&mut self, s: u32) -> &mut Slot<K> {
+    fn slot_mut(&mut self, s: u32) -> &mut Slot<FlowSlot> {
         &mut self.slots[s as usize]
     }
 
@@ -182,18 +167,6 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
     }
 
     #[inline]
-    #[allow(clippy::indexing_slicing, reason = "i is masked to index.len() - 1")]
-    fn cell(&self, i: usize) -> Cell {
-        self.index[i & self.mask]
-    }
-
-    #[inline]
-    #[allow(clippy::indexing_slicing, reason = "i is masked to index.len() - 1")]
-    fn set_cell(&mut self, i: usize, c: Cell) {
-        self.index[i & self.mask] = c;
-    }
-
-    #[inline]
     fn rank_of(&self, count: u64) -> u64 {
         match self.policy {
             CachePolicy::Lfu => count,
@@ -201,66 +174,37 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
         }
     }
 
-    // ---- index -----------------------------------------------------------
+    // ---- residency table -------------------------------------------------
 
+    /// Look `key` up: one load, no hash.
     #[inline]
-    fn home(&self, tag: u32) -> usize {
-        (tag >> self.shift) as usize
-    }
-
-    /// Look `key` up. At most a quarter of the cells are occupied, so the
-    /// probe always ends at an empty cell.
-    #[inline]
-    pub(crate) fn probe(&self, key: K) -> Probe {
-        let tag = (DetState::default().hash_one(key) >> 32) as u32;
-        let mut i = self.home(tag);
-        loop {
-            let c = self.cell(i);
-            if c.slot == NIL {
-                return Probe::Miss(tag);
-            }
-            if c.tag == tag && self.slot(c.slot).key == key {
-                return Probe::Hit(c.slot);
-            }
-            i += 1;
+    pub(crate) fn probe(&self, key: FlowSlot) -> Probe {
+        match self.resident.get(key.index()) {
+            Some(&r) if r != 0 => Probe::Hit(u32::from(r) - 1),
+            _ => Probe::Miss,
         }
     }
 
-    fn index_insert(&mut self, tag: u32, slot: u32) {
-        let mut i = self.home(tag);
-        while self.cell(i).slot != NIL {
-            i += 1;
+    /// Record `key` as resident in arena slot `s`, growing the table to
+    /// `key`'s entry (amortised by `Vec`'s doubling, like every other
+    /// per-flow array).
+    fn mark_resident(&mut self, key: FlowSlot, s: u32) {
+        // `s < capacity < u16::MAX`, so `s + 1` fits.
+        let entry = (s + 1) as u16;
+        let i = key.index();
+        match self.resident.get_mut(i) {
+            Some(r) => *r = entry,
+            None => {
+                self.resident.resize(i, 0);
+                self.resident.push(entry);
+            }
         }
-        self.set_cell(i, Cell { tag, slot });
     }
 
-    /// Remove `slot`'s cell and close the gap (backward-shift deletion:
-    /// each follower moves into the hole unless that would put it
-    /// before its own home cell).
-    fn index_remove(&mut self, tag: u32, slot: u32) {
-        let mut hole = self.home(tag);
-        while self.cell(hole).slot != slot {
-            hole = (hole + 1) & self.mask;
+    fn mark_absent(&mut self, key: FlowSlot) {
+        if let Some(r) = self.resident.get_mut(key.index()) {
+            *r = 0;
         }
-        let mut j = hole;
-        loop {
-            j = (j + 1) & self.mask;
-            let c = self.cell(j);
-            if c.slot == NIL {
-                break;
-            }
-            let h = self.home(c.tag);
-            let home_between = if hole <= j {
-                hole < h && h <= j
-            } else {
-                hole < h || h <= j
-            };
-            if !home_between {
-                self.set_cell(hole, c);
-                hole = j;
-            }
-        }
-        self.set_cell(hole, EMPTY);
     }
 
     // ---- eviction order --------------------------------------------------
@@ -461,35 +405,32 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
 
     /// Remove resident slot `s`, returning its count.
     pub(crate) fn remove_at(&mut self, s: u32) -> u64 {
-        let Slot { count, tag, .. } = *self.slot(s);
+        let Slot { key, count, .. } = *self.slot(s);
         self.unlink(s);
-        self.index_remove(tag, s);
+        self.mark_absent(key);
         self.slot_mut(s).next = self.free_slot;
         self.free_slot = s;
         self.len -= 1;
         count
     }
 
-    /// Insert `flow`, which a [`FlowCache::probe`] just reported absent
-    /// under `tag`, evicting the replacement victim if full. Returns the
-    /// evicted `(flow, count)`, if any.
-    pub(crate) fn insert_missed(&mut self, flow: K, tag: u32, count: u64) -> Option<(K, u64)> {
+    /// Insert `flow`, which a [`FlowCache::probe`] just reported absent,
+    /// evicting the replacement victim if full. Returns the evicted
+    /// `(flow, count)`, if any.
+    pub(crate) fn insert_missed(&mut self, flow: FlowSlot, count: u64) -> Option<(FlowSlot, u64)> {
         if self.len == self.capacity {
             // Re-key the victim's slot in place.
             let s = self.bucket(self.lowest).head;
             let old = *self.slot(s);
-            self.index_remove(old.tag, s);
-            self.index_insert(tag, s);
-            let slot = self.slot_mut(s);
-            slot.key = flow;
-            slot.tag = tag;
+            self.mark_absent(old.key);
+            self.mark_resident(flow, s);
+            self.slot_mut(s).key = flow;
             self.requeue(s, count);
             return Some((old.key, old.count));
         }
         let fresh = Slot {
             key: flow,
             count,
-            tag,
             bucket: NIL,
             prev: NIL,
             next: NIL,
@@ -503,7 +444,7 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
             *self.slot_mut(s) = fresh;
             s
         };
-        self.index_insert(tag, s);
+        self.mark_resident(flow, s);
         self.place(s, self.rank_of(count));
         self.len += 1;
         None
@@ -532,24 +473,24 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
     }
 
     /// Whether `flow` is resident.
-    pub fn contains(&self, flow: K) -> bool {
+    pub fn contains(&self, flow: FlowSlot) -> bool {
         matches!(self.probe(flow), Probe::Hit(_))
     }
 
     /// The hit counter of `flow`, if resident.
-    pub fn count_of(&self, flow: K) -> Option<u64> {
+    pub fn count_of(&self, flow: FlowSlot) -> Option<u64> {
         match self.probe(flow) {
             Probe::Hit(s) => Some(self.count_at(s)),
-            Probe::Miss(_) => None,
+            Probe::Miss => None,
         }
     }
 
     /// Touch `flow` if resident: bump its counter (and recency), returning
     /// the new count. `None` on miss — the cache is *not* modified.
-    pub fn touch(&mut self, flow: K) -> Option<u64> {
+    pub fn touch(&mut self, flow: FlowSlot) -> Option<u64> {
         match self.probe(flow) {
             Probe::Hit(s) => Some(self.bump(s)),
-            Probe::Miss(_) => None,
+            Probe::Miss => None,
         }
     }
 
@@ -558,26 +499,26 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
     ///
     /// Inserting a flow that is already resident just overwrites its
     /// counter (no eviction).
-    pub fn insert(&mut self, flow: K, count: u64) -> Option<(K, u64)> {
+    pub fn insert(&mut self, flow: FlowSlot, count: u64) -> Option<(FlowSlot, u64)> {
         match self.probe(flow) {
             Probe::Hit(s) => {
                 self.requeue(s, count);
                 None
             }
-            Probe::Miss(tag) => self.insert_missed(flow, tag, count),
+            Probe::Miss => self.insert_missed(flow, count),
         }
     }
 
     /// Remove `flow`, returning its count if it was resident.
-    pub fn remove(&mut self, flow: K) -> Option<u64> {
+    pub fn remove(&mut self, flow: FlowSlot) -> Option<u64> {
         match self.probe(flow) {
             Probe::Hit(s) => Some(self.remove_at(s)),
-            Probe::Miss(_) => None,
+            Probe::Miss => None,
         }
     }
 
     /// The current replacement victim (least-ranked entry), if any.
-    pub fn victim(&self) -> Option<(K, u64)> {
+    pub fn victim(&self) -> Option<(FlowSlot, u64)> {
         if self.lowest == NIL {
             return None;
         }
@@ -586,7 +527,7 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
     }
 
     /// Resident flows ordered by descending counter (descending rank).
-    pub fn flows_by_count(&self) -> Vec<(K, u64)> {
+    pub fn flows_by_count(&self) -> Vec<(FlowSlot, u64)> {
         let mut v = Vec::with_capacity(self.len);
         let mut b = self.lowest;
         while b != NIL {
@@ -613,7 +554,7 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
         self.lowest = NIL;
         self.highest = NIL;
         self.fingers = (NIL, NIL);
-        self.index.fill(EMPTY);
+        self.resident.clear();
     }
 }
 
@@ -621,12 +562,13 @@ impl<K: Copy + Eq + Ord + Hash> FlowCache<K> {
 mod tests {
     use super::*;
 
-    fn f(i: u64) -> FlowId {
-        FlowId::from_index(i)
+    fn f(i: u32) -> FlowSlot {
+        FlowSlot::new(i)
     }
 
-    /// Structural invariants: index, arena and bucket lists agree.
-    fn check<K: Copy + Eq + Ord + Hash + std::fmt::Debug>(c: &FlowCache<K>) {
+    /// Structural invariants: residency table, arena and bucket lists
+    /// agree.
+    fn check(c: &FlowCache) {
         let mut seen = 0;
         let mut b = c.lowest;
         let mut below = NIL;
@@ -660,7 +602,9 @@ mod tests {
                 "finger on a retired bucket"
             );
         }
-        assert_eq!(c.index.iter().filter(|cell| cell.slot != NIL).count(), seen);
+        // Every resident's entry names its slot (above); no other entry
+        // is set.
+        assert_eq!(c.resident.iter().filter(|&&r| r != 0).count(), seen);
     }
 
     #[test]
@@ -766,13 +710,32 @@ mod tests {
     }
 
     #[test]
+    fn largest_capacity_fits_the_residency_entry() {
+        let cap = u16::MAX as usize - 1;
+        let mut c = FlowCache::new(cap, CachePolicy::Lfu);
+        for i in 0..cap as u32 {
+            c.insert(f(i), 1);
+        }
+        assert!(c.is_full());
+        assert_eq!(c.count_of(f(cap as u32 - 1)), Some(1));
+        assert_eq!(c.insert(f(cap as u32), 1), Some((f(0), 1)));
+        check(&c);
+    }
+
+    #[test]
+    #[should_panic(expected = "below u16::MAX (65535) entries")]
+    fn capacity_beyond_the_residency_entry_rejected() {
+        FlowCache::new(u16::MAX as usize, CachePolicy::Lfu);
+    }
+
+    #[test]
     fn structure_stays_consistent_under_churn() {
         for policy in [CachePolicy::Lfu, CachePolicy::Lru] {
             let mut c = FlowCache::new(8, policy);
-            for i in 0..2_000u64 {
+            for i in 0..2_000u32 {
                 match i % 4 {
                     0 => {
-                        c.insert(f(i % 20), 1 + i % 5);
+                        c.insert(f(i % 20), 1 + u64::from(i % 5));
                     }
                     1 | 2 => {
                         c.touch(f((i * 7) % 20));

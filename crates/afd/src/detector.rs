@@ -17,9 +17,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::cache::{CachePolicy, FlowCache, Probe};
-use nphash::FlowId;
+use nphash::FlowSlot;
 use serde::{Deserialize, Serialize};
-use std::hash::Hash;
 
 /// How annex→AFC promotion is decided once the threshold is crossed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,11 +105,11 @@ pub struct AfdStats {
 
 /// The Aggressive Flow Detector.
 ///
-/// Generic over the flow key (default [`FlowId`]); the scheduler hot
-/// path instantiates it with dense `nphash::FlowSlot`s so detector
-/// probes hash a 4-byte index instead of a 13-byte header.
+/// Keyed by the dense [`FlowSlot`]s the simulator assigns, so each
+/// level finds a flow with one residency-table load; the key parameter
+/// admits only that type.
 #[derive(Debug, Clone)]
-pub struct Afd<K = FlowId> {
+pub struct Afd<K = FlowSlot> {
     cfg: AfdConfig,
     afc: FlowCache<K>,
     annex: FlowCache<K>,
@@ -120,7 +119,7 @@ pub struct Afd<K = FlowId> {
     sample_state: u64,
 }
 
-impl<K: Copy + Eq + Ord + Hash> Afd<K> {
+impl Afd<FlowSlot> {
     /// Build a detector.
     ///
     /// # Panics
@@ -163,24 +162,21 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
         u < self.cfg.sample_prob
     }
 
-    /// Offer one packet's flow ID to the detector.
-    pub fn access(&mut self, flow: K) -> AfdAccess {
+    /// Offer one packet's flow slot to the detector.
+    pub fn access(&mut self, flow: FlowSlot) -> AfdAccess {
         self.stats.offered += 1;
         if !self.sample_coin() {
             return AfdAccess::NotSampled;
         }
         self.stats.sampled += 1;
 
-        // One index probe per level: a hit is bumped (or promoted) through
-        // the slot the probe found, a miss inserts under the probe's hash.
-        let afc_tag = match self.afc.probe(flow) {
-            Probe::Hit(s) => {
-                self.afc.bump(s);
-                self.stats.afc_hits += 1;
-                return AfdAccess::AfcHit;
-            }
-            Probe::Miss(tag) => tag,
-        };
+        // One residency lookup per level: a hit is bumped (or promoted)
+        // through the slot the lookup found.
+        if let Probe::Hit(s) = self.afc.probe(flow) {
+            self.afc.bump(s);
+            self.stats.afc_hits += 1;
+            return AfdAccess::AfcHit;
+        }
         match self.annex.probe(flow) {
             Probe::Hit(s) => {
                 self.stats.annex_hits += 1;
@@ -204,15 +200,15 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
                 // re-promotes on its next hit if it still out-counts the
                 // AFC victim.
                 self.annex.remove_at(s);
-                if let Some((victim, vcount)) = self.afc.insert_missed(flow, afc_tag, count) {
+                if let Some((victim, vcount)) = self.afc.insert_missed(flow, count) {
                     self.annex.insert(victim, vcount);
                 }
                 self.stats.promotions += 1;
                 AfdAccess::AnnexHit { promoted: true }
             }
-            Probe::Miss(tag) => {
+            Probe::Miss => {
                 // Miss in both: qualify via the annex.
-                self.annex.insert_missed(flow, tag, 1);
+                self.annex.insert_missed(flow, 1);
                 self.stats.misses += 1;
                 AfdAccess::Miss
             }
@@ -221,12 +217,12 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
 
     /// Whether `flow` is currently considered aggressive (= resident in
     /// the AFC). Read-only: does not touch counters.
-    pub fn is_aggressive(&self, flow: K) -> bool {
+    pub fn is_aggressive(&self, flow: FlowSlot) -> bool {
         self.afc.contains(flow)
     }
 
     /// The current aggressive set, highest counter first.
-    pub fn aggressive_flows(&self) -> Vec<K> {
+    pub fn aggressive_flows(&self) -> Vec<FlowSlot> {
         self.afc
             .flows_by_count()
             .into_iter()
@@ -242,7 +238,7 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
     /// been rebalanced it must re-prove its aggressiveness before it can
     /// be moved again — this is what prevents an elephant from
     /// ping-ponging between cores while an overload persists.
-    pub fn invalidate(&mut self, flow: K) {
+    pub fn invalidate(&mut self, flow: FlowSlot) {
         if self.afc.remove(flow).is_some() {
             self.stats.invalidations += 1;
             self.annex.insert(flow, 1);
@@ -256,12 +252,12 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
     }
 
     /// Direct read access to the AFC (tests, experiments).
-    pub fn afc(&self) -> &FlowCache<K> {
+    pub fn afc(&self) -> &FlowCache {
         &self.afc
     }
 
     /// Direct read access to the annex cache (tests, experiments).
-    pub fn annex(&self) -> &FlowCache<K> {
+    pub fn annex(&self) -> &FlowCache {
         &self.annex
     }
 }
@@ -270,8 +266,8 @@ impl<K: Copy + Eq + Ord + Hash> Afd<K> {
 mod tests {
     use super::*;
 
-    fn f(i: u64) -> FlowId {
-        FlowId::from_index(i)
+    fn f(i: u32) -> FlowSlot {
+        FlowSlot::new(i)
     }
 
     fn small() -> Afd {
@@ -361,7 +357,7 @@ mod tests {
         });
         // Interleave: every 5th packet is the elephant, rest are mice
         // cycling through 200 flows (enough to churn the annex).
-        for i in 0..5_000u64 {
+        for i in 0..5_000u32 {
             if i % 5 == 0 {
                 a.access(f(1_000_000));
             } else {
@@ -381,7 +377,7 @@ mod tests {
         };
         let mut a = mk();
         let mut skipped = 0;
-        for i in 0..10_000u64 {
+        for i in 0..10_000u32 {
             if a.access(f(i % 50)) == AfdAccess::NotSampled {
                 skipped += 1;
             }
@@ -392,7 +388,7 @@ mod tests {
         // Deterministic: a fresh detector reproduces the exact sequence.
         let mut b = mk();
         let mut skipped_b = 0;
-        for i in 0..10_000u64 {
+        for i in 0..10_000u32 {
             if b.access(f(i % 50)) == AfdAccess::NotSampled {
                 skipped_b += 1;
             }
@@ -403,7 +399,7 @@ mod tests {
     #[test]
     fn stats_balance() {
         let mut a = small();
-        for i in 0..500u64 {
+        for i in 0..500u32 {
             a.access(f(i % 7));
         }
         let s = *a.stats();
@@ -426,7 +422,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sample probability")]
     fn zero_sampling_rejected() {
-        Afd::<FlowId>::new(AfdConfig {
+        Afd::new(AfdConfig {
             sample_prob: 0.0,
             ..AfdConfig::default()
         });

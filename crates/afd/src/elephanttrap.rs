@@ -8,7 +8,7 @@
 //! level scheme so the Fig. 8 experiments can demonstrate exactly that.
 
 use crate::cache::{CachePolicy, FlowCache, Probe};
-use nphash::FlowId;
+use nphash::FlowSlot;
 
 /// A single LFU cache whose residents are reported as heavy hitters.
 #[derive(Debug, Clone)]
@@ -31,26 +31,26 @@ impl ElephantTrap {
     /// Offer one packet. On a miss the flow is inserted immediately —
     /// there is no qualifying stage, which is precisely the weakness the
     /// two-level AFD fixes.
-    pub fn access(&mut self, flow: FlowId) {
+    pub fn access(&mut self, flow: FlowSlot) {
         match self.cache.probe(flow) {
             Probe::Hit(s) => {
                 self.hits += 1;
                 self.cache.bump(s);
             }
-            Probe::Miss(tag) => {
+            Probe::Miss => {
                 self.misses += 1;
-                self.cache.insert_missed(flow, tag, 1);
+                self.cache.insert_missed(flow, 1);
             }
         }
     }
 
     /// Whether `flow` is currently reported as a heavy hitter.
-    pub fn is_aggressive(&self, flow: FlowId) -> bool {
+    pub fn is_aggressive(&self, flow: FlowSlot) -> bool {
         self.cache.contains(flow)
     }
 
     /// The reported heavy-hitter set, highest counter first.
-    pub fn aggressive_flows(&self) -> Vec<FlowId> {
+    pub fn aggressive_flows(&self) -> Vec<FlowSlot> {
         self.cache
             .flows_by_count()
             .into_iter()
@@ -73,8 +73,8 @@ impl ElephantTrap {
 mod tests {
     use super::*;
 
-    fn f(i: u64) -> FlowId {
-        FlowId::from_index(i)
+    fn f(i: u32) -> FlowSlot {
+        FlowSlot::new(i)
     }
 
     #[test]
@@ -93,7 +93,7 @@ mod tests {
         // LFU protects the elephant, but the remaining slots hold
         // arbitrary mice — i.e. false positives.
         let mut t = ElephantTrap::new(4);
-        for i in 0..10_000u64 {
+        for i in 0..10_000u32 {
             if i % 4 == 0 {
                 t.access(f(999_999));
             } else {

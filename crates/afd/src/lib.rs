@@ -25,11 +25,11 @@
 //!
 //! ```
 //! use npafd::{Afd, AfdConfig};
-//! use nphash::FlowId;
+//! use nphash::FlowSlot;
 //!
 //! let mut afd = Afd::new(AfdConfig { afc_entries: 4, annex_entries: 64,
 //!     promote_threshold: 2, ..AfdConfig::default() });
-//! let elephant = FlowId::from_index(7);
+//! let elephant = FlowSlot::new(7);
 //! for _ in 0..10 { afd.access(elephant); }
 //! assert!(afd.is_aggressive(elephant));
 //! ```

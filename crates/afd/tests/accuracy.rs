@@ -2,11 +2,12 @@
 //! synthetic heavy-tailed traces — the protocol behind Fig. 8.
 
 use npafd::{Afd, AfdConfig, ElephantTrap, ExactTopK};
+use nphash::{FlowId, FlowSlot};
 use nptrace::analysis::false_positive_ratio;
-use nptrace::{TraceConfig, TraceGenerator};
+use nptrace::{Trace, TraceConfig, TraceGenerator};
 use proptest::prelude::*;
 
-fn make_trace(n_flows: u32, exp: f64, n_packets: usize, seed: u64) -> nptrace::Trace {
+fn make_trace(n_flows: u32, exp: f64, n_packets: usize, seed: u64) -> Trace {
     TraceGenerator::new(
         TraceConfig {
             name: "afd_acc".into(),
@@ -25,16 +26,25 @@ fn make_trace(n_flows: u32, exp: f64, n_packets: usize, seed: u64) -> nptrace::T
     .generate()
 }
 
+/// The detectors are keyed by the trace's dense flow index; ground truth
+/// by the flow's ID.
+fn ids(trace: &Trace, slots: Vec<FlowSlot>) -> Vec<FlowId> {
+    slots
+        .into_iter()
+        .map(|s| trace.flow_id_of(s.raw()))
+        .collect()
+}
+
 /// Run a trace through the AFD and ground truth; return (fpr, recall@k).
-fn afd_accuracy(trace: &nptrace::Trace, cfg: AfdConfig) -> (f64, f64) {
+fn afd_accuracy(trace: &Trace, cfg: AfdConfig) -> (f64, f64) {
     let mut afd = Afd::new(cfg);
     let mut truth = ExactTopK::new();
-    for (flow, _) in trace.iter_ids() {
-        afd.access(flow);
-        truth.access(flow);
+    for p in &trace.packets {
+        afd.access(FlowSlot::new(p.flow));
+        truth.access(trace.flow_id_of(p.flow));
     }
     let k = cfg.afc_entries;
-    let candidates = afd.aggressive_flows();
+    let candidates = ids(trace, afd.aggressive_flows());
     let top = truth.top_k(k);
     let fpr = false_positive_ratio(&candidates, &top);
     let found = top.iter().filter(|f| candidates.contains(f)).count();
@@ -96,14 +106,14 @@ fn afd_beats_single_cache_trap() {
     let mut truth = ExactTopK::new();
     let mut afd = Afd::new(AfdConfig::default());
     let mut trap = ElephantTrap::new(16);
-    for (flow, _) in t.iter_ids() {
-        truth.access(flow);
-        afd.access(flow);
-        trap.access(flow);
+    for p in &t.packets {
+        truth.access(t.flow_id_of(p.flow));
+        afd.access(FlowSlot::new(p.flow));
+        trap.access(FlowSlot::new(p.flow));
     }
     let top = truth.top_k(16);
-    let afd_fpr = false_positive_ratio(&afd.aggressive_flows(), &top);
-    let trap_fpr = false_positive_ratio(&trap.aggressive_flows(), &top);
+    let afd_fpr = false_positive_ratio(&ids(&t, afd.aggressive_flows()), &top);
+    let trap_fpr = false_positive_ratio(&ids(&t, trap.aggressive_flows()), &top);
     assert!(
         afd_fpr <= trap_fpr,
         "AFD fpr {afd_fpr} should not exceed single-cache fpr {trap_fpr}"
@@ -140,9 +150,9 @@ proptest! {
         let t = make_trace(n_flows, 1.1, 20_000, seed);
         let mut afd = Afd::new(AfdConfig { afc_entries: 8, annex_entries: 64, ..AfdConfig::default() });
         let mut seen = std::collections::BTreeSet::new();
-        for (flow, _) in t.iter_ids() {
-            afd.access(flow);
-            seen.insert(flow);
+        for p in &t.packets {
+            afd.access(FlowSlot::new(p.flow));
+            seen.insert(FlowSlot::new(p.flow));
         }
         let agg = afd.aggressive_flows();
         prop_assert!(agg.len() <= 8);
@@ -157,7 +167,7 @@ proptest! {
         let t = make_trace(500, 1.1, 10_000, seed);
         let run = || {
             let mut afd = Afd::new(AfdConfig { sample_prob: 0.5, ..AfdConfig::default() });
-            for (flow, _) in t.iter_ids() { afd.access(flow); }
+            for p in &t.packets { afd.access(FlowSlot::new(p.flow)); }
             afd.aggressive_flows()
         };
         prop_assert_eq!(run(), run());

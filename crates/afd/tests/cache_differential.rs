@@ -6,12 +6,10 @@
 mod oracle;
 
 use npafd::{Afd, AfdConfig, CachePolicy, FlowCache, PromotionPolicy};
-use nphash::{FlowId, FlowSlot};
+use nphash::FlowSlot;
 use oracle::{OracleAfd, OracleCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Debug;
-use std::hash::Hash;
 
 /// One random operation stream of the differential grid.
 #[derive(Debug, Clone, Copy)]
@@ -21,15 +19,18 @@ struct Cell {
     key_space: u64,
     steps: usize,
     seed: u64,
-    /// The experiments' key type instead of `FlowSlot`.
-    flow_id_keys: bool,
+    /// Key `i` of the stream is flow slot `i * stride`: 1 keeps the
+    /// slots dense, a wide stride spreads them so the residency table
+    /// grows far past the cache's capacity.
+    stride: u64,
 }
 
 /// Capacities 1, 2, 16, 512 against key spaces smaller than, around, and
-/// far beyond capacity, plus two cells on `FlowId` keys — per policy.
+/// far beyond capacity, plus one cell on slots spread over 0..2²² — per
+/// policy.
 fn grid() -> Vec<Cell> {
     let mut cells = Vec::new();
-    let mut push = |policy, capacity, key_space, steps, flow_id_keys| {
+    let mut push = |policy, capacity, key_space, steps, stride| {
         let seed = cells.len() as u64 + 1;
         cells.push(Cell {
             policy,
@@ -37,7 +38,7 @@ fn grid() -> Vec<Cell> {
             key_space,
             steps,
             seed,
-            flow_id_keys,
+            stride,
         });
     };
     for policy in [CachePolicy::Lfu, CachePolicy::Lru] {
@@ -45,37 +46,27 @@ fn grid() -> Vec<Cell> {
             let cap = capacity as u64;
             let steps = if capacity >= 512 { 30_000 } else { 12_000 };
             for key_space in [cap.div_ceil(2), cap + 3, cap * 64 + 1_000] {
-                push(policy, capacity, key_space, steps, false);
+                push(policy, capacity, key_space, steps, 1);
             }
         }
-        push(policy, 16, 40, 12_000, true);
-        push(policy, 512, 100_000, 30_000, true);
+        push(policy, 16, 40, 12_000, 1);
+        push(policy, 512, 100_000, 30_000, 1);
+        push(policy, 512, 1 << 10, 30_000, 1 << 12);
     }
     cells
 }
 
-impl Cell {
-    /// Run the stream against the oracle (`mutant`: against the oracle
-    /// with LFU's tie-break flipped); panics at the first divergence.
-    fn run(self, mutant: bool) {
-        if self.flow_id_keys {
-            run_cache_diff(FlowId::from_index, self, mutant);
-        } else {
-            run_cache_diff(|i| FlowSlot::new(i as u32), self, mutant);
-        }
-    }
-}
-
 /// Drive both caches with one random operation stream and compare them
-/// step by step.
-fn run_cache_diff<K: Copy + Eq + Ord + Hash + Debug>(key: fn(u64) -> K, cell: Cell, mutant: bool) {
+/// step by step (`mutant`: against the oracle with LFU's tie-break
+/// flipped); panics at the first divergence.
+fn run_cache_diff(cell: Cell, mutant: bool) {
     let Cell {
         policy,
         capacity,
         key_space,
         steps,
         seed,
-        ..
+        stride,
     } = cell;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut new = FlowCache::new(capacity, policy);
@@ -87,7 +78,7 @@ fn run_cache_diff<K: Copy + Eq + Ord + Hash + Debug>(key: fn(u64) -> K, cell: Ce
     };
     let ctx = format!("{policy:?} cap {capacity} keys {key_space} seed {seed}");
     for step in 0..steps {
-        let k = key(rng.gen_range(0..key_space));
+        let k = FlowSlot::new((rng.gen_range(0..key_space) * stride) as u32);
         let roll = rng.gen_range(0u32..1000);
         if roll < 400 {
             assert_eq!(new.touch(k), old.touch(k), "touch, step {step}, {ctx}");
@@ -145,7 +136,7 @@ fn run_cache_diff<K: Copy + Eq + Ord + Hash + Debug>(key: fn(u64) -> K, cell: Ce
 #[test]
 fn flat_cache_matches_btree_oracle() {
     for cell in grid() {
-        cell.run(false);
+        run_cache_diff(cell, false);
     }
 }
 
@@ -159,7 +150,7 @@ fn streams_tell_a_flipped_lfu_tie_break_apart() {
     let survivors: Vec<Cell> = grid()
         .into_iter()
         .filter(|c| c.policy == CachePolicy::Lfu && c.capacity >= 2 && c.key_space >= 2)
-        .filter(|&c| std::panic::catch_unwind(move || c.run(true)).is_ok())
+        .filter(|&c| std::panic::catch_unwind(move || run_cache_diff(c, true)).is_ok())
         .collect();
     assert!(survivors.is_empty(), "mutant oracle passed: {survivors:?}");
 }

@@ -1,11 +1,16 @@
 //! Property-based tests on the detector structures.
 
 use npafd::{Afd, AfdConfig, CachePolicy, ElephantTrap, ExactTopK, PromotionPolicy, SpaceSaving};
-use nphash::FlowId;
+use nphash::{FlowId, FlowSlot};
 use proptest::prelude::*;
 
 fn f(i: u64) -> FlowId {
     FlowId::from_index(i)
+}
+
+/// The detectors' key: a dense flow slot.
+fn s(i: u64) -> FlowSlot {
+    FlowSlot::new(i as u32)
 }
 
 proptest! {
@@ -29,8 +34,8 @@ proptest! {
         });
         let mut seen = std::collections::BTreeSet::new();
         for &x in &stream {
-            afd.access(f(x));
-            seen.insert(f(x));
+            afd.access(s(x));
+            seen.insert(s(x));
             prop_assert!(afd.afc().len() <= afc);
             prop_assert!(afd.annex().len() <= annex);
         }
@@ -52,8 +57,8 @@ proptest! {
             ..AfdConfig::default()
         });
         for &x in &stream {
-            afd.access(f(x));
-            prop_assert!(!(afd.afc().contains(f(x)) && afd.annex().contains(f(x))),
+            afd.access(s(x));
+            prop_assert!(!(afd.afc().contains(s(x)) && afd.annex().contains(s(x))),
                 "flow resident in both AFC and annex");
         }
     }
@@ -111,7 +116,7 @@ proptest! {
     fn trap_invariants(stream in proptest::collection::vec(0u64..100, 1..1_000), cap in 1usize..16) {
         let mut t = ElephantTrap::new(cap);
         for &x in &stream {
-            t.access(f(x));
+            t.access(s(x));
             prop_assert!(t.aggressive_flows().len() <= cap);
         }
         let (h, m) = t.stats();

@@ -47,8 +47,10 @@ impl FlowHashMemo {
     pub fn raw_hash(&mut self, pkt: &PacketDesc) -> u64 {
         let i = pkt.slot.index();
         if i >= self.raw.len() && i < MEMO_SLOTS {
-            // Doubling keeps growth amortised O(1) per interned flow.
-            self.raw.resize((i + 1).next_power_of_two(), UNSET);
+            // `Vec`'s own doubling keeps growth amortised O(1) per
+            // interned flow; only entries up to the highest slot are
+            // written.
+            self.raw.resize(i + 1, UNSET);
         }
         let crc = || u32::from(pkt.flow.crc16(&Crc16Ccitt::new()));
         let Some(entry) = self.raw.get_mut(i) else {

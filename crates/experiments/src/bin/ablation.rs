@@ -12,10 +12,10 @@
 //! serial loop over a shared `MapTable` and stays inline.
 
 use laps_experiments::{
-    farm, print_table, results_dir, write_csv, Farm, Fidelity, KeyFields, Sweep,
+    farm, flow_ids, print_table, results_dir, write_csv, Farm, Fidelity, KeyFields, Sweep,
 };
 use npafd::{Afd, AfdConfig, CachePolicy, ElephantTrap, ExactTopK};
-use nphash::{FlowId, IncrementalHash, MapTable};
+use nphash::{FlowId, FlowSlot, IncrementalHash, MapTable};
 use nptrace::analysis::false_positive_ratio;
 use nptrace::{Trace, TracePreset};
 
@@ -25,11 +25,11 @@ const TRACE_NAMES: [&str; 2] = ["caida1", "auck1"];
 fn fpr_of(trace: &Trace, cfg: AfdConfig) -> f64 {
     let mut afd = Afd::new(cfg);
     let mut truth = ExactTopK::new();
-    for (flow, _) in trace.iter_ids() {
-        afd.access(flow);
-        truth.access(flow);
+    for p in &trace.packets {
+        afd.access(FlowSlot::new(p.flow));
+        truth.access(trace.flow_id_of(p.flow));
     }
-    false_positive_ratio(&afd.aggressive_flows(), &truth.top_k(K))
+    false_positive_ratio(&flow_ids(trace, afd.aggressive_flows()), &truth.top_k(K))
 }
 
 /// Panel 1: final FPR vs AFD promotion threshold.
@@ -115,11 +115,11 @@ impl Sweep for DetectorPanel<'_> {
                 // Single-cache comparator.
                 let mut trap = ElephantTrap::new(K);
                 let mut truth = ExactTopK::new();
-                for (flow, _) in trace.iter_ids() {
-                    trap.access(flow);
-                    truth.access(flow);
+                for p in &trace.packets {
+                    trap.access(FlowSlot::new(p.flow));
+                    truth.access(trace.flow_id_of(p.flow));
                 }
-                false_positive_ratio(&trap.aggressive_flows(), &truth.top_k(K))
+                false_positive_ratio(&flow_ids(trace, trap.aggressive_flows()), &truth.top_k(K))
             }
         }
     }

@@ -15,10 +15,11 @@
 //! splits the 60 cells for CI.
 
 use laps_experiments::{
-    farm, print_table, results_dir, write_csv, Farm, Fidelity, KeyFields, Sweep,
+    farm, flow_ids, print_table, results_dir, write_csv, Farm, Fidelity, KeyFields, Sweep,
 };
 use npafd::ExactTopK;
 use npafd::{Afd, AfdConfig};
+use nphash::FlowSlot;
 use nptrace::analysis::false_positive_ratio;
 use nptrace::{Trace, TracePreset};
 
@@ -27,11 +28,11 @@ const K: usize = 16;
 fn final_fpr(trace: &Trace, cfg: AfdConfig) -> f64 {
     let mut afd = Afd::new(cfg);
     let mut truth = ExactTopK::new();
-    for (flow, _) in trace.iter_ids() {
-        afd.access(flow);
-        truth.access(flow);
+    for p in &trace.packets {
+        afd.access(FlowSlot::new(p.flow));
+        truth.access(trace.flow_id_of(p.flow));
     }
-    false_positive_ratio(&afd.aggressive_flows(), &truth.top_k(K))
+    false_positive_ratio(&flow_ids(trace, afd.aggressive_flows()), &truth.top_k(K))
 }
 
 /// Mean accuracy (1 − FPR against the cumulative ground truth) sampled
@@ -40,16 +41,17 @@ fn interval_accuracy(trace: &Trace, cfg: AfdConfig, interval: usize) -> f64 {
     let mut afd = Afd::new(cfg);
     let mut truth = ExactTopK::new();
     let mut accs = Vec::new();
-    for (i, (flow, _)) in trace.iter_ids().enumerate() {
-        afd.access(flow);
-        truth.access(flow);
+    for (i, p) in trace.packets.iter().enumerate() {
+        afd.access(FlowSlot::new(p.flow));
+        truth.access(trace.flow_id_of(p.flow));
         if (i + 1) % interval == 0 {
-            let fpr = false_positive_ratio(&afd.aggressive_flows(), &truth.top_k(K));
+            let fpr =
+                false_positive_ratio(&flow_ids(trace, afd.aggressive_flows()), &truth.top_k(K));
             accs.push(1.0 - fpr);
         }
     }
     if accs.is_empty() {
-        let fpr = false_positive_ratio(&afd.aggressive_flows(), &truth.top_k(K));
+        let fpr = false_positive_ratio(&flow_ids(trace, afd.aggressive_flows()), &truth.top_k(K));
         accs.push(1.0 - fpr);
     }
     accs.iter().sum::<f64>() / accs.len() as f64

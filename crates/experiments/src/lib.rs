@@ -112,6 +112,16 @@ pub fn laps_scheduler(cfg: &EngineConfig) -> Laps {
     Laps::new(laps_config(cfg))
 }
 
+/// A detector's answer as flow IDs, to score against `ExactTopK`: the
+/// detectors are keyed by `FlowSlot::new(record.flow)`, the trace's
+/// dense flow index.
+pub fn flow_ids(trace: &nptrace::Trace, slots: Vec<nphash::FlowSlot>) -> Vec<nphash::FlowId> {
+    slots
+        .into_iter()
+        .map(|s| trace.flow_id_of(s.raw()))
+        .collect()
+}
+
 /// Where result CSVs land (workspace `results/`).
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("LAPS_RESULTS_DIR")

@@ -9,6 +9,7 @@
 //! ```
 
 use laps_repro::npafd::{Afd, AfdConfig, ElephantTrap, ExactTopK};
+use laps_repro::nphash::FlowSlot;
 use laps_repro::nptrace::analysis::false_positive_ratio;
 use laps_repro::nptrace::TracePreset;
 
@@ -25,10 +26,12 @@ fn main() {
     let mut afd = Afd::new(AfdConfig::default());
     let mut trap = ElephantTrap::new(K);
     let mut truth = ExactTopK::new();
-    for (flow, _) in trace.iter_ids() {
-        afd.access(flow);
-        trap.access(flow);
-        truth.access(flow);
+    // The detectors are keyed by the trace's dense flow index, the exact
+    // counters by flow ID.
+    for p in &trace.packets {
+        afd.access(FlowSlot::new(p.flow));
+        trap.access(FlowSlot::new(p.flow));
+        truth.access(trace.flow_id_of(p.flow));
     }
 
     let top = truth.top_k(K);
@@ -37,10 +40,14 @@ fn main() {
         println!("  #{:<2} {}  ({} packets)", i + 1, f, truth.count_of(*f));
     }
 
-    for (name, candidates) in [
+    for (name, slots) in [
         ("two-level AFD", afd.aggressive_flows()),
         ("single-cache trap", trap.aggressive_flows()),
     ] {
+        let candidates: Vec<_> = slots
+            .into_iter()
+            .map(|s| trace.flow_id_of(s.raw()))
+            .collect();
         let fpr = false_positive_ratio(&candidates, &top);
         let recall = top.iter().filter(|f| candidates.contains(f)).count();
         println!(

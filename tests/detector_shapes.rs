@@ -3,20 +3,30 @@
 //! SpaceSaving sketch, all on the standard trace presets.
 
 use laps_repro::npafd::{Afd, AfdConfig, ElephantTrap, ExactTopK, PromotionPolicy, SpaceSaving};
+use laps_repro::nphash::{FlowId, FlowSlot};
 use laps_repro::nptrace::analysis::false_positive_ratio;
 use laps_repro::nptrace::{Trace, TracePreset};
 
 const K: usize = 16;
 const N_PACKETS: usize = 200_000;
 
-fn run_all(trace: &Trace, cfg: AfdConfig) -> (Vec<nphash::FlowId>, Vec<nphash::FlowId>) {
+/// The detector's candidates as flow IDs: it is keyed by the trace's
+/// dense flow index, the ground truth by flow ID.
+fn flow_ids(trace: &Trace, slots: Vec<FlowSlot>) -> Vec<FlowId> {
+    slots
+        .into_iter()
+        .map(|s| trace.flow_id_of(s.raw()))
+        .collect()
+}
+
+fn run_all(trace: &Trace, cfg: AfdConfig) -> (Vec<FlowId>, Vec<FlowId>) {
     let mut afd = Afd::new(cfg);
     let mut truth = ExactTopK::new();
-    for (f, _) in trace.iter_ids() {
-        afd.access(f);
-        truth.access(f);
+    for p in &trace.packets {
+        afd.access(FlowSlot::new(p.flow));
+        truth.access(trace.flow_id_of(p.flow));
     }
-    (afd.aggressive_flows(), truth.top_k(K))
+    (flow_ids(trace, afd.aggressive_flows()), truth.top_k(K))
 }
 
 #[test]
@@ -53,14 +63,14 @@ fn afd_beats_single_cache_on_all_presets() {
         let mut afd = Afd::new(AfdConfig::default());
         let mut trap = ElephantTrap::new(K);
         let mut truth = ExactTopK::new();
-        for (f, _) in trace.iter_ids() {
-            afd.access(f);
-            trap.access(f);
-            truth.access(f);
+        for p in &trace.packets {
+            afd.access(FlowSlot::new(p.flow));
+            trap.access(FlowSlot::new(p.flow));
+            truth.access(trace.flow_id_of(p.flow));
         }
         let top = truth.top_k(K);
-        let afd_fpr = false_positive_ratio(&afd.aggressive_flows(), &top);
-        let trap_fpr = false_positive_ratio(&trap.aggressive_flows(), &top);
+        let afd_fpr = false_positive_ratio(&flow_ids(&trace, afd.aggressive_flows()), &top);
+        let trap_fpr = false_positive_ratio(&flow_ids(&trace, trap.aggressive_flows()), &top);
         assert!(
             afd_fpr < trap_fpr,
             "{}: afd {afd_fpr} !< trap {trap_fpr}",
