@@ -29,6 +29,14 @@
 //! packets even across the crash window, and both fault probes must
 //! reconstruct the same number of recovery spans.
 //!
+//! A **core-model pair** runs `static` on both backends (npexec with 4
+//! groups and no rebalancing, so both route every flow through the same
+//! map table), once fault-free and once with a throttle on core 1.
+//! Below saturation each core then sees the same packets in the same
+//! order on both backends, and both charge them through
+//! `npsim::CoreClock`: per-core busy time and the cold-start count must
+//! be **equal**, and a detsim drop (saturation) is itself a violation.
+//!
 //! `--smoke` shrinks the horizon for CI; the default run is longer.
 //! `--pin` requests worker-thread CPU pinning (best-effort: restricted
 //! runners that refuse affinity get a note, not a failure). Exits
@@ -424,6 +432,93 @@ fn check_fault_pair(det: &FaultRun, exec: &FaultRun, violations: &mut Vec<String
     );
 }
 
+/// The core-model pair's configuration: IP forwarding with a trickle
+/// of VPN packets (so cores switch services and run cold), `faults` on
+/// top.
+fn core_model_config(ms: u64, faults: FaultPlan) -> (EngineConfig, Vec<SourceConfig>) {
+    let (mut cfg, mut sources) =
+        pair_config(TracePreset::Caida(1), ServiceKind::IpForward, 0.5, ms);
+    sources.push(SourceConfig {
+        service: ServiceKind::VpnOut,
+        trace: TracePreset::Auckland(2),
+        rate: RateSpec::Constant(0.02),
+    });
+    cfg.faults = faults;
+    (cfg, sources)
+}
+
+/// Run the core-model pair, fault-free and throttled; returns one table
+/// row per backend and run, and appends every mismatch to `violations`.
+fn run_core_model(opts: Opts, violations: &mut Vec<String>) -> Vec<Vec<String>> {
+    let ms = |f: u64| SimTime::from_nanos(opts.ms * 1_000_000 * f / 10);
+    let plans = [
+        ("fault-free", FaultPlan::new()),
+        (
+            "throttle",
+            FaultPlan::new()
+                .throttle(ms(3), 1, 1.3)
+                .throttle(ms(7), 1, 1.0),
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (name, faults) in plans {
+        let (cfg, sources) = core_model_config(opts.ms, faults);
+        let det = SimBuilder::new()
+            .config(cfg.clone())
+            .sources(sources.clone())
+            .run_named("static")
+            .expect("builtin scheduler");
+        let mut backend = ThreadedBackend::new(NpexecConfig {
+            workers: 4,
+            groups: 4,
+            rebalance_every: 0,
+            pin_threads: opts.pin,
+            ..NpexecConfig::default()
+        });
+        let scheduler = SchedulerRegistry::builtin()
+            .build("static", &cfg)
+            .expect("builtin scheduler");
+        let (exec, _) = backend.run(&cfg, &sources, scheduler, ProbeStack::new());
+        let mut fail = |cond: bool, msg: String| {
+            if !cond {
+                violations.push(format!("[core-model {name}] {msg}"));
+            }
+        };
+        fail(
+            det.dropped == 0,
+            format!(
+                "detsim dropped {} packets: not below saturation",
+                det.dropped
+            ),
+        );
+        fail(
+            exec.core_busy_ns == det.core_busy_ns,
+            format!(
+                "per-core busy ns differ: npexec {:?} vs detsim {:?}",
+                exec.core_busy_ns, det.core_busy_ns
+            ),
+        );
+        fail(
+            exec.cold_starts == det.cold_starts,
+            format!(
+                "cold starts differ: npexec {} vs detsim {}",
+                exec.cold_starts, det.cold_starts
+            ),
+        );
+        for (backend, r) in [("detsim", &det), ("npexec", &exec)] {
+            let mut row = vec![
+                name.to_string(),
+                backend.to_string(),
+                r.processed.to_string(),
+                r.cold_starts.to_string(),
+            ];
+            row.extend(r.core_busy_ns.iter().map(|b| b.to_string()));
+            rows.push(row);
+        }
+    }
+    rows
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let opts = Opts {
@@ -530,9 +625,32 @@ fn main() {
     );
     check_fault_pair(&det_f, &exec_f, &mut violations);
 
+    // The core-model pair: equal busy time per core, both backends.
+    let cheader = [
+        "plan",
+        "backend",
+        "processed",
+        "cold",
+        "busy_ns_0",
+        "busy_ns_1",
+        "busy_ns_2",
+        "busy_ns_3",
+    ];
+    let crows = run_core_model(opts, &mut violations);
+    print_table(
+        "exec_validate: one core model (static, 4 cores)",
+        &cheader,
+        &crows,
+    );
+    write_csv(
+        results_dir().join("exec_validate_core_model.csv"),
+        &cheader,
+        &crows,
+    );
+
     if violations.is_empty() {
         println!(
-            "\nexec_validate: all bounds hold on {} presets + 1 fault pair",
+            "\nexec_validate: all bounds hold on {} presets + 1 fault pair + 1 core-model pair",
             pairs.len()
         );
     } else {

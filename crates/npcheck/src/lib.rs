@@ -8,7 +8,7 @@
 //! `unsafe_code`, and the `#![deny(clippy::unwrap_used,
 //! clippy::expect_used, clippy::indexing_slicing)]` header each
 //! per-packet module opens with — see DESIGN.md, "Determinism
-//! contract"). This linter keeps the five rules they cannot express:
+//! contract"). This linter keeps the six rules they cannot express:
 //!
 //! | rule | severity | pass | what it catches |
 //! |------|----------|------|-----------------|
@@ -16,6 +16,7 @@
 //! | `shared-state-audit` | deny | file | explicit atomic `Ordering`s weaker than `SeqCst` without a `// npcheck: ordering(<why>)` justification, in thread-shared crates |
 //! | `unbounded-queue` | warn | file | `VecDeque::new`, `mpsc::channel`, and Vec-as-queue idioms with no declared capacity bound |
 //! | `blocking-hot-path` | deny | file | lock acquisition, `sleep`, blocking I/O, or allocation in a module carrying the hot-path header (constructors exempt) |
+//! | `single-cost-site` | deny | file | `processing_delay_us(` in npsim or npexec non-test code outside the `CoreClock` module — both backends charge service time through one core model |
 //! | `lock-order` | deny | crate | two named locks acquired in both nesting orders within one crate |
 //!
 //! Any finding can be suppressed with a justification comment on the

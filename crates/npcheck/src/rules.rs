@@ -79,6 +79,17 @@ const QUEUE_SCOPE_PREFIXES: &[&str] = &[
     "crates/npexec/",
 ];
 
+/// Where both execution backends live: each charges service time, and
+/// must do it through the one shared core model.
+const BACKEND_SRC_PREFIXES: &[&str] = &["crates/npsim/src/", "crates/npexec/src/"];
+
+/// The one module allowed to call the Eq. 3 delay model.
+const COST_SITE: &str = "crates/npsim/src/core_clock.rs";
+
+fn in_backend_src(path: &str, _: &LexedFile) -> bool {
+    path != COST_SITE && BACKEND_SRC_PREFIXES.iter().any(|p| path.starts_with(p))
+}
+
 fn in_sim_crate(path: &str, _: &LexedFile) -> bool {
     SIM_CRATE_PREFIXES.iter().any(|p| path.starts_with(p))
 }
@@ -147,6 +158,20 @@ pub const RULES: &[RuleSpec] = &[
               construction, validation) with an allow comment.",
         applies: |_, lexed| lexed.hot_path,
         check: check_blocking_hot_path,
+    },
+    RuleSpec {
+        id: "single-cost-site",
+        severity: Severity::Deny,
+        summary: "`processing_delay_us(` in backend code outside `npsim`'s `CoreClock` module",
+        why: "The detsim engine and the npexec threads must charge the same packet \
+              the same service time, or no cross-backend comparison means anything. \
+              `npsim::CoreClock` (crates/npsim/src/core_clock.rs) is the one place \
+              that applies the cold-start rule, Eq. 3, the throttle in force and the \
+              virtual clock; a second call of the delay model in npsim or npexec \
+              non-test code is a second copy of that rule, free to drift. Charge \
+              through a `CoreClock` instead.",
+        applies: in_backend_src,
+        check: check_single_cost_site,
     },
 ];
 
@@ -530,6 +555,28 @@ fn constructor_spans(toks: &[(usize, Tok)]) -> Vec<(usize, usize)> {
         i += 1;
     }
     spans
+}
+
+fn check_single_cost_site(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
+    let spec = rule("single-cost-site");
+    let toks = &lexed.tokens;
+    let limit = lexed.cfg_test_line.unwrap_or(usize::MAX);
+    for (i, (line, tok)) in toks.iter().enumerate() {
+        if *line >= limit {
+            break;
+        }
+        if tok.is_ident("processing_delay_us")
+            && toks.get(i + 1).is_some_and(|(_, t)| t.is_punct("("))
+        {
+            push(
+                findings,
+                spec,
+                file,
+                *line,
+                format!("`processing_delay_us(` outside `{COST_SITE}`: charge service time through `npsim::CoreClock`, the one core model both backends share"),
+            );
+        }
+    }
 }
 
 fn check_blocking_hot_path(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {

@@ -1,9 +1,10 @@
 //! End-to-end self-tests against the fixture trees.
 //!
 //! `fixtures/bad/` mirrors the workspace layout with one violation of
-//! every rule; `fixtures/good/` holds the cleaned equivalents. The bad
-//! tree must produce a finding for each rule and a non-zero CLI exit;
-//! the good tree must scan completely clean.
+//! every rule; `fixtures/good/` holds the cleaned equivalents, plus
+//! `npsim/src/core_clock.rs`, the one site `single-cost-site` allows.
+//! The bad tree must produce a finding for each rule and a non-zero CLI
+//! exit; the good tree must scan completely clean.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -22,7 +23,7 @@ fn fixture(name: &str) -> PathBuf {
 fn bad_fixture_trips_every_rule() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("bad")).expect("scan bad fixture tree");
-    assert_eq!(files, 7, "expected the seven bad fixture files");
+    assert_eq!(files, 8, "expected the eight bad fixture files");
     let rules: BTreeSet<&str> = findings.iter().map(|f| f.rule).collect();
     for meta in npcheck::all_rules() {
         assert!(
@@ -44,6 +45,10 @@ fn bad_fixture_trips_every_rule() {
     assert!(findings
         .iter()
         .any(|f| f.rule == "lock-order" && f.severity == npcheck::Severity::Deny));
+    // The second cost site is denied where it stands.
+    assert!(findings.iter().any(|f| f.rule == "single-cost-site"
+        && f.severity == npcheck::Severity::Deny
+        && f.file.ends_with("npexec/src/cost.rs")));
     // The lock-order message names both sites of the inversion.
     let inversion = findings
         .iter()
@@ -78,7 +83,7 @@ fn bad_fixture_findings_are_sorted_and_stable() {
 fn good_fixture_is_clean() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("good")).expect("scan good fixture tree");
-    assert_eq!(files, 7, "expected the seven good fixture files");
+    assert_eq!(files, 9, "expected the nine good fixture files");
     assert!(
         findings.is_empty(),
         "good fixtures must be clean, got:\n{}",

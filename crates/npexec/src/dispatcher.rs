@@ -48,9 +48,7 @@ use nphash::MapTable;
 use npsim::{FaultAction, PlanStream};
 
 use crate::plan::{ExecDesc, SeqWatch};
-use crate::supervisor::{
-    ControlPlane, CMD_CRASH, CMD_PAUSED, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT,
-};
+use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_PAUSED, CMD_STALL};
 use crate::{CrashEpisode, ForcedMigration, FullPolicy};
 
 /// A ring producer of packet descriptors.
@@ -340,7 +338,7 @@ fn fire_fault(
             };
             // The crash waited for the pause, so the crash step is done.
             // Resume with a zero word: no crash, no pause, and no stall
-            // or throttle the dead core carried — full speed, as detsim.
+            // the dead core carried. Its clock restores full speed.
             // npcheck: ordering(Release pairs with the paused worker's Acquire load of the command word)
             slot.cmd.store(0, Ordering::Release);
             if let Some(l) = fs.live.get_mut(core) {
@@ -411,18 +409,8 @@ fn fire_fault(
             });
             out.heals += 1;
         }
-        FaultAction::Throttle { core, factor } => {
-            if let Some(slot) = ctrl.and_then(|cp| cp.slots.get(core)) {
-                let fp = ((factor * THROTTLE_ONE as f64).round() as u64).max(1);
-                let low_mask = (1u64 << THROTTLE_SHIFT) - 1;
-                // Two-step field update: different bits than the
-                // stall/crash flags, so racing watchdog RMWs compose.
-                // npcheck: ordering(AcqRel RMW — clears the old factor; pairs with the worker's Acquire load of cmd)
-                slot.cmd.fetch_and(low_mask, Ordering::AcqRel);
-                // npcheck: ordering(AcqRel RMW — publishes the new factor; pairs with the worker's Acquire load of cmd)
-                slot.cmd.fetch_or(fp << THROTTLE_SHIFT, Ordering::AcqRel);
-            }
-        }
+        // Each worker's clock reads its throttles off the plan.
+        FaultAction::Throttle { .. } => {}
         FaultAction::Stall { core, .. } => {
             // Duration on real threads is "until the watchdog notices":
             // the stall exists to exercise stagnation detection, and
@@ -589,6 +577,7 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
             size: p.size,
             service: p.service,
             migrated,
+            at: p.at,
         };
         if push_full_policy(
             &mut producers,

@@ -19,12 +19,12 @@
 //! dispatches it, as the paper's frame manager hands the scheduler one
 //! descriptor per arriving packet. Each ring slot carries that packet's
 //! descriptor by value (`plan.rs`: plan position, flow slot, per-flow
-//! sequence, flow group, size, service, migrated bit — the group is one
-//! CRC16 per *flow*, not per packet), so no thread indexes a shared
-//! plan and a run holds O(flows) state: the dispatcher's per-flow group
-//! and last-worker tables and the shared order witness, each grown as
-//! flows appear. The timed thread scope ([`ExecStats::wall_secs`])
-//! covers drawing, rings and handshake alike.
+//! sequence, flow group, size, service, migrated bit, arrival instant —
+//! the group is one CRC16 per *flow*, not per packet), so no thread
+//! indexes a shared plan and a run holds O(flows) state: the
+//! dispatcher's per-flow group and last-worker tables and the shared
+//! order witness, each grown as flows appear. The timed thread scope
+//! ([`ExecStats::wall_secs`]) covers drawing, rings and handshake alike.
 //!
 //! ```text
 //!                  PlanStream (drawn one packet per dispatch)
@@ -45,9 +45,12 @@
 //! first turns its held and queued packets into accounted drops and
 //! force-releases the repair handshakes of its buckets, which
 //! `retire_core` then re-homes; a `Heal` resumes the worker cold and
-//! migrates its buckets home; `Throttle`/`Stall` perturb a live worker to exercise
-//! the heartbeat watchdog. An action at `t` fires just before the first
-//! packet arriving at or after `t`. Every thread is spawned before
+//! migrates its buckets home; a `Stall` silences a live worker to
+//! exercise the heartbeat watchdog. Those actions fire just before the
+//! first packet arriving at or after their instant `t`. A `Throttle`
+//! goes to no thread: each worker's [`CoreClock`] reads it off the
+//! plan and charges it to every service that starts at or after `t`,
+//! as the detsim engine does. Every thread is spawned before
 //! dispatch starts, and each worker returns one outcome for the whole
 //! run. No action touches a source, so the stream is the same with or
 //! without the plan. See the [`supervisor`] module docs for the
@@ -70,8 +73,8 @@ use std::time::Instant;
 use laps::{GroupBoard, HandshakeStats};
 use nphash::{FlowSlot, MapTable};
 use npsim::{
-    EngineConfig, ExecBackend, ExecError, FaultAction, FaultStats, PlanStream, ProbeHost,
-    ProbeStack, Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
+    CoreClock, EngineConfig, ExecBackend, ExecError, FaultAction, FaultStats, PlanStream,
+    ProbeHost, ProbeStack, Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
 };
 use nptraffic::ServiceKind;
 
@@ -340,8 +343,6 @@ impl ExecBackend for ThreadedBackend {
         }
         let seq_watch = SeqWatch::default();
         let done = AtomicBool::new(false);
-        let mut delay = cfg.delay;
-        delay.scale = cfg.scale;
 
         let mut producers = Vec::with_capacity(workers);
         let mut consumers = Vec::with_capacity(workers);
@@ -370,7 +371,7 @@ impl ExecBackend for ThreadedBackend {
                     migrating_to: &migrating_to,
                     seq_watch: &seq_watch,
                     done: &done,
-                    delay,
+                    clock: CoreClock::new(cfg, id),
                     pin_to: self.cfg.pin_threads.then_some(id),
                     ctrl: cp,
                 };

@@ -19,6 +19,7 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use detsim::SimTime;
 use laps::spsc::Payload;
 use nphash::FlowSlot;
 use nptraffic::ServiceKind;
@@ -47,19 +48,22 @@ pub(crate) struct ExecDesc {
     /// The dispatcher moved this packet's flow to a new worker, so the
     /// worker charges the Eq. 3 migration penalty.
     pub migrated: bool,
+    /// Arrival instant: the earliest the worker's clock starts it.
+    pub at: SimTime,
 }
 
 const SIZE_SHIFT: u32 = 32;
 const SERVICE_SHIFT: u32 = 48;
 const MIGRATED_SHIFT: u32 = 50;
 
-/// Three words: `pos | size | service | migrated` (bits 0–50 of word 0,
-/// leaving the ring's mark tag alone), `slot | flow_seq`, `group`.
+/// Four words: `pos | size | service | migrated` (bits 0–50 of word 0,
+/// leaving the ring's mark tag alone), `slot | flow_seq`, `group`, and
+/// the arrival instant in nanoseconds.
 impl Payload for ExecDesc {
-    type Words = [u64; 3];
+    type Words = [u64; 4];
 
     #[inline]
-    fn encode(self) -> [u64; 3] {
+    fn encode(self) -> [u64; 4] {
         [
             u64::from(self.pos)
                 | u64::from(self.size) << SIZE_SHIFT
@@ -67,12 +71,13 @@ impl Payload for ExecDesc {
                 | u64::from(self.migrated) << MIGRATED_SHIFT,
             u64::from(self.slot.raw()) | u64::from(self.flow_seq) << 32,
             u64::from(self.group),
+            self.at.as_nanos(),
         ]
     }
 
     #[inline]
-    fn decode(words: [u64; 3]) -> Self {
-        let [a, b, c] = words;
+    fn decode(words: [u64; 4]) -> Self {
+        let [a, b, c, d] = words;
         ExecDesc {
             pos: a as u32,
             size: (a >> SIZE_SHIFT) as u16,
@@ -81,6 +86,7 @@ impl Payload for ExecDesc {
             slot: FlowSlot::new(b as u32),
             flow_seq: (b >> 32) as u32,
             group: c as u32,
+            at: SimTime::from_nanos(d),
         }
     }
 }
@@ -161,6 +167,7 @@ mod tests {
             size: 0,
             service: ServiceKind::VpnOut,
             migrated: false,
+            at: SimTime::ZERO,
         }
     }
 
@@ -174,6 +181,7 @@ mod tests {
             size: u16::MAX,
             service: ServiceKind::VpnInScan,
             migrated: true,
+            at: SimTime::MAX,
         };
         let mut cases = vec![desc(), max];
         // One field at its maximum, the rest at zero.
@@ -199,6 +207,10 @@ mod tests {
         });
         cases.push(ExecDesc {
             migrated: true,
+            ..desc()
+        });
+        cases.push(ExecDesc {
+            at: SimTime::MAX,
             ..desc()
         });
         for service in ServiceKind::ALL {

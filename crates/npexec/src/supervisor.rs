@@ -33,10 +33,11 @@
 //! 3. The dispatcher publishes each bucket's new owner in
 //!    `migrating_to` and re-homes the buckets via
 //!    `MapTable::retire_core`. It routes nothing to the dead ring.
-//! 4. A heal stores a zero command word (no crash, no pause, no stall,
-//!    full speed) and migrates the retired buckets home behind ordinary
-//!    marked handshakes. The worker resumes cold. A worker still paused
-//!    when the run ends exits.
+//! 4. A heal stores a zero command word (no crash, no pause, no stall)
+//!    and migrates the retired buckets home behind ordinary marked
+//!    handshakes. The worker resumes cold and at full speed (its
+//!    `CoreClock` keeps both). A worker still paused when the run ends
+//!    exits.
 //!
 //! Safety is program order on one thread: the force-release follows the
 //! drain, which follows the last service of the crashed worker, so the
@@ -59,11 +60,6 @@ pub(crate) const CMD_STALL: u64 = 1 << 1;
 /// Command bit, set by the worker: its crash step is done and it waits
 /// for a heal to clear the word.
 pub(crate) const CMD_PAUSED: u64 = 1 << 2;
-/// Bit offset of the fixed-point throttle factor in the command word.
-pub(crate) const THROTTLE_SHIFT: u32 = 32;
-/// Fixed-point one: a throttle field of 256 (or 0, the unset default)
-/// charges service time at face value.
-pub(crate) const THROTTLE_ONE: u64 = 256;
 
 /// Supervisor sweeps a heartbeat must stagnate for before the watchdog
 /// declares the worker stalled and recovers it.
@@ -72,8 +68,7 @@ const STAGNANT_SWEEPS: u32 = 8;
 /// One worker's control slot.
 #[derive(Debug)]
 pub(crate) struct WorkerSlot {
-    /// Command word: [`CMD_CRASH`] | [`CMD_STALL`] | [`CMD_PAUSED`] |
-    /// throttle factor.
+    /// Command word: [`CMD_CRASH`] | [`CMD_STALL`] | [`CMD_PAUSED`].
     pub cmd: AtomicU64,
     /// Bumped by the worker once per loop iteration (not while stalled
     /// or paused — stagnation is the watchdog's signal).

@@ -26,14 +26,18 @@
 //! if the handshake has since released — FIFO within the group is
 //! preserved unconditionally).
 //!
+//! Every service is charged by the worker's [`CoreClock`], the core
+//! model detsim charges each core with: a packet starts at the later of
+//! its arrival and the end of the previous service, and pays the
+//! throttle the fault plan has in force then, whatever the host timing.
+//!
 //! When a fault plan is active the worker also carries a control slot
 //! (see [`supervisor`](crate::supervisor)): each iteration it reads the
 //! command word and bumps its heartbeat. [`CMD_CRASH`] makes it do the
 //! crash step — holds and ring contents become crash drops, then the
 //! force list is force-released — and pause until a heal clears the
 //! word; [`CMD_STALL`] makes it stop draining *and* stop heartbeating
-//! (the watchdog's stagnation signal); the throttle field inflates
-//! every charged service time.
+//! (the watchdog's stagnation signal).
 //!
 //! An idle worker spins briefly, then sleeps [`IDLE_NAP`]: the
 //! dispatcher draws every packet, so it is the bottleneck, and on a
@@ -48,13 +52,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use laps::spsc::{Consumer, Desc};
 use laps::GroupBoard;
-use nptraffic::{DelayModel, ServiceKind};
+use npsim::CoreClock;
 
 use crate::affinity;
 use crate::plan::{ExecDesc, SeqWatch, WatchView};
-use crate::supervisor::{
-    ControlPlane, WorkerSlot, CMD_CRASH, CMD_PAUSED, CMD_STALL, THROTTLE_ONE, THROTTLE_SHIFT,
-};
+use crate::supervisor::{ControlPlane, WorkerSlot, CMD_CRASH, CMD_PAUSED, CMD_STALL};
 
 /// How long an idle worker sleeps after 64 empty polls.
 const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(20);
@@ -76,8 +78,8 @@ pub(crate) struct WorkerCtx<'a> {
     pub seq_watch: &'a SeqWatch,
     /// Set by the dispatcher after its last push.
     pub done: &'a AtomicBool,
-    /// Eq. 3 service-cost model (scale already applied).
-    pub delay: DelayModel,
+    /// This worker's core model: cold starts, Eq. 3, throttles.
+    pub clock: CoreClock,
     /// CPU to pin to, if pinning was requested.
     pub pin_to: Option<usize>,
     /// The fault-run control plane; `None` in fault-free runs (the loop
@@ -92,13 +94,14 @@ pub(crate) struct WorkerOutcome {
     pub serviced: u64,
     /// Services that found a cold instruction cache.
     pub cold_starts: u64,
-    /// Simulated busy time (sum of Eq. 3 delays), nanoseconds.
+    /// Simulated busy time (the clock's sum of charged services),
+    /// nanoseconds.
     pub busy_ns: u64,
-    /// Serviced count per [`ServiceKind::index`].
+    /// Serviced count per [`ServiceKind::index`](nptraffic::ServiceKind::index).
     pub per_service: [u64; 4],
-    /// Out-of-order services per [`ServiceKind::index`].
+    /// Out-of-order services per [`ServiceKind::index`](nptraffic::ServiceKind::index).
     pub ooo_per_service: [u64; 4],
-    /// Crash drops per [`ServiceKind::index`].
+    /// Crash drops per [`ServiceKind::index`](nptraffic::ServiceKind::index).
     pub dropped_per_service: [u64; 4],
     /// Plan positions serviced behind a higher sequence of their flow
     /// (empty iff the handshake preserved order, which it must).
@@ -138,30 +141,20 @@ struct Held {
 /// holdback buffer and the servicing machinery independently.
 struct Svc<'a> {
     seq_watch: WatchView<'a>,
-    delay: DelayModel,
-    last_service: Option<ServiceKind>,
-    /// Fixed-point throttle multiplier ([`THROTTLE_ONE`] = ×1.0),
-    /// refreshed from the command word each loop iteration.
-    throttle_fp: u64,
+    clock: CoreClock,
     out: WorkerOutcome,
 }
 
 impl Svc<'_> {
-    /// Service one packet: charge the Eq. 3 cost and advance the
-    /// per-flow order witness.
+    /// Service one packet: charge it on the core's clock and advance
+    /// the per-flow order witness.
     fn service(&mut self, p: ExecDesc) {
         let pos = u64::from(p.pos);
-        let cold = self.last_service != Some(p.service);
-        self.last_service = Some(p.service);
-        if cold {
-            self.out.cold_starts += 1;
-        }
-        let d_us = self
-            .delay
-            .processing_delay_us(p.service, p.size, p.migrated, cold);
-        let base_ns = detsim::SimTime::from_micros_f64(d_us).as_nanos();
-        // Throttle faults inflate charged service time (Eq. 3 × factor).
-        self.out.busy_ns += base_ns.saturating_mul(self.throttle_fp) / THROTTLE_ONE;
+        let cold = self
+            .clock
+            .start(p.at, p.service, p.size, p.migrated, 0)
+            .cold;
+        self.out.cold_starts += u64::from(cold);
         if let Some(first @ None) = self.out.recoveries.last_mut() {
             *first = Some(pos);
         }
@@ -248,15 +241,13 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         migrating_to,
         seq_watch,
         done,
-        delay,
+        clock,
         pin_to,
         ctrl,
     } = ctx;
     let mut svc = Svc {
         seq_watch: seq_watch.view(),
-        delay,
-        last_service: None,
-        throttle_fp: THROTTLE_ONE,
+        clock,
         out: WorkerOutcome::default(),
     };
     if let Some(cpu) = pin_to {
@@ -273,11 +264,13 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             if cmd & CMD_CRASH != 0 {
                 crash(&mut svc.out, &mut holds, &mut consumer, &board, slot);
                 held_depth = 0;
+                // The crash step runs between two services: nothing is
+                // in service, so the clock stops where it is and
+                // refunds nothing. The next service starts cold.
+                svc.clock.crash(svc.clock.vt());
                 if !paused_until_heal(slot, done) {
                     break;
                 }
-                // The heal cleared the word: back at full speed, cold.
-                svc.last_service = None;
                 svc.out.recoveries.push(None);
                 continue;
             }
@@ -290,8 +283,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             }
             // npcheck: ordering(Relaxed is sound: the heartbeat is a monotone progress counter; the watchdog only compares successive reads)
             slot.heartbeat.fetch_add(1, Ordering::Relaxed);
-            let fp = cmd >> THROTTLE_SHIFT;
-            svc.throttle_fp = if fp == 0 { THROTTLE_ONE } else { fp };
         }
         // Drain every hold whose handshake has released. Doing this
         // before the pop keeps FIFO: a held group's packets always go
@@ -377,5 +368,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             }
         }
     }
+    svc.out.busy_ns = svc.clock.busy_ns();
     svc.out
 }

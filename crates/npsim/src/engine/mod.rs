@@ -31,8 +31,9 @@
 //!   with one [`Scheduler::schedule`] call over the service stage's
 //!   [`QueueInfo`](crate::QueueInfo) view; per-flow dispatch state (last
 //!   core, SCR replicas) lives in the engine's `FlowTable`.
-//! * **service** — per-core bounded queues, the Eq. 3 delay model,
-//!   busy-time accounting, and the queue view the scheduler reads
+//! * **service** — per-core bounded queues, one
+//!   [`CoreClock`](crate::CoreClock) per core (the Eq. 3 delay model,
+//!   throttles, busy time), and the queue view the scheduler reads
 //!   (written by the mutation that changes it).
 //! * **record** — the observability-bus terminal: the order tracker, the
 //!   optional restoration buffer, the always-on report probe, and any
@@ -69,6 +70,7 @@ mod service;
 pub use cycles::{CycleAccounting, CycleReport, CycleSink, Stage, StageCycles, STAGES};
 pub use plan::{ArrivalPlan, PlanStream, ScheduledPacket};
 
+use crate::core_clock::scaled_delay;
 use crate::event::SimEvent;
 use crate::fault::{FaultAction, FaultPlan, FaultStats};
 use crate::packet::PacketDesc;
@@ -295,10 +297,9 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             panic!("invalid fault plan: {e}");
         }
         let seq = SeedSequence::new(cfg.seed);
-        let mut delay = cfg.delay;
-        delay.scale = cfg.scale;
+        let delay = scaled_delay(&cfg);
         let ingest = IngestStage::new(&seq, sources, cfg.period_compression, cfg.scale);
-        let service = ServiceStage::new(cfg.n_cores, cfg.queue_capacity, delay);
+        let service = ServiceStage::new(&cfg);
         let report = ReportProbe::new(scheduler.name(), cfg.duration, cfg.scale);
         let restoration = cfg.restoration.map(RestorationBuffer::new);
         let faults_enabled = !cfg.faults.is_empty();
@@ -620,9 +621,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                 }
                 self.start_processing(core, now, tx);
             }
-            FaultAction::Throttle { core, factor } => {
-                self.service.set_speed(core, factor);
-            }
+            // Each core's clock reads its throttles off the plan.
+            FaultAction::Throttle { .. } => {}
             FaultAction::Stall { core, duration } => {
                 let until = now + duration;
                 if self.service.stall(core, until) {

@@ -1,44 +1,42 @@
 //! Service stage: per-core bounded queues and packet execution.
 //!
-//! Owns the core array (queue, packet in service, cache state, busy
-//! time, fault state), the Eq. 3 delay model, and the per-core
-//! [`QueueInfo`] view the scheduler reads. The view is the only home of
-//! `idle_since`, `last_congested`, `up` and `capacity`; `len` and
-//! `busy` are written by the mutation that changes them, so the view is
-//! current whenever the orchestrator hands it to the scheduler.
-//! Enqueue outcomes and service starts are returned to the
-//! orchestrator, which publishes the corresponding bus events and
-//! schedules the finish timer.
+//! Owns the core array (queue, packet in service, stall latch, and the
+//! core's [`CoreClock`] — cold starts, the Eq. 3 delay, throttles, busy
+//! time) and the per-core [`QueueInfo`] view the scheduler reads. The
+//! view is the only home of `idle_since`, `last_congested`, `up` and
+//! `capacity`; `len` and `busy` are written by the mutation that
+//! changes them, so the view is current whenever the orchestrator hands
+//! it to the scheduler. Enqueue outcomes and service starts are
+//! returned to the orchestrator, which publishes the corresponding bus
+//! events and schedules the finish timer.
 //!
-//! Fault support: each core carries an `up` flag (in the view), a
-//! service-duration multiplier (throttle) and a stall latch. A crash
+//! Fault support: each core carries an `up` flag (in the view) and a
+//! stall latch; its clock reads throttles off the fault plan. A crash
 //! drains the core's backlog (returned to the orchestrator for drop
 //! accounting) and refunds the unearned remainder of its in-service
 //! busy credit; the orchestrator orphans the core's armed finish timer.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
+use super::EngineConfig;
+use crate::core_clock::CoreClock;
 use crate::packet::PacketDesc;
 use crate::sched::QueueInfo;
 use detsim::{BoundedQueue, PushOutcome, SimTime};
 use nphash::FlowSlot;
-use nptraffic::{DelayModel, ServiceKind};
+use nptraffic::ServiceKind;
 
 #[derive(Debug)]
 struct Core {
     queue: BoundedQueue<PacketDesc>,
     current: Option<PacketDesc>,
-    /// When the in-service packet completes; meaningful only while
-    /// `current.is_some()` (used to refund busy credit on a crash).
-    finish_at: SimTime,
-    last_service: Option<ServiceKind>,
-    busy_ns: u64,
+    /// Cost model and virtual clock; its `vt` is when the in-service
+    /// packet completes.
+    clock: CoreClock,
     /// Transient stall: the core finishes its current packet but starts
     /// no new service until a stall-end event at or after this instant
     /// clears it (the latest end over overlapping stalls). `None` = not
     /// stalled.
     stalled_until: Option<SimTime>,
-    /// Service-duration multiplier (throttle); 1.0 at full speed.
-    speed: f64,
 }
 
 /// A packet entering service: what the orchestrator needs to publish
@@ -63,25 +61,21 @@ pub(super) struct ServiceStage {
     cores: Vec<Core>,
     /// The scheduler's view, one entry per core (see the module docs).
     view: Vec<QueueInfo>,
-    delay: DelayModel,
 }
 
 impl ServiceStage {
-    pub(super) fn new(n_cores: usize, queue_capacity: usize, delay: DelayModel) -> Self {
-        let cores = (0..n_cores)
-            .map(|_| Core {
-                queue: BoundedQueue::new(queue_capacity),
+    pub(super) fn new(cfg: &EngineConfig) -> Self {
+        let cores = (0..cfg.n_cores)
+            .map(|i| Core {
+                queue: BoundedQueue::new(cfg.queue_capacity),
                 current: None,
-                finish_at: SimTime::ZERO,
-                last_service: None,
-                busy_ns: 0,
+                clock: CoreClock::new(cfg, i),
                 stalled_until: None,
-                speed: 1.0,
             })
             .collect();
         let idle = QueueInfo {
             len: 0,
-            capacity: queue_capacity,
+            capacity: cfg.queue_capacity,
             busy: false,
             idle_since: Some(SimTime::ZERO),
             last_congested: SimTime::ZERO,
@@ -89,8 +83,7 @@ impl ServiceStage {
         };
         ServiceStage {
             cores,
-            view: vec![idle; n_cores],
-            delay,
+            view: vec![idle; cfg.n_cores],
         }
     }
 
@@ -160,27 +153,19 @@ impl ServiceStage {
             }
             return None;
         };
-        let cold = slot.last_service != Some(pkt.service);
-        let d_us = self
-            .delay
-            .processing_delay_us(pkt.service, pkt.size, pkt.migrated, cold);
-        // The SCR sync surcharge was stamped at dispatch (already scaled;
-        // state retrieval is fabric time, so the core-speed throttle does
-        // not apply). Zero for every non-SCR packet: adding it is the
-        // cost model's only touch on this path.
-        let d = SimTime::from_micros_f64(d_us * slot.speed)
-            + SimTime::from_nanos(u64::from(pkt.sync_debt_ns));
-        slot.busy_ns += d.as_nanos();
-        slot.last_service = Some(pkt.service);
+        // A core frees up at its clock's `vt` (the finish event) or by a
+        // crash, which stops the clock: the packet starts now.
+        let charge = slot
+            .clock
+            .start(now, pkt.service, pkt.size, pkt.migrated, pkt.sync_debt_ns);
         let started = Started {
             service: pkt.service,
             slot: pkt.slot,
-            cold,
+            cold: charge.cold,
             migrated: pkt.migrated,
-            duration: d,
+            duration: charge.duration,
         };
         slot.current = Some(pkt);
-        slot.finish_at = now + d;
         q.len = slot.queue.len();
         q.busy = true;
         q.idle_since = None;
@@ -215,14 +200,11 @@ impl ServiceStage {
         q.up = false;
         q.idle_since = None;
         slot.stalled_until = None;
-        slot.speed = 1.0;
-        slot.last_service = None;
+        // The full duration was credited at start; the clock refunds
+        // what the core will no longer perform.
+        slot.clock.crash(now);
         let mut lost = Vec::new();
         if let Some(pkt) = slot.current.take() {
-            // The full duration was credited at start; refund what the
-            // core will no longer perform.
-            let remaining = (slot.finish_at - now).as_nanos();
-            slot.busy_ns = slot.busy_ns.saturating_sub(remaining);
             lost.push(pkt);
         }
         while let Some(pkt) = slot.queue.pop() {
@@ -234,10 +216,10 @@ impl ServiceStage {
     }
 
     /// Revive `core` after a crash: it rejoins idle, at full speed,
-    /// with a cold instruction cache. Returns `false` (no-op) if the
-    /// core was already up.
+    /// with a cold instruction cache (both kept by its clock). Returns
+    /// `false` (no-op) if the core was already up.
     pub(super) fn heal(&mut self, core: usize, now: SimTime) -> bool {
-        let Some((slot, q)) = self.core_mut(core) else {
+        let Some((_, q)) = self.core_mut(core) else {
             return false;
         };
         if q.up {
@@ -245,18 +227,7 @@ impl ServiceStage {
         }
         q.up = true;
         q.idle_since = Some(now);
-        slot.speed = 1.0;
         true
-    }
-
-    /// Set `core`'s service-duration multiplier (throttle; 1.0 restores
-    /// full speed). Ignored on a dead core (a heal resets speed).
-    pub(super) fn set_speed(&mut self, core: usize, factor: f64) {
-        if let Some((slot, q)) = self.core_mut(core) {
-            if q.up && factor > 0.0 {
-                slot.speed = factor;
-            }
-        }
     }
 
     /// Latch a transient stall on `core` until `until`: its current
@@ -291,7 +262,7 @@ impl ServiceStage {
     /// Per-core busy nanoseconds, for the final report.
     pub(super) fn busy_ns(&self) -> Vec<u64> {
         // npcheck: allow(blocking-hot-path) — end-of-run report, not on the per-packet path
-        self.cores.iter().map(|c| c.busy_ns).collect()
+        self.cores.iter().map(|c| c.clock.busy_ns()).collect()
     }
 
     /// Packets waiting across all queues (invariant checking).
@@ -355,7 +326,12 @@ mod tests {
     fn view_matches_a_recount_after_every_mutation() {
         const CORES: usize = 3;
         const CAP: usize = 4;
-        let mut st = ServiceStage::new(CORES, CAP, DelayModel::default());
+        let cfg = EngineConfig {
+            n_cores: CORES,
+            queue_capacity: CAP,
+            ..EngineConfig::default()
+        };
+        let mut st = ServiceStage::new(&cfg);
         // Per core: (up, idle_since, last_congested).
         let mut model = [(true, Some(SimTime::ZERO), SimTime::ZERO); CORES];
         let mut rng = SplitMix64::new(7);
@@ -366,7 +342,7 @@ mod tests {
             let r = rng.next_u64();
             let i = (r % CORES as u64) as usize;
             let (up, idle, congested) = &mut model[i];
-            if st.cores[i].current.is_some() && st.cores[i].finish_at <= now {
+            if st.cores[i].current.is_some() && st.cores[i].clock.vt() <= now {
                 // The finish event would have fired by now.
                 st.take_current(i);
             }

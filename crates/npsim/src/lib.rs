@@ -18,6 +18,9 @@
 //!   descriptors), processing delays per the Eq. 3 model with
 //!   flow-migration and cold-I-cache penalties, drop accounting, and
 //!   packet-reordering measurement at departure.
+//! * [`CoreClock`] — one core's cost model (cold starts, Eq. 3,
+//!   throttles, busy time, virtual clock), the one both execution
+//!   backends charge service time with.
 //! * [`SimReport`] — everything the paper's figures need: drops,
 //!   out-of-order departures, flow migrations, cold-cache fraction,
 //!   latency distribution, per-service breakdowns.
@@ -34,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod core_clock;
 pub mod engine;
 pub mod event;
 pub mod exec;
@@ -47,6 +51,7 @@ pub mod restore;
 pub mod sched;
 pub mod source;
 
+pub use core_clock::{Charge, CoreClock};
 pub use engine::{
     ArrivalPlan, CycleReport, Engine, EngineConfig, ExecutionMode, PlanStream, ScheduledPacket,
     Stage, StageCycles,
