@@ -31,7 +31,8 @@
 //!
 //! A **core-model pair** runs `static` on both backends (npexec with 4
 //! groups and no rebalancing, so both route every flow through the same
-//! map table), once fault-free and once with a throttle on core 1.
+//! map table), once fault-free, once with a throttle on core 1, and
+//! once with a short stall on core 1 that a throttle sets in during.
 //! Below saturation each core then sees the same packets in the same
 //! order on both backends, and both charge them through
 //! `npsim::CoreClock`: per-core busy time and the cold-start count must
@@ -447,8 +448,9 @@ fn core_model_config(ms: u64, faults: FaultPlan) -> (EngineConfig, Vec<SourceCon
     (cfg, sources)
 }
 
-/// Run the core-model pair, fault-free and throttled; returns one table
-/// row per backend and run, and appends every mismatch to `violations`.
+/// Run the core-model pair, fault-free, throttled, and stalled under a
+/// throttle that starts inside the stall; returns one table row per
+/// backend and run, and appends every mismatch to `violations`.
 fn run_core_model(opts: Opts, violations: &mut Vec<String>) -> Vec<Vec<String>> {
     let ms = |f: u64| SimTime::from_nanos(opts.ms * 1_000_000 * f / 10);
     let plans = [
@@ -458,6 +460,13 @@ fn run_core_model(opts: Opts, violations: &mut Vec<String>) -> Vec<Vec<String>> 
             FaultPlan::new()
                 .throttle(ms(3), 1, 1.3)
                 .throttle(ms(7), 1, 1.0),
+        ),
+        (
+            // Short enough that core 1's queue holds the backlog.
+            "stall+throttle",
+            FaultPlan::new()
+                .stall(ms(3), 1, SimTime::from_micros(50))
+                .throttle(ms(3) + SimTime::from_micros(20), 1, 1.3),
         ),
     ];
     let mut rows = Vec::new();

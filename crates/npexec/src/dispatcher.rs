@@ -48,7 +48,7 @@ use nphash::MapTable;
 use npsim::{FaultAction, PlanStream};
 
 use crate::plan::{ExecDesc, SeqWatch};
-use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_PAUSED, CMD_STALL};
+use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_PAUSED};
 use crate::{CrashEpisode, ForcedMigration, FullPolicy};
 
 /// A ring producer of packet descriptors.
@@ -337,8 +337,8 @@ fn fire_fault(
                 return;
             };
             // The crash waited for the pause, so the crash step is done.
-            // Resume with a zero word: no crash, no pause, and no stall
-            // the dead core carried. Its clock restores full speed.
+            // Resume with a zero word: no crash, no pause. Its clock
+            // restores full speed.
             // npcheck: ordering(Release pairs with the paused worker's Acquire load of the command word)
             slot.cmd.store(0, Ordering::Release);
             if let Some(l) = fs.live.get_mut(core) {
@@ -409,17 +409,8 @@ fn fire_fault(
             });
             out.heals += 1;
         }
-        // Each worker's clock reads its throttles off the plan.
-        FaultAction::Throttle { .. } => {}
-        FaultAction::Stall { core, .. } => {
-            // Duration on real threads is "until the watchdog notices":
-            // the stall exists to exercise stagnation detection, and
-            // epoch-based recovery keeps wall-clock out of the loop.
-            if let Some(slot) = ctrl.and_then(|cp| cp.slots.get(core)) {
-                // npcheck: ordering(AcqRel RMW — Release publishes the stall to the worker's Acquire load of cmd)
-                slot.cmd.fetch_or(CMD_STALL, Ordering::AcqRel);
-            }
-        }
+        // Each worker's clock reads its throttles and stalls off the plan.
+        FaultAction::Throttle { .. } | FaultAction::Stall { .. } => {}
     }
 }
 

@@ -38,19 +38,19 @@
 //!                      ├─ MapTable  (bucket == flow group)
 //!                      ├─ group_of_flow, last_core (grow with the flows)
 //!                      ├─ GroupBoard (begun/released per group)
-//!                      └─ supervisor (fault runs: stall watchdog)
+//!                      └─ ControlPlane (fault runs: crash/pause words)
 //! ```
 //!
 //! Fault plans execute for real: a `Crash` pauses its worker, which
 //! first turns its held and queued packets into accounted drops and
 //! force-releases the repair handshakes of its buckets, which
 //! `retire_core` then re-homes; a `Heal` resumes the worker cold and
-//! migrates its buckets home; a `Stall` silences a live worker to
-//! exercise the heartbeat watchdog. Those actions fire just before the
-//! first packet arriving at or after their instant `t`. A `Throttle`
-//! goes to no thread: each worker's [`CoreClock`] reads it off the
-//! plan and charges it to every service that starts at or after `t`,
-//! as the detsim engine does. Every thread is spawned before
+//! migrates its buckets home. Both fire just before the first packet
+//! arriving at or after their instant `t`. A `Throttle` or a `Stall`
+//! goes to no thread: each worker's [`CoreClock`] reads it off the plan
+//! — a factor for every service that starts at or after `t`, a window
+//! `[t, t + duration)` in which no service starts — as the detsim
+//! engine does. A run spawns exactly one thread per worker, all before
 //! dispatch starts, and each worker returns one outcome for the whole
 //! run. No action touches a source, so the stream is the same with or
 //! without the plan. See the [`supervisor`] module docs for the
@@ -208,8 +208,6 @@ pub struct ExecStats {
     /// Crash-repair handshakes completed by force-release, summed over
     /// workers (each crashed worker releases its own, after draining).
     pub forced_releases: u64,
-    /// Stalled workers the heartbeat watchdog detected and recovered.
-    pub stalls_detected: u64,
     /// Packets that waited at least one full-ring retry under
     /// [`FullPolicy::Backpressure`].
     pub backpressured: u64,
@@ -254,10 +252,10 @@ impl ExecBackend for ThreadedBackend {
 
     /// Check the configuration against this backend's capabilities
     /// without running anything: the expected packet count must fit
-    /// the 32-bit plan positions with half the range to spare, fault
-    /// cores must be in worker range, throttle factors finite and
-    /// positive (what detsim's `FaultPlan::validate` demands), and the
-    /// plan must never crash the last live worker.
+    /// the 32-bit plan positions with half the range to spare, the plan
+    /// must pass [`FaultPlan::validate`](npsim::FaultPlan::validate)
+    /// for `workers` cores (what detsim demands), and it must never
+    /// crash the last live worker.
     fn validate(&self, cfg: &EngineConfig, sources: &[SourceConfig]) -> Result<(), ExecError> {
         let expected = PlanStream::expected_packets_for(cfg, sources) as u64;
         if expected > MAX_PLAN_PACKETS {
@@ -267,21 +265,14 @@ impl ExecBackend for ThreadedBackend {
             });
         }
         let workers = self.cfg.workers.max(1);
+        cfg.faults
+            .validate(workers, sources.len())
+            .map_err(ExecError::UnsupportedPlan)?;
         let mut live = vec![true; workers];
         let mut live_count = workers;
         for &(at, action) in cfg.faults.entries() {
             let core = action.core();
-            if core >= workers {
-                return Err(ExecError::UnsupportedPlan(
-                    UnsupportedPlan::CoreOutOfRange { at, core, workers },
-                ));
-            }
             match action {
-                FaultAction::Throttle { factor, .. } if !factor.is_finite() || factor <= 0.0 => {
-                    return Err(ExecError::UnsupportedPlan(
-                        UnsupportedPlan::ThrottleFactor { at, core, factor },
-                    ));
-                }
                 FaultAction::Crash { .. } if live[core] => {
                     if live_count == 1 {
                         return Err(ExecError::UnsupportedPlan(
@@ -305,8 +296,8 @@ impl ExecBackend for ThreadedBackend {
     ///
     /// # Panics
     /// Panics if [`ExecBackend::validate`] rejects the configuration
-    /// (too many expected packets, out-of-range cores, a non-finite
-    /// throttle factor, a plan that crashes the last live worker). Call
+    /// (too many expected packets, a plan `FaultPlan::validate`
+    /// rejects, a plan that crashes the last live worker). Call
     /// `validate` first to handle these as errors. Panics if the stream
     /// nevertheless exceeds `u32::MAX` packets (plan positions and
     /// per-flow sequence numbers are kept in 32 bits).
@@ -355,12 +346,12 @@ impl ExecBackend for ThreadedBackend {
         forced.sort_by_key(|f| f.after_packets);
         let faults = cfg.faults.entries();
         // Fault-free runs carry no control plane: workers then skip
-        // every supervision check, and no supervisor thread spawns.
+        // every command-word check.
         let ctrl = (!faults.is_empty()).then(|| ControlPlane::new(workers));
 
         #[allow(clippy::disallowed_methods, reason = "wall-clock Mpps is the output")]
         let start = Instant::now();
-        let (mut dispatch, outs, stalls_detected) = std::thread::scope(|s| {
+        let (mut dispatch, outs) = std::thread::scope(|s| {
             let cp = ctrl.as_ref();
             let mut handles = Vec::with_capacity(workers);
             for (id, consumer) in consumers.into_iter().enumerate() {
@@ -377,7 +368,6 @@ impl ExecBackend for ThreadedBackend {
                 };
                 handles.push(s.spawn(move || worker::run(ctx)));
             }
-            let sup_handle = cp.map(|cp| s.spawn(move || supervisor::run(cp)));
             let dispatch = dispatcher::run(DispatchCtx {
                 stream,
                 table,
@@ -398,14 +388,7 @@ impl ExecBackend for ThreadedBackend {
                 .into_iter()
                 .map(|h| h.join().unwrap_or_default())
                 .collect();
-            // The watchdog runs until every worker joined: a worker
-            // stalled at the end of the run exits only once cleared.
-            if let Some(cp) = cp {
-                // npcheck: ordering(Release pairs with the supervisor's Acquire load at the top of its sweep)
-                cp.shutdown.store(true, Ordering::Release);
-            }
-            let stalls = sup_handle.map_or(0, |h| h.join().unwrap_or_default());
-            (dispatch, outs, stalls)
+            (dispatch, outs)
         });
         let wall_secs = start.elapsed().as_secs_f64().max(1e-9);
 
@@ -437,7 +420,6 @@ impl ExecBackend for ThreadedBackend {
             table_epoch: dispatch.final_epoch,
             episodes,
             forced_releases: outs.iter().map(|o| o.forced_releases).sum(),
-            stalls_detected,
             backpressured: dispatch.backpressured,
         };
         let report = assemble_report(cfg, scheduler.name(), &dispatch, &outs, delivered);
@@ -874,6 +856,15 @@ mod tests {
                 }
             ))
         );
+        let at = SimTime::from_millis(1);
+        assert_eq!(
+            ok(FaultPlan::new().stall(at, 3, SimTime::MAX)),
+            Err(ExecError::UnsupportedPlan(UnsupportedPlan::StallOverflow {
+                at,
+                core: 3
+            })),
+            "a stall that ends past SimTime::MAX"
+        );
         let genocide = FaultPlan::new()
             .crash(SimTime::from_millis(1), 0)
             .crash(SimTime::from_millis(2), 1)
@@ -1007,10 +998,6 @@ mod tests {
         assert_eq!(faults.injected, 2);
         assert_eq!((faults.crashes, faults.heals), (0, 0));
         let stats = backend.last_stats().expect("stats recorded");
-        assert_eq!(
-            stats.stalls_detected, 1,
-            "the watchdog caught and cleared the stall"
-        );
         assert!(stats.episodes.is_empty());
     }
 

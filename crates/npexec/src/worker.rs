@@ -28,16 +28,16 @@
 //!
 //! Every service is charged by the worker's [`CoreClock`], the core
 //! model detsim charges each core with: a packet starts at the later of
-//! its arrival and the end of the previous service, and pays the
-//! throttle the fault plan has in force then, whatever the host timing.
+//! its arrival and the end of the previous service, moved past any
+//! stall window of the fault plan, and pays the throttle the plan has
+//! in force then, whatever the host timing. The thread itself never
+//! stalls.
 //!
 //! When a fault plan is active the worker also carries a control slot
-//! (see [`supervisor`](crate::supervisor)): each iteration it reads the
-//! command word and bumps its heartbeat. [`CMD_CRASH`] makes it do the
-//! crash step — holds and ring contents become crash drops, then the
-//! force list is force-released — and pause until a heal clears the
-//! word; [`CMD_STALL`] makes it stop draining *and* stop heartbeating
-//! (the watchdog's stagnation signal).
+//! (see [`supervisor`](crate::supervisor)) and reads its command word
+//! each iteration. [`CMD_CRASH`] makes it do the crash step — holds and
+//! ring contents become crash drops, then the force list is
+//! force-released — and pause until a heal clears the word.
 //!
 //! An idle worker spins briefly, then sleeps [`IDLE_NAP`]: the
 //! dispatcher draws every packet, so it is the bottleneck, and on a
@@ -56,7 +56,7 @@ use npsim::CoreClock;
 
 use crate::affinity;
 use crate::plan::{ExecDesc, SeqWatch, WatchView};
-use crate::supervisor::{ControlPlane, WorkerSlot, CMD_CRASH, CMD_PAUSED, CMD_STALL};
+use crate::supervisor::{ControlPlane, WorkerSlot, CMD_CRASH, CMD_PAUSED};
 
 /// How long an idle worker sleeps after 64 empty polls.
 const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(20);
@@ -78,12 +78,12 @@ pub(crate) struct WorkerCtx<'a> {
     pub seq_watch: &'a SeqWatch,
     /// Set by the dispatcher after its last push.
     pub done: &'a AtomicBool,
-    /// This worker's core model: cold starts, Eq. 3, throttles.
+    /// This worker's core model: cold starts, Eq. 3, throttles, stalls.
     pub clock: CoreClock,
     /// CPU to pin to, if pinning was requested.
     pub pin_to: Option<usize>,
     /// The fault-run control plane; `None` in fault-free runs (the loop
-    /// then skips every supervision check).
+    /// then skips every command-word check).
     pub ctrl: Option<&'a ControlPlane>,
 }
 
@@ -259,9 +259,8 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     let mut idle_polls = 0u32;
     loop {
         if let Some(slot) = slot {
-            // npcheck: ordering(Acquire pairs with the dispatcher's and watchdog's Release writes of the command word)
-            let cmd = slot.cmd.load(Ordering::Acquire);
-            if cmd & CMD_CRASH != 0 {
+            // npcheck: ordering(Acquire pairs with the dispatcher's Release writes of the command word)
+            if slot.cmd.load(Ordering::Acquire) & CMD_CRASH != 0 {
                 crash(&mut svc.out, &mut holds, &mut consumer, &board, slot);
                 held_depth = 0;
                 // The crash step runs between two services: nothing is
@@ -274,15 +273,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 svc.out.recoveries.push(None);
                 continue;
             }
-            if cmd & CMD_STALL != 0 {
-                // Deliberate non-draining; the silent heartbeat is what
-                // the watchdog detects. Keep polling the command word so
-                // recovery (clearing the bit) takes effect.
-                std::thread::yield_now();
-                continue;
-            }
-            // npcheck: ordering(Relaxed is sound: the heartbeat is a monotone progress counter; the watchdog only compares successive reads)
-            slot.heartbeat.fetch_add(1, Ordering::Relaxed);
         }
         // Drain every hold whose handshake has released. Doing this
         // before the pop keeps FIFO: a held group's packets always go

@@ -2,7 +2,7 @@
 //! flow-to-core map, each core sees the same packets in the same order
 //! on the detsim engine and on npexec's threads, so the two must charge
 //! exactly the same busy time and count the same cold starts — with or
-//! without a throttle.
+//! without a throttle or a stall.
 //!
 //! detsim runs `StaticHash` on 4 cores; npexec runs 4 workers over 4
 //! groups with no rebalancing. Both then route every flow through the
@@ -50,6 +50,14 @@ fn throttle_plan() -> FaultPlan {
         .throttle(SimTime::from_millis(6), 1, 1.0)
 }
 
+/// Core 1 stalls for 50 µs at 2 ms — short enough that its queue holds
+/// the backlog — and a ×1.3 throttle sets in 20 µs into the window.
+fn stall_plan() -> FaultPlan {
+    FaultPlan::new()
+        .stall(SimTime::from_millis(2), 1, SimTime::from_micros(50))
+        .throttle(SimTime::from_micros(2_020), 1, 1.3)
+}
+
 /// `(per-core busy ns, cold starts, processed)` on the detsim engine.
 fn detsim(faults: FaultPlan) -> (Vec<u64>, u64, u64) {
     let r = Engine::new(cfg(faults), &sources(), StaticHash::new(4)).run();
@@ -95,4 +103,18 @@ fn a_throttle_charges_the_same_packets_the_same_time_on_both_backends() {
     assert_eq!(first, det);
     // Which packets a throttle covers no longer depends on host timing.
     assert_eq!(npexec(throttle_plan()).0, first.0);
+}
+
+#[test]
+fn a_stall_holds_the_same_packets_on_both_backends() {
+    let det = detsim(stall_plan());
+    let throttle_only = detsim(FaultPlan::new().throttle(SimTime::from_micros(2_020), 1, 1.3));
+    assert!(
+        det.0[1] > throttle_only.0[1] && det.0[0] == throttle_only.0[0],
+        "packets that reached core 1 in the window's first 20 µs start \
+         at its end, under the throttle"
+    );
+    let first = npexec(stall_plan());
+    assert_eq!(first, det);
+    assert_eq!(npexec(stall_plan()).0, first.0);
 }

@@ -4,15 +4,21 @@
 //! (§IV-C, Eq. 3–5): detsim's service stage keeps one per core, and
 //! each npexec worker one for its core. It owns the cold-start rule,
 //! the Eq. 3 call (scale applied here), the throttle in force at a
-//! start time, the SCR sync surcharge (added after the throttle), busy
-//! time with the crash refund, and a virtual clock: a service asked to
-//! start at `at` starts at `max(vt, at)` and moves `vt` to its end.
+//! start time, the stall windows, the SCR sync surcharge (added after
+//! the throttle), busy time with the crash refund, and a virtual clock:
+//! a service asked to start at `at` starts at `max(vt, at)`, moved to
+//! the end of the stall window holding it if one does, and moves `vt`
+//! to its end.
 //!
-//! Throttles are read off the static [`FaultPlan`](crate::FaultPlan),
-//! in plan order: a throttle of a live core sets the factor, one of a
-//! down core is ignored, a crash marks the core down, a heal of a down
-//! core restores ×1.0. A factor set at `T` applies to every start at or
-//! after `T`.
+//! Throttles and stalls are read off the static
+//! [`FaultPlan`](crate::FaultPlan), in plan order: a throttle of a live
+//! core sets the factor, a stall of a live core adds the window
+//! `[at, at + duration)` (overlapping windows merge up to the latest
+//! end), and either is ignored on a down core; a crash marks the core
+//! down and cuts its open window at the crash instant; a heal of a down
+//! core restores ×1.0 (and revives no cut window). A factor set at `T`
+//! applies to every start at or after `T`; a window ending at `E`
+//! holds every start before `E`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::engine::EngineConfig;
@@ -50,6 +56,10 @@ pub struct CoreClock {
     speeds: Vec<(SimTime, f64)>,
     next_speed: usize,
     factor: f64,
+    /// Disjoint `[start, end)` stall windows in time order; the cursor
+    /// is the first not yet over (queries per core never go back).
+    stalls: Vec<(SimTime, SimTime)>,
+    next_stall: usize,
 }
 
 impl CoreClock {
@@ -57,11 +67,29 @@ impl CoreClock {
     pub fn new(cfg: &EngineConfig, core: usize) -> Self {
         let mut up = true;
         let mut speeds = Vec::new();
+        let mut stalls: Vec<(SimTime, SimTime)> = Vec::new();
         for &(at, action) in cfg.faults.entries() {
             match action {
                 _ if action.core() != core => {}
                 FaultAction::Throttle { factor, .. } if up => speeds.push((at, factor)),
-                FaultAction::Crash { .. } => up = false,
+                FaultAction::Stall { duration, .. } if up => {
+                    // `FaultPlan::validate` rejects an end past `SimTime::MAX`.
+                    let end = at.checked_add(duration).unwrap_or(SimTime::MAX);
+                    match stalls.last_mut() {
+                        Some(w) if at <= w.1 => w.1 = w.1.max(end),
+                        _ if at < end => stalls.push((at, end)),
+                        _ => {}
+                    }
+                }
+                FaultAction::Crash { .. } => {
+                    if let Some(w) = stalls.last_mut().filter(|w| at < w.1) {
+                        w.1 = at;
+                        if w.0 == at {
+                            stalls.pop();
+                        }
+                    }
+                    up = false;
+                }
                 FaultAction::Heal { .. } if !up => {
                     up = true;
                     speeds.push((at, 1.0));
@@ -77,7 +105,30 @@ impl CoreClock {
             speeds,
             next_speed: 0,
             factor: 1.0,
+            stalls,
+            next_stall: 0,
         }
+    }
+
+    /// The end of the stall window holding `t`, if one does. `t` must
+    /// not precede an earlier query's (a fault-free clock pays one
+    /// length check).
+    fn stall_end(&mut self, t: SimTime) -> Option<SimTime> {
+        while let Some(&(from, end)) = self.stalls.get(self.next_stall) {
+            if t < from {
+                return None;
+            }
+            if t < end {
+                return Some(end);
+            }
+            self.next_stall += 1;
+        }
+        None
+    }
+
+    /// Whether a stall window holds `t` (no service may start then).
+    pub fn stalled(&mut self, t: SimTime) -> bool {
+        self.stall_end(t).is_some()
     }
 
     /// Start a packet that reached the core at `at`; `sync_debt_ns` is
@@ -90,7 +141,10 @@ impl CoreClock {
         migrated: bool,
         sync_debt_ns: u32,
     ) -> Charge {
-        let start = self.vt.max(at);
+        let mut start = self.vt.max(at);
+        if let Some(end) = self.stall_end(start) {
+            start = end;
+        }
         while let Some(&(_, f)) = self.speeds.get(self.next_speed).filter(|s| s.0 <= start) {
             self.factor = f;
             self.next_speed += 1;
@@ -259,6 +313,109 @@ mod tests {
         c.start(SimTime::ZERO, ServiceKind::IpForward, 64, false, 0);
         let ch = c.start(us(600), ServiceKind::IpForward, 64, false, 0);
         assert_eq!(ch.duration, warm(2.0));
+    }
+
+    /// Start one packet at each of `at` (µs, far enough apart that no
+    /// packet waits for the one before) and return the instants they
+    /// started at.
+    fn starts(plan: FaultPlan, at: &[u64]) -> Vec<SimTime> {
+        let mut c = clock(plan);
+        at.iter()
+            .map(|&t| {
+                let ch = c.start(us(t), ServiceKind::IpForward, 64, false, 0);
+                c.vt() - ch.duration
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_start_inside_a_stall_moves_to_its_end() {
+        let plan = FaultPlan::new().stall(us(100), 0, us(50));
+        // Inside, exactly at its start, exactly at its end, after.
+        assert_eq!(starts(plan.clone(), &[120]), [us(150)], "inside the window");
+        assert_eq!(starts(plan.clone(), &[100]), [us(150)], "at its start");
+        assert_eq!(starts(plan.clone(), &[150]), [us(150)], "at its end");
+        assert_eq!(starts(plan, &[50, 200]), [us(50), us(200)], "outside");
+    }
+
+    #[test]
+    fn stalled_answers_per_window_and_the_end_is_open() {
+        let mut c = clock(
+            FaultPlan::new()
+                .stall(us(10), 0, us(5))
+                .stall(us(30), 0, us(5)),
+        );
+        let seen: Vec<bool> = [0, 10, 14, 15, 20, 30, 35]
+            .iter()
+            .map(|&t| c.stalled(us(t)))
+            .collect();
+        assert_eq!(seen, [false, true, true, false, false, true, false]);
+    }
+
+    #[test]
+    fn overlapping_stalls_hold_until_the_latest_end() {
+        // [100, 200) and [150, 180): the later, shorter one ends first.
+        let plan = FaultPlan::new()
+            .stall(us(100), 0, us(100))
+            .stall(us(150), 0, us(30));
+        assert_eq!(starts(plan, &[185]), [us(200)]);
+        // [100, 150) and [150, 300) touch: one window.
+        let touching = FaultPlan::new()
+            .stall(us(100), 0, us(50))
+            .stall(us(150), 0, us(150));
+        assert_eq!(starts(touching, &[150]), [us(300)]);
+    }
+
+    #[test]
+    fn a_crash_cuts_the_open_stall() {
+        let plan = FaultPlan::new()
+            .stall(us(100), 0, us(100))
+            .crash(us(130), 0)
+            .heal(us(140), 0);
+        // Inside the old window, after the cut: not held.
+        assert_eq!(starts(plan, &[120, 150]), [us(130), us(150)]);
+        // A crash at the window's own start leaves nothing of it.
+        let same_instant = FaultPlan::new()
+            .stall(us(100), 0, us(100))
+            .crash(us(100), 0)
+            .heal(us(110), 0);
+        assert_eq!(starts(same_instant, &[120]), [us(120)]);
+    }
+
+    #[test]
+    fn a_heal_does_not_revive_a_cut_stall() {
+        let plan = FaultPlan::new()
+            .stall(us(100), 0, us(100))
+            .crash(us(120), 0)
+            .heal(us(140), 0);
+        let mut c = clock(plan);
+        assert!(c.stalled(us(110)));
+        assert!(!c.stalled(us(150)), "the heal leaves the core free");
+    }
+
+    #[test]
+    fn a_stall_of_a_down_core_is_ignored() {
+        let plan = FaultPlan::new()
+            .crash(us(50), 0)
+            .stall(us(60), 0, us(100))
+            .heal(us(70), 0);
+        assert_eq!(starts(plan, &[80]), [us(80)]);
+        // Nor do other cores' stalls touch this clock, nor a zero one.
+        let other = FaultPlan::new()
+            .stall(us(60), 1, us(100))
+            .stall(us(60), 0, SimTime::ZERO);
+        assert_eq!(starts(other, &[60]), [us(60)]);
+    }
+
+    #[test]
+    fn a_throttle_inside_a_stall_charges_the_moved_start() {
+        let plan = FaultPlan::new()
+            .stall(us(100), 0, us(50))
+            .throttle(us(120), 0, 1.3);
+        let mut c = clock(plan);
+        c.start(SimTime::ZERO, ServiceKind::IpForward, 64, false, 0);
+        let ch = c.start(us(110), ServiceKind::IpForward, 64, false, 0);
+        assert_eq!((c.vt(), ch.duration), (us(150) + warm(1.3), warm(1.3)));
     }
 
     #[test]

@@ -455,7 +455,9 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                     match win {
                         Win::Rate => self.on_rate_update(t, &mut st),
                         Win::Fault(idx) => self.on_fault(idx, t, &mut st),
-                        Win::StallEnd(core) => self.on_stall_end(core, t, &mut st),
+                        // Resumes service unless the clock says a stall
+                        // still holds the core.
+                        Win::StallEnd(core) => self.start_processing(core, t, &mut st),
                         _ => {}
                     }
                 }

@@ -623,20 +623,12 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
             }
             // Each core's clock reads its throttles off the plan.
             FaultAction::Throttle { .. } => {}
+            // The clock holds the window; the end event resumes service.
             FaultAction::Stall { core, duration } => {
-                let until = now + duration;
-                if self.service.stall(core, until) {
-                    tx.arm_stall_end(core, until);
+                if self.service.is_up(core) {
+                    tx.arm_stall_end(core, now + duration);
                 }
             }
-        }
-    }
-
-    /// A stall-end event fired: resume service on `core`, unless a
-    /// longer overlapping stall still holds it.
-    fn on_stall_end<T: Pending>(&mut self, core: usize, now: SimTime, tx: &mut T) {
-        if self.service.end_stall(core, now) {
-            self.start_processing(core, now, tx);
         }
     }
 
@@ -836,7 +828,9 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
                 }
                 Ev::RateUpdate => self.on_rate_update(t, &mut tx),
                 Ev::Fault(idx) => self.on_fault(idx, t, &mut tx),
-                Ev::StallEnd(core) => self.on_stall_end(core, t, &mut tx),
+                // Resumes service unless the core's clock says a longer
+                // overlapping stall still holds it.
+                Ev::StallEnd(core) => self.start_processing(core, t, &mut tx),
             }
             #[cfg(feature = "invariants")]
             self.check_invariants(t, last_t);
@@ -1345,6 +1339,16 @@ mod tests {
         let mut cfg = quick_cfg(1, 1);
         cfg.faults = FaultPlan::new().throttle(SimTime::from_micros(10), 0, f64::INFINITY);
         let _ = Engine::new(cfg, &one_source(1.0), JoinShortestQueue::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault plan")]
+    fn a_stall_ending_past_simtime_max_is_rejected_before_the_run() {
+        // Unrejected, its end overflows `now + duration` when it fires
+        // (debug) or wraps into the past (release).
+        let mut cfg = quick_cfg(1, 1);
+        cfg.faults = FaultPlan::new().stall(SimTime::from_micros(10), 0, SimTime::MAX);
+        let _ = Engine::new(cfg, &one_source(1.0), JoinShortestQueue::new()).run();
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Service stage: per-core bounded queues and packet execution.
 //!
-//! Owns the core array (queue, packet in service, stall latch, and the
-//! core's [`CoreClock`] — cold starts, the Eq. 3 delay, throttles, busy
-//! time) and the per-core [`QueueInfo`] view the scheduler reads. The
-//! view is the only home of `idle_since`, `last_congested`, `up` and
-//! `capacity`; `len` and `busy` are written by the mutation that
-//! changes them, so the view is current whenever the orchestrator hands
-//! it to the scheduler. Enqueue outcomes and service starts are
-//! returned to the orchestrator, which publishes the corresponding bus
-//! events and schedules the finish timer.
+//! Owns the core array (queue, packet in service, and the core's
+//! [`CoreClock`] — cold starts, the Eq. 3 delay, throttles, stall
+//! windows, busy time) and the per-core [`QueueInfo`] view the
+//! scheduler reads. The view is the only home of `idle_since`,
+//! `last_congested`, `up` and `capacity`; `len` and `busy` are written
+//! by the mutation that changes them, so the view is current whenever
+//! the orchestrator hands it to the scheduler. Enqueue outcomes and
+//! service starts are returned to the orchestrator, which publishes the
+//! corresponding bus events and schedules the finish timer.
 //!
-//! Fault support: each core carries an `up` flag (in the view) and a
-//! stall latch; its clock reads throttles off the fault plan. A crash
+//! Fault support: each core carries an `up` flag (in the view); its
+//! clock reads throttles and stall windows off the fault plan, and a
+//! core starts no service while its clock says it is stalled. A crash
 //! drains the core's backlog (returned to the orchestrator for drop
 //! accounting) and refunds the unearned remainder of its in-service
 //! busy credit; the orchestrator orphans the core's armed finish timer.
@@ -29,14 +30,9 @@ use nptraffic::ServiceKind;
 struct Core {
     queue: BoundedQueue<PacketDesc>,
     current: Option<PacketDesc>,
-    /// Cost model and virtual clock; its `vt` is when the in-service
-    /// packet completes.
+    /// Cost model, stall windows and virtual clock; its `vt` is when
+    /// the in-service packet completes.
     clock: CoreClock,
-    /// Transient stall: the core finishes its current packet but starts
-    /// no new service until a stall-end event at or after this instant
-    /// clears it (the latest end over overlapping stalls). `None` = not
-    /// stalled.
-    stalled_until: Option<SimTime>,
 }
 
 /// A packet entering service: what the orchestrator needs to publish
@@ -70,7 +66,6 @@ impl ServiceStage {
                 queue: BoundedQueue::new(cfg.queue_capacity),
                 current: None,
                 clock: CoreClock::new(cfg, i),
-                stalled_until: None,
             })
             .collect();
         let idle = QueueInfo {
@@ -144,7 +139,7 @@ impl ServiceStage {
             debug_assert!(false, "start_processing on unknown core {core}");
             return None;
         };
-        if q.busy || !q.up || slot.stalled_until.is_some() {
+        if q.busy || !q.up || slot.clock.stalled(now) {
             return None;
         }
         let Some(pkt) = slot.queue.pop() else {
@@ -154,10 +149,17 @@ impl ServiceStage {
             return None;
         };
         // A core frees up at its clock's `vt` (the finish event) or by a
-        // crash, which stops the clock: the packet starts now.
+        // crash, which stops the clock, and `now` is outside every stall
+        // window: the packet starts now.
         let charge = slot
             .clock
             .start(now, pkt.service, pkt.size, pkt.migrated, pkt.sync_debt_ns);
+        #[cfg(feature = "invariants")]
+        assert_eq!(
+            slot.clock.vt(),
+            now + charge.duration,
+            "core {core} started a service away from now={now:?}"
+        );
         let started = Started {
             service: pkt.service,
             slot: pkt.slot,
@@ -185,10 +187,10 @@ impl ServiceStage {
         self.view.get(core).is_some_and(|q| q.up)
     }
 
-    /// Kill `core`: mark it down, end any stall, refund the unearned
-    /// remainder of its in-service busy credit, and return every packet it was
-    /// holding — in-service first, then the queue in FIFO order — for
-    /// the orchestrator to account as drops. Idempotent: a second crash
+    /// Kill `core`: mark it down, refund the unearned remainder of its
+    /// in-service busy credit, and return every packet it was holding —
+    /// in-service first, then the queue in FIFO order — for the
+    /// orchestrator to account as drops. Idempotent: a second crash
     /// of a down core returns nothing.
     pub(super) fn crash(&mut self, core: usize, now: SimTime) -> Vec<PacketDesc> {
         let Some((slot, q)) = self.core_mut(core) else {
@@ -199,7 +201,6 @@ impl ServiceStage {
         }
         q.up = false;
         q.idle_since = None;
-        slot.stalled_until = None;
         // The full duration was credited at start; the clock refunds
         // what the core will no longer perform.
         slot.clock.crash(now);
@@ -228,35 +229,6 @@ impl ServiceStage {
         q.up = true;
         q.idle_since = Some(now);
         true
-    }
-
-    /// Latch a transient stall on `core` until `until`: its current
-    /// packet completes, but no new service starts before a stall end at
-    /// or after `until` — overlapping stalls extend the window, they do
-    /// not cut it short. Returns `false` (no-op) on a dead core.
-    pub(super) fn stall(&mut self, core: usize, until: SimTime) -> bool {
-        match self.core_mut(core) {
-            Some((slot, q)) if q.up => {
-                slot.stalled_until = Some(slot.stalled_until.map_or(until, |u| u.max(until)));
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// A stall-end event fired on `core` at `now`. Clears the latch and
-    /// returns `true` unless a longer overlapping stall is still in
-    /// force (then this end is not the last one and must not resume
-    /// the core).
-    pub(super) fn end_stall(&mut self, core: usize, now: SimTime) -> bool {
-        match self.cores.get_mut(core) {
-            Some(slot) if slot.stalled_until.is_some_and(|until| now < until) => false,
-            Some(slot) => {
-                slot.stalled_until = None;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Per-core busy nanoseconds, for the final report.
@@ -297,6 +269,7 @@ impl ServiceStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use detsim::SplitMix64;
     use nphash::FlowId;
 
@@ -314,11 +287,13 @@ mod tests {
         }
     }
 
-    /// After every step of a random enqueue / start / take / crash / heal / stall
-    /// sequence, each entry equals a from-scratch recount — `len` and
-    /// `busy` from the core's queue and in-service slot, `up`,
-    /// `idle_since` and `last_congested` from a model of the rules the
-    /// module documents.
+    /// After every step of a random enqueue / start / take / crash / heal
+    /// sequence, under a plan that stalls every core now and then, each
+    /// entry equals a from-scratch recount — `len` and `busy` from the
+    /// core's queue and in-service slot, `up`, `idle_since` and
+    /// `last_congested` from a model of the rules the module documents.
+    /// A start is refused inside a plan window (the plan has no crash
+    /// to cut one).
     ///
     /// It bites: deleting the `q.len = 0` write in `crash` fails it at
     /// the first crash of a core with a backlog.
@@ -326,17 +301,35 @@ mod tests {
     fn view_matches_a_recount_after_every_mutation() {
         const CORES: usize = 3;
         const CAP: usize = 4;
+        let mut rng = SplitMix64::new(7);
+        // One stall of 1–8 µs on a random core in every 40 µs of the
+        // walk's ≈ 7 ms.
+        let mut plan = FaultPlan::new();
+        let mut windows = Vec::new();
+        for k in 0..175u64 {
+            let at = SimTime::from_micros(40 * k + rng.next_u64() % 40);
+            let d = SimTime::from_nanos(1_000 + rng.next_u64() % 7_000);
+            let core = (rng.next_u64() % CORES as u64) as usize;
+            plan = plan.stall(at, core, d);
+            windows.push((core, at, at + d));
+        }
+        let stalled = |core: usize, t: SimTime| {
+            windows
+                .iter()
+                .any(|&(c, at, end)| c == core && at <= t && t < end)
+        };
         let cfg = EngineConfig {
             n_cores: CORES,
             queue_capacity: CAP,
+            scale: 1.0,
+            faults: plan,
             ..EngineConfig::default()
         };
         let mut st = ServiceStage::new(&cfg);
         // Per core: (up, idle_since, last_congested).
         let mut model = [(true, Some(SimTime::ZERO), SimTime::ZERO); CORES];
-        let mut rng = SplitMix64::new(7);
         let mut now = SimTime::ZERO;
-        let (mut crashes_with_backlog, mut drops) = (0, 0);
+        let (mut crashes_with_backlog, mut drops, mut refused) = (0, 0, 0);
         for step in 0..20_000u64 {
             now += SimTime::from_nanos(rng.next_u64() % 500);
             let r = rng.next_u64();
@@ -358,10 +351,11 @@ mod tests {
                         *congested = now;
                     }
                 }
-                4 | 5 => {
+                4 | 5 | 9 => {
                     let c = &st.cores[i];
-                    let free = *up && c.current.is_none() && c.stalled_until.is_none();
+                    let free = *up && c.current.is_none() && !stalled(i, now);
                     let empty = c.queue.is_empty();
+                    refused += usize::from(*up && c.current.is_none() && !free && !empty);
                     let started = st.start_processing(i, now).is_some();
                     assert_eq!(started, free && !empty);
                     if free {
@@ -373,7 +367,13 @@ mod tests {
                     }
                 }
                 6 => {
-                    st.take_current(i);
+                    // Its finish event fires: time moves to it (a core's
+                    // clock is never asked about an instant before its
+                    // last start).
+                    if st.cores[i].current.is_some() {
+                        now = st.cores[i].clock.vt();
+                        st.take_current(i);
+                    }
                 }
                 7 => {
                     crashes_with_backlog += usize::from(*up && !st.cores[i].queue.is_empty());
@@ -383,17 +383,10 @@ mod tests {
                         *idle = None;
                     }
                 }
-                8 => {
+                _ => {
                     if st.heal(i, now) {
                         *up = true;
                         *idle = Some(now);
-                    }
-                }
-                _ => {
-                    if r & 1 == 0 {
-                        st.stall(i, now + SimTime::from_micros(1));
-                    } else {
-                        st.end_stall(i, now);
                     }
                 }
             }
@@ -419,8 +412,8 @@ mod tests {
             }
         }
         assert!(
-            crashes_with_backlog > 10 && drops > 100,
-            "the walk reaches the edges"
+            crashes_with_backlog > 10 && drops > 100 && refused > 10,
+            "the walk reaches the edges: {crashes_with_backlog} {drops} {refused}"
         );
     }
 }

@@ -47,21 +47,23 @@ pub enum ExecError {
     },
 }
 
-/// The specific fault-plan action combination a backend rejected.
+/// The specific fault-plan action combination a backend rejected. All
+/// but [`AllWorkersDown`](UnsupportedPlan::AllWorkersDown) come from
+/// [`FaultPlan::validate`](crate::FaultPlan::validate), which both
+/// backends run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UnsupportedPlan {
-    /// A crash/heal/throttle/stall names a core the backend has no
-    /// worker for.
+    /// A crash/heal/throttle/stall names a core past the run's cores
+    /// (npexec: its workers).
     CoreOutOfRange {
         /// When the action is scheduled.
         at: SimTime,
         /// The out-of-range core.
         core: usize,
-        /// Workers the backend would run.
+        /// Cores (workers) the run has.
         workers: usize,
     },
-    /// A throttle factor that is not a finite positive number (detsim
-    /// rejects the same plan in `FaultPlan::validate`).
+    /// A throttle factor that is not a finite positive number.
     ThrottleFactor {
         /// When the throttle is scheduled.
         at: SimTime,
@@ -69,6 +71,13 @@ pub enum UnsupportedPlan {
         core: usize,
         /// The offending factor.
         factor: f64,
+    },
+    /// A stall whose end `at + duration` lies past `SimTime::MAX`.
+    StallOverflow {
+        /// When the stall is scheduled.
+        at: SimTime,
+        /// The stalled core.
+        core: usize,
     },
     /// Executing the plan in order would crash the last live worker —
     /// with no live ring to repair onto, the run cannot make progress.
@@ -98,13 +107,18 @@ impl fmt::Display for UnsupportedPlan {
         match self {
             UnsupportedPlan::CoreOutOfRange { at, core, workers } => write!(
                 f,
-                "fault at {at:?} targets core {core} but the backend runs \
-                 {workers} workers"
+                "fault at {at:?} targets core {core} but the run has \
+                 {workers} cores"
             ),
             UnsupportedPlan::ThrottleFactor { at, core, factor } => write!(
                 f,
                 "throttle of core {core} at {at:?} has factor {factor}, \
                  not a finite positive number"
+            ),
+            UnsupportedPlan::StallOverflow { at, core } => write!(
+                f,
+                "stall of core {core} at {at:?} ends past the largest \
+                 representable instant"
             ),
             UnsupportedPlan::AllWorkersDown { at, workers } => write!(
                 f,

@@ -15,6 +15,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::event::SimEvent;
+use crate::exec::UnsupportedPlan;
 use crate::probe::Probe;
 use detsim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -138,25 +139,28 @@ impl FaultPlan {
 
     /// Validate the plan against an engine shape: core indices in range,
     /// finite positive throttle factors (an infinite factor overflows
-    /// the busy-time sum, a NaN one would be silently ignored). Returns
-    /// the first offending entry's description. No action names a
-    /// source; the second parameter is unused.
-    pub fn validate(&self, n_cores: usize, _n_sources: usize) -> Result<(), String> {
+    /// the busy-time sum, a NaN one would be silently ignored), and
+    /// stall ends within `SimTime`. Returns the first offending entry.
+    /// Both backends check a plan here. No action names a source; the
+    /// second parameter is unused.
+    pub fn validate(&self, n_cores: usize, _n_sources: usize) -> Result<(), UnsupportedPlan> {
         for &(at, action) in &self.entries {
             let core = action.core();
-            if core >= n_cores {
-                // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
-                return Err(format!(
-                    "fault at {at:?}: core {core} out of range (n_cores = {n_cores})"
-                ));
-            }
-            if let FaultAction::Throttle { factor, .. } = action {
-                if !factor.is_finite() || factor <= 0.0 {
-                    // npcheck: allow(blocking-hot-path) — setup-time plan validation, runs once before the simulation
-                    return Err(format!(
-                        "fault at {at:?}: throttle factor {factor} is not a finite positive number"
-                    ));
+            match action {
+                _ if core >= n_cores => {
+                    return Err(UnsupportedPlan::CoreOutOfRange {
+                        at,
+                        core,
+                        workers: n_cores,
+                    });
                 }
+                FaultAction::Throttle { factor, .. } if !factor.is_finite() || factor <= 0.0 => {
+                    return Err(UnsupportedPlan::ThrottleFactor { at, core, factor });
+                }
+                FaultAction::Stall { duration, .. } if at.checked_add(duration).is_none() => {
+                    return Err(UnsupportedPlan::StallOverflow { at, core });
+                }
+                _ => {}
             }
         }
         Ok(())
@@ -375,8 +379,13 @@ mod tests {
         );
         assert_eq!(kinds[2], (t(50), FaultAction::Heal { core: 2 }));
         assert!(plan.validate(4, 1).is_ok());
-        assert!(
-            plan.validate(2, 1).is_err(),
+        assert_eq!(
+            plan.validate(2, 1),
+            Err(UnsupportedPlan::CoreOutOfRange {
+                at: t(10),
+                core: 2,
+                workers: 2
+            }),
             "core 2 out of range for 2 cores"
         );
     }
@@ -385,12 +394,31 @@ mod tests {
     fn throttle_factor_must_be_finite_and_positive() {
         for factor in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
             let bad = FaultPlan::new().throttle(t(1), 0, factor);
-            assert!(bad.validate(4, 1).is_err(), "factor {factor} rejected");
+            assert!(
+                matches!(
+                    bad.validate(4, 1),
+                    Err(UnsupportedPlan::ThrottleFactor { core: 0, .. })
+                ),
+                "factor {factor} rejected"
+            );
         }
         for factor in [0.5, 1.0, 4.0] {
             let ok = FaultPlan::new().throttle(t(1), 0, factor);
             assert!(ok.validate(4, 1).is_ok(), "factor {factor} accepted");
         }
+    }
+
+    #[test]
+    fn a_stall_must_end_within_simtime() {
+        let at = t(5);
+        let longest = SimTime::from_nanos(u64::MAX - at.as_nanos());
+        let ok = FaultPlan::new().stall(at, 1, longest);
+        assert_eq!(ok.validate(4, 1), Ok(()));
+        let bad = FaultPlan::new().stall(at, 1, longest + SimTime::from_nanos(1));
+        assert_eq!(
+            bad.validate(4, 1),
+            Err(UnsupportedPlan::StallOverflow { at, core: 1 })
+        );
     }
 
     #[test]
