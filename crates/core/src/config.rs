@@ -75,20 +75,6 @@ impl Default for LapsConfig {
     }
 }
 
-impl LapsConfig {
-    /// Scale time-valued knobs by the engine's scale factor `F`, keeping
-    /// behaviour aligned with the scaled delay model.
-    pub fn scaled(mut self, factor: f64) -> Self {
-        self.idle_release = SimTime::from_micros_f64(self.idle_release.as_micros_f64() * factor);
-        self.realloc_cooldown =
-            SimTime::from_micros_f64(self.realloc_cooldown.as_micros_f64() * factor);
-        if let Some(p) = self.parking.as_mut() {
-            p.park_after = SimTime::from_micros_f64(p.park_after.as_micros_f64() * factor);
-        }
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,16 +85,5 @@ mod tests {
         assert_eq!(c.n_cores, 16);
         assert!(c.high_thresh <= 32);
         assert_eq!(c.afd.afc_entries, 16);
-    }
-
-    #[test]
-    fn scaled_multiplies_idle_release() {
-        let c = LapsConfig {
-            idle_release: SimTime::from_micros(100),
-            ..LapsConfig::default()
-        };
-        let s = c.scaled(50.0);
-        assert_eq!(s.idle_release, SimTime::from_millis(5));
-        assert_eq!(s.n_cores, c.n_cores);
     }
 }

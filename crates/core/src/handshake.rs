@@ -35,32 +35,19 @@
 //!
 //! The board is a pair of per-group monotone counters (`begun`,
 //! `released`); a group is mid-handshake while `begun > released`. The
-//! dispatcher must not begin a *load-driven* second handshake for a
-//! group until the first completes ([`GroupBoard::in_flight`] is the
-//! guard), so under normal operation the counters never differ by more
-//! than one.
-//!
-//! **Crash repair stacks handshakes.** When a worker crashes while a
-//! normal handshake for group `g` is still in flight (the crashed
-//! worker is the handshake's target), the dispatcher begins a *repair*
-//! handshake on top of it: `begun - released` may reach two. A repair
-//! handshake has **no mark**: the ack that proves "every old-side
-//! packet of `g` is accounted" is the crashed worker's own crash step —
-//! it stops servicing, drains its ring (remnants recorded as drops) and
-//! then calls [`GroupBoard::force_release`]. The new owner keeps
-//! holding until `released` catches `begun`, i.e. until *both* the live
-//! mark ack and the force-release have landed — which is exactly the
-//! condition under which servicing the held packets cannot overtake
-//! anything. `force_release` releases exactly one pending handshake and
-//! refuses to let `released` overtake `begun` (a CAS witness), so a
-//! duplicate or misdirected force-release cannot unblock a group early.
+//! dispatcher never begins a second handshake for a group until the
+//! first completes ([`GroupBoard::in_flight`] is the guard), so the
+//! counters never differ by more than one. A crash begins none: the
+//! crashed worker drains its ring (acking any stranded mark as usual)
+//! and pauses, and the dispatcher re-homes its groups only after that
+//! pause.
 //!
 //! Verified by `tests/loom_handshake.rs` and
-//! `tests/loom_force_release.rs` under `--cfg loom`: a dispatcher and
+//! `tests/loom_crash_repair.rs` under `--cfg loom`: a dispatcher and
 //! two workers exchange a group over two rings (plus, in the
-//! force-release models, a worker that crashes, drains its own ring and
-//! force-releases) and the model checker checks per-flow service order
-//! is monotone in every interleaving it explores.
+//! crash-repair models, a worker that crashes, drains its own ring and
+//! pauses) and the model checker checks per-flow service order is
+//! monotone in every interleaving it explores.
 
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,45 +116,6 @@ impl GroupBoard {
     pub fn release(&self, group: usize) {
         // npcheck: ordering(Release pairs with the new worker's Acquire loads in in_flight: all pre-migration service by the old worker happens-before the held packets drain)
         self.inner.released[group].fetch_add(1, Ordering::Release);
-    }
-
-    /// Crashed-worker step: release one pending handshake for `group`
-    /// without a mark ack — the crash-repair completion. Legal only
-    /// after every old-side packet of the group is accounted (the
-    /// crashed worker has stopped servicing and drained its own ring,
-    /// recording remnants as drops); the caller's program order plus
-    /// this Release bump make that accounting happen-before the new
-    /// owner's held-packet drain.
-    ///
-    /// Releases **exactly one** handshake, and only if one is pending:
-    /// the CAS loop re-reads `begun` each attempt and refuses to let
-    /// `released` overtake it, so a duplicate force-release (or one
-    /// racing a live mark ack for a stacked handshake) can never
-    /// unblock the group early. Returns whether a release was applied.
-    ///
-    /// # Panics
-    /// Panics if `group` is out of range.
-    pub fn force_release(&self, group: usize) -> bool {
-        // npcheck: ordering(Acquire pairs with begin's Release bump: the pending count we check includes every published begin)
-        let mut released = self.inner.released[group].load(Ordering::Acquire);
-        loop {
-            // npcheck: ordering(Acquire pairs with begin's Release bump: never release more than was begun)
-            let begun = self.inner.begun[group].load(Ordering::Acquire);
-            if released >= begun {
-                return false;
-            }
-            match self.inner.released[group].compare_exchange(
-                released,
-                released + 1,
-                // npcheck: ordering(AcqRel CAS — Release publishes the crashed worker's drain accounting to the new owner's in_flight Acquire)
-                Ordering::AcqRel,
-                // npcheck: ordering(Acquire on failure orders the retry loop's re-read of released)
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(cur) => released = cur,
-            }
-        }
     }
 
     /// Whether `group` is mid-handshake: a mark is in flight on the old
@@ -261,44 +209,6 @@ mod tests {
         }
         assert_eq!(board.total_begun(), 5);
         assert_eq!(board.total_released(), 5);
-    }
-
-    #[test]
-    fn force_release_completes_a_pending_handshake() {
-        let board = GroupBoard::new(2);
-        board.begin(0);
-        assert!(board.in_flight(0));
-        assert!(board.force_release(0), "one handshake was pending");
-        assert!(!board.in_flight(0));
-        assert_eq!(board.total_released(), 1);
-    }
-
-    #[test]
-    fn force_release_never_overtakes_begun() {
-        let board = GroupBoard::new(1);
-        assert!(!board.force_release(0), "idle group: nothing to release");
-        board.begin(0);
-        assert!(board.force_release(0));
-        assert!(
-            !board.force_release(0),
-            "duplicate force-release must be a no-op"
-        );
-        assert_eq!(board.total_begun(), 1);
-        assert_eq!(board.total_released(), 1);
-    }
-
-    #[test]
-    fn stacked_repair_handshake_releases_one_at_a_time() {
-        let board = GroupBoard::new(1);
-        board.begin(0); // live migration, mark in flight
-        board.begin(0); // crash repair stacked on top, no mark
-        assert!(board.in_flight(0));
-        assert!(board.force_release(0), "repair side completes");
-        assert!(board.in_flight(0), "the live mark ack is still outstanding");
-        board.release(0); // the mark ack lands
-        assert!(!board.in_flight(0));
-        assert_eq!(board.total_begun(), 2);
-        assert_eq!(board.total_released(), 2);
     }
 
     #[test]

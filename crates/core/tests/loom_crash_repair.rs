@@ -1,32 +1,30 @@
-//! Loom model tests for the crash-repair half of the migration
-//! handshake: `GroupBoard::force_release` and stacked repair
-//! handshakes.
+//! Loom model tests for npexec's crash repair: the dispatcher re-homes
+//! a crashed worker's groups only after that worker has paused, and no
+//! handshake of its own guards the move.
 //!
 //! Built only under `RUSTFLAGS="--cfg loom"`. Both models shrink the
 //! npexec fault topology to one group and check every schedule the
 //! model explorer reaches. The crashed worker runs npexec's worker loop
 //! and does its own crash step: its held packets become drops, it pops
-//! its ring to empty, and only then force-releases the repair handshake
-//! and pauses. The dispatcher begins the repair, publishes the crash,
-//! waits for the pause, and only then points the group at the
-//! replacement.
+//! its ring to empty (a stranded mark is an ordinary ack) and pauses.
+//! The dispatcher publishes the crash, waits for the pause, and only
+//! then points the group at the replacement.
 //!
-//! * `force_release_never_overtakes` — a worker dies while owning a
-//!   group. The replacement's packet must never be serviced before the
-//!   dead worker's last service, every old-side packet is serviced or
-//!   dropped exactly once, and a second force-release is refused.
+//! * `replacement_never_overtakes_dead_owner` — a worker dies while
+//!   owning a group. The replacement's packet must never be serviced
+//!   before the dead worker's last service, and every old-side packet
+//!   is serviced or dropped exactly once. No handshake runs (0/0).
+//!   Without the dispatcher's wait for the pause this model fails.
 //! * `crash_during_hold_drain` — a worker dies while it is the **new**
 //!   owner of an in-flight marked handshake (holding, or about to hold,
-//!   the redirected packet). Crash repair stacks a second handshake on
-//!   the same group (`begun − released == 2`). The old owner runs on
-//!   its own thread, so its mark ack lands anywhere around the crash.
-//!   The crashed worker may service that packet only after the ack,
-//!   else it is a drop; the replacement must hold until *both* the old
-//!   owner's mark ack and the crashed worker's force-release land, and
-//!   the counters balance at 2/2. If the dispatcher published the
-//!   repair target before the crashed worker paused, that worker could
-//!   read it, take the packet as not inbound and service it ahead of
-//!   the old owner's: this model fails.
+//!   the redirected packet). The old owner runs on its own thread, so
+//!   its mark ack lands anywhere around the crash. The crashed worker
+//!   may service that packet only after the ack, else it is a drop; the
+//!   replacement reads itself as the handshake's target and holds until
+//!   the ack, and the counters balance at 1/1. If the dispatcher
+//!   published the replacement as target before the crashed worker
+//!   paused, that worker could read it, take the packet as not inbound
+//!   and service it ahead of the old owner's: this model fails.
 
 #![cfg(loom)]
 
@@ -89,8 +87,7 @@ impl Shared {
 /// The crashed worker: npexec's loop for group 0. Each iteration reads
 /// the crash command first, drains its holds once the group is idle,
 /// then pops. The crash step drops the holds, pops the ring to empty (a
-/// stranded mark is an ordinary ack), force-releases group 0, and
-/// pauses. Returns `(packet, stamp)` of every service and the drops.
+/// stranded mark is an ordinary ack), and pauses. Returns `(packet, stamp)` of every service and the drops.
 fn crashed_worker(
     sh: Shared,
     mut ring: Consumer,
@@ -109,7 +106,6 @@ fn crashed_worker(
                     Desc::Mark(g) => sh.board.release(g as usize),
                 }
             }
-            assert!(sh.board.force_release(0), "the repair is pending");
             paused.store(true, Ordering::SeqCst);
             return (serviced, dropped);
         }
@@ -145,7 +141,7 @@ fn replacement(sh: Shared, mut ring: Consumer) -> (u64, u64) {
     if sh.inbound(REPL) {
         while sh.board.in_flight(0) {
             spins += 1;
-            assert!(spins < 10_000, "repair handshake never released");
+            assert!(spins < 10_000, "inherited handshake never released");
             loom::thread::yield_now();
         }
     }
@@ -163,8 +159,8 @@ fn old_owner(sh: Shared, mut ring: Consumer) -> u64 {
     stamp
 }
 
-/// Dispatcher side of a crash: begin the no-mark repair, publish the
-/// crash, wait for the crashed worker's pause, then redirect.
+/// Dispatcher side of a crash: publish the crash, wait for the crashed
+/// worker's pause, then publish the replacement as target and redirect.
 fn crash_and_redirect(
     sh: &Shared,
     crash: &AtomicBool,
@@ -172,7 +168,6 @@ fn crash_and_redirect(
     to: &mut Producer,
     pkt: u64,
 ) {
-    sh.board.begin(0);
     crash.store(true, Ordering::SeqCst);
     while !paused.load(Ordering::SeqCst) {
         loom::thread::yield_now();
@@ -182,7 +177,7 @@ fn crash_and_redirect(
 }
 
 #[test]
-fn force_release_never_overtakes() {
+fn replacement_never_overtakes_dead_owner() {
     loom::model(|| {
         let (mut dead_p, dead_c) = laps::spsc::ring(4);
         let (mut new_p, new_c) = laps::spsc::ring(4);
@@ -216,9 +211,8 @@ fn force_release_never_overtakes() {
             );
         }
         assert!(!sh.board.in_flight(0));
-        assert_eq!(sh.board.total_begun(), 1);
-        assert_eq!(sh.board.total_released(), 1);
-        assert!(!sh.board.force_release(0), "force never overtakes begun");
+        assert_eq!(sh.board.total_begun(), 0, "a crash begins no handshake");
+        assert_eq!(sh.board.total_released(), 0);
     });
 }
 
@@ -230,9 +224,9 @@ fn crash_during_hold_drain() {
     let mut builder = loom::model::Builder::new();
     builder.preemption_bound = Some(2);
     builder.check(|| {
-        // Group 0 is migrating OLD → DEAD (marked handshake h1) when
-        // DEAD crashes. The crash repair stacks h2 on the same group
-        // and redirects to REPL.
+        // Group 0 is migrating OLD → DEAD (a marked handshake) when DEAD
+        // crashes. The crash re-homes the group to REPL, which inherits
+        // the handshake.
         let (mut old_p, old_c) = laps::spsc::ring(4);
         let (mut dead_p, dead_c) = laps::spsc::ring(4);
         let (mut new_p, new_c) = laps::spsc::ring(4);
@@ -240,18 +234,18 @@ fn crash_during_hold_drain() {
         let crash = Arc::new(AtomicBool::new(false));
         let paused = Arc::new(AtomicBool::new(false));
 
-        // The old owner of h1 runs from the start, so its mark ack can
-        // land before h1's begin, before h2's, or before or after the
-        // crashed worker's force-release.
+        // The old owner runs from the start, so its mark ack can land
+        // before the begin, before the crash, or before or after the
+        // crashed worker's pause.
         push(&mut old_p, Desc::Packet(21));
         push(&mut old_p, Desc::Mark(0));
         let s = sh.clone();
         let old_owner = loom::thread::spawn(move || old_owner(s, old_c));
-        // h1: mark → target → begin → redirect to DEAD.
+        // The handshake: mark → target → begin → redirect to DEAD.
         sh.target.store(DEAD, Ordering::SeqCst);
         sh.board.begin(0);
         push(&mut dead_p, Desc::Packet(22));
-        // h2: the crash repair, while DEAD is running.
+        // The crash, while DEAD is running.
         let (s, c, p) = (sh.clone(), crash.clone(), paused.clone());
         let dying = loom::thread::spawn(move || crashed_worker(s, dead_c, c, p));
         crash_and_redirect(&sh, &crash, &paused, &mut new_p, 23);
@@ -268,13 +262,13 @@ fn crash_during_hold_drain() {
             "replacement serviced at {repl_stamp} before the old owner's \
              pre-mark packet at {old_stamp}"
         );
-        // h1's packet is serviced only once the old owner acked (from
-        // the crashed worker's holds, or on pop after the ack), or it
-        // is a crash drop.
+        // The redirected packet is serviced only once the old owner
+        // acked (from the crashed worker's holds, or on pop after the
+        // ack), or it is a crash drop.
         assert_eq!(
             serviced.len() + dropped.len(),
             1,
-            "h1's packet accounted exactly once"
+            "the redirected packet accounted exactly once"
         );
         for &(p, stamp) in &serviced {
             assert!(
@@ -283,10 +277,8 @@ fn crash_during_hold_drain() {
                  old owner's {old_stamp} and the replacement's {repl_stamp}"
             );
         }
-        assert!(!sh.board.in_flight(0), "both stacked handshakes cleared");
-        assert_eq!(sh.board.total_begun(), 2);
-        assert_eq!(sh.board.total_released(), 2);
-        // A third release has nothing to complete.
-        assert!(!sh.board.force_release(0));
+        assert!(!sh.board.in_flight(0), "the inherited handshake cleared");
+        assert_eq!(sh.board.total_begun(), 1);
+        assert_eq!(sh.board.total_released(), 1);
     });
 }

@@ -16,7 +16,7 @@
 
 use detsim::SimTime;
 use laps::prelude::*;
-use laps_experiments::{farm, laps_config, print_table, results_dir, write_csv, KeyFields, Sweep};
+use laps_experiments::{farm, print_table, results_dir, write_csv, KeyFields, Sweep};
 use nphash::{Crc16Ccitt, FlowId, FlowSlot, MapTable};
 use npsim::{PacketDesc, QueueInfo, Scheduler, SystemView};
 use serde::{Deserialize, Serialize};
@@ -159,7 +159,7 @@ impl Sweep for Timing {
                 &self.queues,
             ),
             _ => measure(
-                Laps::new(laps_config(&EngineConfig::default())),
+                Laps::new(laps_config_for(&EngineConfig::default())),
                 &self.packets,
                 &self.queues,
             ),

@@ -100,16 +100,9 @@ pub fn farm() -> Farm {
     farm.with_jsonl_dir(results_dir().join("npfarm"))
 }
 
-/// The LAPS configuration used by the figure binaries, time-scaled to the
-/// engine configuration (delegates to the canonical wiring in the `laps`
-/// crate's registry module).
-pub fn laps_config(cfg: &EngineConfig) -> LapsConfig {
-    laps_config_for(cfg)
-}
-
 /// Build the LAPS scheduler for an engine configuration.
 pub fn laps_scheduler(cfg: &EngineConfig) -> Laps {
-    Laps::new(laps_config(cfg))
+    Laps::new(laps_config_for(cfg))
 }
 
 /// A detector's answer as flow IDs, to score against `ExactTopK`: the

@@ -26,12 +26,12 @@
 //! that arrives at or after `t` — the exact analogue of detsim priming
 //! the plan into its event queue, including the
 //! fault-before-same-time-arrival tie-break — and its plan position is
-//! that packet's. Crash repair and heal restore are documented on
-//! [`supervisor`](crate::supervisor); the dispatcher's half is: begin
-//! the no-mark repair handshakes and `retire_core` on crash, wait for
-//! the crashed worker's pause and resume it, then `restore_core` behind
-//! ordinary marked handshakes on heal, and route nothing to a dead
-//! worker in between.
+//! that packet's. The crash protocol is documented on
+//! [`worker`](crate::worker); the dispatcher's half is: on a crash, set
+//! the worker's crash bit, wait for its pause, publish the new owners
+//! and `retire_core`; on a heal, resume the worker and `restore_core`
+//! behind ordinary marked handshakes; route nothing to a dead worker in
+//! between.
 //!
 //! This file is hot path (the attribute below): no panicking indexing,
 //! no allocation-amplifying calls inside the per-packet loop (the
@@ -39,7 +39,7 @@
 //! paths are cold — once per plan entry — and carry allow comments).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use detsim::SimTime;
 use laps::spsc::{Desc, Producer};
@@ -48,7 +48,7 @@ use nphash::MapTable;
 use npsim::{FaultAction, PlanStream};
 
 use crate::plan::{ExecDesc, SeqWatch};
-use crate::supervisor::{ControlPlane, CMD_CRASH, CMD_PAUSED};
+use crate::worker::{CMD_CRASH, CMD_PAUSED};
 use crate::{CrashEpisode, ForcedMigration, FullPolicy};
 
 /// A ring producer of packet descriptors.
@@ -87,8 +87,9 @@ pub(crate) struct DispatchCtx<'a> {
     pub forced: Vec<ForcedMigration>,
     /// Fault actions as `(instant, action)`, stably sorted by instant.
     pub faults: &'a [(SimTime, FaultAction)],
-    /// The fault-run control plane (`Some` iff `faults` is non-empty).
-    pub ctrl: Option<&'a ControlPlane>,
+    /// The fault-run command words, one per worker (`Some` iff `faults`
+    /// is non-empty).
+    pub ctrl: Option<&'a [AtomicU64]>,
 }
 
 /// The dispatcher's ledger for one run.
@@ -115,7 +116,7 @@ pub(crate) struct DispatchOutcome {
     pub backpressured: u64,
     /// Fault plan entries fired.
     pub injected: u64,
-    /// Crashes applied (live worker taken down + repair begun).
+    /// Crashes applied (live worker paused + buckets re-homed).
     pub crashes: u64,
     /// Heals applied (worker resumed + buckets restored).
     pub heals: u64,
@@ -164,8 +165,7 @@ fn try_migrate(
     }
     if let Some(t) = migrating_to.get(group as usize) {
         // A marked handshake publishes its target before `begin`'s Release
-        // bump: a worker that sees it in flight sees who it is for. Crash
-        // repair begins first and publishes after the pause (`fire_fault`).
+        // bump: a worker that sees it in flight sees who it is for.
         // npcheck: ordering(Release pairs with the worker's Acquire load of the target after it observes in_flight)
         t.store(to, Ordering::Release);
     }
@@ -213,7 +213,7 @@ fn fire_fault(
     board: &GroupBoard,
     migrating_to: &[AtomicUsize],
     last_core: &[u32],
-    ctrl: Option<&ControlPlane>,
+    ctrl: Option<&[AtomicU64]>,
     full_policy: FullPolicy,
     out: &mut DispatchOutcome,
 ) {
@@ -225,50 +225,22 @@ fn fire_fault(
                 // rejects such plans; this is the runtime belt).
                 return;
             }
-            // One no-mark repair handshake per bucket the dead worker
-            // owns, handed to it as its force list (deposited before
-            // CMD_CRASH is published). Its crash step ends in those
-            // force-releases and the pause; wait for that before any
-            // bucket moves. A stacked handshake's target is overwritten
-            // below, and a worker still popping would read the new
-            // target and service a packet parked for the older one.
-            //
-            // Beginning before the targets are published is safe because
-            // every target store is followed at once by the redirect,
-            // `retire_core` or `restore_core` that makes it the owner: for
-            // every bucket `b`, `migrating_to[b]` is `owner(b)` or unset.
-            // So the only worker that reads a dead core's target as its
-            // own is the dead core, which holds those packets and drops
-            // them in its crash step.
-            // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-            let buckets = table.buckets_of_core(core);
-            debug_assert!(
-                buckets
-                    .iter()
-                    .all(|&b| migrating_to.get(b as usize).is_none_or(|t| {
-                        // npcheck: ordering(Relaxed is sound: this thread is the only writer of targets)
-                        let t = t.load(Ordering::Relaxed);
-                        t == core || t == usize::MAX
-                    })),
-                "a bucket's migration target is its owner or unset"
-            );
-            for &b in &buckets {
-                board.begin(b as usize);
-            }
-            if let Some(slot) = ctrl.and_then(|cp| cp.slots.get(core)) {
-                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-                if let Ok(mut f) = slot.force_list.lock() {
-                    f.clear();
-                    f.extend(buckets.iter().map(|&b| u64::from(b)));
-                }
-                // npcheck: ordering(AcqRel RMW — Release publishes the force list, the repair begins and every earlier push to the worker's Acquire load)
-                slot.cmd.fetch_or(CMD_CRASH, Ordering::AcqRel);
+            // Wait for the crash step before any bucket moves: the
+            // worker pauses only after its last service, so every push
+            // below reaches a replacement after it. A replacement that
+            // inherits a marked handshake towards the dead worker reads
+            // itself as the target and holds until the old owner's ack.
+            if let Some(cmd) = ctrl.and_then(|c| c.get(core)) {
+                // npcheck: ordering(AcqRel RMW — Release publishes every earlier push to the worker's Acquire load)
+                cmd.fetch_or(CMD_CRASH, Ordering::AcqRel);
                 // The crash step needs nothing from this thread.
-                // npcheck: ordering(Acquire pairs with the worker's AcqRel set of CMD_PAUSED: its drain and force-releases happen-before the re-home)
-                while slot.cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
+                // npcheck: ordering(Acquire pairs with the worker's AcqRel set of CMD_PAUSED: its last service and drain happen-before the re-home)
+                while cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
                     std::thread::yield_now();
                 }
             }
+            // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+            let buckets = table.buckets_of_core(core);
             // Re-home round-robin onto the live workers, minimum
             // migration (`retire_core`), each target published before
             // any packet of its bucket is routed there.
@@ -333,14 +305,14 @@ fn fire_fault(
             if fs.live.get(core).copied().unwrap_or(true) {
                 return;
             }
-            let Some(slot) = ctrl.and_then(|cp| cp.slots.get(core)) else {
+            let Some(cmd) = ctrl.and_then(|c| c.get(core)) else {
                 return;
             };
             // The crash waited for the pause, so the crash step is done.
             // Resume with a zero word: no crash, no pause. Its clock
             // restores full speed.
             // npcheck: ordering(Release pairs with the paused worker's Acquire load of the command word)
-            slot.cmd.store(0, Ordering::Release);
+            cmd.store(0, Ordering::Release);
             if let Some(l) = fs.live.get_mut(core) {
                 *l = true;
             }
@@ -394,8 +366,6 @@ fn fire_fault(
                 // npcheck: allow(blocking-hot-path) — heal cold path, runs once per fault entry
                 restored.push(b);
             }
-            // Each target stored above names its bucket's owner from here
-            // on, as the crash arm's invariant requires.
             table.restore_core(core, &restored);
             // Close the core's open episode (a core crashes again only
             // after a heal, so it has exactly one).

@@ -38,14 +38,14 @@
 //!                      ├─ MapTable  (bucket == flow group)
 //!                      ├─ group_of_flow, last_core (grow with the flows)
 //!                      ├─ GroupBoard (begun/released per group)
-//!                      └─ ControlPlane (fault runs: crash/pause words)
+//!                      └─ command words (fault runs: crash/pause, one per worker)
 //! ```
 //!
 //! Fault plans execute for real: a `Crash` pauses its worker, which
-//! first turns its held and queued packets into accounted drops and
-//! force-releases the repair handshakes of its buckets, which
-//! `retire_core` then re-homes; a `Heal` resumes the worker cold and
-//! migrates its buckets home. Both fire just before the first packet
+//! first turns its held and queued packets into accounted drops; once
+//! it has paused, `retire_core` re-homes its buckets. A `Heal` resumes
+//! the worker cold and migrates its buckets home behind marked
+//! handshakes. Both fire just before the first packet
 //! arriving at or after their instant `t`. A `Throttle` or a `Stall`
 //! goes to no thread: each worker's [`CoreClock`] reads it off the plan
 //! — a factor for every service that starts at or after `t`, a window
@@ -53,7 +53,7 @@
 //! engine does. A run spawns exactly one thread per worker, all before
 //! dispatch starts, and each worker returns one outcome for the whole
 //! run. No action touches a source, so the stream is the same with or
-//! without the plan. See the [`supervisor`] module docs for the
+//! without the plan. The `worker` module docs give the crash
 //! protocol.
 //!
 //! Use it through [`ExecBackend::run`].
@@ -64,10 +64,9 @@
 mod affinity;
 mod dispatcher;
 mod plan;
-mod supervisor;
 mod worker;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use laps::{GroupBoard, HandshakeStats};
@@ -80,7 +79,6 @@ use nptraffic::ServiceKind;
 
 use dispatcher::{DispatchCtx, DispatchOutcome};
 use plan::{SeqWatch, MAX_PLAN_PACKETS};
-use supervisor::ControlPlane;
 use worker::{WorkerCtx, WorkerOutcome};
 
 /// What the dispatcher does when a worker's ring is full.
@@ -190,10 +188,11 @@ pub struct ExecStats {
     pub workers: usize,
     /// Flow groups used.
     pub groups: usize,
-    /// Handshake ledger (begun / completed / aborted). Fault runs
-    /// include crash-repair and restore handshakes; `completed` counts
-    /// crashed workers' force-releases too, so `begun == completed`
-    /// holds at the end of every run, faulted or not.
+    /// Marked-handshake ledger (begun / completed / aborted): load
+    /// migrations, forced migrations and heal restores. A crash begins
+    /// none; a mark stranded in a crashed worker's ring is acked by its
+    /// crash step, so `begun == completed` holds at the end of every
+    /// run, faulted or not.
     pub handshakes: HandshakeStats,
     /// Deepest any worker's holdback buffer got.
     pub max_hold_depth: usize,
@@ -205,9 +204,6 @@ pub struct ExecStats {
     pub table_epoch: u64,
     /// Per-crash recovery ledgers, in crash order (empty: fault-free run).
     pub episodes: Vec<CrashEpisode>,
-    /// Crash-repair handshakes completed by force-release, summed over
-    /// workers (each crashed worker releases its own, after draining).
-    pub forced_releases: u64,
     /// Packets that waited at least one full-ring retry under
     /// [`FullPolicy::Backpressure`].
     pub backpressured: u64,
@@ -347,12 +343,13 @@ impl ExecBackend for ThreadedBackend {
         let faults = cfg.faults.entries();
         // Fault-free runs carry no control plane: workers then skip
         // every command-word check.
-        let ctrl = (!faults.is_empty()).then(|| ControlPlane::new(workers));
+        let ctrl: Option<Vec<AtomicU64>> =
+            (!faults.is_empty()).then(|| (0..workers).map(|_| AtomicU64::new(0)).collect());
 
         #[allow(clippy::disallowed_methods, reason = "wall-clock Mpps is the output")]
         let start = Instant::now();
         let (mut dispatch, outs) = std::thread::scope(|s| {
-            let cp = ctrl.as_ref();
+            let cp = ctrl.as_deref();
             let mut handles = Vec::with_capacity(workers);
             for (id, consumer) in consumers.into_iter().enumerate() {
                 let ctx = WorkerCtx {
@@ -419,7 +416,6 @@ impl ExecBackend for ThreadedBackend {
             pinned_workers: outs.iter().filter(|o| o.pinned).count(),
             table_epoch: dispatch.final_epoch,
             episodes,
-            forced_releases: outs.iter().map(|o| o.forced_releases).sum(),
             backpressured: dispatch.backpressured,
         };
         let report = assemble_report(cfg, scheduler.name(), &dispatch, &outs, delivered);
@@ -1072,6 +1068,61 @@ mod tests {
         let eps = healed_episodes(plan.crash(ms(6), 2).heal(ms(8), 2));
         assert_eq!(eps.len(), 2);
         assert!(eps[0].recovery_at_packet < Some(eps[1].crash_at_packet));
+    }
+
+    /// A crash of the target of in-flight marked handshakes: one packet
+    /// before the crash, every group worker `W` does not own is forced
+    /// into `W`, so the crash finds `W` holding (or about to hold) for
+    /// those handshakes and its replacements inherit them.
+    #[test]
+    fn crash_under_inbound_handshakes_keeps_order() {
+        const W: usize = 1;
+        let ms = SimTime::from_millis;
+        for seed in [77, 78, 79] {
+            let mut c = cfg(10);
+            c.seed = seed;
+            let pos = PlanStream::new(&c, &sources())
+                .position(|p| p.at >= ms(2))
+                .expect("the crash instant falls inside the run") as u64;
+            assert!(pos > 0, "seed {seed}: packets precede the crash");
+            let mut backend = ThreadedBackend::new(NpexecConfig {
+                workers: 4,
+                groups: 32,
+                rebalance_every: 0,
+                forced_migrations: (0..32)
+                    .filter(|g| g % 4 != W as u64)
+                    .map(|group| ForcedMigration {
+                        after_packets: pos - 1,
+                        group,
+                        to_worker: W,
+                    })
+                    .collect(),
+                ..NpexecConfig::default()
+            });
+            c.faults = FaultPlan::new().crash(ms(2), W).heal(ms(5), W);
+            let (report, _) = backend.run(
+                &c,
+                &sources(),
+                Box::new(JoinShortestQueue::new()),
+                ProbeStack::new(),
+            );
+            assert_eq!(
+                report.offered,
+                report.processed + report.dropped,
+                "seed {seed}: conservation"
+            );
+            assert_eq!(report.out_of_order, 0, "seed {seed}: reordered");
+            let stats = backend.last_stats().expect("stats recorded");
+            assert!(stats.handshakes.begun > 0, "seed {seed}: no handshake ran");
+            assert_eq!(
+                stats.handshakes.begun, stats.handshakes.completed,
+                "seed {seed}: leaked handshake"
+            );
+            assert_eq!(stats.episodes.len(), 1);
+            let ep = &stats.episodes[0];
+            assert_eq!(ep.crash_at_packet, pos);
+            assert!(ep.migrated_flows <= ep.resident_flows, "seed {seed}");
+        }
     }
 
     #[test]

@@ -33,11 +33,36 @@
 //! in force then, whatever the host timing. The thread itself never
 //! stalls.
 //!
-//! When a fault plan is active the worker also carries a control slot
-//! (see [`supervisor`](crate::supervisor)) and reads its command word
-//! each iteration. [`CMD_CRASH`] makes it do the crash step — holds and
-//! ring contents become crash drops, then the force list is
-//! force-released — and pause until a heal clears the word.
+//! ## Control plane: a crash pauses its worker
+//!
+//! When a fault plan is active each worker has a command word
+//! ([`CMD_CRASH`] | [`CMD_PAUSED`]) that the dispatcher and the worker
+//! write and the worker reads each iteration. The dispatcher fires
+//! `Crash` and `Heal` at their plan positions; the worker carries them
+//! out itself, so a fault run spawns no thread beyond the workers. Throttles and stalls
+//! never reach a thread: the worker's `CoreClock` reads them off the
+//! plan.
+//!
+//! 1. The dispatcher (at the crash's plan position) sets [`CMD_CRASH`]
+//!    and waits for [`CMD_PAUSED`].
+//! 2. The worker sees [`CMD_CRASH`] at the top of its loop and does the
+//!    crash step: its held packets and its ring's packets become crash
+//!    drops (a stranded mark is acked), then it sets [`CMD_PAUSED`] and
+//!    waits.
+//! 3. Only then does the dispatcher publish each of the dead worker's
+//!    buckets' new owner in `migrating_to` and re-home them
+//!    (`MapTable::retire_core`). It routes nothing to the dead ring.
+//! 4. A heal stores a zero command word and migrates the retired
+//!    buckets home behind ordinary marked handshakes. The worker resumes
+//!    cold. A worker still paused when the run ends exits.
+//!
+//! A crash begins no handshake. The pause is a Release, the
+//! dispatcher's wait an Acquire, and every push to a replacement's ring
+//! follows the wait, so the dead worker's last service happens-before
+//! any replacement service of its buckets. A marked handshake towards
+//! the dead worker still in flight keeps its own mark ack: the
+//! replacement reads itself as the target and holds, as any new owner
+//! does. See DESIGN.md, "Fault tolerance on real threads".
 //!
 //! An idle worker spins briefly, then sleeps [`IDLE_NAP`]: the
 //! dispatcher draws every packet, so it is the bottleneck, and on a
@@ -48,7 +73,7 @@
 //! no allocation-amplifying calls inside the pop loop.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use laps::spsc::{Consumer, Desc};
 use laps::GroupBoard;
@@ -56,10 +81,16 @@ use npsim::CoreClock;
 
 use crate::affinity;
 use crate::plan::{ExecDesc, SeqWatch, WatchView};
-use crate::supervisor::{ControlPlane, WorkerSlot, CMD_CRASH, CMD_PAUSED};
 
 /// How long an idle worker sleeps after 64 empty polls.
 const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(20);
+
+/// Command bit: the worker must crash — drop its holds, drain its ring,
+/// then pause.
+pub(crate) const CMD_CRASH: u64 = 1 << 0;
+/// Command bit, set by the worker: its crash step is done and it waits
+/// for a heal to clear the word.
+pub(crate) const CMD_PAUSED: u64 = 1 << 1;
 
 /// Everything a worker thread needs, borrowed from the backend's run
 /// scope (the atomics outlive the thread scope).
@@ -82,9 +113,9 @@ pub(crate) struct WorkerCtx<'a> {
     pub clock: CoreClock,
     /// CPU to pin to, if pinning was requested.
     pub pin_to: Option<usize>,
-    /// The fault-run control plane; `None` in fault-free runs (the loop
-    /// then skips every command-word check).
-    pub ctrl: Option<&'a ControlPlane>,
+    /// The fault-run control plane, one command word per worker; `None`
+    /// in fault-free runs (the loop then skips every command-word check).
+    pub ctrl: Option<&'a [AtomicU64]>,
 }
 
 /// What one worker hands back when it joins.
@@ -113,8 +144,6 @@ pub(crate) struct WorkerOutcome {
     /// Plan positions of packets this worker held or still had in its
     /// ring when it crashed — accounted as fault drops.
     pub crash_drops: Vec<u64>,
-    /// Repair handshakes this worker completed by force-release.
-    pub forced_releases: u64,
     /// One entry per heal that resumed this worker, in heal order: the
     /// plan position of the first packet serviced after it (`None`: none
     /// was).
@@ -178,18 +207,17 @@ impl Svc<'_> {
     }
 }
 
-/// The crash step, in the order the no-overtaking argument needs: held
-/// packets become crash drops; the ring is popped to empty (packets are
-/// crash drops; a stranded mark is released as an ordinary ack, since
-/// every pre-mark packet of its group was serviced or dropped before
-/// it); only then are the repair handshakes force-released. Ends by
-/// setting [`CMD_PAUSED`]. Cold path: runs once per crash.
+/// The crash step: held packets become crash drops, then the ring is
+/// popped to empty (packets are crash drops; a stranded mark is released
+/// as an ordinary ack, since every pre-mark packet of its group was
+/// serviced or dropped before it). Ends by setting [`CMD_PAUSED`]. Cold
+/// path: runs once per crash.
 fn crash(
     out: &mut WorkerOutcome,
     holds: &mut Vec<Held>,
     consumer: &mut Consumer<ExecDesc>,
     board: &GroupBoard,
-    slot: &WorkerSlot,
+    cmd: &AtomicU64,
 ) {
     for d in holds.drain(..).flat_map(|h| h.descs) {
         out.crash_drop(d);
@@ -200,27 +228,20 @@ fn crash(
             Desc::Mark(g) => board.release(g as usize),
         }
     }
-    // npcheck: allow(blocking-hot-path) — crash path, runs once per crash
-    let forced = slot.force_list.lock().map(|mut f| std::mem::take(&mut *f));
-    for g in forced.unwrap_or_default() {
-        if board.force_release(g as usize) {
-            out.forced_releases += 1;
-        }
-    }
     // npcheck: ordering(AcqRel RMW — Release publishes the crash step to the dispatcher's Acquire wait for the pause)
-    slot.cmd.fetch_or(CMD_PAUSED, Ordering::AcqRel);
+    cmd.fetch_or(CMD_PAUSED, Ordering::AcqRel);
 }
 
 /// Wait, silent, until a heal clears [`CMD_PAUSED`] (`true`) or the run
 /// ends with the worker still down (`false`).
-fn paused_until_heal(slot: &WorkerSlot, done: &AtomicBool) -> bool {
+fn paused_until_heal(cmd: &AtomicU64, done: &AtomicBool) -> bool {
     loop {
         // `done` first: the dispatcher's last heal happens-before its
         // `done` store, so a pause still visible after `done` is final.
         // npcheck: ordering(Acquire pairs with the dispatcher's Release store of done after its last fault action)
         let fin = done.load(Ordering::Acquire);
         // npcheck: ordering(Acquire pairs with the heal's Release store of the cleared command word)
-        if slot.cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
+        if cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
             return true;
         }
         if fin {
@@ -253,21 +274,21 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     if let Some(cpu) = pin_to {
         svc.out.pinned = affinity::pin_to_cpu(cpu);
     }
-    let slot = ctrl.and_then(|cp| cp.slots.get(id));
+    let cmd = ctrl.and_then(|cp| cp.get(id));
     let mut holds: Vec<Held> = Vec::new();
     let mut held_depth = 0usize;
     let mut idle_polls = 0u32;
     loop {
-        if let Some(slot) = slot {
+        if let Some(cmd) = cmd {
             // npcheck: ordering(Acquire pairs with the dispatcher's Release writes of the command word)
-            if slot.cmd.load(Ordering::Acquire) & CMD_CRASH != 0 {
-                crash(&mut svc.out, &mut holds, &mut consumer, &board, slot);
+            if cmd.load(Ordering::Acquire) & CMD_CRASH != 0 {
+                crash(&mut svc.out, &mut holds, &mut consumer, &board, cmd);
                 held_depth = 0;
                 // The crash step runs between two services: nothing is
                 // in service, so the clock stops where it is and
                 // refunds nothing. The next service starts cold.
                 svc.clock.crash(svc.clock.vt());
-                if !paused_until_heal(slot, done) {
+                if !paused_until_heal(cmd, done) {
                     break;
                 }
                 svc.out.recoveries.push(None);
@@ -309,12 +330,10 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 let g = d.group;
                 let held_here = holds.iter().any(|h| h.group == g);
                 // If in_flight saw a marked handshake's begun bump, the
-                // target load sees who it is for. A crash repair publishes
-                // its target only after the crashed worker's pause; until
-                // then only that worker reads the target as its own (the
-                // invariant in the dispatcher's crash arm).
+                // target load sees who it is for. A crash re-home
+                // publishes its targets before it routes any packet here.
                 let target = migrating_to.get(g as usize).map(|t| {
-                    // npcheck: ordering(Acquire pairs with the dispatcher's Release store of the target: before begin for a marked handshake, after the pause for a crash repair)
+                    // npcheck: ordering(Acquire pairs with the dispatcher's Release store of the target: before begin for a marked handshake, before the first push for a crash re-home)
                     t.load(Ordering::Acquire)
                 });
                 let inbound = board.in_flight(g as usize) && target == Some(id);
