@@ -115,16 +115,32 @@ fn width<P: Payload>() -> usize {
 /// increasing operation counters (not wrapped indices); a slot index is
 /// `counter & mask`. With a power-of-two capacity the counters may wrap
 /// `usize` freely — `wrapping_sub` keeps the occupancy arithmetic exact.
+///
+/// Each counter sits alone in a 128-byte block ([`Padded`]), apart from
+/// the read-only `slots`/`mask` header that both ends read on every
+/// operation. Sharing one line, a pop's `head` store would take it from
+/// the producer and the next push's `tail` store take it back: a
+/// cross-core transfer per descriptor each way. Apart, each end writes
+/// only its own counter's block, and a push or pop reads the other's
+/// only when its cached copy says the ring is full (push) or empty
+/// (pop).
 #[derive(Debug)]
 struct Shared {
     /// `capacity × width` words; slot `i` is words `i × width ..`.
     slots: Box<[AtomicU64]>,
     mask: usize,
     /// Consumer position: slots below `head` are free for reuse.
-    head: AtomicUsize,
+    head: Padded,
     /// Producer position: slots below `tail` are published.
-    tail: AtomicUsize,
+    tail: Padded,
 }
+
+/// A ring counter on a 128-byte block of its own: two 64-byte lines,
+/// because x86's adjacent-line prefetcher fetches lines in pairs, so a
+/// neighbour in the paired line still bounces between the cores.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Padded(AtomicUsize);
 
 /// Producer endpoint. `!Clone` and methods take `&mut self`: the
 /// single-producer discipline is enforced by ownership, not runtime
@@ -162,8 +178,8 @@ pub fn ring<P: Payload>(capacity: usize) -> (Producer<P>, Consumer<P>) {
     let shared = Arc::new(Shared {
         slots,
         mask: cap - 1,
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
+        head: Padded(AtomicUsize::new(0)),
+        tail: Padded(AtomicUsize::new(0)),
     });
     (
         Producer {
@@ -190,7 +206,7 @@ impl<P: Payload> Producer<P> {
         let cap = self.shared.mask + 1;
         if self.tail.wrapping_sub(self.head_cache) == cap {
             // npcheck: ordering(Acquire pairs with the consumer's Release store of head: the consumer's reads of slots it freed happen-before our overwrite of them)
-            self.head_cache = self.shared.head.load(Ordering::Acquire);
+            self.head_cache = self.shared.head.0.load(Ordering::Acquire);
             if self.tail.wrapping_sub(self.head_cache) == cap {
                 return Err(desc);
             }
@@ -221,7 +237,7 @@ impl<P: Payload> Producer<P> {
         }
         let next = self.tail.wrapping_add(1);
         // npcheck: ordering(Release publishes every slot store above; pairs with the consumer's Acquire load of tail)
-        self.shared.tail.store(next, Ordering::Release);
+        self.shared.tail.0.store(next, Ordering::Release);
         self.tail = next;
         Ok(())
     }
@@ -256,7 +272,7 @@ impl<P: Payload> Consumer<P> {
     pub fn try_pop(&mut self) -> Option<Desc<P>> {
         if self.head == self.tail_cache {
             // npcheck: ordering(Acquire pairs with the producer's Release store of tail: every slot store below tail happens-before our reads)
-            self.tail_cache = self.shared.tail.load(Ordering::Acquire);
+            self.tail_cache = self.shared.tail.0.load(Ordering::Acquire);
             if self.head == self.tail_cache {
                 return None;
             }
@@ -272,7 +288,7 @@ impl<P: Payload> Consumer<P> {
         }
         let next = self.head.wrapping_add(1);
         // npcheck: ordering(Release returns the emptied slot to the producer; pairs with the producer's Acquire load of head)
-        self.shared.head.store(next, Ordering::Release);
+        self.shared.head.0.store(next, Ordering::Release);
         self.head = next;
         let first = words.as_ref().first().copied().unwrap_or(0);
         Some(if first & MARK_BIT != 0 {
@@ -293,7 +309,7 @@ impl<P: Payload> Consumer<P> {
     /// when it finds the ring empty.
     pub fn len(&self) -> usize {
         // npcheck: ordering(Acquire pairs with the producer's Release store of tail: a caller that saw a flag stored after the last push, such as a worker's Acquire load of `done`, sees that push here)
-        let tail = self.shared.tail.load(Ordering::Acquire);
+        let tail = self.shared.tail.0.load(Ordering::Acquire);
         tail.wrapping_sub(self.head)
     }
 
@@ -431,6 +447,37 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.try_pop(), Some(Desc::Packet(5)));
         assert!(c.is_empty());
+    }
+
+    /// `head`, `tail` and the `slots`/`mask` header occupy three
+    /// disjoint 128-byte blocks, wherever the allocator puts the ring.
+    #[test]
+    fn counters_and_header_sit_in_separate_blocks() {
+        /// The 128-byte blocks `[first, last]` a field of `len` bytes
+        /// at `addr` touches.
+        fn blocks(addr: usize, len: usize) -> (usize, usize) {
+            (addr / 128, (addr + len - 1) / 128)
+        }
+        let (p, _c) = ring::<u64>(8);
+        let s: &Shared = &p.shared;
+        let head = blocks(std::ptr::addr_of!(s.head) as usize, size_of_val(&s.head));
+        let tail = blocks(std::ptr::addr_of!(s.tail) as usize, size_of_val(&s.tail));
+        let slots = blocks(std::ptr::addr_of!(s.slots) as usize, size_of_val(&s.slots));
+        let mask = blocks(std::ptr::addr_of!(s.mask) as usize, size_of_val(&s.mask));
+        let header = (slots.0.min(mask.0), slots.1.max(mask.1));
+        let disjoint = |a: (usize, usize), b: (usize, usize)| a.1 < b.0 || b.1 < a.0;
+        assert!(
+            disjoint(head, tail),
+            "head {head:?} and tail {tail:?} share a block"
+        );
+        assert!(
+            disjoint(head, header),
+            "head {head:?} and header {header:?} share a block"
+        );
+        assert!(
+            disjoint(tail, header),
+            "tail {tail:?} and header {header:?} share a block"
+        );
     }
 
     #[test]

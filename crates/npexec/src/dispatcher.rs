@@ -4,14 +4,18 @@
 //!
 //! The dispatcher is the frame manager of the thread-per-core runtime.
 //! It owns the service's `MapTable` (bucket == flow group) and the
-//! [`PlanStream`], and draws each packet when it dispatches it:
+//! [`PlanStream`]. It draws the stream a burst at a time
+//! ([`PlanStream::next_burst`], the call the detsim engine's stream
+//! thread draws its hand-off chunks with) into one reused buffer, then
+//! routes the buffer packet by packet:
 //!
 //! 1. find the packet's group (one CRC16 on the flow's first packet,
 //!    kept in a per-flow table that grows as flows appear) and look up
 //!    the owning worker,
 //! 2. push the packet's [`ExecDesc`] by value into that worker's ring
 //!    (with `migrated` set when the flow changed cores),
-//! 3. periodically compare per-worker load over a window and migrate
+//! 3. before every `rebalance_every`-th packet (a countdown), compare
+//!    per-worker load over the window since the last check and migrate
 //!    the busiest group of the most loaded worker to the least loaded
 //!    one — the paper's map-table remap, as a 3-step handshake:
 //!    **mark** the old ring, **redirect** the bucket, and let the old
@@ -26,7 +30,10 @@
 //! that arrives at or after `t` — the exact analogue of detsim priming
 //! the plan into its event queue, including the
 //! fault-before-same-time-arrival tie-break — and its plan position is
-//! that packet's. The crash protocol is documented on
+//! that packet's. Every action keys on a packet's position or instant
+//! and fires as the routing loop reaches that packet, so drawing the
+//! stream a burst ahead moves none of them: the stream reads nothing
+//! the dispatcher writes. The crash protocol is documented on
 //! [`worker`](crate::worker); the dispatcher's half is: on a crash, set
 //! the worker's crash bit, wait for its pause, publish the new owners
 //! and `retire_core`; on a heal, resume the worker and `restore_core`
@@ -63,7 +70,7 @@ const RESTORE_WAIT_YIELDS: u32 = 100_000;
 
 /// Everything the dispatcher owns or borrows for one run.
 pub(crate) struct DispatchCtx<'a> {
-    /// The offered stream, drawn packet by packet.
+    /// The offered stream, drawn a burst at a time.
     pub stream: PlanStream,
     /// The service's map table: bucket == group, value == worker.
     pub table: MapTable<usize>,
@@ -104,8 +111,9 @@ pub(crate) struct DispatchOutcome {
     /// Packets whose flow changed cores at dispatch (the detsim
     /// `migrated_packets` definition).
     pub migrated_packets: u64,
-    /// Completed handshake begins: `(group, from, to)`.
-    pub migrations: Vec<(u64, usize, usize)>,
+    /// Completed handshake begins: `(plan position, group, from, to)`,
+    /// the position being the packet the handshake began before.
+    pub migrations: Vec<(u64, u64, usize, usize)>,
     /// Handshakes abandoned (in-flight collision or full old ring).
     pub aborted: u64,
     /// The map table's redirect epoch after the run (marked handshakes
@@ -140,6 +148,7 @@ fn try_migrate(
     migrating_to: &[AtomicUsize],
     live: &[bool],
     out: &mut DispatchOutcome,
+    pos: u64,
     group: u64,
     to: usize,
 ) {
@@ -171,7 +180,7 @@ fn try_migrate(
     }
     board.begin(group as usize);
     table.redirect_bucket(group as u32, to);
-    out.migrations.push((group, from, to));
+    out.migrations.push((pos, group, from, to));
 }
 
 /// Fault-run bookkeeping local to the dispatcher.
@@ -425,138 +434,158 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
     let faults_on = !faults.is_empty();
     let mut fs = FaultState::new(workers, table.len());
 
+    // Packets left before the next imbalance check: it fires before
+    // every positive multiple of `rebalance_every` (never, at 0).
+    let mut to_check = if rebalance_every > 0 {
+        rebalance_every
+    } else {
+        u64::MAX
+    };
+
+    // The stream is drawn a burst ahead of routing; every action below
+    // keys on the packet's position and instant, so it fires where it
+    // would one packet at a time.
+    let mut burst = Vec::with_capacity(PlanStream::BURST);
     let mut drawn = 0u64;
-    for p in &mut stream {
-        let i = drawn;
-        drawn += 1;
-        debug_assert_eq!(p.id, i, "packet id is the plan position");
-        // `validate` keeps the expected count at half this bound.
-        assert!(
-            i <= u64::from(u32::MAX),
-            "npexec numbers plan positions in 32 bits"
-        );
-        while let Some(&(at, action)) = faults.get(next_fault) {
-            if at > p.at {
-                break;
-            }
-            next_fault += 1;
-            fire_fault(
-                action,
-                i,
-                &mut fs,
-                &mut table,
-                &mut producers,
-                &board,
-                migrating_to,
-                &last_core,
-                ctrl,
-                full_policy,
-                &mut out,
+    let mut more = true;
+    while more {
+        more = stream.next_burst(&mut burst);
+        for p in &burst {
+            let i = drawn;
+            drawn += 1;
+            debug_assert_eq!(p.id, i, "packet id is the plan position");
+            // `validate` keeps the expected count at half this bound.
+            assert!(
+                i <= u64::from(u32::MAX),
+                "npexec numbers plan positions in 32 bits"
             );
-        }
-        while let Some(f) = forced.get(next_forced) {
-            if f.after_packets > i {
-                break;
+            while let Some(&(at, action)) = faults.get(next_fault) {
+                if at > p.at {
+                    break;
+                }
+                next_fault += 1;
+                fire_fault(
+                    action,
+                    i,
+                    &mut fs,
+                    &mut table,
+                    &mut producers,
+                    &board,
+                    migrating_to,
+                    &last_core,
+                    ctrl,
+                    full_policy,
+                    &mut out,
+                );
             }
-            next_forced += 1;
-            try_migrate(
-                &mut table,
-                &mut producers,
-                &board,
-                migrating_to,
-                &fs.live,
-                &mut out,
-                f.group,
-                f.to_worker,
-            );
-        }
-        if rebalance_every > 0 && i > 0 && i.is_multiple_of(rebalance_every) {
-            rebalance(
-                &mut table,
-                &mut producers,
-                &board,
-                migrating_to,
-                &fs.live,
-                &mut out,
-                &mut win_worker,
-                &mut win_group,
-                imbalance_ratio,
-            );
-        }
-        let flow = p.slot.index();
-        let group = if p.flow_seq == 0 {
-            // A flow's first packet: hash it, and grow the per-flow
-            // state (slots are dense in stream order).
-            if flow >= watched {
-                watched = seq_watch.publish_through(flow);
+            while let Some(f) = forced.get(next_forced) {
+                if f.after_packets > i {
+                    break;
+                }
+                next_forced += 1;
+                try_migrate(
+                    &mut table,
+                    &mut producers,
+                    &board,
+                    migrating_to,
+                    &fs.live,
+                    &mut out,
+                    i,
+                    f.group,
+                    f.to_worker,
+                );
             }
-            let g = table.bucket_of(p.flow);
-            debug_assert_eq!(flow, group_of_flow.len(), "first packet of a new slot");
-            group_of_flow.push(g);
-            last_core.push(NO_CORE);
-            g
-        } else {
-            group_of_flow.get(flow).copied().unwrap_or(0)
-        };
-        let g = group as usize;
-        let owner = table.cores().get(g).copied().unwrap_or(0);
-        if faults_on {
-            if fs.crash_remapped.get(g).copied().unwrap_or(false) {
-                out.redirects += 1;
+            if to_check == 0 {
+                to_check = rebalance_every;
+                rebalance(
+                    &mut table,
+                    &mut producers,
+                    &board,
+                    migrating_to,
+                    &fs.live,
+                    &mut out,
+                    &mut win_worker,
+                    &mut win_group,
+                    imbalance_ratio,
+                    i,
+                );
             }
-            for (e, resident) in fs.open.iter_mut() {
-                let Some(r) = resident.get_mut(flow).filter(|r| **r) else {
-                    continue;
-                };
-                *r = false;
-                if let Some(ep) = out.episodes.get_mut(*e).filter(|ep| ep.core != owner) {
-                    ep.migrated_flows += 1;
+            to_check -= 1;
+            let flow = p.slot.index();
+            let group = if p.flow_seq == 0 {
+                // A flow's first packet: hash it, and grow the per-flow
+                // state (slots are dense in stream order).
+                if flow >= watched {
+                    watched = seq_watch.publish_through(flow);
+                }
+                let g = table.bucket_of(p.flow);
+                debug_assert_eq!(flow, group_of_flow.len(), "first packet of a new slot");
+                group_of_flow.push(g);
+                last_core.push(NO_CORE);
+                g
+            } else {
+                group_of_flow.get(flow).copied().unwrap_or(0)
+            };
+            let g = group as usize;
+            let owner = table.cores().get(g).copied().unwrap_or(0);
+            if faults_on {
+                if fs.crash_remapped.get(g).copied().unwrap_or(false) {
+                    out.redirects += 1;
+                }
+                for (e, resident) in fs.open.iter_mut() {
+                    let Some(r) = resident.get_mut(flow).filter(|r| **r) else {
+                        continue;
+                    };
+                    *r = false;
+                    if let Some(ep) = out.episodes.get_mut(*e).filter(|ep| ep.core != owner) {
+                        ep.migrated_flows += 1;
+                    }
                 }
             }
-        }
-        let migrated = match last_core.get_mut(flow) {
-            Some(lc) => {
-                let moved = *lc != NO_CORE && *lc as usize != owner;
-                *lc = owner as u32;
-                moved
+            let migrated = match last_core.get_mut(flow) {
+                Some(lc) => {
+                    let moved = *lc != NO_CORE && *lc as usize != owner;
+                    *lc = owner as u32;
+                    moved
+                }
+                None => false,
+            };
+            if migrated {
+                out.migrated_packets += 1;
             }
-            None => false,
-        };
-        if migrated {
-            out.migrated_packets += 1;
-        }
-        let service = p.service.index();
-        if let Some(n) = out.offered.get_mut(service) {
-            *n += 1;
-        }
-        let desc = ExecDesc {
-            pos: i as u32,
-            slot: p.slot,
-            // A flow's sequence number is below the position.
-            flow_seq: p.flow_seq as u32,
-            group,
-            size: p.size,
-            service: p.service,
-            migrated,
-            at: p.at,
-        };
-        if push_full_policy(
-            &mut producers,
-            owner,
-            Desc::Packet(desc),
-            full_policy,
-            &mut out.backpressured,
-        ) {
-            if let Some(w) = win_worker.get_mut(owner) {
-                *w += 1;
-            }
-            if let Some(w) = win_group.get_mut(g) {
-                *w += 1;
-            }
-        } else {
-            out.dropped.push((i, owner as u32));
-            if let Some(n) = out.dropped_per_service.get_mut(service) {
+            let service = p.service.index();
+            if let Some(n) = out.offered.get_mut(service) {
                 *n += 1;
+            }
+            let desc = ExecDesc {
+                pos: i as u32,
+                slot: p.slot,
+                // A flow's sequence number is below the position.
+                flow_seq: p.flow_seq as u32,
+                group,
+                size: p.size,
+                service: p.service,
+                migrated,
+                at: p.at,
+            };
+            if push_full_policy(
+                &mut producers,
+                owner,
+                Desc::Packet(desc),
+                full_policy,
+                &mut out.backpressured,
+            ) {
+                if let Some(w) = win_worker.get_mut(owner) {
+                    *w += 1;
+                }
+                if let Some(w) = win_group.get_mut(g) {
+                    *w += 1;
+                }
+            } else {
+                out.dropped.push((i, owner as u32));
+                if let Some(n) = out.dropped_per_service.get_mut(service) {
+                    *n += 1;
+                }
             }
         }
     }
@@ -656,6 +685,7 @@ fn rebalance(
     win_worker: &mut [u64],
     win_group: &mut [u64],
     ratio: f64,
+    pos: u64,
 ) {
     let mut max_w = usize::MAX;
     let mut max_l = 0u64;
@@ -689,7 +719,17 @@ fn rebalance(
             }
         }
         if let Some((g, _)) = best {
-            try_migrate(table, producers, board, migrating_to, live, out, g, min_w);
+            try_migrate(
+                table,
+                producers,
+                board,
+                migrating_to,
+                live,
+                out,
+                pos,
+                g,
+                min_w,
+            );
         }
     }
     for w in win_worker.iter_mut() {

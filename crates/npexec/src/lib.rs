@@ -15,19 +15,20 @@
 //! (wall-clock throughput, reports *statistically* equivalent; the
 //! `exec_validate` experiment pins the bounds).
 //!
-//! The dispatcher owns the stream and draws each packet when it
-//! dispatches it, as the paper's frame manager hands the scheduler one
-//! descriptor per arriving packet. Each ring slot carries that packet's
-//! descriptor by value (`plan.rs`: plan position, flow slot, per-flow
-//! sequence, flow group, size, service, migrated bit, arrival instant —
-//! the group is one CRC16 per *flow*, not per packet), so no thread
+//! The dispatcher owns the stream and draws it a 256-packet burst at a
+//! time into one reused buffer, then hands the workers one descriptor
+//! per packet, as the paper's frame manager does for each arriving
+//! packet. Each ring slot carries a packet's descriptor by value
+//! (`plan.rs`: plan position, flow slot, per-flow sequence, flow group,
+//! size, service, migrated bit, arrival instant — the group is one
+//! CRC16 per *flow*, not per packet), so no thread
 //! indexes a shared plan and a run holds O(flows) state: the
 //! dispatcher's per-flow group and last-worker tables and the shared
 //! order witness, each grown as flows appear. The timed thread scope
 //! ([`ExecStats::wall_secs`]) covers drawing, rings and handshake alike.
 //!
 //! ```text
-//!                  PlanStream (drawn one packet per dispatch)
+//!                  PlanStream (drawn 256 packets per burst)
 //!                      │
 //!                      ▼              ┌────── worker 0 (pinned) ──────┐
 //!                  dispatcher ──spsc──► pop → hold? → service         │
@@ -179,7 +180,7 @@ pub struct CrashEpisode {
 pub struct ExecStats {
     /// Wall-clock duration of the run (first draw → last join). It
     /// includes drawing the offered stream, which the dispatcher does
-    /// packet by packet as it dispatches.
+    /// a burst at a time between routing bursts.
     pub wall_secs: f64,
     /// Delivered packets per wall-clock second of [`ExecStats::wall_secs`],
     /// in millions (so drawing counts against it too).
@@ -479,13 +480,15 @@ fn assemble_report(
     report
 }
 
-/// A fault timeline mark of the probe replay, keyed by plan position.
+/// A timeline mark of the probe replay, keyed by plan position.
 #[derive(Clone, Copy)]
 enum Mark {
     Crashed(usize),
     Healed(usize),
     /// The first service of a healed worker (at its recovery packet).
     Restarted(usize),
+    /// A completed handshake begin: `(group, from, to)`.
+    Migrated(u64, usize, usize),
 }
 
 impl Mark {
@@ -501,6 +504,13 @@ impl Mark {
                 migrated: false,
                 duration: detsim::SimTime::ZERO,
             },
+            Mark::Migrated(group, from, to) => SimEvent::Migration {
+                // Group-granular move: tag with the group id in the slot
+                // field (a handshake moves the whole bucket, not one flow).
+                slot: FlowSlot::new(group as u32),
+                from,
+                to,
+            },
         }
     }
 }
@@ -512,14 +522,14 @@ impl Mark {
 /// (deterministic) offered stream: one `PacketArrived` per planned
 /// packet at its arrival instant, a `Dropped` or `Departure` terminal
 /// per packet, a `ReorderDetected` per out-of-order delivery, one
-/// `Migration` per completed handshake, and — on fault runs —
-/// `CoreCrashed`/`CoreHealed` marks at their plan positions plus one
-/// synthetic `ServiceStart` at each episode's recovery packet, so a
-/// [`npsim::FaultProbe`] reconstructs the same crash → heal → restart
-/// spans it would see live on detsim. Counts match the report exactly;
-/// interleaving and latencies are coarse (latency 0, migrations
-/// timestamped at the horizon). Only runs with probes attached pay for
-/// the second draw.
+/// `Migration` per completed handshake at the plan position it began
+/// at, and — on fault runs — `CoreCrashed`/`CoreHealed` marks at their
+/// plan positions plus one synthetic `ServiceStart` at each episode's
+/// recovery packet, so a [`npsim::FaultProbe`] reconstructs the same
+/// crash → heal → restart spans it would see live on detsim. Counts
+/// match the report exactly; interleaving and latencies are coarse
+/// (latency 0). Only runs with probes attached pay for the second
+/// draw.
 fn replay_probes(
     probes: &mut ProbeStack,
     cfg: &EngineConfig,
@@ -540,8 +550,9 @@ fn replay_probes(
         .flat_map(|o| o.ooo_packets.iter().copied())
         .collect();
     ooo.sort_unstable();
-    // Fault timeline marks keyed by plan position, fired *before* the
-    // packet at that position (the fault-before-arrival tie-break).
+    // Timeline marks keyed by plan position, fired *before* the packet
+    // at that position (the fault-before-arrival tie-break); at one
+    // position, faults before migrations, as the dispatcher fires them.
     let mut marks: Vec<(u64, Mark)> = Vec::new();
     for ep in episodes {
         marks.push((ep.crash_at_packet, Mark::Crashed(ep.core)));
@@ -552,6 +563,12 @@ fn replay_probes(
             marks.push((r, Mark::Restarted(ep.core)));
         }
     }
+    marks.extend(
+        dispatch
+            .migrations
+            .iter()
+            .map(|&(pos, group, from, to)| (pos, Mark::Migrated(group, from, to))),
+    );
     marks.sort_by_key(|&(pos, _)| pos);
     let (mut next_mark, mut next_drop, mut next_ooo) = (0usize, 0usize, 0usize);
     for p in PlanStream::new(cfg, sources) {
@@ -613,18 +630,6 @@ fn replay_probes(
     while let Some(&(_, mark)) = marks.get(next_mark) {
         probes.deliver(cfg.duration, &mark.event(ServiceKind::IpForward));
         next_mark += 1;
-    }
-    for &(group, from, to) in &dispatch.migrations {
-        probes.deliver(
-            cfg.duration,
-            &SimEvent::Migration {
-                // Group-granular move: tag with the group id in the slot
-                // field (a handshake moves the whole bucket, not one flow).
-                slot: FlowSlot::new(group as u32),
-                from,
-                to,
-            },
-        );
     }
     probes.finish(cfg.duration);
 }
@@ -1160,6 +1165,96 @@ mod tests {
         );
         assert_eq!(stats.episodes.len(), 1);
         assert_eq!(stats.episodes[0].crash_at_packet, first as u64);
+    }
+
+    /// Counts the arrivals replayed before each `Migration`: the plan
+    /// position its handshake began at.
+    #[derive(Default)]
+    struct MigrationPositions {
+        arrived: u64,
+        positions: Vec<u64>,
+    }
+
+    impl npsim::Probe for MigrationPositions {
+        fn name(&self) -> &'static str {
+            "migration-positions"
+        }
+
+        fn on_event(&mut self, _now: SimTime, ev: &SimEvent) {
+            match ev {
+                SimEvent::PacketArrived { .. } => self.arrived += 1,
+                SimEvent::Migration { .. } => self.positions.push(self.arrived),
+                _ => {}
+            }
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Drawing the stream a burst ahead of routing moves no action: a
+    /// crash, a heal and a forced migration on the packets either side
+    /// of the first burst boundary, and a crash at the stream's last
+    /// packet, fire where a packet-by-packet walk of the stream puts
+    /// them.
+    #[test]
+    fn burst_draw_keeps_action_positions() {
+        let b = PlanStream::BURST as u64;
+        let plan: Vec<_> = PlanStream::new(&cfg(10), &sources()).collect();
+        let last = plan.len() as u64 - 1;
+        let at = |k: u64| plan[k as usize].at;
+        let first_at_or_after = |t: SimTime| {
+            plan.iter()
+                .position(|p| p.at >= t)
+                .expect("the instant falls inside the run") as u64
+        };
+        let mut backend = ThreadedBackend::new(NpexecConfig {
+            workers: 4,
+            groups: 32,
+            rebalance_every: 0,
+            forced_migrations: vec![ForcedMigration {
+                after_packets: b + 1,
+                group: 0,
+                to_worker: 2,
+            }],
+            ..NpexecConfig::default()
+        });
+        let mut c = cfg(10);
+        c.faults = FaultPlan::new()
+            .crash(at(b - 1), 1)
+            .heal(at(b), 1)
+            .crash(at(last), 3);
+        let probes: ProbeStack = vec![Box::new(MigrationPositions::default())];
+        let (report, probes) =
+            backend.run(&c, &sources(), Box::new(JoinShortestQueue::new()), probes);
+        assert_eq!(report.offered, plan.len() as u64);
+        assert_eq!(report.offered, report.processed + report.dropped);
+        assert_eq!(report.out_of_order, 0);
+        let stats = backend.last_stats().expect("stats recorded");
+        assert_eq!(stats.handshakes.begun, stats.handshakes.completed);
+        let eps: Vec<_> = stats
+            .episodes
+            .iter()
+            .map(|e| (e.core, e.crash_at_packet, e.heal_at_packet))
+            .collect();
+        assert_eq!(
+            eps,
+            [
+                (
+                    1,
+                    first_at_or_after(at(b - 1)),
+                    Some(first_at_or_after(at(b)))
+                ),
+                (3, first_at_or_after(at(last)), None),
+            ]
+        );
+        let seen = probes[0]
+            .as_any()
+            .downcast_ref::<MigrationPositions>()
+            .expect("the probe comes back");
+        assert_eq!(seen.positions, [b + 1], "forced migration position");
+        assert_eq!(seen.arrived, plan.len() as u64);
     }
 
     /// Probes replay a re-drawn copy of the stream after the run; the

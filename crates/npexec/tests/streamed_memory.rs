@@ -1,6 +1,6 @@
-//! npexec streams its arrival plan: the dispatcher draws each packet as
-//! it dispatches it, so a run's memory grows with its flows, not with
-//! its packets.
+//! npexec streams its arrival plan: the dispatcher draws it a 256-packet
+//! burst at a time into one reused buffer, so a run's memory grows with
+//! its flows, not with its packets.
 //!
 //! One test per binary, because the peak resident set (`VmHWM`) is a
 //! per-process figure. It streams the `exec-forward` benchmark source

@@ -23,11 +23,11 @@
 //!
 //! The engine itself runs the stream on a second thread when the
 //! process has a hardware thread to spare ([`ThreadSlot`]): the
-//! engine's own [`IngestStage`] moves into a [`PlanStream`], whose
-//! crate-internal [`PlanStream::next_arrival`] yields every admitted
-//! arrival with its source, and [`produce`] ships them in chunks over a
-//! bounded channel to a [`Handoff`], the batched loop's arrival family
-//! on the engine thread. Admitting ahead of the engine is legal because
+//! engine's own [`IngestStage`] moves into a [`PlanStream`], and
+//! [`produce`] draws it with [`PlanStream::next_burst`] — the call
+//! npexec's dispatcher draws its stream with — and ships each burst as
+//! a chunk over a bounded channel to a [`Handoff`], the batched loop's
+//! arrival family on the engine thread. Admitting ahead of the engine is legal because
 //! the flow slots and per-flow sequence counters and the packet-id
 //! counter are touched only by arrivals, in arrival order: no finish,
 //! fault or rate tick reads or writes them.
@@ -82,10 +82,10 @@ pub struct PlanStream {
     expected: usize,
 }
 
-/// One admitted arrival: its instant, its source, and its header.
-pub(super) type Arrival = (SimTime, usize, Header);
-
 impl PlanStream {
+    /// Packets per [`PlanStream::next_burst`], and so per hand-off chunk.
+    pub const BURST: usize = 256;
+
     /// The offered stream of `cfg` + `sources`.
     ///
     /// # Panics
@@ -152,9 +152,31 @@ impl PlanStream {
         self.st.arrivals.n_sources()
     }
 
+    /// Clear `buf` and refill it with the stream's next packets, at most
+    /// [`PlanStream::BURST`]. Returns whether the burst came back full; a
+    /// short one (empty included) is the stream's last.
+    ///
+    /// A burst is the packets [`Iterator::next`] would yield one by one,
+    /// in the same order: drawing ahead of their use changes nothing
+    /// about them, because no consumer of the stream feeds back into it.
+    pub fn next_burst(&mut self, buf: &mut Vec<ScheduledPacket>) -> bool {
+        buf.clear();
+        while buf.len() < Self::BURST {
+            let Some(p) = self.next() else {
+                return false;
+            };
+            buf.push(p);
+        }
+        true
+    }
+}
+
+impl Iterator for PlanStream {
+    type Item = ScheduledPacket;
+
     /// The next arrival of the stream, admitted: what the engine's
     /// `on_arrival` would admit at that instant.
-    pub(super) fn next_arrival(&mut self) -> Option<Arrival> {
+    fn next(&mut self) -> Option<ScheduledPacket> {
         loop {
             let (t, seq, win) = self.st.next_event()?;
             let Win::Arrival(src) = win else {
@@ -176,45 +198,34 @@ impl PlanStream {
             }
             self.st.rescan_arrivals(&mut ());
             if let Some(h) = admitted {
-                return Some((t, src, h));
+                return Some(ScheduledPacket {
+                    at: t,
+                    src: src as u32,
+                    id: h.id,
+                    flow: h.flow,
+                    slot: h.slot,
+                    service: h.service,
+                    size: h.size,
+                    flow_seq: h.flow_seq,
+                });
             }
         }
     }
 }
 
-impl Iterator for PlanStream {
-    type Item = ScheduledPacket;
-
-    fn next(&mut self) -> Option<ScheduledPacket> {
-        let (at, src, h) = self.next_arrival()?;
-        Some(ScheduledPacket {
-            at,
-            src: src as u32,
-            id: h.id,
-            flow: h.flow,
-            slot: h.slot,
-            service: h.service,
-            size: h.size,
-            flow_seq: h.flow_seq,
-        })
-    }
-}
-
-/// Arrivals per hand-off chunk.
-const CHUNK: usize = 256;
-
 /// Chunks one hand-off ever allocates: one being filled, one being
 /// consumed, and two in flight. The producer recycles the consumer's
-/// spent chunks, so the hand-off holds `CHUNKS × CHUNK` arrivals at
-/// most, whatever the run length.
+/// spent chunks, so the hand-off holds `CHUNKS × PlanStream::BURST`
+/// arrivals at most, whatever the run length.
 const CHUNKS: usize = 4;
 
-/// A chunk of arrivals in stream order.
-pub(super) type Chunk = Vec<Arrival>;
+/// A chunk of arrivals in stream order: one burst.
+pub(super) type Chunk = Vec<ScheduledPacket>;
 
 /// The producer half of the hand-off, run on the stream thread: draw
-/// `stream` into chunks and send them until the stream ends or the
-/// consumer hangs up (its run ended, or it is unwinding from a panic).
+/// `stream` burst by burst and send each as a chunk until the stream
+/// ends or the consumer hangs up (its run ended, or it is unwinding
+/// from a panic).
 pub(super) fn produce(mut stream: PlanStream, full: SyncSender<Chunk>, spent: Receiver<Chunk>) {
     let mut made = 0;
     loop {
@@ -222,7 +233,7 @@ pub(super) fn produce(mut stream: PlanStream, full: SyncSender<Chunk>, spent: Re
             Ok(chunk) => chunk,
             Err(TryRecvError::Empty) if made < CHUNKS => {
                 made += 1;
-                Vec::with_capacity(CHUNK)
+                Vec::with_capacity(PlanStream::BURST)
             }
             Err(TryRecvError::Empty) => match spent.recv() {
                 Ok(chunk) => chunk,
@@ -230,9 +241,7 @@ pub(super) fn produce(mut stream: PlanStream, full: SyncSender<Chunk>, spent: Re
             },
             Err(TryRecvError::Disconnected) => return,
         };
-        chunk.clear();
-        chunk.extend(std::iter::from_fn(|| stream.next_arrival()).take(CHUNK));
-        let last = chunk.len() < CHUNK;
+        let last = !stream.next_burst(&mut chunk);
         if !chunk.is_empty() && full.send(chunk).is_err() {
             return;
         }
@@ -293,20 +302,27 @@ impl Arrivals for Handoff {
                 sink.span_end(Stage::Ingest, t0, self.chunk.len() as u64);
             }
         }
-        let &(at, src, _) = self.chunk.get(self.pos)?;
-        let seq = self.seqs.get(src).copied().unwrap_or(u64::MAX);
-        Some((at, seq, src as u32))
+        let p = self.chunk.get(self.pos)?;
+        let seq = self.seqs.get(p.src as usize).copied().unwrap_or(u64::MAX);
+        Some((p.at, seq, p.src))
     }
 
     #[inline]
     fn admit(&mut self, src: usize) -> Option<Header> {
-        let Some(&(_, from, h)) = self.chunk.get(self.pos) else {
+        let Some(p) = self.chunk.get(self.pos) else {
             debug_assert!(false, "arrival winner without a handed-off arrival");
             return None;
         };
-        debug_assert_eq!(from, src, "hand-off head is not the winner");
+        debug_assert_eq!(p.src as usize, src, "hand-off head is not the winner");
         self.pos += 1;
-        Some(h)
+        Some(Header {
+            flow: p.flow,
+            slot: p.slot,
+            service: p.service,
+            size: p.size,
+            id: p.id,
+            flow_seq: p.flow_seq,
+        })
     }
 
     /// Number `src`'s next arrival, and name the slot of the arrival
@@ -323,7 +339,7 @@ impl Arrivals for Handoff {
         if let Some(s) = self.seqs.get_mut(src) {
             *s = alloc(next_seq);
         }
-        self.chunk.get(self.pos).map(|(_, _, h)| h.slot)
+        self.chunk.get(self.pos).map(|p| p.slot)
     }
 
     /// The stream thread refreshed the rates on its own tick.
@@ -631,6 +647,24 @@ mod tests {
             "pre-sizing hint {hint} vs {} packets",
             drained.len()
         );
+    }
+
+    /// Bursts concatenate to the packet-by-packet stream: every burst
+    /// but the last is full, and the last is short (here: empty, when
+    /// the stream length is a multiple of the burst).
+    #[test]
+    fn bursts_concatenate_to_the_stream() {
+        let one_by_one: Vec<ScheduledPacket> = PlanStream::new(&cfg(10), &sources()).collect();
+        let mut stream = PlanStream::new(&cfg(10), &sources());
+        let (mut drawn, mut burst) = (Vec::new(), Vec::new());
+        while stream.next_burst(&mut burst) {
+            assert_eq!(burst.len(), PlanStream::BURST);
+            drawn.extend_from_slice(&burst);
+        }
+        assert!(burst.len() < PlanStream::BURST);
+        drawn.extend_from_slice(&burst);
+        assert_eq!(drawn, one_by_one);
+        assert!(drawn.len() > 10 * PlanStream::BURST, "several bursts");
     }
 
     #[test]
