@@ -7,7 +7,14 @@
 //! [`PlanStream`]. It draws the stream a burst at a time
 //! ([`PlanStream::next_burst`], the call the detsim engine's stream
 //! thread draws its hand-off chunks with) into one reused buffer, then
-//! routes the buffer packet by packet:
+//! routes the buffer packet by packet. The stream fills a burst in
+//! runs: once an arrival from one source wins the merge, that source's
+//! next arrivals follow without another merge pick while each lands
+//! strictly before the other sources' heads and the rate tick. That is
+//! the merge's own order, because an arrival armed during a run holds
+//! the newest seq and so loses every time tie; on a single-source
+//! stream such as `exec-forward`'s a run lasts to the burst's end or
+//! the next rate tick. Routing then goes:
 //!
 //! 1. find the packet's group (one CRC16 on the flow's first packet,
 //!    kept in a per-flow table that grows as flows appear) and look up

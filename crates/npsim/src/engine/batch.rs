@@ -135,9 +135,7 @@ pub(super) trait Arrivals {
     fn admit(&mut self, src: usize) -> Option<Header>;
 
     /// Arm `src`'s next arrival after the one just admitted (the scalar
-    /// loop's gap-draw position). Returns the flow slot of an arrival
-    /// about to be processed, when known, so the caller can prefetch
-    /// its flow-table lines.
+    /// loop's gap-draw position).
     fn arm<C: CycleSink>(
         &mut self,
         src: usize,
@@ -145,7 +143,13 @@ pub(super) trait Arrivals {
         barrier: SimTime,
         horizon: SimTime,
         sink: &mut C,
-    ) -> Option<FlowSlot>;
+    );
+
+    /// The flow slot of an arrival about to be processed after `src`'s
+    /// was armed, when its flow has arrived before, so the engine can
+    /// prefetch its flow-table lines. A read only; the stream never
+    /// asks.
+    fn head_slot(&self, src: usize) -> Option<FlowSlot>;
 
     /// A rate tick fired at `now`: re-sample the source rates, if this
     /// family owns the sources.
@@ -216,7 +220,7 @@ impl<A: Arrivals> BatchState<A> {
     /// The arrival-lookahead barrier: the next pending rate update
     /// (`MAX` when none).
     #[inline]
-    fn barrier(&self) -> SimTime {
+    pub(super) fn barrier(&self) -> SimTime {
         self.rate.map_or(SimTime::MAX, |(t, _)| t)
     }
 
@@ -348,10 +352,15 @@ impl<A: Arrivals> Pending for BatchState<A> {
         _now: SimTime,
         horizon: SimTime,
         sink: &mut C,
-    ) -> Option<FlowSlot> {
+    ) {
         let barrier = self.barrier();
         self.arrivals
-            .arm(src, &mut self.next_seq, barrier, horizon, sink)
+            .arm(src, &mut self.next_seq, barrier, horizon, sink);
+    }
+
+    #[inline]
+    fn head_slot(&self, src: usize) -> Option<FlowSlot> {
+        self.arrivals.head_slot(src)
     }
 
     #[inline]

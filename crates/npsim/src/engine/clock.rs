@@ -32,16 +32,18 @@ pub(super) trait Pending {
 
     /// Arm `src`'s next arrival after the one at `now`, if it lands at
     /// or before `horizon` (this is the source's next gap draw).
-    /// Returns the flow slot of an arrival about to be processed when
-    /// it is already known, so the caller can prefetch its flow-table
-    /// lines.
     fn arm_arrival<C: CycleSink>(
         &mut self,
         src: usize,
         now: SimTime,
         horizon: SimTime,
         sink: &mut C,
-    ) -> Option<FlowSlot>;
+    );
+
+    /// The flow slot of an arrival about to be processed after `src`'s
+    /// next one was armed, when it is already known, so the caller can
+    /// prefetch its flow-table lines.
+    fn head_slot(&self, src: usize) -> Option<FlowSlot>;
 
     /// A rate tick fired at `now`: re-sample every source's rate law —
     /// unless the sources live on the hand-off's stream thread, which
@@ -118,11 +120,20 @@ impl Pending for HeapPending {
         now: SimTime,
         horizon: SimTime,
         _sink: &mut C,
-    ) -> Option<FlowSlot> {
-        let next = now + self.ingest.next_gap(src)?;
+    ) {
+        let Some(gap) = self.ingest.next_gap(src) else {
+            return;
+        };
+        let next = now + gap;
         if next <= horizon {
             self.events.push(next, Ev::Arrival(src));
         }
+    }
+
+    /// The heap draws each record when its arrival fires: nothing to
+    /// prefetch.
+    #[inline]
+    fn head_slot(&self, _src: usize) -> Option<FlowSlot> {
         None
     }
 

@@ -462,24 +462,24 @@ impl IngestStage {
         }
     }
 
-    /// Trace-local flow index of `src`'s buffered arrival `depth` slots
-    /// past the head (0 = head), if present (prefetch planning only —
-    /// does not consume anything).
-    pub(super) fn batch_peek_flow(&self, src: usize, depth: u8) -> Option<u32> {
-        let buf = self.bursts.get(src)?;
-        let i = buf.head.checked_add(depth)?;
-        if i < buf.len {
-            buf.records.get(i as usize).map(|r| r.flow)
-        } else {
-            None
-        }
-    }
-
     /// The slot of `src`'s trace-local `flow`, if it has arrived before
     /// (read-only; used to prefetch flow-table lines).
     pub(super) fn cached_slot(&self, src: usize, flow: u32) -> Option<FlowSlot> {
         let table = self.sources.get(src)?.table;
         self.flows.get(table, flow)
+    }
+
+    /// The earliest head arrival time among the sources other than
+    /// `src` (`MAX` when none has one).
+    #[inline]
+    pub(super) fn head_time_besides(&self, src: usize) -> SimTime {
+        let mut best = SimTime::MAX;
+        for (i, &t) in self.head_times.iter().enumerate() {
+            if i != src {
+                best = best.min(t);
+            }
+        }
+        best
     }
 
     /// Admit one *pre-drawn* arrival record from `src`: assign its flow
@@ -559,8 +559,7 @@ impl Arrivals for IngestStage {
     }
 
     /// Refill `src`'s lookahead if drained (this IS the scalar loop's
-    /// gap-draw RNG position) and stamp the new head's seq. Returns the
-    /// new head's slot, if its flow has arrived before.
+    /// gap-draw RNG position) and stamp the new head's seq.
     #[inline]
     fn arm<C: CycleSink>(
         &mut self,
@@ -569,7 +568,7 @@ impl Arrivals for IngestStage {
         barrier: SimTime,
         horizon: SimTime,
         sink: &mut C,
-    ) -> Option<FlowSlot> {
+    ) {
         if self.batch_needs_refill(src) {
             let t0 = if C::ACTIVE { sink.span_start() } else { 0 };
             let drawn = self.batch_refill(src, barrier, horizon);
@@ -577,10 +576,20 @@ impl Arrivals for IngestStage {
                 sink.span_end(Stage::Ingest, t0, drawn as u64);
             }
         }
-        self.batch_head(src)?;
-        self.batch_set_head_seq(src, alloc(next_seq));
-        let flow = self.batch_peek_flow(src, 0)?;
-        self.cached_slot(src, flow)
+        if self.batch_head(src).is_some() {
+            self.batch_set_head_seq(src, alloc(next_seq));
+        }
+    }
+
+    /// `src`'s buffered head's slot, if its flow has arrived before.
+    #[inline]
+    fn head_slot(&self, src: usize) -> Option<FlowSlot> {
+        let buf = self.bursts.get(src)?;
+        if buf.head == buf.len {
+            return None;
+        }
+        let rec = buf.records.get(buf.head as usize)?;
+        self.cached_slot(src, rec.flow)
     }
 
     #[inline]

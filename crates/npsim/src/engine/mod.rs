@@ -414,8 +414,8 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         tx: &mut T,
         sink: &mut C,
     ) {
-        let horizon = self.cfg.duration;
-        if let Some(slot) = tx.arm_arrival(src, now, horizon, sink) {
+        tx.arm_arrival(src, now, self.cfg.duration, sink);
+        if let Some(slot) = tx.head_slot(src) {
             self.flows.prefetch(slot);
         }
     }

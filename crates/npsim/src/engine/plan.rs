@@ -15,6 +15,21 @@
 //! contract pinned packet for packet by the tests at the bottom of this
 //! file and relied on by the detsim-vs-npexec validation experiment.
 //!
+//! # Runs
+//!
+//! The stream consumes the merge in runs ([`PlanStream::draw`], the one
+//! loop behind both [`PlanStream::next_burst`] and [`Iterator::next`]).
+//! Once the merge picks an arrival from source `s`, the run admits it,
+//! arms `s`'s next arrival — the same seq allocation and lookahead
+//! refill as the engine's `on_arrival` — and keeps admitting `s`'s next
+//! arrival while it lands strictly before every other pending event:
+//! the other sources' heads and the rate tick. Only `s` is admitted and
+//! armed during a run, so those are read once per run, and the arrival
+//! minimum is re-derived once per run instead of once per packet. The
+//! rule is exact, not a heuristic: an arrival armed during the run
+//! carries the newest seq, so it loses every time tie, and a tie is
+//! exactly where the run hands over to the competitor.
+//!
 //! [`ArrivalPlan::from_config`] is that stream drained into a `Vec`, for
 //! consumers that index the whole plan; npexec keeps a narrower record
 //! per packet and drains the stream itself.
@@ -157,28 +172,34 @@ impl PlanStream {
     /// short one (empty included) is the stream's last.
     ///
     /// A burst is the packets [`Iterator::next`] would yield one by one,
-    /// in the same order: drawing ahead of their use changes nothing
-    /// about them, because no consumer of the stream feeds back into it.
+    /// in the same order: both draw through the one merge loop, and
+    /// drawing ahead of their use changes nothing about them, because no
+    /// consumer of the stream feeds back into it. A burst is drawn in
+    /// runs: once an arrival from source `s` wins the merge, `s`'s next
+    /// arrivals follow it into the burst without another pick while
+    /// each lands strictly before every other pending event (the other
+    /// sources' heads and the rate tick). That is exact: an arrival armed
+    /// during the run carries the newest seq, so it loses every time tie,
+    /// and the run stops there.
     pub fn next_burst(&mut self, buf: &mut Vec<ScheduledPacket>) -> bool {
         buf.clear();
-        while buf.len() < Self::BURST {
-            let Some(p) = self.next() else {
+        self.draw(|p| {
+            buf.push(p);
+            buf.len() < Self::BURST
+        })
+    }
+
+    /// The merge loop, in runs (module doc, "Runs"): hand the stream's
+    /// next packets, admitted, to `emit` in stream order until it
+    /// returns `false` (then `true`) or the stream ends (then `false`).
+    /// `bound` is the earliest of the other sources' heads and the rate
+    /// tick — with zero cores and no fault plan, every other pending
+    /// event — and the run's next arrival fires only strictly before it.
+    fn draw(&mut self, mut emit: impl FnMut(ScheduledPacket) -> bool) -> bool {
+        loop {
+            let Some((t, seq, win)) = self.st.next_event() else {
                 return false;
             };
-            buf.push(p);
-        }
-        true
-    }
-}
-
-impl Iterator for PlanStream {
-    type Item = ScheduledPacket;
-
-    /// The next arrival of the stream, admitted: what the engine's
-    /// `on_arrival` would admit at that instant.
-    fn next(&mut self) -> Option<ScheduledPacket> {
-        loop {
-            let (t, seq, win) = self.st.next_event()?;
             let Win::Arrival(src) = win else {
                 // Zero cores, no faults: the only other event is the
                 // rate tick (`Engine::on_rate_update` minus the bus).
@@ -190,16 +211,19 @@ impl Iterator for PlanStream {
                 }
                 continue;
             };
+            let bound = self
+                .st
+                .arrivals
+                .head_time_besides(src)
+                .min(self.st.barrier());
+            let mut at = t;
+            let mut wants_more = true;
             // `Engine::on_arrival` minus everything past admission: admit,
             // then arm the source's next arrival (its gap-draw position).
-            let admitted = self.st.admit(src);
-            if admitted.is_some() {
-                self.st.arm_arrival(src, t, self.horizon, &mut ());
-            }
-            self.st.rescan_arrivals(&mut ());
-            if let Some(h) = admitted {
-                return Some(ScheduledPacket {
-                    at: t,
+            while let Some(h) = self.st.admit(src) {
+                self.st.arm_arrival(src, at, self.horizon, &mut ());
+                wants_more = emit(ScheduledPacket {
+                    at,
                     src: src as u32,
                     id: h.id,
                     flow: h.flow,
@@ -208,8 +232,31 @@ impl Iterator for PlanStream {
                     size: h.size,
                     flow_seq: h.flow_seq,
                 });
+                match self.st.arrivals.batch_head(src) {
+                    Some((next, _)) if wants_more && next < bound => at = next,
+                    _ => break,
+                }
+            }
+            self.st.rescan_arrivals(&mut ());
+            if !wants_more {
+                return true;
             }
         }
+    }
+}
+
+impl Iterator for PlanStream {
+    type Item = ScheduledPacket;
+
+    /// The next arrival of the stream, admitted: what the engine's
+    /// `on_arrival` would admit at that instant.
+    fn next(&mut self) -> Option<ScheduledPacket> {
+        let mut next = None;
+        self.draw(|p| {
+            next = Some(p);
+            false
+        });
+        next
     }
 }
 
@@ -325,8 +372,7 @@ impl Arrivals for Handoff {
         })
     }
 
-    /// Number `src`'s next arrival, and name the slot of the arrival
-    /// that fires next, for the flow-table prefetch.
+    /// Number `src`'s next arrival.
     #[inline]
     fn arm<C: CycleSink>(
         &mut self,
@@ -335,10 +381,15 @@ impl Arrivals for Handoff {
         _barrier: SimTime,
         _horizon: SimTime,
         _sink: &mut C,
-    ) -> Option<FlowSlot> {
+    ) {
         if let Some(s) = self.seqs.get_mut(src) {
             *s = alloc(next_seq);
         }
+    }
+
+    /// The slot of the arrival that fires next, whatever its source.
+    #[inline]
+    fn head_slot(&self, _src: usize) -> Option<FlowSlot> {
         self.chunk.get(self.pos).map(|p| p.slot)
     }
 
@@ -575,10 +626,13 @@ mod tests {
 
     /// The stream contract, per packet: `PlanStream` yields exactly the
     /// `PacketArrived` sequence (time, id, slot, service, size) of the
-    /// scalar reference loop — over 1 and 4 sources, constant and
-    /// Holt-Winters rates refreshed every 0.7 ms (and every 1 µs, so
+    /// scalar reference loop — drawn one by one through the iterator and
+    /// in bursts through `next_burst` — over 1 and 4 sources, constant
+    /// and Holt-Winters rates refreshed every 0.7 ms (and every 1 µs, so
     /// arrivals demonstrably tie with ticks), on a horizon that cuts the
-    /// last lookahead burst short.
+    /// last lookahead burst short. Every 4-source cell must also hold
+    /// same-instant arrivals from two different sources, the ties a
+    /// run's bound has to hand to the competitor.
     ///
     /// It bites: with the `buf.cursor < barrier` condition deleted from
     /// `IngestStage::batch_refill` (lookahead straight through rate
@@ -586,10 +640,24 @@ mod tests {
     /// first arrival after the first tick (packet 2101: stream
     /// 700 451 ns, scalar engine 700 212 ns). The constant-rate cells
     /// before it still pass — their refresh draws no RNG — which is why
-    /// the grid has both.
+    /// the grid has both. Each of three wrong run bounds in
+    /// `PlanStream::draw` fails it on the burst path (the iterator draws
+    /// runs of one packet, so only bursts carry a run past its first):
+    /// - `next <= bound` (a time tie kept in the run): 1 source,
+    ///   Holt-Winters, 1 µs tick, packet 1383 (stream 407 151 ns, scalar
+    ///   engine 407 161 ns: an arrival that tied with a tick went ahead
+    ///   of it, so the gap after it was drawn before that refresh);
+    /// - a bound without the rate tick (the other sources' heads only):
+    ///   1 source, Holt-Winters, 0.7 ms tick, packet 2101 (stream
+    ///   700 451 ns, scalar engine 700 212 ns);
+    /// - a bound without the other sources (the rate tick only): 4
+    ///   sources, constant rate, 0.7 ms tick, packet 1 (stream 198 ns
+    ///   from `IpForward`, scalar engine 27 ns from `MalwareScan`).
+    ///
+    /// The 4-source cells hold 402, 402, 421 and 451 source ties.
     #[test]
     fn stream_yields_the_scalar_arrival_sequence_packet_for_packet() {
-        let mut ties = 0usize;
+        let mut tick_ties = 0usize;
         for n_sources in [1usize, 4] {
             for holt_winters in [false, true] {
                 for tick_ns in [700_000, 1_000] {
@@ -608,28 +676,51 @@ mod tests {
                         ArrivalLog::default(),
                     );
                     let (_, _, log) = engine.run_full();
-                    let streamed: Vec<_> = PlanStream::new(&c, &srcs)
-                        .map(|p| (p.at, p.id, p.slot, p.service, p.size))
-                        .collect();
-                    let cell = format!("{n_sources} sources, hw {holt_winters}, tick {tick_ns} ns");
-                    assert!(streamed.len() > 5_000, "{cell}: non-trivial stream");
-                    if let Some(i) = (0..streamed.len().min(log.arrivals.len()))
-                        .find(|&i| streamed[i] != log.arrivals[i])
-                    {
-                        panic!(
-                            "{cell}: packet {i} differs: stream {:?}, scalar engine {:?}",
-                            streamed[i], log.arrivals[i]
+                    let one_by_one: Vec<ScheduledPacket> = PlanStream::new(&c, &srcs).collect();
+                    let mut bursts = Vec::new();
+                    let (mut stream, mut burst) = (PlanStream::new(&c, &srcs), Vec::new());
+                    while stream.next_burst(&mut burst) {
+                        bursts.extend_from_slice(&burst);
+                    }
+                    bursts.extend_from_slice(&burst);
+                    for (path, drawn) in [("iterator", &one_by_one), ("bursts", &bursts)] {
+                        let cell = format!(
+                            "{n_sources} sources, hw {holt_winters}, tick {tick_ns} ns, {path}"
+                        );
+                        let streamed: Vec<_> = drawn
+                            .iter()
+                            .map(|p| (p.at, p.id, p.slot, p.service, p.size))
+                            .collect();
+                        assert!(streamed.len() > 5_000, "{cell}: non-trivial stream");
+                        if let Some(i) = (0..streamed.len().min(log.arrivals.len()))
+                            .find(|&i| streamed[i] != log.arrivals[i])
+                        {
+                            panic!(
+                                "{cell}: packet {i} differs: stream {:?}, scalar engine {:?}",
+                                streamed[i], log.arrivals[i]
+                            );
+                        }
+                        assert_eq!(streamed.len(), log.arrivals.len(), "{cell}: same length");
+                    }
+                    if n_sources > 1 {
+                        let source_ties = one_by_one
+                            .windows(2)
+                            .filter(|w| w[0].at == w[1].at && w[0].src != w[1].src)
+                            .count();
+                        assert!(
+                            source_ties > 0,
+                            "{n_sources} sources, hw {holt_winters}, tick {tick_ns} ns: \
+                             no two sources ever arrived at one instant"
                         );
                     }
-                    assert_eq!(streamed.len(), log.arrivals.len(), "{cell}: same length");
-                    ties += streamed
+                    tick_ties += one_by_one
                         .iter()
-                        .filter(|p| p.0.as_nanos() % tick_ns == 0)
+                        .filter(|p| p.at.as_nanos() % tick_ns == 0)
                         .count();
                 }
             }
         }
-        assert!(ties > 0, "no arrival ever tied with a rate tick");
+        assert!(tick_ties > 0, "no arrival ever tied with a rate tick");
     }
 
     #[test]
