@@ -58,7 +58,6 @@ impl<E> Ord for EventEntry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<EventEntry<E>>,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -73,7 +72,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -82,7 +80,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -100,23 +97,13 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
-        self.popped += 1;
         Some((entry.time, entry.event))
     }
 
     /// Remove and return the earliest event with its full entry (including
     /// the sequence number).
     pub fn pop_entry(&mut self) -> Option<EventEntry<E>> {
-        let e = self.heap.pop();
-        if e.is_some() {
-            self.popped += 1;
-        }
-        e
-    }
-
-    /// Fire time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.pop()
     }
 
     /// Number of pending events.
@@ -129,17 +116,7 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Total number of events ever popped from this queue.
-    pub fn popped_count(&self) -> u64 {
-        self.popped
-    }
-
-    /// Drop all pending events (counters are preserved).
+    /// Drop all pending events (the sequence counter is preserved).
     pub fn clear(&mut self) {
         self.heap.clear();
     }
@@ -185,27 +162,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_activity() {
+    fn clear_keeps_the_sequence_counter() {
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, ());
         q.push(SimTime::ZERO, ());
-        assert_eq!(q.scheduled_count(), 2);
         q.pop();
-        assert_eq!(q.popped_count(), 1);
         assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_count(), 2);
-    }
-
-    #[test]
-    fn peek_time_matches_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(9), ());
-        q.push(SimTime::from_nanos(4), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(4)));
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_nanos(4));
+        assert_eq!(q.push(SimTime::ZERO, ()), 2, "seq numbers survive a clear");
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! These are the building blocks of the simulation reports (drop counts,
 //! latency distributions, …).
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// A plain monotone event counter.
@@ -32,15 +31,6 @@ impl Counter {
     #[inline]
     pub fn get(self) -> u64 {
         self.0
-    }
-
-    /// This counter as a fraction of `total` (0 when `total == 0`).
-    pub fn fraction_of(self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
     }
 }
 
@@ -159,7 +149,7 @@ impl WelfordMean {
 /// `[2^i, 2^(i+1))`, bucket 0 holds `[0, 2)`), giving ~2× resolution over
 /// twelve decades — enough to summarize packet latencies without
 /// per-sample storage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -200,11 +190,6 @@ impl Histogram {
         if v > self.max {
             self.max = v;
         }
-    }
-
-    /// Record a [`SimTime`] duration.
-    pub fn record_time(&mut self, t: SimTime) {
-        self.record(t.as_nanos());
     }
 
     /// Number of samples.
@@ -253,16 +238,6 @@ impl Histogram {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty `(bucket_lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -275,8 +250,6 @@ mod tests {
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert!((c.fraction_of(10) - 0.5).abs() < 1e-12);
-        assert_eq!(c.fraction_of(0), 0.0);
     }
 
     #[test]
@@ -346,6 +319,7 @@ mod tests {
         h.record(1);
         h.record(u64::MAX);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.nonzero_buckets()[0].0, 0);
+        assert_eq!(h.quantile(0.5), 1, "0 and 1 share bucket 0");
+        assert_eq!(h.max(), u64::MAX);
     }
 }

@@ -100,11 +100,6 @@ pub fn farm() -> Farm {
     farm.with_jsonl_dir(results_dir().join("npfarm"))
 }
 
-/// Build the LAPS scheduler for an engine configuration.
-pub fn laps_scheduler(cfg: &EngineConfig) -> Laps {
-    Laps::new(laps_config_for(cfg))
-}
-
 /// A detector's answer as flow IDs, to score against `ExactTopK`: the
 /// detectors are keyed by `FlowSlot::new(record.flow)`, the trace's
 /// dense flow index.

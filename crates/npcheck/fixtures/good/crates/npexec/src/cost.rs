@@ -2,19 +2,27 @@
 //! only its tests call the delay model (as an oracle).
 
 use detsim::SimTime;
-use npsim::CoreClock;
+use npsim::{CoreClock, ReportProbe, SimEvent};
 use nptraffic::ServiceKind;
 
 pub struct Svc {
     clock: CoreClock,
-    cold_starts: u64,
+    report: ReportProbe,
 }
 
 impl Svc {
     pub fn service(&mut self, at: SimTime, service: ServiceKind, size: u16, migrated: bool) {
-        if self.clock.start(at, service, size, migrated, 0).cold {
-            self.cold_starts += 1;
-        }
+        let charge = self.clock.start(at, service, size, migrated, 0);
+        self.report.observe(
+            at,
+            &SimEvent::ServiceStart {
+                core: 0,
+                service,
+                cold: charge.cold,
+                migrated,
+                duration: charge.duration,
+            },
+        );
     }
 }
 

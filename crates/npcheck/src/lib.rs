@@ -8,7 +8,7 @@
 //! `unsafe_code`, and the `#![deny(clippy::unwrap_used,
 //! clippy::expect_used, clippy::indexing_slicing)]` header each
 //! per-packet module opens with — see DESIGN.md, "Determinism
-//! contract"). This linter keeps the six rules they cannot express:
+//! contract"). This linter keeps the seven rules they cannot express:
 //!
 //! | rule | severity | pass | what it catches |
 //! |------|----------|------|-----------------|
@@ -17,6 +17,7 @@
 //! | `unbounded-queue` | warn | file | `VecDeque::new`, `mpsc::channel`, and Vec-as-queue idioms with no declared capacity bound |
 //! | `blocking-hot-path` | deny | file | lock acquisition, `sleep`, blocking I/O, or allocation in a module carrying the hot-path header (constructors exempt) |
 //! | `single-cost-site` | deny | file | `processing_delay_us(` in npsim or npexec non-test code outside the `CoreClock` module — both backends charge service time through one core model |
+//! | `single-report-fold` | deny | file | `=` or `+=` to `offered`, `dropped`, `processed`, `migrated_packets`, `migration_events` or `cold_starts` in npsim or npexec non-test code outside `probe.rs` — both backends fold their report through `ReportProbe` |
 //! | `lock-order` | deny | crate | two named locks acquired in both nesting orders within one crate |
 //!
 //! Any finding can be suppressed with a justification comment on the

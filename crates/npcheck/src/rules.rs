@@ -86,8 +86,30 @@ const BACKEND_SRC_PREFIXES: &[&str] = &["crates/npsim/src/", "crates/npexec/src/
 /// The one module allowed to call the Eq. 3 delay model.
 const COST_SITE: &str = "crates/npsim/src/core_clock.rs";
 
+/// The one module allowed to write the report's folded counters.
+const FOLD_SITE: &str = "crates/npsim/src/probe.rs";
+
+/// The `SimReport` and `ServiceBreakdown` counters `ReportProbe` folds
+/// from the event stream.
+const FOLD_COUNTERS: &[&str] = &[
+    "offered",
+    "dropped",
+    "processed",
+    "migrated_packets",
+    "migration_events",
+    "cold_starts",
+];
+
+fn is_backend_src(path: &str) -> bool {
+    BACKEND_SRC_PREFIXES.iter().any(|p| path.starts_with(p))
+}
+
 fn in_backend_src(path: &str, _: &LexedFile) -> bool {
-    path != COST_SITE && BACKEND_SRC_PREFIXES.iter().any(|p| path.starts_with(p))
+    path != COST_SITE && is_backend_src(path)
+}
+
+fn in_backend_src_outside_fold(path: &str, _: &LexedFile) -> bool {
+    path != FOLD_SITE && is_backend_src(path)
 }
 
 fn in_sim_crate(path: &str, _: &LexedFile) -> bool {
@@ -172,6 +194,22 @@ pub const RULES: &[RuleSpec] = &[
               through a `CoreClock` instead.",
         applies: in_backend_src,
         check: check_single_cost_site,
+    },
+    RuleSpec {
+        id: "single-report-fold",
+        severity: Severity::Deny,
+        summary: "`=` or `+=` to a folded report counter in backend code outside `npsim`'s probe module",
+        why: "Drops, out-of-order departures, migrated packets and cold starts are \
+              the paper's results, and both backends must count them by one \
+              definition. `npsim::ReportProbe` (crates/npsim/src/probe.rs) folds \
+              them from the `SimEvent` stream: detsim's record stage observes \
+              every event, npexec's dispatcher and workers each observe theirs \
+              and merge at join. A write to `offered`, `dropped`, `processed`, \
+              `migrated_packets`, `migration_events` or `cold_starts` elsewhere in \
+              npsim or npexec non-test code is a second fold, free to drift. \
+              Publish the event to a `ReportProbe` instead.",
+        applies: in_backend_src_outside_fold,
+        check: check_single_report_fold,
     },
 ];
 
@@ -579,6 +617,37 @@ fn check_single_cost_site(file: &str, lexed: &LexedFile, findings: &mut Vec<Find
     }
 }
 
+fn check_single_report_fold(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
+    let spec = rule("single-report-fold");
+    let toks = &lexed.tokens;
+    let limit = lexed.cfg_test_line.unwrap_or(usize::MAX);
+    let punct = |j: usize, p: &str| toks.get(j).is_some_and(|(_, t)| t.is_punct(p));
+    for (i, (line, tok)) in toks.iter().enumerate() {
+        if *line >= limit {
+            break;
+        }
+        let Tok::Ident(name) = tok else { continue };
+        if !FOLD_COUNTERS.contains(&name.as_str()) || i == 0 || !punct(i - 1, ".") {
+            continue;
+        }
+        // `==` lexes as two `=`; `+=` is one token.
+        let op = if punct(i + 1, "+=") {
+            "+="
+        } else if punct(i + 1, "=") && !punct(i + 2, "=") {
+            "="
+        } else {
+            continue;
+        };
+        push(
+            findings,
+            spec,
+            file,
+            *line,
+            format!("`.{name} {op}` outside `{FOLD_SITE}`: publish the event to a `ReportProbe`, the one report fold both backends share"),
+        );
+    }
+}
+
 fn check_blocking_hot_path(file: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
     let spec = rule("blocking-hot-path");
     let toks = &lexed.tokens;
@@ -974,6 +1043,21 @@ mod tests {
         let src =
             "fn steal(&self) { let g = self.deques[a].lock(); let h = self.deques[b].lock(); }\n";
         assert!(scan_source("crates/npfarm/src/pool.rs", src).is_empty());
+    }
+
+    #[test]
+    fn single_report_fold_flags_counter_writes_outside_the_probe_module() {
+        let src = "fn f(r: &mut SimReport) {\n    r.offered = 1;\n    r.cold_starts += n;\n    let dropped = r.dropped;\n    if r.processed == 0 {}\n    s.out_of_order += 1;\n}\n";
+        let hits: Vec<usize> = scan_source("crates/npexec/src/lib.rs", src)
+            .iter()
+            .filter(|f| f.rule == "single-report-fold")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(hits, [2, 3], "assignments only, never reads or `==`");
+        assert!(scan_source("crates/npsim/src/probe.rs", src).is_empty());
+        assert!(scan_source("crates/laps/src/lib.rs", src).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(scan_source("crates/npsim/src/report.rs", &in_tests).is_empty());
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! `fixtures/bad/` mirrors the workspace layout with one violation of
 //! every rule; `fixtures/good/` holds the cleaned equivalents, plus
 //! `npsim/src/core_clock.rs`, the one site `single-cost-site` allows.
+//! (`npsim/src/probe.rs`, the one site `single-report-fold` allows, is
+//! in both trees for `probe-hot-path`.)
 //! The bad tree must produce a finding for each rule and a non-zero CLI
 //! exit; the good tree must scan completely clean.
 
@@ -23,7 +25,7 @@ fn fixture(name: &str) -> PathBuf {
 fn bad_fixture_trips_every_rule() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("bad")).expect("scan bad fixture tree");
-    assert_eq!(files, 8, "expected the eight bad fixture files");
+    assert_eq!(files, 9, "expected the nine bad fixture files");
     let rules: BTreeSet<&str> = findings.iter().map(|f| f.rule).collect();
     for meta in npcheck::all_rules() {
         assert!(
@@ -49,6 +51,13 @@ fn bad_fixture_trips_every_rule() {
     assert!(findings.iter().any(|f| f.rule == "single-cost-site"
         && f.severity == npcheck::Severity::Deny
         && f.file.ends_with("npexec/src/cost.rs")));
+    // So is each hand-copied report counter, `+=` included.
+    let folds: Vec<usize> = findings
+        .iter()
+        .filter(|f| f.rule == "single-report-fold" && f.file.ends_with("npexec/src/report.rs"))
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(folds.len(), 4, "one finding per counter write: {folds:?}");
     // The lock-order message names both sites of the inversion.
     let inversion = findings
         .iter()
@@ -83,7 +92,7 @@ fn bad_fixture_findings_are_sorted_and_stable() {
 fn good_fixture_is_clean() {
     let (findings, files) =
         npcheck::scan_workspace(&fixture("good")).expect("scan good fixture tree");
-    assert_eq!(files, 9, "expected the nine good fixture files");
+    assert_eq!(files, 10, "expected the ten good fixture files");
     assert!(
         findings.is_empty(),
         "good fixtures must be clean, got:\n{}",

@@ -33,6 +33,11 @@
 //! for that group is still in flight or the old ring is too full to
 //! take the mark.
 //!
+//! The dispatcher's part of the report is a [`ReportProbe`] fold of the
+//! events it sees: a `PacketArrived` per routed packet, a `Dropped` per
+//! full-ring drop and a `Migration` per handshake begun. Its fault
+//! counters go in one [`FaultStats`].
+//!
 //! A fault action scheduled at `t` fires just before the first packet
 //! that arrives at or after `t` — the exact analogue of detsim priming
 //! the plan into its event queue, including the
@@ -58,8 +63,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use detsim::SimTime;
 use laps::spsc::{Desc, Producer};
 use laps::GroupBoard;
-use nphash::MapTable;
-use npsim::{FaultAction, PlanStream};
+use nphash::{FlowSlot, MapTable};
+use npsim::{FaultAction, FaultStats, PlanStream, ReportProbe, SimEvent};
 
 use crate::plan::{ExecDesc, SeqWatch};
 use crate::worker::{CMD_CRASH, CMD_PAUSED};
@@ -109,15 +114,12 @@ pub(crate) struct DispatchCtx<'a> {
 /// The dispatcher's ledger for one run.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchOutcome {
-    /// Offered packets per [`ServiceKind::index`](nptraffic::ServiceKind::index).
-    pub offered: [u64; 4],
+    /// The dispatcher's part of the report fold: a `PacketArrived` per
+    /// routed packet, a `Dropped` per full-ring drop, a `Migration` per
+    /// load or forced handshake begun.
+    pub report: ReportProbe,
     /// `(plan position, owner at drop)` of packets dropped at a full ring.
     pub dropped: Vec<(u64, u32)>,
-    /// Full-ring drops per service index.
-    pub dropped_per_service: [u64; 4],
-    /// Packets whose flow changed cores at dispatch (the detsim
-    /// `migrated_packets` definition).
-    pub migrated_packets: u64,
     /// Completed handshake begins: `(plan position, group, from, to)`,
     /// the position being the packet the handshake began before.
     pub migrations: Vec<(u64, u64, usize, usize)>,
@@ -126,68 +128,15 @@ pub(crate) struct DispatchOutcome {
     /// The map table's redirect epoch after the run (marked handshakes
     /// only — crash retirement/restore is tracked by `episodes`).
     pub final_epoch: u64,
-    /// Packets that waited at least one full-ring retry under
-    /// [`FullPolicy::Backpressure`].
-    pub backpressured: u64,
-    /// Fault plan entries fired.
-    pub injected: u64,
-    /// Crashes applied (live worker paused + buckets re-homed).
-    pub crashes: u64,
-    /// Heals applied (worker resumed + buckets restored).
-    pub heals: u64,
-    /// Packets dispatched to a bucket while it was crash-remapped away
-    /// from its dead owner (the npexec analogue of detsim's
-    /// degradation-path redirects).
-    pub redirects: u64,
+    /// Fault accounting, `fault_drops` aside (the workers drop, and the
+    /// backend adds theirs at join). Every crash and heal is repaired:
+    /// the pause protocol has no unrepaired path. `redirects` counts
+    /// packets routed to a bucket while it was crash-remapped away
+    /// from its dead owner (the analogue of detsim's degradation-path
+    /// redirects).
+    pub faults: FaultStats,
     /// One ledger per crash, in crash order.
     pub episodes: Vec<CrashEpisode>,
-}
-
-/// Begin a group migration if the handshake permits; records the
-/// outcome either way. Order matters: the mark must land in the old
-/// ring *before* the redirect, or a packet routed to the new owner
-/// could slip ahead of the mark's release.
-#[allow(clippy::too_many_arguments)]
-fn try_migrate(
-    table: &mut MapTable<usize>,
-    producers: &mut [Ring],
-    board: &GroupBoard,
-    migrating_to: &[AtomicUsize],
-    live: &[bool],
-    out: &mut DispatchOutcome,
-    pos: u64,
-    group: u64,
-    to: usize,
-) {
-    let Some(&from) = table.cores().get(group as usize) else {
-        return;
-    };
-    if from == to || to >= producers.len() || !live.get(to).copied().unwrap_or(false) {
-        return;
-    }
-    if board.in_flight(group as usize) {
-        // One load-driven handshake per group at a time; callers retry
-        // on a later rebalance window.
-        out.aborted += 1;
-        return;
-    }
-    let Some(pr) = producers.get_mut(from) else {
-        return;
-    };
-    if pr.try_push_mark(group).is_err() {
-        // Old ring full: abort before any state changed.
-        out.aborted += 1;
-        return;
-    }
-    if let Some(t) = migrating_to.get(group as usize) {
-        // A marked handshake publishes its target before `begin`'s Release
-        // bump: a worker that sees it in flight sees who it is for.
-        // npcheck: ordering(Release pairs with the worker's Acquire load of the target after it observes in_flight)
-        t.store(to, Ordering::Release);
-    }
-    board.begin(group as usize);
-    table.redirect_bucket(group as u32, to);
-    out.migrations.push((pos, group, from, to));
 }
 
 /// Fault-run bookkeeping local to the dispatcher.
@@ -216,187 +165,282 @@ impl FaultState {
     }
 }
 
-/// Apply one fault action at plan position `pos`. Cold path: runs once
-/// per plan entry, never per packet. `last_core` covers the flows seen
-/// so far; a later flow is resident nowhere.
-#[allow(clippy::too_many_arguments)]
-fn fire_fault(
-    action: FaultAction,
-    pos: u64,
-    fs: &mut FaultState,
-    table: &mut MapTable<usize>,
-    producers: &mut [Ring],
-    board: &GroupBoard,
-    migrating_to: &[AtomicUsize],
-    last_core: &[u32],
-    ctrl: Option<&[AtomicU64]>,
+/// The dispatcher's routing state for one run: what the packet loop,
+/// the migrations and the fault actions act on.
+struct Router<'a> {
+    table: MapTable<usize>,
+    producers: Vec<Ring>,
+    board: GroupBoard,
+    migrating_to: &'a [AtomicUsize],
     full_policy: FullPolicy,
-    out: &mut DispatchOutcome,
-) {
-    out.injected += 1;
-    match action {
-        FaultAction::Crash { core } => {
-            if !fs.live.get(core).copied().unwrap_or(false) || fs.live_count <= 1 {
-                // Already dead, or the last live worker (validate
-                // rejects such plans; this is the runtime belt).
-                return;
+    ctrl: Option<&'a [AtomicU64]>,
+    /// Per-worker and per-group load since the last imbalance check.
+    win_worker: Vec<u64>,
+    win_group: Vec<u64>,
+    fs: FaultState,
+    out: DispatchOutcome,
+}
+
+impl Router<'_> {
+    /// Begin a group migration if the handshake permits; records the
+    /// outcome either way. Order matters: the mark must land in the old
+    /// ring *before* the redirect, or a packet routed to the new owner
+    /// could slip ahead of the mark's release. `pos` and `at` are the
+    /// position and instant of the packet it begins before.
+    fn try_migrate(&mut self, pos: u64, at: SimTime, group: u64, to: usize) {
+        let Some(&from) = self.table.cores().get(group as usize) else {
+            return;
+        };
+        if from == to || !self.fs.live.get(to).copied().unwrap_or(false) {
+            return;
+        }
+        if self.board.in_flight(group as usize) {
+            // One load-driven handshake per group at a time; callers
+            // retry on a later rebalance window.
+            self.out.aborted += 1;
+            return;
+        }
+        let Some(pr) = self.producers.get_mut(from) else {
+            return;
+        };
+        if pr.try_push_mark(group).is_err() {
+            // Old ring full: abort before any state changed.
+            self.out.aborted += 1;
+            return;
+        }
+        if let Some(t) = self.migrating_to.get(group as usize) {
+            // A marked handshake publishes its target before `begin`'s
+            // Release bump: a worker that sees it in flight sees who it
+            // is for.
+            // npcheck: ordering(Release pairs with the worker's Acquire load of the target after it observes in_flight)
+            t.store(to, Ordering::Release);
+        }
+        self.board.begin(group as usize);
+        self.table.redirect_bucket(group as u32, to);
+        self.out.migrations.push((pos, group, from, to));
+        // A handshake moves the whole bucket: the group id stands in the
+        // slot field.
+        let slot = FlowSlot::new(group as u32);
+        let ev = SimEvent::Migration { slot, from, to };
+        self.out.report.observe(at, &ev);
+    }
+
+    /// One imbalance check: if the busiest worker's window load exceeds
+    /// `ratio ×` the least busy worker's, migrate the busiest group it
+    /// owns to the least busy worker. Dead workers are excluded from
+    /// both ends of the comparison. Windows reset afterwards.
+    fn rebalance(&mut self, ratio: f64, pos: u64, at: SimTime) {
+        let mut max_w = usize::MAX;
+        let mut max_l = 0u64;
+        let mut min_w = usize::MAX;
+        let mut min_l = u64::MAX;
+        for (w, &l) in self.win_worker.iter().enumerate() {
+            if !self.fs.live.get(w).copied().unwrap_or(false) {
+                continue;
             }
-            // Wait for the crash step before any bucket moves: the
-            // worker pauses only after its last service, so every push
-            // below reaches a replacement after it. A replacement that
-            // inherits a marked handshake towards the dead worker reads
-            // itself as the target and holds until the old owner's ack.
-            if let Some(cmd) = ctrl.and_then(|c| c.get(core)) {
-                // npcheck: ordering(AcqRel RMW — Release publishes every earlier push to the worker's Acquire load)
-                cmd.fetch_or(CMD_CRASH, Ordering::AcqRel);
-                // The crash step needs nothing from this thread.
-                // npcheck: ordering(Acquire pairs with the worker's AcqRel set of CMD_PAUSED: its last service and drain happen-before the re-home)
-                while cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
-                    std::thread::yield_now();
+            if l > max_l || max_w == usize::MAX {
+                max_l = l;
+                max_w = w;
+            }
+            if l < min_l {
+                min_l = l;
+                min_w = w;
+            }
+        }
+        if max_w != usize::MAX
+            && min_w != usize::MAX
+            && max_w != min_w
+            && (max_l as f64) > ratio * ((min_l + 1) as f64)
+        {
+            let mut best: Option<(u64, u64)> = None; // (group, window load)
+            for (g, &n) in self.win_group.iter().enumerate() {
+                if n > 0
+                    && self.table.cores().get(g).copied() == Some(max_w)
+                    && best.is_none_or(|(_, bn)| n > bn)
+                {
+                    best = Some((g as u64, n));
                 }
             }
-            // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-            let buckets = table.buckets_of_core(core);
-            // Re-home round-robin onto the live workers, minimum
-            // migration (`retire_core`), each target published before
-            // any packet of its bucket is routed there.
-            let repl: Vec<usize> = fs
-                .live
-                .iter()
-                .enumerate()
-                .filter(|&(w, &l)| l && w != core)
-                .map(|(w, _)| w)
-                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-                .collect();
-            for (bi, &b) in buckets.iter().enumerate() {
-                let Some(&to) = repl.get(bi % repl.len().max(1)) else {
-                    continue;
-                };
-                if let Some(t) = migrating_to.get(b as usize) {
-                    // npcheck: ordering(Release pairs with the new owner's Acquire load of the target after it observes in_flight)
-                    t.store(to, Ordering::Release);
-                }
-                if let Some(r) = fs.crash_remapped.get_mut(b as usize) {
-                    *r = true;
-                }
+            if let Some((g, _)) = best {
+                self.try_migrate(pos, at, g, min_w);
             }
-            let retired = table.retire_core(core, &repl);
-            debug_assert_eq!(retired, buckets, "retire must mirror the published targets");
-            // Snapshot residency for the episode ledger.
-            // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-            let mut resident = vec![false; last_core.len()];
-            let mut resident_flows = 0u64;
-            for (f, &lc) in last_core.iter().enumerate() {
-                if lc != NO_CORE && lc as usize == core {
-                    if let Some(r) = resident.get_mut(f) {
-                        *r = true;
-                        resident_flows += 1;
+        }
+        self.win_worker.fill(0);
+        self.win_group.fill(0);
+    }
+
+    /// Apply one fault action at plan position `pos`. Cold path: runs
+    /// once per plan entry, never per packet. `last_core` covers the
+    /// flows seen so far; a later flow is resident nowhere.
+    fn fire_fault(&mut self, action: FaultAction, pos: u64, last_core: &[u32]) {
+        self.out.faults.injected += 1;
+        match action {
+            FaultAction::Crash { core } => {
+                if !self.fs.live.get(core).copied().unwrap_or(false) || self.fs.live_count <= 1 {
+                    // Already dead, or the last live worker (validate
+                    // rejects such plans; this is the runtime belt).
+                    return;
+                }
+                // Wait for the crash step before any bucket moves: the
+                // worker pauses only after its last service, so every push
+                // below reaches a replacement after it. A replacement that
+                // inherits a marked handshake towards the dead worker reads
+                // itself as the target and holds until the old owner's ack.
+                if let Some(cmd) = self.ctrl.and_then(|c| c.get(core)) {
+                    // npcheck: ordering(AcqRel RMW — Release publishes every earlier push to the worker's Acquire load)
+                    cmd.fetch_or(CMD_CRASH, Ordering::AcqRel);
+                    // The crash step needs nothing from this thread.
+                    // npcheck: ordering(Acquire pairs with the worker's AcqRel set of CMD_PAUSED: its last service and drain happen-before the re-home)
+                    while cmd.load(Ordering::Acquire) & CMD_PAUSED == 0 {
+                        std::thread::yield_now();
                     }
                 }
-            }
-            if let Some(l) = fs.live.get_mut(core) {
-                *l = false;
-            }
-            fs.live_count -= 1;
-            let buckets_rehomed = buckets.len();
-            if let Some(r) = fs.retired_of.get_mut(core) {
-                *r = buckets;
-            }
-            // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-            fs.open.push((out.episodes.len(), resident));
-            // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-            out.episodes.push(CrashEpisode {
-                core,
-                crash_at_packet: pos,
-                heal_at_packet: None,
-                resident_flows,
-                migrated_flows: 0,
-                buckets_rehomed,
-                restore_skipped: 0,
-                recovery_at_packet: None,
-            });
-            out.crashes += 1;
-        }
-        FaultAction::Heal { core } => {
-            if fs.live.get(core).copied().unwrap_or(true) {
-                return;
-            }
-            let Some(cmd) = ctrl.and_then(|c| c.get(core)) else {
-                return;
-            };
-            // The crash waited for the pause, so the crash step is done.
-            // Resume with a zero word: no crash, no pause. Its clock
-            // restores full speed.
-            // npcheck: ordering(Release pairs with the paused worker's Acquire load of the command word)
-            cmd.store(0, Ordering::Release);
-            if let Some(l) = fs.live.get_mut(core) {
-                *l = true;
-            }
-            fs.live_count += 1;
-            // Restore: ordinary marked handshakes move each retired
-            // bucket home from its live replacement, then restore_core
-            // reinstates the exact pre-crash mapping for those buckets.
-            let buckets = fs
-                .retired_of
-                .get_mut(core)
-                .map(std::mem::take)
-                .unwrap_or_default();
-            // npcheck: allow(blocking-hot-path) — heal cold path, runs once per fault entry
-            let mut restored = Vec::with_capacity(buckets.len());
-            for &b in &buckets {
-                let mut waits = 0u32;
-                while board.in_flight(b as usize) && waits < RESTORE_WAIT_YIELDS {
-                    waits += 1;
-                    std::thread::yield_now();
+                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+                let buckets = self.table.buckets_of_core(core);
+                // Re-home round-robin onto the live workers, minimum
+                // migration (`retire_core`), each target published before
+                // any packet of its bucket is routed there.
+                let repl: Vec<usize> = self
+                    .fs
+                    .live
+                    .iter()
+                    .enumerate()
+                    .filter(|&(w, &l)| l && w != core)
+                    .map(|(w, _)| w)
+                    // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+                    .collect();
+                for (bi, &b) in buckets.iter().enumerate() {
+                    let Some(&to) = repl.get(bi % repl.len().max(1)) else {
+                        continue;
+                    };
+                    if let Some(t) = self.migrating_to.get(b as usize) {
+                        // npcheck: ordering(Release pairs with the new owner's Acquire load of the target after it observes in_flight)
+                        t.store(to, Ordering::Release);
+                    }
+                    if let Some(r) = self.fs.crash_remapped.get_mut(b as usize) {
+                        *r = true;
+                    }
                 }
-                if board.in_flight(b as usize) {
-                    bump_restore_skipped(out, core);
-                    continue;
+                let retired = self.table.retire_core(core, &repl);
+                debug_assert_eq!(retired, buckets, "retire must mirror the published targets");
+                // Snapshot residency for the episode ledger.
+                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+                let mut resident = vec![false; last_core.len()];
+                let mut resident_flows = 0u64;
+                for (f, &lc) in last_core.iter().enumerate() {
+                    if lc != NO_CORE && lc as usize == core {
+                        if let Some(r) = resident.get_mut(f) {
+                            *r = true;
+                            resident_flows += 1;
+                        }
+                    }
                 }
-                let Some(&cur) = table.cores().get(b as usize) else {
-                    continue;
+                if let Some(l) = self.fs.live.get_mut(core) {
+                    *l = false;
+                }
+                self.fs.live_count -= 1;
+                let buckets_rehomed = buckets.len();
+                if let Some(r) = self.fs.retired_of.get_mut(core) {
+                    *r = buckets;
+                }
+                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+                self.fs.open.push((self.out.episodes.len(), resident));
+                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
+                self.out.episodes.push(CrashEpisode {
+                    core,
+                    crash_at_packet: pos,
+                    heal_at_packet: None,
+                    resident_flows,
+                    migrated_flows: 0,
+                    buckets_rehomed,
+                    restore_skipped: 0,
+                    recovery_at_packet: None,
+                });
+                self.out.faults.crashes += 1;
+                self.out.faults.repairs += 1;
+            }
+            FaultAction::Heal { core } => {
+                if self.fs.live.get(core).copied().unwrap_or(true) {
+                    return;
+                }
+                let Some(cmd) = self.ctrl.and_then(|c| c.get(core)) else {
+                    return;
                 };
-                if cur == core {
-                    continue;
+                // The crash waited for the pause, so the crash step is done.
+                // Resume with a zero word: no crash, no pause. Its clock
+                // restores full speed.
+                // npcheck: ordering(Release pairs with the paused worker's Acquire load of the command word)
+                cmd.store(0, Ordering::Release);
+                if let Some(l) = self.fs.live.get_mut(core) {
+                    *l = true;
                 }
-                if !push_full_policy(
-                    producers,
-                    cur,
-                    Desc::Mark(u64::from(b)),
-                    full_policy,
-                    &mut out.backpressured,
-                ) {
-                    // DropAfter gave up on the restore mark: the bucket
-                    // stays on its replacement — degradation, counted.
-                    bump_restore_skipped(out, core);
-                    continue;
-                }
-                if let Some(t) = migrating_to.get(b as usize) {
-                    // npcheck: ordering(Release pairs with the healed worker's Acquire load of the target after it observes in_flight)
-                    t.store(core, Ordering::Release);
-                }
-                board.begin(b as usize);
-                if let Some(r) = fs.crash_remapped.get_mut(b as usize) {
-                    *r = false;
-                }
+                self.fs.live_count += 1;
+                // Restore: ordinary marked handshakes move each retired
+                // bucket home from its live replacement, then restore_core
+                // reinstates the exact pre-crash mapping for those buckets.
+                let buckets = self
+                    .fs
+                    .retired_of
+                    .get_mut(core)
+                    .map(std::mem::take)
+                    .unwrap_or_default();
                 // npcheck: allow(blocking-hot-path) — heal cold path, runs once per fault entry
-                restored.push(b);
-            }
-            table.restore_core(core, &restored);
-            // Close the core's open episode (a core crashes again only
-            // after a heal, so it has exactly one).
-            let episodes = &mut out.episodes;
-            fs.open.retain(|&(e, _)| match episodes.get_mut(e) {
-                Some(ep) if ep.core == core => {
-                    ep.heal_at_packet = Some(pos);
-                    false
+                let mut restored = Vec::with_capacity(buckets.len());
+                for &b in &buckets {
+                    let mut waits = 0u32;
+                    while self.board.in_flight(b as usize) && waits < RESTORE_WAIT_YIELDS {
+                        waits += 1;
+                        std::thread::yield_now();
+                    }
+                    if self.board.in_flight(b as usize) {
+                        bump_restore_skipped(&mut self.out, core);
+                        continue;
+                    }
+                    let Some(&cur) = self.table.cores().get(b as usize) else {
+                        continue;
+                    };
+                    if cur == core {
+                        continue;
+                    }
+                    if !push_full_policy(
+                        &mut self.producers,
+                        cur,
+                        Desc::Mark(u64::from(b)),
+                        self.full_policy,
+                    ) {
+                        // DropAfter gave up on the restore mark: the bucket
+                        // stays on its replacement — degradation, counted.
+                        bump_restore_skipped(&mut self.out, core);
+                        continue;
+                    }
+                    if let Some(t) = self.migrating_to.get(b as usize) {
+                        // npcheck: ordering(Release pairs with the healed worker's Acquire load of the target after it observes in_flight)
+                        t.store(core, Ordering::Release);
+                    }
+                    self.board.begin(b as usize);
+                    if let Some(r) = self.fs.crash_remapped.get_mut(b as usize) {
+                        *r = false;
+                    }
+                    // npcheck: allow(blocking-hot-path) — heal cold path, runs once per fault entry
+                    restored.push(b);
                 }
-                _ => true,
-            });
-            out.heals += 1;
+                self.table.restore_core(core, &restored);
+                // Close the core's open episode (a core crashes again only
+                // after a heal, so it has exactly one).
+                let episodes = &mut self.out.episodes;
+                self.fs.open.retain(|&(e, _)| match episodes.get_mut(e) {
+                    Some(ep) if ep.core == core => {
+                        ep.heal_at_packet = Some(pos);
+                        false
+                    }
+                    _ => true,
+                });
+                self.out.faults.heals += 1;
+                self.out.faults.repairs += 1;
+            }
+            // Each worker's clock reads its throttles and stalls off the plan.
+            FaultAction::Throttle { .. } | FaultAction::Stall { .. } => {}
         }
-        // Each worker's clock reads its throttles and stalls off the plan.
-        FaultAction::Throttle { .. } | FaultAction::Stall { .. } => {}
     }
 }
 
@@ -411,40 +455,34 @@ fn bump_restore_skipped(out: &mut DispatchOutcome, core: usize) {
 
 /// Draw and dispatch the stream to completion; returns the dispatch
 /// ledger.
-pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
-    let DispatchCtx {
-        mut stream,
-        mut table,
-        mut producers,
-        board,
-        migrating_to,
-        seq_watch,
-        rebalance_every,
-        imbalance_ratio,
-        full_policy,
-        forced,
-        faults,
-        ctrl,
-    } = ctx;
-    let mut out = DispatchOutcome::default();
-    let workers = producers.len();
+pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
+    let (workers, groups) = (ctx.producers.len(), ctx.table.len());
+    let mut r = Router {
+        table: ctx.table,
+        producers: ctx.producers,
+        board: ctx.board,
+        migrating_to: ctx.migrating_to,
+        full_policy: ctx.full_policy,
+        ctrl: ctx.ctrl,
+        win_worker: build_window(workers),
+        win_group: build_window(groups),
+        fs: FaultState::new(workers, groups),
+        out: DispatchOutcome::default(),
+    };
     // Per-flow state, grown as flows appear: the group (hashed once per
     // flow) and the last worker a packet of the flow went to.
     let mut group_of_flow: Vec<u32> = Vec::new();
     let mut last_core: Vec<u32> = Vec::new();
     let mut watched = 0usize;
-    // Load windows for the imbalance check, reset every window.
-    let mut win_worker = build_window(workers);
-    let mut win_group = build_window(table.len());
     let mut next_forced = 0usize;
     let mut next_fault = 0usize;
+    let faults = ctx.faults;
     let faults_on = !faults.is_empty();
-    let mut fs = FaultState::new(workers, table.len());
 
     // Packets left before the next imbalance check: it fires before
     // every positive multiple of `rebalance_every` (never, at 0).
-    let mut to_check = if rebalance_every > 0 {
-        rebalance_every
+    let mut to_check = if ctx.rebalance_every > 0 {
+        ctx.rebalance_every
     } else {
         u64::MAX
     };
@@ -456,7 +494,7 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
     let mut drawn = 0u64;
     let mut more = true;
     while more {
-        more = stream.next_burst(&mut burst);
+        more = ctx.stream.next_burst(&mut burst);
         for p in &burst {
             let i = drawn;
             drawn += 1;
@@ -471,51 +509,18 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                     break;
                 }
                 next_fault += 1;
-                fire_fault(
-                    action,
-                    i,
-                    &mut fs,
-                    &mut table,
-                    &mut producers,
-                    &board,
-                    migrating_to,
-                    &last_core,
-                    ctrl,
-                    full_policy,
-                    &mut out,
-                );
+                r.fire_fault(action, i, &last_core);
             }
-            while let Some(f) = forced.get(next_forced) {
+            while let Some(&f) = ctx.forced.get(next_forced) {
                 if f.after_packets > i {
                     break;
                 }
                 next_forced += 1;
-                try_migrate(
-                    &mut table,
-                    &mut producers,
-                    &board,
-                    migrating_to,
-                    &fs.live,
-                    &mut out,
-                    i,
-                    f.group,
-                    f.to_worker,
-                );
+                r.try_migrate(i, p.at, f.group, f.to_worker);
             }
             if to_check == 0 {
-                to_check = rebalance_every;
-                rebalance(
-                    &mut table,
-                    &mut producers,
-                    &board,
-                    migrating_to,
-                    &fs.live,
-                    &mut out,
-                    &mut win_worker,
-                    &mut win_group,
-                    imbalance_ratio,
-                    i,
-                );
+                to_check = ctx.rebalance_every;
+                r.rebalance(ctx.imbalance_ratio, i, p.at);
             }
             to_check -= 1;
             let flow = p.slot.index();
@@ -523,9 +528,9 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 // A flow's first packet: hash it, and grow the per-flow
                 // state (slots are dense in stream order).
                 if flow >= watched {
-                    watched = seq_watch.publish_through(flow);
+                    watched = ctx.seq_watch.publish_through(flow);
                 }
-                let g = table.bucket_of(p.flow);
+                let g = r.table.bucket_of(p.flow);
                 debug_assert_eq!(flow, group_of_flow.len(), "first packet of a new slot");
                 group_of_flow.push(g);
                 last_core.push(NO_CORE);
@@ -534,17 +539,17 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 group_of_flow.get(flow).copied().unwrap_or(0)
             };
             let g = group as usize;
-            let owner = table.cores().get(g).copied().unwrap_or(0);
+            let owner = r.table.cores().get(g).copied().unwrap_or(0);
             if faults_on {
-                if fs.crash_remapped.get(g).copied().unwrap_or(false) {
-                    out.redirects += 1;
+                if r.fs.crash_remapped.get(g).copied().unwrap_or(false) {
+                    r.out.faults.redirects += 1;
                 }
-                for (e, resident) in fs.open.iter_mut() {
-                    let Some(r) = resident.get_mut(flow).filter(|r| **r) else {
+                for (e, resident) in r.fs.open.iter_mut() {
+                    let Some(res) = resident.get_mut(flow).filter(|res| **res) else {
                         continue;
                     };
-                    *r = false;
-                    if let Some(ep) = out.episodes.get_mut(*e).filter(|ep| ep.core != owner) {
+                    *res = false;
+                    if let Some(ep) = r.out.episodes.get_mut(*e).filter(|ep| ep.core != owner) {
                         ep.migrated_flows += 1;
                     }
                 }
@@ -557,13 +562,13 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 }
                 None => false,
             };
-            if migrated {
-                out.migrated_packets += 1;
-            }
-            let service = p.service.index();
-            if let Some(n) = out.offered.get_mut(service) {
-                *n += 1;
-            }
+            let arrived = SimEvent::PacketArrived {
+                id: i,
+                slot: p.slot,
+                service: p.service,
+                size: p.size,
+            };
+            r.out.report.observe(p.at, &arrived);
             let desc = ExecDesc {
                 pos: i as u32,
                 slot: p.slot,
@@ -575,24 +580,22 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 migrated,
                 at: p.at,
             };
-            if push_full_policy(
-                &mut producers,
-                owner,
-                Desc::Packet(desc),
-                full_policy,
-                &mut out.backpressured,
-            ) {
-                if let Some(w) = win_worker.get_mut(owner) {
+            if push_full_policy(&mut r.producers, owner, Desc::Packet(desc), r.full_policy) {
+                if let Some(w) = r.win_worker.get_mut(owner) {
                     *w += 1;
                 }
-                if let Some(w) = win_group.get_mut(g) {
+                if let Some(w) = r.win_group.get_mut(g) {
                     *w += 1;
                 }
             } else {
-                out.dropped.push((i, owner as u32));
-                if let Some(n) = out.dropped_per_service.get_mut(service) {
-                    *n += 1;
-                }
+                r.out.dropped.push((i, owner as u32));
+                let dropped = SimEvent::Dropped {
+                    id: i,
+                    slot: p.slot,
+                    service: p.service,
+                    core: owner,
+                };
+                r.out.report.observe(p.at, &dropped);
             }
         }
     }
@@ -601,22 +604,10 @@ pub(crate) fn run(ctx: DispatchCtx<'_>) -> DispatchOutcome {
     // worker's crash step, so even a trailing one completes before `done`).
     while let Some(&(_, action)) = faults.get(next_fault) {
         next_fault += 1;
-        fire_fault(
-            action,
-            drawn,
-            &mut fs,
-            &mut table,
-            &mut producers,
-            &board,
-            migrating_to,
-            &last_core,
-            ctrl,
-            full_policy,
-            &mut out,
-        );
+        r.fire_fault(action, drawn, &last_core);
     }
-    out.final_epoch = table.epoch();
-    out
+    r.out.final_epoch = r.table.epoch();
+    r.out
 }
 
 /// Zero-filled load window; allocated once per dispatch run, outside
@@ -626,15 +617,12 @@ fn build_window(len: usize) -> Vec<u64> {
 }
 
 /// Push `desc` to `owner`'s ring under the configured full policy.
-/// Returns whether the descriptor was enqueued; `backpressured` counts
-/// descriptors that waited at least one retry under
-/// [`FullPolicy::Backpressure`].
+/// Returns whether the descriptor was enqueued.
 fn push_full_policy(
     producers: &mut [Ring],
     owner: usize,
     desc: Desc<ExecDesc>,
     full_policy: FullPolicy,
-    backpressured: &mut u64,
 ) -> bool {
     let Some(pr) = producers.get_mut(owner) else {
         return false;
@@ -642,20 +630,13 @@ fn push_full_policy(
     let mut desc = desc;
     let mut tries = 0u32;
     let mut spins = 0u32;
-    let mut waited = false;
     loop {
         match pr.try_push(desc) {
-            Ok(()) => {
-                if waited {
-                    *backpressured += 1;
-                }
-                return true;
-            }
+            Ok(()) => return true,
             Err(back) => {
                 desc = back;
                 match full_policy {
                     FullPolicy::Backpressure => {
-                        waited = true;
                         spins += 1;
                         if spins >= 256 {
                             std::thread::yield_now();
@@ -674,75 +655,5 @@ fn push_full_policy(
                 }
             }
         }
-    }
-}
-
-/// One imbalance check: if the busiest worker's window load exceeds
-/// `ratio ×` the least busy worker's, migrate the busiest group it
-/// owns to the least busy worker. Dead workers are excluded from both
-/// ends of the comparison. Windows reset afterwards.
-#[allow(clippy::too_many_arguments)]
-fn rebalance(
-    table: &mut MapTable<usize>,
-    producers: &mut [Ring],
-    board: &GroupBoard,
-    migrating_to: &[AtomicUsize],
-    live: &[bool],
-    out: &mut DispatchOutcome,
-    win_worker: &mut [u64],
-    win_group: &mut [u64],
-    ratio: f64,
-    pos: u64,
-) {
-    let mut max_w = usize::MAX;
-    let mut max_l = 0u64;
-    let mut min_w = usize::MAX;
-    let mut min_l = u64::MAX;
-    for (w, &l) in win_worker.iter().enumerate() {
-        if !live.get(w).copied().unwrap_or(false) {
-            continue;
-        }
-        if l > max_l || max_w == usize::MAX {
-            max_l = l;
-            max_w = w;
-        }
-        if l < min_l {
-            min_l = l;
-            min_w = w;
-        }
-    }
-    if max_w != usize::MAX
-        && min_w != usize::MAX
-        && max_w != min_w
-        && (max_l as f64) > ratio * ((min_l + 1) as f64)
-    {
-        let mut best: Option<(u64, u64)> = None; // (group, window load)
-        for (g, &n) in win_group.iter().enumerate() {
-            if n > 0
-                && table.cores().get(g).copied() == Some(max_w)
-                && best.is_none_or(|(_, bn)| n > bn)
-            {
-                best = Some((g as u64, n));
-            }
-        }
-        if let Some((g, _)) = best {
-            try_migrate(
-                table,
-                producers,
-                board,
-                migrating_to,
-                live,
-                out,
-                pos,
-                g,
-                min_w,
-            );
-        }
-    }
-    for w in win_worker.iter_mut() {
-        *w = 0;
-    }
-    for w in win_group.iter_mut() {
-        *w = 0;
     }
 }

@@ -27,6 +27,20 @@
 //! order witness, each grown as flows appear. The timed thread scope
 //! ([`ExecStats::wall_secs`]) covers drawing, rings and handshake alike.
 //!
+//! The report is one fold of one event stream, as on detsim: the
+//! dispatcher and each worker own an [`npsim::ReportProbe`] and observe
+//! the events detsim publishes, at the same points — `PacketArrived`
+//! when a packet is routed, `Dropped` at a full-ring or a crash drop,
+//! `Migration` when a load or forced handshake begins (one per bucket
+//! moved), `ServiceStart` when a worker's [`CoreClock`] charges a packet
+//! and `Departure` when the worker services it — and the run merges the
+//! parts at join ([`ReportProbe::merge`]). A worker charges each packet
+//! as it pops it, in ring order, which is arrival order, and the
+//! departure is the clock's finish: latency is virtual time, so a
+//! handshake hold, which takes host time, adds none. `migrated_packets` counts service starts that paid the
+//! migration penalty, as on detsim. Only `core_busy_ns`, `events` and
+//! the `faults` block are set outside the fold.
+//!
 //! ```text
 //!                  PlanStream (drawn 256 packets per burst)
 //!                      │
@@ -73,8 +87,8 @@ use std::time::Instant;
 use laps::{GroupBoard, HandshakeStats};
 use nphash::{FlowSlot, MapTable};
 use npsim::{
-    CoreClock, EngineConfig, ExecBackend, ExecError, FaultAction, FaultStats, PlanStream,
-    ProbeHost, ProbeStack, Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
+    CoreClock, EngineConfig, ExecBackend, ExecError, FaultAction, PlanStream, ProbeHost,
+    ProbeStack, ReportProbe, Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
 };
 use nptraffic::ServiceKind;
 
@@ -175,20 +189,22 @@ pub struct CrashEpisode {
     pub recovery_at_packet: Option<u64>,
 }
 
-/// Wall-clock observations of the last [`ThreadedBackend::run`].
+/// Wall-clock and handshake observations of the last
+/// [`ThreadedBackend::run`]: what only threads have. Packet counts,
+/// migrations and latency are in the run's `SimReport`, folded from
+/// its events.
 #[derive(Debug, Clone)]
 pub struct ExecStats {
     /// Wall-clock duration of the run (first draw → last join). It
     /// includes drawing the offered stream, which the dispatcher does
     /// a burst at a time between routing bursts.
     pub wall_secs: f64,
-    /// Delivered packets per wall-clock second of [`ExecStats::wall_secs`],
-    /// in millions (so drawing counts against it too).
+    /// The report's `processed` per wall-clock second of
+    /// [`ExecStats::wall_secs`], in millions (so drawing counts against
+    /// it too).
     pub mpps: f64,
     /// Worker threads used.
     pub workers: usize,
-    /// Flow groups used.
-    pub groups: usize,
     /// Marked-handshake ledger (begun / completed / aborted): load
     /// migrations, forced migrations and heal restores. A crash begins
     /// none; a mark stranded in a crashed worker's ring is acked by its
@@ -205,9 +221,6 @@ pub struct ExecStats {
     pub table_epoch: u64,
     /// Per-crash recovery ledgers, in crash order (empty: fault-free run).
     pub episodes: Vec<CrashEpisode>,
-    /// Packets that waited at least one full-ring retry under
-    /// [`FullPolicy::Backpressure`].
-    pub backpressured: u64,
 }
 
 /// The thread-per-core [`ExecBackend`].
@@ -384,7 +397,7 @@ impl ExecBackend for ThreadedBackend {
             done.store(true, Ordering::Release);
             let outs: Vec<WorkerOutcome> = handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_default())
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect();
             (dispatch, outs)
         });
@@ -402,12 +415,31 @@ impl ExecBackend for ThreadedBackend {
             }
         }
 
-        let delivered: u64 = outs.iter().map(|o| o.serviced).sum();
+        // The report is the dispatcher's and the workers' folds merged;
+        // only what no event carries is set here.
+        let mut fold = ReportProbe::new(
+            &format!("npexec:{}", scheduler.name()),
+            cfg.duration,
+            cfg.scale,
+        );
+        fold.merge(&dispatch.report);
+        for o in &outs {
+            fold.merge(&o.report);
+        }
+        let mut report = fold.into_report();
+        report.core_busy_ns = outs.iter().map(|o| o.busy_ns).collect();
+        // The synthetic probe-bus stream: one arrival and one terminal
+        // event per packet.
+        report.events = report.offered + report.processed + report.dropped;
+        if dispatch.faults.injected > 0 {
+            let mut faults = std::mem::take(&mut dispatch.faults);
+            faults.fault_drops = outs.iter().map(|o| o.crash_drops.len() as u64).sum();
+            report.faults = Some(faults);
+        }
         let stats = ExecStats {
             wall_secs,
-            mpps: delivered as f64 / wall_secs / 1e6,
+            mpps: report.processed as f64 / wall_secs / 1e6,
             workers,
-            groups,
             handshakes: HandshakeStats {
                 begun: board.total_begun(),
                 completed: board.total_released(),
@@ -417,67 +449,13 @@ impl ExecBackend for ThreadedBackend {
             pinned_workers: outs.iter().filter(|o| o.pinned).count(),
             table_epoch: dispatch.final_epoch,
             episodes,
-            backpressured: dispatch.backpressured,
         };
-        let report = assemble_report(cfg, scheduler.name(), &dispatch, &outs, delivered);
         if !probes.is_empty() {
             replay_probes(&mut probes, cfg, sources, &dispatch, &outs, &stats.episodes);
         }
         self.last = Some(stats);
         (report, probes)
     }
-}
-
-/// Fold the dispatcher ledger and worker outcomes into the engine's
-/// report shape, from the per-service counters both sides keep.
-/// Counters carry detsim semantics where both exist (`migrated_packets`
-/// is per packet moved at dispatch); npexec-only notions map as
-/// documented per field. `events` counts the synthetic probe-bus stream
-/// (one arrival + one terminal event per packet).
-fn assemble_report(
-    cfg: &EngineConfig,
-    sched_name: &str,
-    dispatch: &DispatchOutcome,
-    outs: &[WorkerOutcome],
-    delivered: u64,
-) -> SimReport {
-    let mut report = SimReport::new(format!("npexec:{sched_name}"), cfg.duration, cfg.scale);
-    let fault_drops: u64 = outs.iter().map(|o| o.crash_drops.len() as u64).sum();
-    report.offered = dispatch.offered.iter().sum();
-    report.dropped = dispatch.dropped.len() as u64 + fault_drops;
-    report.processed = delivered;
-    report.migrated_packets = dispatch.migrated_packets;
-    report.migration_events = dispatch.migrations.len() as u64;
-    report.cold_starts = outs.iter().map(|o| o.cold_starts).sum();
-    report.core_busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-    report.out_of_order = outs.iter().map(|o| o.ooo_packets.len() as u64).sum();
-    for (k, kind) in ServiceKind::ALL.into_iter().enumerate() {
-        let sum = |f: fn(&WorkerOutcome) -> &[u64; 4]| -> u64 {
-            outs.iter().filter_map(|o| f(o).get(k)).sum()
-        };
-        let s = report.service_mut(kind);
-        s.offered = dispatch.offered.get(k).copied().unwrap_or(0);
-        s.dropped = dispatch.dropped_per_service.get(k).copied().unwrap_or(0)
-            + sum(|o| &o.dropped_per_service);
-        s.processed = sum(|o| &o.per_service);
-        s.out_of_order = sum(|o| &o.ooo_per_service);
-    }
-    if dispatch.injected > 0 {
-        // The FaultStats block detsim emits for the same plan, with the
-        // documented npexec mapping: every crash/heal is repaired (the
-        // pause protocol has no unrepaired path).
-        report.faults = Some(FaultStats {
-            injected: dispatch.injected,
-            crashes: dispatch.crashes,
-            heals: dispatch.heals,
-            fault_drops,
-            redirects: dispatch.redirects,
-            repairs: dispatch.crashes + dispatch.heals,
-            unrepaired: 0,
-        });
-    }
-    report.events = report.offered + report.processed + report.dropped;
-    report
 }
 
 /// A timeline mark of the probe replay, keyed by plan position.

@@ -26,12 +26,16 @@
 //! if the handshake has since released — FIFO within the group is
 //! preserved unconditionally).
 //!
-//! Every service is charged by the worker's [`CoreClock`], the core
+//! Every packet is charged by the worker's [`CoreClock`], the core
 //! model detsim charges each core with: a packet starts at the later of
 //! its arrival and the end of the previous service, moved past any
 //! stall window of the fault plan, and pays the throttle the plan has
-//! in force then, whatever the host timing. The thread itself never
-//! stalls.
+//! in force then, whatever the host timing. The worker charges a packet
+//! as it pops it, in ring order — arrival order, as detsim's queue — and
+//! folds its `ServiceStart` into the worker's [`ReportProbe`]; a held
+//! packet keeps the start and finish it popped with. Its service folds
+//! a `Departure` (latency: the charged finish minus the arrival), a
+//! crash drop a `Dropped`. The thread itself never stalls.
 //!
 //! ## Control plane: a crash pauses its worker
 //!
@@ -78,9 +82,10 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
+use detsim::SimTime;
 use laps::spsc::{Consumer, Desc};
 use laps::GroupBoard;
-use npsim::CoreClock;
+use npsim::{CoreClock, ReportProbe, SimEvent};
 
 use crate::affinity;
 use crate::plan::{ExecDesc, SeqWatch, WatchView};
@@ -122,21 +127,14 @@ pub(crate) struct WorkerCtx<'a> {
 }
 
 /// What one worker hands back when it joins.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct WorkerOutcome {
-    /// Packets serviced.
-    pub serviced: u64,
-    /// Services that found a cold instruction cache.
-    pub cold_starts: u64,
+    /// The worker's part of the report fold: a `ServiceStart` per packet
+    /// charged, a `Departure` per service, a `Dropped` per crash drop.
+    pub report: ReportProbe,
     /// Simulated busy time (the clock's sum of charged services),
     /// nanoseconds.
     pub busy_ns: u64,
-    /// Serviced count per [`ServiceKind::index`](nptraffic::ServiceKind::index).
-    pub per_service: [u64; 4],
-    /// Out-of-order services per [`ServiceKind::index`](nptraffic::ServiceKind::index).
-    pub ooo_per_service: [u64; 4],
-    /// Crash drops per [`ServiceKind::index`](nptraffic::ServiceKind::index).
-    pub dropped_per_service: [u64; 4],
     /// Plan positions serviced behind a higher sequence of their flow
     /// (empty iff the handshake preserved order, which it must).
     pub ooo_packets: Vec<u64>,
@@ -154,59 +152,81 @@ pub(crate) struct WorkerOutcome {
 }
 
 impl WorkerOutcome {
-    /// Account `d` as a crash drop.
-    fn crash_drop(&mut self, d: ExecDesc) {
+    /// Account `d` as a crash drop on `core`.
+    fn crash_drop(&mut self, d: ExecDesc, core: usize) {
         self.crash_drops.push(u64::from(d.pos));
-        if let Some(n) = self.dropped_per_service.get_mut(d.service.index()) {
-            *n += 1;
-        }
+        let dropped = SimEvent::Dropped {
+            id: u64::from(d.pos),
+            slot: d.slot,
+            service: d.service,
+            core,
+        };
+        self.report.observe(d.at, &dropped);
     }
 }
+
+/// A popped packet and its virtual finish, the departure instant.
+type Charged = (ExecDesc, SimTime);
 
 /// Parked packets of one in-flight group, in ring (FIFO) order.
 struct Held {
     group: u32,
-    descs: Vec<ExecDesc>,
+    descs: Vec<Charged>,
 }
 
 /// Service-side state split out so the pop loop can borrow the
 /// holdback buffer and the servicing machinery independently.
 struct Svc<'a> {
+    id: usize,
     seq_watch: WatchView<'a>,
     clock: CoreClock,
     out: WorkerOutcome,
 }
 
 impl Svc<'_> {
-    /// Service one packet: charge it on the core's clock and advance
-    /// the per-flow order witness.
-    fn service(&mut self, p: ExecDesc) {
+    /// Charge a packet on the core's clock as it pops, and fold its
+    /// service start. Ring order is arrival order, so the clock sees the
+    /// core's packets in the order detsim's queue would, held or not.
+    fn charge(&mut self, d: ExecDesc) -> Charged {
+        let charge = self.clock.start(d.at, d.service, d.size, d.migrated, 0);
+        let done = self.clock.vt();
+        let start = SimEvent::ServiceStart {
+            core: self.id,
+            service: d.service,
+            cold: charge.cold,
+            migrated: d.migrated,
+            duration: charge.duration,
+        };
+        self.out.report.observe(done - charge.duration, &start);
+        (d, done)
+    }
+
+    /// Service a charged packet: advance the per-flow order witness and
+    /// fold its departure. The latency is the virtual finish minus the
+    /// arrival, so a handshake hold, which takes host time, adds none.
+    fn service(&mut self, (p, done): Charged) {
         let pos = u64::from(p.pos);
-        let cold = self
-            .clock
-            .start(p.at, p.service, p.size, p.migrated, 0)
-            .cold;
-        self.out.cold_starts += u64::from(cold);
         if let Some(first @ None) = self.out.recoveries.last_mut() {
             *first = Some(pos);
         }
-        if let Some(w) = self.seq_watch.get(p.slot.index()) {
+        let out_of_order = self.seq_watch.get(p.slot.index()).is_some_and(|w| {
             let flow_seq = u64::from(p.flow_seq);
             // The witness is shared with whichever worker serviced the
             // flow's previous packet and whichever services the next.
             // npcheck: ordering(AcqRel RMW — Acquire sees the previous owner's update, Release publishes ours to the next)
-            let prev = w.fetch_max(flow_seq + 1, Ordering::AcqRel);
-            if prev > flow_seq {
-                self.out.ooo_packets.push(pos);
-                if let Some(n) = self.out.ooo_per_service.get_mut(p.service.index()) {
-                    *n += 1;
-                }
-            }
+            w.fetch_max(flow_seq + 1, Ordering::AcqRel) > flow_seq
+        });
+        if out_of_order {
+            self.out.ooo_packets.push(pos);
         }
-        if let Some(c) = self.out.per_service.get_mut(p.service.index()) {
-            *c += 1;
-        }
-        self.out.serviced += 1;
+        let departure = SimEvent::Departure {
+            id: pos,
+            slot: p.slot,
+            service: p.service,
+            latency_ns: (done - p.at).as_nanos(),
+            out_of_order,
+        };
+        self.out.report.observe(done, &departure);
     }
 }
 
@@ -217,17 +237,18 @@ impl Svc<'_> {
 /// path: runs once per crash.
 fn crash(
     out: &mut WorkerOutcome,
+    core: usize,
     holds: &mut Vec<Held>,
     consumer: &mut Consumer<ExecDesc>,
     board: &GroupBoard,
     cmd: &AtomicU64,
 ) {
-    for d in holds.drain(..).flat_map(|h| h.descs) {
-        out.crash_drop(d);
+    for (d, _) in holds.drain(..).flat_map(|h| h.descs) {
+        out.crash_drop(d, core);
     }
     while let Some(d) = consumer.try_pop() {
         match d {
-            Desc::Packet(d) => out.crash_drop(d),
+            Desc::Packet(d) => out.crash_drop(d, core),
             Desc::Mark(g) => board.release(g as usize),
         }
     }
@@ -270,6 +291,7 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         ctrl,
     } = ctx;
     let mut svc = Svc {
+        id,
         seq_watch: seq_watch.view(),
         clock,
         out: WorkerOutcome::default(),
@@ -285,11 +307,13 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         if let Some(cmd) = cmd {
             // npcheck: ordering(Acquire pairs with the dispatcher's Release writes of the command word)
             if cmd.load(Ordering::Acquire) & CMD_CRASH != 0 {
-                crash(&mut svc.out, &mut holds, &mut consumer, &board, cmd);
+                crash(&mut svc.out, id, &mut holds, &mut consumer, &board, cmd);
                 held_depth = 0;
                 // The crash step runs between two services: nothing is
                 // in service, so the clock stops where it is and
-                // refunds nothing. The next service starts cold.
+                // refunds nothing: a held packet it dropped keeps the
+                // charge and the start it took when it popped. The next
+                // service starts cold.
                 svc.clock.crash(svc.clock.vt());
                 if !paused_until_heal(cmd, done) {
                     break;
@@ -330,6 +354,7 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             }
             Some(Desc::Packet(d)) => {
                 idle_polls = 0;
+                let c = svc.charge(d);
                 let g = d.group;
                 let held_here = holds.iter().any(|h| h.group == g);
                 // If in_flight saw a marked handshake's begun bump, the
@@ -344,18 +369,18 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                     held_depth += 1;
                     svc.out.max_hold_depth = svc.out.max_hold_depth.max(held_depth);
                     match holds.iter_mut().find(|h| h.group == g) {
-                        Some(h) => h.descs.push(d),
+                        Some(h) => h.descs.push(c),
                         None => holds.push(Held {
                             group: g,
                             descs: {
                                 let mut v = Vec::with_capacity(8);
-                                v.push(d);
+                                v.push(c);
                                 v
                             },
                         }),
                     }
                 } else {
-                    svc.service(d);
+                    svc.service(c);
                 }
             }
             None => {

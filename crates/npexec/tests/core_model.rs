@@ -1,14 +1,14 @@
 //! One core model on both backends: below saturation, under a static
 //! flow-to-core map, each core sees the same packets in the same order
 //! on the detsim engine and on npexec's threads, so the two must charge
-//! exactly the same busy time and count the same cold starts — with or
-//! without a throttle or a stall.
+//! exactly the same busy time, count the same cold starts and record
+//! the same latencies — with or without a throttle or a stall.
 //!
 //! detsim runs `StaticHash` on 4 cores; npexec runs 4 workers over 4
 //! groups with no rebalancing. Both then route every flow through the
 //! same 4-bucket `MapTable`, and both charge through `npsim::CoreClock`.
 
-use detsim::SimTime;
+use detsim::{Histogram, SimTime};
 use laps::StaticHash;
 use npexec::{NpexecConfig, ThreadedBackend};
 use npsim::{Engine, EngineConfig, ExecBackend, FaultPlan, ProbeStack, RateSpec, SourceConfig};
@@ -58,15 +58,19 @@ fn stall_plan() -> FaultPlan {
         .throttle(SimTime::from_micros(2_020), 1, 1.3)
 }
 
-/// `(per-core busy ns, cold starts, processed)` on the detsim engine.
-fn detsim(faults: FaultPlan) -> (Vec<u64>, u64, u64) {
+/// What both backends must agree on: per-core busy ns, cold starts,
+/// processed packets and the latency histogram.
+type CoreModel = (Vec<u64>, u64, u64, Histogram);
+
+/// The core model's figures on the detsim engine.
+fn detsim(faults: FaultPlan) -> CoreModel {
     let r = Engine::new(cfg(faults), &sources(), StaticHash::new(4)).run();
     assert_eq!(r.dropped, 0, "the comparison holds below saturation only");
-    (r.core_busy_ns, r.cold_starts, r.processed)
+    (r.core_busy_ns, r.cold_starts, r.processed, r.latency)
 }
 
 /// The same on npexec's threads.
-fn npexec(faults: FaultPlan) -> (Vec<u64>, u64, u64) {
+fn npexec(faults: FaultPlan) -> CoreModel {
     let mut backend = ThreadedBackend::new(NpexecConfig {
         workers: 4,
         groups: 4,
@@ -81,13 +85,14 @@ fn npexec(faults: FaultPlan) -> (Vec<u64>, u64, u64) {
     );
     assert_eq!((r.dropped, r.out_of_order), (0, 0));
     assert_eq!(r.migrated_packets, 0, "a static map never moves a flow");
-    (r.core_busy_ns, r.cold_starts, r.processed)
+    (r.core_busy_ns, r.cold_starts, r.processed, r.latency)
 }
 
 #[test]
 fn fault_free_backends_charge_identical_busy_time_per_core() {
     let det = detsim(FaultPlan::new());
     assert!(det.1 > 100, "the trickle causes cold starts: {}", det.1);
+    assert_eq!(det.3.count(), det.2, "one latency per departure");
     assert_eq!(npexec(FaultPlan::new()), det);
 }
 

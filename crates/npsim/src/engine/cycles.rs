@@ -178,11 +178,6 @@ impl CycleReport {
         self.stages.get(stage.index()).copied().unwrap_or_default()
     }
 
-    /// Total recorded time across all stages (ns of host wall time).
-    pub fn total_cycles(&self) -> u64 {
-        self.stages.iter().map(|s| s.cycles).sum()
-    }
-
     /// True when nothing was recorded (a zero-event run).
     pub fn is_empty(&self) -> bool {
         self.stages.iter().all(|s| s.spans == 0)

@@ -82,13 +82,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Build from arbitrary-order `(time, action)` pairs; entries are
-    /// stably sorted by time.
-    pub fn from_actions(mut actions: Vec<(SimTime, FaultAction)>) -> Self {
-        actions.sort_by_key(|&(at, _)| at);
-        FaultPlan { entries: actions }
-    }
-
     /// Schedule `action` at `at` (chainable): after every entry at or
     /// before `at`, so same-instant entries keep insertion order.
     pub fn at(mut self, at: SimTime, action: FaultAction) -> Self {

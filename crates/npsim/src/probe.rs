@@ -112,10 +112,22 @@ impl ProbeHost for ProbeStack {
 /// the stream cannot see — `events`, `end_time`, the final
 /// `out_of_order` total, `core_reallocations`, `core_busy_ns`,
 /// restoration stats — are finalized by the engine after the drain.
+///
+/// A fold splits: npexec's dispatcher and each of its workers fold the
+/// events they see into their own probe, and [`ReportProbe::merge`]
+/// joins the parts into the report one probe would have folded from
+/// the whole stream.
 #[derive(Debug)]
 pub struct ReportProbe {
     /// The report being accumulated.
     pub(crate) report: SimReport,
+}
+
+impl Default for ReportProbe {
+    /// An empty fold with no scheduler name, for a part to be merged.
+    fn default() -> Self {
+        ReportProbe::new("", SimTime::ZERO, 1.0)
+    }
 }
 
 impl ReportProbe {
@@ -169,6 +181,27 @@ impl ReportProbe {
             | SimEvent::CoreHealed { .. }
             | SimEvent::EpochTick => {}
         }
+    }
+
+    /// Add what `other` folded: every counter `observe` keeps, the
+    /// per-service breakdowns and the latency histogram. Folding a
+    /// stream in parts and merging them equals folding it whole.
+    pub fn merge(&mut self, other: &ReportProbe) {
+        let (r, o) = (&mut self.report, &other.report);
+        r.offered += o.offered;
+        r.dropped += o.dropped;
+        r.processed += o.processed;
+        r.out_of_order += o.out_of_order;
+        r.migrated_packets += o.migrated_packets;
+        r.migration_events += o.migration_events;
+        r.cold_starts += o.cold_starts;
+        for (s, t) in r.per_service.iter_mut().zip(&o.per_service) {
+            s.offered += t.offered;
+            s.dropped += t.dropped;
+            s.processed += t.processed;
+            s.out_of_order += t.out_of_order;
+        }
+        r.latency.merge(&o.latency);
     }
 
     /// Hand the accumulated report out.
@@ -372,6 +405,8 @@ mod tests {
     use super::*;
     use nphash::FlowSlot;
     use nptraffic::ServiceKind;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -415,6 +450,71 @@ mod tests {
         assert_eq!((r.offered, r.processed, r.cold_starts), (1, 1, 1));
         assert_eq!(r.per_service[svc.index()].offered, 1);
         assert_eq!(r.latency.count(), 1);
+    }
+
+    /// A random event of any kind the report fold reads (and some it
+    /// ignores), over all four services.
+    fn random_event(rng: &mut StdRng) -> SimEvent {
+        let service = ServiceKind::ALL[rng.gen_range(0..4usize)];
+        let slot = FlowSlot::new(rng.gen_range(0..64u32));
+        let id = rng.gen_range(0..1_000_000u64);
+        match rng.gen_range(0..6u32) {
+            0 => SimEvent::PacketArrived {
+                id,
+                slot,
+                service,
+                size: 64,
+            },
+            1 => SimEvent::Dropped {
+                id,
+                slot,
+                service,
+                core: 1,
+            },
+            2 => SimEvent::Migration {
+                slot,
+                from: 0,
+                to: 2,
+            },
+            3 => SimEvent::ServiceStart {
+                core: 3,
+                service,
+                cold: rng.gen_bool(0.3),
+                migrated: rng.gen_bool(0.2),
+                duration: t(1),
+            },
+            4 => SimEvent::Departure {
+                id,
+                slot,
+                service,
+                latency_ns: rng.gen_range(0..50_000u64),
+                out_of_order: rng.gen_bool(0.1),
+            },
+            _ => SimEvent::EpochTick,
+        }
+    }
+
+    #[test]
+    fn report_probe_merge_of_two_halves_equals_the_whole_fold() {
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let events: Vec<SimEvent> = (0..2_000).map(|_| random_event(&mut rng)).collect();
+            let cut = rng.gen_range(0..events.len());
+            let fold = |evs: &[SimEvent]| {
+                let mut rp = ReportProbe::new("test", t(100), 1.0);
+                for ev in evs {
+                    rp.observe(t(0), ev);
+                }
+                rp
+            };
+            let whole = fold(&events).into_report();
+            let (head, tail) = events.split_at(cut);
+            let mut parts = fold(head);
+            parts.merge(&fold(tail));
+            let merged = parts.into_report();
+            assert!(whole.latency.count() > 0 && whole.cold_starts > 0);
+            assert_eq!(format!("{whole:?}"), format!("{merged:?}"), "seed {seed}");
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceStats {
     counts: Vec<u64>,
-    bytes: Vec<u64>,
     total_packets: u64,
 }
 
@@ -23,14 +22,11 @@ impl TraceStats {
     /// Count every packet of `trace`.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut counts = vec![0u64; trace.n_flows as usize];
-        let mut bytes = vec![0u64; trace.n_flows as usize];
         for p in &trace.packets {
             counts[p.flow as usize] += 1;
-            bytes[p.flow as usize] += p.size as u64;
         }
         TraceStats {
             counts,
-            bytes,
             total_packets: trace.packets.len() as u64,
         }
     }
@@ -38,11 +34,6 @@ impl TraceStats {
     /// Per-flow packet counts, indexed by dense flow index.
     pub fn counts_by_flow(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Per-flow byte counts, indexed by dense flow index.
-    pub fn bytes_by_flow(&self) -> &[u64] {
-        &self.bytes
     }
 
     /// Total packets in the trace.

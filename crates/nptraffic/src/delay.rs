@@ -108,11 +108,6 @@ impl DelayModel {
         t * self.scale
     }
 
-    /// Ideal (penalty-free) per-packet service time in µs, scaled.
-    pub fn base_delay_us(&self, service: ServiceKind, size_bytes: u16) -> f64 {
-        service.proc_time_us(size_bytes) * self.scale
-    }
-
     /// SCR sync surcharge in µs for a packet whose flow has
     /// `stale_replicas` other cores holding its state since the last
     /// consolidation, scaled like every other penalty.
