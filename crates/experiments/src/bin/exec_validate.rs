@@ -13,10 +13,11 @@
 //!   dropped`;
 //! * npexec services with **zero** out-of-order packets — the mark →
 //!   redirect → first-packet-ack handshake is the property under test;
-//! * npexec's probe bus is count-faithful: arrivals / departures /
-//!   drops / migrations / reorders equal the report fields (the
-//!   engine-only `dispatched` counter stays zero under npexec and is
-//!   not compared);
+//! * npexec's probes see the events its threads fold: arrivals /
+//!   departures / drops / migrations / reorders equal the report
+//!   fields, and the probe's `latency_ns` count and mean equal the
+//!   report's latency histogram's (the engine-only `dispatched` counter
+//!   stays zero under npexec and is not compared);
 //! * processed counts of the two backends agree within 2% of offered;
 //! * npexec's migration count stays in a sane band and includes the
 //!   scripted migrations, proving completed handshakes.
@@ -55,12 +56,18 @@ struct RunRow {
     preset: &'static str,
     report: SimReport,
     counters: Vec<(&'static str, u64)>,
+    /// The probe's `latency_ns` histogram: `(count, mean)`.
+    latency: (u64, f64),
 }
 
-fn counter(probes: &ProbeStack, name: &str) -> u64 {
+fn metrics(probes: &ProbeStack) -> Option<&MetricsProbe> {
     probes
         .first()
         .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
+}
+
+fn counter(probes: &ProbeStack, name: &str) -> u64 {
+    metrics(probes)
         .map(|m| {
             m.counters()
                 .iter()
@@ -157,17 +164,24 @@ fn run_pair(
             .map(|n| (*n, counter(probes, n)))
             .collect::<Vec<_>>()
     };
+    let latency = |probes: &ProbeStack| {
+        metrics(probes)
+            .and_then(|m| m.histograms().into_iter().find(|(n, _)| *n == "latency_ns"))
+            .map_or((0, 0.0), |(_, h)| (h.count(), h.mean()))
+    };
     (
         RunRow {
             backend: "detsim",
             preset: preset_name,
             counters: collect(&det_probes),
+            latency: latency(&det_probes),
             report: det_report,
         },
         RunRow {
             backend: "npexec",
             preset: preset_name,
             counters: collect(&exec_probes),
+            latency: latency(&exec_probes),
             report: exec_report,
         },
     )
@@ -226,7 +240,7 @@ fn check_pair(det: &RunRow, exec: &RunRow, violations: &mut Vec<String>) {
         ),
     );
 
-    // npexec's probe bus is count-faithful to its report.
+    // npexec's probes see the events its report folds.
     let want = [
         ("arrivals", exec.report.offered),
         ("departures", exec.report.processed),
@@ -246,6 +260,14 @@ fn check_pair(det: &RunRow, exec: &RunRow, violations: &mut Vec<String>) {
             format!("npexec probe `{name}` = {got}, report says {expect}"),
         );
     }
+    let want = (exec.report.latency.count(), exec.report.latency.mean());
+    fail(
+        exec.latency == want,
+        format!(
+            "npexec probe latency (count, mean) = {:?}, report says {want:?}",
+            exec.latency
+        ),
+    );
 
     // Execution-side bounds: throughput within 2% of detsim, migration
     // count sane and including the scripted handshakes.

@@ -33,10 +33,11 @@
 //! for that group is still in flight or the old ring is too full to
 //! take the mark.
 //!
-//! The dispatcher's part of the report is a [`ReportProbe`] fold of the
-//! events it sees: a `PacketArrived` per routed packet, a `Dropped` per
-//! full-ring drop and a `Migration` per handshake begun. Its fault
-//! counters go in one [`FaultStats`].
+//! The dispatcher's events go to its [`EventSink`]: a `PacketArrived`
+//! per routed packet, a `Dropped` per full-ring drop, a `Migration` per
+//! handshake begun and a `CoreCrashed` or `CoreHealed` per crash or heal
+//! carried out, stamped with the plan entry's instant as detsim stamps
+//! them. Its fault counters go in one [`FaultStats`].
 //!
 //! A fault action scheduled at `t` fires just before the first packet
 //! that arrives at or after `t` — the exact analogue of detsim priming
@@ -64,11 +65,11 @@ use detsim::SimTime;
 use laps::spsc::{Desc, Producer};
 use laps::GroupBoard;
 use nphash::{FlowSlot, MapTable};
-use npsim::{FaultAction, FaultStats, PlanStream, ReportProbe, SimEvent};
+use npsim::{FaultAction, FaultStats, PlanStream, SimEvent};
 
 use crate::plan::{ExecDesc, SeqWatch};
 use crate::worker::{CMD_CRASH, CMD_PAUSED};
-use crate::{CrashEpisode, ForcedMigration, FullPolicy};
+use crate::{CrashEpisode, EventSink, ForcedMigration, FullPolicy};
 
 /// A ring producer of packet descriptors.
 type Ring = Producer<ExecDesc>;
@@ -109,20 +110,17 @@ pub(crate) struct DispatchCtx<'a> {
     /// The fault-run command words, one per worker (`Some` iff `faults`
     /// is non-empty).
     pub ctrl: Option<&'a [AtomicU64]>,
+    /// Where the dispatcher's events go.
+    pub events: EventSink,
 }
 
 /// The dispatcher's ledger for one run.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchOutcome {
-    /// The dispatcher's part of the report fold: a `PacketArrived` per
-    /// routed packet, a `Dropped` per full-ring drop, a `Migration` per
-    /// load or forced handshake begun.
-    pub report: ReportProbe,
-    /// `(plan position, owner at drop)` of packets dropped at a full ring.
-    pub dropped: Vec<(u64, u32)>,
-    /// Completed handshake begins: `(plan position, group, from, to)`,
-    /// the position being the packet the handshake began before.
-    pub migrations: Vec<(u64, u64, usize, usize)>,
+    /// The dispatcher's events: a `PacketArrived` per routed packet, a
+    /// `Dropped` per full-ring drop, a `Migration` per load or forced
+    /// handshake begun, a `CoreCrashed` or `CoreHealed` per crash or heal.
+    pub events: EventSink,
     /// Handshakes abandoned (in-flight collision or full old ring).
     pub aborted: u64,
     /// The map table's redirect epoch after the run (marked handshakes
@@ -217,12 +215,11 @@ impl Router<'_> {
         }
         self.board.begin(group as usize);
         self.table.redirect_bucket(group as u32, to);
-        self.out.migrations.push((pos, group, from, to));
         // A handshake moves the whole bucket: the group id stands in the
         // slot field.
         let slot = FlowSlot::new(group as u32);
         let ev = SimEvent::Migration { slot, from, to };
-        self.out.report.observe(at, &ev);
+        self.out.events.observe(pos as u32, at, ev);
     }
 
     /// One imbalance check: if the busiest worker's window load exceeds
@@ -269,10 +266,10 @@ impl Router<'_> {
         self.win_group.fill(0);
     }
 
-    /// Apply one fault action at plan position `pos`. Cold path: runs
-    /// once per plan entry, never per packet. `last_core` covers the
-    /// flows seen so far; a later flow is resident nowhere.
-    fn fire_fault(&mut self, action: FaultAction, pos: u64, last_core: &[u32]) {
+    /// Apply one fault action, planned at `at`, at plan position `pos`.
+    /// Cold path: runs once per plan entry, never per packet. `last_core`
+    /// covers the flows seen so far; a later flow is resident nowhere.
+    fn fire_fault(&mut self, at: SimTime, action: FaultAction, pos: u64, last_core: &[u32]) {
         self.out.faults.injected += 1;
         match action {
             FaultAction::Crash { core } => {
@@ -358,6 +355,8 @@ impl Router<'_> {
                 });
                 self.out.faults.crashes += 1;
                 self.out.faults.repairs += 1;
+                let ev = SimEvent::CoreCrashed { core };
+                self.out.events.observe(pos as u32, at, ev);
             }
             FaultAction::Heal { core } => {
                 if self.fs.live.get(core).copied().unwrap_or(true) {
@@ -437,6 +436,8 @@ impl Router<'_> {
                 });
                 self.out.faults.heals += 1;
                 self.out.faults.repairs += 1;
+                let ev = SimEvent::CoreHealed { core };
+                self.out.events.observe(pos as u32, at, ev);
             }
             // Each worker's clock reads its throttles and stalls off the plan.
             FaultAction::Throttle { .. } | FaultAction::Stall { .. } => {}
@@ -467,7 +468,10 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
         win_worker: build_window(workers),
         win_group: build_window(groups),
         fs: FaultState::new(workers, groups),
-        out: DispatchOutcome::default(),
+        out: DispatchOutcome {
+            events: ctx.events,
+            ..DispatchOutcome::default()
+        },
     };
     // Per-flow state, grown as flows appear: the group (hashed once per
     // flow) and the last worker a packet of the flow went to.
@@ -509,7 +513,7 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
                     break;
                 }
                 next_fault += 1;
-                r.fire_fault(action, i, &last_core);
+                r.fire_fault(at, action, i, &last_core);
             }
             while let Some(&f) = ctx.forced.get(next_forced) {
                 if f.after_packets > i {
@@ -568,7 +572,7 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 service: p.service,
                 size: p.size,
             };
-            r.out.report.observe(p.at, &arrived);
+            r.out.events.observe(i as u32, p.at, arrived);
             let desc = ExecDesc {
                 pos: i as u32,
                 slot: p.slot,
@@ -588,23 +592,22 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
                     *w += 1;
                 }
             } else {
-                r.out.dropped.push((i, owner as u32));
                 let dropped = SimEvent::Dropped {
                     id: i,
                     slot: p.slot,
                     service: p.service,
                     core: owner,
                 };
-                r.out.report.observe(p.at, &dropped);
+                r.out.events.observe(i as u32, p.at, dropped);
             }
         }
     }
     // Actions scheduled after the last arrival still fire (the detsim
     // engine fires them before the horizon; a crash waits for its
     // worker's crash step, so even a trailing one completes before `done`).
-    while let Some(&(_, action)) = faults.get(next_fault) {
+    while let Some(&(at, action)) = faults.get(next_fault) {
         next_fault += 1;
-        r.fire_fault(action, drawn, &last_core);
+        r.fire_fault(at, action, drawn, &last_core);
     }
     r.out.final_epoch = r.table.epoch();
     r.out

@@ -37,9 +37,18 @@
 //! parts at join ([`ReportProbe::merge`]). A worker charges each packet
 //! as it pops it, in ring order, which is arrival order, and the
 //! departure is the clock's finish: latency is virtual time, so a
-//! handshake hold, which takes host time, adds none. `migrated_packets` counts service starts that paid the
-//! migration penalty, as on detsim. Only `core_busy_ns`, `events` and
-//! the `faults` block are set outside the fold.
+//! handshake hold, which takes host time, adds none.
+//! `migrated_packets` counts service starts that paid the migration
+//! penalty, as on detsim. Only `core_busy_ns`, `events` and the
+//! `faults` block are set outside the fold.
+//!
+//! Attached probes see the same events. With probes, each thread also
+//! logs what it observes under the event's plan position (crash and
+//! heal marks at the plan entry's instant, a `ReorderDetected` after an
+//! out-of-order departure); at join the logs, the dispatcher's first,
+//! are stable-sorted by position and delivered at each event's own
+//! instant. At each position that is the actions fired before the
+//! packet, its arrival (or full-ring drop), then its worker's events.
 //!
 //! ```text
 //!                  PlanStream (drawn 256 packets per burst)
@@ -84,15 +93,15 @@ mod worker;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use detsim::SimTime;
 use laps::{GroupBoard, HandshakeStats};
-use nphash::{FlowSlot, MapTable};
+use nphash::MapTable;
 use npsim::{
     CoreClock, EngineConfig, ExecBackend, ExecError, FaultAction, PlanStream, ProbeHost,
     ProbeStack, ReportProbe, Scheduler, SimEvent, SimReport, SourceConfig, UnsupportedPlan,
 };
-use nptraffic::ServiceKind;
 
-use dispatcher::{DispatchCtx, DispatchOutcome};
+use dispatcher::DispatchCtx;
 use plan::{SeqWatch, MAX_PLAN_PACKETS};
 use worker::{WorkerCtx, WorkerOutcome};
 
@@ -183,10 +192,40 @@ pub struct CrashEpisode {
     /// Retired buckets the heal could not migrate home (left on their
     /// replacement — counted degradation, not an error).
     pub restore_skipped: u64,
-    /// Plan position of the first packet the worker serviced after the
-    /// heal resumed it (`None`: never healed, or no packet reached it
+    /// Plan position of the first packet the worker's clock charged
+    /// after the heal resumed it — the packet of a `FaultProbe`'s
+    /// restart (`None`: never healed, or no packet reached it
     /// afterwards). Crash-to-here is the episode's recovery latency.
     pub recovery_at_packet: Option<u64>,
+}
+
+/// One thread's event sink: its part of the report fold and, on a run
+/// with probes attached, its log of `(plan position, instant, event)`
+/// for delivery at join.
+#[derive(Debug, Default)]
+pub(crate) struct EventSink {
+    /// The thread's part of the report fold.
+    pub fold: ReportProbe,
+    /// Every event observed (`Some` only when probes are attached).
+    pub log: Option<Vec<(u32, SimTime, SimEvent)>>,
+}
+
+impl EventSink {
+    fn new(logged: bool) -> Self {
+        EventSink {
+            fold: ReportProbe::default(),
+            log: logged.then(Vec::new),
+        }
+    }
+
+    /// Fold `ev`, stamped `at`, and log it under plan position `pos`.
+    #[inline]
+    pub(crate) fn observe(&mut self, pos: u32, at: SimTime, ev: SimEvent) {
+        self.fold.observe(at, &ev);
+        if let Some(log) = &mut self.log {
+            log.push((pos, at, ev));
+        }
+    }
 }
 
 /// Wall-clock and handshake observations of the last
@@ -225,10 +264,12 @@ pub struct ExecStats {
 
 /// The thread-per-core [`ExecBackend`].
 ///
-/// Dispatch policy is the paper's own mechanism — hash to a flow group,
-/// group to a worker via the map table, remap groups to rebalance — so
-/// the boxed [`Scheduler`] handed in by the builder only names the
-/// report; its per-packet `schedule` is never called.
+/// Dispatch is npexec's own policy, not LAPS: hash to a flow group,
+/// group to a worker via the map table, and every `rebalance_every`
+/// packets move the busiest group of the busiest worker over the window
+/// to the least busy one. The boxed [`Scheduler`] handed in by the
+/// builder only names the report; its per-packet `schedule` is never
+/// called (ROADMAP item 1).
 #[derive(Debug, Default)]
 pub struct ThreadedBackend {
     cfg: NpexecConfig,
@@ -359,10 +400,11 @@ impl ExecBackend for ThreadedBackend {
         // every command-word check.
         let ctrl: Option<Vec<AtomicU64>> =
             (!faults.is_empty()).then(|| (0..workers).map(|_| AtomicU64::new(0)).collect());
+        let logged = !probes.is_empty();
 
         #[allow(clippy::disallowed_methods, reason = "wall-clock Mpps is the output")]
         let start = Instant::now();
-        let (mut dispatch, outs) = std::thread::scope(|s| {
+        let (mut dispatch, mut outs) = std::thread::scope(|s| {
             let cp = ctrl.as_deref();
             let mut handles = Vec::with_capacity(workers);
             for (id, consumer) in consumers.into_iter().enumerate() {
@@ -376,6 +418,7 @@ impl ExecBackend for ThreadedBackend {
                     clock: CoreClock::new(cfg, id),
                     pin_to: self.cfg.pin_threads.then_some(id),
                     ctrl: cp,
+                    events: EventSink::new(logged),
                 };
                 handles.push(s.spawn(move || worker::run(ctx)));
             }
@@ -392,6 +435,7 @@ impl ExecBackend for ThreadedBackend {
                 forced,
                 faults,
                 ctrl: cp,
+                events: EventSink::new(logged),
             });
             // npcheck: ordering(Release publishes every ring push sequenced before it; workers pair with an Acquire load before exiting)
             done.store(true, Ordering::Release);
@@ -422,18 +466,18 @@ impl ExecBackend for ThreadedBackend {
             cfg.duration,
             cfg.scale,
         );
-        fold.merge(&dispatch.report);
+        fold.merge(&dispatch.events.fold);
         for o in &outs {
-            fold.merge(&o.report);
+            fold.merge(&o.events.fold);
         }
         let mut report = fold.into_report();
         report.core_busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-        // The synthetic probe-bus stream: one arrival and one terminal
-        // event per packet.
+        // The run loop's events as detsim counts them: one arrival and one
+        // terminal event per packet.
         report.events = report.offered + report.processed + report.dropped;
         if dispatch.faults.injected > 0 {
             let mut faults = std::mem::take(&mut dispatch.faults);
-            faults.fault_drops = outs.iter().map(|o| o.crash_drops.len() as u64).sum();
+            faults.fault_drops = outs.iter().map(|o| o.crash_drops).sum();
             report.faults = Some(faults);
         }
         let stats = ExecStats {
@@ -450,172 +494,26 @@ impl ExecBackend for ThreadedBackend {
             table_epoch: dispatch.final_epoch,
             episodes,
         };
-        if !probes.is_empty() {
-            replay_probes(&mut probes, cfg, sources, &dispatch, &outs, &stats.episodes);
+        if let Some(mut log) = dispatch.events.log.take() {
+            for o in &mut outs {
+                log.extend(o.events.log.take().into_iter().flatten());
+            }
+            // Stable: at one position the dispatcher's events precede the
+            // worker's, each thread's in the order it observed them.
+            log.sort_by_key(|&(pos, ..)| pos);
+            for (_, at, ev) in &log {
+                probes.deliver(*at, ev);
+            }
+            probes.finish(cfg.duration);
         }
         self.last = Some(stats);
         (report, probes)
     }
 }
 
-/// A timeline mark of the probe replay, keyed by plan position.
-#[derive(Clone, Copy)]
-enum Mark {
-    Crashed(usize),
-    Healed(usize),
-    /// The first service of a healed worker (at its recovery packet).
-    Restarted(usize),
-    /// A completed handshake begin: `(group, from, to)`.
-    Migrated(u64, usize, usize),
-}
-
-impl Mark {
-    /// The event, for a mark fired just before a packet of `service`.
-    fn event(self, service: ServiceKind) -> SimEvent {
-        match self {
-            Mark::Crashed(core) => SimEvent::CoreCrashed { core },
-            Mark::Healed(core) => SimEvent::CoreHealed { core },
-            Mark::Restarted(core) => SimEvent::ServiceStart {
-                core,
-                service,
-                cold: true,
-                migrated: false,
-                duration: detsim::SimTime::ZERO,
-            },
-            Mark::Migrated(group, from, to) => SimEvent::Migration {
-                // Group-granular move: tag with the group id in the slot
-                // field (a handshake moves the whole bucket, not one flow).
-                slot: FlowSlot::new(group as u32),
-                from,
-                to,
-            },
-        }
-    }
-}
-
-/// Replay a count-faithful synthetic event stream into the probes.
-///
-/// npexec has no deterministic virtual interleaving to publish live, so
-/// probes see a post-run reconstruction over a re-drawn copy of the
-/// (deterministic) offered stream: one `PacketArrived` per planned
-/// packet at its arrival instant, a `Dropped` or `Departure` terminal
-/// per packet, a `ReorderDetected` per out-of-order delivery, one
-/// `Migration` per completed handshake at the plan position it began
-/// at, and — on fault runs — `CoreCrashed`/`CoreHealed` marks at their
-/// plan positions plus one synthetic `ServiceStart` at each episode's
-/// recovery packet, so a [`npsim::FaultProbe`] reconstructs the same
-/// crash → heal → restart spans it would see live on detsim. Counts
-/// match the report exactly; interleaving and latencies are coarse
-/// (latency 0). Only runs with probes attached pay for the second
-/// draw.
-fn replay_probes(
-    probes: &mut ProbeStack,
-    cfg: &EngineConfig,
-    sources: &[SourceConfig],
-    dispatch: &DispatchOutcome,
-    outs: &[WorkerOutcome],
-    episodes: &[CrashEpisode],
-) {
-    // `(position, core)` of every drop, and every out-of-order
-    // position, each sorted for one merge pass over the stream.
-    let mut drops = dispatch.dropped.clone();
-    for (core, o) in outs.iter().enumerate() {
-        drops.extend(o.crash_drops.iter().map(|&pos| (pos, core as u32)));
-    }
-    drops.sort_unstable();
-    let mut ooo: Vec<u64> = outs
-        .iter()
-        .flat_map(|o| o.ooo_packets.iter().copied())
-        .collect();
-    ooo.sort_unstable();
-    // Timeline marks keyed by plan position, fired *before* the packet
-    // at that position (the fault-before-arrival tie-break); at one
-    // position, faults before migrations, as the dispatcher fires them.
-    let mut marks: Vec<(u64, Mark)> = Vec::new();
-    for ep in episodes {
-        marks.push((ep.crash_at_packet, Mark::Crashed(ep.core)));
-        if let Some(h) = ep.heal_at_packet {
-            marks.push((h, Mark::Healed(ep.core)));
-        }
-        if let Some(r) = ep.recovery_at_packet {
-            marks.push((r, Mark::Restarted(ep.core)));
-        }
-    }
-    marks.extend(
-        dispatch
-            .migrations
-            .iter()
-            .map(|&(pos, group, from, to)| (pos, Mark::Migrated(group, from, to))),
-    );
-    marks.sort_by_key(|&(pos, _)| pos);
-    let (mut next_mark, mut next_drop, mut next_ooo) = (0usize, 0usize, 0usize);
-    for p in PlanStream::new(cfg, sources) {
-        let id = p.id;
-        while let Some(&(pos, mark)) = marks.get(next_mark) {
-            if pos > id {
-                break;
-            }
-            probes.deliver(p.at, &mark.event(p.service));
-            next_mark += 1;
-        }
-        probes.deliver(
-            p.at,
-            &SimEvent::PacketArrived {
-                id,
-                slot: p.slot,
-                service: p.service,
-                size: p.size,
-            },
-        );
-        if let Some(&(_, core)) = drops.get(next_drop).filter(|&&(pos, _)| pos == id) {
-            next_drop += 1;
-            probes.deliver(
-                p.at,
-                &SimEvent::Dropped {
-                    id,
-                    slot: p.slot,
-                    service: p.service,
-                    core: core as usize,
-                },
-            );
-            continue;
-        }
-        let out_of_order = ooo.get(next_ooo) == Some(&id);
-        if out_of_order {
-            next_ooo += 1;
-        }
-        probes.deliver(
-            p.at,
-            &SimEvent::Departure {
-                id,
-                slot: p.slot,
-                service: p.service,
-                latency_ns: 0,
-                out_of_order,
-            },
-        );
-        if out_of_order {
-            probes.deliver(
-                p.at,
-                &SimEvent::ReorderDetected {
-                    slot: p.slot,
-                    flow_seq: p.flow_seq,
-                    extent: 1,
-                },
-            );
-        }
-    }
-    while let Some(&(_, mark)) = marks.get(next_mark) {
-        probes.deliver(cfg.duration, &mark.event(ServiceKind::IpForward));
-        next_mark += 1;
-    }
-    probes.finish(cfg.duration);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detsim::SimTime;
     use npsim::{FaultPlan, FaultProbe, JoinShortestQueue, MetricsProbe, RateSpec};
     use nptrace::TracePreset;
     use nptraffic::ServiceKind;
@@ -649,16 +547,41 @@ mod tests {
         run_faulted(backend, ms, FaultPlan::new())
     }
 
+    /// Run `faults` with a `MetricsProbe` attached, and check that the
+    /// probe saw the stream the report folded.
     fn run_faulted(backend: &mut ThreadedBackend, ms: u64, faults: FaultPlan) -> SimReport {
         let mut c = cfg(ms);
         c.faults = faults;
-        let (report, _probes) = backend.run(
-            &c,
-            &sources(),
-            Box::new(JoinShortestQueue::new()),
-            ProbeStack::new(),
-        );
+        let probes: ProbeStack = vec![Box::new(MetricsProbe::new())];
+        let (report, probes) =
+            backend.run(&c, &sources(), Box::new(JoinShortestQueue::new()), probes);
+        assert_probe_matches(&report, &probes, &c.faults);
         report
+    }
+
+    /// The `MetricsProbe` first in `probes` counted every arrival,
+    /// departure, drop, migration and reorder the report folded, and
+    /// recorded the same latencies.
+    fn assert_probe_matches(report: &SimReport, probes: &ProbeStack, faults: &FaultPlan) {
+        let metrics = probes
+            .first()
+            .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
+            .expect("metrics probe returned");
+        let counters = metrics.counters();
+        let get = |name: &str| counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        let want = [
+            ("arrivals", report.offered),
+            ("departures", report.processed),
+            ("drops", report.dropped),
+            ("migrations", report.migration_events),
+            ("reorders", report.out_of_order),
+        ];
+        for (name, expect) in want {
+            assert_eq!(get(name), Some(expect), "probe `{name}` under {faults:?}");
+        }
+        let latency = metrics.histograms()[0];
+        assert_eq!(latency.0, "latency_ns");
+        assert_eq!(latency.1, &report.latency, "probe latency under {faults:?}");
     }
 
     #[test]
@@ -743,33 +666,13 @@ mod tests {
         assert_eq!(per_service_drops, report.dropped);
     }
 
+    /// Probes see the events the threads fold: every departure with its
+    /// virtual latency, so the probe's latency histogram is the report's.
     #[test]
-    fn probe_replay_matches_report_counts() {
+    fn probes_see_the_folded_stream() {
         let mut backend = ThreadedBackend::with_workers(2);
-        let probes: ProbeStack = vec![Box::new(MetricsProbe::new())];
-        let (report, probes) = backend.run(
-            &cfg(5),
-            &sources(),
-            Box::new(JoinShortestQueue::new()),
-            probes,
-        );
-        let metrics = probes
-            .first()
-            .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
-            .expect("metrics probe returned");
-        let get = |name: &str| {
-            metrics
-                .counters()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        assert_eq!(get("arrivals"), report.offered);
-        assert_eq!(get("departures"), report.processed);
-        assert_eq!(get("drops"), report.dropped);
-        assert_eq!(get("migrations"), report.migration_events);
-        assert_eq!(get("reorders"), report.out_of_order);
+        let report = run_with(&mut backend, 5);
+        assert!(report.latency.count() > 0 && report.latency.mean() > 0.0);
     }
 
     #[test]
@@ -987,7 +890,10 @@ mod tests {
         c.faults = FaultPlan::new()
             .crash(SimTime::from_millis(2), 3)
             .heal(SimTime::from_millis(5), 3);
-        let probes: ProbeStack = vec![Box::new(FaultProbe::new())];
+        let probes: ProbeStack = vec![
+            Box::new(FaultProbe::new()),
+            Box::new(RestartPositions::default()),
+        ];
         let (report, probes) =
             backend.run(&c, &sources(), Box::new(JoinShortestQueue::new()), probes);
         assert_eq!(report.offered, report.processed + report.dropped);
@@ -998,13 +904,55 @@ mod tests {
         assert_eq!(probe.recoveries().len(), 1, "one crash → one span");
         let r = probe.recoveries()[0];
         assert_eq!(r.core, 3);
-        assert!(r.healed_at.is_some(), "heal mark replayed");
+        assert_eq!(r.crashed_at, SimTime::from_millis(2), "the plan's instant");
+        assert_eq!(r.healed_at, Some(SimTime::from_millis(5)));
+        assert!(r.restarted_at >= r.healed_at, "restart follows the heal");
         let stats = backend.last_stats().expect("stats recorded");
+        let recovery = stats.episodes[0].recovery_at_packet;
+        assert!(recovery.is_some(), "the healed worker charged again");
+        let seen = probes[1]
+            .as_any()
+            .downcast_ref::<RestartPositions>()
+            .expect("the probe comes back");
         assert_eq!(
-            r.restarted_at.is_some(),
-            stats.episodes[0].recovery_at_packet.is_some(),
-            "probe restart mark mirrors the episode's recovery packet"
+            seen.positions.as_slice(),
+            [(3, recovery.unwrap())],
+            "the probe's restart is the episode's recovery packet"
         );
+    }
+
+    /// The plan position of each core's first `ServiceStart` after a
+    /// heal: deliveries come in position order, so it is the last
+    /// arrival delivered before it.
+    #[derive(Default)]
+    struct RestartPositions {
+        arrived: u64,
+        healed: Vec<usize>,
+        positions: Vec<(usize, u64)>,
+    }
+
+    impl npsim::Probe for RestartPositions {
+        fn name(&self) -> &'static str {
+            "restart-positions"
+        }
+
+        fn on_event(&mut self, _now: SimTime, ev: &SimEvent) {
+            match *ev {
+                SimEvent::PacketArrived { .. } => self.arrived += 1,
+                SimEvent::CoreHealed { core } => self.healed.push(core),
+                SimEvent::ServiceStart { core, .. } => {
+                    if let Some(i) = self.healed.iter().position(|&c| c == core) {
+                        self.healed.swap_remove(i);
+                        self.positions.push((core, self.arrived - 1));
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
     }
 
     /// Run `faults` and assert what every fault run must keep: exact
@@ -1030,7 +978,7 @@ mod tests {
     fn healed_episodes(faults: FaultPlan) -> Vec<CrashEpisode> {
         let stats = run_exact(&mut ThreadedBackend::with_workers(4), 10, faults);
         for ep in &stats.episodes {
-            let recovered = ep.recovery_at_packet.expect("the worker serviced again");
+            let recovered = ep.recovery_at_packet.expect("the worker charged again");
             assert!(ep.heal_at_packet.is_some() && recovered >= ep.crash_at_packet);
         }
         stats.episodes
@@ -1145,7 +1093,7 @@ mod tests {
         assert_eq!(stats.episodes[0].crash_at_packet, first as u64);
     }
 
-    /// Counts the arrivals replayed before each `Migration`: the plan
+    /// Counts the arrivals delivered before each `Migration`: the plan
     /// position its handshake began at.
     #[derive(Default)]
     struct MigrationPositions {
@@ -1235,8 +1183,8 @@ mod tests {
         assert_eq!(seen.arrived, plan.len() as u64);
     }
 
-    /// Probes replay a re-drawn copy of the stream after the run; the
-    /// report must not depend on whether they are attached. One service
+    /// Probes get the threads' event logs at join; the report must not
+    /// depend on whether they are attached. One service
     /// (so cold starts are per resume, not per interleaving), no
     /// rebalancer, and a crash before the first packet (an empty ring,
     /// so no crash drops) make the whole report deterministic.

@@ -32,10 +32,11 @@
 //! stall window of the fault plan, and pays the throttle the plan has
 //! in force then, whatever the host timing. The worker charges a packet
 //! as it pops it, in ring order — arrival order, as detsim's queue — and
-//! folds its `ServiceStart` into the worker's [`ReportProbe`]; a held
-//! packet keeps the start and finish it popped with. Its service folds
-//! a `Departure` (latency: the charged finish minus the arrival), a
-//! crash drop a `Dropped`. The thread itself never stalls.
+//! observes its `ServiceStart` into the worker's [`EventSink`]; a held
+//! packet keeps the start and finish it popped with. Its service
+//! observes a `Departure` (latency: the charged finish minus the
+//! arrival) and, if it was late for its flow, a `ReorderDetected`; a
+//! crash drop observes a `Dropped`. The thread itself never stalls.
 //!
 //! ## Control plane: a crash pauses its worker
 //!
@@ -85,10 +86,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use detsim::SimTime;
 use laps::spsc::{Consumer, Desc};
 use laps::GroupBoard;
-use npsim::{CoreClock, ReportProbe, SimEvent};
+use npsim::{CoreClock, SimEvent};
 
-use crate::affinity;
 use crate::plan::{ExecDesc, SeqWatch, WatchView};
+use crate::{affinity, EventSink};
 
 /// How long an idle worker sleeps after 64 empty polls.
 const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(20);
@@ -124,29 +125,29 @@ pub(crate) struct WorkerCtx<'a> {
     /// The fault-run control plane, one command word per worker; `None`
     /// in fault-free runs (the loop then skips every command-word check).
     pub ctrl: Option<&'a [AtomicU64]>,
+    /// Where the worker's events go.
+    pub events: EventSink,
 }
 
 /// What one worker hands back when it joins.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerOutcome {
-    /// The worker's part of the report fold: a `ServiceStart` per packet
-    /// charged, a `Departure` per service, a `Dropped` per crash drop.
-    pub report: ReportProbe,
+    /// The worker's events: a `ServiceStart` per packet charged, a
+    /// `Departure` per service (and a `ReorderDetected` if it was late),
+    /// a `Dropped` per crash drop.
+    pub events: EventSink,
     /// Simulated busy time (the clock's sum of charged services),
     /// nanoseconds.
     pub busy_ns: u64,
-    /// Plan positions serviced behind a higher sequence of their flow
-    /// (empty iff the handshake preserved order, which it must).
-    pub ooo_packets: Vec<u64>,
     /// Deepest the holdback buffer ever got, in packets.
     pub max_hold_depth: usize,
     /// Whether the pin request was honored by the kernel.
     pub pinned: bool,
-    /// Plan positions of packets this worker held or still had in its
-    /// ring when it crashed — accounted as fault drops.
-    pub crash_drops: Vec<u64>,
+    /// Packets this worker held or still had in its ring when it
+    /// crashed — accounted as fault drops.
+    pub crash_drops: u64,
     /// One entry per heal that resumed this worker, in heal order: the
-    /// plan position of the first packet serviced after it (`None`: none
+    /// plan position of the first packet charged after it (`None`: none
     /// was).
     pub recoveries: Vec<Option<u64>>,
 }
@@ -154,14 +155,14 @@ pub(crate) struct WorkerOutcome {
 impl WorkerOutcome {
     /// Account `d` as a crash drop on `core`.
     fn crash_drop(&mut self, d: ExecDesc, core: usize) {
-        self.crash_drops.push(u64::from(d.pos));
+        self.crash_drops += 1;
         let dropped = SimEvent::Dropped {
             id: u64::from(d.pos),
             slot: d.slot,
             service: d.service,
             core,
         };
-        self.report.observe(d.at, &dropped);
+        self.events.observe(d.pos, d.at, dropped);
     }
 }
 
@@ -184,10 +185,13 @@ struct Svc<'a> {
 }
 
 impl Svc<'_> {
-    /// Charge a packet on the core's clock as it pops, and fold its
+    /// Charge a packet on the core's clock as it pops, and observe its
     /// service start. Ring order is arrival order, so the clock sees the
     /// core's packets in the order detsim's queue would, held or not.
     fn charge(&mut self, d: ExecDesc) -> Charged {
+        if let Some(first @ None) = self.out.recoveries.last_mut() {
+            *first = Some(u64::from(d.pos));
+        }
         let charge = self.clock.start(d.at, d.service, d.size, d.migrated, 0);
         let done = self.clock.vt();
         let start = SimEvent::ServiceStart {
@@ -197,36 +201,43 @@ impl Svc<'_> {
             migrated: d.migrated,
             duration: charge.duration,
         };
-        self.out.report.observe(done - charge.duration, &start);
+        self.out
+            .events
+            .observe(d.pos, done - charge.duration, start);
         (d, done)
     }
 
     /// Service a charged packet: advance the per-flow order witness and
-    /// fold its departure. The latency is the virtual finish minus the
+    /// observe its departure. The latency is the virtual finish minus the
     /// arrival, so a handshake hold, which takes host time, adds none.
     fn service(&mut self, (p, done): Charged) {
-        let pos = u64::from(p.pos);
-        if let Some(first @ None) = self.out.recoveries.last_mut() {
-            *first = Some(pos);
-        }
-        let out_of_order = self.seq_watch.get(p.slot.index()).is_some_and(|w| {
-            let flow_seq = u64::from(p.flow_seq);
+        let flow_seq = u64::from(p.flow_seq);
+        // The highest `flow_seq + 1` serviced before this packet.
+        let prev = self.seq_watch.get(p.slot.index()).map_or(0, |w| {
             // The witness is shared with whichever worker serviced the
             // flow's previous packet and whichever services the next.
             // npcheck: ordering(AcqRel RMW — Acquire sees the previous owner's update, Release publishes ours to the next)
-            w.fetch_max(flow_seq + 1, Ordering::AcqRel) > flow_seq
+            w.fetch_max(flow_seq + 1, Ordering::AcqRel)
         });
-        if out_of_order {
-            self.out.ooo_packets.push(pos);
-        }
+        let out_of_order = prev > flow_seq;
         let departure = SimEvent::Departure {
-            id: pos,
+            id: u64::from(p.pos),
             slot: p.slot,
             service: p.service,
             latency_ns: (done - p.at).as_nanos(),
             out_of_order,
         };
-        self.out.report.observe(done, &departure);
+        self.out.events.observe(p.pos, done, departure);
+        if out_of_order {
+            // `npsim::OrderTracker`'s extent: how far behind the flow's
+            // highest departed sequence number.
+            let ev = SimEvent::ReorderDetected {
+                slot: p.slot,
+                flow_seq,
+                extent: prev - 1 - flow_seq,
+            };
+            self.out.events.observe(p.pos, done, ev);
+        }
     }
 }
 
@@ -289,12 +300,16 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         clock,
         pin_to,
         ctrl,
+        events,
     } = ctx;
     let mut svc = Svc {
         id,
         seq_watch: seq_watch.view(),
         clock,
-        out: WorkerOutcome::default(),
+        out: WorkerOutcome {
+            events,
+            ..WorkerOutcome::default()
+        },
     };
     if let Some(cpu) = pin_to {
         svc.out.pinned = affinity::pin_to_cpu(cpu);
@@ -407,4 +422,60 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     }
     svc.out.busy_ns = svc.clock.busy_ns();
     svc.out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nphash::FlowSlot;
+    use npsim::EngineConfig;
+    use nptraffic::ServiceKind;
+
+    /// A departure behind a higher sequence of its flow observes a
+    /// `ReorderDetected` whose extent is `OrderTracker`'s: how far
+    /// behind the highest departed sequence number it is.
+    #[test]
+    fn a_late_departure_observes_its_reorder_extent() {
+        let watch = SeqWatch::default();
+        watch.publish_through(0);
+        let mut svc = Svc {
+            id: 0,
+            seq_watch: watch.view(),
+            clock: CoreClock::new(&EngineConfig::default(), 0),
+            out: WorkerOutcome {
+                events: EventSink::new(true),
+                ..WorkerOutcome::default()
+            },
+        };
+        for (pos, flow_seq) in [(0, 3), (1, 0), (2, 4)] {
+            let d = ExecDesc {
+                pos,
+                slot: FlowSlot::new(0),
+                flow_seq,
+                group: 0,
+                size: 64,
+                service: ServiceKind::IpForward,
+                migrated: false,
+                at: SimTime::ZERO,
+            };
+            let charged = svc.charge(d);
+            svc.service(charged);
+        }
+        let reorders: Vec<_> = svc
+            .out
+            .events
+            .log
+            .iter()
+            .flatten()
+            .filter_map(|&(pos, _, ev)| match ev {
+                SimEvent::ReorderDetected {
+                    flow_seq, extent, ..
+                } => Some((pos, flow_seq, extent)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reorders, [(1, 0, 3)]);
+        let report = svc.out.events.fold.into_report();
+        assert_eq!((report.processed, report.out_of_order), (3, 1));
+    }
 }
