@@ -165,9 +165,10 @@ pub struct HandshakeStats {
     /// Handshakes observed complete (mark acked; group live on the new
     /// core).
     pub completed: u64,
-    /// Migrations abandoned because the mark would not fit in the old
-    /// ring (the group simply stays put — no redirect happened, so no
-    /// correctness impact).
+    /// Handshakes not begun because the mark would not fit in the old
+    /// ring or the group's previous handshake was still in flight (the
+    /// group simply stays put — no redirect happened, so no correctness
+    /// impact).
     pub aborted: u64,
 }
 

@@ -37,7 +37,10 @@
 //! per routed packet, a `Dropped` per full-ring drop, a `Migration` per
 //! handshake begun and a `CoreCrashed` or `CoreHealed` per crash or heal
 //! carried out, stamped with the plan entry's instant as detsim stamps
-//! them. Its fault counters go in one [`FaultStats`].
+//! them. With probes attached it also observes a `Dispatched` per push,
+//! which only probes read (detsim publishes it only to probes too);
+//! from those a `FaultProbe` counts the flows resident on a crashed
+//! worker and moved off it. Its fault counters go in one [`FaultStats`].
 //!
 //! A fault action scheduled at `t` fires just before the first packet
 //! that arrives at or after `t` — the exact analogue of detsim priming
@@ -69,12 +72,12 @@ use npsim::{FaultAction, FaultStats, PlanStream, SimEvent};
 
 use crate::plan::{ExecDesc, SeqWatch};
 use crate::worker::{CMD_CRASH, CMD_PAUSED};
-use crate::{CrashEpisode, EventSink, ForcedMigration, FullPolicy};
+use crate::{EventSink, ForcedMigration, FullPolicy};
 
 /// A ring producer of packet descriptors.
 type Ring = Producer<ExecDesc>;
 
-/// "Flow has not been dispatched yet" sentinel for the last-core ledger.
+/// "Flow has not been dispatched yet" sentinel for the last-core table.
 const NO_CORE: u32 = u32::MAX;
 
 /// Yields to wait for a retired bucket's handshake to clear before a
@@ -118,13 +121,17 @@ pub(crate) struct DispatchCtx<'a> {
 #[derive(Debug, Default)]
 pub(crate) struct DispatchOutcome {
     /// The dispatcher's events: a `PacketArrived` per routed packet, a
-    /// `Dropped` per full-ring drop, a `Migration` per load or forced
-    /// handshake begun, a `CoreCrashed` or `CoreHealed` per crash or heal.
+    /// `Dispatched` per push (with probes attached), a `Dropped` per
+    /// full-ring drop, a `Migration` per load or forced handshake begun,
+    /// a `CoreCrashed` or `CoreHealed` per crash or heal.
     pub events: EventSink,
-    /// Handshakes abandoned (in-flight collision or full old ring).
+    /// Handshakes not begun because the group's handshake was still in
+    /// flight or the old owner's ring was full: load and forced
+    /// migrations, and retired buckets a heal could not restore (those
+    /// stay on their replacement).
     pub aborted: u64,
     /// The map table's redirect epoch after the run (marked handshakes
-    /// only — crash retirement/restore is tracked by `episodes`).
+    /// only: crash retirement and heal restore do not bump it).
     pub final_epoch: u64,
     /// Fault accounting, `fault_drops` aside (the workers drop, and the
     /// backend adds theirs at join). Every crash and heal is repaired:
@@ -133,8 +140,6 @@ pub(crate) struct DispatchOutcome {
     /// from its dead owner (the analogue of detsim's degradation-path
     /// redirects).
     pub faults: FaultStats,
-    /// One ledger per crash, in crash order.
-    pub episodes: Vec<CrashEpisode>,
 }
 
 /// Fault-run bookkeeping local to the dispatcher.
@@ -145,10 +150,6 @@ struct FaultState {
     crash_remapped: Vec<bool>,
     /// Per worker: buckets retired at its last crash (for heal restore).
     retired_of: Vec<Vec<u32>>,
-    /// Per crash still inside its crash-to-heal window: its index in
-    /// `out.episodes` and the per-flow residency bitmap, consumed as
-    /// flows are re-sighted (so `migrated_flows <= resident_flows`).
-    open: Vec<(usize, Vec<bool>)>,
 }
 
 impl FaultState {
@@ -158,7 +159,6 @@ impl FaultState {
             live_count: workers,
             crash_remapped: vec![false; groups],
             retired_of: vec![Vec::new(); workers],
-            open: Vec::new(),
         }
     }
 }
@@ -267,9 +267,8 @@ impl Router<'_> {
     }
 
     /// Apply one fault action, planned at `at`, at plan position `pos`.
-    /// Cold path: runs once per plan entry, never per packet. `last_core`
-    /// covers the flows seen so far; a later flow is resident nowhere.
-    fn fire_fault(&mut self, at: SimTime, action: FaultAction, pos: u64, last_core: &[u32]) {
+    /// Cold path: runs once per plan entry, never per packet.
+    fn fire_fault(&mut self, at: SimTime, action: FaultAction, pos: u64) {
         self.out.faults.injected += 1;
         match action {
             FaultAction::Crash { core } => {
@@ -320,39 +319,13 @@ impl Router<'_> {
                 }
                 let retired = self.table.retire_core(core, &repl);
                 debug_assert_eq!(retired, buckets, "retire must mirror the published targets");
-                // Snapshot residency for the episode ledger.
-                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-                let mut resident = vec![false; last_core.len()];
-                let mut resident_flows = 0u64;
-                for (f, &lc) in last_core.iter().enumerate() {
-                    if lc != NO_CORE && lc as usize == core {
-                        if let Some(r) = resident.get_mut(f) {
-                            *r = true;
-                            resident_flows += 1;
-                        }
-                    }
-                }
                 if let Some(l) = self.fs.live.get_mut(core) {
                     *l = false;
                 }
                 self.fs.live_count -= 1;
-                let buckets_rehomed = buckets.len();
                 if let Some(r) = self.fs.retired_of.get_mut(core) {
                     *r = buckets;
                 }
-                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-                self.fs.open.push((self.out.episodes.len(), resident));
-                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-                self.out.episodes.push(CrashEpisode {
-                    core,
-                    crash_at_packet: pos,
-                    heal_at_packet: None,
-                    resident_flows,
-                    migrated_flows: 0,
-                    buckets_rehomed,
-                    restore_skipped: 0,
-                    recovery_at_packet: None,
-                });
                 self.out.faults.crashes += 1;
                 self.out.faults.repairs += 1;
                 let ev = SimEvent::CoreCrashed { core };
@@ -392,7 +365,7 @@ impl Router<'_> {
                         std::thread::yield_now();
                     }
                     if self.board.in_flight(b as usize) {
-                        bump_restore_skipped(&mut self.out, core);
+                        self.out.aborted += 1;
                         continue;
                     }
                     let Some(&cur) = self.table.cores().get(b as usize) else {
@@ -409,7 +382,7 @@ impl Router<'_> {
                     ) {
                         // DropAfter gave up on the restore mark: the bucket
                         // stays on its replacement — degradation, counted.
-                        bump_restore_skipped(&mut self.out, core);
+                        self.out.aborted += 1;
                         continue;
                     }
                     if let Some(t) = self.migrating_to.get(b as usize) {
@@ -424,16 +397,6 @@ impl Router<'_> {
                     restored.push(b);
                 }
                 self.table.restore_core(core, &restored);
-                // Close the core's open episode (a core crashes again only
-                // after a heal, so it has exactly one).
-                let episodes = &mut self.out.episodes;
-                self.fs.open.retain(|&(e, _)| match episodes.get_mut(e) {
-                    Some(ep) if ep.core == core => {
-                        ep.heal_at_packet = Some(pos);
-                        false
-                    }
-                    _ => true,
-                });
                 self.out.faults.heals += 1;
                 self.out.faults.repairs += 1;
                 let ev = SimEvent::CoreHealed { core };
@@ -441,15 +404,6 @@ impl Router<'_> {
             }
             // Each worker's clock reads its throttles and stalls off the plan.
             FaultAction::Throttle { .. } | FaultAction::Stall { .. } => {}
-        }
-    }
-}
-
-fn bump_restore_skipped(out: &mut DispatchOutcome, core: usize) {
-    for ep in out.episodes.iter_mut().rev() {
-        if ep.core == core {
-            ep.restore_skipped += 1;
-            return;
         }
     }
 }
@@ -513,7 +467,7 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
                     break;
                 }
                 next_fault += 1;
-                r.fire_fault(at, action, i, &last_core);
+                r.fire_fault(at, action, i);
             }
             while let Some(&f) = ctx.forced.get(next_forced) {
                 if f.after_packets > i {
@@ -544,19 +498,8 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
             };
             let g = group as usize;
             let owner = r.table.cores().get(g).copied().unwrap_or(0);
-            if faults_on {
-                if r.fs.crash_remapped.get(g).copied().unwrap_or(false) {
-                    r.out.faults.redirects += 1;
-                }
-                for (e, resident) in r.fs.open.iter_mut() {
-                    let Some(res) = resident.get_mut(flow).filter(|res| **res) else {
-                        continue;
-                    };
-                    *res = false;
-                    if let Some(ep) = r.out.episodes.get_mut(*e).filter(|ep| ep.core != owner) {
-                        ep.migrated_flows += 1;
-                    }
-                }
+            if faults_on && r.fs.crash_remapped.get(g).copied().unwrap_or(false) {
+                r.out.faults.redirects += 1;
             }
             let migrated = match last_core.get_mut(flow) {
                 Some(lc) => {
@@ -591,6 +534,18 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 if let Some(w) = r.win_group.get_mut(g) {
                     *w += 1;
                 }
+                // Only probes read it (the fold ignores it), as on detsim.
+                if r.out.events.log.is_some() {
+                    let dispatched = SimEvent::Dispatched {
+                        id: i,
+                        slot: p.slot,
+                        service: p.service,
+                        core: owner,
+                        queue_len: r.producers.get(owner).map_or(0, Ring::len),
+                        migrated,
+                    };
+                    r.out.events.observe(i as u32, p.at, dispatched);
+                }
             } else {
                 let dropped = SimEvent::Dropped {
                     id: i,
@@ -607,7 +562,7 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
     // worker's crash step, so even a trailing one completes before `done`).
     while let Some(&(at, action)) = faults.get(next_fault) {
         next_fault += 1;
-        r.fire_fault(at, action, drawn, &last_core);
+        r.fire_fault(at, action, drawn);
     }
     r.out.final_epoch = r.table.epoch();
     r.out

@@ -44,11 +44,15 @@
 //!
 //! Attached probes see the same events. With probes, each thread also
 //! logs what it observes under the event's plan position (crash and
-//! heal marks at the plan entry's instant, a `ReorderDetected` after an
-//! out-of-order departure); at join the logs, the dispatcher's first,
-//! are stable-sorted by position and delivered at each event's own
-//! instant. At each position that is the actions fired before the
-//! packet, its arrival (or full-ring drop), then its worker's events.
+//! heal marks at the plan entry's instant, a `Dispatched` after each
+//! ring push, a `ReorderDetected` after an out-of-order departure); at
+//! join the logs, the dispatcher's first, are stable-sorted by position
+//! and delivered at each event's own instant. At each position that is
+//! the actions fired before the packet, its arrival and dispatch (or
+//! full-ring drop), then its worker's events. So an
+//! [`npsim::FaultProbe`] keeps the crash ledger here as on detsim:
+//! recovery spans, and the flows resident on a crashed worker and moved
+//! off it.
 //!
 //! ```text
 //!                  PlanStream (drawn 256 packets per burst)
@@ -170,35 +174,6 @@ impl Default for NpexecConfig {
     }
 }
 
-/// One crash's recovery ledger, in plan positions (backend-neutral
-/// "time": position `i` is the `i`-th planned arrival, identical on
-/// both backends).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashEpisode {
-    /// The crashed worker (== simulated core).
-    pub core: usize,
-    /// Plan position of the crash.
-    pub crash_at_packet: u64,
-    /// Plan position of the heal (`None`: still down at end of run).
-    pub heal_at_packet: Option<u64>,
-    /// Flows resident on the core at the crash (their last dispatch
-    /// landed there).
-    pub resident_flows: u64,
-    /// Resident flows the repair actually moved to another worker
-    /// inside the crash window. `<= resident_flows` by construction.
-    pub migrated_flows: u64,
-    /// Buckets `MapTable::retire_core` re-homed.
-    pub buckets_rehomed: usize,
-    /// Retired buckets the heal could not migrate home (left on their
-    /// replacement — counted degradation, not an error).
-    pub restore_skipped: u64,
-    /// Plan position of the first packet the worker's clock charged
-    /// after the heal resumed it — the packet of a `FaultProbe`'s
-    /// restart (`None`: never healed, or no packet reached it
-    /// afterwards). Crash-to-here is the episode's recovery latency.
-    pub recovery_at_packet: Option<u64>,
-}
-
 /// One thread's event sink: its part of the report fold and, on a run
 /// with probes attached, its log of `(plan position, instant, event)`
 /// for delivery at join.
@@ -248,18 +223,18 @@ pub struct ExecStats {
     /// migrations, forced migrations and heal restores. A crash begins
     /// none; a mark stranded in a crashed worker's ring is acked by its
     /// crash step, so `begun == completed` holds at the end of every
-    /// run, faulted or not.
+    /// run, faulted or not. `aborted` counts handshakes not begun: an
+    /// in-flight collision or a full ring, including each retired bucket
+    /// a heal could not restore (it stays on its replacement).
     pub handshakes: HandshakeStats,
     /// Deepest any worker's holdback buffer got.
     pub max_hold_depth: usize,
     /// Workers whose CPU pin was honored by the kernel.
     pub pinned_workers: usize,
     /// Map-table redirect epoch after the run (== completed redirects
-    /// through *marked* handshakes; crash retire/restore moves are
-    /// ledgered in `episodes`, not the epoch).
+    /// through *marked* handshakes; crash retire and heal restore do not
+    /// bump it — a `FaultProbe` counts the flows a crash moved).
     pub table_epoch: u64,
-    /// Per-crash recovery ledgers, in crash order (empty: fault-free run).
-    pub episodes: Vec<CrashEpisode>,
 }
 
 /// The thread-per-core [`ExecBackend`].
@@ -447,18 +422,6 @@ impl ExecBackend for ThreadedBackend {
         });
         let wall_secs = start.elapsed().as_secs_f64().max(1e-9);
 
-        let mut episodes = std::mem::take(&mut dispatch.episodes);
-        // Per-episode recovery: a worker resumes once per heal, so its
-        // k-th resume belongs to its core's k-th healed episode.
-        for (core, o) in outs.iter().enumerate() {
-            let healed = episodes
-                .iter_mut()
-                .filter(|e| e.core == core && e.heal_at_packet.is_some());
-            for (ep, &first) in healed.zip(&o.recoveries) {
-                ep.recovery_at_packet = first;
-            }
-        }
-
         // The report is the dispatcher's and the workers' folds merged;
         // only what no event carries is set here.
         let mut fold = ReportProbe::new(
@@ -492,7 +455,6 @@ impl ExecBackend for ThreadedBackend {
             max_hold_depth: outs.iter().map(|o| o.max_hold_depth).max().unwrap_or(0),
             pinned_workers: outs.iter().filter(|o| o.pinned).count(),
             table_epoch: dispatch.final_epoch,
-            episodes,
         };
         if let Some(mut log) = dispatch.events.log.take() {
             for o in &mut outs {
@@ -514,7 +476,7 @@ impl ExecBackend for ThreadedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use npsim::{FaultPlan, FaultProbe, JoinShortestQueue, MetricsProbe, RateSpec};
+    use npsim::{FaultPlan, FaultProbe, JoinShortestQueue, MetricsProbe, RateSpec, Recovery};
     use nptrace::TracePreset;
     use nptraffic::ServiceKind;
 
@@ -544,24 +506,49 @@ mod tests {
     }
 
     fn run_with(backend: &mut ThreadedBackend, ms: u64) -> SimReport {
-        run_faulted(backend, ms, FaultPlan::new())
+        run_faulted(backend, ms, FaultPlan::new()).report
     }
 
-    /// Run `faults` with a `MetricsProbe` attached, and check that the
-    /// probe saw the stream the report folded.
-    fn run_faulted(backend: &mut ThreadedBackend, ms: u64, faults: FaultPlan) -> SimReport {
+    /// What a probed run hands back: the report, the `FaultProbe`'s
+    /// crash ledger and the plan positions the test probe read.
+    struct Probed {
+        report: SimReport,
+        recoveries: Vec<Recovery>,
+        positions: Positions,
+    }
+
+    fn run_faulted(backend: &mut ThreadedBackend, ms: u64, faults: FaultPlan) -> Probed {
         let mut c = cfg(ms);
         c.faults = faults;
-        let probes: ProbeStack = vec![Box::new(MetricsProbe::new())];
+        run_probed(backend, &c)
+    }
+
+    /// Run `c` with a `MetricsProbe`, a `FaultProbe` and a `Positions`
+    /// attached, and check that the metrics saw the stream the report
+    /// folded.
+    fn run_probed(backend: &mut ThreadedBackend, c: &EngineConfig) -> Probed {
+        let probes: ProbeStack = vec![
+            Box::new(MetricsProbe::new()),
+            Box::new(FaultProbe::new()),
+            Box::new(Positions::default()),
+        ];
         let (report, probes) =
-            backend.run(&c, &sources(), Box::new(JoinShortestQueue::new()), probes);
+            backend.run(c, &sources(), Box::new(JoinShortestQueue::new()), probes);
         assert_probe_matches(&report, &probes, &c.faults);
-        report
+        let get = |i: usize| probes.get(i).map(|p| p.as_any());
+        let faults = get(1).and_then(|p| p.downcast_ref::<FaultProbe>());
+        let positions = get(2).and_then(|p| p.downcast_ref::<Positions>());
+        Probed {
+            report,
+            recoveries: faults.expect("fault probe returned").recoveries().to_vec(),
+            positions: positions.expect("positions returned").clone(),
+        }
     }
 
     /// The `MetricsProbe` first in `probes` counted every arrival,
-    /// departure, drop, migration and reorder the report folded, and
-    /// recorded the same latencies.
+    /// departure, drop, migration and reorder the report folded, recorded
+    /// the same latencies, and saw a `Dispatched`, with its ring
+    /// occupancy, per packet pushed: all but the full-ring drops.
     fn assert_probe_matches(report: &SimReport, probes: &ProbeStack, faults: &FaultPlan) {
         let metrics = probes
             .first()
@@ -569,8 +556,11 @@ mod tests {
             .expect("metrics probe returned");
         let counters = metrics.counters();
         let get = |name: &str| counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        let fault_drops = report.faults.as_ref().map_or(0, |f| f.fault_drops);
+        let pushed = report.offered - (report.dropped - fault_drops);
         let want = [
             ("arrivals", report.offered),
+            ("dispatched", pushed),
             ("departures", report.processed),
             ("drops", report.dropped),
             ("migrations", report.migration_events),
@@ -579,15 +569,19 @@ mod tests {
         for (name, expect) in want {
             assert_eq!(get(name), Some(expect), "probe `{name}` under {faults:?}");
         }
-        let latency = metrics.histograms()[0];
+        let [latency, _, queue_len, _] = metrics.histograms();
         assert_eq!(latency.0, "latency_ns");
         assert_eq!(latency.1, &report.latency, "probe latency under {faults:?}");
+        assert_eq!(queue_len.0, "queue_len");
+        assert_eq!(queue_len.1.count(), pushed, "one occupancy per push");
     }
 
     #[test]
     fn conserves_and_keeps_order_under_backpressure() {
         let mut backend = ThreadedBackend::with_workers(4);
-        let report = run_with(&mut backend, 10);
+        let Probed {
+            report, recoveries, ..
+        } = run_faulted(&mut backend, 10, FaultPlan::new());
         assert!(report.offered > 10_000, "non-trivial run");
         assert_eq!(report.dropped, 0, "backpressure never drops");
         assert_eq!(
@@ -601,7 +595,7 @@ mod tests {
         assert_eq!(stats.workers, 4);
         assert!(stats.wall_secs > 0.0);
         assert_eq!(stats.handshakes.begun, stats.handshakes.completed);
-        assert!(stats.episodes.is_empty());
+        assert!(recoveries.is_empty());
     }
 
     #[test]
@@ -782,7 +776,7 @@ mod tests {
         }
         assert!(accepted.len() >= 24, "{} of 32 accepted", accepted.len());
         for plan in accepted.into_iter().take(4) {
-            let report = run_faulted(&mut backend, 5, plan.clone());
+            let report = run_faulted(&mut backend, 5, plan.clone()).report;
             assert_eq!(
                 report.offered,
                 report.processed + report.dropped,
@@ -800,7 +794,11 @@ mod tests {
     #[test]
     fn crash_episode_repairs_and_conserves() {
         let mut backend = ThreadedBackend::with_workers(4);
-        let report = run_faulted(
+        let Probed {
+            report,
+            recoveries,
+            positions,
+        } = run_faulted(
             &mut backend,
             10,
             FaultPlan::new().crash(SimTime::from_millis(2), 1),
@@ -823,21 +821,27 @@ mod tests {
         );
         let stats = backend.last_stats().expect("stats recorded");
         assert_eq!(stats.handshakes.begun, stats.handshakes.completed);
-        assert_eq!(stats.episodes.len(), 1);
-        let ep = &stats.episodes[0];
-        assert_eq!(ep.core, 1);
-        assert!(ep.buckets_rehomed > 0, "the dead core owned buckets");
+        assert_eq!(recoveries.len(), 1);
+        let r = recoveries[0];
+        assert_eq!(r.core, 1);
+        assert!(r.resident_flows > 0, "the dead core owned flows");
         assert!(
-            ep.migrated_flows <= ep.resident_flows,
+            r.moved_off <= r.resident_flows,
             "repair moves at most what was resident"
         );
-        assert!(ep.heal_at_packet.is_none());
+        assert!(r.healed_at.is_none());
+        assert_eq!(positions.spans.len(), 1);
+        assert!(positions.spans[0].heal.is_none());
     }
 
     #[test]
     fn crash_then_heal_restores_and_recovers() {
         let mut backend = ThreadedBackend::with_workers(4);
-        let report = run_faulted(
+        let Probed {
+            report,
+            recoveries,
+            positions,
+        } = run_faulted(
             &mut backend,
             10,
             FaultPlan::new()
@@ -850,15 +854,13 @@ mod tests {
         assert_eq!((faults.crashes, faults.heals), (1, 1));
         let stats = backend.last_stats().expect("stats recorded");
         assert_eq!(stats.handshakes.begun, stats.handshakes.completed);
-        assert_eq!(stats.episodes.len(), 1);
-        let ep = &stats.episodes[0];
-        assert!(ep.heal_at_packet.is_some(), "the episode closed");
+        assert_eq!(recoveries.len(), 1);
+        assert!(recoveries[0].moved_off <= recoveries[0].resident_flows);
+        let span = positions.spans[0];
+        assert!(span.heal.is_some(), "the episode closed");
+        assert!(span.restart.is_some(), "the healed worker serviced traffic");
         assert!(
-            ep.recovery_at_packet.is_some(),
-            "the healed worker serviced traffic"
-        );
-        assert!(
-            ep.recovery_at_packet.unwrap() >= ep.crash_at_packet,
+            span.restart.unwrap() >= span.crash,
             "recovery cannot precede the crash"
         );
     }
@@ -866,7 +868,9 @@ mod tests {
     #[test]
     fn throttle_and_stall_run_to_completion() {
         let mut backend = ThreadedBackend::with_workers(4);
-        let report = run_faulted(
+        let Probed {
+            report, recoveries, ..
+        } = run_faulted(
             &mut backend,
             10,
             FaultPlan::new()
@@ -879,71 +883,89 @@ mod tests {
         let faults = report.faults.as_ref().expect("fault block present");
         assert_eq!(faults.injected, 2);
         assert_eq!((faults.crashes, faults.heals), (0, 0));
-        let stats = backend.last_stats().expect("stats recorded");
-        assert!(stats.episodes.is_empty());
+        assert!(recoveries.is_empty());
     }
 
     #[test]
     fn fault_probe_reconstructs_recovery_spans() {
         let mut backend = ThreadedBackend::with_workers(4);
-        let mut c = cfg(10);
-        c.faults = FaultPlan::new()
-            .crash(SimTime::from_millis(2), 3)
-            .heal(SimTime::from_millis(5), 3);
-        let probes: ProbeStack = vec![
-            Box::new(FaultProbe::new()),
-            Box::new(RestartPositions::default()),
-        ];
-        let (report, probes) =
-            backend.run(&c, &sources(), Box::new(JoinShortestQueue::new()), probes);
+        let Probed {
+            report,
+            recoveries,
+            positions,
+        } = run_faulted(
+            &mut backend,
+            10,
+            FaultPlan::new()
+                .crash(SimTime::from_millis(2), 3)
+                .heal(SimTime::from_millis(5), 3),
+        );
         assert_eq!(report.offered, report.processed + report.dropped);
-        let probe = probes
-            .first()
-            .and_then(|p| p.as_any().downcast_ref::<FaultProbe>())
-            .expect("fault probe returned");
-        assert_eq!(probe.recoveries().len(), 1, "one crash → one span");
-        let r = probe.recoveries()[0];
+        assert_eq!(recoveries.len(), 1, "one crash → one span");
+        let r = recoveries[0];
         assert_eq!(r.core, 3);
         assert_eq!(r.crashed_at, SimTime::from_millis(2), "the plan's instant");
         assert_eq!(r.healed_at, Some(SimTime::from_millis(5)));
         assert!(r.restarted_at >= r.healed_at, "restart follows the heal");
-        let stats = backend.last_stats().expect("stats recorded");
-        let recovery = stats.episodes[0].recovery_at_packet;
-        assert!(recovery.is_some(), "the healed worker charged again");
-        let seen = probes[1]
-            .as_any()
-            .downcast_ref::<RestartPositions>()
-            .expect("the probe comes back");
-        assert_eq!(
-            seen.positions.as_slice(),
-            [(3, recovery.unwrap())],
-            "the probe's restart is the episode's recovery packet"
-        );
+        let span = positions.spans[0];
+        assert_eq!(span.core, 3);
+        let restart = span.restart.expect("the healed worker charged again");
+        assert!(restart >= span.heal.expect("healed"));
     }
 
-    /// The plan position of each core's first `ServiceStart` after a
-    /// heal: deliveries come in position order, so it is the last
-    /// arrival delivered before it.
-    #[derive(Default)]
-    struct RestartPositions {
+    /// Plan positions read off the delivered stream. Deliveries come in
+    /// position order, with the actions fired before a packet ahead of
+    /// its arrival, so an action's position is the number of arrivals
+    /// delivered before it, and a service start's is the last arrival's.
+    #[derive(Debug, Clone, Default)]
+    struct Positions {
         arrived: u64,
-        healed: Vec<usize>,
-        positions: Vec<(usize, u64)>,
+        /// One per crash, in crash order.
+        spans: Vec<Span>,
+        /// One per `Migration`: the position its handshake began at.
+        migrations: Vec<u64>,
     }
 
-    impl npsim::Probe for RestartPositions {
+    /// One crash in plan positions: the crash, the heal, and the first
+    /// packet the healed worker charged.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Span {
+        core: usize,
+        crash: u64,
+        heal: Option<u64>,
+        restart: Option<u64>,
+    }
+
+    impl Positions {
+        fn latest(&mut self, core: usize) -> Option<&mut Span> {
+            self.spans.iter_mut().rev().find(|s| s.core == core)
+        }
+    }
+
+    impl npsim::Probe for Positions {
         fn name(&self) -> &'static str {
-            "restart-positions"
+            "positions"
         }
 
         fn on_event(&mut self, _now: SimTime, ev: &SimEvent) {
+            let at = self.arrived;
             match *ev {
                 SimEvent::PacketArrived { .. } => self.arrived += 1,
-                SimEvent::CoreHealed { core } => self.healed.push(core),
+                SimEvent::Migration { .. } => self.migrations.push(at),
+                SimEvent::CoreCrashed { core } => self.spans.push(Span {
+                    core,
+                    crash: at,
+                    heal: None,
+                    restart: None,
+                }),
+                SimEvent::CoreHealed { core } => {
+                    if let Some(s) = self.latest(core) {
+                        s.heal.get_or_insert(at);
+                    }
+                }
                 SimEvent::ServiceStart { core, .. } => {
-                    if let Some(i) = self.healed.iter().position(|&c| c == core) {
-                        self.healed.swap_remove(i);
-                        self.positions.push((core, self.arrived - 1));
+                    if let Some(s) = self.latest(core).filter(|s| s.heal.is_some()) {
+                        s.restart.get_or_insert(at - 1);
                     }
                 }
                 _ => {}
@@ -957,48 +979,49 @@ mod tests {
 
     /// Run `faults` and assert what every fault run must keep: exact
     /// conservation, zero reordering, every handshake completed.
-    fn run_exact(backend: &mut ThreadedBackend, ms: u64, faults: FaultPlan) -> ExecStats {
-        let report = run_faulted(backend, ms, faults.clone());
+    fn run_exact(backend: &mut ThreadedBackend, ms: u64, faults: FaultPlan) -> Probed {
+        let run = run_faulted(backend, ms, faults.clone());
+        let report = &run.report;
         assert_eq!(
             report.offered,
             report.processed + report.dropped,
             "conservation under {faults:?}"
         );
         assert_eq!(report.out_of_order, 0, "reordered under {faults:?}");
-        let stats = backend.last_stats().expect("stats recorded").clone();
+        let stats = backend.last_stats().expect("stats recorded");
         assert_eq!(
             stats.handshakes.begun, stats.handshakes.completed,
             "leaked handshake under {faults:?}"
         );
-        stats
+        run
     }
 
     /// Run a crash/heal plan for 10 ms on 4 workers, exact as any fault
-    /// run, with every episode healed and recovered after its crash.
-    fn healed_episodes(faults: FaultPlan) -> Vec<CrashEpisode> {
-        let stats = run_exact(&mut ThreadedBackend::with_workers(4), 10, faults);
-        for ep in &stats.episodes {
-            let recovered = ep.recovery_at_packet.expect("the worker charged again");
-            assert!(ep.heal_at_packet.is_some() && recovered >= ep.crash_at_packet);
+    /// run, with every crash healed and recovered after it.
+    fn healed_spans(faults: FaultPlan) -> Vec<Span> {
+        let run = run_exact(&mut ThreadedBackend::with_workers(4), 10, faults);
+        for s in &run.positions.spans {
+            let recovered = s.restart.expect("the worker charged again");
+            assert!(s.heal.is_some() && recovered >= s.crash);
         }
-        stats.episodes
+        run.positions.spans
     }
 
     #[test]
     fn crash_and_heal_at_the_same_instant() {
         let at = SimTime::from_millis(2);
-        let eps = healed_episodes(FaultPlan::new().crash(at, 1).heal(at, 1));
-        assert_eq!(eps.len(), 1);
-        assert_eq!(eps[0].heal_at_packet, Some(eps[0].crash_at_packet));
+        let spans = healed_spans(FaultPlan::new().crash(at, 1).heal(at, 1));
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].heal, Some(spans[0].crash));
     }
 
     #[test]
     fn two_crash_heal_episodes_on_one_core() {
         let ms = SimTime::from_millis;
         let plan = FaultPlan::new().crash(ms(2), 2).heal(ms(4), 2);
-        let eps = healed_episodes(plan.crash(ms(6), 2).heal(ms(8), 2));
-        assert_eq!(eps.len(), 2);
-        assert!(eps[0].recovery_at_packet < Some(eps[1].crash_at_packet));
+        let spans = healed_spans(plan.crash(ms(6), 2).heal(ms(8), 2));
+        assert_eq!(spans.len(), 2);
+        assert!(spans[0].restart < Some(spans[1].crash));
     }
 
     /// A crash of the target of in-flight marked handshakes: one packet
@@ -1031,12 +1054,11 @@ mod tests {
                 ..NpexecConfig::default()
             });
             c.faults = FaultPlan::new().crash(ms(2), W).heal(ms(5), W);
-            let (report, _) = backend.run(
-                &c,
-                &sources(),
-                Box::new(JoinShortestQueue::new()),
-                ProbeStack::new(),
-            );
+            let Probed {
+                report,
+                recoveries,
+                positions,
+            } = run_probed(&mut backend, &c);
             assert_eq!(
                 report.offered,
                 report.processed + report.dropped,
@@ -1049,10 +1071,10 @@ mod tests {
                 stats.handshakes.begun, stats.handshakes.completed,
                 "seed {seed}: leaked handshake"
             );
-            assert_eq!(stats.episodes.len(), 1);
-            let ep = &stats.episodes[0];
-            assert_eq!(ep.crash_at_packet, pos);
-            assert!(ep.migrated_flows <= ep.resident_flows, "seed {seed}");
+            assert_eq!(positions.spans.len(), 1);
+            assert_eq!(positions.spans[0].crash, pos);
+            let r = recoveries[0];
+            assert!(r.moved_off <= r.resident_flows, "seed {seed}");
         }
     }
 
@@ -1084,39 +1106,13 @@ mod tests {
         let at = full.packets[k].at;
         let first = full.packets.partition_point(|p| p.at < at);
         assert!(first <= k && full.packets[first].at == at);
-        let stats = run_exact(
+        let run = run_exact(
             &mut ThreadedBackend::with_workers(4),
             10,
             FaultPlan::new().crash(at, 1),
         );
-        assert_eq!(stats.episodes.len(), 1);
-        assert_eq!(stats.episodes[0].crash_at_packet, first as u64);
-    }
-
-    /// Counts the arrivals delivered before each `Migration`: the plan
-    /// position its handshake began at.
-    #[derive(Default)]
-    struct MigrationPositions {
-        arrived: u64,
-        positions: Vec<u64>,
-    }
-
-    impl npsim::Probe for MigrationPositions {
-        fn name(&self) -> &'static str {
-            "migration-positions"
-        }
-
-        fn on_event(&mut self, _now: SimTime, ev: &SimEvent) {
-            match ev {
-                SimEvent::PacketArrived { .. } => self.arrived += 1,
-                SimEvent::Migration { .. } => self.positions.push(self.arrived),
-                _ => {}
-            }
-        }
-
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
+        assert_eq!(run.positions.spans.len(), 1);
+        assert_eq!(run.positions.spans[0].crash, first as u64);
     }
 
     /// Drawing the stream a burst ahead of routing moves no action: a
@@ -1151,21 +1147,21 @@ mod tests {
             .crash(at(b - 1), 1)
             .heal(at(b), 1)
             .crash(at(last), 3);
-        let probes: ProbeStack = vec![Box::new(MigrationPositions::default())];
-        let (report, probes) =
-            backend.run(&c, &sources(), Box::new(JoinShortestQueue::new()), probes);
+        let Probed {
+            report, positions, ..
+        } = run_probed(&mut backend, &c);
         assert_eq!(report.offered, plan.len() as u64);
         assert_eq!(report.offered, report.processed + report.dropped);
         assert_eq!(report.out_of_order, 0);
         let stats = backend.last_stats().expect("stats recorded");
         assert_eq!(stats.handshakes.begun, stats.handshakes.completed);
-        let eps: Vec<_> = stats
-            .episodes
+        let spans: Vec<_> = positions
+            .spans
             .iter()
-            .map(|e| (e.core, e.crash_at_packet, e.heal_at_packet))
+            .map(|s| (s.core, s.crash, s.heal))
             .collect();
         assert_eq!(
-            eps,
+            spans,
             [
                 (
                     1,
@@ -1175,12 +1171,8 @@ mod tests {
                 (3, first_at_or_after(at(last)), None),
             ]
         );
-        let seen = probes[0]
-            .as_any()
-            .downcast_ref::<MigrationPositions>()
-            .expect("the probe comes back");
-        assert_eq!(seen.positions, [b + 1], "forced migration position");
-        assert_eq!(seen.arrived, plan.len() as u64);
+        assert_eq!(positions.migrations, [b + 1], "forced migration position");
+        assert_eq!(positions.arrived, plan.len() as u64);
     }
 
     /// Probes get the threads' event logs at join; the report must not

@@ -146,10 +146,6 @@ pub(crate) struct WorkerOutcome {
     /// Packets this worker held or still had in its ring when it
     /// crashed — accounted as fault drops.
     pub crash_drops: u64,
-    /// One entry per heal that resumed this worker, in heal order: the
-    /// plan position of the first packet charged after it (`None`: none
-    /// was).
-    pub recoveries: Vec<Option<u64>>,
 }
 
 impl WorkerOutcome {
@@ -189,9 +185,6 @@ impl Svc<'_> {
     /// service start. Ring order is arrival order, so the clock sees the
     /// core's packets in the order detsim's queue would, held or not.
     fn charge(&mut self, d: ExecDesc) -> Charged {
-        if let Some(first @ None) = self.out.recoveries.last_mut() {
-            *first = Some(u64::from(d.pos));
-        }
         let charge = self.clock.start(d.at, d.service, d.size, d.migrated, 0);
         let done = self.clock.vt();
         let start = SimEvent::ServiceStart {
@@ -333,7 +326,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 if !paused_until_heal(cmd, done) {
                     break;
                 }
-                svc.out.recoveries.push(None);
                 continue;
             }
         }

@@ -39,7 +39,8 @@ pub enum SimEvent {
         /// Wire size in bytes.
         size: u16,
     },
-    /// The scheduler placed a packet on a core's input queue.
+    /// The scheduler placed a packet on a core's input queue. npexec
+    /// publishes it after each ring push when probes are attached.
     Dispatched {
         /// Packet ID.
         id: u64,
@@ -49,16 +50,20 @@ pub enum SimEvent {
         service: ServiceKind,
         /// Target core.
         core: usize,
-        /// Queue occupancy *after* the enqueue.
+        /// Queue occupancy *after* the enqueue. On npexec: the ring's
+        /// occupancy from the producer's conservative view, which counts
+        /// slots the worker may already have drained.
         queue_len: usize,
         /// Whether this dispatch moved the flow off its previous core.
         migrated: bool,
     },
     /// A flow's packet was enqueued to a different core than the flow's
     /// previous packet (the paper's migration event). Published once per
-    /// migrating dispatch, alongside `Dispatched`.
+    /// migrating dispatch, alongside `Dispatched`. npexec publishes one
+    /// per flow-group handshake begun instead, with the group (map-table
+    /// bucket) id in `slot`: the two backends' schemas differ here.
     Migration {
-        /// Flow slot.
+        /// Flow slot (npexec: the flow group).
         slot: FlowSlot,
         /// Core the flow's previous packet used.
         from: usize,

@@ -11,7 +11,9 @@
 //! the report only when a plan was configured, so fault-free reports
 //! serialize byte-identically to earlier versions). The
 //! [`FaultProbe`] rides the probe bus and reconstructs the crash/heal
-//! timeline plus per-crash recovery times.
+//! timeline plus, per crash, the recovery time and the flows resident
+//! on the core and moved off it — the one crash ledger of both
+//! backends.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::event::SimEvent;
@@ -188,13 +190,17 @@ pub struct FaultStats {
 
 /// Probe-bus reconstruction of the fault timeline: crash/heal marks and
 /// per-crash recovery spans (crash → heal → first post-heal service
-/// start on that core).
+/// start on that core), each with the flows resident on the core at the
+/// crash and moved off it before the heal, read off `Dispatched`.
 #[derive(Debug, Default)]
 pub struct FaultProbe {
     timeline: Vec<(SimTime, FaultMark)>,
     recoveries: Vec<Recovery>,
-    /// Per-core index into `recoveries` of the still-open span.
-    open: Vec<Option<usize>>,
+    /// Per core: index into `recoveries` of its latest span.
+    latest: Vec<Option<usize>>,
+    /// Per flow slot: the core its last `Dispatched` went to, plus one
+    /// (0: not dispatched yet).
+    last_core: Vec<u32>,
 }
 
 /// One mark on the fault timeline.
@@ -217,6 +223,15 @@ pub struct Recovery {
     pub healed_at: Option<SimTime>,
     /// First service start after the heal (None: never served again).
     pub restarted_at: Option<SimTime>,
+    /// Flows whose last `Dispatched` went to the core when it crashed.
+    pub resident_flows: u64,
+    /// Resident flows dispatched to another core before the heal. No
+    /// backend dispatches to a dead core, so a move off it is a
+    /// resident flow's first dispatch after the crash, and
+    /// `moved_off <= resident_flows` holds by construction of the
+    /// count: a consistency check of the ledger, not a proof that the
+    /// repair moved no other flow.
+    pub moved_off: u64,
 }
 
 impl Recovery {
@@ -286,10 +301,10 @@ impl FaultProbe {
         out
     }
 
-    fn ensure_core(&mut self, core: usize) {
-        if core >= self.open.len() {
-            self.open.resize(core + 1, None);
-        }
+    /// The latest span of `core`, if it ever crashed.
+    fn latest_mut(&mut self, core: usize) -> Option<&mut Recovery> {
+        let i = self.latest.get(core).copied().flatten()?;
+        self.recoveries.get_mut(i)
     }
 }
 
@@ -300,37 +315,52 @@ impl Probe for FaultProbe {
 
     fn on_event(&mut self, now: SimTime, ev: &SimEvent) {
         match *ev {
+            SimEvent::Dispatched { slot, core, .. } => {
+                let i = slot.index();
+                if i >= self.last_core.len() {
+                    self.last_core.resize(i + 1, 0);
+                }
+                let mark = core as u32 + 1;
+                let prev = self
+                    .last_core
+                    .get_mut(i)
+                    .map_or(0, |c| std::mem::replace(c, mark));
+                if prev != 0 && prev != mark {
+                    let span = self.latest_mut(prev as usize - 1);
+                    if let Some(r) = span.filter(|r| r.healed_at.is_none()) {
+                        r.moved_off += 1;
+                    }
+                }
+            }
             SimEvent::CoreCrashed { core } => {
-                self.ensure_core(core);
+                if core >= self.latest.len() {
+                    self.latest.resize(core + 1, None);
+                }
+                let mark = core as u32 + 1;
+                let resident_flows = self.last_core.iter().filter(|&&c| c == mark).count();
                 self.timeline.push((now, FaultMark::Crash(core)));
                 self.recoveries.push(Recovery {
                     core,
                     crashed_at: now,
                     healed_at: None,
                     restarted_at: None,
+                    resident_flows: resident_flows as u64,
+                    moved_off: 0,
                 });
-                if let Some(slot) = self.open.get_mut(core) {
+                if let Some(slot) = self.latest.get_mut(core) {
                     *slot = Some(self.recoveries.len() - 1);
                 }
             }
             SimEvent::CoreHealed { core } => {
-                self.ensure_core(core);
                 self.timeline.push((now, FaultMark::Heal(core)));
-                let idx = self.open.get(core).copied().flatten();
-                if let Some(r) = idx.and_then(|i| self.recoveries.get_mut(i)) {
-                    r.healed_at = Some(now);
+                if let Some(r) = self.latest_mut(core) {
+                    r.healed_at.get_or_insert(now);
                 }
             }
             SimEvent::ServiceStart { core, .. } => {
-                let idx = self.open.get(core).copied().flatten();
-                if let Some(i) = idx {
-                    if let Some(r) = self.recoveries.get_mut(i) {
-                        if r.healed_at.is_some() && r.restarted_at.is_none() {
-                            r.restarted_at = Some(now);
-                            if let Some(slot) = self.open.get_mut(core) {
-                                *slot = None;
-                            }
-                        }
+                if let Some(r) = self.latest_mut(core) {
+                    if r.healed_at.is_some() && r.restarted_at.is_none() {
+                        r.restarted_at = Some(now);
                     }
                 }
             }
@@ -448,5 +478,31 @@ mod tests {
         assert_eq!(r.recovery_time(), None);
         assert_eq!(p.mean_recovery_ns(), None);
         assert!(p.to_csv().contains("0,10000,,"));
+    }
+
+    /// Residency is the last `Dispatched` per flow at the crash; a move
+    /// off counts once per resident flow, and only before the heal.
+    #[test]
+    fn fault_probe_counts_resident_flows_and_moves_off() {
+        let mut p = FaultProbe::new();
+        let dispatched = |flow, core| SimEvent::Dispatched {
+            id: 0,
+            slot: nphash::FlowSlot::new(flow),
+            service: ServiceKind::IpForward,
+            core,
+            queue_len: 1,
+            migrated: false,
+        };
+        for (flow, core) in [(0, 3), (1, 3), (2, 3), (4, 1), (0, 2)] {
+            p.on_event(t(1), &dispatched(flow, core));
+        }
+        p.on_event(t(10), &SimEvent::CoreCrashed { core: 3 });
+        p.on_event(t(11), &dispatched(1, 0)); // resident, moved off
+        p.on_event(t(12), &dispatched(1, 2)); // not off the dead core
+        p.on_event(t(13), &dispatched(0, 1)); // never resident
+        p.on_event(t(20), &SimEvent::CoreHealed { core: 3 });
+        p.on_event(t(21), &dispatched(2, 0)); // after the heal
+        let r = p.recoveries()[0];
+        assert_eq!((r.resident_flows, r.moved_off), (2, 1));
     }
 }
