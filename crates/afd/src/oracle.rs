@@ -66,11 +66,6 @@ impl<K: Copy + Eq + Ord + Hash> ExactTopK<K> {
         v.into_iter().take(k).map(|(&f, _)| f).collect()
     }
 
-    /// Whether `flow` ranks among the top `k`.
-    pub fn is_top_k(&self, flow: K, k: usize) -> bool {
-        self.top_k(k).contains(&flow)
-    }
-
     /// Forget everything (window boundary).
     pub fn reset(&mut self) {
         self.counts.clear();
@@ -116,8 +111,6 @@ mod tests {
         // deterministic by flow ID.
         assert!(top.contains(&f(10)) && top.contains(&f(5)));
         assert_eq!(o.top_k(2), o.top_k(2));
-        assert!(o.is_top_k(f(10), 2));
-        assert!(!o.is_top_k(f(1), 2));
     }
 
     #[test]

@@ -312,13 +312,7 @@ mod tests {
             .first()
             .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
             .expect("metrics probe returned");
-        let arrivals = metrics
-            .counters()
-            .iter()
-            .find(|(n, _)| *n == "arrivals")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        assert_eq!(arrivals, report.offered);
+        assert_eq!(metrics.counter("arrivals"), Some(report.offered));
     }
 
     #[test]

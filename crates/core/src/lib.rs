@@ -67,7 +67,7 @@ pub use afs::Afs;
 pub use builder::{scenario_sources, SimBuilder, UnknownScheduler};
 pub use config::{LapsConfig, ParkConfig};
 pub use faults::{crash_with_heal, random_plan, single_crash};
-pub use handshake::{GroupBoard, HandshakeStats};
+pub use handshake::{GroupBoard, HandshakeStats, Holdback};
 pub use hashmemo::FlowHashMemo;
 pub use laps::Laps;
 pub use migration::MigrationTable;

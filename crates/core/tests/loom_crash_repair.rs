@@ -4,11 +4,13 @@
 //!
 //! Built only under `RUSTFLAGS="--cfg loom"`. Both models shrink the
 //! npexec fault topology to one group and check every schedule the
-//! model explorer reaches. The crashed worker runs npexec's worker loop
-//! and does its own crash step: its held packets become drops, it pops
-//! its ring to empty (a stranded mark is an ordinary ack) and pauses.
-//! The dispatcher publishes the crash, waits for the pause, and only
-//! then points the group at the replacement.
+//! model explorer reaches. Every worker drives its own `laps::Holdback`,
+//! the hold rule npexec's workers run. The crashed worker runs npexec's
+//! worker loop and does its own crash step (`Holdback::crash`): its
+//! parked packets become drops, it pops its ring to empty (a stranded
+//! mark is an ordinary ack) and pauses. The dispatcher publishes the
+//! crash, waits for the pause, and only then points the group at the
+//! replacement (`GroupBoard::point`).
 //!
 //! * `replacement_never_overtakes_dead_owner` — a worker dies while
 //!   owning a group. The replacement's packet must never be serviced
@@ -22,18 +24,19 @@
 //!   may service that packet only after the ack, else it is a drop; the
 //!   replacement reads itself as the handshake's target and holds until
 //!   the ack, and the counters balance at 1/1. If the dispatcher
-//!   published the replacement as target before the crashed worker
+//!   pointed the group at the replacement before the crashed worker
 //!   paused, that worker could read it, take the packet as not inbound
 //!   and service it ahead of the old owner's: this model fails.
 
 #![cfg(loom)]
 
 use laps::spsc::{Consumer, Desc, Producer};
-use laps::GroupBoard;
-use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use laps::{GroupBoard, Holdback};
+use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use loom::sync::Arc;
 
-/// Worker ids the migration target names (the old owner is never one).
+/// Worker ids the board's target names.
+const OLD: usize = 0;
 const DEAD: usize = 1;
 const REPL: usize = 2;
 
@@ -54,13 +57,12 @@ fn push(p: &mut Producer, d: Desc) {
     }
 }
 
-/// What every worker thread shares: the board, group 0's migration
-/// target, and a service clock whose unique increasing stamps make
-/// cross-thread service order observable.
+/// What every worker thread shares: the board and a service clock
+/// whose unique increasing stamps make cross-thread service order
+/// observable.
 #[derive(Clone)]
 struct Shared {
     board: GroupBoard,
-    target: Arc<AtomicUsize>,
     clock: Arc<AtomicU64>,
 }
 
@@ -68,7 +70,6 @@ impl Shared {
     fn new() -> Self {
         Shared {
             board: GroupBoard::new(1),
-            target: Arc::new(AtomicUsize::new(usize::MAX)),
             clock: Arc::new(AtomicU64::new(1)),
         }
     }
@@ -76,47 +77,32 @@ impl Shared {
     fn stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::SeqCst)
     }
-
-    /// npexec's hold rule: a packet of a group in flight towards this
-    /// worker waits for the handshake.
-    fn inbound(&self, me: usize) -> bool {
-        self.board.in_flight(0) && self.target.load(Ordering::SeqCst) == me
-    }
 }
 
 /// The crashed worker: npexec's loop for group 0. Each iteration reads
-/// the crash command first, drains its holds once the group is idle,
-/// then pops. The crash step drops the holds, pops the ring to empty (a
-/// stranded mark is an ordinary ack), and pauses. Returns `(packet, stamp)` of every service and the drops.
+/// the crash command first, drains its released holds, then pops. The
+/// crash step drops the holds, pops the ring to empty (a stranded mark
+/// is an ordinary ack), and pauses. Returns `(packet, stamp)` of every
+/// service and the drops.
 fn crashed_worker(
     sh: Shared,
     mut ring: Consumer,
     crash: Arc<AtomicBool>,
     paused: Arc<AtomicBool>,
 ) -> (Vec<(u64, u64)>, Vec<u64>) {
+    let mut holds = Holdback::new(sh.board.clone(), DEAD);
     let mut serviced = Vec::new();
-    let mut held = Vec::new();
     let mut spins = 0usize;
     loop {
         if crash.load(Ordering::SeqCst) {
-            let mut dropped = held;
-            while let Some(d) = ring.try_pop() {
-                match d {
-                    Desc::Packet(p) => dropped.push(p),
-                    Desc::Mark(g) => sh.board.release(g as usize),
-                }
-            }
+            let mut dropped = Vec::new();
+            holds.crash(&mut ring, |p| dropped.push(p));
             paused.store(true, Ordering::SeqCst);
             return (serviced, dropped);
         }
-        if !held.is_empty() && !sh.board.in_flight(0) {
-            for p in held.drain(..) {
-                serviced.push((p, sh.stamp()));
-            }
-        }
+        holds.drain_released(|p| serviced.push((p, sh.stamp())));
         match ring.try_pop() {
-            Some(Desc::Packet(p)) if !held.is_empty() || sh.inbound(DEAD) => held.push(p),
-            Some(Desc::Packet(p)) => serviced.push((p, sh.stamp())),
+            Some(Desc::Packet(p)) => serviced.extend(holds.park(0, p).map(|p| (p, sh.stamp()))),
             Some(Desc::Mark(g)) => panic!("no mark reaches the crashed worker: {g}"),
             None => {
                 spins += 1;
@@ -127,7 +113,7 @@ fn crashed_worker(
     }
 }
 
-/// The replacement owner: pops the one redirected packet, holds it
+/// The replacement owner: pops the one redirected packet, parks it
 /// while the group is in flight towards it, then services it.
 fn replacement(sh: Shared, mut ring: Consumer) -> (u64, u64) {
     let p = loop {
@@ -137,30 +123,35 @@ fn replacement(sh: Shared, mut ring: Consumer) -> (u64, u64) {
             None => loom::thread::yield_now(),
         }
     };
+    let mut holds = Holdback::new(sh.board.clone(), REPL);
+    let mut serviced = holds.park(0, p);
     let mut spins = 0usize;
-    if sh.inbound(REPL) {
-        while sh.board.in_flight(0) {
-            spins += 1;
-            assert!(spins < 10_000, "inherited handshake never released");
-            loom::thread::yield_now();
+    loop {
+        holds.drain_released(|q| serviced = Some(q));
+        if let Some(q) = serviced {
+            return (q, sh.stamp());
         }
+        spins += 1;
+        assert!(spins < 10_000, "inherited handshake never released");
+        loom::thread::yield_now();
     }
-    (p, sh.stamp())
 }
 
 /// The old owner of a marked handshake: services its pre-mark packet,
 /// then acks the mark — npexec's worker on the Mark arm. Returns the
 /// service stamp.
 fn old_owner(sh: Shared, mut ring: Consumer) -> u64 {
+    let mut holds = Holdback::new(sh.board.clone(), OLD);
     assert_eq!(ring.try_pop(), Some(Desc::Packet(21)));
+    assert_eq!(holds.park(0, 21), Some(21), "not inbound to the old owner");
     let stamp = sh.stamp();
     assert_eq!(ring.try_pop(), Some(Desc::Mark(0)));
-    sh.board.release(0);
+    holds.ack(0, |p| panic!("the old owner parked {p}"));
     stamp
 }
 
 /// Dispatcher side of a crash: publish the crash, wait for the crashed
-/// worker's pause, then publish the replacement as target and redirect.
+/// worker's pause, then point the group at the replacement and redirect.
 fn crash_and_redirect(
     sh: &Shared,
     crash: &AtomicBool,
@@ -172,7 +163,7 @@ fn crash_and_redirect(
     while !paused.load(Ordering::SeqCst) {
         loom::thread::yield_now();
     }
-    sh.target.store(REPL, Ordering::SeqCst);
+    sh.board.point(0, REPL);
     push(to, Desc::Packet(pkt));
 }
 
@@ -241,8 +232,8 @@ fn crash_during_hold_drain() {
         push(&mut old_p, Desc::Mark(0));
         let s = sh.clone();
         let old_owner = loom::thread::spawn(move || old_owner(s, old_c));
-        // The handshake: mark → target → begin → redirect to DEAD.
-        sh.target.store(DEAD, Ordering::SeqCst);
+        // The handshake: mark → point → begin → redirect to DEAD.
+        sh.board.point(0, DEAD);
         sh.board.begin(0);
         push(&mut dead_p, Desc::Packet(22));
         // The crash, while DEAD is running.

@@ -1,13 +1,15 @@
 //! Loom model tests for the flow-group migration handshake
-//! (`laps::GroupBoard` + two `laps::spsc` rings), ISSUE 8 satellite 1.
+//! (`laps::GroupBoard` + `laps::Holdback` + two `laps::spsc` rings).
 //!
 //! Built only under `RUSTFLAGS="--cfg loom"`. The model is the npexec
 //! topology shrunk to its essence: a dispatcher (the root closure), the
 //! **old** owner of group 0, and the **new** owner, each on its own
 //! ring. The dispatcher pushes the pre-migration epoch into the old
-//! ring, then runs the protocol — mark → begin → redirect (route to the
-//! new ring). The new owner parks its packet while `in_flight(0)` holds
-//! and services it only after the old owner's ack.
+//! ring, then runs the protocol — mark → point → begin → redirect
+//! (route to the new ring). Each worker drives its own `Holdback`, the
+//! hold rule npexec's workers run: the new owner parks its packet while
+//! the group is inbound to it and services it only once the old owner's
+//! `Holdback::ack` released the group.
 //!
 //! Checked across all explored schedules:
 //! * the new owner services the redirected packet strictly **after**
@@ -19,9 +21,13 @@
 #![cfg(loom)]
 
 use laps::spsc::{Consumer, Desc, Producer};
-use laps::GroupBoard;
+use laps::{GroupBoard, Holdback};
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
+
+/// Worker ids the board's target names.
+const OLD: usize = 0;
+const NEW: usize = 1;
 
 /// Push with bounded retries, yielding to the model scheduler.
 fn push(p: &mut Producer, d: Desc) {
@@ -70,46 +76,54 @@ fn new_owner_never_overtakes_old_owner() {
         let old_board = board.clone();
         let old_clock = clock.clone();
         let old = loom::thread::spawn(move || {
+            let mut holds = Holdback::new(old_board, OLD);
             let mut stamps = Vec::with_capacity(2);
             for _ in 0..2 {
                 match pop(&mut old_c) {
-                    Desc::Packet(_) => {
+                    Desc::Packet(p) => {
+                        assert_eq!(holds.park(0, p), Some(p), "not inbound to the old owner");
                         stamps.push(old_clock.fetch_add(1, Ordering::SeqCst));
                     }
                     Desc::Mark(g) => panic!("mark overtook a pre-migration packet: {g}"),
                 }
             }
             match pop(&mut old_c) {
-                Desc::Mark(0) => old_board.release(0),
+                Desc::Mark(0) => holds.ack(0, |p| panic!("the old owner parked {p}")),
                 d => panic!("expected the group-0 mark, got {d:?}"),
             }
             stamps
         });
 
         // New owner: pop the redirected packet, park it while the
-        // handshake is in flight, service after the ack.
+        // handshake is in flight towards it, service it once drained.
         let new_board = board.clone();
         let new_clock = clock.clone();
         let neww = loom::thread::spawn(move || {
-            let held = match pop(&mut new_c) {
+            let p = match pop(&mut new_c) {
                 Desc::Packet(p) => p,
                 d => panic!("expected the redirected packet, got {d:?}"),
             };
+            let mut holds = Holdback::new(new_board, NEW);
+            let mut serviced = holds.park(0, p);
             let mut spins = 0usize;
-            while new_board.in_flight(0) {
+            loop {
+                holds.drain_released(|q| serviced = Some(q));
+                if let Some(q) = serviced {
+                    return (q, new_clock.fetch_add(1, Ordering::SeqCst));
+                }
                 spins += 1;
                 assert!(spins < 10_000, "handshake never released");
                 loom::thread::yield_now();
             }
-            (held, new_clock.fetch_add(1, Ordering::SeqCst))
         });
 
         // Dispatcher: pre-migration epoch, then the protocol.
         push(&mut old_p, Desc::Packet(11));
         push(&mut old_p, Desc::Packet(12));
         push(&mut old_p, Desc::Mark(0)); // 1. mark the old ring
-        board.begin(0); //                  2. publish the handshake
-        push(&mut new_p, Desc::Packet(13)); // 3. redirect the group
+        board.point(0, NEW); //             2. name the new owner
+        board.begin(0); //                  3. publish the handshake
+        push(&mut new_p, Desc::Packet(13)); // 4. redirect the group
 
         let old_stamps = old.join().expect("old owner");
         let (held, new_stamp) = neww.join().expect("new owner");

@@ -71,15 +71,7 @@ fn metrics(probes: &ProbeStack) -> Option<&MetricsProbe> {
 }
 
 fn counter(probes: &ProbeStack, name: &str) -> u64 {
-    metrics(probes)
-        .map(|m| {
-            m.counters()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        })
-        .unwrap_or(0)
+    metrics(probes).and_then(|m| m.counter(name)).unwrap_or(0)
 }
 
 /// The configuration and the one constant-rate source both backends

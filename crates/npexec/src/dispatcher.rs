@@ -51,10 +51,10 @@
 //! stream a burst ahead moves none of them: the stream reads nothing
 //! the dispatcher writes. The crash protocol is documented on
 //! [`worker`](crate::worker); the dispatcher's half is: on a crash, set
-//! the worker's crash bit, wait for its pause, publish the new owners
-//! and `retire_core`; on a heal, resume the worker and `restore_core`
-//! behind ordinary marked handshakes; route nothing to a dead worker in
-//! between.
+//! the worker's crash bit, wait for its pause, `retire_core` and point
+//! each re-homed bucket at its new owner; on a heal, resume the worker
+//! and `restore_core` behind ordinary marked handshakes; route nothing
+//! to a dead worker in between.
 //!
 //! This file is hot path (the attribute below): no panicking indexing,
 //! no allocation-amplifying calls inside the per-packet loop (the
@@ -62,7 +62,7 @@
 //! paths are cold — once per plan entry — and carry allow comments).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use detsim::SimTime;
 use laps::spsc::{Desc, Producer};
@@ -92,10 +92,9 @@ pub(crate) struct DispatchCtx<'a> {
     pub table: MapTable<usize>,
     /// Produce side of each worker's ring.
     pub producers: Vec<Ring>,
-    /// The migration handshake scoreboard.
+    /// The migration handshake scoreboard: each group's handshake
+    /// counters and target.
     pub board: GroupBoard,
-    /// Per-group migration target (written before `begin`).
-    pub migrating_to: &'a [AtomicUsize],
     /// The per-flow order witness; a flow's chunk is published before
     /// its first packet is pushed.
     pub seq_watch: &'a SeqWatch,
@@ -169,7 +168,6 @@ struct Router<'a> {
     table: MapTable<usize>,
     producers: Vec<Ring>,
     board: GroupBoard,
-    migrating_to: &'a [AtomicUsize],
     full_policy: FullPolicy,
     ctrl: Option<&'a [AtomicU64]>,
     /// Per-worker and per-group load since the last imbalance check.
@@ -206,13 +204,7 @@ impl Router<'_> {
             self.out.aborted += 1;
             return;
         }
-        if let Some(t) = self.migrating_to.get(group as usize) {
-            // A marked handshake publishes its target before `begin`'s
-            // Release bump: a worker that sees it in flight sees who it
-            // is for.
-            // npcheck: ordering(Release pairs with the worker's Acquire load of the target after it observes in_flight)
-            t.store(to, Ordering::Release);
-        }
+        self.board.point(group as usize, to);
         self.board.begin(group as usize);
         self.table.redirect_bucket(group as u32, to);
         // A handshake moves the whole bucket: the group id stands in the
@@ -291,11 +283,9 @@ impl Router<'_> {
                         std::thread::yield_now();
                     }
                 }
-                // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
-                let buckets = self.table.buckets_of_core(core);
                 // Re-home round-robin onto the live workers, minimum
-                // migration (`retire_core`), each target published before
-                // any packet of its bucket is routed there.
+                // migration (`retire_core`), then point each bucket at its
+                // new owner before any packet of it is routed there.
                 let repl: Vec<usize> = self
                     .fs
                     .live
@@ -305,20 +295,15 @@ impl Router<'_> {
                     .map(|(w, _)| w)
                     // npcheck: allow(blocking-hot-path) — crash repair cold path, runs once per fault entry
                     .collect();
-                for (bi, &b) in buckets.iter().enumerate() {
-                    let Some(&to) = repl.get(bi % repl.len().max(1)) else {
-                        continue;
-                    };
-                    if let Some(t) = self.migrating_to.get(b as usize) {
-                        // npcheck: ordering(Release pairs with the new owner's Acquire load of the target after it observes in_flight)
-                        t.store(to, Ordering::Release);
+                let buckets = self.table.retire_core(core, &repl);
+                for &b in &buckets {
+                    if let Some(&to) = self.table.cores().get(b as usize) {
+                        self.board.point(b as usize, to);
                     }
                     if let Some(r) = self.fs.crash_remapped.get_mut(b as usize) {
                         *r = true;
                     }
                 }
-                let retired = self.table.retire_core(core, &repl);
-                debug_assert_eq!(retired, buckets, "retire must mirror the published targets");
                 if let Some(l) = self.fs.live.get_mut(core) {
                     *l = false;
                 }
@@ -385,10 +370,7 @@ impl Router<'_> {
                         self.out.aborted += 1;
                         continue;
                     }
-                    if let Some(t) = self.migrating_to.get(b as usize) {
-                        // npcheck: ordering(Release pairs with the healed worker's Acquire load of the target after it observes in_flight)
-                        t.store(core, Ordering::Release);
-                    }
+                    self.board.point(b as usize, core);
                     self.board.begin(b as usize);
                     if let Some(r) = self.fs.crash_remapped.get_mut(b as usize) {
                         *r = false;
@@ -416,7 +398,6 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
         table: ctx.table,
         producers: ctx.producers,
         board: ctx.board,
-        migrating_to: ctx.migrating_to,
         full_policy: ctx.full_policy,
         ctrl: ctx.ctrl,
         win_worker: build_window(workers),

@@ -58,14 +58,14 @@
 //!                  PlanStream (drawn 256 packets per burst)
 //!                      │
 //!                      ▼              ┌────── worker 0 (pinned) ──────┐
-//!                  dispatcher ──spsc──► pop → hold? → service         │
+//!                  dispatcher ──spsc──► pop → Holdback → service      │
 //!                      │   │  ExecDesc                                │
 //!                      │   │  by value                   SeqWatch ◄───┘
 //!                      │   └─spsc──► worker 1 … worker N-1
 //!                      │
 //!                      ├─ MapTable  (bucket == flow group)
 //!                      ├─ group_of_flow, last_core (grow with the flows)
-//!                      ├─ GroupBoard (begun/released per group)
+//!                      ├─ GroupBoard (begun/released/target per group)
 //!                      └─ command words (fault runs: crash/pause, one per worker)
 //! ```
 //!
@@ -94,7 +94,7 @@ mod dispatcher;
 mod plan;
 mod worker;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use detsim::SimTime;
@@ -344,8 +344,8 @@ impl ExecBackend for ThreadedBackend {
             self.cfg.groups.max(workers)
         };
 
-        // Shared state: map table (dispatcher-owned), handshake board,
-        // per-group migration targets, per-flow order witnesses (grown
+        // Shared state: map table (dispatcher-owned), handshake board
+        // (counters and target per group), per-flow order witnesses (grown
         // by the dispatcher as flows appear).
         let mut owners = Vec::with_capacity(groups);
         for g in 0..groups {
@@ -354,10 +354,6 @@ impl ExecBackend for ThreadedBackend {
         let table = MapTable::new(owners);
         let board = GroupBoard::new(groups);
         let stream = PlanStream::new(cfg, sources);
-        let mut migrating_to = Vec::with_capacity(groups);
-        for _ in 0..groups {
-            migrating_to.push(AtomicUsize::new(usize::MAX));
-        }
         let seq_watch = SeqWatch::default();
         let done = AtomicBool::new(false);
 
@@ -387,7 +383,6 @@ impl ExecBackend for ThreadedBackend {
                     id,
                     consumer,
                     board: board.clone(),
-                    migrating_to: &migrating_to,
                     seq_watch: &seq_watch,
                     done: &done,
                     clock: CoreClock::new(cfg, id),
@@ -402,7 +397,6 @@ impl ExecBackend for ThreadedBackend {
                 table,
                 producers,
                 board: board.clone(),
-                migrating_to: &migrating_to,
                 seq_watch: &seq_watch,
                 rebalance_every: self.cfg.rebalance_every,
                 imbalance_ratio: self.cfg.imbalance_ratio,
@@ -554,8 +548,6 @@ mod tests {
             .first()
             .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
             .expect("metrics probe returned");
-        let counters = metrics.counters();
-        let get = |name: &str| counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
         let fault_drops = report.faults.as_ref().map_or(0, |f| f.fault_drops);
         let pushed = report.offered - (report.dropped - fault_drops);
         let want = [
@@ -567,7 +559,8 @@ mod tests {
             ("reorders", report.out_of_order),
         ];
         for (name, expect) in want {
-            assert_eq!(get(name), Some(expect), "probe `{name}` under {faults:?}");
+            let got = metrics.counter(name);
+            assert_eq!(got, Some(expect), "probe `{name}` under {faults:?}");
         }
         let [latency, _, queue_len, _] = metrics.histograms();
         assert_eq!(latency.0, "latency_ns");
@@ -1218,12 +1211,7 @@ mod tests {
             .first()
             .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
             .expect("metrics probe returned");
-        let arrivals = metrics
-            .counters()
-            .iter()
-            .find(|(n, _)| *n == "arrivals")
-            .map(|(_, v)| *v);
-        assert_eq!(arrivals, Some(bare.offered));
+        assert_eq!(metrics.counter("arrivals"), Some(bare.offered));
     }
 
     /// Fault-plan fuzzing on real threads at nightly size: every plan

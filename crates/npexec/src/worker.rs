@@ -7,24 +7,21 @@
 //! packet's whole descriptor ([`ExecDesc`]), so the worker reads
 //! nothing of the offered stream but its own ring:
 //!
-//! * `Desc::Packet` of a group **not** migrating to this worker →
-//!   service immediately (ring order == dispatch order == arrival
-//!   order).
-//! * `Desc::Packet` of a group currently migrating **to** this worker →
-//!   park it in the holdback buffer. The old owner still has pre-mark
-//!   packets of the group in flight; servicing now could overtake them.
-//! * `Desc::Mark(g)` → this worker is the **old** owner of `g`: every
-//!   pre-redirect packet of `g` sits before the mark in this ring, so
-//!   by the time the mark pops they are all serviced — except any the
-//!   worker itself parked during an *earlier* inbound migration of the
-//!   same group, which are drained right here, before acking. Then
-//!   [`GroupBoard::release`] publishes the first-packet-ack and the new
-//!   owner may drain its holdback.
+//! The hold rule is `laps::Holdback`, the one the loom models run:
 //!
-//! The holdback buffer drains at the top of every loop iteration (and a
-//! packet joins it whenever its group already has parked packets, even
-//! if the handshake has since released — FIFO within the group is
-//! preserved unconditionally).
+//! * `Desc::Packet` → [`Holdback::park`]: a packet of a group migrating
+//!   **to** this worker ([`GroupBoard::inbound`]), or of a group that
+//!   already has parked packets here, waits in the holdback, since the
+//!   old owner may still have pre-mark packets of the group in flight;
+//!   any other packet is serviced at once (ring order == dispatch order
+//!   == arrival order).
+//! * `Desc::Mark(g)` → [`Holdback::ack`]: this worker is the **old**
+//!   owner of `g`, and every pre-redirect packet of `g` popped before
+//!   the mark. Packets it parked during an *earlier* inbound handshake
+//!   of `g` are serviced first, then [`GroupBoard::release`] publishes
+//!   the first-packet-ack and the new owner may drain.
+//! * At the top of every loop turn [`Holdback::drain_released`] services
+//!   every parked group whose handshake has released, in FIFO order.
 //!
 //! Every packet is charged by the worker's [`CoreClock`], the core
 //! model detsim charges each core with: a packet starts at the later of
@@ -51,11 +48,11 @@
 //! 1. The dispatcher (at the crash's plan position) sets [`CMD_CRASH`]
 //!    and waits for [`CMD_PAUSED`].
 //! 2. The worker sees [`CMD_CRASH`] at the top of its loop and does the
-//!    crash step: its held packets and its ring's packets become crash
-//!    drops (a stranded mark is acked), then it sets [`CMD_PAUSED`] and
-//!    waits.
-//! 3. Only then does the dispatcher publish each of the dead worker's
-//!    buckets' new owner in `migrating_to` and re-home them
+//!    crash step: [`Holdback::crash`] turns its parked packets and its
+//!    ring's packets into crash drops (a stranded mark is acked), then
+//!    it sets [`CMD_PAUSED`] and waits.
+//! 3. Only then does the dispatcher point each of the dead worker's
+//!    buckets at its new owner ([`GroupBoard::point`]) and re-home them
 //!    (`MapTable::retire_core`). It routes nothing to the dead ring.
 //! 4. A heal stores a zero command word and migrates the retired
 //!    buckets home behind ordinary marked handshakes. The worker resumes
@@ -81,11 +78,11 @@
 //! no allocation-amplifying calls inside the pop loop.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use detsim::SimTime;
 use laps::spsc::{Consumer, Desc};
-use laps::GroupBoard;
+use laps::{GroupBoard, Holdback};
 use npsim::{CoreClock, SimEvent};
 
 use crate::plan::{ExecDesc, SeqWatch, WatchView};
@@ -110,10 +107,6 @@ pub(crate) struct WorkerCtx<'a> {
     pub consumer: Consumer<ExecDesc>,
     /// The migration handshake scoreboard.
     pub board: GroupBoard,
-    /// Per-group migration target, written by the dispatcher before it
-    /// routes the group to the target; tells a worker whether an
-    /// in-flight group is inbound.
-    pub migrating_to: &'a [AtomicUsize],
     /// Per-flow order witness: highest serviced `flow_seq + 1`.
     pub seq_watch: &'a SeqWatch,
     /// Set by the dispatcher after its last push.
@@ -163,16 +156,16 @@ impl WorkerOutcome {
 }
 
 /// A popped packet and its virtual finish, the departure instant.
-type Charged = (ExecDesc, SimTime);
+struct Charged(ExecDesc, SimTime);
 
-/// Parked packets of one in-flight group, in ring (FIFO) order.
-struct Held {
-    group: u32,
-    descs: Vec<Charged>,
+impl From<Charged> for ExecDesc {
+    fn from(Charged(d, _): Charged) -> Self {
+        d
+    }
 }
 
 /// Service-side state split out so the pop loop can borrow the
-/// holdback buffer and the servicing machinery independently.
+/// holdback and the servicing machinery independently.
 struct Svc<'a> {
     id: usize,
     seq_watch: WatchView<'a>,
@@ -197,13 +190,13 @@ impl Svc<'_> {
         self.out
             .events
             .observe(d.pos, done - charge.duration, start);
-        (d, done)
+        Charged(d, done)
     }
 
     /// Service a charged packet: advance the per-flow order witness and
     /// observe its departure. The latency is the virtual finish minus the
     /// arrival, so a handshake hold, which takes host time, adds none.
-    fn service(&mut self, (p, done): Charged) {
+    fn service(&mut self, Charged(p, done): Charged) {
         let flow_seq = u64::from(p.flow_seq);
         // The highest `flow_seq + 1` serviced before this packet.
         let prev = self.seq_watch.get(p.slot.index()).map_or(0, |w| {
@@ -234,32 +227,6 @@ impl Svc<'_> {
     }
 }
 
-/// The crash step: held packets become crash drops, then the ring is
-/// popped to empty (packets are crash drops; a stranded mark is released
-/// as an ordinary ack, since every pre-mark packet of its group was
-/// serviced or dropped before it). Ends by setting [`CMD_PAUSED`]. Cold
-/// path: runs once per crash.
-fn crash(
-    out: &mut WorkerOutcome,
-    core: usize,
-    holds: &mut Vec<Held>,
-    consumer: &mut Consumer<ExecDesc>,
-    board: &GroupBoard,
-    cmd: &AtomicU64,
-) {
-    for (d, _) in holds.drain(..).flat_map(|h| h.descs) {
-        out.crash_drop(d, core);
-    }
-    while let Some(d) = consumer.try_pop() {
-        match d {
-            Desc::Packet(d) => out.crash_drop(d, core),
-            Desc::Mark(g) => board.release(g as usize),
-        }
-    }
-    // npcheck: ordering(AcqRel RMW — Release publishes the crash step to the dispatcher's Acquire wait for the pause)
-    cmd.fetch_or(CMD_PAUSED, Ordering::AcqRel);
-}
-
 /// Wait, silent, until a heal clears [`CMD_PAUSED`] (`true`) or the run
 /// ends with the worker still down (`false`).
 fn paused_until_heal(cmd: &AtomicU64, done: &AtomicBool) -> bool {
@@ -287,7 +254,6 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         id,
         mut consumer,
         board,
-        migrating_to,
         seq_watch,
         done,
         clock,
@@ -308,15 +274,16 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         svc.out.pinned = affinity::pin_to_cpu(cpu);
     }
     let cmd = ctrl.and_then(|cp| cp.get(id));
-    let mut holds: Vec<Held> = Vec::new();
-    let mut held_depth = 0usize;
+    let mut holds = Holdback::new(board, id);
     let mut idle_polls = 0u32;
     loop {
         if let Some(cmd) = cmd {
             // npcheck: ordering(Acquire pairs with the dispatcher's Release writes of the command word)
             if cmd.load(Ordering::Acquire) & CMD_CRASH != 0 {
-                crash(&mut svc.out, id, &mut holds, &mut consumer, &board, cmd);
-                held_depth = 0;
+                // The crash step. Cold path: runs once per crash.
+                holds.crash(&mut consumer, |d| svc.out.crash_drop(d, id));
+                // npcheck: ordering(AcqRel RMW — Release publishes the crash step to the dispatcher's Acquire wait for the pause)
+                cmd.fetch_or(CMD_PAUSED, Ordering::AcqRel);
                 // The crash step runs between two services: nothing is
                 // in service, so the clock stops where it is and
                 // refunds nothing: a held packet it dropped keeps the
@@ -329,64 +296,16 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 continue;
             }
         }
-        // Drain every hold whose handshake has released. Doing this
-        // before the pop keeps FIFO: a held group's packets always go
-        // out before any newly popped packet of that group.
-        while let Some(pos) = holds
-            .iter()
-            .position(|h| !board.in_flight(h.group as usize))
-        {
-            let h = holds.swap_remove(pos);
-            held_depth = held_depth.saturating_sub(h.descs.len());
-            for d in h.descs {
-                svc.service(d);
-            }
-        }
+        holds.drain_released(|c| svc.service(c));
         match consumer.try_pop() {
             Some(Desc::Mark(g)) => {
                 idle_polls = 0;
-                // We are the old owner of `g`. Ring order guarantees
-                // every pre-redirect packet already popped; any we
-                // parked during an earlier inbound migration of `g`
-                // must go out before we ack, or the new owner could
-                // overtake them.
-                if let Some(pos) = holds.iter().position(|h| u64::from(h.group) == g) {
-                    let h = holds.swap_remove(pos);
-                    held_depth = held_depth.saturating_sub(h.descs.len());
-                    for d in h.descs {
-                        svc.service(d);
-                    }
-                }
-                board.release(g as usize);
+                holds.ack(g as usize, |c| svc.service(c));
             }
             Some(Desc::Packet(d)) => {
                 idle_polls = 0;
                 let c = svc.charge(d);
-                let g = d.group;
-                let held_here = holds.iter().any(|h| h.group == g);
-                // If in_flight saw a marked handshake's begun bump, the
-                // target load sees who it is for. A crash re-home
-                // publishes its targets before it routes any packet here.
-                let target = migrating_to.get(g as usize).map(|t| {
-                    // npcheck: ordering(Acquire pairs with the dispatcher's Release store of the target: before begin for a marked handshake, before the first push for a crash re-home)
-                    t.load(Ordering::Acquire)
-                });
-                let inbound = board.in_flight(g as usize) && target == Some(id);
-                if held_here || inbound {
-                    held_depth += 1;
-                    svc.out.max_hold_depth = svc.out.max_hold_depth.max(held_depth);
-                    match holds.iter_mut().find(|h| h.group == g) {
-                        Some(h) => h.descs.push(c),
-                        None => holds.push(Held {
-                            group: g,
-                            descs: {
-                                let mut v = Vec::with_capacity(8);
-                                v.push(c);
-                                v
-                            },
-                        }),
-                    }
-                } else {
+                if let Some(c) = holds.park(d.group as usize, c) {
                     svc.service(c);
                 }
             }
@@ -413,6 +332,7 @@ pub(crate) fn run(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         }
     }
     svc.out.busy_ns = svc.clock.busy_ns();
+    svc.out.max_hold_depth = holds.max_depth();
     svc.out
 }
 

@@ -119,11 +119,6 @@ pub fn det_map_with_capacity<K, V>(cap: usize) -> DetHashMap<K, V> {
     DetHashMap::with_capacity_and_hasher(cap, DetState::default())
 }
 
-/// Construct a [`DetHashSet`] with room for `cap` entries.
-pub fn det_set_with_capacity<T>(cap: usize) -> DetHashSet<T> {
-    DetHashSet::with_capacity_and_hasher(cap, DetState::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +158,7 @@ mod tests {
 
     #[test]
     fn set_behaves_like_a_set() {
-        let mut s: DetHashSet<u32> = det_set_with_capacity(8);
+        let mut s: DetHashSet<u32> = det_set();
         assert!(s.insert(7));
         assert!(!s.insert(7));
         assert!(s.contains(&7));

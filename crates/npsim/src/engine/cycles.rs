@@ -101,17 +101,6 @@ pub struct StageCycles {
     pub cycles: u64,
 }
 
-impl StageCycles {
-    /// Mean cost per packet (0 when no packets were credited).
-    pub fn cycles_per_packet(&self) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.packets as f64
-        }
-    }
-}
-
 /// The live accounting sink: an [`std::time::Instant`] epoch plus one
 /// [`StageCycles`] bucket per stage.
 #[derive(Debug)]
@@ -212,16 +201,5 @@ mod tests {
         assert_eq!(report.stage(Stage::Merge).spans, 1);
         assert_eq!(report.stage(Stage::Service).spans, 0);
         assert!(!report.is_empty());
-    }
-
-    #[test]
-    fn cycles_per_packet_handles_zero() {
-        assert_eq!(StageCycles::default().cycles_per_packet(), 0.0);
-        let s = StageCycles {
-            spans: 1,
-            packets: 4,
-            cycles: 100,
-        };
-        assert!((s.cycles_per_packet() - 25.0).abs() < 1e-9);
     }
 }

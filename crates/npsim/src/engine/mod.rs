@@ -1150,14 +1150,7 @@ mod tests {
             .first()
             .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
             .expect("metrics probe comes back");
-        let counters = metrics.counters();
-        let by_name = |n: &str| {
-            counters
-                .iter()
-                .find(|(name, _)| *name == n)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
+        let by_name = |n: &str| metrics.counter(n).unwrap_or(0);
         assert_eq!(by_name("arrivals"), report.offered);
         assert_eq!(by_name("drops"), report.dropped);
         assert_eq!(by_name("departures"), report.processed);
@@ -1404,14 +1397,7 @@ mod tests {
             .get(1)
             .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
             .expect("metrics probe comes back");
-        let by_name = |n: &str| {
-            metrics
-                .counters()
-                .iter()
-                .find(|(name, _)| *name == n)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
+        let by_name = |n: &str| metrics.counter(n).unwrap_or(0);
         assert_eq!(by_name("core_crashes"), 1);
         assert_eq!(by_name("core_heals"), 1);
         assert_eq!(report.faults.as_ref().map(|f| f.crashes), Some(1));

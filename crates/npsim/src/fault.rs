@@ -188,28 +188,18 @@ pub struct FaultStats {
     pub unrepaired: u64,
 }
 
-/// Probe-bus reconstruction of the fault timeline: crash/heal marks and
-/// per-crash recovery spans (crash → heal → first post-heal service
+/// Probe-bus reconstruction of the fault timeline: per-crash recovery
+/// spans (crash → heal → first post-heal service
 /// start on that core), each with the flows resident on the core at the
 /// crash and moved off it before the heal, read off `Dispatched`.
 #[derive(Debug, Default)]
 pub struct FaultProbe {
-    timeline: Vec<(SimTime, FaultMark)>,
     recoveries: Vec<Recovery>,
     /// Per core: index into `recoveries` of its latest span.
     latest: Vec<Option<usize>>,
     /// Per flow slot: the core its last `Dispatched` went to, plus one
     /// (0: not dispatched yet).
     last_core: Vec<u32>,
-}
-
-/// One mark on the fault timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMark {
-    /// A core crashed.
-    Crash(usize),
-    /// A core healed.
-    Heal(usize),
 }
 
 /// One crash→heal→restart span for a core.
@@ -251,11 +241,6 @@ impl FaultProbe {
     /// An empty probe.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Crash/heal marks in publication order.
-    pub fn timeline(&self) -> &[(SimTime, FaultMark)] {
-        &self.timeline
     }
 
     /// Crash→heal→restart spans in crash order.
@@ -338,7 +323,6 @@ impl Probe for FaultProbe {
                 }
                 let mark = core as u32 + 1;
                 let resident_flows = self.last_core.iter().filter(|&&c| c == mark).count();
-                self.timeline.push((now, FaultMark::Crash(core)));
                 self.recoveries.push(Recovery {
                     core,
                     crashed_at: now,
@@ -352,7 +336,6 @@ impl Probe for FaultProbe {
                 }
             }
             SimEvent::CoreHealed { core } => {
-                self.timeline.push((now, FaultMark::Heal(core)));
                 if let Some(r) = self.latest_mut(core) {
                     r.healed_at.get_or_insert(now);
                 }
@@ -460,7 +443,6 @@ mod tests {
         p.on_event(t(22), &start(1)); // other core: ignored
         p.on_event(t(25), &start(3)); // closes the span
         p.on_event(t(30), &start(3)); // after close: ignored
-        assert_eq!(p.timeline().len(), 2);
         assert_eq!(p.recoveries().len(), 1);
         let r = p.recoveries()[0];
         assert_eq!(r.downtime(), Some(t(10)));

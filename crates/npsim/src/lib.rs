@@ -58,7 +58,7 @@ pub use engine::{
 };
 pub use event::SimEvent;
 pub use exec::{ExecBackend, ExecError, UnsupportedPlan};
-pub use fault::{FaultAction, FaultMark, FaultPlan, FaultProbe, FaultStats, Recovery};
+pub use fault::{FaultAction, FaultPlan, FaultProbe, FaultStats, Recovery};
 pub use order::OrderTracker;
 pub use packet::PacketDesc;
 pub use probe::{EventLogProbe, MetricsProbe, Probe, ProbeHost, ProbeStack, ReportProbe};

@@ -240,7 +240,8 @@ impl MetricsProbe {
     }
 
     /// All counters as `(name, value)` pairs in a fixed, deterministic
-    /// order (the declaration order above). Look entries up by name.
+    /// order (the declaration order above). [`MetricsProbe::counter`]
+    /// looks one up by name.
     pub fn counters(&self) -> [(&'static str, u64); 11] {
         [
             ("arrivals", self.arrivals.get()),
@@ -255,6 +256,13 @@ impl MetricsProbe {
             ("core_crashes", self.core_crashes.get()),
             ("core_heals", self.core_heals.get()),
         ]
+    }
+
+    /// The counter called `name` (`None` if no counter is).
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters()
+            .into_iter()
+            .find_map(|(n, v)| (n == name).then_some(v))
     }
 
     /// All histograms as `(name, histogram)` pairs in fixed order.
@@ -531,9 +539,9 @@ mod tests {
         );
         let names: Vec<&str> = m.counters().iter().map(|(n, _)| *n).collect();
         assert_eq!(names[0], "arrivals");
-        let by_name = |n: &str| m.counters().into_iter().find(|&(name, _)| name == n);
-        assert_eq!(by_name("epoch_ticks"), Some(("epoch_ticks", 1)));
-        assert_eq!(by_name("reorders"), Some(("reorders", 1)));
+        assert_eq!(m.counter("epoch_ticks"), Some(1));
+        assert_eq!(m.counter("reorders"), Some(1));
+        assert_eq!(m.counter("no_such_counter"), None);
         assert_eq!(m.histograms()[3].1.max(), 2);
         let csv = m.to_csv();
         assert!(csv.starts_with("metric,count,mean,p50,p99,max\n"));
@@ -579,8 +587,7 @@ mod tests {
             .as_any()
             .downcast_ref::<MetricsProbe>()
             .expect("metrics probe downcasts");
-        let ticks = m.counters().into_iter().find(|&(n, _)| n == "epoch_ticks");
-        assert_eq!(ticks, Some(("epoch_ticks", 1)));
+        assert_eq!(m.counter("epoch_ticks"), Some(1));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl SystemView<'_> {
             .min_by_key(|&c| (self.queues[c].len, c))
     }
 
-    /// The queue length of the longest queue among `cores` (0 if empty).
-    pub fn max_queue_len(&self, cores: &[usize]) -> usize {
-        cores.iter().map(|&c| self.queues[c].len).max().unwrap_or(0)
-    }
-
     /// The core with the shortest queue among **all live** cores (ties
     /// to the lowest index). Unlike [`SystemView::min_queue_core`], this
     /// needs no core-index slice, so per-packet callers allocate
@@ -307,7 +302,6 @@ mod tests {
         assert_eq!(v.n_cores(), 4);
         assert_eq!(v.min_queue_core(&[0, 2]), Some(0));
         assert_eq!(v.min_queue_core(&[]), None);
-        assert_eq!(v.max_queue_len(&[0, 1, 2, 3]), 4);
         assert_eq!(v.min_queue_core_all(), Some(3));
     }
 

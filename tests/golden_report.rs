@@ -85,10 +85,5 @@ fn probes_leave_the_golden_report_untouched() {
         .first()
         .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
         .expect("metrics probe");
-    let migrations = metrics
-        .counters()
-        .iter()
-        .find(|(n, _)| *n == "migrations")
-        .map(|(_, v)| *v);
-    assert_eq!(migrations, Some(report.migration_events));
+    assert_eq!(metrics.counter("migrations"), Some(report.migration_events));
 }
