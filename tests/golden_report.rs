@@ -15,6 +15,11 @@
 //!     --scheduler fcfs --seed 7 --json \
 //!     > tests/fixtures/golden_caida1_fcfs.json
 //! ```
+//!
+//! The two fault fixtures pin crash repair and heal restore (two
+//! crash→heal episodes on different cores): `lapsim` takes no fault
+//! plan, so they are the pretty JSON of [`t2_laps_faults`] and
+//! [`caida1_static_faults`] as `render` prints it.
 
 use laps_repro::prelude::*;
 
@@ -63,6 +68,60 @@ fn caida1_fcfs_report_matches_pre_refactor_fixture() {
         render(&report),
         include_str!("fixtures/golden_caida1_fcfs.json"),
         "caida1/fcfs report drifted from the pre-refactor engine"
+    );
+}
+
+/// Two crash→heal episodes on different cores, each inside the run.
+fn two_episodes() -> FaultPlan {
+    let ms = SimTime::from_millis;
+    FaultPlan::new()
+        .crash(ms(30), 5)
+        .heal(ms(80), 5)
+        .crash(ms(110), 10)
+        .heal(ms(160), 10)
+}
+
+fn t2_laps_faults() -> SimReport {
+    lapsim_builder(42)
+        .scenario(Scenario::by_id(2).expect("T2 exists"))
+        .faults(two_episodes())
+        .run_named("laps")
+        .expect("builtin policy")
+}
+
+fn caida1_static_faults() -> SimReport {
+    lapsim_builder(7)
+        .constant_source(ServiceKind::IpForward, TracePreset::Caida(1), 8.0)
+        .faults(two_episodes())
+        .run_named("static")
+        .expect("builtin policy")
+}
+
+/// The fixture really exercises repair: crashes, heals and repairs.
+fn assert_repaired(report: &SimReport) {
+    let f = report.faults.as_ref().expect("a fault plan reports faults");
+    assert!(f.crashes > 0 && f.heals > 0 && f.repairs > 0, "{f:?}");
+}
+
+#[test]
+fn t2_laps_crash_heal_report_matches_fixture() {
+    let report = t2_laps_faults();
+    assert_repaired(&report);
+    assert_eq!(
+        render(&report),
+        include_str!("fixtures/golden_t2_laps_faults.json"),
+        "T2/laps crash repair drifted"
+    );
+}
+
+#[test]
+fn caida1_static_crash_heal_report_matches_fixture() {
+    let report = caida1_static_faults();
+    assert_repaired(&report);
+    assert_eq!(
+        render(&report),
+        include_str!("fixtures/golden_caida1_static_faults.json"),
+        "caida1/static crash repair drifted"
     );
 }
 
