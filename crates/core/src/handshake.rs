@@ -15,8 +15,8 @@
 //!    publish that the group is mid-handshake;
 //! 2. **redirect** — from that instant the dispatcher routes the
 //!    group's packets to the new worker's ring
-//!    ([`MapTable::redirect_bucket`](nphash::MapTable::redirect_bucket)
-//!    bumps the table epoch); the new worker reads the group as
+//!    ([`MapTable::reassign_bucket`](nphash::MapTable::reassign_bucket));
+//!    the new worker reads the group as
 //!    [`GroupBoard::inbound`], and its [`Holdback`] *parks* the group's
 //!    packets instead of servicing them;
 //! 3. **first-packet ack** — when the old worker pops the mark it has,

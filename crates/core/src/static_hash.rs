@@ -15,9 +15,6 @@ use npsim::{PacketDesc, RepairOutcome, Scheduler, SystemView};
 pub struct StaticHash {
     table: MapTable<usize>,
     hashes: FlowHashMemo,
-    /// Dead cores (engine fault injection), with the bucket list each
-    /// retirement took so a heal can undo it exactly.
-    retired: Vec<(usize, Vec<u32>, usize)>,
 }
 
 impl StaticHash {
@@ -29,7 +26,6 @@ impl StaticHash {
         StaticHash {
             table: MapTable::new((0..n_cores).collect()),
             hashes: FlowHashMemo::new(),
-            retired: Vec::new(),
         }
     }
 
@@ -50,41 +46,34 @@ impl Scheduler for StaticHash {
 
     /// Minimum-migration repair: hand the dead core's buckets to the
     /// surviving cores (round-robin) without shrinking the table, so
-    /// only its resident flows migrate. With no survivor left the
-    /// policy honestly reports `Unrepaired`.
+    /// only its resident flows migrate; the table keeps the record. With
+    /// no survivor left the policy honestly reports `Unrepaired`.
     fn on_core_down(&mut self, core: usize) -> RepairOutcome {
-        if self.retired.iter().any(|(c, _, _)| *c == core) {
-            return RepairOutcome::Repaired; // already retired
+        if self.table.is_retired(core) {
+            return RepairOutcome::Repaired;
         }
+        // A retired core owns no bucket, so none is listed here.
         let mut survivors = Vec::new();
         for &c in self.table.cores() {
-            if c != core && !survivors.contains(&c) && !self.retired.iter().any(|(d, _, _)| *d == c)
-            {
+            if c != core && !survivors.contains(&c) {
                 survivors.push(c);
             }
         }
         if survivors.is_empty() {
             return RepairOutcome::Unrepaired;
         }
-        let buckets = self.table.retire_core(core, &survivors);
-        let len = self.table.len();
-        self.retired.push((core, buckets, len));
+        self.table.retire_core(core, &survivors);
         RepairOutcome::Repaired
     }
 
     /// Heal: restore the retired buckets verbatim (the table never
-    /// resizes here, so the undo is always exact).
+    /// resizes here, so the undo is always exact). A core that never
+    /// crashed has nothing to restore.
     fn on_core_up(&mut self, core: usize) -> RepairOutcome {
-        let Some(pos) = self.retired.iter().position(|(c, _, _)| *c == core) else {
-            return RepairOutcome::Repaired; // never crashed: nothing to do
-        };
-        let (_, buckets, len) = self.retired.swap_remove(pos);
-        if self.table.len() == len {
-            self.table.restore_core(core, &buckets);
-            RepairOutcome::Repaired
-        } else {
-            RepairOutcome::Unrepaired
+        if self.table.restore_core(core, |_, _| true) == Some(false) {
+            return RepairOutcome::Unrepaired;
         }
+        RepairOutcome::Repaired
     }
 }
 

@@ -41,8 +41,6 @@ pub struct WelfordMean {
     mean: f64,
     /// Sum of squared deviations from the running mean.
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl WelfordMean {
@@ -52,8 +50,6 @@ impl WelfordMean {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -67,12 +63,6 @@ impl WelfordMean {
         // the precision a naive sum of squares would.
         self.mean += d / self.n as f64;
         self.m2 += d * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
     }
 
     /// Number of observations.
@@ -101,45 +91,6 @@ impl WelfordMean {
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &WelfordMean) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        // Chan et al.'s pairwise merge of two Welford states.
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -262,28 +213,6 @@ mod tests {
         assert!((w.mean() - 5.0).abs() < 1e-12);
         // Unbiased variance of this classic dataset is 32/7.
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-9);
-        assert_eq!(w.min(), Some(2.0));
-        assert_eq!(w.max(), Some(9.0));
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let mut all = WelfordMean::new();
-        let mut a = WelfordMean::new();
-        let mut b = WelfordMean::new();
-        for i in 0..100 {
-            let x = (i as f64).sin() * 10.0;
-            all.push(x);
-            if i % 2 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), 100);
     }
 
     #[test]

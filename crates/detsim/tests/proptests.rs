@@ -1,6 +1,6 @@
 //! Property-based tests for the detsim kernel invariants.
 
-use detsim::{BoundedQueue, EventQueue, Histogram, SimTime, WelfordMean};
+use detsim::{BoundedQueue, EventQueue, Histogram, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -75,23 +75,5 @@ proptest! {
         sorted.sort_unstable();
         let true_median = sorted[(sorted.len() - 1) / 2];
         prop_assert!(q50 >= true_median);
-    }
-
-    /// Welford merge is equivalent to sequential accumulation.
-    #[test]
-    fn welford_merge_associative(xs in proptest::collection::vec(-1e6f64..1e6, 0..200), split in 0usize..200) {
-        let split = split.min(xs.len());
-        let mut whole = WelfordMean::new();
-        for &x in &xs { whole.push(x); }
-        let mut left = WelfordMean::new();
-        let mut right = WelfordMean::new();
-        for &x in &xs[..split] { left.push(x); }
-        for &x in &xs[split..] { right.push(x); }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        if !xs.is_empty() {
-            prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((left.variance() - whole.variance()).abs() < 1e-3);
-        }
     }
 }

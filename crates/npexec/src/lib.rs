@@ -63,7 +63,7 @@
 //!                      │   │  by value                   SeqWatch ◄───┘
 //!                      │   └─spsc──► worker 1 … worker N-1
 //!                      │
-//!                      ├─ MapTable  (bucket == flow group)
+//!                      ├─ MapTable  (bucket == flow group; keeps what a crash retired)
 //!                      ├─ group_of_flow, last_core (grow with the flows)
 //!                      ├─ GroupBoard (begun/released/target per group)
 //!                      └─ command words (fault runs: crash/pause, one per worker)
@@ -71,9 +71,9 @@
 //!
 //! Fault plans execute for real: a `Crash` pauses its worker, which
 //! first turns its held and queued packets into accounted drops; once
-//! it has paused, `retire_core` re-homes its buckets. A `Heal` resumes
-//! the worker cold and migrates its buckets home behind marked
-//! handshakes. Both fire just before the first packet
+//! it has paused, `retire_core` re-homes its buckets, and the table's
+//! record of that is what marks the worker dead. A `Heal` resumes the
+//! worker cold and migrates its buckets home behind marked handshakes. Both fire just before the first packet
 //! arriving at or after their instant `t`. A `Throttle` or a `Stall`
 //! goes to no thread: each worker's [`CoreClock`] reads it off the plan
 //! — a factor for every service that starts at or after `t`, a window
@@ -231,10 +231,6 @@ pub struct ExecStats {
     pub max_hold_depth: usize,
     /// Workers whose CPU pin was honored by the kernel.
     pub pinned_workers: usize,
-    /// Map-table redirect epoch after the run (== completed redirects
-    /// through *marked* handshakes; crash retire and heal restore do not
-    /// bump it — a `FaultProbe` counts the flows a crash moved).
-    pub table_epoch: u64,
 }
 
 /// The thread-per-core [`ExecBackend`].
@@ -448,7 +444,6 @@ impl ExecBackend for ThreadedBackend {
             },
             max_hold_depth: outs.iter().map(|o| o.max_hold_depth).max().unwrap_or(0),
             pinned_workers: outs.iter().filter(|o| o.pinned).count(),
-            table_epoch: dispatch.final_epoch,
         };
         if let Some(mut log) = dispatch.events.log.take() {
             for o in &mut outs {
@@ -604,8 +599,8 @@ mod tests {
         assert_eq!(report.offered, report.processed);
         let stats = backend.last_stats().expect("stats recorded");
         assert_eq!(
-            report.migration_events, stats.table_epoch,
-            "one redirect per completed handshake begin"
+            report.migration_events, stats.handshakes.begun,
+            "one redirect per handshake begun"
         );
     }
 
@@ -808,16 +803,17 @@ mod tests {
         assert_eq!(faults.heals, 0);
         assert_eq!(faults.repairs, 1);
         assert_eq!(faults.unrepaired, 0);
-        assert!(
-            faults.redirects > 0,
-            "traffic for the dead core's buckets kept flowing"
-        );
+        assert_eq!(faults.redirects, 0, "every crash is repaired");
         let stats = backend.last_stats().expect("stats recorded");
         assert_eq!(stats.handshakes.begun, stats.handshakes.completed);
         assert_eq!(recoveries.len(), 1);
         let r = recoveries[0];
         assert_eq!(r.core, 1);
         assert!(r.resident_flows > 0, "the dead core owned flows");
+        assert!(
+            r.moved_off > 0,
+            "traffic for the dead core's buckets kept flowing"
+        );
         assert!(
             r.moved_off <= r.resident_flows,
             "repair moves at most what was resident"

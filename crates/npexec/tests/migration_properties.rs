@@ -81,7 +81,7 @@ fn check_schedule(workers: usize, groups: usize, schedule: Vec<ForcedMigration>)
         "every begun handshake must be acked by run end"
     );
     assert_eq!(
-        stats.table_epoch, stats.handshakes.begun,
+        report.migration_events, stats.handshakes.begun,
         "exactly one map-table redirect per begun handshake"
     );
 }

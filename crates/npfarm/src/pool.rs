@@ -1,18 +1,16 @@
-//! A small work-stealing thread pool for sweep cells.
+//! A small thread pool for sweep cells.
 //!
-//! Every job is enqueued before the workers start (sweeps never spawn
-//! new cells mid-run), so the pool is deliberately simple: each worker
-//! owns a deque seeded round-robin, pops work from its own front, and
-//! steals from the *back* of a neighbour's deque when it runs dry.
-//! Stealing from the opposite end keeps contention low and tends to
-//! move the large, still-cold tail jobs to idle workers.
+//! Every job is known before the workers start (sweeps never spawn new
+//! cells mid-run), so the pool is one shared cursor over the job list:
+//! each worker claims the next unclaimed index until none is left, so an
+//! idle worker always takes the next job in input order.
 //!
 //! Results are written into their input slot, so output order equals
 //! input order no matter which worker ran what — scheduling decides
 //! only wall-clock, never results (the property the byte-identity
 //! tests pin down).
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Map `jobs` across `workers` OS threads, preserving input order.
@@ -30,45 +28,22 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = workers.clamp(1, n);
-
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % workers]
-            .lock()
-            .expect("seed deque lock")
-            .push_back((i, job));
-    }
-
+    let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || loop {
-                // Own queue first (front: cache-friendly FIFO within a
-                // worker), then steal from a neighbour's back.
-                let mut job = deques[w].lock().expect("own deque lock").pop_front();
-                if job.is_none() {
-                    for off in 1..workers {
-                        let victim = (w + off) % workers;
-                        job = deques[victim].lock().expect("victim deque lock").pop_back();
-                        if job.is_some() {
-                            break;
-                        }
-                    }
-                }
-                match job {
-                    Some((i, t)) => {
-                        let r = f(i, t);
-                        *slots[i].lock().expect("result slot lock") = Some(r);
-                    }
-                    // Every deque was empty; since no job enqueues new
-                    // work, the pool is draining and this worker is done.
-                    None => break,
-                }
+        for _ in 0..workers.clamp(1, n) {
+            s.spawn(|| loop {
+                // npcheck: ordering(Relaxed RMW: the cursor only hands out distinct indices; each job and result crosses threads through its own mutex)
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let t = job
+                    .lock()
+                    .expect("job lock")
+                    .take()
+                    .expect("each job is claimed once");
+                let r = f(i, t);
+                *slots[i].lock().expect("result slot lock") = Some(r);
             });
         }
     });

@@ -177,8 +177,9 @@ pub struct FaultStats {
     /// to arrivals with no live core left.
     pub fault_drops: u64,
     /// Arrivals redirected away from a dead core chosen by the
-    /// scheduler (the engine's degradation path for unrepaired
-    /// policies).
+    /// scheduler: the detsim engine's degradation path for unrepaired
+    /// policies. 0 whenever every crash was repaired, so always 0 on
+    /// npexec, whose pause protocol repairs every crash.
     pub redirects: u64,
     /// Crash/heal transitions the scheduler repaired (map-table
     /// shrink/re-grow).
