@@ -176,17 +176,6 @@ impl Laps {
         })
     }
 
-    /// Cores currently powered down.
-    pub fn parked_cores(&self) -> Vec<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(_, cs)| cs.parked_since.is_some())
-            .map(|(c, _)| c)
-            // npcheck: allow(blocking-hot-path) — reporting accessor, not on the per-packet path
-            .collect()
-    }
-
     /// Park/wake event counts `(parks, wakes)`.
     pub fn park_events(&self) -> (u64, u64) {
         (self.parks, self.wakes)
@@ -216,9 +205,6 @@ impl Laps {
                 continue;
             }
             let owner = cs.owner;
-            if self.svc(owner).map.len() <= park.min_cores {
-                continue;
-            }
             // Re-park hysteresis: a recently woken core was woken for a
             // reason; give demand a few park periods to come back before
             // powering it down again.
@@ -231,7 +217,10 @@ impl Laps {
                 continue;
             };
             let spare_for = view.now.saturating_sub(q.last_congested);
-            if q.len == 0 && spare_for >= park.park_after && self.svc_mut(owner).map.remove_core(c)
+            if q.len == 0
+                && spare_for >= park.park_after
+                && self.core_count(owner) > park.min_cores
+                && self.svc_mut(owner).map.remove_core(c)
             {
                 self.svc_mut(owner).migration.remove_core(c);
                 if let Some(cs) = self.cores.get_mut(c) {
@@ -279,15 +268,22 @@ impl Laps {
                 cs.parked_since.is_none()
                     && !cs.dead
                     && victim != svc
-                    && self.svc(victim).map.len() > 1
                     && self.cooled(self.svc(victim).last_loss, view.now)
                     && self.is_surplus(view, c)
+                    && self.core_count(victim) > 1
             })
             .map(|(c, _)| c)
             // npcheck: allow(blocking-hot-path) — candidate scan runs on rebalance epochs, not per packet
             .collect();
         v.sort_by_key(|&c| (view.queues.get(c).map(|q| q.last_congested), c));
         v
+    }
+
+    /// How many distinct cores serve service `svc`: after a crash repair
+    /// a survivor holds several of its table's buckets.
+    fn core_count(&self, svc: usize) -> usize {
+        let map = &self.svc(svc).map;
+        (0..self.cores.len()).filter(|&c| map.contains(c)).count()
     }
 
     fn cooled(&self, stamp: Option<SimTime>, now: SimTime) -> bool {
@@ -516,6 +512,15 @@ mod tests {
             migrated: false,
             sync_debt_ns: 0,
         }
+    }
+
+    /// The cores `l` has powered down.
+    fn parked(l: &Laps) -> Vec<usize> {
+        let cores = l.cores.iter().enumerate();
+        cores
+            .filter(|(_, cs)| cs.parked_since.is_some())
+            .map(|(c, _)| c)
+            .collect()
     }
 
     struct ViewSpec {
@@ -807,14 +812,14 @@ mod tests {
         };
         l.schedule(&pkt(1, ServiceKind::IpForward), &v);
         // Each service kept min_cores = 1: four cores parked.
-        assert_eq!(l.parked_cores().len(), 4);
+        assert_eq!(parked(&l).len(), 4);
         assert_eq!(l.park_events(), (4, 0));
         // Packets never land on a parked core.
         for s in ServiceKind::ALL {
             assert_eq!(l.cores_of(s).len(), 1);
             for i in 0..50 {
                 let c = l.schedule(&pkt(i, s), &v);
-                assert!(!l.parked_cores().contains(&c));
+                assert!(!parked(&l).contains(&c));
             }
         }
         // Parked time accrues.
@@ -840,7 +845,7 @@ mod tests {
             queues: &infos,
         };
         l.schedule(&pkt(1, svc), &v);
-        assert_eq!(l.parked_cores().len(), 4);
+        assert_eq!(parked(&l).len(), 4);
         // Phase 2: slam the service's single core — it must wake a parked
         // core rather than rob a peer.
         let my_core = l.cores_of(svc)[0];
@@ -854,7 +859,7 @@ mod tests {
             queues: &infos,
         };
         l.schedule(&pkt(2, svc), &v);
-        assert_eq!(l.parked_cores().len(), 3, "one core woken");
+        assert_eq!(parked(&l).len(), 3, "one core woken");
         assert_eq!(l.park_events().1, 1);
         assert_eq!(l.cores_of(svc).len(), 2);
         for s in ServiceKind::ALL {
@@ -977,6 +982,73 @@ mod tests {
         assert_eq!(l.on_core_up(dead), RepairOutcome::Repaired);
         let healed = [repaired.as_slice(), &[spare, dead]].concat();
         assert_eq!(l.cores_of(svc), healed.as_slice());
+    }
+
+    /// A core claimed after a crash repair made it hold two buckets
+    /// leaves its old service whole: no core is in two services' tables.
+    #[test]
+    fn a_claimed_core_leaves_every_bucket_of_its_old_service() {
+        let mut l = Laps::new(cfg(12)); // three cores per service
+        let svc = ServiceKind::IpForward;
+        assert_eq!(l.cores_of(svc), [1, 5, 9]);
+        assert_eq!(l.on_core_down(5), RepairOutcome::Repaired);
+        assert_eq!(l.cores_of(svc), [1, 1, 9], "core 1 took core 5's bucket");
+        // VpnOut overloaded on every core; core 1 long-spare, so VpnOut
+        // claims it.
+        let mut spec = ViewSpec::calm(12);
+        spec.now = SimTime::from_millis(50);
+        spec.lens = vec![10; 12];
+        spec.congested = vec![spec.now; 12];
+        spec.lens[1] = 0;
+        spec.congested[1] = SimTime::ZERO;
+        let infos = spec.infos();
+        let v = SystemView {
+            now: spec.now,
+            queues: &infos,
+        };
+        l.schedule(&pkt(1, ServiceKind::VpnOut), &v);
+        assert_eq!(l.reallocations(), 1);
+        assert_eq!(l.cores_of(ServiceKind::VpnOut), [0, 4, 8, 1]);
+        assert_eq!(l.cores_of(svc), [9]);
+        let mut owners = [0; 12];
+        for s in ServiceKind::ALL {
+            let mut cores = l.cores_of(s).to_vec();
+            cores.sort_unstable();
+            cores.dedup();
+            for c in cores {
+                owners[c] += 1;
+            }
+        }
+        assert!(
+            owners.iter().all(|&n| n <= 1),
+            "a core in two services: {owners:?}"
+        );
+    }
+
+    /// A survivor that holds every bucket of its service is the
+    /// service's last core, however many buckets it holds: not surplus.
+    #[test]
+    fn a_last_core_holding_two_buckets_is_not_surplus() {
+        let mut l = Laps::new(cfg(8)); // two cores per service
+        let svc = ServiceKind::IpForward;
+        assert_eq!(l.cores_of(svc), [1, 5]);
+        assert_eq!(l.on_core_down(5), RepairOutcome::Repaired);
+        assert_eq!(l.cores_of(svc), [1, 1]);
+        let mut spec = ViewSpec::calm(8);
+        spec.now = SimTime::from_millis(50);
+        spec.lens = vec![10; 8];
+        spec.congested = vec![spec.now; 8];
+        spec.lens[1] = 0;
+        spec.congested[1] = SimTime::ZERO;
+        let infos = spec.infos();
+        let v = SystemView {
+            now: spec.now,
+            queues: &infos,
+        };
+        assert!(l.surplus_candidates(&v, ServiceKind::VpnOut).is_empty());
+        l.schedule(&pkt(1, ServiceKind::VpnOut), &v);
+        assert_eq!(l.reallocations(), 0);
+        assert_eq!(l.cores_of(svc), [1, 1]);
     }
 
     #[test]

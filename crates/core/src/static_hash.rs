@@ -7,7 +7,7 @@
 //! "no migration" arm of Fig. 9.
 
 use crate::hashmemo::FlowHashMemo;
-use nphash::{FlowId, MapTable};
+use nphash::MapTable;
 use npsim::{PacketDesc, RepairOutcome, Scheduler, SystemView};
 
 /// Hash-only scheduler over all cores.
@@ -27,11 +27,6 @@ impl StaticHash {
             table: MapTable::new((0..n_cores).collect()),
             hashes: FlowHashMemo::new(),
         }
-    }
-
-    /// The core a given flow is pinned to.
-    pub fn core_of(&self, flow: FlowId) -> usize {
-        self.table.lookup(flow)
     }
 }
 
@@ -81,7 +76,7 @@ impl Scheduler for StaticHash {
 mod tests {
     use super::*;
     use detsim::SimTime;
-    use nphash::FlowSlot;
+    use nphash::{FlowId, FlowSlot};
     use npsim::QueueInfo;
     use nptraffic::ServiceKind;
 
@@ -121,7 +116,7 @@ mod tests {
             let a = s.schedule(&p, &v);
             let b = s.schedule(&p, &v);
             assert_eq!(a, b, "same flow → same core, always");
-            assert_eq!(a, s.core_of(p.flow));
+            assert_eq!(a, s.table.lookup(p.flow));
             assert!(a < 4);
         }
     }
@@ -154,11 +149,11 @@ mod tests {
     fn crash_repair_and_heal_round_trip() {
         let mut s = StaticHash::new(4);
         let before: Vec<usize> = (0..2_000)
-            .map(|i| s.core_of(FlowId::from_index(i)))
+            .map(|i| s.table.lookup(FlowId::from_index(i)))
             .collect();
         assert_eq!(s.on_core_down(2), RepairOutcome::Repaired);
         for (i, &old) in before.iter().enumerate() {
-            let new = s.core_of(FlowId::from_index(i as u64));
+            let new = s.table.lookup(FlowId::from_index(i as u64));
             assert_ne!(new, 2);
             if old != 2 {
                 assert_eq!(new, old, "only core 2's flows migrate");
@@ -166,7 +161,7 @@ mod tests {
         }
         assert_eq!(s.on_core_up(2), RepairOutcome::Repaired);
         let after: Vec<usize> = (0..2_000)
-            .map(|i| s.core_of(FlowId::from_index(i)))
+            .map(|i| s.table.lookup(FlowId::from_index(i)))
             .collect();
         assert_eq!(before, after);
     }

@@ -24,6 +24,9 @@
 //! `run_cell` checks for moved off ≤ resident. That holds by
 //! construction of the probe's count, so it checks the ledger's
 //! consistency, not that the repair left every other flow in place.
+//! The `migr` column counts, on both backends, the packets on which a
+//! flow changed cores, so it includes the crash re-home and the heal
+//! restore.
 //!
 //! `--smoke` runs a single short scenario (CI-sized); `--full` runs the
 //! longer low-scale configuration. The ledger check runs inside

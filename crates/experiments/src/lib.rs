@@ -7,8 +7,8 @@
 //! * accept `--full` for a longer, lower-scale run (closer to the paper's
 //!   60 s) and `--quick` (default) for a laptop-friendly run,
 //! * declare its parameter sweep as an [`npfarm::Sweep`] and run it
-//!   through [`farm`] — a bounded work-stealing pool with
-//!   content-addressed result caching (`--resume`), CI sharding
+//!   through [`farm`] — a fixed set of worker threads taking cells
+//!   off one shared atomic cursor — with content-addressed result caching (`--resume`), CI sharding
 //!   (`--shard k/n`), and per-cell JSONL under `results/npfarm/`.
 //!   Each cell is an independent deterministic simulation, so
 //!   parallelism and caching never change results, only wall-clock.

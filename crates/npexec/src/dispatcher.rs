@@ -20,7 +20,8 @@
 //!    kept in a per-flow table that grows as flows appear) and look up
 //!    the owning worker,
 //! 2. push the packet's [`ExecDesc`] by value into that worker's ring
-//!    (with `migrated` set when the flow changed cores),
+//!    (with `migrated` set when the flow changed cores), waiting for
+//!    room when the ring is full,
 //! 3. before every `rebalance_every`-th packet (a countdown), compare
 //!    per-worker load over the window since the last check and migrate
 //!    the busiest group of the most loaded worker to the least loaded
@@ -33,14 +34,19 @@
 //! for that group is still in flight or the old ring is too full to
 //! take the mark.
 //!
-//! The dispatcher's events go to its [`EventSink`]: a `PacketArrived`
-//! per routed packet, a `Dropped` per full-ring drop, a `Migration` per
-//! handshake begun and a `CoreCrashed` or `CoreHealed` per crash or heal
-//! carried out, stamped with the plan entry's instant as detsim stamps
-//! them. With probes attached it also observes a `Dispatched` per push,
-//! which only probes read (detsim publishes it only to probes too);
-//! from those a `FaultProbe` counts the flows resident on a crashed
-//! worker and moved off it. Its fault counters go in one [`FaultStats`].
+//! The dispatcher never drops: a full ring makes it wait, so only a
+//! crash (on the worker's side) drops a packet. Its events go to its
+//! [`EventSink`], in detsim's order and by detsim's rules: per routed
+//! packet a `PacketArrived`, then, after the push, a `Dispatched` (only
+//! with probes attached, which alone read it, as on detsim) and a
+//! `Migration` when the flow's previous packet went to another worker —
+//! so a load or forced handshake, a crash re-home and a heal restore
+//! each count the flows they move, on the flow's next packet. A crash
+//! or heal carried out observes a `CoreCrashed` or `CoreHealed`,
+//! stamped with the plan entry's instant as detsim stamps them. From
+//! the `Dispatched` events a `FaultProbe` counts the flows resident on
+//! a crashed worker and moved off it. Its fault counters go in one
+//! [`FaultStats`].
 //!
 //! A fault action scheduled at `t` fires just before the first packet
 //! that arrives at or after `t` — the exact analogue of detsim priming
@@ -67,12 +73,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use detsim::SimTime;
 use laps::spsc::{Desc, Producer};
 use laps::GroupBoard;
-use nphash::{FlowSlot, MapTable};
+use nphash::MapTable;
 use npsim::{FaultAction, FaultStats, PlanStream, SimEvent};
 
 use crate::plan::{ExecDesc, SeqWatch};
 use crate::worker::{CMD_CRASH, CMD_PAUSED};
-use crate::{EventSink, ForcedMigration, FullPolicy};
+use crate::{EventSink, ForcedMigration};
 
 /// A ring producer of packet descriptors.
 type Ring = Producer<ExecDesc>;
@@ -103,8 +109,6 @@ pub(crate) struct DispatchCtx<'a> {
     /// Migrate when the busiest worker's window load exceeds this
     /// multiple of the least busy worker's.
     pub imbalance_ratio: f64,
-    /// What to do at a full ring.
-    pub full_policy: FullPolicy,
     /// Scripted migrations, sorted by `after_packets`.
     pub forced: Vec<ForcedMigration>,
     /// Fault actions as `(instant, action)`, stably sorted by instant.
@@ -120,9 +124,9 @@ pub(crate) struct DispatchCtx<'a> {
 #[derive(Debug, Default)]
 pub(crate) struct DispatchOutcome {
     /// The dispatcher's events: a `PacketArrived` per routed packet, a
-    /// `Dispatched` per push (with probes attached), a `Dropped` per
-    /// full-ring drop, a `Migration` per load or forced handshake begun,
-    /// a `CoreCrashed` or `CoreHealed` per crash or heal.
+    /// `Dispatched` per push (with probes attached), a `Migration` per
+    /// push of a flow whose previous packet went to another worker, a
+    /// `CoreCrashed` or `CoreHealed` per crash or heal.
     pub events: EventSink,
     /// Handshakes not begun because the group's handshake was still in
     /// flight or the old owner's ring was full: load and forced
@@ -142,7 +146,6 @@ struct Router<'a> {
     table: MapTable<usize>,
     producers: Vec<Ring>,
     board: GroupBoard,
-    full_policy: FullPolicy,
     ctrl: Option<&'a [AtomicU64]>,
     /// Per-worker and per-group load since the last imbalance check.
     win_worker: Vec<u64>,
@@ -160,9 +163,9 @@ impl Router<'_> {
     /// Begin a group migration if the handshake permits; records the
     /// outcome either way. Order matters: the mark must land in the old
     /// ring *before* the redirect, or a packet routed to the new owner
-    /// could slip ahead of the mark's release. `pos` and `at` are the
-    /// position and instant of the packet it begins before.
-    fn try_migrate(&mut self, pos: u64, at: SimTime, group: u64, to: usize) {
+    /// could slip ahead of the mark's release. The flows it moves each
+    /// observe their `Migration` on their next packet.
+    fn try_migrate(&mut self, group: u64, to: usize) {
         let Some(&from) = self.table.cores().get(group as usize) else {
             return;
         };
@@ -186,18 +189,13 @@ impl Router<'_> {
         self.board.point(group as usize, to);
         self.board.begin(group as usize);
         self.table.reassign_bucket(group as u32, to);
-        // A handshake moves the whole bucket: the group id stands in the
-        // slot field.
-        let slot = FlowSlot::new(group as u32);
-        let ev = SimEvent::Migration { slot, from, to };
-        self.out.events.observe(pos as u32, at, ev);
     }
 
     /// One imbalance check: if the busiest worker's window load exceeds
     /// `ratio ×` the least busy worker's, migrate the busiest group it
     /// owns to the least busy worker. Dead workers are excluded from
     /// both ends of the comparison. Windows reset afterwards.
-    fn rebalance(&mut self, ratio: f64, pos: u64, at: SimTime) {
+    fn rebalance(&mut self, ratio: f64) {
         let mut max_w = usize::MAX;
         let mut max_l = 0u64;
         let mut min_w = usize::MAX;
@@ -230,7 +228,7 @@ impl Router<'_> {
                 }
             }
             if let Some((g, _)) = best {
-                self.try_migrate(pos, at, g, min_w);
+                self.try_migrate(g, min_w);
             }
         }
         self.win_worker.fill(0);
@@ -308,17 +306,10 @@ impl Router<'_> {
                     if cur == core {
                         return false;
                     }
-                    if !push_full_policy(
-                        &mut self.producers,
-                        cur,
-                        Desc::Mark(u64::from(b)),
-                        self.full_policy,
-                    ) {
-                        // DropAfter gave up on the restore mark: the bucket
-                        // stays on its replacement — degradation, counted.
-                        self.out.aborted += 1;
+                    let Some(pr) = self.producers.get_mut(cur) else {
                         return false;
-                    }
+                    };
+                    push(pr, Desc::Mark(u64::from(b)));
                     self.board.point(b as usize, core);
                     self.board.begin(b as usize);
                     true
@@ -342,7 +333,6 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
         table: ctx.table,
         producers: ctx.producers,
         board: ctx.board,
-        full_policy: ctx.full_policy,
         ctrl: ctx.ctrl,
         win_worker: build_window(workers),
         win_group: build_window(groups),
@@ -397,11 +387,11 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
                     break;
                 }
                 next_forced += 1;
-                r.try_migrate(i, p.at, f.group, f.to_worker);
+                r.try_migrate(f.group, f.to_worker);
             }
             if to_check == 0 {
                 to_check = ctx.rebalance_every;
-                r.rebalance(ctx.imbalance_ratio, i, p.at);
+                r.rebalance(ctx.imbalance_ratio);
             }
             to_check -= 1;
             let flow = p.slot.index();
@@ -421,14 +411,12 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
             };
             let g = group as usize;
             let owner = r.table.cores().get(g).copied().unwrap_or(0);
-            let migrated = match last_core.get_mut(flow) {
-                Some(lc) => {
-                    let moved = *lc != NO_CORE && *lc as usize != owner;
-                    *lc = owner as u32;
-                    moved
-                }
-                None => false,
-            };
+            // The worker the flow's previous packet went to, if another.
+            let moved_from = last_core.get_mut(flow).and_then(|lc| {
+                let prev = std::mem::replace(lc, owner as u32);
+                (prev != NO_CORE && prev as usize != owner).then_some(prev as usize)
+            });
+            let migrated = moved_from.is_some();
             let arrived = SimEvent::PacketArrived {
                 id: i,
                 slot: p.slot,
@@ -447,33 +435,36 @@ pub(crate) fn run(mut ctx: DispatchCtx<'_>) -> DispatchOutcome {
                 migrated,
                 at: p.at,
             };
-            if push_full_policy(&mut r.producers, owner, Desc::Packet(desc), r.full_policy) {
-                if let Some(w) = r.win_worker.get_mut(owner) {
-                    *w += 1;
-                }
-                if let Some(w) = r.win_group.get_mut(g) {
-                    *w += 1;
-                }
-                // Only probes read it (the fold ignores it), as on detsim.
-                if r.out.events.log.is_some() {
-                    let dispatched = SimEvent::Dispatched {
-                        id: i,
-                        slot: p.slot,
-                        service: p.service,
-                        core: owner,
-                        queue_len: r.producers.get(owner).map_or(0, Ring::len),
-                        migrated,
-                    };
-                    r.out.events.observe(i as u32, p.at, dispatched);
-                }
-            } else {
-                let dropped = SimEvent::Dropped {
+            // The table names only existing workers.
+            let Some(pr) = r.producers.get_mut(owner) else {
+                unreachable!("worker {owner} has no ring");
+            };
+            push(pr, Desc::Packet(desc));
+            if let Some(w) = r.win_worker.get_mut(owner) {
+                *w += 1;
+            }
+            if let Some(w) = r.win_group.get_mut(g) {
+                *w += 1;
+            }
+            // Only probes read it (the fold ignores it), as on detsim.
+            if r.out.events.log.is_some() {
+                let dispatched = SimEvent::Dispatched {
                     id: i,
                     slot: p.slot,
                     service: p.service,
                     core: owner,
+                    queue_len: pr.len(),
+                    migrated,
                 };
-                r.out.events.observe(i as u32, p.at, dropped);
+                r.out.events.observe(i as u32, p.at, dispatched);
+            }
+            if let Some(from) = moved_from {
+                let ev = SimEvent::Migration {
+                    slot: p.slot,
+                    from,
+                    to: owner,
+                };
+                r.out.events.observe(i as u32, p.at, ev);
             }
         }
     }
@@ -493,44 +484,18 @@ fn build_window(len: usize) -> Vec<u64> {
     vec![0; len]
 }
 
-/// Push `desc` to `owner`'s ring under the configured full policy.
-/// Returns whether the descriptor was enqueued.
-fn push_full_policy(
-    producers: &mut [Ring],
-    owner: usize,
-    desc: Desc<ExecDesc>,
-    full_policy: FullPolicy,
-) -> bool {
-    let Some(pr) = producers.get_mut(owner) else {
-        return false;
-    };
-    let mut desc = desc;
-    let mut tries = 0u32;
+/// Push `desc` to the ring, spinning (with periodic yields) until the
+/// worker makes room.
+fn push(pr: &mut Ring, mut desc: Desc<ExecDesc>) {
     let mut spins = 0u32;
-    loop {
-        match pr.try_push(desc) {
-            Ok(()) => return true,
-            Err(back) => {
-                desc = back;
-                match full_policy {
-                    FullPolicy::Backpressure => {
-                        spins += 1;
-                        if spins >= 256 {
-                            std::thread::yield_now();
-                            spins = 0;
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                    FullPolicy::DropAfter(n) => {
-                        tries += 1;
-                        if tries > n {
-                            return false;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
-            }
+    while let Err(back) = pr.try_push(desc) {
+        desc = back;
+        spins += 1;
+        if spins >= 256 {
+            std::thread::yield_now();
+            spins = 0;
+        } else {
+            std::hint::spin_loop();
         }
     }
 }

@@ -29,12 +29,15 @@
 //!
 //! The report is one fold of one event stream, as on detsim: the
 //! dispatcher and each worker own an [`npsim::ReportProbe`] and observe
-//! the events detsim publishes, at the same points — `PacketArrived`
-//! when a packet is routed, `Dropped` at a full-ring or a crash drop,
-//! `Migration` when a load or forced handshake begins (one per bucket
-//! moved), `ServiceStart` when a worker's [`CoreClock`] charges a packet
-//! and `Departure` when the worker services it — and the run merges the
-//! parts at join ([`ReportProbe::merge`]). A worker charges each packet
+//! the events detsim publishes, at the same points and by the same
+//! rules — `PacketArrived` when a packet is routed, `Migration` when a
+//! flow's packet is pushed to another worker than its previous packet
+//! (whether a load or forced handshake, a crash re-home or a heal
+//! restore moved its group), `ServiceStart` when a worker's
+//! [`CoreClock`] charges a packet, `Departure` when the worker services
+//! it and `Dropped` at a crash drop — and the run merges the parts at
+//! join ([`ReportProbe::merge`]). A full ring makes the dispatcher wait,
+//! never drop, so a crash is the only way npexec loses a packet. A worker charges each packet
 //! as it pops it, in ring order, which is arrival order, and the
 //! departure is the clock's finish: latency is virtual time, so a
 //! handshake hold, which takes host time, adds none.
@@ -48,8 +51,8 @@
 //! ring push, a `ReorderDetected` after an out-of-order departure); at
 //! join the logs, the dispatcher's first, are stable-sorted by position
 //! and delivered at each event's own instant. At each position that is
-//! the actions fired before the packet, its arrival and dispatch (or
-//! full-ring drop), then its worker's events. So an
+//! the actions fired before the packet, its arrival, dispatch and
+//! migration, then its worker's events. So an
 //! [`npsim::FaultProbe`] keeps the crash ledger here as on detsim:
 //! recovery spans, and the flows resident on a crashed worker and moved
 //! off it.
@@ -109,15 +112,16 @@ use dispatcher::DispatchCtx;
 use plan::{SeqWatch, MAX_PLAN_PACKETS};
 use worker::{WorkerCtx, WorkerOutcome};
 
-/// What the dispatcher does when a worker's ring is full.
+/// What the dispatcher does when a worker's ring is full: it waits for
+/// room, always. The type has that one variant and is kept, with
+/// [`NpexecConfig::full_policy`], only so npbench's `exec-forward`
+/// configuration builds as it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FullPolicy {
     /// Spin (with periodic yields) until the worker makes room — no
-    /// drops, exact conservation `offered == processed`.
+    /// drops, exact conservation `offered == processed` on a crash-free
+    /// run.
     Backpressure,
-    /// Retry this many times, then drop the packet (counted in the
-    /// report like a detsim queue-full drop).
-    DropAfter(u32),
 }
 
 /// A scripted migration for tests: after the dispatcher has routed
@@ -152,7 +156,8 @@ pub struct NpexecConfig {
     pub imbalance_ratio: f64,
     /// Pin worker `i` to CPU `i` (best-effort; see [`ExecStats::pinned_workers`]).
     pub pin_threads: bool,
-    /// Full-ring behavior.
+    /// Full-ring behavior; [`FullPolicy::Backpressure`] is the only
+    /// one. Read by nothing, kept only so npbench builds.
     pub full_policy: FullPolicy,
     /// Scripted migrations (property tests drive the handshake with
     /// these; empty in normal runs).
@@ -396,7 +401,6 @@ impl ExecBackend for ThreadedBackend {
                 seq_watch: &seq_watch,
                 rebalance_every: self.cfg.rebalance_every,
                 imbalance_ratio: self.cfg.imbalance_ratio,
-                full_policy: self.cfg.full_policy,
                 forced,
                 faults,
                 ctrl: cp,
@@ -465,6 +469,7 @@ impl ExecBackend for ThreadedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nphash::FlowSlot;
     use npsim::{FaultPlan, FaultProbe, JoinShortestQueue, MetricsProbe, RateSpec, Recovery};
     use nptrace::TracePreset;
     use nptraffic::ServiceKind;
@@ -537,14 +542,16 @@ mod tests {
     /// The `MetricsProbe` first in `probes` counted every arrival,
     /// departure, drop, migration and reorder the report folded, recorded
     /// the same latencies, and saw a `Dispatched`, with its ring
-    /// occupancy, per packet pushed: all but the full-ring drops.
+    /// occupancy, per packet: the dispatcher pushes every one, and only
+    /// a crash drops.
     fn assert_probe_matches(report: &SimReport, probes: &ProbeStack, faults: &FaultPlan) {
         let metrics = probes
             .first()
             .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
             .expect("metrics probe returned");
         let fault_drops = report.faults.as_ref().map_or(0, |f| f.fault_drops);
-        let pushed = report.offered - (report.dropped - fault_drops);
+        assert_eq!(report.dropped, fault_drops, "only crashes drop");
+        let pushed = report.offered;
         let want = [
             ("arrivals", report.offered),
             ("dispatched", pushed),
@@ -598,9 +605,10 @@ mod tests {
         assert_eq!(report.out_of_order, 0);
         assert_eq!(report.offered, report.processed);
         let stats = backend.last_stats().expect("stats recorded");
+        assert!(stats.handshakes.begun > 0, "the rebalancer fired");
         assert_eq!(
-            report.migration_events, stats.handshakes.begun,
-            "one redirect per handshake begun"
+            report.migration_events, report.migrated_packets,
+            "one migration per packet that changed cores, all serviced"
         );
     }
 
@@ -631,21 +639,6 @@ mod tests {
         assert_eq!(report.out_of_order, 0);
         assert_eq!(report.offered, report.processed);
         assert!(report.migrated_packets > 0, "the group's flows moved");
-    }
-
-    #[test]
-    fn drop_after_policy_accounts_drops() {
-        let mut backend = ThreadedBackend::new(NpexecConfig {
-            workers: 2,
-            ring_capacity: 8,
-            full_policy: FullPolicy::DropAfter(2),
-            rebalance_every: 0,
-            ..NpexecConfig::default()
-        });
-        let report = run_with(&mut backend, 10);
-        assert_eq!(report.offered, report.processed + report.dropped);
-        let per_service_drops: u64 = report.per_service.iter().map(|s| s.dropped).sum();
-        assert_eq!(per_service_drops, report.dropped);
     }
 
     /// Probes see the events the threads fold: every departure with its
@@ -911,8 +904,9 @@ mod tests {
         arrived: u64,
         /// One per crash, in crash order.
         spans: Vec<Span>,
-        /// One per `Migration`: the position its handshake began at.
-        migrations: Vec<u64>,
+        /// One per `Migration`: the plan position of the packet that
+        /// changed cores, and its flow.
+        migrations: Vec<(u64, FlowSlot)>,
     }
 
     /// One crash in plan positions: the crash, the heal, and the first
@@ -940,7 +934,8 @@ mod tests {
             let at = self.arrived;
             match *ev {
                 SimEvent::PacketArrived { .. } => self.arrived += 1,
-                SimEvent::Migration { .. } => self.migrations.push(at),
+                // It follows its packet's arrival.
+                SimEvent::Migration { slot, .. } => self.migrations.push((at - 1, slot)),
                 SimEvent::CoreCrashed { core } => self.spans.push(Span {
                     core,
                     crash: at,
@@ -1108,7 +1103,8 @@ mod tests {
     /// crash, a heal and a forced migration on the packets either side
     /// of the first burst boundary, and a crash at the stream's last
     /// packet, fire where a packet-by-packet walk of the stream puts
-    /// them.
+    /// them. The forced migration shows on the first packet of group 0
+    /// from its position on whose flow had an earlier packet.
     #[test]
     fn burst_draw_keeps_action_positions() {
         let b = PlanStream::BURST as u64;
@@ -1160,7 +1156,27 @@ mod tests {
                 (3, first_at_or_after(at(last)), None),
             ]
         );
-        assert_eq!(positions.migrations, [b + 1], "forced migration position");
+        let groups = MapTable::new(vec![0usize; 32]);
+        let group_of_slot: Vec<u32> = plan
+            .iter()
+            .filter(|p| p.flow_seq == 0)
+            .map(|p| groups.bucket_of(p.flow))
+            .collect();
+        let in_group_0 = |slot: FlowSlot| group_of_slot.get(slot.index()) == Some(&0);
+        let forced = plan
+            .iter()
+            .skip(b as usize + 1)
+            .find(|p| p.flow_seq > 0 && in_group_0(p.slot))
+            .expect("group 0 sees a known flow after the forced migration");
+        let first = positions
+            .migrations
+            .iter()
+            .find(|&&(_, slot)| in_group_0(slot));
+        assert_eq!(
+            first,
+            Some(&(forced.id, forced.slot)),
+            "forced migration position"
+        );
         assert_eq!(positions.arrived, plan.len() as u64);
     }
 

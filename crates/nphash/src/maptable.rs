@@ -143,21 +143,21 @@ impl<C: Copy + Eq> MapTable<C> {
     /// core's bucket with the last bucket, then merge the last bucket into
     /// its parent via [`IncrementalHash::shrink`]. Flows of the released
     /// core's bucket and of the merged bucket migrate; everything else
-    /// stays put.
+    /// stays put. A core that owns several buckets (a crash repair
+    /// hands a survivor the dead core's) gives up each of them so, one
+    /// at a time: a core serves one service only (§III-B).
     ///
-    /// Returns `true` if the core was present and removed. Refuses (returns
-    /// `false`) to remove the last core.
+    /// Returns `true` if the core was present and removed. Refuses
+    /// (returns `false`, the table unchanged) when no other core would
+    /// be left.
     pub fn remove_core(&mut self, core: C) -> bool {
-        if self.cores.len() <= 1 {
+        if !self.contains(core) || self.cores.iter().all(|&c| c == core) {
             return false;
         }
-        let Some(pos) = self.cores.iter().position(|&c| c == core) else {
-            return false;
-        };
-        let last = self.cores.len() - 1;
-        self.cores.swap(pos, last);
-        self.cores.pop();
-        self.hash.shrink();
+        while let Some(pos) = self.cores.iter().position(|&c| c == core) {
+            self.cores.swap_remove(pos);
+            self.hash.shrink();
+        }
         true
     }
 
@@ -316,6 +316,20 @@ mod tests {
         let mut t: MapTable<u32> = MapTable::new(vec![7]);
         assert!(!t.remove_core(7));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn remove_core_takes_every_bucket_the_core_owns() {
+        let mut t: MapTable<u32> = MapTable::new(vec![1, 5, 9]);
+        assert_eq!(t.retire_core(5, &[1, 9]), [1]);
+        assert_eq!(t.cores(), [1, 1, 9], "the survivor holds two buckets");
+        assert!(t.remove_core(1));
+        assert_eq!(t.cores(), [9]);
+        assert!(flows(100).into_iter().all(|f| t.lookup(f) == 9));
+        // Refused, unchanged, when the core owns every bucket.
+        let mut only: MapTable<u32> = MapTable::new(vec![3, 3]);
+        assert!(!only.remove_core(3));
+        assert_eq!(only.cores(), [3, 3]);
     }
 
     #[test]

@@ -59,11 +59,12 @@ pub enum SimEvent {
     },
     /// A flow's packet was enqueued to a different core than the flow's
     /// previous packet (the paper's migration event). Published once per
-    /// migrating dispatch, alongside `Dispatched`. npexec publishes one
-    /// per flow-group handshake begun instead, with the group (map-table
-    /// bucket) id in `slot`: the two backends' schemas differ here.
+    /// migrating dispatch, right after its `Dispatched`, on both
+    /// backends: whatever moved the flow (a scheduler decision, a load
+    /// handshake, a crash repair or a heal), it counts on the flow's
+    /// first packet on the new core.
     Migration {
-        /// Flow slot (npexec: the flow group).
+        /// Flow slot.
         slot: FlowSlot,
         /// Core the flow's previous packet used.
         from: usize,

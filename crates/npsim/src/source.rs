@@ -83,11 +83,6 @@ impl TrafficSource {
         self.current_rate = self.rate.rate_at(t, rng);
     }
 
-    /// The rate currently in force, Mpps (unscaled).
-    pub fn current_rate(&self) -> f64 {
-        self.current_rate
-    }
-
     /// Draw the next inter-arrival gap given scale factor `scale`
     /// (exponential with mean `scale / rate` µs).
     #[inline]
@@ -95,12 +90,6 @@ impl TrafficSource {
         let rate_pp_us = (self.current_rate / scale).max(1e-9);
         let u: f64 = rng.gen::<f64>().max(1e-300);
         SimTime::from_micros_f64(-u.ln() / rate_pp_us)
-    }
-
-    /// Draw the next packet header `(flow, size)`.
-    pub fn next_header(&mut self) -> (FlowId, u16) {
-        let p = self.next_record();
-        (self.flow_id(p), p.size)
     }
 
     /// Draw the next raw packet record from the header stream.
@@ -183,10 +172,11 @@ mod tests {
     #[test]
     fn headers_come_from_preset_namespace() {
         let mut s = source(RateSpec::Constant(1.0));
-        let (f1, sz) = s.next_header();
-        assert!(matches!(sz, 64 | 576 | 1500));
+        let p = s.next_record();
+        assert!(matches!(p.size, 64 | 576 | 1500));
         let mut s2 = source(RateSpec::Constant(1.0));
-        let (f2, _) = s2.next_header();
+        let p2 = s2.next_record();
+        let (f1, f2) = (s.flow_id(p), s2.flow_id(p2));
         assert_eq!(f1, f2, "same preset+seed → same header stream");
     }
 
@@ -198,7 +188,8 @@ mod tests {
         let mut b = source(RateSpec::Constant(1.0));
         let mut interner = FlowInterner::new();
         for _ in 0..5_000 {
-            let (f1, sz1) = a.next_header();
+            let p = a.next_record();
+            let (f1, sz1) = (a.flow_id(p), p.size);
             let (f2, slot, sz2) = b.next_header_interned(&mut interner);
             assert_eq!(f1, f2);
             assert_eq!(sz1, sz2);
@@ -213,6 +204,6 @@ mod tests {
         let mut s = source(RateSpec::HoltWinters(hw));
         let mut rng = StdRng::seed_from_u64(3);
         s.refresh_rate(SimTime::from_secs_f64(2.5), &mut rng); // quarter period → S=1
-        assert!((s.current_rate() - 1.5).abs() < 1e-9);
+        assert!((s.current_rate - 1.5).abs() < 1e-9);
     }
 }

@@ -36,11 +36,6 @@ impl TraceStats {
         &self.counts
     }
 
-    /// Total packets in the trace.
-    pub fn total_packets(&self) -> u64 {
-        self.total_packets
-    }
-
     /// Number of flows that actually appear (count > 0).
     pub fn active_flows(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()
@@ -162,7 +157,7 @@ mod tests {
         let s = t.analyze();
         assert_eq!(s.counts_by_flow(), &[3, 2, 1]);
         assert_eq!(s.rank_size(), vec![3, 2, 1]);
-        assert_eq!(s.total_packets(), 6);
+        assert_eq!(s.total_packets, 6);
         assert_eq!(s.active_flows(), 3);
     }
 

@@ -18,10 +18,12 @@
 //!   reruns under that prefix. With a small, deterministic test body
 //!   the search is exhaustive; a budget ([`MAX_EXECUTIONS`]) bounds
 //!   pathological state spaces.
-//! * `thread::yield_now` deprioritizes the calling thread until another
-//!   thread has been scheduled — the loom contract that makes bounded
-//!   spin loops (`while try_pop() is None { yield_now() }`) terminate
-//!   instead of exploding the search.
+//! * `thread::yield_now` deprioritizes the calling thread until every
+//!   thread that could run at the yield, other deferred yielders
+//!   excepted, has been scheduled — the loom contract that makes
+//!   bounded spin loops (`while try_pop() is None { yield_now() }`)
+//!   terminate instead of exploding the search, even when several
+//!   threads spin on one that has yet to run.
 //!
 //! ## Fidelity
 //!

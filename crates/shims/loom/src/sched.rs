@@ -45,9 +45,13 @@ struct State {
     next_tid: usize,
     /// Threads alive and eligible for scheduling, sorted.
     runnable: Vec<usize>,
-    /// Threads that called `yield_now` and must not be rescheduled
-    /// until a different thread has run (cleared at every pick).
-    yielded: Vec<usize>,
+    /// Threads that called `yield_now`, each with the threads that were
+    /// runnable and not deferred at its yield: it is not rescheduled
+    /// while another thread can run, until each of those has been
+    /// picked (or left the runnable set). Another deferred thread's
+    /// turn does not count, so two spinners cannot keep passing the
+    /// turn between themselves while a third thread waits.
+    yielded: Vec<(usize, Vec<usize>)>,
     /// Threads whose closure has returned.
     finished: Vec<usize>,
     /// `(waiter, target)` pairs blocked in `join`.
@@ -71,6 +75,13 @@ struct State {
     preemptions: usize,
     /// Most involuntary switches one execution may take.
     preemption_bound: usize,
+}
+
+impl State {
+    /// Whether `tid` yielded and still waits for other threads' turns.
+    fn deferred(&self, tid: usize) -> bool {
+        self.yielded.iter().any(|(t, _)| *t == tid)
+    }
 }
 
 pub(crate) struct Exec {
@@ -100,8 +111,9 @@ pub(crate) fn yield_point() {
     }
 }
 
-/// `thread::yield_now` semantics: a schedule point that also blocks the
-/// caller from being re-picked until another thread has run.
+/// `thread::yield_now` semantics: a schedule point that also keeps the
+/// caller from being re-picked, while another thread can run, until
+/// each thread it deferred to has run.
 pub(crate) fn yield_and_defer() {
     if let Some((exec, tid)) = current_ctx() {
         exec.switch(tid, true);
@@ -144,11 +156,7 @@ impl Exec {
         }
         // Honor yield_now: drop deferred threads from the candidate set
         // while anyone else can run.
-        let eager: Vec<usize> = cands
-            .iter()
-            .copied()
-            .filter(|t| !st.yielded.contains(t))
-            .collect();
+        let eager: Vec<usize> = cands.iter().copied().filter(|&t| !st.deferred(t)).collect();
         if !eager.is_empty() {
             cands = eager;
         }
@@ -183,9 +191,14 @@ impl Exec {
             st.preemptions += 1;
         }
         st.current = chosen;
-        // Every deferred thread has now seen "another thread scheduled"
-        // (or is itself the forced pick): clear the deferrals.
-        st.yielded.clear();
+        // The chosen thread has had its turn: each deferral stops
+        // waiting for it (and for threads no longer runnable), and ends
+        // once it waits for nobody.
+        let runnable = &st.runnable;
+        for (_, waits) in &mut st.yielded {
+            waits.retain(|&t| t != chosen && runnable.contains(&t));
+        }
+        st.yielded.retain(|(_, waits)| !waits.is_empty());
     }
 
     /// Schedule point: record a choice, admit the picked thread, park
@@ -197,8 +210,16 @@ impl Exec {
             std::panic::panic_any(AbortSignal);
         }
         debug_assert_eq!(st.current, tid, "switch from a non-admitted thread");
-        if defer_self && st.runnable.len() > 1 {
-            st.yielded.push(tid);
+        if defer_self {
+            let waits: Vec<usize> = st
+                .runnable
+                .iter()
+                .copied()
+                .filter(|&t| t != tid && !st.deferred(t))
+                .collect();
+            if !waits.is_empty() {
+                st.yielded.push((tid, waits));
+            }
         }
         Self::pick_next(&mut st);
         self.cv.notify_all();
@@ -253,7 +274,7 @@ impl Exec {
     fn finish(&self, tid: usize) {
         let mut st = self.lock();
         st.runnable.retain(|t| *t != tid);
-        st.yielded.retain(|t| *t != tid);
+        st.yielded.retain(|(t, _)| *t != tid);
         st.finished.push(tid);
         st.live -= 1;
         let woken: Vec<usize> = st
@@ -315,8 +336,13 @@ impl Exec {
             .name(format!("loom-model-{tid}"))
             .spawn(move || {
                 set_ctx(Arc::clone(&exec), tid);
-                exec.wait_first(tid);
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+                // An execution that aborts before the first admission
+                // unwinds out of the wait: retire the thread all the same.
+                let body = AssertUnwindSafe(|| {
+                    exec.wait_first(tid);
+                    f();
+                });
+                if let Err(payload) = catch_unwind(body) {
                     exec.record_panic(payload);
                 }
                 exec.finish(tid);
@@ -561,6 +587,54 @@ mod tests {
             result.is_err(),
             "the explorer must reach the lost-update interleaving"
         );
+    }
+
+    #[test]
+    fn two_spinners_let_the_setter_run() {
+        // Two threads spin-yield on a flag that a third thread sets.
+        // A yielder that another spinner's turn released could be
+        // picked back before the setter ever ran: a livelock.
+        for bound in [0, 2] {
+            let execs = Arc::new(AtomicUsize::new(0));
+            let e = Arc::clone(&execs);
+            let mut builder = Builder::new();
+            builder.preemption_bound = Some(bound);
+            builder.check(move || {
+                e.fetch_add(1, Ordering::SeqCst);
+                use crate::sync::atomic::{AtomicBool, Ordering as O};
+                let flag = Arc::new(AtomicBool::new(false));
+                let spin = |flag: Arc<AtomicBool>| {
+                    move || {
+                        while !flag.load(O::SeqCst) {
+                            crate::thread::yield_now();
+                        }
+                    }
+                };
+                let a = crate::thread::spawn(spin(Arc::clone(&flag)));
+                let b = crate::thread::spawn(spin(Arc::clone(&flag)));
+                let f = Arc::clone(&flag);
+                let c = crate::thread::spawn(move || f.store(true, O::SeqCst));
+                for t in [a, b, c] {
+                    t.join().expect("model thread");
+                }
+            });
+            assert!(execs.load(Ordering::SeqCst) >= 1, "bound {bound}");
+        }
+    }
+
+    #[test]
+    fn a_failure_before_a_child_first_runs_is_reported() {
+        // The child is never admitted: the root fails first. Its thread
+        // must still retire, or the explorer waits for it forever.
+        let result = std::panic::catch_unwind(|| {
+            model(|| {
+                let _child = crate::thread::spawn(|| {});
+                panic!("deliberate failure");
+            });
+        });
+        let err = result.expect_err("model must propagate the failure");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("deliberate failure"), "{msg}");
     }
 
     #[test]

@@ -58,11 +58,13 @@ where
     JoinHandle { target, result }
 }
 
-/// Defer the calling thread until another thread has been scheduled.
+/// Defer the calling thread until each thread that could run, other
+/// deferred yielders excepted, has been scheduled.
 ///
 /// This is the loom contract that makes bounded spin loops explorable:
 /// a `while try_pop() is None { yield_now() }` loop cannot be scheduled
-/// back-to-back with itself while some other thread can make progress.
+/// back-to-back with itself, nor trade turns with another spinner,
+/// while some other thread can make progress.
 pub fn yield_now() {
     yield_and_defer();
 }
