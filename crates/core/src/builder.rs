@@ -21,12 +21,11 @@
 //! assert_eq!(report.offered, report.dropped + report.processed);
 //! ```
 //!
-//! Policies resolve by name through the [`SchedulerRegistry`]
-//! (builtins plus anything the caller [`register`](SimBuilder::register)s),
-//! or pass a concrete scheduler to [`run_with`](SimBuilder::run_with) to
-//! keep static dispatch. Attach [`Probe`]s with
-//! [`probe`](SimBuilder::probe); with none attached the runs take the
-//! engine's zero-probe fast path.
+//! Policies resolve by name through the [`SchedulerRegistry`] table, or
+//! pass any scheduler — a custom one needs no name — to
+//! [`run_with`](SimBuilder::run_with) to keep static dispatch. Attach
+//! [`Probe`]s with [`probe`](SimBuilder::probe); with none attached
+//! every run takes the engine's zero-probe fast path.
 
 use crate::registry::{BoxedScheduler, SchedulerRegistry};
 use detsim::SimTime;
@@ -52,12 +51,12 @@ pub fn scenario_sources(scenario: Scenario) -> Vec<SourceConfig> {
         .collect()
 }
 
-/// The error returned when a policy name is not in the registry.
+/// The error returned when a policy name is not in the policy table.
 #[derive(Debug)]
 pub struct UnknownScheduler {
     /// The name that failed to resolve.
     pub name: String,
-    /// Every name the registry knows, registration order.
+    /// Every name in the policy table, in table order.
     pub known: Vec<&'static str>,
 }
 
@@ -74,14 +73,13 @@ impl std::fmt::Display for UnknownScheduler {
 
 impl std::error::Error for UnknownScheduler {}
 
-/// Builder for a simulation run: engine configuration, traffic sources,
-/// probes, and the policy registry.
+/// Builder for a simulation run: engine configuration, traffic sources
+/// and probes.
 #[derive(Default)]
 pub struct SimBuilder {
     cfg: EngineConfig,
     sources: Vec<SourceConfig>,
     probes: ProbeStack,
-    registry: SchedulerRegistry,
 }
 
 impl std::fmt::Debug for SimBuilder {
@@ -90,14 +88,13 @@ impl std::fmt::Debug for SimBuilder {
             .field("cfg", &self.cfg)
             .field("sources", &self.sources)
             .field("probes", &self.probes.len())
-            .field("registry", &self.registry)
             .finish()
     }
 }
 
 impl SimBuilder {
-    /// Start from the default [`EngineConfig`], no sources, no probes,
-    /// and the builtin policy registry.
+    /// Start from the default [`EngineConfig`], no sources and no
+    /// probes.
     pub fn new() -> Self {
         SimBuilder::default()
     }
@@ -185,22 +182,6 @@ impl SimBuilder {
         self
     }
 
-    /// Register (or replace) a policy constructor in this builder's
-    /// registry.
-    pub fn register<F>(mut self, name: &'static str, ctor: F) -> Self
-    where
-        F: Fn(&EngineConfig) -> BoxedScheduler + Send + Sync + 'static,
-    {
-        self.registry.register(name, ctor);
-        self
-    }
-
-    /// Replace the policy registry wholesale.
-    pub fn registry(mut self, registry: SchedulerRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// The engine configuration as currently built (read access for
     /// callers that derive policy parameters from it).
     pub fn engine_config(&self) -> &EngineConfig {
@@ -208,64 +189,57 @@ impl SimBuilder {
     }
 
     fn resolve(&self, name: &str) -> Result<BoxedScheduler, UnknownScheduler> {
-        self.registry
+        let registry = SchedulerRegistry::builtin();
+        registry
             .build(name, &self.cfg)
             .ok_or_else(|| UnknownScheduler {
                 name: name.to_string(),
-                known: self.registry.names().collect(),
+                known: registry.names().collect(),
             })
     }
 
-    /// Run under the policy registered as `name` and return the report.
-    ///
-    /// With no probes attached this takes the engine's zero-probe fast
-    /// path; with probes it publishes the full event stream (the report
-    /// is byte-identical either way).
+    /// Run `scheduler` to completion: on the zero-probe engine when no
+    /// probe is attached, else with the probes on the bus (the report is
+    /// byte-identical either way).
+    fn run_engine<S: Scheduler>(self, scheduler: S) -> (SimReport, S, ProbeStack) {
+        let SimBuilder {
+            cfg,
+            sources,
+            probes,
+        } = self;
+        if probes.is_empty() {
+            let (report, scheduler, ()) = Engine::new(cfg, &sources, scheduler).run_full();
+            (report, scheduler, probes)
+        } else {
+            Engine::with_probes(cfg, &sources, scheduler, probes).run_full()
+        }
+    }
+
+    /// Run under the table's policy named `name` and return the report.
     pub fn run_named(self, name: &str) -> Result<SimReport, UnknownScheduler> {
         let scheduler = self.resolve(name)?;
-        if self.probes.is_empty() {
-            Ok(Engine::new(self.cfg, &self.sources, scheduler).run())
-        } else {
-            let (report, _sched, _probes) =
-                Engine::with_probe_stack(self.cfg, &self.sources, scheduler, self.probes)
-                    .run_full();
-            Ok(report)
-        }
+        Ok(self.run_with(scheduler))
     }
 
     /// Like [`SimBuilder::run_named`], but also hands back the probes
     /// with everything they accumulated.
     pub fn run_named_full(self, name: &str) -> Result<(SimReport, ProbeStack), UnknownScheduler> {
         let scheduler = self.resolve(name)?;
-        let (report, _sched, probes) =
-            Engine::with_probe_stack(self.cfg, &self.sources, scheduler, self.probes).run_full();
+        let (report, _scheduler, probes) = self.run_engine(scheduler);
         Ok((report, probes))
     }
 
     /// Run under a concrete scheduler (static dispatch) and return the
     /// report.
     pub fn run_with<S: Scheduler>(self, scheduler: S) -> SimReport {
-        if self.probes.is_empty() {
-            Engine::new(self.cfg, &self.sources, scheduler).run()
-        } else {
-            Engine::with_probe_stack(self.cfg, &self.sources, scheduler, self.probes)
-                .run_full()
-                .0
-        }
+        self.run_engine(scheduler).0
     }
 
     /// Like [`SimBuilder::run_with`], but hands back the scheduler (for
-    /// policy-internal statistics). Takes the zero-probe fast path when
-    /// no probes are attached.
+    /// policy-internal statistics).
     pub fn run_with_returning<S: Scheduler>(self, scheduler: S) -> (SimReport, S) {
-        if self.probes.is_empty() {
-            Engine::new(self.cfg, &self.sources, scheduler).run_returning_scheduler()
-        } else {
-            let (report, sched, _probes) =
-                Engine::with_probe_stack(self.cfg, &self.sources, scheduler, self.probes)
-                    .run_full();
-            (report, sched)
-        }
+        let (report, scheduler, _probes) = self.run_engine(scheduler);
+        (report, scheduler)
     }
 }
 

@@ -1,25 +1,13 @@
-//! Fault-plan construction helpers for experiments and property tests.
+//! A random fault-plan generator for property tests.
 //!
-//! The plan *types* live in `npsim::fault` (the engine executes them);
-//! this module adds the scheduler-crate conveniences: common one-liner
-//! plans and a deterministic [`random_plan`] generator for property
-//! tests (seed → plan is a pure function, so a failing seed reproduces
-//! exactly).
+//! The plan *types* live in `npsim::fault` (the engine executes them,
+//! and `FaultPlan::new().crash(..).heal(..)` builds a plan by hand);
+//! this module adds a deterministic [`random_plan`] generator (seed →
+//! plan is a pure function, so a failing seed reproduces exactly).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use detsim::{SimTime, SplitMix64};
 use npsim::FaultPlan;
-
-/// A single unhealed crash at `at` (the core stays down to the end).
-pub fn single_crash(at: SimTime, core: usize) -> FaultPlan {
-    FaultPlan::new().crash(at, core)
-}
-
-/// A crash at `at` healed at `heal_at` — the resilience experiment's
-/// basic episode.
-pub fn crash_with_heal(core: usize, at: SimTime, heal_at: SimTime) -> FaultPlan {
-    FaultPlan::new().crash(at, core).heal(heal_at, core)
-}
 
 /// A deterministic pseudo-random fault plan: 1–4 fault episodes
 /// (crash+heal, throttle-and-restore, or transient stall) with times
@@ -87,14 +75,5 @@ mod tests {
             distinct.windows(2).any(|w| w[0] != w[1]),
             "different seeds should produce different plans"
         );
-    }
-
-    #[test]
-    fn helpers_build_expected_shapes() {
-        let p = single_crash(SimTime::from_micros(10), 2);
-        assert_eq!(p.len(), 1);
-        let p = crash_with_heal(1, SimTime::from_micros(10), SimTime::from_micros(50));
-        assert_eq!(p.len(), 2);
-        assert!(p.validate(4, 0).is_ok());
     }
 }

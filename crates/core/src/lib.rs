@@ -27,7 +27,10 @@
 //!   the engine's sync-cost model — the anti-LAPS design pole.
 //!
 //! Every scheduler implements [`npsim::Scheduler`], so they run on the
-//! same engine on identical footing.
+//! same engine on identical footing. One static table in [`registry`]
+//! builds each of them by name ([`SchedulerRegistry::build`]);
+//! [`SimBuilder`] runs a named policy, or any other `Scheduler` through
+//! [`SimBuilder::run_with`].
 //!
 //! ```
 //! use laps::SimBuilder;
@@ -66,12 +69,12 @@ pub use adaptive::AdaptiveHash;
 pub use afs::Afs;
 pub use builder::{scenario_sources, SimBuilder, UnknownScheduler};
 pub use config::{LapsConfig, ParkConfig};
-pub use faults::{crash_with_heal, random_plan, single_crash};
+pub use faults::random_plan;
 pub use handshake::{GroupBoard, HandshakeStats, Holdback};
 pub use hashmemo::FlowHashMemo;
 pub use laps::Laps;
 pub use migration::MigrationTable;
-pub use registry::{laps_config_for, BoxedScheduler, SchedulerCtor, SchedulerRegistry};
+pub use registry::{laps_config_for, laps_park_config_for, BoxedScheduler, SchedulerRegistry};
 pub use scr::Scr;
 pub use spsc::{Consumer as SpscConsumer, Desc, Producer as SpscProducer};
 pub use static_hash::StaticHash;
@@ -83,9 +86,9 @@ pub use npsim::JoinShortestQueue as Fcfs;
 /// Convenience re-exports for downstream binaries.
 pub mod prelude {
     pub use crate::{
-        crash_with_heal, laps_config_for, random_plan, scenario_sources, single_crash,
-        AdaptiveHash, Afs, DetectorKind, Fcfs, Laps, LapsConfig, ParkConfig, SchedulerRegistry,
-        Scr, SimBuilder, StaticHash, TopKMigration,
+        laps_config_for, laps_park_config_for, random_plan, scenario_sources, AdaptiveHash, Afs,
+        DetectorKind, Fcfs, Laps, LapsConfig, ParkConfig, SchedulerRegistry, Scr, SimBuilder,
+        StaticHash, TopKMigration,
     };
     pub use detsim::SimTime;
     pub use npafd::AfdConfig;

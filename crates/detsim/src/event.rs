@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 
 /// One scheduled event: fire time, insertion sequence, payload.
 #[derive(Debug, Clone)]
-pub struct EventEntry<E> {
+struct EventEntry<E> {
     /// Virtual time at which the event fires.
     pub time: SimTime,
     /// Insertion sequence number (tie-breaker; unique per queue).
@@ -100,12 +100,6 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Remove and return the earliest event with its full entry (including
-    /// the sequence number).
-    pub fn pop_entry(&mut self) -> Option<EventEntry<E>> {
-        self.heap.pop()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -171,14 +165,5 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.push(SimTime::ZERO, ()), 2, "seq numbers survive a clear");
-    }
-
-    #[test]
-    fn pop_entry_exposes_seq() {
-        let mut q = EventQueue::new();
-        let s0 = q.push(SimTime::ZERO, 'x');
-        let e = q.pop_entry().unwrap();
-        assert_eq!(e.seq, s0);
-        assert_eq!(e.event, 'x');
     }
 }

@@ -46,7 +46,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventEntry, EventQueue};
+pub use event::EventQueue;
 pub use queue::{BoundedQueue, PushOutcome};
 pub use rng::{derive_seed, SeedSequence, SplitMix64};
 pub use stats::{Counter, Histogram, WelfordMean};

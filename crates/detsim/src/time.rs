@@ -60,15 +60,6 @@ impl SimTime {
         SimTime(round_half_up(us * 1_000.0))
     }
 
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            return SimTime::ZERO;
-        }
-        SimTime(round_half_up(s * 1_000_000_000.0))
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -295,7 +286,7 @@ mod tests {
 
     #[test]
     fn roundtrip_f64() {
-        let t = SimTime::from_secs_f64(1.5);
+        let t = SimTime::from_micros_f64(1.5e6);
         assert_eq!(t.as_nanos(), 1_500_000_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
     }

@@ -5,7 +5,8 @@ use proptest::prelude::*;
 
 proptest! {
     /// Popping the event queue yields a non-decreasing time sequence, and
-    /// equal-time events come out in insertion order.
+    /// equal-time events come out in insertion order (each payload is its
+    /// insertion index).
     #[test]
     fn event_queue_total_order(times in proptest::collection::vec(0u64..1_000, 1..200)) {
         let mut q = EventQueue::new();
@@ -13,14 +14,14 @@ proptest! {
             q.push(SimTime::from_nanos(t), i);
         }
         let mut last: Option<(SimTime, usize)> = None;
-        while let Some(e) = q.pop_entry() {
-            if let Some((lt, lseq)) = last {
-                prop_assert!(e.time >= lt);
-                if e.time == lt {
-                    prop_assert!(e.seq as usize > lseq);
+        while let Some((t, i)) = q.pop() {
+            if let Some((lt, li)) = last {
+                prop_assert!(t >= lt);
+                if t == lt {
+                    prop_assert!(i > li);
                 }
             }
-            last = Some((e.time, e.seq as usize));
+            last = Some((t, i));
         }
     }
 

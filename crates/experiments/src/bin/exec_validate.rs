@@ -319,11 +319,9 @@ impl FaultRun {
 fn fault_config(ms: u64) -> (EngineConfig, Vec<SourceConfig>) {
     let (mut cfg, sources) = pair_config(TracePreset::Caida(1), ServiceKind::IpForward, 0.5, ms);
     let horizon = cfg.duration;
-    cfg.faults = crash_with_heal(
-        2,
-        SimTime::from_nanos(horizon.as_nanos() * 2 / 5),
-        SimTime::from_nanos(horizon.as_nanos() * 7 / 10),
-    );
+    cfg.faults = FaultPlan::new()
+        .crash(SimTime::from_nanos(horizon.as_nanos() * 2 / 5), 2)
+        .heal(SimTime::from_nanos(horizon.as_nanos() * 7 / 10), 2);
     (cfg, sources)
 }
 

@@ -96,11 +96,7 @@ impl Sweep for Power {
             _ => {
                 let cfg = builder.engine_config();
                 let duration = cfg.duration;
-                let mut lc = laps_config_for(cfg);
-                lc.parking = Some(ParkConfig {
-                    park_after: SimTime::from_micros_f64(50.0 * cfg.scale),
-                    min_cores: 1,
-                });
+                let lc = laps_park_config_for(cfg);
                 run_with_parking(builder, Laps::new(lc), duration)
             }
         }

@@ -109,7 +109,9 @@ impl Sweep for Resilience {
         let scenario = Scenario::by_id(id).expect("scenario");
         let mut cfg = self.base_cfg.clone();
         if arm == "crash" {
-            cfg.faults = crash_with_heal(self.crash_core, self.crash_at, self.heal_at);
+            cfg.faults = FaultPlan::new()
+                .crash(self.crash_at, self.crash_core)
+                .heal(self.heal_at, self.crash_core);
         }
         let (report, probes) = if policy == "npexec" {
             run_npexec(&cfg, scenario, id, arm)

@@ -138,7 +138,7 @@ fn probes() -> ProbeStack {
 
 #[test]
 fn detsim_static_ledger_matches_a_recount() {
-    let engine = Engine::with_probe_stack(cfg(), &sources(), StaticHash::new(4), probes());
+    let engine = Engine::with_probes(cfg(), &sources(), StaticHash::new(4), probes());
     let (report, _, probes) = engine.run_full();
     assert_eq!(report.offered, report.processed + report.dropped);
     assert_ledger("detsim", &probes);

@@ -109,7 +109,7 @@ fn moves(probes: &ProbeStack) -> &[(u64, FlowSlot, usize, usize)] {
 fn crash_and_heal_migrate_the_same_flows_on_both_backends() {
     for seed in [1, 2, 3, 4, 5, 7, 99, 2026] {
         let probes: ProbeStack = vec![Box::new(Moves::default())];
-        let engine = Engine::with_probe_stack(cfg(seed), &sources(), StaticHash::new(4), probes);
+        let engine = Engine::with_probes(cfg(seed), &sources(), StaticHash::new(4), probes);
         let (det, _, det_probes) = engine.run_full();
         assert!(
             det.migration_events > 0,

@@ -203,8 +203,8 @@ impl Farm {
         Self::from_arg_list(std::env::args().skip(1))
     }
 
-    /// [`Farm::from_args`] over an explicit argument list (testable).
-    pub fn from_arg_list(args: impl IntoIterator<Item = String>) -> Farm {
+    /// [`Farm::from_args`] over an explicit argument list.
+    fn from_arg_list(args: impl IntoIterator<Item = String>) -> Farm {
         let args: Vec<String> = args.into_iter().collect();
         let value_of = |key: &str| -> Option<&str> {
             args.iter()

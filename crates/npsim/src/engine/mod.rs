@@ -74,11 +74,11 @@ use crate::core_clock::scaled_delay;
 use crate::event::SimEvent;
 use crate::fault::{FaultAction, FaultPlan, FaultStats};
 use crate::packet::PacketDesc;
-use crate::probe::{ProbeHost, ProbeStack, ReportProbe};
+use crate::probe::{ProbeHost, ReportProbe};
 use crate::report::{SimReport, SyncStats};
 use crate::restore::RestorationBuffer;
 use crate::sched::{RepairOutcome, Scheduler, SystemView};
-use crate::source::SourceConfig;
+use crate::source::{RateSpec, SourceConfig};
 use detsim::{PushOutcome, SeedSequence, SimTime};
 
 use clock::{Ev, HeapPending, Pending};
@@ -190,6 +190,11 @@ impl Default for EngineConfig {
 /// The configuration checks [`Engine::with_probes`] and
 /// [`PlanStream::new`] share, so the stream never accepts a
 /// configuration the engine rejects.
+///
+/// A constant rate must be finite and non-negative, and its mean gap at
+/// this scale (`scale / rate` µs) must reach the 1 ns clock resolution:
+/// finer gaps round to 0 ns and virtual time would never advance. A
+/// rate of 0 is a silent source.
 fn check_stream_config(cfg: &EngineConfig, sources: &[SourceConfig]) {
     assert!(!sources.is_empty(), "need at least one traffic source");
     assert!(cfg.scale > 0.0, "scale must be positive");
@@ -197,6 +202,18 @@ fn check_stream_config(cfg: &EngineConfig, sources: &[SourceConfig]) {
         cfg.rate_update_interval > SimTime::ZERO,
         "rate update interval must be positive"
     );
+    for (i, source) in sources.iter().enumerate() {
+        if let RateSpec::Constant(rate) = source.rate {
+            // Negative for a negative rate, NaN for NaN, 0 for ∞.
+            let gap_ns = 1e3 * cfg.scale / rate;
+            let trace = source.trace.name();
+            assert!(
+                rate == 0.0 || gap_ns >= 1.0,
+                "source {i} ({trace}): constant rate {rate} Mpps (mean gap {gap_ns} ns) must \
+                 be 0 (silent) or positive with a mean gap of at least the 1 ns clock resolution"
+            );
+        }
+    }
 }
 
 /// The simulation engine, generic over the scheduling policy `S` and the
@@ -262,27 +279,15 @@ impl<S: Scheduler> Engine<S> {
     }
 }
 
-impl<S: Scheduler> Engine<S, ProbeStack> {
-    /// Build an engine with a dynamic probe stack attached to the
-    /// observability bus. Probes see every published [`SimEvent`] and
-    /// are handed back by [`Engine::run_full`].
-    pub fn with_probe_stack(
-        cfg: EngineConfig,
-        sources: &[SourceConfig],
-        scheduler: S,
-        probes: ProbeStack,
-    ) -> Self {
-        Engine::with_probes(cfg, sources, scheduler, probes)
-    }
-}
-
 impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
     /// Build an engine with an arbitrary probe host.
     ///
     /// # Panics
     /// Panics on a zero-core configuration, an empty source list, a
     /// non-positive scale, a zero `rate_update_interval` (the tick would
-    /// re-arm at `now` forever), an invalid fault plan
+    /// re-arm at `now` forever), a constant source rate that is negative,
+    /// not finite, or so high its mean gap is under 1 ns (every gap would
+    /// round to 0 and time would stand still), an invalid fault plan
     /// ([`FaultPlan::validate`]), or a priced sync model (SCR) on more
     /// than 64 cores.
     pub fn with_probes(
@@ -856,20 +861,13 @@ impl<S: Scheduler, P: ProbeHost> Engine<S, P> {
         }
         (report, self.scheduler, probes)
     }
-
-    /// Borrow the scheduler (e.g. to inspect detector state post-run in
-    /// tests that drive the engine manually).
-    pub fn scheduler(&self) -> &S {
-        &self.scheduler
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{EventLogProbe, MetricsProbe};
+    use crate::probe::{EventLogProbe, MetricsProbe, ProbeStack};
     use crate::sched::{JoinShortestQueue, RoundRobin, SystemView};
-    use crate::source::RateSpec;
     use nptrace::TracePreset;
     use nptraffic::ServiceKind;
 
@@ -1096,8 +1094,16 @@ mod tests {
         assert_eq!(r.core_busy_ns.len(), 4);
         let u = r.mean_utilization();
         assert!((u - 0.25).abs() < 0.05, "mean utilization {u}");
-        assert_eq!(r.active_cores(0.02), 4, "hash spreads flows over all cores");
-        assert_eq!(r.active_cores(2.0), 0);
+        // Cores whose busy fraction exceeds a threshold.
+        let dur = r.end_time.as_nanos() as f64;
+        let active = |threshold: f64| {
+            r.core_busy_ns
+                .iter()
+                .filter(|&&b| b as f64 / dur > threshold)
+                .count()
+        };
+        assert_eq!(active(0.02), 4, "hash spreads flows over all cores");
+        assert_eq!(active(2.0), 0);
     }
 
     #[test]
@@ -1133,8 +1139,7 @@ mod tests {
             Box::new(EventLogProbe::new()),
         ];
         let (probed, _sched, _probes) =
-            Engine::with_probe_stack(quick_cfg(2, 30), &one_source(3.0), PingPong(0), probes)
-                .run_full();
+            Engine::with_probes(quick_cfg(2, 30), &one_source(3.0), PingPong(0), probes).run_full();
         let a = serde_json::to_string(&bare).expect("bare report serializes");
         let b = serde_json::to_string(&probed).expect("probed report serializes");
         assert_eq!(a, b, "probes must be invisible to the report");
@@ -1144,8 +1149,7 @@ mod tests {
     fn metrics_probe_agrees_with_report() {
         let probes: ProbeStack = vec![Box::new(MetricsProbe::new())];
         let (report, _sched, probes) =
-            Engine::with_probe_stack(quick_cfg(2, 30), &one_source(4.0), PingPong(0), probes)
-                .run_full();
+            Engine::with_probes(quick_cfg(2, 30), &one_source(4.0), PingPong(0), probes).run_full();
         let metrics = probes
             .first()
             .and_then(|p| p.as_any().downcast_ref::<MetricsProbe>())
@@ -1381,8 +1385,7 @@ mod tests {
             Box::new(MetricsProbe::new()),
         ];
         let (report, _sched, probes) =
-            Engine::with_probe_stack(cfg, &one_source(3.0), JoinShortestQueue::new(), probes)
-                .run_full();
+            Engine::with_probes(cfg, &one_source(3.0), JoinShortestQueue::new(), probes).run_full();
         let fp = probes
             .first()
             .and_then(|p| p.as_any().downcast_ref::<crate::fault::FaultProbe>())
@@ -1437,6 +1440,30 @@ mod tests {
         let mut cfg = quick_cfg(2, 1);
         cfg.rate_update_interval = SimTime::ZERO;
         let _ = Engine::new(cfg, &one_source(1.0), Spray(0)).run();
+    }
+
+    #[test]
+    fn invalid_constant_rates_are_rejected_and_zero_is_silent() {
+        // Unrejected, ∞ and 1e300 round every gap to 0 ns and `run` never
+        // ends; −1 and NaN offer nothing without a word.
+        for rate in [-1.0, f64::NAN, f64::INFINITY, 1e300] {
+            let err = std::panic::catch_unwind(|| {
+                Engine::new(quick_cfg(2, 1), &one_source(rate), Spray(0))
+            })
+            .expect_err("an invalid rate must be rejected");
+            let text = err.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                text.contains("source 0 (auck1)") && text.contains("1 ns clock resolution"),
+                "rate {rate}: {text}"
+            );
+            assert!(
+                std::panic::catch_unwind(|| PlanStream::new(&quick_cfg(2, 1), &one_source(rate)))
+                    .is_err(),
+                "rate {rate}: the stream shares the check"
+            );
+        }
+        let silent = Engine::new(quick_cfg(2, 1), &one_source(0.0), Spray(0)).run();
+        assert_eq!(silent.offered, 0);
     }
 
     #[test]

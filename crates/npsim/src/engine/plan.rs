@@ -104,8 +104,9 @@ impl PlanStream {
     /// The offered stream of `cfg` + `sources`.
     ///
     /// # Panics
-    /// Panics on an empty source list, a non-positive scale or a zero
-    /// `rate_update_interval` — the engine constructor's own checks.
+    /// Panics on an empty source list, a non-positive scale, a zero
+    /// `rate_update_interval` or an invalid constant source rate — the
+    /// engine constructor's own checks.
     pub fn new(cfg: &EngineConfig, sources: &[SourceConfig]) -> Self {
         super::check_stream_config(cfg, sources);
         let ingest = IngestStage::new(

@@ -231,19 +231,6 @@ impl SimReport {
         total as f64 / (self.end_time.as_nanos() as f64 * self.core_busy_ns.len() as f64)
     }
 
-    /// Number of cores whose busy fraction exceeds `threshold` — a proxy
-    /// for "cores that could not have been powered down".
-    pub fn active_cores(&self, threshold: f64) -> usize {
-        let dur = self.end_time.as_nanos() as f64;
-        if dur == 0.0 {
-            return 0;
-        }
-        self.core_busy_ns
-            .iter()
-            .filter(|&&b| b as f64 / dur > threshold)
-            .count()
-    }
-
     /// Sanity: offered = dropped + processed + still-in-flight. Exposed
     /// for tests; `in_flight` is whatever remained queued/being processed
     /// at the horizon.

@@ -203,7 +203,7 @@ mod tests {
         let hw = HoltWinters::new(1.0, 0.0, 0.5, 10.0, 0.0);
         let mut s = source(RateSpec::HoltWinters(hw));
         let mut rng = StdRng::seed_from_u64(3);
-        s.refresh_rate(SimTime::from_secs_f64(2.5), &mut rng); // quarter period → S=1
+        s.refresh_rate(SimTime::from_millis(2_500), &mut rng); // quarter period → S=1
         assert!((s.current_rate - 1.5).abs() < 1e-9);
     }
 }

@@ -3,9 +3,9 @@
 //! Anything implementing `npsim::Scheduler` runs on the same engine and
 //! is measured by the same report as the paper's policies. Here we build
 //! a "service-partitioned static hash" — LAPS's I-cache partitioning
-//! without migration or dynamic allocation — register it in the
-//! scheduler registry next to the built-ins, and see how much each LAPS
-//! mechanism buys on an overloaded scenario.
+//! without migration or dynamic allocation — run it next to the built-in
+//! LAPS, and see how much each LAPS mechanism buys on an overloaded
+//! scenario.
 //!
 //! ```sh
 //! cargo run --release --example custom_scheduler
@@ -56,17 +56,10 @@ fn main() {
         ..EngineConfig::default()
     };
 
-    // A custom policy registers like any built-in: a name plus a
-    // constructor from the engine configuration.
-    let builder = || {
-        SimBuilder::new()
-            .config(cfg.clone())
-            .scenario(scenario)
-            .register("partitioned", |cfg| {
-                Box::new(PartitionedHash::new(cfg.n_cores))
-            })
-    };
-    let custom = builder().run_named("partitioned").expect("just registered");
+    // A custom policy needs no name: `run_with` runs any `Scheduler`
+    // (statically dispatched); names only select the built-ins.
+    let builder = || SimBuilder::new().config(cfg.clone()).scenario(scenario);
+    let custom = builder().run_with(PartitionedHash::new(cfg.n_cores));
     let laps = builder().run_named("laps").expect("builtin");
 
     println!(

@@ -12,24 +12,14 @@ use laps_repro::npsim::ExecutionMode;
 use laps_repro::prelude::*;
 use proptest::prelude::*;
 
-/// Every builtin policy, registry order. The SCR family rides with a
+/// Every builtin policy, read from the registry's table in its order,
+/// so a policy added there joins this grid. The SCR family rides with a
 /// non-zero `sync_cost_us` (set in [`run`]), so the byte-identity grid
 /// covers the sync-surcharge path too — replica bookkeeping and debt
 /// stamping must happen at the same point in both loops.
-const POLICIES: [&str; 12] = [
-    "round-robin",
-    "fcfs",
-    "static",
-    "afs",
-    "adaptive",
-    "topk-afd",
-    "topk-oracle",
-    "laps",
-    "laps-park",
-    "scr-rr",
-    "scr-p2c",
-    "scr-sync16",
-];
+fn policies() -> Vec<&'static str> {
+    SchedulerRegistry::builtin().names().collect()
+}
 
 /// The burst sizes under test: degenerate (1), odd (7), full (32).
 const BURSTS: [u8; 3] = [1, 7, 32];
@@ -74,7 +64,7 @@ proptest! {
     /// source fan-in: the batched report is byte-identical to scalar.
     #[test]
     fn batched_report_is_byte_identical_to_scalar(
-        policy_i in 0usize..POLICIES.len(),
+        policy_i in 0usize..policies().len(),
         burst_i in 0usize..BURSTS.len(),
         preset in 1u8..7,
         seed in 0u64..1_000,
@@ -82,7 +72,7 @@ proptest! {
         scale_i in 1u32..41,
         n_sources in 1usize..4,
     ) {
-        let policy = POLICIES[policy_i];
+        let policy = policies()[policy_i];
         let burst = BURSTS[burst_i];
         let scale = scale_i as f64;
         let scalar = run(policy, ExecutionMode::Scalar, preset, seed, duration_ms, scale, n_sources);
@@ -103,7 +93,7 @@ proptest! {
 /// proptest above samples; this leaves no policy uncovered).
 #[test]
 fn every_policy_matches_at_default_burst() {
-    for policy in POLICIES {
+    for policy in policies() {
         let scalar = run(policy, ExecutionMode::Scalar, 2, 7, 3, 10.0, 2);
         let batched = run(policy, ExecutionMode::default(), 2, 7, 3, 10.0, 2);
         assert_eq!(scalar, batched, "policy={policy}");
@@ -256,11 +246,11 @@ fn ms(x: f64) -> SimTime {
     SimTime::from_nanos((x * 1e6) as u64)
 }
 
-/// One traffic kind's half of the grid: all 12 policies × `random_plan`
+/// One traffic kind's half of the grid: every policy × `random_plan`
 /// seeds × bursts {1, 7, 32}. Each half must bite on its own.
 fn fault_grid(ti: u64, traffic: Traffic) {
     let mut bite = Bite::default();
-    for (pi, policy) in POLICIES.into_iter().enumerate() {
+    for (pi, policy) in policies().into_iter().enumerate() {
         for k in 0..2u64 {
             let seed = 1 + k + 2 * (ti + 2 * pi as u64);
             let duration = SimTime::from_millis(4);

@@ -57,16 +57,11 @@ fn parking_saves_idle_core_time_in_underload() {
     let plain = builder(1, 2).run_named("laps").expect("builtin policy");
 
     // The parking arm needs the scheduler back for its power statistics,
-    // so wire the laps-park configuration by hand and keep static
-    // dispatch via `run_with_returning`.
+    // so build the laps-park configuration and keep static dispatch via
+    // `run_with_returning`.
     let b = builder(1, 2);
-    let cfg = b.engine_config();
-    let duration = cfg.duration;
-    let mut lc = laps_config_for(cfg);
-    lc.parking = Some(ParkConfig {
-        park_after: SimTime::from_micros_f64(50.0 * cfg.scale),
-        min_cores: 1,
-    });
+    let duration = b.engine_config().duration;
+    let lc = laps_park_config_for(b.engine_config());
     let (parked_report, laps) = b.run_with_returning(Laps::new(lc));
 
     let parked_ns = laps.parked_time_ns(duration);

@@ -65,3 +65,31 @@ fn one_core_md1_matches_pollaczek_khinchine_and_utilisation() {
         }
     }
 }
+
+/// The rate/time scale `F` is exact for a policy without thresholds:
+/// gaps, service times and penalties all stretch by `F`, and the
+/// horizon with them, so a `static` run's counts do not depend on it
+/// (67,297 offered / 8,324 dropped / 58,973 processed / 16 cold at
+/// both scales here). A time constant left unscaled breaks the
+/// equality.
+#[test]
+fn static_counts_are_independent_of_the_scale() {
+    let run = |scale: f64| {
+        let r = SimBuilder::new()
+            .cores(16)
+            .duration(SimTime::from_micros_f64(2_000.0 * scale))
+            .scale(scale)
+            .seed(3)
+            .configure(|cfg| {
+                cfg.queue_capacity = 32;
+                cfg.rate_update_interval = SimTime::from_millis(10);
+            })
+            .constant_source(ServiceKind::IpForward, TracePreset::Caida(1), 33.6)
+            .run_named("static")
+            .expect("builtin policy");
+        (r.offered, r.dropped, r.processed, r.cold_starts)
+    };
+    let at_10 = run(10.0);
+    assert!(at_10.1 > 0, "the cell overloads: {at_10:?}");
+    assert_eq!(at_10, run(100.0), "(offered, dropped, processed, cold)");
+}
